@@ -34,6 +34,7 @@ __all__ = [
     "load_spec",
     "save_spec",
     "validate_spec",
+    "describe_violation",
     "parse_region",
 ]
 
@@ -47,15 +48,18 @@ class AlgebraValidationError(AlgebraError):
 
     def __init__(self, name: str, violations: list[dict]):
         self.violations = violations
-        parts = []
-        for v in violations:
-            frag = v["invariant"]
-            if v.get("indices") is not None:
-                frag += f" at {v['indices']}"
-            if v.get("residual") is not None:
-                frag += f" (residual {v['residual']:.3g})"
-            parts.append(frag)
-        super().__init__(f"algebra spec '{name}' violates: " + "; ".join(parts))
+        parts = "; ".join(describe_violation(v) for v in violations)
+        super().__init__(f"algebra spec '{name}' violates: {parts}")
+
+
+def describe_violation(v: dict) -> str:
+    """One line for a `validate_spec` record; indices and residual are optional."""
+    text = v["invariant"]
+    if v.get("indices") is not None:
+        text += f" at {v['indices']}"
+    if v.get("residual") is not None:
+        text += f" (residual {v['residual']:.3g})"
+    return text
 
 
 # --------------------------------------------------------------------------
@@ -222,6 +226,18 @@ class Element:
 
     def matrix(self) -> np.ndarray:
         return self.alg.to_matrix(self.coords)
+
+    def vec(self) -> np.ndarray:
+        return self.coords
+
+    @staticmethod
+    def from_vec(alg: AlgebraSpec, v: np.ndarray) -> "Element":
+        return Element(alg, np.array(v, dtype=float))
+
+    @staticmethod
+    def from_covector(alg: AlgebraSpec, w: np.ndarray) -> "Element":
+        """The ⟨·,·⟩-gradient G⁻¹w of a Euclidean covector w."""
+        return Element(alg, alg.gram_inv @ w)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coords))
@@ -590,6 +606,8 @@ def with_rescaled_basis(spec: AlgebraSpec, s: float) -> AlgebraSpec:
     Used by the form-scale invariance checks: verdicts (ranks, Casimirs,
     involutivity) must not depend on the overall normalisation of ⟨·,·⟩.
     """
+    if not (np.isfinite(s) and s > 0):
+        raise AlgebraError(f"with_rescaled_basis: scale must be finite and > 0, got {s}")
     r = float(np.sqrt(s))
     basis = spec.basis * r
     return replace(

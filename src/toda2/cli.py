@@ -21,8 +21,10 @@ from pathlib import Path
 from .algebra import (
     AlgebraError,
     AlgebraSpec,
+    AlgebraValidationError,
     build_gl,
     build_sl,
+    describe_violation,
     load_spec,
     save_spec,
     spec_to_document,
@@ -75,15 +77,18 @@ def _cmd_algebra_build(args) -> int:
 
 
 def _cmd_algebra_validate(args) -> int:
-    alg = resolve_algebra(args.algebra)
-    violations = validate_spec(alg)
-    if not violations:
-        print(f"{alg.name}: all structural invariants hold "
-              f"(dim={alg.dim}, rank={alg.rank})")
-        return 0
+    try:
+        alg = resolve_algebra(args.algebra)
+    except AlgebraValidationError as err:   # parsed, but violates invariants
+        violations = err.violations
+    else:
+        violations = validate_spec(alg)
+        if not violations:
+            print(f"{alg.name}: all structural invariants hold "
+                  f"(dim={alg.dim}, rank={alg.rank})")
+            return 0
     for v in violations:
-        print(f"violated: {v['invariant']}  residual={v['residual']:.3e}  "
-              f"indices={v['indices']}")
+        print(f"violated: {describe_violation(v)}")
     return 1
 
 

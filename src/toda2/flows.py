@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import AlgebraSpec, Element, project
-from .invariants import family
+from .invariants import family, family_values
 from .poisson import CapabilityError, PhaseSpace, PreconditionError, ScalarFunction
 from .rmatrix import PairPoint, RMatrixConfig, pair_bracket, r_apply
 
@@ -128,8 +128,17 @@ class FlowConfig:
             raise PreconditionError(f"dt must be positive, got {self.dt}")
         if self.T < self.dt:
             raise PreconditionError(f"horizon T = {self.T} shorter than dt = {self.dt}")
+        ratio = self.T / self.dt
+        if not (np.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9 * ratio):
+            raise PreconditionError(
+                f"horizon T = {self.T} is not a whole number of steps dt = {self.dt}"
+            )
         if self.integrator != "rk4":
             raise PreconditionError(f"unknown integrator {self.integrator!r}")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.T / self.dt))
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,24 +184,25 @@ def _rk4_step(f: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
 
 def integrate(cfg: FlowConfig, m0: PairPoint,
               conserved: Optional[list[ScalarFunction]] = None) -> Trajectory:
-    """Fixed-step RK4 run; truncates with a diagnostic on non-finite states."""
+    """Fixed-step RK4 run; truncates with a diagnostic on non-finite states.
+
+    Without `conserved` the whole family is evaluated on the state stack in
+    one batch; an explicit list is evaluated function by function.
+    """
     alg = m0.alg
     fld = _named_field(cfg)
 
     def f(v: np.ndarray) -> np.ndarray:
         return fld(PairPoint.from_vec(alg, v)).vec()
 
-    if conserved is None:
-        conserved = family(alg)
-    names = tuple(F.name for F in conserved)
-    n_steps = int(round(cfg.T / cfg.dt))
+    names = tuple(F.name for F in (family(alg) if conserved is None else conserved))
     states = [m0.vec()]
     times = [0.0]
     truncated, note = False, ""
     v = states[0]
     # overflow on the way to a detected blow-up is expected, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
+        for k in range(cfg.n_steps):
             v = _rk4_step(f, v, cfg.dt)
             if not np.all(np.isfinite(v)):
                 truncated = True
@@ -202,9 +212,12 @@ def integrate(cfg: FlowConfig, m0: PairPoint,
             states.append(v)
             times.append((k + 1) * cfg.dt)
     state_arr = np.array(states)
-    values = np.array(
-        [[F(PairPoint.from_vec(alg, row)) for F in conserved] for row in state_arr]
-    )
+    if conserved is None:
+        values = family_values(alg, state_arr)
+    else:
+        values = np.array(
+            [[F(PairPoint.from_vec(alg, row)) for F in conserved] for row in state_arr]
+        )
     return Trajectory(
         alg=alg,
         times=np.array(times),

@@ -37,6 +37,8 @@ __all__ = [
     "expand_pencil",
     "pencil_pullback",
     "family",
+    "family_values",
+    "family_gradients",
     "family_labels",
     "rais_vectors",
     "independence_rank",
@@ -44,29 +46,67 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------
-# polynomial-matrix arithmetic: a polynomial is a list of (n, n) coefficients
+# the pencil recurrence: one pass gives every member's value and gradient
 # --------------------------------------------------------------------------
 
 
-def matpoly_mul(A: list[np.ndarray], B: list[np.ndarray]) -> list[np.ndarray]:
-    n = A[0].shape[0]
-    out = [np.zeros((n, n)) for _ in range(len(A) + len(B) - 1)]
-    for i, Ai in enumerate(A):
-        for j, Bj in enumerate(B):
-            out[i + j] += Ai @ Bj
-    return out
+def _pencil_powers(alg: AlgebraSpec, states: np.ndarray, top: int) -> list:
+    """λ-coefficients of (λX − Y)^k, k = 0..top, at every row of `states`.
+
+    `states` is an (N, 2·dim) stack of vec(PairPoint) rows.  Entry k of the
+    result is the list of k+1 (N, n, n) coefficient stacks of λ⁰…λ^k, built by
+    the recurrence W⁽ᵏ⁺¹⁾_c = W⁽ᵏ⁾_{c−1}X − W⁽ᵏ⁾_cY; every product is a
+    per-state matmul, so a row's values do not depend on the rest of the stack.
+    """
+    S = np.asarray(states, dtype=float)
+    X = np.einsum("Na,aij->Nij", S[:, : alg.dim], alg.basis)
+    mY = -np.einsum("Na,aij->Nij", S[:, alg.dim:], alg.basis)
+    W = [np.broadcast_to(np.eye(X.shape[-1]), X.shape)]
+    powers = [W]
+    for _ in range(top):
+        inner = [W[c - 1] @ X + W[c] @ mY for c in range(1, len(W))]
+        W = [W[0] @ mY] + inner + [W[-1] @ X]
+        powers.append(W)
+    return powers
 
 
-def matpoly_pow(base: list[np.ndarray], k: int) -> list[np.ndarray]:
-    n = base[0].shape[0]
-    result = [np.eye(n)]
-    for _ in range(k):
-        result = matpoly_mul(result, base)
-    return result
+def family_values(alg: AlgebraSpec, states: np.ndarray) -> np.ndarray:
+    """F_{j,i} at every row of an (N, 2·dim) state stack, shape (N, card).
+
+    Columns follow `family_labels`: F_{j,i} = (−1)^{m_i+1−j} Tr(W_j)/(m_i+1)
+    with W = (λx − y)^{m_i+1}.
+    """
+    W = _pencil_powers(alg, states, max(alg.exponents) + 1)
+    cols = [
+        (-1.0) ** (i + 1 - j) * np.trace(W[i + 1][j], axis1=1, axis2=2) / (i + 1)
+        for (j, i) in family_labels(alg)
+    ]
+    return np.stack(cols, axis=1)
+
+
+def family_gradients(alg: AlgebraSpec, m: PairPoint) -> tuple[PairPoint, ...]:
+    """∇F_{j,i}(m) for every member, in `family_labels` order.
+
+    ∇F_{j,i} = (−1)^{m_i+1−j}(ĝ(V_{j−1}), ĝ(V_j)) with V = (λx − y)^{m_i} and
+    V_{−1} = V_{m_i+1} = 0; the projections ĝ of all V_c share one Gram solve.
+    """
+    W = _pencil_powers(alg, m.vec()[None], max(alg.exponents))
+    zero = np.zeros_like(W[0][0])
+    # per label i the stack V_{−1}, V_0, …, V_{m_i+1}: i + 3 matrices
+    mats = np.concatenate([np.concatenate([zero, *W[i], zero]) for i in alg.exponents])
+    g = np.linalg.solve(alg.gram, np.einsum("kij,aji->ak", mats, alg.basis)).T
+    out, off = [], 0
+    for i in alg.exponents:
+        for j in range(i + 2):
+            sgn = (-1.0) ** (i + 1 - j)
+            out.append(PairPoint(Element(alg, sgn * g[off + j]),
+                                 Element(alg, sgn * g[off + j + 1])))
+        off += i + 3
+    return tuple(out)
 
 
 # --------------------------------------------------------------------------
-# generators and the pencil expansion
+# generators and views of the family
 # --------------------------------------------------------------------------
 
 
@@ -107,30 +147,20 @@ class PencilExpansion:
 
 
 def expand_pencil(alg: AlgebraSpec, i: int, m: PairPoint) -> PencilExpansion:
-    """Exact λ-coefficient extraction of P_i(λx−y) and its gradient at m."""
-    if i < 0:
-        raise ValueError(f"expand_pencil: generator label must be ≥ 0, got {i}")
-    d = i + 1
-    X, Y = m.x.matrix(), m.y.matrix()
-    base = [-Y, X]
-    W = matpoly_pow(base, d)          # d+1 coefficient matrices
-    V = matpoly_pow(base, d - 1)      # d matrices, the gradient source
-    coeffs = np.array(
-        [(-1.0) ** (d - j) * np.trace(W[j]) / d for j in range(d + 1)]
-    )
-    zero = np.zeros_like(X)
-    grads = []
-    for j in range(d + 1):
-        sgn = (-1.0) ** (d - j)
-        left = V[j - 1] if 1 <= j <= d else zero
-        right = V[j] if j <= d - 1 else zero
-        grads.append(
-            PairPoint(
-                Element(alg, sgn * alg.gradient_from_matrix(left)),
-                Element(alg, sgn * alg.gradient_from_matrix(right)),
-            )
+    """The members F_{·,i} of one generator label i and their gradients at m."""
+    if i not in alg.exponents:
+        raise ValueError(
+            f"expand_pencil: {i} is not a generator label of {alg.name} "
+            f"(exponents {alg.exponents})"
         )
-    return PencilExpansion(i=i, degree=d, coeffs=coeffs, grad_coeffs=tuple(grads))
+    k = family_labels(alg).index((0, i))
+    members = slice(k, k + i + 2)
+    return PencilExpansion(
+        i=i,
+        degree=i + 1,
+        coeffs=family_values(alg, m.vec()[None])[0, members],
+        grad_coeffs=family_gradients(alg, m)[members],
+    )
 
 
 def pencil_pullback(alg: AlgebraSpec, i: int, lam: float) -> ScalarFunction:
@@ -156,23 +186,19 @@ def family_labels(alg: AlgebraSpec) -> list[tuple[int, int]]:
 
 
 def family(alg: AlgebraSpec) -> list[ScalarFunction]:
-    """The full conserved family as ScalarFunctions named F_{j}_{i}."""
-    out = []
-    for i in alg.exponents:
-        for j in range(i + 2):
-            out.append(
-                ScalarFunction(
-                    f"F_{j}_{i}",
-                    lambda m, i=i, j=j: expand_pencil(m.alg, i, m).coeffs[j],
-                    lambda m, i=i, j=j: expand_pencil(m.alg, i, m).grad_coeffs[j],
-                )
-            )
-    return out
+    """The full conserved family as ScalarFunctions named F_{j}_{i}.
 
-
-def family_expansions(alg: AlgebraSpec, m: PairPoint) -> dict[int, PencilExpansion]:
-    """All generators expanded at one point (sweep helper, avoids rework)."""
-    return {i: expand_pencil(alg, i, m) for i in alg.exponents}
+    Member k reads column k of `family_values` and entry k of
+    `family_gradients`, so it agrees bit for bit with a batch evaluation.
+    """
+    return [
+        ScalarFunction(
+            f"F_{j}_{i}",
+            lambda m, k=k: family_values(m.alg, m.vec()[None])[0, k],
+            lambda m, k=k: family_gradients(m.alg, m)[k],
+        )
+        for k, (j, i) in enumerate(family_labels(alg))
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -195,13 +221,12 @@ class RaisData:
 
 
 def rais_vectors(alg: AlgebraSpec) -> RaisData:
-    point = PairPoint(alg.e, alg.h)
-    vectors = []
-    for i in alg.exponents:
-        exp = expand_pencil(alg, i, point)
-        for k in range(i + 1):
-            u = math.factorial(k) * exp.grad_coeffs[k + 1].x
-            vectors.append((k, i, u))
+    grads = family_gradients(alg, PairPoint(alg.e, alg.h))
+    vectors = [
+        (j - 1, i, math.factorial(j - 1) * g.x)
+        for (j, i), g in zip(family_labels(alg), grads)
+        if j >= 1
+    ]
     stack = np.stack([v.coords for (_, _, v) in vectors])
     rank = numerical_rank(stack)
     degrees = alg.degrees

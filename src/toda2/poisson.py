@@ -15,23 +15,23 @@ with products taken componentwise.  Hamiltonian fields use the convention
 X_F[K] = {K, F} and are assembled generically from the coordinate functions
 z_a of the ambient basis: X_F = Σ_a {z_a, F} ∂_a.
 
-Affine phase spaces (T_P and friends) are a base point plus a tangent basis;
-their coordinate functions are Euclidean duals of the tangent vectors.  For
-the linear bracket these spaces are genuine Poisson submanifolds, so the
-matrix of coordinate brackets is the restricted structure.  The quadratic
-bracket does not leave the 2-Toda phase space invariant for n ≥ 3 (the
-Hamiltonian flow of a generic function moves the frozen unit superdiagonal),
-so `poisson_matrix` computes the canonical induced structure instead: the
-coordinate matrix plus the Dirac correction along the normal directions,
-which coincides with the naive matrix whenever the subspace is invariant and
-exists precisely when the normal bracket pairings satisfy the usual range
-condition (validated at every call).
+Affine phase spaces (T_P and friends in 𝔤×𝔤, T_T in 𝔤) are a base point plus
+a tangent basis; their coordinate functions are Euclidean duals of the tangent
+vectors.  For the linear bracket these spaces are genuine Poisson
+submanifolds, so the matrix of coordinate brackets is the restricted
+structure.  The quadratic bracket does not leave the 2-Toda phase space
+invariant for n ≥ 3 (the Hamiltonian flow of a generic function moves the
+frozen unit superdiagonal), so `poisson_matrix` computes the canonical
+induced structure instead: the coordinate matrix plus the Dirac correction
+along the normal directions, which coincides with the naive matrix whenever
+the subspace is invariant and exists precisely when the normal bracket
+pairings satisfy the usual range condition (validated at every call).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -85,46 +85,45 @@ class PreconditionError(ValueError):
 # --------------------------------------------------------------------------
 
 
+# a point of 𝔤 (an Element, paired by ⟨·,·⟩) or of 𝔤×𝔤 (a PairPoint, by ⟨·,·⟩₂);
+# both carry vec(), from_vec and from_covector, so the code below serves both
+Point = Union[Element, PairPoint]
+
+
 @dataclass(frozen=True)
 class ScalarFunction:
-    """A scalar function of a PairPoint with an optional analytic ⟨·,·⟩₂-gradient."""
+    """A scalar function of a Point with an optional analytic gradient.
+
+    The gradient is taken with respect to the point's own pairing: ⟨·,·⟩ on 𝔤,
+    ⟨·,·⟩₂ on 𝔤×𝔤.
+    """
 
     name: str
-    evaluator: Callable[[PairPoint], float]
-    gradient: Optional[Callable[[PairPoint], PairPoint]] = None
+    evaluator: Callable[[Point], float]
+    gradient: Optional[Callable[[Point], Point]] = None
 
-    def __call__(self, m: PairPoint) -> float:
+    def __call__(self, m: Point) -> float:
         return float(self.evaluator(m))
 
 
-def _fd_partials(F: ScalarFunction, m: PairPoint, step: float = FD_STEP) -> np.ndarray:
-    """Central finite-difference partials of F in the 2·dim basis coordinates."""
-    alg = m.alg
+def _fd_partials(F: ScalarFunction, m: Point, step: float = FD_STEP) -> np.ndarray:
+    """Central finite-difference partials of F in the basis coordinates of m."""
+    alg, point = m.alg, type(m)
     v0 = m.vec()
-    w = np.empty(2 * alg.dim)
-    for a in range(2 * alg.dim):
+    w = np.empty(v0.size)
+    for a in range(v0.size):
         vp, vm = v0.copy(), v0.copy()
         vp[a] += step
         vm[a] -= step
-        w[a] = (
-            F(PairPoint.from_vec(alg, vp)) - F(PairPoint.from_vec(alg, vm))
-        ) / (2.0 * step)
+        w[a] = (F(point.from_vec(alg, vp)) - F(point.from_vec(alg, vm))) / (2.0 * step)
     return w
 
 
-def _covector_to_gradient(alg: AlgebraSpec, w: np.ndarray) -> PairPoint:
-    gi = alg.gram_inv
-    return PairPoint(
-        Element(alg, gi @ w[: alg.dim]),
-        Element(alg, -(gi @ w[alg.dim:])),
-    )
-
-
-def gradient2(F: ScalarFunction, m: PairPoint, step: float = FD_STEP) -> PairPoint:
-    """⟨·,·⟩₂-gradient of F at m: analytic when available, else central differences."""
+def gradient2(F: ScalarFunction, m: Point, step: float = FD_STEP) -> Point:
+    """Gradient of F at m: analytic when available, else central differences."""
     if F.gradient is not None:
         return F.gradient(m)
-    return _covector_to_gradient(m.alg, _fd_partials(F, m, step))
+    return type(m).from_covector(m.alg, _fd_partials(F, m, step))
 
 
 def linear_function(p: PairPoint, name: str = "linear") -> ScalarFunction:
@@ -251,11 +250,14 @@ def lie_poisson_bracket(f_grad: Element, g_grad: Element, u: Element) -> float:
 
 @dataclass(frozen=True, eq=False)
 class PhaseSpace:
-    """An affine subspace base + span(tangent) of 𝔤×𝔤 with dual coordinates."""
+    """An affine subspace base + span(tangent) of 𝔤 or 𝔤×𝔤 with dual coordinates.
+
+    Points, tangent vectors and gradients share the type of `base`.
+    """
 
     name: str
-    base: PairPoint
-    tangent: tuple[PairPoint, ...]
+    base: Point
+    tangent: tuple[Point, ...]
 
     @property
     def alg(self) -> AlgebraSpec:
@@ -288,7 +290,7 @@ class PhaseSpace:
         out = []
         for a in range(self.dim):
             d = self.duals[:, a].copy()
-            grad = _covector_to_gradient(alg, d)
+            grad = type(self.base).from_covector(alg, d)
             out.append(
                 ScalarFunction(
                     f"{self.name}[{a}]",
@@ -299,37 +301,38 @@ class PhaseSpace:
         return tuple(out)
 
     @cached_property
-    def normal_covectors(self) -> tuple[PairPoint, ...]:
-        """⟨·,·⟩₂-gradients of a dual basis of the normal directions."""
+    def normal_covectors(self) -> tuple[Point, ...]:
+        """Gradients of a dual basis of the normal directions."""
         T = self.tangent_matrix
         u, s, vt = np.linalg.svd(T, full_matrices=True)
         N = u[:, T.shape[1]:]  # orthonormal basis of the Euclidean complement
-        return tuple(_covector_to_gradient(self.alg, N[:, j]) for j in range(N.shape[1]))
+        point = type(self.base)
+        return tuple(point.from_covector(self.alg, N[:, j]) for j in range(N.shape[1]))
 
-    def membership_residual(self, m: PairPoint) -> float:
+    def membership_residual(self, m: Point) -> float:
         v = m.vec() - self.base.vec()
         return float(np.abs(v - self.tangent_matrix @ (self._pinv @ v)).max())
 
-    def require_member(self, m: PairPoint, tol: float = 1e-10) -> None:
+    def require_member(self, m: Point, tol: float = 1e-10) -> None:
         r = self.membership_residual(m)
         if r > tol:
             raise PreconditionError(
                 f"point lies off {self.name} (normal residual {r:.3e} > {tol:g})"
             )
 
-    def normal_residual(self, w: PairPoint) -> float:
+    def normal_residual(self, w: Point) -> float:
         """Size of the component of a *vector* w transverse to the tangent space."""
         v = w.vec()
         return float(np.abs(v - self.tangent_matrix @ (self._pinv @ v)).max())
 
-    def point_from_coords(self, u: Sequence[float]) -> PairPoint:
+    def point_from_coords(self, u: Sequence[float]) -> Point:
         v = self.base.vec() + self.tangent_matrix @ np.asarray(u, dtype=float)
-        return PairPoint.from_vec(self.alg, v)
+        return type(self.base).from_vec(self.alg, v)
 
-    def coords_of(self, m: PairPoint) -> np.ndarray:
+    def coords_of(self, m: Point) -> np.ndarray:
         return self._pinv @ (m.vec() - self.base.vec())
 
-    def sample_points(self, seed: int, count: int) -> list[PairPoint]:
+    def sample_points(self, seed: int, count: int) -> list[Point]:
         rng = np.random.default_rng(seed)
         return [
             self.point_from_coords(rng.uniform(-1.0, 1.0, self.dim))

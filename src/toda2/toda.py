@@ -14,25 +14,22 @@ F_{k,i}(φ(x)) = C(m_i+1, k)·P_i(x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .algebra import AlgebraSpec, Element, bracket, form, project
 from .flows import _rk4_step
-from .invariants import expand_pencil, trace_invariant
+from .invariants import family_labels, family_values, trace_invariant
 from .poisson import (
     PhaseSpace,
-    PreconditionError,
     ScalarFunction,
+    gradient2,
     linear_bracket,
     numerical_rank,
 )
 from .rmatrix import PairPoint, RMatrixConfig, r_apply
 
 __all__ = [
-    "TodaSpace",
     "toda_space",
     "diag_phase_space",
     "embed_phi",
@@ -47,78 +44,13 @@ __all__ = [
 _DEFAULT = RMatrixConfig()
 
 
-@dataclass(frozen=True, eq=False)
-class TodaSpace:
+def toda_space(alg: AlgebraSpec) -> PhaseSpace:
     """The affine space T_T = 𝔤₋₁ ⊕ 𝔤₀ + e inside a single algebra."""
-
-    alg: AlgebraSpec
-    base: Element
-    tangent: tuple[Element, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.tangent)
-
-    @cached_property
-    def tangent_matrix(self) -> np.ndarray:
-        return np.stack([t.coords for t in self.tangent], axis=1)
-
-    @cached_property
-    def _pinv(self) -> np.ndarray:
-        return np.linalg.pinv(self.tangent_matrix)
-
-    def membership_residual(self, x: Element) -> float:
-        v = x.coords - self.base.coords
-        return float(np.abs(v - self.tangent_matrix @ (self._pinv @ v)).max())
-
-    def require_member(self, x: Element, tol: float = 1e-10) -> None:
-        r = self.membership_residual(x)
-        if r > tol:
-            raise PreconditionError(
-                f"element lies off T_T (normal residual {r:.3e} > {tol:g})"
-            )
-
-    def normal_residual(self, w: Element) -> float:
-        v = w.coords
-        return float(np.abs(v - self.tangent_matrix @ (self._pinv @ v)).max())
-
-    def point_from_coords(self, u) -> Element:
-        return Element(
-            self.alg, self.base.coords + self.tangent_matrix @ np.asarray(u, float)
-        )
-
-    def sample_points(self, seed: int, count: int) -> list[Element]:
-        rng = np.random.default_rng(seed)
-        return [
-            self.point_from_coords(rng.uniform(-1.0, 1.0, self.dim))
-            for _ in range(count)
-        ]
-
-    @cached_property
-    def coords(self) -> tuple[ScalarFunction, ...]:
-        """Euclidean-dual coordinate functions (Element → scalar, with gradients)."""
-        duals = self._pinv.T
-        gi = self.alg.gram_inv
-        out = []
-        for a in range(self.dim):
-            d = duals[:, a].copy()
-            grad = Element(self.alg, gi @ d)
-            out.append(
-                ScalarFunction(
-                    f"T_T[{a}]",
-                    lambda x, d=d, b=self.base.coords: float(d @ (x.coords - b)),
-                    lambda x, g=grad: g,
-                )
-            )
-        return tuple(out)
-
-
-def toda_space(alg: AlgebraSpec) -> TodaSpace:
     tangent = tuple(
         Element(alg, v)
         for v in np.eye(alg.dim)[alg.mask(">=-1") & alg.mask("<=0")]
     )
-    return TodaSpace(alg=alg, base=alg.e, tangent=tangent)
+    return PhaseSpace("T_T", alg.e, tangent)
 
 
 def diag_phase_space(alg: AlgebraSpec) -> PhaseSpace:
@@ -128,7 +60,7 @@ def diag_phase_space(alg: AlgebraSpec) -> PhaseSpace:
     return PhaseSpace("T_T'", PairPoint(alg.e, alg.e), tangent)
 
 
-def embed_phi(ts: TodaSpace, x: Element, tol: float = 1e-10) -> PairPoint:
+def embed_phi(ts: PhaseSpace, x: Element, tol: float = 1e-10) -> PairPoint:
     """φ(x) = (x, x), with a membership check on the Toda space."""
     ts.require_member(x, tol)
     return PairPoint(x, x)
@@ -144,24 +76,11 @@ def field_toda(x: Element, cfg: RMatrixConfig = _DEFAULT) -> Element:
 # --------------------------------------------------------------------------
 
 
-def _gradient_g(f: ScalarFunction, x: Element, step: float = 1e-5) -> Element:
-    if f.gradient is not None:
-        return f.gradient(x)
-    alg = x.alg
-    w = np.empty(alg.dim)
-    for a in range(alg.dim):
-        vp, vm = x.coords.copy(), x.coords.copy()
-        vp[a] += step
-        vm[a] -= step
-        w[a] = (f(Element(alg, vp)) - f(Element(alg, vm))) / (2.0 * step)
-    return Element(alg, alg.gram_inv @ w)
-
-
 def r_poisson_bracket(f: ScalarFunction, g: ScalarFunction, x: Element,
                       cfg: RMatrixConfig = _DEFAULT) -> float:
     """{f, g}_R(x) = ½⟨x, [R∇f, ∇g] + [∇f, R∇g]⟩ on the single algebra."""
-    gf = _gradient_g(f, x)
-    gg = _gradient_g(g, x)
+    gf = gradient2(f, x)
+    gg = gradient2(g, x)
     term = bracket(r_apply(gf, cfg), gg) + bracket(gf, r_apply(gg, cfg))
     return 0.5 * form(x, term)
 
@@ -170,7 +89,7 @@ def toda_hamiltonian_field(f: ScalarFunction, x: Element,
                            cfg: RMatrixConfig = _DEFAULT) -> Element:
     """X_f(x) with X_f[K] = {K, f}_R, assembled from basis coordinates of 𝔤."""
     alg = x.alg
-    gf = _gradient_g(f, x)
+    gf = gradient2(f, x)
     rf = r_apply(gf, cfg)
     gi = alg.gram_inv
     v = np.empty(alg.dim)
@@ -242,17 +161,14 @@ def check_binomial_identity(alg: AlgebraSpec, samples: int = 20, seed: int = 42)
     """F_{k,i}(φ(x)) = C(m_i+1, k) · P_i(x) on seeded Toda points, to 1e−10."""
     from .reports import CheckReport
 
-    ts = toda_space(alg)
+    xs = toda_space(alg).sample_points(seed, samples)
+    values = family_values(alg, np.stack([PairPoint(x, x).vec() for x in xs]))
     gens = {i: trace_invariant(alg, i) for i in alg.exponents}
     worst = 0.0
-    for x in ts.sample_points(seed, samples):
-        p = PairPoint(x, x)
-        for i in alg.exponents:
-            exp = expand_pencil(alg, i, p)
-            pi = gens[i](x)
-            for k in range(i + 2):
-                target = math.comb(i + 1, k) * pi
-                worst = max(worst, abs(exp.coeffs[k] - target))
+    for x, row in zip(xs, values):
+        p = {i: P(x) for i, P in gens.items()}
+        for (k, i), f in zip(family_labels(alg), row):
+            worst = max(worst, abs(f - math.comb(i + 1, k) * p[i]))
     return CheckReport(
         check="toda-binomial",
         anchor="diagonal-binomial-collapse",
@@ -327,7 +243,7 @@ def toda_suite(alg: AlgebraSpec, seed: int = 42, cfg: RMatrixConfig = _DEFAULT) 
     best = 0
     for x in points:
         rows = np.array(
-            [[form(_gradient_g(g, x), t) for t in ts.tangent] for g in gens]
+            [[form(gradient2(g, x), t) for t in ts.tangent] for g in gens]
         )
         best = max(best, numerical_rank(rows))
     reports.append(CheckReport(

@@ -241,6 +241,20 @@ def test_rescaled_spec_still_validates(sl3):
     assert np.allclose(r.e.matrix(), sl3.e.matrix(), atol=1e-13)
 
 
+def test_rescale_rejects_nonpositive_or_nonfinite_scale(sl3):
+    for s in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(AlgebraError):
+            with_rescaled_basis(sl3, s)
+
+
+def test_element_vector_protocol(gl2):
+    x = gl2.element([1.0, -2.0, 0.5, 3.0])
+    y = type(x).from_vec(gl2, x.vec())
+    assert np.array_equal(y.coords, x.coords) and y.coords is not x.coords
+    g = type(x).from_covector(gl2, x.vec())
+    assert np.allclose(gl2.gram @ g.coords, x.coords, atol=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # so(5), split form: an algebra no builder provides, defined by document
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from toda2 import load_spec
+from toda2 import load_spec, spec_to_document
 from toda2.cli import main
 
 
@@ -30,6 +30,27 @@ def test_algebra_validate(capsys, tmp_path):
     main(["algebra", "build", "sl2", "--out", str(out)])
     capsys.readouterr()
     assert main(["algebra", "validate", str(out)]) == 0
+
+
+@pytest.mark.parametrize("field, value, invariant", [
+    ("e_coords", [1, 1, 0], "e-degree"),
+    ("cartan", [[2, 0], [0, 2]], "cartan-shape"),
+])
+def test_algebra_validate_lists_violations(tmp_path, capsys, sl2, field, value,
+                                           invariant):
+    doc = spec_to_document(sl2)
+    doc[field] = value
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    assert main(["algebra", "validate", str(path)]) == 1
+    assert f"violated: {invariant}" in capsys.readouterr().out
+
+
+def test_algebra_validate_parse_failure_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text("{not json")
+    assert main(["algebra", "validate", str(path)]) == 2
+    assert "parse failure" in capsys.readouterr().err
 
 
 def test_check_pass_and_fail_exit_codes(capsys):
@@ -86,6 +107,11 @@ def test_flow_run_with_csv(tmp_path, capsys):
     assert code == 0
     assert "[PASS]" in capsys.readouterr().out
     assert csv.read_text().splitlines()[0].startswith("t, x_1")
+
+
+def test_flow_run_rejects_fractional_step_count(capsys):
+    assert main(["flow", "run", "--algebra", "sl2", "--dt", "0.3", "--T", "1"]) == 2
+    assert "whole number of steps" in capsys.readouterr().err
 
 
 def test_flow_commutation(capsys):

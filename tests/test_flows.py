@@ -111,6 +111,19 @@ def test_quadratic_flow_conserves_family(gl2):
     assert traj.conservation_drift().max() < 1e-8
 
 
+def test_horizon_must_be_whole_number_of_steps():
+    with pytest.raises(PreconditionError):
+        FlowConfig(dt=0.3, T=1.0)
+    for dt, T in ((1e-3, 0.2), (1e-3, 1.0), (0.005, 2.0), (0.04, 2.0), (0.02, 2.0),
+                  (0.05, 3.0), (1e-3, 1e-3 * 100)):
+        assert FlowConfig(dt=dt, T=T).n_steps == round(T / dt)
+
+
+def test_explicit_empty_conserved_list(sl2):
+    traj = integrate(FlowConfig(dt=0.01, T=0.1), seed_point(sl2), conserved=[])
+    assert traj.conserved.shape == (11, 0) and traj.conserved_names == ()
+
+
 def test_blowup_is_truncated_with_note(gl2):
     ps = phase_tp(gl2)
     big = ps.point_from_coords(40.0 * np.ones(ps.dim))

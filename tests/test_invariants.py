@@ -14,6 +14,7 @@ from toda2 import (
     expand_pencil,
     family,
     family_labels,
+    family_values,
     form,
     gradient2,
     hamiltonian_field,
@@ -82,12 +83,38 @@ def vandermonde_coefficients(alg, i, m):
 def test_expansion_matches_vandermonde(sl3, sl4, gl3):
     rng = np.random.default_rng(2)
     for alg in (sl3, sl4, gl3):
+        labels = family_labels(alg)
         for i in alg.exponents:
             m = random_pair(alg, rng)
             exp = expand_pencil(alg, i, m)
             want = vandermonde_coefficients(alg, i, m)
             assert exp.degree == i + 1
             assert np.allclose(exp.coeffs, want, atol=1e-10), (alg.name, i)
+            row = family_values(alg, m.vec()[None])[0]
+            batch = [row[labels.index((j, i))] for j in range(i + 2)]
+            assert np.allclose(batch, want, atol=1e-10), (alg.name, i)
+
+
+def test_family_values_batch_is_rowwise_and_memberwise(desk_algebras):
+    # a trajectory's values come from one batch; one member at a time must
+    # give the same bits, row by row
+    for alg in desk_algebras.values():
+        pts = phase_tp(alg).sample_points(seed=11, count=201)
+        states = np.stack([m.vec() for m in pts])
+        batch = family_values(alg, states)
+        assert batch.shape == (201, len(family_labels(alg)))
+        rows = np.concatenate([family_values(alg, states[k:k + 1]) for k in range(201)])
+        fam = family(alg)
+        members = np.array([[F(m) for F in fam] for m in pts])
+        assert np.array_equal(batch, rows), alg.name
+        assert np.array_equal(batch, members), alg.name
+
+
+def test_expand_pencil_takes_generator_labels_only(sl3):
+    m = PairPoint(sl3.e, sl3.h)
+    for i in (-1, 0, 3):
+        with pytest.raises(ValueError):
+            expand_pencil(sl3, i, m)
 
 
 def test_pencil_value_consistency(sl3):

@@ -132,6 +132,15 @@ def test_brackets_jacobi_spot(gl2):
         assert abs(s) < 1e-6
 
 
+def test_jacobi_battery_passes_at_former_roundoff_seeds(gl3):
+    # these seeds once put the nested finite-difference roundoff above 1e-9
+    from toda2.checks import check_jacobi_battery
+
+    for seed in (12, 13):
+        for r in check_jacobi_battery(gl3, samples=5, seed=seed):
+            assert r.verdict, r.line()
+
+
 def test_quadratic_needs_associative(sl3):
     rng = np.random.default_rng(5)
     F, G = _random_linear(sl3, rng, "F"), _random_linear(sl3, rng, "G")

@@ -8,13 +8,17 @@ import pytest
 
 from toda2 import (
     PairPoint,
+    PhaseSpace,
     PreconditionError,
+    ScalarFunction,
     bracket,
     check_binomial_identity,
     check_poisson_iso,
     embed_phi,
     expand_pencil,
     field_toda,
+    form,
+    gradient2,
     integrate_toda,
     phase_tp,
     project,
@@ -35,6 +39,30 @@ def test_toda_space_dimensions(desk_algebras):
             assert ts.membership_residual(x) < 1e-12
             # superdiagonal stays pinned at the unit Jacobi shape
             assert np.allclose(np.diag(x.matrix(), 1), 1.0)
+
+
+def test_toda_space_is_a_phase_space_of_elements(sl3, gl3):
+    # dual coordinates pair to δ_ab with the tangent basis under ⟨·,·⟩, and
+    # the normal covectors annihilate it
+    for alg in (sl3, gl3):
+        ts = toda_space(alg)
+        assert isinstance(ts, PhaseSpace) and ts.alg is alg
+        x = ts.sample_points(seed=0, count=1)[0]
+        G = np.array([[form(z.gradient(x), t) for t in ts.tangent] for z in ts.coords])
+        assert np.allclose(G, np.eye(ts.dim), atol=1e-13)
+        assert np.allclose(ts.coords_of(x), [z(x) for z in ts.coords], atol=1e-13)
+        for nv in ts.normal_covectors:
+            assert max(abs(form(nv, t)) for t in ts.tangent) < 1e-13
+
+
+def test_element_gradient2_fd_matches_analytic(sl3, gl3):
+    # the finite-difference path of gradient2 on single-algebra points
+    for alg in (sl3, gl3):
+        x = toda_space(alg).sample_points(seed=6, count=1)[0]
+        for i in alg.exponents:
+            P = trace_invariant(alg, i)
+            fd = gradient2(ScalarFunction("fd-only", P.evaluator), x)
+            assert (fd - P.gradient(x)).norm() < 1e-8, (alg.name, i)
 
 
 def test_embed_phi_doubles_the_point(sl3):

@@ -215,8 +215,19 @@ class AlgebraSpec:
         """Matrix of ad_x in basis coordinates: (ad_x)_{cb} = Σ_a x_a C[a,b,c]."""
         return np.einsum("a,abc->cb", x.coords, self.struct)
 
+    @cached_property
+    def _masks(self) -> dict[str, np.ndarray]:
+        return {}
+
     def mask(self, region: str) -> np.ndarray:
-        return degree_mask(self.degrees, region)
+        """Read-only mask of the basis vectors whose degree lies in `region`,
+        cached: R and the projections ask for the same regions at every bracket."""
+        m = self._masks.get(region)
+        if m is None:
+            m = degree_mask(self.degrees, region)
+            m.flags.writeable = False
+            self._masks[region] = m
+        return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -592,8 +603,12 @@ def load_spec(source) -> AlgebraSpec:
             associative=bool(doc["associative"]),
             n=None if doc.get("n") is None else int(doc["n"]),
         )
-    except (KeyError, ValueError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise AlgebraError(f"algebra spec parse failure: {err}") from err
+    for field in ("basis", "gram", "e_coords", "h_coords"):
+        if not np.all(np.isfinite(getattr(spec, field))):
+            raise AlgebraError(
+                f"algebra spec parse failure: {field} has non-finite entries")
     violations = validate_spec(spec)
     if violations:
         raise AlgebraValidationError(spec.name, violations)

@@ -20,8 +20,8 @@ from .invariants import (
 from .poisson import (
     PreconditionError,
     ScalarFunction,
-    bracket_value,
-    gradient2,
+    bracket_of,
+    degree2_function,
     hamiltonian_field,
     linear_bracket,
     linear_function,
@@ -120,17 +120,11 @@ def check_jacobi_battery(alg: AlgebraSpec, samples: int = 20, seed: int = 42,
                 linear_function(random_pair(alg, rng), f"{nm}")
                 for nm in "FGH"
             )
-            # inner brackets become new functions, differentiated by FD.  The
-            # bracket of two linear functions has degree ≤ 2 in m, so central
-            # differences are exact at any step; the unit step keeps their
-            # roundoff at the size of the values instead of amplifying it.
+            # inner brackets become new functions, differentiated by FD; the
+            # bracket of two linear functions has degree ≤ 2 in m
             def pb(A, B):
-                inner = ScalarFunction(
+                return degree2_function(
                     f"{{{A.name},{B.name}}}", lambda mm, A=A, B=B: val(A, B, mm)
-                )
-                return ScalarFunction(
-                    inner.name, inner.evaluator,
-                    lambda mm, f=inner: gradient2(f, mm, step=1.0),
                 )
             cyc = (
                 val(F, pb(G, H), m) + val(G, pb(H, F), m) + val(H, pb(F, G), m)
@@ -155,12 +149,11 @@ def check_involutivity_battery(alg: AlgebraSpec, points: int = 20, seed: int = 4
     for which in kinds:
         worst = 0.0
         for m in ps.sample_points(seed, points):
+            value = bracket_of(which, m)
             grads = family_gradients(alg, m)
             for a in range(len(grads)):
                 for b in range(a + 1, len(grads)):
-                    worst = max(
-                        worst, abs(bracket_value(which, m, grads[a], grads[b]))
-                    )
+                    worst = max(worst, abs(value(m, grads[a], grads[b], _DEFAULT)))
         out.append(CheckReport(
             check=f"involutivity-{which}", anchor=f"family-involutive-{which}",
             algebra=alg.name,

@@ -8,7 +8,8 @@
     toda2 flow commutation --algebra sl2
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
-configuration error.  Reports are deterministic for fixed flags.
+configuration error.  Any other exception is a program bug and is not
+turned into an exit code.  Reports are deterministic for fixed flags.
 """
 from __future__ import annotations
 
@@ -159,6 +160,14 @@ def _cmd_flow_commutation(args) -> int:
     return _emit(reports, args)
 
 
+def _count(text: str) -> int:
+    """An argparse type: a whole number ≥ 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_report_flags(p: argparse.ArgumentParser, tol: float | None) -> None:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -188,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("name", choices=sorted(BATTERY_NAMES) + ["all"])
     c.add_argument("--algebra", action="append", default=None,
                    help="builtin name or spec path; repeatable (default sl2)")
-    c.add_argument("--samples", type=int, default=20)
+    c.add_argument("--samples", type=_count, default=20)
     _add_report_flags(c, tol=None)
     c.set_defaults(fn=_cmd_check)
 
@@ -199,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--field", choices=("t", "s", "quadratic", "linear"),
                    default="t")
     r.add_argument("--i", type=int, default=None,
-                   help="generator index for quadratic/linear pencil fields")
+                   help="generator label (an exponent of the algebra) for "
+                        "quadratic/linear pencil fields")
     r.add_argument("--lam", type=float, default=None,
                    help="pencil parameter for quadratic/linear pencil fields")
     r.add_argument("--dt", type=float, default=1e-3)
@@ -210,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     fc = fsub.add_parser("commutation", help="t/s flow commutation defect")
     fc.add_argument("--algebra", default="sl2")
     fc.add_argument("--dt", type=float, default=1e-3)
-    fc.add_argument("--steps", type=int, default=100)
+    fc.add_argument("--steps", type=_count, default=100)
     _add_report_flags(fc, tol=1e-6)
     fc.set_defaults(fn=_cmd_flow_commutation)
     return p
@@ -222,10 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         args.algebra = ["sl2"]
     try:
         return args.fn(args)
-    except (AlgebraError, CapabilityError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, ValueError, OSError) as exc:
+    except (AlgebraError, CapabilityError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,7 +8,8 @@ The two defining flows on T_P are
 plus the quadratic-bracket fields on associative algebras and the closed
 linear pencil fields used as cross-checks.  Integration is fixed-step RK4
 with no re-projection onto the phase space: tangency drift is a measured
-signal, not something to suppress.
+signal, not something to suppress.  The RK4 driver takes points of 𝔤 as
+well as of 𝔤×𝔤; the classical Toda flow in `toda.py` runs on it too.
 """
 from __future__ import annotations
 
@@ -18,8 +19,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import AlgebraSpec, Element, project
-from .invariants import family, family_values
-from .poisson import CapabilityError, PhaseSpace, PreconditionError, ScalarFunction
+from .invariants import family, family_values, require_generator_label
+from .poisson import CapabilityError, PhaseSpace, Point, PreconditionError, ScalarFunction
 from .rmatrix import PairPoint, RMatrixConfig, pair_bracket, r_apply
 
 __all__ = [
@@ -29,6 +30,8 @@ __all__ = [
     "field_s",
     "field_quadratic",
     "field_linear_pencil",
+    "whole_steps",
+    "rk4_states",
     "integrate",
     "flow_commutation",
     "trajectory_to_csv",
@@ -94,21 +97,34 @@ def field_linear_pencil(i: int, lam: float, m: PairPoint,
 # --------------------------------------------------------------------------
 
 
-def _named_field(cfg: "FlowConfig") -> Callable[[PairPoint], PairPoint]:
+def _named_field(cfg: "FlowConfig",
+                 alg: AlgebraSpec) -> Callable[[PairPoint], PairPoint]:
     rcfg = cfg.rmatrix
     if cfg.field == "t":
         return lambda m: field_t(m, rcfg)
     if cfg.field == "s":
         return lambda m: field_s(m, rcfg)
-    if cfg.field == "quadratic":
-        if cfg.i is None or cfg.lam is None:
-            raise PreconditionError("quadratic field needs generator label i and λ")
-        return lambda m: field_quadratic(cfg.i, cfg.lam, m, rcfg)
-    if cfg.field == "linear":
-        if cfg.i is None or cfg.lam is None:
-            raise PreconditionError("linear pencil field needs generator label i and λ")
-        return lambda m: field_linear_pencil(cfg.i, cfg.lam, m, rcfg)
-    raise PreconditionError(f"unknown field selector {cfg.field!r}")
+    pencil = {"quadratic": field_quadratic, "linear": field_linear_pencil}.get(cfg.field)
+    if pencil is None:
+        raise PreconditionError(f"unknown field selector {cfg.field!r}")
+    if cfg.i is None or cfg.lam is None:
+        raise PreconditionError(f"{cfg.field} pencil field needs generator label i and λ")
+    require_generator_label(alg, cfg.i)
+    return lambda m: pencil(cfg.i, cfg.lam, m, rcfg)
+
+
+def whole_steps(dt: float, T: float) -> int:
+    """The number of steps dt in the horizon T, which must be a whole number."""
+    if not (dt > 0):
+        raise PreconditionError(f"dt must be positive, got {dt}")
+    if T < dt:
+        raise PreconditionError(f"horizon T = {T} shorter than dt = {dt}")
+    ratio = T / dt
+    if not (np.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9 * ratio):
+        raise PreconditionError(
+            f"horizon T = {T} is not a whole number of steps dt = {dt}"
+        )
+    return int(round(ratio))
 
 
 @dataclass(frozen=True)
@@ -124,21 +140,13 @@ class FlowConfig:
     rmatrix: RMatrixConfig = _DEFAULT
 
     def __post_init__(self):
-        if not (self.dt > 0):
-            raise PreconditionError(f"dt must be positive, got {self.dt}")
-        if self.T < self.dt:
-            raise PreconditionError(f"horizon T = {self.T} shorter than dt = {self.dt}")
-        ratio = self.T / self.dt
-        if not (np.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9 * ratio):
-            raise PreconditionError(
-                f"horizon T = {self.T} is not a whole number of steps dt = {self.dt}"
-            )
+        whole_steps(self.dt, self.T)
         if self.integrator != "rk4":
             raise PreconditionError(f"unknown integrator {self.integrator!r}")
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.T / self.dt))
+        return whole_steps(self.dt, self.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,13 +181,32 @@ class Trajectory:
         return float(np.abs(normal).max())
 
 
-def _rk4_step(f: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
-              dt: float) -> np.ndarray:
-    k1 = f(v)
-    k2 = f(v + 0.5 * dt * k1)
-    k3 = f(v + 0.5 * dt * k2)
-    k4 = f(v + dt * k3)
-    return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def rk4_states(field: Callable[[Point], Point], m0: Point, dt: float,
+               n_steps: int) -> np.ndarray:
+    """Fixed-step RK4 run of ṁ = field(m) from m0 on 𝔤 or 𝔤×𝔤.
+
+    Returns the states as rows of vec(); a run that reaches a non-finite
+    state ends there, with that state as its last row.
+    """
+    alg, point = m0.alg, type(m0)
+
+    def f(v: np.ndarray) -> np.ndarray:
+        return field(point.from_vec(alg, v)).vec()
+
+    v = m0.vec()
+    states = [v]
+    # overflow on the way to a detected blow-up is expected, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            k1 = f(v)
+            k2 = f(v + 0.5 * dt * k1)
+            k3 = f(v + 0.5 * dt * k2)
+            k4 = f(v + dt * k3)
+            v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            states.append(v)
+            if not np.all(np.isfinite(v)):
+                break
+    return np.array(states)
 
 
 def integrate(cfg: FlowConfig, m0: PairPoint,
@@ -190,38 +217,25 @@ def integrate(cfg: FlowConfig, m0: PairPoint,
     one batch; an explicit list is evaluated function by function.
     """
     alg = m0.alg
-    fld = _named_field(cfg)
-
-    def f(v: np.ndarray) -> np.ndarray:
-        return fld(PairPoint.from_vec(alg, v)).vec()
-
-    names = tuple(F.name for F in (family(alg) if conserved is None else conserved))
-    states = [m0.vec()]
-    times = [0.0]
+    states = rk4_states(_named_field(cfg, alg), m0, cfg.dt, cfg.n_steps)
     truncated, note = False, ""
-    v = states[0]
-    # overflow on the way to a detected blow-up is expected, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(cfg.n_steps):
-            v = _rk4_step(f, v, cfg.dt)
-            if not np.all(np.isfinite(v)):
-                truncated = True
-                note = (f"non-finite state at step {k + 1} "
-                        f"(t = {(k + 1) * cfg.dt:g}); trajectory truncated")
-                break
-            states.append(v)
-            times.append((k + 1) * cfg.dt)
-    state_arr = np.array(states)
+    if not np.all(np.isfinite(states[-1])):
+        truncated = True
+        k = len(states) - 1
+        note = (f"non-finite state at step {k} "
+                f"(t = {k * cfg.dt:g}); trajectory truncated")
+        states = states[:-1]
+    names = tuple(F.name for F in (family(alg) if conserved is None else conserved))
     if conserved is None:
-        values = family_values(alg, state_arr)
+        values = family_values(alg, states)
     else:
         values = np.array(
-            [[F(PairPoint.from_vec(alg, row)) for F in conserved] for row in state_arr]
+            [[F(PairPoint.from_vec(alg, row)) for F in conserved] for row in states]
         )
     return Trajectory(
         alg=alg,
-        times=np.array(times),
-        states=state_arr,
+        times=np.arange(len(states)) * cfg.dt,
+        states=states,
         conserved=values,
         conserved_names=names,
         truncated=truncated,
@@ -242,21 +256,15 @@ def flow_commutation(m0: PairPoint, dt: float = 1e-3, n_steps: int = 100,
         first = FlowConfig(field="t", dt=dt, T=horizon)
     if second is None:
         second = FlowConfig(field="s", dt=dt, T=horizon)
-    fa = _named_field(first)
-    fb = _named_field(second)
     alg = m0.alg
+    fa, fb = _named_field(first, alg), _named_field(second, alg)
 
-    def run(fld, v0):
-        def f(v):
-            return fld(PairPoint.from_vec(alg, v)).vec()
-        v = v0
-        for _ in range(n_steps):
-            v = _rk4_step(f, v, dt)
-        return v
+    def run(fld, m):
+        return PairPoint.from_vec(alg, rk4_states(fld, m, dt, n_steps)[-1])
 
-    ab = run(fa, run(fb, m0.vec()))
-    ba = run(fb, run(fa, m0.vec()))
-    return float(np.abs(ab - ba).max())
+    ab = run(fa, run(fb, m0))
+    ba = run(fb, run(fa, m0))
+    return float(np.abs(ab.vec() - ba.vec()).max())
 
 
 # --------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraSpec, Element
-from .poisson import PhaseSpace, ScalarFunction, numerical_rank
+from .poisson import PhaseSpace, PreconditionError, ScalarFunction, numerical_rank
 from .rmatrix import PairPoint
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "RaisData",
     "trace_invariant",
     "expand_pencil",
+    "require_generator_label",
     "pencil_pullback",
     "family",
     "family_values",
@@ -146,13 +147,17 @@ class PencilExpansion:
         )
 
 
+def require_generator_label(alg: AlgebraSpec, i: int) -> None:
+    """A generator label is one of the exponents m_i of the algebra."""
+    if i not in alg.exponents:
+        raise PreconditionError(
+            f"{i} is not a generator label of {alg.name} (exponents {alg.exponents})"
+        )
+
+
 def expand_pencil(alg: AlgebraSpec, i: int, m: PairPoint) -> PencilExpansion:
     """The members F_{·,i} of one generator label i and their gradients at m."""
-    if i not in alg.exponents:
-        raise ValueError(
-            f"expand_pencil: {i} is not a generator label of {alg.name} "
-            f"(exponents {alg.exponents})"
-        )
+    require_generator_label(alg, i)
     k = family_labels(alg).index((0, i))
     members = slice(k, k + i + 2)
     return PencilExpansion(

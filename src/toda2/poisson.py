@@ -1,13 +1,16 @@
-"""Linear and quadratic Poisson ℛ-brackets on 𝔤×𝔤.
+"""Linear Poisson R-brackets on 𝔤 and ℛ-brackets on 𝔤×𝔤, quadratic ones on 𝔤×𝔤.
 
-Gradients are taken with respect to the pairing ⟨(x₁,y₁),(x₂,y₂)⟩₂ =
-⟨x₁,x₂⟩ − ⟨y₁,y₂⟩, so a Euclidean partial-derivative covector (w_x, w_y)
-converts to the gradient pair (G⁻¹w_x, −G⁻¹w_y) — note the sign flip on the
-second component.  The linear bracket is
+On 𝔤×𝔤 gradients are taken with respect to the pairing
+⟨(x₁,y₁),(x₂,y₂)⟩₂ = ⟨x₁,x₂⟩ − ⟨y₁,y₂⟩, so a Euclidean partial-derivative
+covector (w_x, w_y) converts to the gradient pair (G⁻¹w_x, −G⁻¹w_y) — note the
+sign flip on the second component; on 𝔤 the pairing is ⟨·,·⟩ and w converts
+to G⁻¹w.  The linear bracket is the pairing of the point with the R-bracket
+of the gradients,
 
-    {F, G}_ℛ(m) = ½⟨m, [ℛ∇F, ∇G] + [∇F, ℛ∇G]⟩₂,
+    {f, g}_R(x) = ⟨x, [∇f, ∇g]_R⟩  on 𝔤,     {F, G}_ℛ(m) = ⟨m, [∇F, ∇G]_ℛ⟩₂  on 𝔤×𝔤,
 
-the quadratic one (associative algebras only)
+with [a, b]_R = ½([Ra, b] + [a, Rb]); the quadratic one (𝔤×𝔤 over an
+associative algebra only) is
 
     {F, G}^Q_ℛ(m) = ½⟨[m, ∇F], ℛ(m∇G + ∇G m)⟩₂ − (F ↔ G),
 
@@ -41,7 +44,9 @@ from .rmatrix import (
     RMatrixConfig,
     form2,
     pair_bracket,
+    r_bracket,
     rr_apply,
+    rr_bracket,
 )
 
 __all__ = [
@@ -51,6 +56,7 @@ __all__ = [
     "PhaseSpace",
     "PoissonMatrixAt",
     "gradient2",
+    "bracket_of",
     "linear_bracket",
     "quadratic_bracket",
     "hamiltonian_field",
@@ -60,7 +66,7 @@ __all__ = [
     "numerical_rank",
     "check_morphism_psi1",
     "linear_function",
-    "coordinate_functions",
+    "degree2_function",
     "pullback_psi1_coordinate",
     "phase_tp",
     "phase_full",
@@ -126,26 +132,21 @@ def gradient2(F: ScalarFunction, m: Point, step: float = FD_STEP) -> Point:
     return type(m).from_covector(m.alg, _fd_partials(F, m, step))
 
 
-def linear_function(p: PairPoint, name: str = "linear") -> ScalarFunction:
-    """The function m ↦ ⟨p, m⟩₂, whose gradient is the constant pair p."""
-    return ScalarFunction(name, lambda m: form2(p, m), lambda m: p)
+def linear_function(p: Point, name: str = "linear") -> ScalarFunction:
+    """The function m ↦ ⟨p, m⟩ (⟨p, m⟩₂ on 𝔤×𝔤), whose gradient is the constant p."""
+    pairing = form if isinstance(p, Element) else form2
+    return ScalarFunction(name, lambda m: pairing(p, m), lambda m: p)
 
 
-def coordinate_functions(alg: AlgebraSpec) -> list[ScalarFunction]:
-    """The 2·dim basis-coordinate functions z_a with constant dual gradients."""
-    gi = alg.gram_inv
-    out = []
-    for a in range(alg.dim):
-        grad = PairPoint(Element(alg, gi[:, a].copy()), Element(alg, np.zeros(alg.dim)))
-        out.append(
-            ScalarFunction(f"x[{a}]", lambda m, a=a: m.x.coords[a], lambda m, g=grad: g)
-        )
-    for a in range(alg.dim):
-        grad = PairPoint(Element(alg, np.zeros(alg.dim)), Element(alg, -gi[:, a]))
-        out.append(
-            ScalarFunction(f"y[{a}]", lambda m, a=a: m.y.coords[a], lambda m, g=grad: g)
-        )
-    return out
+def degree2_function(name: str, evaluator: Callable[[Point], float]) -> ScalarFunction:
+    """A function of degree ≤ 2, with its central-difference gradient at unit step.
+
+    Central differences are exact on polynomials of degree ≤ 2 at any step;
+    the unit step keeps their roundoff at the size of the values instead of
+    amplifying it.
+    """
+    F = ScalarFunction(name, evaluator)
+    return ScalarFunction(name, evaluator, lambda m: gradient2(F, m, step=1.0))
 
 
 def psi1(m: PairPoint) -> Element:
@@ -164,28 +165,15 @@ def pullback_psi1_coordinate(a: Element, name: str = "z") -> ScalarFunction:
 # --------------------------------------------------------------------------
 
 
-def _linear_value(m: PairPoint, gF: PairPoint, gG: PairPoint,
+def _linear_value(m: Point, gF: Point, gG: Point,
                   cfg: RMatrixConfig = _DEFAULT) -> float:
-    term = pair_bracket(rr_apply(gF, cfg), gG) + pair_bracket(gF, rr_apply(gG, cfg))
-    return 0.5 * form2(m, term)
-
-
-def linear_bracket(F: ScalarFunction, G: ScalarFunction, m: PairPoint,
-                   cfg: RMatrixConfig = _DEFAULT) -> float:
-    """{F, G}_ℛ(m) = ½⟨m, [ℛ∇F, ∇G] + [∇F, ℛ∇G]⟩₂."""
-    return _linear_value(m, gradient2(F, m), gradient2(G, m), cfg)
+    if isinstance(m, Element):
+        return form(m, r_bracket(gF, gG, cfg=cfg))
+    return form2(m, rr_bracket(gF, gG, cfg))
 
 
 def _pmul(p: PairPoint, q: PairPoint) -> PairPoint:
     return PairPoint(mult(p.x, q.x), mult(p.y, q.y))
-
-
-def _require_associative(alg: AlgebraSpec) -> None:
-    if not alg.associative:
-        raise CapabilityError(
-            f"quadratic bracket needs an associative matrix algebra; "
-            f"{alg.name} has associative=False"
-        )
 
 
 def _quad_value(m: PairPoint, gF: PairPoint, gG: PairPoint,
@@ -197,45 +185,55 @@ def _quad_value(m: PairPoint, gF: PairPoint, gG: PairPoint,
     return 0.5 * (form2(aF, sG) - form2(aG, sF))
 
 
+def bracket_of(which: str,
+               m: Point) -> Callable[[Point, Point, Point, RMatrixConfig], float]:
+    """The value (m, ∇F, ∇G, cfg) ↦ {F, G}(m) of bracket `which` at points like m.
+
+    "linear" is the R-bracket on 𝔤 or the ℛ-bracket on 𝔤×𝔤; "quadratic"
+    exists only on 𝔤×𝔤 over an associative algebra (CapabilityError
+    otherwise).  Any other kind is a ValueError.
+    """
+    if which == "linear":
+        return _linear_value
+    if which != "quadratic":
+        raise ValueError(f"unknown bracket kind {which!r}")
+    if not isinstance(m, PairPoint):
+        raise CapabilityError("the quadratic bracket lives on 𝔤×𝔤, not on one algebra")
+    if not m.alg.associative:
+        raise CapabilityError(
+            f"quadratic bracket needs an associative matrix algebra; "
+            f"{m.alg.name} has associative=False"
+        )
+    return _quad_value
+
+
+def linear_bracket(F: ScalarFunction, G: ScalarFunction, m: Point,
+                   cfg: RMatrixConfig = _DEFAULT) -> float:
+    """{F, G}(m) = ½⟨m, [R∇F, ∇G] + [∇F, R∇G]⟩, with ℛ and ⟨·,·⟩₂ on 𝔤×𝔤."""
+    return _linear_value(m, gradient2(F, m), gradient2(G, m), cfg)
+
+
 def quadratic_bracket(F: ScalarFunction, G: ScalarFunction, m: PairPoint,
                       cfg: RMatrixConfig = _DEFAULT) -> float:
     """{F, G}^Q_ℛ(m); requires the algebra to be associative."""
-    _require_associative(m.alg)
-    return _quad_value(m, gradient2(F, m), gradient2(G, m), cfg)
+    value = bracket_of("quadratic", m)
+    return value(m, gradient2(F, m), gradient2(G, m), cfg)
 
 
-_BRACKET_VALUES = {"linear": _linear_value, "quadratic": _quad_value}
-
-
-def bracket_value(which: str, m: PairPoint, gF: PairPoint, gG: PairPoint,
-                  cfg: RMatrixConfig = _DEFAULT) -> float:
-    """Bracket evaluation from precomputed gradients (sweep-friendly)."""
-    if which == "quadratic":
-        _require_associative(m.alg)
-    try:
-        fn = _BRACKET_VALUES[which]
-    except KeyError:
-        raise ValueError(f"unknown bracket kind {which!r}") from None
-    return fn(m, gF, gG, cfg)
-
-
-def hamiltonian_field(F: ScalarFunction, m: PairPoint, which: str = "linear",
-                      cfg: RMatrixConfig = _DEFAULT) -> PairPoint:
+def hamiltonian_field(F: ScalarFunction, m: Point, which: str = "linear",
+                      cfg: RMatrixConfig = _DEFAULT) -> Point:
     """X_F(m) with X_F[K] = {K, F}, assembled from basis coordinate brackets.
 
     The a-th coordinate of the field is {z_a, F}(m) for the basis coordinate
-    function z_a, so the identity X_F[K] = {K, F} holds by construction for
-    every coordinate K and extends to all functions by Leibniz.
+    function z_a, whose gradient is that of the a-th unit covector, so the
+    identity X_F[K] = {K, F} holds by construction for every coordinate K and
+    extends to all functions by Leibniz.
     """
-    alg = m.alg
-    if which == "quadratic":
-        _require_associative(alg)
+    value = bracket_of(which, m)
+    alg, point = m.alg, type(m)
     gF = gradient2(F, m)
-    value = _BRACKET_VALUES[which]
-    v = np.empty(2 * alg.dim)
-    for a, z in enumerate(coordinate_functions(alg)):
-        v[a] = value(m, z.gradient(m), gF, cfg)
-    return PairPoint.from_vec(alg, v)
+    v = [value(m, point.from_covector(alg, e), gF, cfg) for e in np.eye(m.vec().size)]
+    return point.from_vec(alg, v)
 
 
 def lie_poisson_bracket(f_grad: Element, g_grad: Element, u: Element) -> float:
@@ -417,10 +415,7 @@ def poisson_matrix(ps: PhaseSpace, m: PairPoint, which: str = "linear",
     is well-defined exactly when range({χ, ζ}) ⊆ range(C).
     """
     ps.require_member(m, membership_tol)
-    if which == "quadratic":
-        _require_associative(ps.alg)
-    if which not in _BRACKET_VALUES:
-        raise ValueError(f"unknown bracket kind {which!r}")
+    bracket_of(which, m)
     grads_t = [z.gradient(m) for z in ps.coords]
     grads_n = list(ps.normal_covectors)
     full = _bracket_table(m, grads_t + grads_n, which, cfg)
@@ -475,8 +470,8 @@ def check_morphism_psi1(alg: AlgebraSpec, samples: int = 100, seed: int = 42,
     """Verify {F∘ψ₁, G∘ψ₁}_ℛ(x,y) = {F, G}_LP(x−y) on random functions.
 
     F, G run over random linear functions of 𝔤 (analytic gradients) plus a
-    batch of quadratic trace monomials u ↦ ⟨a,u⟩⟨b,u⟩ differentiated by
-    central finite differences.  Requires c = 1.
+    batch of quadratic monomials u ↦ ⟨a,u⟩⟨b,u⟩ differentiated by central
+    finite differences at unit step, which are exact on them.  Requires c = 1.
     """
     from .reports import CheckReport
 
@@ -495,14 +490,15 @@ def check_morphism_psi1(alg: AlgebraSpec, samples: int = 100, seed: int = 42,
         w = psi1(m)
         quadratic = k % 5 == 4
         if quadratic:
-            # f(u) = ⟨a,u⟩⟨b,u⟩, pulled back through ψ₁ with FD gradients;
-            # unit covectors keep the FD roundoff floor well under tol
+            # f(u) = ⟨a,u⟩⟨b,u⟩, pulled back through ψ₁ with FD gradients
             def unit():
                 v = rng.uniform(-1, 1, alg.dim)
                 return Element(alg, v / np.linalg.norm(v))
             a, b, c, d = unit(), unit(), unit(), unit()
-            F = ScalarFunction("f∘ψ₁", lambda m, a=a, b=b: form(a, psi1(m)) * form(b, psi1(m)))
-            G = ScalarFunction("g∘ψ₁", lambda m, c=c, d=d: form(c, psi1(m)) * form(d, psi1(m)))
+            F = degree2_function(
+                "f∘ψ₁", lambda m, a=a, b=b: form(a, psi1(m)) * form(b, psi1(m)))
+            G = degree2_function(
+                "g∘ψ₁", lambda m, c=c, d=d: form(c, psi1(m)) * form(d, psi1(m)))
             gf = form(b, w) * a + form(a, w) * b
             gg = form(d, w) * c + form(c, w) * d
         else:

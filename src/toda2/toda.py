@@ -4,11 +4,15 @@ Single-algebra side: T_T = 𝔤₋₁ ⊕ 𝔤₀ + e carries the R-bracket
 
     {f, g}_R(x) = ½⟨x, [R∇f, ∇g] + [∇f, R∇g]⟩,
 
-whose flow for H = P₁ is the Toda equation Ȧ = [A₊, A].  The diagonal
-embedding φ(x) = (x, x) lands in T_T′ = Δ(𝔤₋₁⊕𝔤₀) + (e, e) ⊂ T_P, and
-matching dual coordinates through φ gives a Poisson isomorphism between
-(T_T, {,}_R) and (T_T′, {,}_ℛ).  Restricting the pencil family to the
-diagonal collapses it into binomial multiples of the Toda invariants:
+whose flow for H = P₁ is the Toda equation Ȧ = [A₊, A].  The bracket, its
+Hamiltonian fields and the RK4 driver are those of the 2-Toda side
+(`poisson.linear_bracket`, `poisson.hamiltonian_field`, `flows.rk4_states`)
+applied to points of 𝔤.
+
+The diagonal embedding φ(x) = (x, x) lands in T_T′ = Δ(𝔤₋₁⊕𝔤₀) + (e, e)
+⊂ T_P, and matching dual coordinates through φ gives a Poisson isomorphism
+between (T_T, {,}_R) and (T_T′, {,}_ℛ).  Restricting the pencil family to
+the diagonal collapses it into binomial multiples of the Toda invariants:
 F_{k,i}(φ(x)) = C(m_i+1, k)·P_i(x).
 """
 from __future__ import annotations
@@ -18,24 +22,24 @@ import math
 import numpy as np
 
 from .algebra import AlgebraSpec, Element, bracket, form, project
-from .flows import _rk4_step
+from .flows import rk4_states, whole_steps
 from .invariants import family_labels, family_values, trace_invariant
 from .poisson import (
     PhaseSpace,
-    ScalarFunction,
     gradient2,
+    hamiltonian_field,
     linear_bracket,
+    linear_function,
     numerical_rank,
 )
-from .rmatrix import PairPoint, RMatrixConfig, r_apply
+from .rmatrix import PairPoint, RMatrixConfig
 
 __all__ = [
     "toda_space",
     "diag_phase_space",
     "embed_phi",
     "field_toda",
-    "r_poisson_bracket",
-    "toda_hamiltonian_field",
+    "integrate_toda",
     "check_poisson_iso",
     "check_binomial_identity",
     "toda_suite",
@@ -71,48 +75,14 @@ def field_toda(x: Element, cfg: RMatrixConfig = _DEFAULT) -> Element:
     return bracket(project(x, cfg.plus_region), x)
 
 
-# --------------------------------------------------------------------------
-# single-algebra R-bracket machinery
-# --------------------------------------------------------------------------
-
-
-def r_poisson_bracket(f: ScalarFunction, g: ScalarFunction, x: Element,
-                      cfg: RMatrixConfig = _DEFAULT) -> float:
-    """{f, g}_R(x) = ½⟨x, [R∇f, ∇g] + [∇f, R∇g]⟩ on the single algebra."""
-    gf = gradient2(f, x)
-    gg = gradient2(g, x)
-    term = bracket(r_apply(gf, cfg), gg) + bracket(gf, r_apply(gg, cfg))
-    return 0.5 * form(x, term)
-
-
-def toda_hamiltonian_field(f: ScalarFunction, x: Element,
-                           cfg: RMatrixConfig = _DEFAULT) -> Element:
-    """X_f(x) with X_f[K] = {K, f}_R, assembled from basis coordinates of 𝔤."""
-    alg = x.alg
-    gf = gradient2(f, x)
-    rf = r_apply(gf, cfg)
-    gi = alg.gram_inv
-    v = np.empty(alg.dim)
-    for a in range(alg.dim):
-        pa = Element(alg, gi[:, a].copy())
-        term = bracket(r_apply(pa, cfg), gf) + bracket(pa, rf)
-        v[a] = 0.5 * form(x, term)
-    return Element(alg, v)
-
-
 def integrate_toda(x0: Element, dt: float = 1e-3, T: float = 1.0,
                    cfg: RMatrixConfig = _DEFAULT):
-    """RK4 run of Ȧ = [A₊, A]; returns (times, states) coordinate arrays."""
-    alg = x0.alg
+    """RK4 run of Ȧ = [A₊, A]; returns (times, states) coordinate arrays.
 
-    def f(v):
-        return field_toda(Element(alg, v), cfg).coords
-
-    n_steps = int(round(T / dt))
-    states = [x0.coords.copy()]
-    for _ in range(n_steps):
-        states.append(_rk4_step(f, states[-1], dt))
-    return np.arange(n_steps + 1) * dt, np.array(states)
+    T must be a whole number of steps dt, as for `FlowConfig`.
+    """
+    states = rk4_states(lambda x: field_toda(x, cfg), x0, dt, whole_steps(dt, T))
+    return np.arange(len(states)) * dt, states
 
 
 # --------------------------------------------------------------------------
@@ -144,7 +114,7 @@ def check_poisson_iso(alg: AlgebraSpec, samples: int = 100, seed: int = 42,
         for a in range(k):
             for b in range(a + 1, k):
                 lhs = linear_bracket(xi[a], xi[b], p, cfg)
-                rhs = r_poisson_bracket(zeta[a], zeta[b], x, cfg)
+                rhs = linear_bracket(zeta[a], zeta[b], x, cfg)
                 worst = max(worst, abs(lhs - rhs))
     return CheckReport(
         check="toda-poisson-iso",
@@ -187,20 +157,14 @@ def toda_suite(alg: AlgebraSpec, seed: int = 42, cfg: RMatrixConfig = _DEFAULT) 
     ts = toda_space(alg)
     reports = []
     points = ts.sample_points(seed, 20)
-    coords_g = [
-        ScalarFunction(
-            f"z[{a}]",
-            lambda x, a=a: x.coords[a],
-            lambda x, g=Element(alg, alg.gram_inv[:, a].copy()): g,
-        )
-        for a in range(alg.dim)
-    ]
 
-    # T_T is a Poisson submanifold: every Hamiltonian field is tangent to it
+    # T_T is a Poisson submanifold: every Hamiltonian field is tangent to it;
+    # the fields of the basis coordinates x ↦ x_a = ⟨G⁻¹e_a, x⟩ span them all
+    coords = [linear_function(Element.from_covector(alg, e)) for e in np.eye(alg.dim)]
     worst = max(
-        ts.normal_residual(toda_hamiltonian_field(z, x, cfg))
+        ts.normal_residual(hamiltonian_field(z, x, cfg=cfg))
         for x in points[:5]
-        for z in coords_g
+        for z in coords
     )
     reports.append(CheckReport(
         check="toda-submanifold",
@@ -213,7 +177,7 @@ def toda_suite(alg: AlgebraSpec, seed: int = 42, cfg: RMatrixConfig = _DEFAULT) 
     # the P₁ flow is the Toda equation [A₊, A]
     p1 = trace_invariant(alg, 1)
     worst = max(
-        (toda_hamiltonian_field(p1, x, cfg) - field_toda(x, cfg)).norm()
+        (hamiltonian_field(p1, x, cfg=cfg) - field_toda(x, cfg)).norm()
         for x in points
     )
     reports.append(CheckReport(
@@ -230,7 +194,7 @@ def toda_suite(alg: AlgebraSpec, seed: int = 42, cfg: RMatrixConfig = _DEFAULT) 
     for x in points:
         for a in range(len(gens)):
             for b in range(a + 1, len(gens)):
-                worst = max(worst, abs(r_poisson_bracket(gens[a], gens[b], x, cfg)))
+                worst = max(worst, abs(linear_bracket(gens[a], gens[b], x, cfg)))
     reports.append(CheckReport(
         check="toda-involutivity",
         anchor="toda-invariants-involutive",

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from toda2 import load_spec, spec_to_document
+from toda2 import checks, load_spec, save_spec, spec_to_document
+from toda2.checks import BATTERY_NAMES
 from toda2.cli import main
 
 
@@ -123,3 +124,61 @@ def test_full_battery_runs(capsys):
     assert main(["check", "all", "--algebra", "sl2", "--samples", "10"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[-1].endswith("all passed")
+
+
+@pytest.mark.parametrize("battery", sorted(BATTERY_NAMES) + ["all"])
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_check_samples_must_be_positive(battery, count, capsys):
+    with pytest.raises(SystemExit) as ex:
+        main(["check", battery, "--samples", count])
+    assert ex.value.code == 2
+    assert "--samples: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_flow_commutation_steps_must_be_positive(count, capsys):
+    with pytest.raises(SystemExit) as ex:
+        main(["flow", "commutation", "--steps", count])
+    assert ex.value.code == 2
+    assert "--steps: must be at least 1" in capsys.readouterr().err
+
+
+def test_program_bug_is_not_a_usage_error(monkeypatch):
+    def broken(alg, samples, seed, tol):
+        raise ValueError("a bug inside a battery")
+
+    monkeypatch.setitem(checks._BATTERIES, "rais", broken)
+    with pytest.raises(ValueError, match="a bug inside a battery"):
+        main(["check", "rais", "--algebra", "sl2"])
+
+
+@pytest.mark.parametrize("algebra, label", [("sl2", "-1"), ("sl2", "0"), ("gl2", "9")])
+def test_flow_run_takes_generator_labels_only(algebra, label, capsys):
+    code = main(["flow", "run", "--algebra", algebra, "--field", "linear",
+                 "--i", label, "--lam", "0.5", "--T", "0.01", "--dt", "0.01"])
+    assert code == 2
+    assert "not a generator label" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"exponents": 1},
+    {"h_coords": [float("nan")] * 4},
+    {"e_coords": [float("inf"), 0.0, 0.0, 0.0]},
+], ids=["not-an-object", "exponents-not-a-list", "nan-entry", "inf-entry"])
+def test_malformed_spec_is_usage_error(doc, tmp_path, gl2, capsys):
+    if isinstance(doc, dict):
+        doc = {**spec_to_document(gl2), **doc}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["algebra", "validate", str(path)],
+                 ["check", "mcybe", "--algebra", str(path)]):
+        assert main(argv) == 2
+        assert "parse failure" in capsys.readouterr().err
+
+
+def test_morphism_check_passes_on_so5_spec(so5, tmp_path, capsys):
+    path = tmp_path / "so5.json"
+    save_spec(so5, path)
+    assert main(["check", "morphism", "--algebra", str(path)]) == 0
+    assert "[PASS] morphism-psi1" in capsys.readouterr().out

@@ -15,13 +15,16 @@ from hypothesis import strategies as st
 
 from toda2 import (
     CapabilityError,
+    Element,
     PairPoint,
     PreconditionError,
     RMatrixConfig,
     ScalarFunction,
+    bracket,
     build_sl,
     cartan_block,
     check_morphism_psi1,
+    form,
     form2,
     gradient2,
     hamiltonian_field,
@@ -33,7 +36,9 @@ from toda2 import (
     psi1,
     quadratic_bracket,
     rank_at,
+    r_apply,
     rank_sweep,
+    trace_invariant,
     with_rescaled_basis,
 )
 
@@ -162,6 +167,48 @@ def test_hamiltonian_field_reproduces_bracket(gl2):
             ),
             abs=1e-7,
         )
+
+
+def test_bracket_kinds_are_checked_in_one_place(sl3, gl2):
+    rng = np.random.default_rng(7)
+    F, G = _random_linear(gl2, rng, "F"), _random_linear(gl2, rng, "G")
+    m = random_pair(gl2, rng)
+    with pytest.raises(ValueError, match="unknown bracket kind"):
+        hamiltonian_field(F, m, "cubic")
+    f = trace_invariant(gl2, 1)
+    x = gl2.element(rng.uniform(-1, 1, gl2.dim))
+    # the quadratic bracket lives on 𝔤×𝔤 only, and only over gl
+    with pytest.raises(CapabilityError):
+        quadratic_bracket(f, f, x)
+    with pytest.raises(CapabilityError):
+        hamiltonian_field(f, x, "quadratic")
+    Fs = _random_linear(sl3, rng, "F")
+    with pytest.raises(CapabilityError):
+        hamiltonian_field(Fs, random_pair(sl3, rng), "quadratic")
+
+
+@pytest.mark.parametrize("name", ["sl3", "gl2"])
+def test_single_algebra_bracket_matches_inline_formula(name, request):
+    # {f, g}_R(x) = ½⟨x, [R∇f, ∇g] + [∇f, R∇g]⟩, spelled out independently of
+    # r_bracket; the field's a-th coordinate is {z_a, f}_R with ∇z_a = G⁻¹e_a
+    alg = request.getfixturevalue(name)
+    rng = np.random.default_rng(8)
+    f, g = trace_invariant(alg, 1), trace_invariant(alg, 2)
+
+    def inline(x, gf, gg):
+        term = bracket(r_apply(gf), gg) + bracket(gf, r_apply(gg))
+        return 0.5 * form(x, term)
+
+    for _ in range(3):
+        x = alg.element(rng.uniform(-1, 1, alg.dim))
+        gf, gg = f.gradient(x), g.gradient(x)
+        assert linear_bracket(f, g, x) == pytest.approx(inline(x, gf, gg), abs=1e-13)
+        X = hamiltonian_field(g, x)
+        assert isinstance(X, Element)
+        want = [inline(x, Element(alg, alg.gram_inv[:, a]), gg) for a in range(alg.dim)]
+        assert np.allclose(X.coords, want, atol=1e-13)
+        # X_g[f] = {f, g}_R
+        assert form(gf, X) == pytest.approx(linear_bracket(f, g, x), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -311,3 +358,11 @@ def test_psi1_morphism_check(sl2, gl2):
         assert report.verdict, report.line()
     with pytest.raises(PreconditionError):
         check_morphism_psi1(sl2, cfg=RMatrixConfig(c=2.0))
+
+
+def test_psi1_morphism_check_passes_on_so5(so5):
+    # the quadratic monomials get exact unit-step central differences; at the
+    # FD step 1e-5 their roundoff measured 1.13e-9 against the 1e-9 tolerance
+    report = check_morphism_psi1(so5)
+    assert report.verdict, report.line()
+    assert report.measured < 1e-12

@@ -101,6 +101,14 @@ def test_toda_flow_is_isospectral(sl3):
     assert np.abs(lam0 - lamT).max() < 1e-8
 
 
+def test_toda_horizon_must_be_whole_number_of_steps(sl3):
+    x0 = toda_space(sl3).sample_points(seed=3, count=1)[0]
+    with pytest.raises(PreconditionError, match="whole number of steps"):
+        integrate_toda(x0, dt=0.3, T=1.0)
+    times, states = integrate_toda(x0, dt=0.25, T=1.0)
+    assert times[-1] == 1.0 and states.shape == (5, sl3.dim)
+
+
 def test_poisson_iso_check(sl2, sl3, gl2):
     for alg in (sl2, sl3, gl2):
         r = check_poisson_iso(alg, samples=50)

@@ -229,6 +229,20 @@ class AlgebraSpec:
             self._masks[region] = m
         return m
 
+    @cached_property
+    def _projectors(self) -> dict[str, np.ndarray]:
+        return {}
+
+    def matrix_projector(self, region: str) -> np.ndarray:
+        """Read-only n²×n² matrix of `project(·, region)` on flattened matrices
+        of the span, cached: the Lax fields apply it at every step."""
+        P = self._projectors.get(region)
+        if P is None:
+            P = (self._flat_basis * self.mask(region)) @ self._flat_pinv
+            P.flags.writeable = False
+            self._projectors[region] = P
+        return P
+
 
 @dataclass(frozen=True, eq=False)
 class Element:
@@ -458,7 +472,7 @@ def validate_spec(spec: AlgebraSpec) -> list[dict]:
         hit("gram-symmetry", np.abs(G - G.T).max())
     sv = np.linalg.svd(G, compute_uv=False)
     if sv[-1] <= 1e-10 * sv[0]:
-        hit("form-nondegenerate", sv[-1] / sv[0])
+        hit("form-nondegenerate", sv[-1] / sv[0] if sv[0] > 0 else 0.0)
 
     # form invariance ⟨[x,y],z⟩ + ⟨y,[x,z]⟩ = 0 on basis triples
     bf = np.einsum("abc,cd->abd", coeffs, G)       # ⟨[b_a,b_b], b_d⟩

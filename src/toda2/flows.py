@@ -8,17 +8,21 @@ The two defining flows on T_P are
 plus the quadratic-bracket fields on associative algebras and the closed
 linear pencil fields used as cross-checks.  Integration is fixed-step RK4
 with no re-projection onto the phase space: tangency drift is a measured
-signal, not something to suppress.  The RK4 driver takes points of 𝔤 as
-well as of 𝔤×𝔤; the classical Toda flow in `toda.py` runs on it too.
+signal, not something to suppress.  RK4 runs on the stack of n×n matrices
+(L, M) of the defining representation; coordinates are converted to matrices
+once at the start of a run and back once at the end.  Each Lax flow, and the
+classical Toda flow Ȧ = [A₊, A] in `toda.py`, is one matrix commutator
+[Π(V_b), V] with Π a degree projection of one block V_b of the stack.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, project
+from .algebra import AlgebraSpec, Element
 from .invariants import family, family_values, require_generator_label
 from .poisson import CapabilityError, PhaseSpace, Point, PreconditionError, ScalarFunction
 from .rmatrix import PairPoint, RMatrixConfig, pair_bracket, r_apply
@@ -41,16 +45,53 @@ __all__ = [
 _DEFAULT = RMatrixConfig()
 
 
+# --------------------------------------------------------------------------
+# the Lax field on matrix stacks
+# --------------------------------------------------------------------------
+
+
+def _blocks(alg: AlgebraSpec, v: np.ndarray) -> np.ndarray:
+    """Coordinate rows (…, k·dim) as stacks of k matrices, shape (…, k, n, n)."""
+    v = np.asarray(v, dtype=float)
+    lead, n = v.shape[:-1], alg.matrix_size
+    flat = v.reshape(*lead, -1, alg.dim) @ alg._flat_basis.T
+    return flat.reshape(*lead, -1, n, n)
+
+
+def _coords(alg: AlgebraSpec, V: np.ndarray) -> np.ndarray:
+    """Matrix stacks (…, k, n, n) as coordinate rows, shape (…, k·dim)."""
+    lead = V.shape[:-3]
+    flat = V.reshape(*lead, -1, alg.matrix_size ** 2) @ alg._flat_pinv.T
+    return flat.reshape(*lead, -1)
+
+
+def _lax_field(alg: AlgebraSpec, block: int,
+               region: str) -> Callable[[np.ndarray], np.ndarray]:
+    """V ↦ [Z, V] = ZV − VZ with Z = Π_region(V[block]), on a (k, n, n) stack."""
+    P, n = alg.matrix_projector(region), alg.matrix_size
+
+    def field(V: np.ndarray) -> np.ndarray:
+        Z = (P @ V[block].reshape(-1)).reshape(n, n)
+        return Z @ V - V @ Z
+
+    return field
+
+
+def _lax_point(m: Point, block: int, region: str) -> Point:
+    """The Lax field at one point of 𝔤 (one block) or 𝔤×𝔤 (two blocks)."""
+    alg = m.alg
+    dV = _lax_field(alg, block, region)(_blocks(alg, m.vec()))
+    return type(m).from_vec(alg, _coords(alg, dV))
+
+
 def field_t(m: PairPoint, cfg: RMatrixConfig = _DEFAULT) -> PairPoint:
     """[(L₊, L₊), (L, M)] — the t-flow direction."""
-    lp = project(m.x, cfg.plus_region)
-    return pair_bracket(PairPoint(lp, lp), m)
+    return _lax_point(m, 0, cfg.plus_region)
 
 
 def field_s(m: PairPoint, cfg: RMatrixConfig = _DEFAULT) -> PairPoint:
     """[(M₋, M₋), (L, M)] — the s-flow direction."""
-    mm = project(m.y, cfg.minus_region)
-    return pair_bracket(PairPoint(mm, mm), m)
+    return _lax_point(m, 1, cfg.minus_region)
 
 
 def _pencil_matrix_power(m: PairPoint, lam: float, power: int) -> np.ndarray:
@@ -98,19 +139,25 @@ def field_linear_pencil(i: int, lam: float, m: PairPoint,
 
 
 def _named_field(cfg: "FlowConfig",
-                 alg: AlgebraSpec) -> Callable[[PairPoint], PairPoint]:
+                 alg: AlgebraSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """The selected field on (2, n, n) stacks (L, M)."""
     rcfg = cfg.rmatrix
     if cfg.field == "t":
-        return lambda m: field_t(m, rcfg)
+        return _lax_field(alg, 0, rcfg.plus_region)
     if cfg.field == "s":
-        return lambda m: field_s(m, rcfg)
+        return _lax_field(alg, 1, rcfg.minus_region)
     pencil = {"quadratic": field_quadratic, "linear": field_linear_pencil}.get(cfg.field)
     if pencil is None:
         raise PreconditionError(f"unknown field selector {cfg.field!r}")
     if cfg.i is None or cfg.lam is None:
         raise PreconditionError(f"{cfg.field} pencil field needs generator label i and λ")
     require_generator_label(alg, cfg.i)
-    return lambda m: pencil(cfg.i, cfg.lam, m, rcfg)
+
+    def field(V: np.ndarray) -> np.ndarray:
+        m = PairPoint.from_vec(alg, _coords(alg, V))
+        return _blocks(alg, pencil(cfg.i, cfg.lam, m, rcfg).vec())
+
+    return field
 
 
 def whole_steps(dt: float, T: float) -> int:
@@ -181,30 +228,27 @@ class Trajectory:
         return float(np.abs(normal).max())
 
 
-def rk4_states(field: Callable[[Point], Point], m0: Point, dt: float,
-               n_steps: int) -> np.ndarray:
-    """Fixed-step RK4 run of ṁ = field(m) from m0 on 𝔤 or 𝔤×𝔤.
+def rk4_states(field: Callable[[np.ndarray], np.ndarray], v0: np.ndarray,
+               dt: float, n_steps: int) -> np.ndarray:
+    """Fixed-step RK4 run of v̇ = field(v) from the array v0.
 
-    Returns the states as rows of vec(); a run that reaches a non-finite
-    state ends there, with that state as its last row.
+    Returns the states stacked along a new first axis; a run that reaches a
+    non-finite state ends there, with that state as its last entry.
     """
-    alg, point = m0.alg, type(m0)
-
-    def f(v: np.ndarray) -> np.ndarray:
-        return field(point.from_vec(alg, v)).vec()
-
-    v = m0.vec()
+    v = np.asarray(v0, dtype=float)
     states = [v]
     # overflow on the way to a detected blow-up is expected, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
-            k1 = f(v)
-            k2 = f(v + 0.5 * dt * k1)
-            k3 = f(v + 0.5 * dt * k2)
-            k4 = f(v + dt * k3)
+            k1 = field(v)
+            k2 = field(v + 0.5 * dt * k1)
+            k3 = field(v + 0.5 * dt * k2)
+            k4 = field(v + dt * k3)
             v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             states.append(v)
-            if not np.all(np.isfinite(v)):
+            # a finite sum means finite entries; only an overflowing sum
+            # needs the entrywise test
+            if not math.isfinite(v.sum()) and not np.all(np.isfinite(v)):
                 break
     return np.array(states)
 
@@ -217,14 +261,16 @@ def integrate(cfg: FlowConfig, m0: PairPoint,
     one batch; an explicit list is evaluated function by function.
     """
     alg = m0.alg
-    states = rk4_states(_named_field(cfg, alg), m0, cfg.dt, cfg.n_steps)
+    stack = rk4_states(_named_field(cfg, alg), _blocks(alg, m0.vec()),
+                       cfg.dt, cfg.n_steps)
     truncated, note = False, ""
-    if not np.all(np.isfinite(states[-1])):
+    if not np.all(np.isfinite(stack[-1])):
         truncated = True
-        k = len(states) - 1
+        k = len(stack) - 1
         note = (f"non-finite state at step {k} "
                 f"(t = {k * cfg.dt:g}); trajectory truncated")
-        states = states[:-1]
+        stack = stack[:-1]
+    states = _coords(alg, stack)
     names = tuple(F.name for F in (family(alg) if conserved is None else conserved))
     if conserved is None:
         values = family_values(alg, states)
@@ -259,12 +305,13 @@ def flow_commutation(m0: PairPoint, dt: float = 1e-3, n_steps: int = 100,
     alg = m0.alg
     fa, fb = _named_field(first, alg), _named_field(second, alg)
 
-    def run(fld, m):
-        return PairPoint.from_vec(alg, rk4_states(fld, m, dt, n_steps)[-1])
+    def run(fld, V):
+        return rk4_states(fld, V, dt, n_steps)[-1]
 
-    ab = run(fa, run(fb, m0))
-    ba = run(fb, run(fa, m0))
-    return float(np.abs(ab.vec() - ba.vec()).max())
+    V0 = _blocks(alg, m0.vec())
+    ab = run(fa, run(fb, V0))
+    ba = run(fb, run(fa, V0))
+    return float(np.abs(_coords(alg, ab) - _coords(alg, ba)).max())
 
 
 # --------------------------------------------------------------------------
@@ -274,18 +321,9 @@ def flow_commutation(m0: PairPoint, dt: float = 1e-3, n_steps: int = 100,
 
 def pencil_eigenvalue_drift(traj: Trajectory, lam0: float) -> float:
     """Max eigenvalue movement of λ₀L − M along the trajectory (isospectrality)."""
-    alg = traj.alg
-
-    def eigs(row):
-        m = PairPoint.from_vec(alg, row)
-        w = np.linalg.eigvals(lam0 * m.x.matrix() - m.y.matrix())
-        return np.sort_complex(w)
-
-    ref = eigs(traj.states[0])
-    drift = 0.0
-    for row in traj.states[1:]:
-        drift = max(drift, float(np.abs(eigs(row) - ref).max()))
-    return drift
+    V = _blocks(traj.alg, traj.states)
+    w = np.sort_complex(np.linalg.eigvals(lam0 * V[:, 0] - V[:, 1]))
+    return float(np.abs(w - w[0]).max())
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

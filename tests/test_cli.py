@@ -1,7 +1,9 @@
 """Command-line entry point: exit codes 0 (pass) / 1 (failed check) / 2 (usage)."""
 
 import json
+import warnings
 
+import numpy as np
 import pytest
 
 from toda2 import checks, load_spec, save_spec, spec_to_document
@@ -45,6 +47,21 @@ def test_algebra_validate_lists_violations(tmp_path, capsys, sl2, field, value,
     path.write_text(json.dumps(doc))
     assert main(["algebra", "validate", str(path)]) == 1
     assert f"violated: {invariant}" in capsys.readouterr().out
+
+
+def test_algebra_validate_underflowing_form_has_finite_residual(tmp_path, capsys, sl2):
+    # a basis scaled by 1e-200 has a Gram matrix that underflows to 0
+    doc = spec_to_document(sl2)
+    doc["basis"] = (np.array(doc["basis"]) * 1e-200).tolist()
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["algebra", "validate", str(path)]) == 1
+    line = next(s for s in capsys.readouterr().out.splitlines()
+                if s.startswith("violated: form-nondegenerate"))
+    residual = float(line.split("(residual ")[1].rstrip(")"))
+    assert np.isfinite(residual)
 
 
 def test_algebra_validate_parse_failure_is_usage_error(tmp_path, capsys):
@@ -175,6 +192,25 @@ def test_malformed_spec_is_usage_error(doc, tmp_path, gl2, capsys):
                  ["check", "mcybe", "--algebra", str(path)]):
         assert main(argv) == 2
         assert "parse failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("battery", ["rank", "all"])
+def test_rank_checks_run_on_so5_spec(battery, so5, tmp_path, capsys):
+    path = tmp_path / "so5.json"
+    save_spec(so5, path)
+    code = main(["check", battery, "--algebra", str(path), "--samples", "2"])
+    assert code in (0, 1)
+    assert "cartan-block" in capsys.readouterr().out
+
+
+def test_cartan_block_not_applicable_when_cartan_does_not_match(sl3, tmp_path, capsys):
+    doc = spec_to_document(sl3)
+    doc["cartan"] = [[2, -3], [-1, 2]]
+    path = tmp_path / "sl3.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "rank", "--algebra", str(path)]) == 0
+    line = next(s for s in capsys.readouterr().out.splitlines() if "cartan-block" in s)
+    assert "not applicable" in line and "neither cartan nor its transpose" in line
 
 
 def test_morphism_check_passes_on_so5_spec(so5, tmp_path, capsys):

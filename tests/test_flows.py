@@ -31,18 +31,23 @@ def seed_point(alg, seed=42):
 # the two defining fields
 # ---------------------------------------------------------------------------
 
-def test_field_t_is_projected_lax_bracket(sl3):
-    m = seed_point(sl3)
-    xp = project(m.x, ">=0")
-    want = PairPoint(bracket(xp, m.x), bracket(xp, m.y))
-    assert (field_t(m) - want).norm() < 1e-13
+# the fields run one matrix commutator; the structure-constant brackets of
+# the coordinates are an independent path
+
+def test_field_t_is_projected_lax_bracket(sl3, gl3, so5):
+    for alg in (sl3, gl3, so5):
+        for m in phase_tp(alg).sample_points(seed=42, count=3):
+            xp = project(m.x, ">=0")
+            want = PairPoint(bracket(xp, m.x), bracket(xp, m.y))
+            assert (field_t(m) - want).norm() < 1e-13
 
 
-def test_field_s_is_projected_lax_bracket(sl3):
-    m = seed_point(sl3)
-    yn = project(m.y, "<0")
-    want = PairPoint(bracket(yn, m.x), bracket(yn, m.y))
-    assert (field_s(m) - want).norm() < 1e-13
+def test_field_s_is_projected_lax_bracket(sl3, gl3, so5):
+    for alg in (sl3, gl3, so5):
+        for m in phase_tp(alg).sample_points(seed=42, count=3):
+            yn = project(m.y, "<0")
+            want = PairPoint(bracket(yn, m.x), bracket(yn, m.y))
+            assert (field_s(m) - want).norm() < 1e-13
 
 
 def test_fields_are_tangent_to_phase_space(sl3, gl3):
@@ -83,6 +88,21 @@ def test_isospectral_pencil_eigenvalues(sl3):
     traj = integrate(FlowConfig(field="s", dt=1e-3, T=0.5), seed_point(sl3))
     for lam0 in (0.0, 1.0, 2.0):
         assert pencil_eigenvalue_drift(traj, lam0) < 1e-8
+
+
+def test_batched_eigenvalue_drift_matches_row_loop(sl3, gl3, so5):
+    for alg in (sl3, gl3, so5):
+        traj = integrate(FlowConfig(field="t", dt=1e-3, T=0.2), seed_point(alg),
+                         conserved=[])
+        for lam0 in (0.0, 1.0, 2.0):
+            def eigs(k):
+                m = traj.point(k)
+                w = np.linalg.eigvals(lam0 * m.x.matrix() - m.y.matrix())
+                return np.sort_complex(w)
+
+            ref = eigs(0)
+            loop = max(float(np.abs(eigs(k) - ref).max()) for k in range(len(traj.times)))
+            assert pencil_eigenvalue_drift(traj, lam0) == loop
 
 
 def test_rk4_order_via_step_halving(sl3):
@@ -132,6 +152,55 @@ def test_blowup_is_truncated_with_note(gl2):
     assert "non-finite" in traj.note and "truncated" in traj.note
     assert len(traj.times) == len(traj.states)
     assert np.all(np.isfinite(traj.states))
+
+
+# ---------------------------------------------------------------------------
+# the exact factorization solution (Adler–Kostant–Symes) as an oracle
+# ---------------------------------------------------------------------------
+
+def expm(A):
+    """exp(A) by scaling and squaring of a Taylor series."""
+    norm = np.abs(A).sum(axis=1).max()
+    s = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 0 else 0
+    B = A / 2.0**s
+    E = term = np.eye(len(A))
+    for k in range(1, 20):      # ‖B‖ ≤ ½: the tail is below 2⁻²⁰/20!
+        term = term @ B / k
+        E = E + term
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
+def lu_nopivot(A):
+    """A = n₋b₊ with n₋ unit lower-triangular and b₊ upper-triangular."""
+    size = len(A)
+    lower, upper = np.eye(size), np.array(A, dtype=float)
+    for k in range(size - 1):
+        lower[k + 1:, k] = upper[k + 1:, k] / upper[k, k]
+        upper[k + 1:, :] -= np.outer(lower[k + 1:, k], upper[k, :])
+    return lower, np.triu(upper)
+
+
+def exact_flow(field, m0, T):
+    """(L, M)(T) of the t-flow (exp(TL₀) = n₋b₊, conjugate by b₊) or the
+    s-flow (exp(−TM₀) = n₋b₊, conjugate by n₋⁻¹)."""
+    L0, M0 = m0.x.matrix(), m0.y.matrix()
+    lower, upper = lu_nopivot(expm(T * L0 if field == "t" else -T * M0))
+    g = upper if field == "t" else np.linalg.inv(lower)
+    gi = np.linalg.inv(g)
+    return g @ L0 @ gi, g @ M0 @ gi
+
+
+@pytest.mark.parametrize("field", ["t", "s"])
+def test_rk4_matches_exact_factorization_solution(field, sl3, gl3, sl4):
+    for alg in (sl3, gl3, sl4):
+        m0 = seed_point(alg)
+        end = integrate(FlowConfig(field=field, dt=1e-3, T=1.0), m0,
+                        conserved=[]).point(-1)
+        L, M = exact_flow(field, m0, 1.0)
+        err = max(np.abs(end.x.matrix() - L).max(), np.abs(end.y.matrix() - M).max())
+        assert err <= 1e-9, (alg.name, field, err)
 
 
 # ---------------------------------------------------------------------------

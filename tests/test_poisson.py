@@ -342,6 +342,15 @@ def test_cartan_block_values(sl2, gl3):
     assert np.allclose(cartan_block(gl3), want, atol=1e-10)
 
 
+def test_cartan_block_from_so5_spec_data(so5):
+    # the simple system comes from the degree ±1 basis vectors, not from
+    # type-A matrices; C[i, j] = α_i(h_j) is the stored cartan transposed
+    C = np.array([[2.0, -2.0], [-1.0, 2.0]])
+    assert np.array_equal(so5.cartan, C.T)
+    want = np.block([[np.zeros((2, 2)), -C.T], [C, np.zeros((2, 2))]])
+    assert np.allclose(cartan_block(so5), want, atol=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # diagonal-difference map
 # ---------------------------------------------------------------------------

@@ -82,13 +82,14 @@ def test_embed_phi_rejects_off_space(sl3):
         embed_phi(ts, x + sl3.element(np.eye(sl3.dim)[a]))
 
 
-def test_field_toda_is_lax_bracket(sl3):
-    ts = toda_space(sl3)
-    x = ts.sample_points(seed=2, count=1)[0]
-    v = field_toda(x)
-    assert (v - bracket(project(x, ">=0"), x)).norm() < 1e-13
-    # tangent: the flow stays on the Jacobi stratum
-    assert ts.membership_residual(x + v) < 1e-12
+def test_field_toda_is_lax_bracket(sl3, gl3, so5):
+    for alg in (sl3, gl3, so5):
+        ts = toda_space(alg)
+        for x in ts.sample_points(seed=2, count=3):
+            v = field_toda(x)
+            assert (v - bracket(project(x, ">=0"), x)).norm() < 1e-13
+            # tangent: the flow stays on the Jacobi stratum
+            assert ts.membership_residual(x + v) < 1e-12
 
 
 def test_toda_flow_is_isospectral(sl3):
@@ -133,6 +134,20 @@ def test_binomial_identity_check(desk_algebras):
     for alg in desk_algebras.values():
         r = check_binomial_identity(alg, samples=10)
         assert r.verdict, r.line()
+
+
+def test_toda_conservation_batch_matches_per_state_loop(sl3, gl3):
+    for alg in (sl3, gl3):
+        report = next(r for r in toda_suite(alg) if r.check == "toda-conservation")
+        ts = toda_space(alg)
+        x0 = ts.point_from_coords(np.random.default_rng(42).uniform(-1.0, 1.0, ts.dim))
+        _, states = integrate_toda(x0, dt=1e-3, T=1.0)
+        worst = 0.0
+        for i in alg.exponents:
+            P = trace_invariant(alg, i)
+            vals = np.array([P(alg.element(v)) for v in states])
+            worst = max(worst, np.abs(vals - vals[0]).max() / (1.0 + abs(vals[0])))
+        assert abs(report.measured - worst) < 1e-14
 
 
 def test_toda_suite_passes(sl2, sl3):

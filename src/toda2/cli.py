@@ -42,14 +42,22 @@ from .flows import (
 from .poisson import CapabilityError, PreconditionError, phase_tp
 from .reports import CheckReport, all_pass, emit_report
 
-_BUILTIN = re.compile(r"^(sl|gl)([2-9]\d*)$")
+_BUILTIN = re.compile(r"^(sl|gl)([1-9]\d*)$")
+# builder orders the CLI accepts: validate_spec forms dim⁴ arrays, 0.3 GB each
+# at sl9 and ~190 GiB each at sl20
+BUILTIN_ORDERS = range(2, 10)
 
 
 def resolve_algebra(token: str) -> AlgebraSpec:
-    """A builtin name like sl3/gl2, or a path to a saved spec document."""
+    """A builtin name sl<n>/gl<n> with n in BUILTIN_ORDERS, or a spec document path."""
     m = _BUILTIN.match(token)
     if m:
         kind, n = m.group(1), int(m.group(2))
+        if n not in BUILTIN_ORDERS:
+            raise AlgebraError(
+                f"builtin algebra {token!r}: order must be between "
+                f"{BUILTIN_ORDERS.start} and {BUILTIN_ORDERS.stop - 1}, got {n}"
+            )
         return build_sl(n) if kind == "sl" else build_gl(n)
     if Path(token).exists():
         return load_spec(token)

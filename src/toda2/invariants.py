@@ -27,7 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraSpec, Element
-from .poisson import PhaseSpace, PreconditionError, ScalarFunction, numerical_rank
+from .poisson import (
+    PhaseSpace,
+    Point,
+    PreconditionError,
+    ScalarFunction,
+    gradient2,
+    numerical_rank,
+)
 from .rmatrix import PairPoint
 
 __all__ = [
@@ -251,21 +258,8 @@ def rais_vectors(alg: AlgebraSpec) -> RaisData:
 
 
 def independence_rank(functions: list[ScalarFunction], ps: PhaseSpace,
-                      points: list[PairPoint]) -> int:
-    """Max over points of the Jacobian rank of the family restricted to ps.
-
-    Row (F, a) is ⟨∇F(m), t_a⟩₂ over the tangent basis t_a — the differential
-    of F along the phase space.
-    """
+                      points: list[Point]) -> int:
+    """Max over points of the Jacobian rank of the functions restricted to ps."""
     if not points:
         raise ValueError("independence_rank needs at least one point")
-    from .poisson import gradient2
-    from .rmatrix import form2
-
-    best = 0
-    for m in points:
-        rows = np.array(
-            [[form2(gradient2(F, m), t) for t in ps.tangent] for F in functions]
-        )
-        best = max(best, numerical_rank(rows))
-    return best
+    return max(ps.jacobian_rank([gradient2(F, m) for F in functions]) for m in points)

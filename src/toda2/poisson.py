@@ -4,19 +4,20 @@ On 𝔤×𝔤 gradients are taken with respect to the pairing
 ⟨(x₁,y₁),(x₂,y₂)⟩₂ = ⟨x₁,x₂⟩ − ⟨y₁,y₂⟩, so a Euclidean partial-derivative
 covector (w_x, w_y) converts to the gradient pair (G⁻¹w_x, −G⁻¹w_y) — note the
 sign flip on the second component; on 𝔤 the pairing is ⟨·,·⟩ and w converts
-to G⁻¹w.  The linear bracket is the pairing of the point with the R-bracket
-of the gradients,
+to G⁻¹w.  The brackets are
 
-    {f, g}_R(x) = ⟨x, [∇f, ∇g]_R⟩  on 𝔤,     {F, G}_ℛ(m) = ⟨m, [∇F, ∇G]_ℛ⟩₂  on 𝔤×𝔤,
+    {F, G}(m)   = ½⟨m, [ℛ∇F, ∇G] + [∇F, ℛ∇G]⟩₂          (R and ⟨·,·⟩ on 𝔤),
+    {F, G}^Q(m) = ½⟨[m, ∇F], ℛ(m∇G + ∇G m)⟩₂ − (F ↔ G)   (𝔤×𝔤 over gl only),
 
-with [a, b]_R = ½([Ra, b] + [a, Rb]); the quadratic one (𝔤×𝔤 over an
-associative algebra only) is
+with products taken componentwise.  Each is written once, as its Hamiltonian
+field (X_G[F] = ⟨∇F, X_G⟩ = {F, G}); ⟨m, [a, b]⟩ = ⟨[m, a], b⟩ and, on gl,
+⟨u, ma + am⟩ = ⟨um + mu, a⟩ move ℛ and the products onto ∇G:
 
-    {F, G}^Q_ℛ(m) = ½⟨[m, ∇F], ℛ(m∇G + ∇G m)⟩₂ − (F ↔ G),
+    X_G(m)   = ½(ℛ*[∇G, m] + [ℛ∇G, m]),
+    X^Q_G(m) = ½[ℛ(m∇G + ∇G m), m] − ½(wm + mw),   w = ℛ*[m, ∇G],
 
-with products taken componentwise.  Hamiltonian fields use the convention
-X_F[K] = {K, F} and are assembled generically from the coordinate functions
-z_a of the ambient basis: X_F = Σ_a {z_a, F} ∂_a.
+with ℛ* the ⟨·,·⟩₂-adjoint of ℛ (R* the ⟨·,·⟩-adjoint of R on 𝔤).  Bracket
+values, fields and Poisson matrices all read these two fields.
 
 Affine phase spaces (T_P and friends in 𝔤×𝔤, T_T in 𝔤) are a base point plus
 a tangent basis; their coordinate functions are Euclidean duals of the tangent
@@ -44,9 +45,10 @@ from .rmatrix import (
     RMatrixConfig,
     form2,
     pair_bracket,
-    r_bracket,
+    r_adjoint,
+    r_apply,
+    rr_adjoint,
     rr_apply,
-    rr_bracket,
 )
 
 __all__ = [
@@ -132,10 +134,13 @@ def gradient2(F: ScalarFunction, m: Point, step: float = FD_STEP) -> Point:
     return type(m).from_covector(m.alg, _fd_partials(F, m, step))
 
 
+def _pairing(p: Point, q: Point) -> float:
+    return form(p, q) if isinstance(p, Element) else form2(p, q)
+
+
 def linear_function(p: Point, name: str = "linear") -> ScalarFunction:
     """The function m ↦ ⟨p, m⟩ (⟨p, m⟩₂ on 𝔤×𝔤), whose gradient is the constant p."""
-    pairing = form if isinstance(p, Element) else form2
-    return ScalarFunction(name, lambda m: pairing(p, m), lambda m: p)
+    return ScalarFunction(name, lambda m: _pairing(p, m), lambda m: p)
 
 
 def degree2_function(name: str, evaluator: Callable[[Point], float]) -> ScalarFunction:
@@ -165,36 +170,39 @@ def pullback_psi1_coordinate(a: Element, name: str = "z") -> ScalarFunction:
 # --------------------------------------------------------------------------
 
 
-def _linear_value(m: Point, gF: Point, gG: Point,
-                  cfg: RMatrixConfig = _DEFAULT) -> float:
+def _pairing_matrix(m: Point) -> np.ndarray:
+    """The matrix of the pairing on vec(): G on 𝔤, diag(G, −G) on 𝔤×𝔤."""
+    G = m.alg.gram
+    return G if isinstance(m, Element) else np.kron(np.diag([1.0, -1.0]), G)
+
+
+def _linear_field(m: Point, g: Point, cfg: RMatrixConfig = _DEFAULT) -> Point:
+    """X(m) = ½(ℛ*[g, m] + [ℛg, m]); R, R* and [·,·] on 𝔤."""
     if isinstance(m, Element):
-        return form(m, r_bracket(gF, gG, cfg=cfg))
-    return form2(m, rr_bracket(gF, gG, cfg))
+        return 0.5 * (r_adjoint(bracket(g, m), cfg) + bracket(r_apply(g, cfg), m))
+    return 0.5 * (rr_adjoint(pair_bracket(g, m), cfg) + pair_bracket(rr_apply(g, cfg), m))
 
 
 def _pmul(p: PairPoint, q: PairPoint) -> PairPoint:
     return PairPoint(mult(p.x, q.x), mult(p.y, q.y))
 
 
-def _quad_value(m: PairPoint, gF: PairPoint, gG: PairPoint,
-                cfg: RMatrixConfig = _DEFAULT) -> float:
-    sF = rr_apply(_pmul(m, gF) + _pmul(gF, m), cfg)
-    sG = rr_apply(_pmul(m, gG) + _pmul(gG, m), cfg)
-    aF = pair_bracket(m, gF)
-    aG = pair_bracket(m, gG)
-    return 0.5 * (form2(aF, sG) - form2(aG, sF))
+def _quad_field(m: PairPoint, g: PairPoint, cfg: RMatrixConfig = _DEFAULT) -> PairPoint:
+    """X(m) = ½[ℛ(mg + gm), m] − ½(wm + mw) with w = ℛ*[m, g]."""
+    w = rr_adjoint(pair_bracket(m, g), cfg)
+    s = rr_apply(_pmul(m, g) + _pmul(g, m), cfg)
+    return 0.5 * (pair_bracket(s, m) - _pmul(w, m) - _pmul(m, w))
 
 
-def bracket_of(which: str,
-               m: Point) -> Callable[[Point, Point, Point, RMatrixConfig], float]:
-    """The value (m, ∇F, ∇G, cfg) ↦ {F, G}(m) of bracket `which` at points like m.
+def bracket_of(which: str, m: Point) -> Callable[[Point, Point, RMatrixConfig], Point]:
+    """The Hamiltonian field (m, ∇F, cfg) ↦ X_F(m) of bracket `which` at points like m.
 
     "linear" is the R-bracket on 𝔤 or the ℛ-bracket on 𝔤×𝔤; "quadratic"
     exists only on 𝔤×𝔤 over an associative algebra (CapabilityError
     otherwise).  Any other kind is a ValueError.
     """
     if which == "linear":
-        return _linear_value
+        return _linear_field
     if which != "quadratic":
         raise ValueError(f"unknown bracket kind {which!r}")
     if not isinstance(m, PairPoint):
@@ -204,36 +212,25 @@ def bracket_of(which: str,
             f"quadratic bracket needs an associative matrix algebra; "
             f"{m.alg.name} has associative=False"
         )
-    return _quad_value
+    return _quad_field
 
 
 def linear_bracket(F: ScalarFunction, G: ScalarFunction, m: Point,
                    cfg: RMatrixConfig = _DEFAULT) -> float:
-    """{F, G}(m) = ½⟨m, [R∇F, ∇G] + [∇F, R∇G]⟩, with ℛ and ⟨·,·⟩₂ on 𝔤×𝔤."""
-    return _linear_value(m, gradient2(F, m), gradient2(G, m), cfg)
+    """{F, G}(m) = ⟨∇F, X_G(m)⟩ = ½⟨m, [R∇F, ∇G] + [∇F, R∇G]⟩ (ℛ, ⟨·,·⟩₂ on 𝔤×𝔤)."""
+    return _pairing(gradient2(F, m), hamiltonian_field(G, m, "linear", cfg))
 
 
 def quadratic_bracket(F: ScalarFunction, G: ScalarFunction, m: PairPoint,
                       cfg: RMatrixConfig = _DEFAULT) -> float:
-    """{F, G}^Q_ℛ(m); requires the algebra to be associative."""
-    value = bracket_of("quadratic", m)
-    return value(m, gradient2(F, m), gradient2(G, m), cfg)
+    """{F, G}^Q_ℛ(m) = ⟨∇F, X^Q_G(m)⟩₂; requires the algebra to be associative."""
+    return form2(gradient2(F, m), hamiltonian_field(G, m, "quadratic", cfg))
 
 
 def hamiltonian_field(F: ScalarFunction, m: Point, which: str = "linear",
                       cfg: RMatrixConfig = _DEFAULT) -> Point:
-    """X_F(m) with X_F[K] = {K, F}, assembled from basis coordinate brackets.
-
-    The a-th coordinate of the field is {z_a, F}(m) for the basis coordinate
-    function z_a, whose gradient is that of the a-th unit covector, so the
-    identity X_F[K] = {K, F} holds by construction for every coordinate K and
-    extends to all functions by Leibniz.
-    """
-    value = bracket_of(which, m)
-    alg, point = m.alg, type(m)
-    gF = gradient2(F, m)
-    v = [value(m, point.from_covector(alg, e), gF, cfg) for e in np.eye(m.vec().size)]
-    return point.from_vec(alg, v)
+    """X_F(m), with X_F[K] = ⟨∇K, X_F(m)⟩ = {K, F}(m)."""
+    return bracket_of(which, m)(m, gradient2(F, m), cfg)
 
 
 def lie_poisson_bracket(f_grad: Element, g_grad: Element, u: Element) -> float:
@@ -318,6 +315,15 @@ class PhaseSpace:
                 f"point lies off {self.name} (normal residual {r:.3e} > {tol:g})"
             )
 
+    def jacobian_rank(self, grads: Sequence[Point]) -> int:
+        """Rank of the differentials along this space of functions with gradients `grads`.
+
+        Row k is ⟨∇F_k, t_a⟩ over the tangent basis t_a in the points' pairing:
+        one product of the stacked gradients with the tangent matrix.
+        """
+        A = np.stack([g.vec() for g in grads])
+        return numerical_rank(A @ _pairing_matrix(self.base) @ self.tangent_matrix)
+
     def normal_residual(self, w: Point) -> float:
         """Size of the component of a *vector* w transverse to the tangent space."""
         v = w.vec()
@@ -381,25 +387,14 @@ class PoissonMatrixAt:
             )
 
 
-def _bracket_table(m: PairPoint, grads: list[PairPoint], which: str,
-                   cfg: RMatrixConfig) -> np.ndarray:
-    k = len(grads)
-    M = np.zeros((k, k))
-    if which == "linear":
-        rg = [rr_apply(g, cfg) for g in grads]
-        for a in range(k):
-            for b in range(a + 1, k):
-                term = pair_bracket(rg[a], grads[b]) + pair_bracket(grads[a], rg[b])
-                M[a, b] = 0.5 * form2(m, term)
-                M[b, a] = -M[a, b]
-    else:
-        s = [rr_apply(_pmul(m, g) + _pmul(g, m), cfg) for g in grads]
-        av = [pair_bracket(m, g) for g in grads]
-        for a in range(k):
-            for b in range(a + 1, k):
-                M[a, b] = 0.5 * (form2(av[a], s[b]) - form2(av[b], s[a]))
-                M[b, a] = -M[a, b]
-    return M
+def _bracket_table(m: Point, grads: Sequence[Point], which: str,
+                   cfg: RMatrixConfig = _DEFAULT) -> np.ndarray:
+    """{F_a, F_b}(m) for the functions with gradients grads[a]: ⟨∇F_a, X_{F_b}⟩."""
+    field = bracket_of(which, m)
+    A = np.stack([g.vec() for g in grads])
+    X = np.stack([field(m, g, cfg).vec() for g in grads])
+    M = A @ _pairing_matrix(m) @ X.T
+    return 0.5 * (M - M.T)
 
 
 def poisson_matrix(ps: PhaseSpace, m: PairPoint, which: str = "linear",
@@ -415,7 +410,6 @@ def poisson_matrix(ps: PhaseSpace, m: PairPoint, which: str = "linear",
     is well-defined exactly when range({χ, ζ}) ⊆ range(C).
     """
     ps.require_member(m, membership_tol)
-    bracket_of(which, m)
     grads_t = [z.gradient(m) for z in ps.coords]
     grads_n = list(ps.normal_covectors)
     full = _bracket_table(m, grads_t + grads_n, which, cfg)

@@ -2,10 +2,12 @@
 
 Reports are deterministic — same inputs, byte-identical output — so no
 timestamps, no environment probing, sorted JSON keys, repr-exact floats.
+JSON output is strict (RFC 8259): a non-finite number is written as null.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["CheckReport", "emit_report", "all_pass"]
@@ -29,7 +31,7 @@ class CheckReport:
             "check": self.check,
             "anchor": self.anchor,
             "algebra": self.algebra,
-            "params": dict(sorted(self.params.items())),
+            "params": _plain(self.params),
             "measured": _plain(self.measured),
             "expected": _plain(self.expected),
             "verdict": bool(self.verdict),
@@ -49,8 +51,8 @@ class CheckReport:
 def _plain(v):
     import numpy as np
 
-    if isinstance(v, (np.floating,)):
-        return float(v)
+    if isinstance(v, (float, np.floating)):
+        return float(v) if math.isfinite(v) else None
     if isinstance(v, (np.integer,)):
         return int(v)
     if isinstance(v, np.ndarray):
@@ -88,5 +90,5 @@ def emit_report(reports, fmt: str = "text") -> str:
             "reports": [r.to_dict() for r in reports],
             "all_pass": all_pass(reports),
         }
-        return json.dumps(doc, sort_keys=True, indent=2)
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
     raise ValueError(f"unknown report format {fmt!r}")

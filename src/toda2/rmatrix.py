@@ -14,7 +14,7 @@ B_R(x,y) + c²[x,y] and its pair analogue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -25,6 +25,8 @@ __all__ = [
     "RMatrixConfig",
     "r_apply",
     "rr_apply",
+    "r_adjoint",
+    "rr_adjoint",
     "pair_bracket",
     "form2",
     "decompose_pair",
@@ -106,15 +108,13 @@ class RMatrixConfig:
 
 _DEFAULT = RMatrixConfig()
 
-# an R operator may be the splitting (None), a coordinate matrix, or a callable
-ROperator = Union[None, np.ndarray, Callable[[Element], Element]]
+# an R operator is the splitting (None) or a coordinate matrix
+ROperator = Union[None, np.ndarray]
 
 
 def _apply_R(R: ROperator, x: Element, cfg: RMatrixConfig) -> Element:
     if R is None:
         return r_apply(x, cfg)
-    if callable(R):
-        return R(x)
     return Element(x.alg, np.asarray(R, dtype=float) @ x.coords)
 
 
@@ -127,6 +127,18 @@ def rr_apply(p: PairPoint, cfg: RMatrixConfig = _DEFAULT) -> PairPoint:
     """ℛ(x, y) = (R(x−y) + cy, R(x−y) + cx)."""
     d = r_apply(p.x - p.y, cfg)
     return PairPoint(d + cfg.c * p.y, d + cfg.c * p.x)
+
+
+def r_adjoint(x: Element, cfg: RMatrixConfig = _DEFAULT) -> Element:
+    """R*, the ⟨·,·⟩-adjoint of R: G⁻¹·diag(signs)·G·x."""
+    alg = x.alg
+    return Element(alg, alg.gram_inv @ (cfg.signs(alg) * (alg.gram @ x.coords)))
+
+
+def rr_adjoint(p: PairPoint, cfg: RMatrixConfig = _DEFAULT) -> PairPoint:
+    """ℛ*(u, v) = (R*(u−v) − cv, R*(u−v) − cu), the ⟨·,·⟩₂-adjoint of ℛ."""
+    d = r_adjoint(p.x - p.y, cfg)
+    return PairPoint(d - cfg.c * p.y, d - cfg.c * p.x)
 
 
 def pair_bracket(p: PairPoint, q: PairPoint) -> PairPoint:

@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from toda2 import checks, load_spec, save_spec, spec_to_document
+from toda2 import checks, cli, load_spec, save_spec, spec_to_document
 from toda2.checks import BATTERY_NAMES
-from toda2.cli import main
+from toda2.cli import main, resolve_algebra
 
 
 def test_algebra_build_prints_document(capsys):
@@ -88,6 +88,43 @@ def test_check_rejects_unknown_battery():
 def test_unknown_algebra_is_usage_error(capsys):
     assert main(["algebra", "build", "xyz9"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["sl10", "sl20", "sl100", "gl25", "sl1"])
+def test_builtin_order_is_bounded_before_any_build(token, monkeypatch, capsys):
+    # sl20 would ask validate_spec for dim⁴ arrays of ~190 GiB: never build
+    def no_build(n):
+        raise AssertionError(f"builder called for order {n}")
+
+    monkeypatch.setattr(cli, "build_sl", no_build)
+    monkeypatch.setattr(cli, "build_gl", no_build)
+    assert main(["algebra", "build", token]) == 2
+    assert "order must be between 2 and 9" in capsys.readouterr().err
+
+
+def test_builtin_orders_two_to_nine_reach_the_builders(monkeypatch):
+    monkeypatch.setattr(cli, "build_sl", lambda n: ("sl", n))
+    monkeypatch.setattr(cli, "build_gl", lambda n: ("gl", n))
+    for n in range(2, 10):
+        assert resolve_algebra(f"sl{n}") == ("sl", n)
+        assert resolve_algebra(f"gl{n}") == ("gl", n)
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not valid JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_truncated_flow_report_is_strict_json(capsys):
+    code = main(["flow", "run", "--algebra", "gl2", "--field", "quadratic", "--i", "1",
+                 "--lam", "0", "--dt", "0.05", "--T", "3", "--format", "json"])
+    assert code == 1
+    doc = _strict_json(capsys.readouterr().out)
+    report = next(r for r in doc["reports"] if r["check"] == "flow-conservation")
+    assert report["measured"] is None and report["verdict"] is False
+    assert "non-finite state at step" in report["detail"]
 
 
 def test_check_json_output_is_deterministic(capsys):

@@ -13,6 +13,7 @@ from toda2 import (
     ScalarFunction,
     expand_pencil,
     family,
+    family_gradients,
     family_labels,
     family_values,
     form,
@@ -190,6 +191,26 @@ def test_constant_adds_no_rank(sl3):
     base = independence_rank(fam, ps, pts)
     padded = fam + [ScalarFunction("const", lambda m: 4.0)]
     assert independence_rank(padded, ps, pts) == base
+
+
+def test_independence_battery_reads_the_family_once_per_point(sl3, monkeypatch):
+    # one family_gradients pass per point, ranked in one product with the
+    # tangent matrix; the same rank as the member-by-member Jacobian
+    from toda2 import checks
+
+    calls = []
+
+    def counted(alg, m):
+        calls.append(m)
+        return family_gradients(alg, m)
+
+    monkeypatch.setattr(checks, "family_gradients", counted)
+    at_eh, sweep = checks.check_independence_battery(sl3, points=4, seed=7)
+    assert len(calls) == 1 + 4
+    ps, pts = phase_tp(sl3), phase_tp(sl3).sample_points(7, 4)
+    assert sweep.measured == independence_rank(family(sl3), ps, pts) == 7
+    eh = PairPoint(sl3.e, sl3.h)
+    assert at_eh.measured == ps.jacobian_rank(family_gradients(sl3, eh)) == 7
 
 
 def test_independence_requires_points(sl3):

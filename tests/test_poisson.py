@@ -29,6 +29,8 @@ from toda2 import (
     gradient2,
     hamiltonian_field,
     linear_bracket,
+    mult,
+    pair_bracket,
     pencil_pullback,
     phase_full,
     phase_tp,
@@ -38,9 +40,11 @@ from toda2 import (
     rank_at,
     r_apply,
     rank_sweep,
+    rr_apply,
     trace_invariant,
     with_rescaled_basis,
 )
+from toda2.poisson import _bracket_table, linear_function
 
 
 def random_pair(alg, rng):
@@ -209,6 +213,55 @@ def test_single_algebra_bracket_matches_inline_formula(name, request):
         assert np.allclose(X.coords, want, atol=1e-13)
         # X_g[f] = {f, g}_R
         assert form(gf, X) == pytest.approx(linear_bracket(f, g, x), abs=1e-12)
+
+
+SPLITTINGS = [RMatrixConfig(c=c, plus_region=p, minus_region=q)
+              for c in (1.0, 0.5) for p, q in ((">=0", "<0"), (">0", "<=0"))]
+
+
+@pytest.mark.parametrize("name", ["gl2", "gl3", "so5"])
+def test_pair_brackets_match_inline_formulas(name, request):
+    # {F, G}(m) = ½⟨m, [ℛa, b] + [a, ℛb]⟩₂ and
+    # {F, G}^Q(m) = ½⟨[m, a], ℛ(mb + bm)⟩₂ − (a ↔ b), a = ∇F, b = ∇G, spelled
+    # out with rr_apply/pair_bracket/mult independently of the closed-form fields
+    alg = request.getfixturevalue(name)
+    rng = np.random.default_rng(18)
+
+    def pmul(p, q):
+        return PairPoint(mult(p.x, q.x), mult(p.y, q.y))
+
+    def linear(m, a, b, cfg):
+        term = pair_bracket(rr_apply(a, cfg), b) + pair_bracket(a, rr_apply(b, cfg))
+        return 0.5 * form2(m, term)
+
+    def quadratic(m, a, b, cfg):
+        def half(a, b):
+            return 0.5 * form2(pair_bracket(m, a), rr_apply(pmul(m, b) + pmul(b, m), cfg))
+        return half(a, b) - half(b, a)
+
+    kinds = {"linear": (linear, linear_bracket)}
+    if alg.associative:
+        kinds["quadratic"] = (quadratic, quadratic_bracket)
+    p, q = random_pair(alg, rng), random_pair(alg, rng)
+    fns = [linear_function(p), linear_function(q),
+           ScalarFunction("pq", lambda m: form2(p, m) * form2(q, m),
+                          lambda m: form2(q, m) * p + form2(p, m) * q),
+           pencil_pullback(alg, alg.exponents[-1], -0.5)]
+    unit = [PairPoint.from_covector(alg, e) for e in np.eye(2 * alg.dim)]
+    for cfg in SPLITTINGS:
+        m = random_pair(alg, rng)
+        grads = [F.gradient(m) for F in fns]
+        for which, (inline, value) in kinds.items():
+            for F, a in zip(fns, grads):
+                for G, b in zip(fns, grads):
+                    assert abs(value(F, G, m, cfg) - inline(m, a, b, cfg)) < 1e-13
+                # X_F[K] = {K, F} for every basis coordinate K
+                X = hamiltonian_field(F, m, which, cfg).vec()
+                want = [inline(m, k, a, cfg) for k in unit]
+                assert np.abs(X - want).max() < 1e-13
+            table = _bracket_table(m, grads, which, cfg)
+            want = [[inline(m, a, b, cfg) for b in grads] for a in grads]
+            assert np.abs(table - want).max() < 1e-13
 
 
 # ---------------------------------------------------------------------------

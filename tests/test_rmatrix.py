@@ -19,6 +19,7 @@ from toda2 import (
     r_bracket,
     rr_apply,
 )
+from toda2.rmatrix import r_adjoint, rr_adjoint
 
 CFG = RMatrixConfig()
 
@@ -134,3 +135,25 @@ def test_pairpoint_vector_roundtrip(sl3):
     q = PairPoint.from_vec(sl3, p.vec())
     assert (p - q).norm() == 0.0
     assert p.vec().shape == (2 * sl3.dim,)
+
+
+SPLITTINGS = [RMatrixConfig(c=c, plus_region=p, minus_region=q)
+              for c in (1.0, 0.5) for p, q in ((">=0", "<0"), (">0", "<=0"))]
+
+
+@pytest.mark.parametrize("name", ["sl3", "gl3", "so5"])
+def test_adjoints_move_r_across_the_pairings(name, request):
+    # ⟨u, Rx⟩ = ⟨R*u, x⟩ and ⟨p, ℛq⟩₂ = ⟨ℛ*p, q⟩₂, R* read off the Gram matrix
+    alg = request.getfixturevalue(name)
+    rng = np.random.default_rng(17)
+    for cfg in SPLITTINGS:
+        u, x = (alg.element(rng.uniform(-1, 1, alg.dim)) for _ in range(2))
+        assert form(u, r_apply(x, cfg)) == pytest.approx(
+            form(r_adjoint(u, cfg), x), abs=1e-13)
+        p, q = (PairPoint(*(alg.element(rng.uniform(-1, 1, alg.dim)) for _ in range(2)))
+                for _ in range(2))
+        assert form2(p, rr_apply(q, cfg)) == pytest.approx(
+            form2(rr_adjoint(p, cfg), q), abs=1e-13)
+    # R is not self-adjoint: the form pairs degree k with degree −k
+    e = alg.element(np.eye(alg.dim)[list(alg.degrees).index(1)])
+    assert (r_adjoint(e) + e).norm() < 1e-14

@@ -135,12 +135,22 @@ class AlgebraSpec:
     def _flat_pinv(self) -> np.ndarray:
         return np.linalg.pinv(self._flat_basis)
 
+    def _basis_products(self) -> np.ndarray:
+        """All products b_a b_b as flattened matrices, shape (dim, dim, n²).
+
+        One (dim·n, n) @ (n, dim·n) product.  Not cached: it is as large as
+        `struct`, and only the two tensors below and validation read it.
+        """
+        B, n = self.basis, self.matrix_size
+        rows = B.reshape(-1, n) @ B.transpose(1, 0, 2).reshape(n, -1)   # [a i, b j]
+        return rows.reshape(self.dim, n, self.dim, n).transpose(0, 2, 1, 3).reshape(
+            self.dim, self.dim, -1)
+
     @cached_property
     def struct(self) -> np.ndarray:
         """Structure constants C[a,b,c]: [b_a, b_b] = Σ_c C[a,b,c] b_c."""
-        prod = np.einsum("aik,bkj->abij", self.basis, self.basis)
-        comm = prod - prod.transpose(1, 0, 2, 3)
-        return comm.reshape(self.dim, self.dim, -1) @ self._flat_pinv.T
+        prod = self._basis_products()
+        return (prod - prod.transpose(1, 0, 2)) @ self._flat_pinv.T
 
     @cached_property
     def prod_tensor(self) -> np.ndarray:
@@ -150,8 +160,7 @@ class AlgebraSpec:
                 f"{self.name}: matrix product does not close on a "
                 "non-associative spec (associative=False)"
             )
-        prod = np.einsum("aik,bkj->abij", self.basis, self.basis)
-        return prod.reshape(self.dim, self.dim, -1) @ self._flat_pinv.T
+        return self._basis_products() @ self._flat_pinv.T
 
     @cached_property
     def gram_inv(self) -> np.ndarray:
@@ -228,6 +237,28 @@ class AlgebraSpec:
             m.flags.writeable = False
             self._masks[region] = m
         return m
+
+    @cached_property
+    def _splittings(self) -> dict[tuple[str, str], np.ndarray]:
+        return {}
+
+    def splitting_signs(self, plus_region: str, minus_region: str) -> np.ndarray:
+        """Read-only ±1 per basis vector for 𝔤 = 𝔤₊ ⊕ 𝔤₋ split by degree region,
+        cached like `mask`: every R and R* application asks for it.  Regions
+        that do not partition the degrees raise on every call, uncached."""
+        key = (plus_region, minus_region)
+        s = self._splittings.get(key)
+        if s is None:
+            plus, minus = self.mask(plus_region), self.mask(minus_region)
+            if np.any(plus & minus) or not np.all(plus | minus):
+                raise AlgebraError(
+                    f"splitting regions {plus_region!r}/{minus_region!r} "
+                    f"do not partition the degrees of {self.name}"
+                )
+            s = np.where(plus, 1.0, -1.0)
+            s.flags.writeable = False
+            self._splittings[key] = s
+        return s
 
     @cached_property
     def _projectors(self) -> dict[str, np.ndarray]:
@@ -415,6 +446,26 @@ def build_gl(n: int) -> AlgebraSpec:
 # --------------------------------------------------------------------------
 
 
+def jacobi_residual(C: np.ndarray) -> float:
+    """max over a, b, c, d of |Σ_e C[a,b,e]C[e,c,d] + C[b,c,e]C[e,a,d] + C[c,a,e]C[e,b,d]|.
+
+    One first index a at a time, so each product is a (dim, dim) @ (dim, dim²)
+    or (dim², dim) @ (dim, dim) matmul and no array is larger than dim³: the
+    arithmetic stays dim⁵, the memory does not grow to dim⁴.
+    """
+    dim = C.shape[0]
+    rows = C.reshape(dim, -1)             # [e, (c d)]
+    cols = C.reshape(-1, dim)             # [(b c), e]
+    worst = 0.0
+    for a in range(dim):
+        Ca = C[:, a, :]                   # [c, e] = C[c, a, e], and [e, d] = C[e, a, d]
+        jac = (C[a] @ rows).reshape(dim, dim, dim)                   # [b, c, d]
+        jac += (cols @ Ca).reshape(dim, dim, dim)
+        jac += (Ca @ rows).reshape(dim, dim, dim).transpose(1, 0, 2)
+        worst = max(worst, float(np.abs(jac).max()))
+    return worst
+
+
 def validate_spec(spec: AlgebraSpec) -> list[dict]:
     """Check every structural invariant; return a list of violation records.
 
@@ -446,11 +497,10 @@ def validate_spec(spec: AlgebraSpec) -> list[dict]:
         return out
 
     # bracket closure + grading, basis pair by basis pair
-    prod = np.einsum("aik,bkj->abij", B, B)
-    comm = prod - prod.transpose(1, 0, 2, 3)
-    coeffs = comm.reshape(dim, dim, -1) @ spec._flat_pinv.T
-    recon = np.einsum("abc,cij->abij", coeffs, B)
-    close_res = np.abs(recon - comm).max(axis=(2, 3))
+    prod = spec._basis_products()
+    comm = prod - prod.transpose(1, 0, 2)
+    coeffs = spec.struct
+    close_res = np.abs(coeffs @ flat.T - comm).max(axis=2)
     scale = 1.0 + np.abs(comm).max()
     bad = np.argwhere(close_res > 1e-12 * scale)
     for a, b in bad[:5]:
@@ -475,7 +525,7 @@ def validate_spec(spec: AlgebraSpec) -> list[dict]:
         hit("form-nondegenerate", sv[-1] / sv[0] if sv[0] > 0 else 0.0)
 
     # form invariance ⟨[x,y],z⟩ + ⟨y,[x,z]⟩ = 0 on basis triples
-    bf = np.einsum("abc,cd->abd", coeffs, G)       # ⟨[b_a,b_b], b_d⟩
+    bf = coeffs @ G                                  # ⟨[b_a,b_b], b_d⟩
     inv_res = np.abs(bf + bf.transpose(0, 2, 1)).max()
     if inv_res > 1e-11 * (1.0 + np.abs(bf).max()):
         hit("form-invariance", inv_res)
@@ -484,12 +534,7 @@ def validate_spec(spec: AlgebraSpec) -> list[dict]:
     anti = np.abs(coeffs + coeffs.transpose(1, 0, 2)).max()
     if anti > 1e-11:
         hit("bracket-antisymmetry", anti)
-    jac = (
-        np.einsum("abe,ecd->abcd", coeffs, coeffs)
-        + np.einsum("bce,ead->abcd", coeffs, coeffs)
-        + np.einsum("cae,ebd->abcd", coeffs, coeffs)
-    )
-    jac_res = np.abs(jac).max()
+    jac_res = jacobi_residual(coeffs)
     if jac_res > 1e-11 * (1.0 + np.abs(coeffs).max() ** 2):
         hit("jacobi", jac_res)
 
@@ -523,11 +568,8 @@ def validate_spec(spec: AlgebraSpec) -> list[dict]:
         hit("regular-nilpotent", float(r))
 
     if spec.associative:
-        prods = prod.reshape(dim, dim, -1)
-        pc = prods @ spec._flat_pinv.T
-        prec = np.einsum("abc,cij->abij", pc, B).reshape(dim, dim, -1)
-        pres = np.abs(prec - prods).max()
-        if pres > 1e-12 * (1.0 + np.abs(prods).max()):
+        pres = np.abs(spec.prod_tensor @ flat.T - prod).max()
+        if pres > 1e-12 * (1.0 + np.abs(prod).max()):
             hit("product-closure", pres)
 
     return out

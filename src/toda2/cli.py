@@ -43,8 +43,9 @@ from .poisson import CapabilityError, PreconditionError, phase_tp
 from .reports import CheckReport, all_pass, emit_report
 
 _BUILTIN = re.compile(r"^(sl|gl)([1-9]\d*)$")
-# builder orders the CLI accepts: validate_spec forms dim⁴ arrays, 0.3 GB each
-# at sl9 and ~190 GiB each at sl20
+# builder orders the CLI accepts: the structure tensor is dim³·8 bytes (~0.5 GB
+# at sl20) and validate_spec's Jacobi check takes dim⁵ time (~40 min at sl20,
+# extrapolated from sl9)
 BUILTIN_ORDERS = range(2, 10)
 
 

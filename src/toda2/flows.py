@@ -272,12 +272,15 @@ def integrate(cfg: FlowConfig, m0: PairPoint,
         stack = stack[:-1]
     states = _coords(alg, stack)
     names = tuple(F.name for F in (family(alg) if conserved is None else conserved))
-    if conserved is None:
-        values = family_values(alg, states)
-    else:
-        values = np.array(
-            [[F(PairPoint.from_vec(alg, row)) for F in conserved] for row in states]
-        )
+    # the kept states of a run that blew up may still overflow the pencil
+    # powers: the same policy as `rk4_states`, the report carries the truncation
+    with np.errstate(over="ignore", invalid="ignore"):
+        if conserved is None:
+            values = family_values(alg, states)
+        else:
+            values = np.array(
+                [[F(PairPoint.from_vec(alg, row)) for F in conserved] for row in states]
+            )
     return Trajectory(
         alg=alg,
         times=np.arange(len(states)) * cfg.dt,

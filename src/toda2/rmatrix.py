@@ -96,14 +96,8 @@ class RMatrixConfig:
     minus_region: str = "<0"
 
     def signs(self, alg: AlgebraSpec) -> np.ndarray:
-        plus = alg.mask(self.plus_region)
-        minus = alg.mask(self.minus_region)
-        if np.any(plus & minus) or not np.all(plus | minus):
-            raise AlgebraError(
-                f"splitting regions {self.plus_region!r}/{self.minus_region!r} "
-                f"do not partition the degrees of {alg.name}"
-            )
-        return np.where(plus, 1.0, -1.0)
+        """Read-only diagonal of R = P₊ − P₋ in basis coordinates, cached per algebra."""
+        return alg.splitting_signs(self.plus_region, self.minus_region)
 
 
 _DEFAULT = RMatrixConfig()

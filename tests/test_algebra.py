@@ -6,6 +6,7 @@ that no builder covers.
 """
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,7 @@ from toda2 import (
     validate_spec,
     with_rescaled_basis,
 )
+from toda2.algebra import jacobi_residual
 
 # ---------------------------------------------------------------------------
 # builders
@@ -198,6 +200,39 @@ def test_validate_flags_wrong_exponents(sl3):
     bad = replace(sl3, exponents=(1, 3))
     names = {v["invariant"] for v in validate_spec(bad)}
     assert "exponents-count" in names
+
+
+def _dense_jacobi_residual(C):
+    # reference: the three dim⁴ contractions, summed and maximized at once
+    jac = (
+        np.einsum("abe,ecd->abcd", C, C)
+        + np.einsum("bce,ead->abcd", C, C)
+        + np.einsum("cae,ebd->abcd", C, C)
+    )
+    return np.abs(jac).max()
+
+
+@pytest.mark.parametrize("dim", [4, 5, 6, 7])
+def test_jacobi_residual_matches_dense_formula(dim):
+    # random tensors are neither antisymmetric nor Lie: every term counts
+    rng = np.random.default_rng(dim)
+    for _ in range(3):
+        C = rng.uniform(-1, 1, (dim, dim, dim))
+        assert jacobi_residual(C) == pytest.approx(_dense_jacobi_residual(C), abs=1e-12)
+
+
+def test_validate_spec_stays_below_dim4_memory():
+    alg = build_sl(7)
+    tracemalloc.start()
+    try:
+        assert validate_spec(build_sl(7)) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < alg.dim ** 4 * 8
+    # validation reads the structure tensor bracket and ad use, not a copy
+    struct = alg.struct
+    assert validate_spec(alg) == [] and alg.struct is struct
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from toda2 import (
+    AlgebraError,
     PairPoint,
     RMatrixConfig,
     bracket,
@@ -157,3 +158,16 @@ def test_adjoints_move_r_across_the_pairings(name, request):
     # R is not self-adjoint: the form pairs degree k with degree −k
     e = alg.element(np.eye(alg.dim)[list(alg.degrees).index(1)])
     assert (r_adjoint(e) + e).norm() < 1e-14
+
+
+def test_signs_are_cached_read_only_and_failures_are_not(sl3):
+    first = CFG.signs(sl3)
+    assert CFG.signs(sl3) is first
+    assert RMatrixConfig(c=0.5).signs(sl3) is first      # keyed by regions, not c
+    assert not first.flags.writeable
+    assert np.array_equal(first, np.where(sl3.degrees >= 0, 1.0, -1.0))
+    # degree 0 lies in both regions: every call re-runs the partition check
+    overlap = RMatrixConfig(plus_region=">=0", minus_region="<=0")
+    for _ in range(2):
+        with pytest.raises(AlgebraError, match="do not partition"):
+            overlap.signs(sl3)

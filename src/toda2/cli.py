@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -177,11 +178,20 @@ def _count(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """An argparse type: a finite tolerance > 0 (nan, inf and ≤ 0 would make
+    every verdict false, or every verdict true)."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
 def _add_report_flags(p: argparse.ArgumentParser, tol: float | None) -> None:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="write the report to this file instead of stdout")
-    p.add_argument("--tol", type=float, default=tol,
+    p.add_argument("--tol", type=_tolerance, default=tol,
                    help="override the default tolerance of the check")
 
 

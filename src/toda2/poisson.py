@@ -19,6 +19,16 @@ field (X_G[F] = ⟨∇F, X_G⟩ = {F, G}); ⟨m, [a, b]⟩ = ⟨[m, a], b⟩ and
 with ℛ* the ⟨·,·⟩₂-adjoint of ℛ (R* the ⟨·,·⟩-adjoint of R on 𝔤).  Bracket
 values, fields and Poisson matrices all read these two fields.
 
+The fields are written once, on coordinate blocks: arrays of shape (…, k, dim)
+with k = 1 on 𝔤 and k = 2 on 𝔤×𝔤 (`linear_field`, `quadratic_field`).  Points
+and gradients broadcast over the leading axes, so a gradient stack at one
+point (the rows of a bracket table) or a stack of points is one call.  The
+kernel is that of `algebra.bracket`/`mult` — the einsum of the blocks with
+the cached `struct`/`prod_tensor` — and the R-operators are the block actions
+of `rmatrix` (`r_block`, `rr_block` and their adjoints).  `hamiltonian_field`,
+`bracket_of` and the bracket values are thin Point wrappers over the blocks;
+a stack gives the same bits as the points one at a time.
+
 Affine phase spaces (T_P and friends in 𝔤×𝔤, T_T in 𝔤) are a base point plus
 a tangent basis; their coordinate functions are Euclidean duals of the tangent
 vectors.  For the linear bracket these spaces are genuine Poisson
@@ -35,20 +45,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraError, AlgebraSpec, Element, bracket, form, mult
+from .algebra import (
+    AlgebraError,
+    AlgebraSpec,
+    Element,
+    bracket,
+    bracket_blocks,
+    form,
+    mult_blocks,
+)
 from .rmatrix import (
     PairPoint,
+    Point,
     RMatrixConfig,
+    block_point,
     form2,
-    pair_bracket,
-    r_adjoint,
-    r_apply,
-    rr_adjoint,
-    rr_apply,
+    point_block,
+    rr_adjoint_block,
+    rr_block,
 )
 
 __all__ = [
@@ -59,6 +77,8 @@ __all__ = [
     "PoissonMatrixAt",
     "gradient2",
     "bracket_of",
+    "linear_field",
+    "quadratic_field",
     "linear_bracket",
     "quadratic_bracket",
     "hamiltonian_field",
@@ -93,9 +113,9 @@ class PreconditionError(ValueError):
 # --------------------------------------------------------------------------
 
 
-# a point of 𝔤 (an Element, paired by ⟨·,·⟩) or of 𝔤×𝔤 (a PairPoint, by ⟨·,·⟩₂);
-# both carry vec(), from_vec and from_covector, so the code below serves both
-Point = Union[Element, PairPoint]
+# a Point (rmatrix.Point) is an Element of 𝔤, paired by ⟨·,·⟩, or a PairPoint
+# of 𝔤×𝔤, paired by ⟨·,·⟩₂; both carry vec(), from_vec and from_covector, so
+# the code below serves both
 
 
 @dataclass(frozen=True)
@@ -172,37 +192,32 @@ def pullback_psi1_coordinate(a: Element, name: str = "z") -> ScalarFunction:
 
 def _pairing_matrix(m: Point) -> np.ndarray:
     """The matrix of the pairing on vec(): G on 𝔤, diag(G, −G) on 𝔤×𝔤."""
-    G = m.alg.gram
-    return G if isinstance(m, Element) else np.kron(np.diag([1.0, -1.0]), G)
+    return m.alg.gram if isinstance(m, Element) else m.alg.pair_gram
 
 
-def _linear_field(m: Point, g: Point, cfg: RMatrixConfig = _DEFAULT) -> Point:
-    """X(m) = ½(ℛ*[g, m] + [ℛg, m]); R, R* and [·,·] on 𝔤."""
-    if isinstance(m, Element):
-        return 0.5 * (r_adjoint(bracket(g, m), cfg) + bracket(r_apply(g, cfg), m))
-    return 0.5 * (rr_adjoint(pair_bracket(g, m), cfg) + pair_bracket(rr_apply(g, cfg), m))
+def linear_field(alg: AlgebraSpec, m: np.ndarray, g: np.ndarray,
+                 cfg: RMatrixConfig = _DEFAULT) -> np.ndarray:
+    """X(m) = ½(ℛ*[g, m] + [ℛg, m]) on blocks (…, k, dim) of points m and gradients g.
 
-
-def _pmul(p: PairPoint, q: PairPoint) -> PairPoint:
-    return PairPoint(mult(p.x, q.x), mult(p.y, q.y))
-
-
-def _quad_field(m: PairPoint, g: PairPoint, cfg: RMatrixConfig = _DEFAULT) -> PairPoint:
-    """X(m) = ½[ℛ(mg + gm), m] − ½(wm + mw) with w = ℛ*[m, g]."""
-    w = rr_adjoint(pair_bracket(m, g), cfg)
-    s = rr_apply(_pmul(m, g) + _pmul(g, m), cfg)
-    return 0.5 * (pair_bracket(s, m) - _pmul(w, m) - _pmul(m, w))
-
-
-def bracket_of(which: str, m: Point) -> Callable[[Point, Point, RMatrixConfig], Point]:
-    """The Hamiltonian field (m, ∇F, cfg) ↦ X_F(m) of bracket `which` at points like m.
-
-    "linear" is the R-bracket on 𝔤 or the ℛ-bracket on 𝔤×𝔤; "quadratic"
-    exists only on 𝔤×𝔤 over an associative algebra (CapabilityError
-    otherwise).  Any other kind is a ValueError.
+    k = 1 gives R, R* on 𝔤, k = 2 gives ℛ, ℛ* on 𝔤×𝔤; m and g broadcast, so one
+    call evaluates the field of a gradient stack at a point, or at a point stack.
     """
+    return 0.5 * (rr_adjoint_block(alg, bracket_blocks(alg, g, m), cfg)
+                  + bracket_blocks(alg, rr_block(alg, g, cfg), m))
+
+
+def quadratic_field(alg: AlgebraSpec, m: np.ndarray, g: np.ndarray,
+                    cfg: RMatrixConfig = _DEFAULT) -> np.ndarray:
+    """X(m) = ½[ℛ(mg + gm), m] − ½(wm + mw), w = ℛ*[m, g], on pair blocks (…, 2, dim)."""
+    w = rr_adjoint_block(alg, bracket_blocks(alg, m, g), cfg)
+    s = rr_block(alg, mult_blocks(alg, m, g) + mult_blocks(alg, g, m), cfg)
+    return 0.5 * (bracket_blocks(alg, s, m) - mult_blocks(alg, w, m) - mult_blocks(alg, m, w))
+
+
+def _block_field(which: str, m: Point):
+    """The block field of bracket `which` at points like m, after the capability checks."""
     if which == "linear":
-        return _linear_field
+        return linear_field
     if which != "quadratic":
         raise ValueError(f"unknown bracket kind {which!r}")
     if not isinstance(m, PairPoint):
@@ -212,7 +227,23 @@ def bracket_of(which: str, m: Point) -> Callable[[Point, Point, RMatrixConfig], 
             f"quadratic bracket needs an associative matrix algebra; "
             f"{m.alg.name} has associative=False"
         )
-    return _quad_field
+    return quadratic_field
+
+
+def bracket_of(which: str, m: Point) -> Callable[[Point, Point, RMatrixConfig], Point]:
+    """The Hamiltonian field (m, ∇F, cfg) ↦ X_F(m) of bracket `which` at points like m.
+
+    "linear" is the R-bracket on 𝔤 or the ℛ-bracket on 𝔤×𝔤; "quadratic"
+    exists only on 𝔤×𝔤 over an associative algebra (CapabilityError
+    otherwise).  Any other kind is a ValueError.  The field is a Point
+    wrapper over `linear_field`/`quadratic_field`.
+    """
+    field = _block_field(which, m)
+
+    def point_field(m: Point, g: Point, cfg: RMatrixConfig = _DEFAULT) -> Point:
+        return block_point(m.alg, field(m.alg, point_block(m), point_block(g), cfg))
+
+    return point_field
 
 
 def linear_bracket(F: ScalarFunction, G: ScalarFunction, m: Point,
@@ -389,11 +420,12 @@ class PoissonMatrixAt:
 
 def _bracket_table(m: Point, grads: Sequence[Point], which: str,
                    cfg: RMatrixConfig = _DEFAULT) -> np.ndarray:
-    """{F_a, F_b}(m) for the functions with gradients grads[a]: ⟨∇F_a, X_{F_b}⟩."""
-    field = bracket_of(which, m)
+    """{F_a, F_b}(m) for the functions with gradients grads[a]: ⟨∇F_a, X_{F_b}⟩,
+    with one field call on the (n_grads, k, dim) gradient stack."""
     A = np.stack([g.vec() for g in grads])
-    X = np.stack([field(m, g, cfg).vec() for g in grads])
-    M = A @ _pairing_matrix(m) @ X.T
+    n, alg = len(grads), m.alg
+    X = _block_field(which, m)(alg, point_block(m), A.reshape(n, -1, alg.dim), cfg)
+    M = A @ _pairing_matrix(m) @ X.reshape(n, -1).T
     return 0.5 * (M - M.T)
 
 

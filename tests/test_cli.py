@@ -200,6 +200,18 @@ def test_flow_commutation_steps_must_be_positive(count, capsys):
     assert "--steps: must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["check", "mcybe"], ["check", "all"], ["flow", "run"], ["flow", "commutation"],
+])
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf"])
+def test_tolerance_must_be_finite_and_positive(command, tol, capsys):
+    # nan would fail every verdict and inf pass every one: a usage error instead
+    with pytest.raises(SystemExit) as ex:
+        main(command + [f"--tol={tol}"])
+    assert ex.value.code == 2
+    assert f"--tol: must be a finite number > 0, got {tol}" in capsys.readouterr().err
+
+
 def test_program_bug_is_not_a_usage_error(monkeypatch):
     def broken(alg, samples, seed, tol):
         raise ValueError("a bug inside a battery")

@@ -44,7 +44,14 @@ from toda2 import (
     trace_invariant,
     with_rescaled_basis,
 )
-from toda2.poisson import _bracket_table, linear_function
+from toda2.poisson import (
+    _bracket_table,
+    _pairing_matrix,
+    bracket_of,
+    linear_field,
+    linear_function,
+    quadratic_field,
+)
 
 
 def random_pair(alg, rng):
@@ -428,3 +435,101 @@ def test_psi1_morphism_check_passes_on_so5(so5):
     report = check_morphism_psi1(so5)
     assert report.verdict, report.line()
     assert report.measured < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# block fields
+# ---------------------------------------------------------------------------
+
+def _point_closed_forms(alg, cfg):
+    """The two closed-form fields one point at a time, kept as the reference.
+
+    Brackets and products are taken in the matrix representation and R, R*
+    read off the degree masks and the Gram matrix, independently of the
+    structure-tensor contractions and block actions the fields use.
+    """
+    signs = np.where(alg.mask(cfg.plus_region), 1.0, -1.0)
+    G, Gi = alg.gram, alg.gram_inv
+
+    def br(x, y):
+        X, Y = alg.to_matrix(x), alg.to_matrix(y)
+        return alg.from_matrix(X @ Y - Y @ X)
+
+    def mul(x, y):
+        return alg.from_matrix(alg.to_matrix(x) @ alg.to_matrix(y))
+
+    def R(x):
+        return signs * x
+
+    def Rs(x):
+        return Gi @ (signs * (G @ x))
+
+    def RR(p):
+        d = R(p[0] - p[1])
+        return np.stack([d + cfg.c * p[1], d + cfg.c * p[0]])
+
+    def RRs(p):
+        d = Rs(p[0] - p[1])
+        return np.stack([d - cfg.c * p[1], d - cfg.c * p[0]])
+
+    def pbr(p, q):
+        return np.stack([br(a, b) for a, b in zip(p, q)])
+
+    def pmul(p, q):
+        return np.stack([mul(a, b) for a, b in zip(p, q)])
+
+    def linear(m, g):                      # blocks (k, dim), k = 1 or 2
+        if len(m) == 1:
+            return 0.5 * (Rs(br(g[0], m[0])) + br(R(g[0]), m[0]))[None]
+        return 0.5 * (RRs(pbr(g, m)) + pbr(RR(g), m))
+
+    def quadratic(m, g):
+        w = RRs(pbr(m, g))
+        s = RR(pmul(m, g) + pmul(g, m))
+        return 0.5 * (pbr(s, m) - pmul(w, m) - pmul(m, w))
+
+    return {"linear": linear, "quadratic": quadratic}
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl4", "gl2", "gl3", "so5"])
+def test_block_fields_match_point_closed_forms(name, request):
+    alg = request.getfixturevalue(name)
+    rng = np.random.default_rng(31)
+    for cfg in (RMatrixConfig(), RMatrixConfig(c=0.5, plus_region=">0", minus_region="<=0")):
+        reference = _point_closed_forms(alg, cfg)
+        for k, point in ((1, Element), (2, PairPoint)):
+            kinds = ["linear"] + (["quadratic"] if k == 2 and alg.associative else [])
+            for which in kinds:
+                m = rng.uniform(-1, 1, (k, alg.dim))
+                grads = rng.uniform(-1, 1, (4, k, alg.dim))
+                points = rng.uniform(-1, 1, (4, k, alg.dim))
+                m_pt = point.from_vec(alg, m.ravel())
+                field = bracket_of(which, m_pt)
+                block_field = {"linear": linear_field, "quadratic": quadratic_field}[which]
+                ref = reference[which]
+                # one gradient, a gradient stack at one point, a point stack
+                one = block_field(alg, m, grads[0], cfg)
+                assert np.abs(one - ref(m, grads[0])).max() < 1e-13
+                stack = block_field(alg, m, grads, cfg)
+                assert stack.shape == (4, k, alg.dim)
+                moved = block_field(alg, points, grads[0], cfg)
+                for j in range(4):
+                    assert np.abs(stack[j] - ref(m, grads[j])).max() < 1e-13
+                    assert np.abs(moved[j] - ref(points[j], grads[0])).max() < 1e-13
+                    # the Point wrapper is the block field, bit for bit
+                    X = field(m_pt, point.from_vec(alg, grads[j].ravel()), cfg)
+                    assert isinstance(X, point)
+                    assert np.array_equal(X.vec(), stack[j].ravel())
+                    p_j = point.from_vec(alg, points[j].ravel())
+                    g_0 = point.from_vec(alg, grads[0].ravel())
+                    assert np.array_equal(field(p_j, g_0, cfg).vec(), moved[j].ravel())
+
+
+def test_pairing_matrix_is_cached_read_only(gl2, sl3):
+    for alg in (gl2, sl3):
+        P = alg.pair_gram
+        assert alg.pair_gram is P and not P.flags.writeable
+        assert np.array_equal(P, np.kron(np.diag([1.0, -1.0]), alg.gram))
+        m = PairPoint(alg.zero(), alg.zero())
+        assert _pairing_matrix(m) is P
+        assert _pairing_matrix(alg.zero()) is alg.gram

@@ -20,7 +20,7 @@ from toda2 import (
     r_bracket,
     rr_apply,
 )
-from toda2.rmatrix import r_adjoint, rr_adjoint
+from toda2.rmatrix import r_adjoint, random_element, random_pair, rr_adjoint
 
 CFG = RMatrixConfig()
 
@@ -171,3 +171,44 @@ def test_signs_are_cached_read_only_and_failures_are_not(sl3):
     for _ in range(2):
         with pytest.raises(AlgebraError, match="do not partition"):
             overlap.signs(sl3)
+
+
+def _mcybe_per_sample(alg, R=None, c=1.0, samples=200, seed=42, pair=False):
+    """check_mcybe's residual one sample at a time, kept as the reference:
+    the same draws, Point arithmetic, centre projection and running max."""
+    cfg = RMatrixConfig(c=c)
+    rng = np.random.default_rng(seed)
+
+    def op(p):
+        if pair:
+            return rr_apply(p, cfg)
+        return r_apply(p, cfg) if R is None else alg.element(R @ p.coords)
+
+    def centred(z):
+        if not alg.associative:
+            return z
+        iden = alg.identity_coords
+        t = float(z.coords @ alg.gram @ iden) / float(iden @ alg.gram @ iden)
+        return alg.element(z.coords - t * iden)
+
+    br = pair_bracket if pair else bracket
+    worst = 0.0
+    for _ in range(samples):
+        if pair:
+            x, y = random_pair(alg, rng), random_pair(alg, rng)
+        else:
+            x, y = random_element(alg, rng), random_element(alg, rng)
+        Rx, Ry = op(x), op(y)
+        res = (br(Rx, Ry) - op(br(Rx, y) + br(x, Ry))) + c * c * br(x, y)
+        parts = (res.x, res.y) if pair else (res,)
+        worst = max(worst, max(centred(z).norm() for z in parts))
+    return worst
+
+
+@pytest.mark.parametrize("name", ["sl3", "gl3", "so5"])
+def test_check_mcybe_stack_matches_per_sample_loop(name, request):
+    alg = request.getfixturevalue(name)
+    user_R = np.random.default_rng(3).uniform(-1, 1, (alg.dim, alg.dim))
+    for kwargs in ({}, {"R": user_R}, {"pair": True}, {"c": 0.5}, {"c": 0.5, "pair": True}):
+        report = check_mcybe(alg, samples=50, seed=9, **kwargs)
+        assert report.measured == _mcybe_per_sample(alg, samples=50, seed=9, **kwargs)

@@ -181,6 +181,18 @@ class AlgebraSpec:
         """Coordinates of the identity matrix (associative algebras only)."""
         return self.from_matrix(np.eye(self.matrix_size))
 
+    def strip_centre(self, Z: np.ndarray) -> np.ndarray:
+        """Coordinate vectors (…, dim) less their component along the centre.
+
+        On an associative spec (gl) the centre is the span of the identity,
+        removed along the trace form; other specs are returned unchanged.
+        """
+        if not self.associative:
+            return Z
+        iden = self.identity_coords
+        t = (Z[..., None, :] @ self.gram @ iden)[..., 0] / float(iden @ self.gram @ iden)
+        return Z - t[..., None] * iden
+
     # -- element plumbing --------------------------------------------------
 
     def element(self, coords) -> "Element":
@@ -203,8 +215,23 @@ class AlgebraSpec:
     def h(self) -> "Element":
         return Element(self, np.asarray(self.h_coords, dtype=float))
 
+    def to_matrices(self, v: np.ndarray) -> np.ndarray:
+        """Coordinate rows (…, k·dim) as stacks of k matrices, shape (…, k, n, n)."""
+        v = np.asarray(v, dtype=float)
+        lead, n = v.shape[:-1], self.matrix_size
+        flat = v.reshape(*lead, -1, self.dim) @ self._flat_basis.T
+        return flat.reshape(*lead, -1, n, n)
+
+    def to_coords(self, V: np.ndarray) -> np.ndarray:
+        """Matrix stacks (…, k, n, n) as coordinate rows, shape (…, k·dim); one
+        matrix (n, n) gives (dim,).  No span check: see `from_matrix`."""
+        lead = V.shape[:-3]
+        flat = V.reshape(*lead, -1, self.matrix_size ** 2) @ self._flat_pinv.T
+        return flat.reshape(*lead, -1)
+
     def to_matrix(self, coords: np.ndarray) -> np.ndarray:
-        return np.einsum("a,aij->ij", coords, self.basis)
+        """The matrix of one coordinate vector (dim,)."""
+        return self.to_matrices(coords).reshape(self.matrix_size, self.matrix_size)
 
     def from_matrix(self, mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         """Coordinates of a matrix; error if it lies off the basis span."""
@@ -222,13 +249,24 @@ class AlgebraSpec:
     def gradient_from_matrix(self, mat: np.ndarray) -> np.ndarray:
         """Coordinates of the unique g ∈ 𝔤 with ⟨g, z⟩ = Tr(mat·z) ∀ z ∈ 𝔤.
 
-        This is the trace-form projection onto the algebra: for gl it is
+        This is the trace-form projection ĝ onto the algebra: for gl it is
         plain `from_matrix`, for sl it strips the trace part, and for an
         imported orthogonal algebra it projects along the form-orthogonal
-        complement.  `mat` itself need not belong to the span.
+        complement.  `mat` itself need not belong to the span.  A stack
+        (…, n, n) gives (…, dim).
         """
-        rhs = np.einsum("ij,aji->a", np.asarray(mat, dtype=float), self.basis)
-        return np.linalg.solve(self.gram, rhs)
+        mat = np.asarray(mat, dtype=float)
+        flat = mat.reshape(*mat.shape[:-2], self.matrix_size ** 2)
+        return flat @ self.trace_projector.T
+
+    @cached_property
+    def trace_projector(self) -> np.ndarray:
+        """Read-only dim×n² matrix of ĝ from flattened matrices to coordinates,
+        G⁻¹·[Tr(b_a ·)], cached: family gradients and the linear pencil field
+        apply it at every point."""
+        P = np.linalg.solve(self.gram, self.basis.transpose(0, 2, 1).reshape(self.dim, -1))
+        P.flags.writeable = False
+        return P
 
     def ad(self, x: "Element") -> np.ndarray:
         """Matrix of ad_x in basis coordinates: (ad_x)_{cb} = Σ_a x_a C[a,b,c]."""

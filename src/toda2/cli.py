@@ -172,7 +172,10 @@ def _cmd_flow_commutation(args) -> int:
 
 def _count(text: str) -> int:
     """An argparse type: a whole number ≥ 1."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a whole number, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -181,7 +184,10 @@ def _count(text: str) -> int:
 def _tolerance(text: str) -> float:
     """An argparse type: a finite tolerance > 0 (nan, inf and ≤ 0 would make
     every verdict false, or every verdict true)."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
     return value

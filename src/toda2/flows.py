@@ -5,14 +5,26 @@ The two defining flows on T_P are
     t-flow: d(L,M)/dt = [(L₊, L₊), (L, M)],
     s-flow: d(L,M)/ds = [(M₋, M₋), (L, M)],
 
-plus the quadratic-bracket fields on associative algebras and the closed
-linear pencil fields used as cross-checks.  Integration is fixed-step RK4
-with no re-projection onto the phase space: tangency drift is a measured
-signal, not something to suppress.  RK4 runs on the stack of n×n matrices
-(L, M) of the defining representation; coordinates are converted to matrices
-once at the start of a run and back once at the end.  Each Lax flow, and the
-classical Toda flow Ȧ = [A₊, A] in `toda.py`, is one matrix commutator
-[Π(V_b), V] with Π a degree projection of one block V_b of the stack.
+plus the quadratic-bracket fields of the pencil pullbacks P_i∘φ_λ on
+associative algebras and the linear pencil fields used as cross-checks.
+Integration is fixed-step RK4 with no re-projection onto the phase space:
+tangency drift is a measured signal, not something to suppress.  RK4 runs on
+the stack of n×n matrices (L, M) of the defining representation; coordinates
+are converted to matrices once at the start of a run and back once at the end
+(`AlgebraSpec.to_matrices`/`to_coords`).
+
+Every field is one matrix commutator V ↦ [Z, V] = ZV − VZ on a (k, n, n)
+stack (`lax_field`); only its partner Z = Z(V) differs:
+
+    t-flow      Z = Π₊L
+    s-flow      Z = Π₋M
+    Toda        Z = Π₊A                          (`toda.py`, one block)
+    quadratic   Z = (−2Π₋W, 2Π₊W),               W = (λL − M)^{i+1}
+    linear      Z = ½(λ−1)(RP − cP, RP + cP),    P = ĝ((λL − M)^i)
+
+with R = Π₊ − Π₋ and ĝ the trace-form projection onto 𝔤.  The Point fields
+(`field_t`, `field_s`, `field_quadratic`, `field_linear_pencil`,
+`toda.field_toda`) evaluate the same commutator on one point (`lax_point`).
 """
 from __future__ import annotations
 
@@ -22,10 +34,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element
+from .algebra import AlgebraSpec
 from .invariants import family, family_values, require_generator_label
 from .poisson import CapabilityError, PhaseSpace, Point, PreconditionError, ScalarFunction
-from .rmatrix import PairPoint, RMatrixConfig, pair_bracket, r_apply
+from .rmatrix import PairPoint, RMatrixConfig
 
 __all__ = [
     "FlowConfig",
@@ -34,6 +46,9 @@ __all__ = [
     "field_s",
     "field_quadratic",
     "field_linear_pencil",
+    "lax_field",
+    "lax_point",
+    "projected_partner",
     "whole_steps",
     "rk4_states",
     "integrate",
@@ -50,53 +65,70 @@ _DEFAULT = RMatrixConfig()
 # --------------------------------------------------------------------------
 
 
-def _blocks(alg: AlgebraSpec, v: np.ndarray) -> np.ndarray:
-    """Coordinate rows (…, k·dim) as stacks of k matrices, shape (…, k, n, n)."""
-    v = np.asarray(v, dtype=float)
-    lead, n = v.shape[:-1], alg.matrix_size
-    flat = v.reshape(*lead, -1, alg.dim) @ alg._flat_basis.T
-    return flat.reshape(*lead, -1, n, n)
-
-
-def _coords(alg: AlgebraSpec, V: np.ndarray) -> np.ndarray:
-    """Matrix stacks (…, k, n, n) as coordinate rows, shape (…, k·dim)."""
-    lead = V.shape[:-3]
-    flat = V.reshape(*lead, -1, alg.matrix_size ** 2) @ alg._flat_pinv.T
-    return flat.reshape(*lead, -1)
-
-
-def _lax_field(alg: AlgebraSpec, block: int,
-               region: str) -> Callable[[np.ndarray], np.ndarray]:
-    """V ↦ [Z, V] = ZV − VZ with Z = Π_region(V[block]), on a (k, n, n) stack."""
-    P, n = alg.matrix_projector(region), alg.matrix_size
+def lax_field(partner: Callable) -> Callable[[np.ndarray], np.ndarray]:
+    """V ↦ [Z, V] = ZV − VZ on a (k, n, n) stack, with Z = partner(V) one
+    matrix for every block or a (k, n, n) stack of one matrix per block."""
 
     def field(V: np.ndarray) -> np.ndarray:
-        Z = (P @ V[block].reshape(-1)).reshape(n, n)
+        Z = partner(V)
         return Z @ V - V @ Z
 
     return field
 
 
-def _lax_point(m: Point, block: int, region: str) -> Point:
+def lax_point(m: Point, partner: Callable) -> Point:
     """The Lax field at one point of 𝔤 (one block) or 𝔤×𝔤 (two blocks)."""
     alg = m.alg
-    dV = _lax_field(alg, block, region)(_blocks(alg, m.vec()))
-    return type(m).from_vec(alg, _coords(alg, dV))
+    dV = lax_field(partner)(alg.to_matrices(m.vec()))
+    return type(m).from_vec(alg, alg.to_coords(dV))
+
+
+def projected_partner(alg: AlgebraSpec, block: int, region: str) -> Callable:
+    """Z = Π_region(V[block]), one matrix for the whole stack."""
+    P, n = alg.matrix_projector(region), alg.matrix_size
+    return lambda V: (P @ V[block].reshape(-1)).reshape(n, n)
+
+
+def _partner(alg: AlgebraSpec, field: str, cfg: RMatrixConfig, i: int = 0,
+             lam: float = 0.0) -> Callable:
+    """The partner Z of the t-, s-, quadratic or linear pencil field on (L, M).
+
+    A pencil partner is Z = s·((R − c)p, (R + c)p) with p the coordinates of
+    W^{i+1} (quadratic: c = s = 1) or ĝ(W^i) (linear: c = cfg.c, s = ½(λ−1)),
+    W = λL − M, less its centre part: kept, that part lets RK4 past a gl(2)
+    quadratic blow-up (i = 1, λ = 0) settle on an exactly traceless M, where
+    the field vanishes, instead of ending at a non-finite state."""
+    if field == "t":
+        return projected_partner(alg, 0, cfg.plus_region)
+    if field == "s":
+        return projected_partner(alg, 1, cfg.minus_region)
+    if field == "quadratic":
+        if not alg.associative:
+            raise CapabilityError(
+                f"quadratic pencil field needs an associative algebra; "
+                f"{alg.name} has associative=False"
+            )
+        power, coords, c, s = i + 1, alg.to_coords, 1.0, 1.0
+    else:
+        power, coords, c, s = i, alg.gradient_from_matrix, cfg.c, 0.5 * (lam - 1.0)
+    signs = cfg.signs(alg)
+
+    def partner(V: np.ndarray) -> np.ndarray:
+        p = coords(np.linalg.matrix_power(lam * V[0] - V[1], power))
+        Z = alg.strip_centre(np.stack([(signs - c) * p, (signs + c) * p]))
+        return s * alg.to_matrices(Z.reshape(-1))
+
+    return partner
 
 
 def field_t(m: PairPoint, cfg: RMatrixConfig = _DEFAULT) -> PairPoint:
     """[(L₊, L₊), (L, M)] — the t-flow direction."""
-    return _lax_point(m, 0, cfg.plus_region)
+    return lax_point(m, _partner(m.alg, "t", cfg))
 
 
 def field_s(m: PairPoint, cfg: RMatrixConfig = _DEFAULT) -> PairPoint:
     """[(M₋, M₋), (L, M)] — the s-flow direction."""
-    return _lax_point(m, 1, cfg.minus_region)
-
-
-def _pencil_matrix_power(m: PairPoint, lam: float, power: int) -> np.ndarray:
-    Z = lam * m.x.matrix() - m.y.matrix()
-    return np.linalg.matrix_power(Z, power)
+    return lax_point(m, _partner(m.alg, "s", cfg))
 
 
 def field_quadratic(i: int, lam: float, m: PairPoint,
@@ -105,16 +137,7 @@ def field_quadratic(i: int, lam: float, m: PairPoint,
 
         X = −[(x, y), ((R−I)(λx−y)^{i+1}, (R+I)(λx−y)^{i+1})].
     """
-    alg = m.alg
-    if not alg.associative:
-        raise CapabilityError(
-            f"quadratic pencil field needs an associative algebra; "
-            f"{alg.name} has associative=False"
-        )
-    w = Element(alg, alg.from_matrix(_pencil_matrix_power(m, lam, i + 1)))
-    u = r_apply(w, cfg) - w      # (R − I)w^{i+1} = −2·(minus part)
-    v = r_apply(w, cfg) + w      # (R + I)w^{i+1} = +2·(plus part)
-    return -pair_bracket(m, PairPoint(u, v))
+    return lax_point(m, _partner(m.alg, "quadratic", cfg, i, lam))
 
 
 def field_linear_pencil(i: int, lam: float, m: PairPoint,
@@ -126,11 +149,7 @@ def field_linear_pencil(i: int, lam: float, m: PairPoint,
     (The gradient ∇P_i(w) is the trace-form projection of w^{m_i}, so this
     works on sl as well as gl.)
     """
-    alg = m.alg
-    p = Element(alg, alg.gradient_from_matrix(_pencil_matrix_power(m, lam, i)))
-    u = r_apply(p, cfg) - cfg.c * p
-    v = r_apply(p, cfg) + cfg.c * p
-    return 0.5 * (lam - 1.0) * pair_bracket(PairPoint(u, v), m)
+    return lax_point(m, _partner(m.alg, "linear", cfg, i, lam))
 
 
 # --------------------------------------------------------------------------
@@ -141,23 +160,13 @@ def field_linear_pencil(i: int, lam: float, m: PairPoint,
 def _named_field(cfg: "FlowConfig",
                  alg: AlgebraSpec) -> Callable[[np.ndarray], np.ndarray]:
     """The selected field on (2, n, n) stacks (L, M)."""
-    rcfg = cfg.rmatrix
-    if cfg.field == "t":
-        return _lax_field(alg, 0, rcfg.plus_region)
-    if cfg.field == "s":
-        return _lax_field(alg, 1, rcfg.minus_region)
-    pencil = {"quadratic": field_quadratic, "linear": field_linear_pencil}.get(cfg.field)
-    if pencil is None:
+    if cfg.field not in ("t", "s", "quadratic", "linear"):
         raise PreconditionError(f"unknown field selector {cfg.field!r}")
-    if cfg.i is None or cfg.lam is None:
-        raise PreconditionError(f"{cfg.field} pencil field needs generator label i and λ")
-    require_generator_label(alg, cfg.i)
-
-    def field(V: np.ndarray) -> np.ndarray:
-        m = PairPoint.from_vec(alg, _coords(alg, V))
-        return _blocks(alg, pencil(cfg.i, cfg.lam, m, rcfg).vec())
-
-    return field
+    if cfg.field in ("quadratic", "linear"):
+        if cfg.i is None or cfg.lam is None:
+            raise PreconditionError(f"{cfg.field} pencil field needs generator label i and λ")
+        require_generator_label(alg, cfg.i)
+    return lax_field(_partner(alg, cfg.field, cfg.rmatrix, cfg.i, cfg.lam))
 
 
 def whole_steps(dt: float, T: float) -> int:
@@ -261,7 +270,7 @@ def integrate(cfg: FlowConfig, m0: PairPoint,
     one batch; an explicit list is evaluated function by function.
     """
     alg = m0.alg
-    stack = rk4_states(_named_field(cfg, alg), _blocks(alg, m0.vec()),
+    stack = rk4_states(_named_field(cfg, alg), alg.to_matrices(m0.vec()),
                        cfg.dt, cfg.n_steps)
     truncated, note = False, ""
     if not np.all(np.isfinite(stack[-1])):
@@ -270,7 +279,7 @@ def integrate(cfg: FlowConfig, m0: PairPoint,
         note = (f"non-finite state at step {k} "
                 f"(t = {k * cfg.dt:g}); trajectory truncated")
         stack = stack[:-1]
-    states = _coords(alg, stack)
+    states = alg.to_coords(stack)
     names = tuple(F.name for F in (family(alg) if conserved is None else conserved))
     # the kept states of a run that blew up may still overflow the pencil
     # powers: the same policy as `rk4_states`, the report carries the truncation
@@ -311,10 +320,10 @@ def flow_commutation(m0: PairPoint, dt: float = 1e-3, n_steps: int = 100,
     def run(fld, V):
         return rk4_states(fld, V, dt, n_steps)[-1]
 
-    V0 = _blocks(alg, m0.vec())
+    V0 = alg.to_matrices(m0.vec())
     ab = run(fa, run(fb, V0))
     ba = run(fb, run(fa, V0))
-    return float(np.abs(_coords(alg, ab) - _coords(alg, ba)).max())
+    return float(np.abs(alg.to_coords(ab) - alg.to_coords(ba)).max())
 
 
 # --------------------------------------------------------------------------
@@ -324,7 +333,7 @@ def flow_commutation(m0: PairPoint, dt: float = 1e-3, n_steps: int = 100,
 
 def pencil_eigenvalue_drift(traj: Trajectory, lam0: float) -> float:
     """Max eigenvalue movement of λ₀L − M along the trajectory (isospectrality)."""
-    V = _blocks(traj.alg, traj.states)
+    V = traj.alg.to_matrices(traj.states)
     w = np.sort_complex(np.linalg.eigvals(lam0 * V[:, 0] - V[:, 1]))
     return float(np.abs(w - w[0]).max())
 

@@ -66,9 +66,8 @@ def _pencil_powers(alg: AlgebraSpec, states: np.ndarray, top: int) -> list:
     the recurrence W⁽ᵏ⁺¹⁾_c = W⁽ᵏ⁾_{c−1}X − W⁽ᵏ⁾_cY; every product is a
     per-state matmul, so a row's values do not depend on the rest of the stack.
     """
-    S = np.asarray(states, dtype=float)
-    X = np.einsum("Na,aij->Nij", S[:, : alg.dim], alg.basis)
-    mY = -np.einsum("Na,aij->Nij", S[:, alg.dim:], alg.basis)
+    V = alg.to_matrices(states)
+    X, mY = V[:, 0], -V[:, 1]
     W = [np.broadcast_to(np.eye(X.shape[-1]), X.shape)]
     powers = [W]
     for _ in range(top):
@@ -96,20 +95,16 @@ def family_gradients(alg: AlgebraSpec, m: PairPoint) -> tuple[PairPoint, ...]:
     """∇F_{j,i}(m) for every member, in `family_labels` order.
 
     ∇F_{j,i} = (−1)^{m_i+1−j}(ĝ(V_{j−1}), ĝ(V_j)) with V = (λx − y)^{m_i} and
-    V_{−1} = V_{m_i+1} = 0; the projections ĝ of all V_c share one Gram solve.
+    V_{−1} = V_{m_i+1} = 0, ĝ read from the cached `trace_projector`.
     """
     W = _pencil_powers(alg, m.vec()[None], max(alg.exponents))
     zero = np.zeros_like(W[0][0])
-    # per label i the stack V_{−1}, V_0, …, V_{m_i+1}: i + 3 matrices
-    mats = np.concatenate([np.concatenate([zero, *W[i], zero]) for i in alg.exponents])
-    g = np.linalg.solve(alg.gram, np.einsum("kij,aji->ak", mats, alg.basis)).T
-    out, off = [], 0
-    for i in alg.exponents:
+    out = []
+    for i in alg.exponents:   # ĝ of V_{−1}, V_0, …, V_{m_i+1}: i + 3 matrices
+        g = alg.gradient_from_matrix(np.concatenate([zero, *W[i], zero]))
         for j in range(i + 2):
             sgn = (-1.0) ** (i + 1 - j)
-            out.append(PairPoint(Element(alg, sgn * g[off + j]),
-                                 Element(alg, sgn * g[off + j + 1])))
-        off += i + 3
+            out.append(PairPoint(Element(alg, sgn * g[j]), Element(alg, sgn * g[j + 1])))
     return tuple(out)
 
 

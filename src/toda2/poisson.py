@@ -65,6 +65,7 @@ from .rmatrix import (
     block_point,
     form2,
     point_block,
+    r_bracket,
     rr_adjoint_block,
     rr_block,
 )
@@ -88,12 +89,9 @@ __all__ = [
     "numerical_rank",
     "check_morphism_psi1",
     "linear_function",
-    "degree2_function",
-    "pullback_psi1_coordinate",
     "phase_tp",
     "phase_full",
     "psi1",
-    "lie_poisson_bracket",
 ]
 
 _DEFAULT = RMatrixConfig()
@@ -163,26 +161,9 @@ def linear_function(p: Point, name: str = "linear") -> ScalarFunction:
     return ScalarFunction(name, lambda m: _pairing(p, m), lambda m: p)
 
 
-def degree2_function(name: str, evaluator: Callable[[Point], float]) -> ScalarFunction:
-    """A function of degree ≤ 2, with its central-difference gradient at unit step.
-
-    Central differences are exact on polynomials of degree ≤ 2 at any step;
-    the unit step keeps their roundoff at the size of the values instead of
-    amplifying it.
-    """
-    F = ScalarFunction(name, evaluator)
-    return ScalarFunction(name, evaluator, lambda m: gradient2(F, m, step=1.0))
-
-
 def psi1(m: PairPoint) -> Element:
     """ψ₁(x, y) = x − y."""
     return m.x - m.y
-
-
-def pullback_psi1_coordinate(a: Element, name: str = "z") -> ScalarFunction:
-    """The ψ₁-pullback linear coordinate m ↦ ⟨a, x − y⟩, gradient (a, a)."""
-    grad = PairPoint(a, a)
-    return ScalarFunction(name, lambda m: form(a, psi1(m)), lambda m: grad)
 
 
 # --------------------------------------------------------------------------
@@ -264,9 +245,21 @@ def hamiltonian_field(F: ScalarFunction, m: Point, which: str = "linear",
     return bracket_of(which, m)(m, gradient2(F, m), cfg)
 
 
-def lie_poisson_bracket(f_grad: Element, g_grad: Element, u: Element) -> float:
-    """Lie–Poisson value ⟨u, [∇f, ∇g]⟩ from single-algebra gradients."""
-    return form(u, bracket(f_grad, g_grad))
+def _inner_bracket_gradient(which: str, m: PairPoint, g: PairPoint, h: PairPoint,
+                            cfg: RMatrixConfig = _DEFAULT) -> PairPoint:
+    """∇ of m ↦ {G, H}(m) for linear G, H with gradients g, h: the ℛ-bracket
+    ½([ℛg, h] + [g, ℛh]) for "linear", T(g, h) − T(h, g) for "quadratic" with
+    T(g, h) = ½([g, ℛ(mh + hm)] + hw + wh), w = ℛ*[m, g]."""
+    if which == "linear":
+        return r_bracket(g, h, cfg=cfg)
+    alg, M, G, H = m.alg, point_block(m), point_block(g), point_block(h)
+
+    def T(g, h):
+        w = rr_adjoint_block(alg, bracket_blocks(alg, M, g), cfg)
+        s = rr_block(alg, mult_blocks(alg, M, h) + mult_blocks(alg, h, M), cfg)
+        return 0.5 * (bracket_blocks(alg, g, s) + mult_blocks(alg, h, w) + mult_blocks(alg, w, h))
+
+    return block_point(alg, T(G, H) - T(H, G))
 
 
 # --------------------------------------------------------------------------
@@ -495,9 +488,8 @@ def check_morphism_psi1(alg: AlgebraSpec, samples: int = 100, seed: int = 42,
                         cfg: RMatrixConfig = _DEFAULT, tol: float = 1e-9):
     """Verify {F∘ψ₁, G∘ψ₁}_ℛ(x,y) = {F, G}_LP(x−y) on random functions.
 
-    F, G run over random linear functions of 𝔤 (analytic gradients) plus a
-    batch of quadratic monomials u ↦ ⟨a,u⟩⟨b,u⟩ differentiated by central
-    finite differences at unit step, which are exact on them.  Requires c = 1.
+    F, G run over random linear functions of 𝔤 plus a batch of quadratic
+    monomials u ↦ ⟨a,u⟩⟨b,u⟩, with their exact gradients.  Requires c = 1.
     """
     from .reports import CheckReport
 
@@ -514,27 +506,20 @@ def check_morphism_psi1(alg: AlgebraSpec, samples: int = 100, seed: int = 42,
             Element(alg, rng.uniform(-1, 1, alg.dim)),
         )
         w = psi1(m)
-        quadratic = k % 5 == 4
-        if quadratic:
-            # f(u) = ⟨a,u⟩⟨b,u⟩, pulled back through ψ₁ with FD gradients
+        if k % 5 == 4:
+            # f(u) = ⟨a,u⟩⟨b,u⟩ and g(u) = ⟨c,u⟩⟨d,u⟩, gradients at u = w
             def unit():
                 v = rng.uniform(-1, 1, alg.dim)
                 return Element(alg, v / np.linalg.norm(v))
             a, b, c, d = unit(), unit(), unit(), unit()
-            F = degree2_function(
-                "f∘ψ₁", lambda m, a=a, b=b: form(a, psi1(m)) * form(b, psi1(m)))
-            G = degree2_function(
-                "g∘ψ₁", lambda m, c=c, d=d: form(c, psi1(m)) * form(d, psi1(m)))
             gf = form(b, w) * a + form(a, w) * b
             gg = form(d, w) * c + form(c, w) * d
         else:
-            a = Element(alg, gi @ rng.uniform(-1, 1, alg.dim))
-            c = Element(alg, gi @ rng.uniform(-1, 1, alg.dim))
-            F = pullback_psi1_coordinate(a, "f∘ψ₁")
-            G = pullback_psi1_coordinate(c, "g∘ψ₁")
-            gf, gg = a, c
-        lhs = linear_bracket(F, G, m, cfg)
-        rhs = lie_poisson_bracket(gf, gg, w)
+            gf = Element(alg, gi @ rng.uniform(-1, 1, alg.dim))
+            gg = Element(alg, gi @ rng.uniform(-1, 1, alg.dim))
+        # ∇(f∘ψ₁)(m) = (∇f(w), ∇f(w)), and {F, G} = ⟨∇F, X_G⟩₂
+        lhs = form2(PairPoint(gf, gf), bracket_of("linear", m)(m, PairPoint(gg, gg), cfg))
+        rhs = form(w, bracket(gf, gg))             # Lie–Poisson {f, g}(w)
         worst = max(worst, abs(lhs - rhs))
     return CheckReport(
         check="morphism-psi1",

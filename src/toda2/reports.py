@@ -85,7 +85,7 @@ def emit_report(reports, fmt: str = "text") -> str:
                 + ("all passed" if n_bad == 0 else f"{n_bad} FAILED")
             )
         return "\n".join(lines)
-    if fmt in ("json", "structured"):
+    if fmt == "json":
         doc = {
             "reports": [r.to_dict() for r in reports],
             "all_pass": all_pass(reports),

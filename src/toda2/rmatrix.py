@@ -41,10 +41,7 @@ __all__ = [
     "pair_bracket",
     "form2",
     "decompose_pair",
-    "b_tensor",
-    "b_tensor_pair",
     "r_bracket",
-    "rr_bracket",
     "check_mcybe",
     "random_element",
     "random_pair",
@@ -223,11 +220,6 @@ def r_bracket(x: Point, y: Point, R: ROperator = None,
     return block_point(alg, 0.5 * (bracket_blocks(alg, op(X), Y) + bracket_blocks(alg, X, op(Y))))
 
 
-def rr_bracket(p: PairPoint, q: PairPoint, cfg: RMatrixConfig = _DEFAULT) -> PairPoint:
-    """The ℛ-bracket on 𝔤×𝔤: ½([ℛp, q] + [p, ℛq])."""
-    return r_bracket(p, q, None, cfg)
-
-
 def b_tensor_block(alg: AlgebraSpec, X: np.ndarray, Y: np.ndarray, R: ROperator = None,
                    cfg: RMatrixConfig = _DEFAULT) -> np.ndarray:
     """B(X, Y) = [𝒪X, 𝒪Y] − 𝒪([𝒪X, Y] + [X, 𝒪Y]) on blocks (…, k, dim).
@@ -241,17 +233,6 @@ def b_tensor_block(alg: AlgebraSpec, X: np.ndarray, Y: np.ndarray, R: ROperator 
         bracket_blocks(alg, RX, Y) + bracket_blocks(alg, X, RY))
 
 
-def b_tensor(x: Point, y: Point, R: ROperator = None,
-             cfg: RMatrixConfig = _DEFAULT) -> Point:
-    """B_R(x, y) = [Rx, Ry] − R([Rx, y] + [x, Ry]); B_ℛ when x, y are pairs."""
-    return block_point(x.alg, b_tensor_block(x.alg, point_block(x), point_block(y), R, cfg))
-
-
-def b_tensor_pair(p: PairPoint, q: PairPoint, cfg: RMatrixConfig = _DEFAULT) -> PairPoint:
-    """The pair analogue of B_R for the induced operator ℛ."""
-    return b_tensor(p, q, None, cfg)
-
-
 # --------------------------------------------------------------------------
 # sampling + the mCYBE checker
 # --------------------------------------------------------------------------
@@ -263,17 +244,6 @@ def random_element(alg: AlgebraSpec, rng: np.random.Generator) -> Element:
 
 def random_pair(alg: AlgebraSpec, rng: np.random.Generator) -> PairPoint:
     return PairPoint(random_element(alg, rng), random_element(alg, rng))
-
-
-def _center_projected(alg: AlgebraSpec, Z: np.ndarray) -> np.ndarray:
-    # residuals are only required to lie in the center; for gl(n) that is the
-    # span of the identity, which we strip from each vector of Z (…, dim)
-    # before measuring
-    if not alg.associative:
-        return Z
-    iden = alg.identity_coords
-    t = (Z[..., None, :] @ alg.gram @ iden)[..., 0] / float(iden @ alg.gram @ iden)
-    return Z - t[..., None] * iden
 
 
 def check_mcybe(alg: AlgebraSpec, R: ROperator = None, c: float = 1.0,
@@ -296,7 +266,8 @@ def check_mcybe(alg: AlgebraSpec, R: ROperator = None, c: float = 1.0,
     XY = rng.uniform(-1.0, 1.0, (samples, 2, k, alg.dim))
     X, Y = XY[:, 0], XY[:, 1]
     res = b_tensor_block(alg, X, Y, None if pair else R, cfg) + c * c * bracket_blocks(alg, X, Y)
-    Z = _center_projected(alg, res)
+    # residuals are only required to lie in the centre
+    Z = alg.strip_centre(res)
     norms = np.sqrt(np.vecdot(Z, Z))            # (samples, k) Euclidean norms
     # a NaN residual is passed over, as a running max(worst, r) from 0 does
     worst = float(np.fmax.reduce(norms, axis=None, initial=0.0))

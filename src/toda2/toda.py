@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .algebra import AlgebraSpec, Element
-from .flows import _blocks, _coords, _lax_field, _lax_point, rk4_states, whole_steps
+from .flows import field_t, lax_field, lax_point, projected_partner, rk4_states, whole_steps
 from .invariants import family_labels, family_values, independence_rank, trace_invariant
 from .poisson import PhaseSpace, _bracket_table, hamiltonian_field, linear_function
 from .rmatrix import PairPoint, RMatrixConfig
@@ -66,7 +66,7 @@ def embed_phi(ts: PhaseSpace, x: Element, tol: float = 1e-10) -> PairPoint:
 
 def field_toda(x: Element, cfg: RMatrixConfig = _DEFAULT) -> Element:
     """The Toda equation right-hand side [A₊, A]."""
-    return _lax_point(x, 0, cfg.plus_region)
+    return lax_point(x, projected_partner(x.alg, 0, cfg.plus_region))
 
 
 def integrate_toda(x0: Element, dt: float = 1e-3, T: float = 1.0,
@@ -76,9 +76,9 @@ def integrate_toda(x0: Element, dt: float = 1e-3, T: float = 1.0,
     T must be a whole number of steps dt, as for `FlowConfig`.
     """
     alg = x0.alg
-    stack = rk4_states(_lax_field(alg, 0, cfg.plus_region), _blocks(alg, x0.vec()),
-                       dt, whole_steps(dt, T))
-    return np.arange(len(stack)) * dt, _coords(alg, stack)
+    stack = rk4_states(lax_field(projected_partner(alg, 0, cfg.plus_region)),
+                       alg.to_matrices(x0.vec()), dt, whole_steps(dt, T))
+    return np.arange(len(stack)) * dt, alg.to_coords(stack)
 
 
 # --------------------------------------------------------------------------
@@ -209,7 +209,7 @@ def toda_suite(alg: AlgebraSpec, seed: int = 42, cfg: RMatrixConfig = _DEFAULT) 
         np.random.default_rng(seed).uniform(-1.0, 1.0, ts.dim)
     )
     _, states = integrate_toda(x0, dt=1e-3, T=1.0, cfg=cfg)
-    X = np.einsum("Na,aij->Nij", states, alg.basis)
+    X = alg.to_matrices(states)[:, 0]
     worst = 0.0
     for i in alg.exponents:   # P_i = Tr(x^{i+1})/(i+1) on the whole stack
         vals = np.trace(np.linalg.matrix_power(X, i + 1), axis1=1, axis2=2) / (i + 1)
@@ -223,8 +223,6 @@ def toda_suite(alg: AlgebraSpec, seed: int = 42, cfg: RMatrixConfig = _DEFAULT) 
     ))
 
     # the diagonal is t-flow invariant and the pushforward matches field_t
-    from .flows import field_t
-
     worst = 0.0
     for x in points:
         ft = field_t(PairPoint(x, x), cfg)

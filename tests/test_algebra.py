@@ -105,6 +105,50 @@ def test_gradient_from_matrix_pairing(gl3):
         assert lhs == pytest.approx(float(np.trace(M @ u.matrix())), abs=1e-12)
 
 
+def test_stack_maps_match_basis_sums(sl3, gl3, so5):
+    # to_matrices/to_coords against Σ_a c_a b_a and least squares, on stacks
+    rng = np.random.default_rng(5)
+    for alg in (sl3, gl3, so5):
+        v = rng.uniform(-1, 1, (4, 2 * alg.dim))
+        V = alg.to_matrices(v)
+        n = alg.matrix_size
+        assert V.shape == (4, 2, n, n)
+        want = np.einsum("Nka,aij->Nkij", v.reshape(4, 2, alg.dim), alg.basis)
+        assert np.abs(V - want).max() < 1e-14
+        assert np.abs(alg.to_coords(V) - v).max() < 1e-13
+        assert np.array_equal(alg.to_matrix(v[0, : alg.dim]), V[0, 0])
+        assert np.abs(alg.to_coords(V[0, 0]) - v[0, : alg.dim]).max() < 1e-13
+        with pytest.raises(ValueError):
+            alg.to_matrix(v[0])                     # two blocks are not one matrix
+
+
+def test_trace_projector_is_cached_and_serves_stacks(sl3, gl3, so5):
+    rng = np.random.default_rng(13)
+    for alg in (sl3, gl3, so5):
+        P = alg.trace_projector
+        assert alg.trace_projector is P and not P.flags.writeable
+        n = alg.matrix_size
+        M = rng.uniform(-1, 1, (3, 2, n, n))
+        g = alg.gradient_from_matrix(M)
+        assert g.shape == (3, 2, alg.dim)
+        for idx in np.ndindex(3, 2):
+            assert np.array_equal(g[idx], alg.gradient_from_matrix(M[idx]))
+            # ⟨ĝ(M), b_a⟩ = Tr(M b_a) for every basis vector, via a Gram solve
+            ref = np.linalg.solve(alg.gram, np.einsum("ij,aji->a", M[idx], alg.basis))
+            assert np.abs(g[idx] - ref).max() < 1e-13
+
+
+def test_strip_centre_removes_the_identity_on_gl_only(gl3, sl3):
+    rng = np.random.default_rng(17)
+    z = rng.uniform(-1, 1, (5, gl3.dim))
+    s = gl3.strip_centre(z)
+    assert np.abs(np.trace(gl3.to_matrices(s.reshape(-1)), axis1=1, axis2=2)).max() < 1e-14
+    d = gl3.to_matrices((z - s).reshape(-1))
+    assert np.abs(d - np.trace(d, axis1=1, axis2=2)[:, None, None] / 3 * np.eye(3)).max() < 1e-14
+    x = rng.uniform(-1, 1, (5, sl3.dim))
+    assert sl3.strip_centre(x) is x
+
+
 def test_project_splits_by_degree(sl3):
     rng = np.random.default_rng(3)
     x = sl3.element(rng.uniform(-1, 1, sl3.dim))

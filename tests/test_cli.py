@@ -212,6 +212,22 @@ def test_tolerance_must_be_finite_and_positive(command, tol, capsys):
     assert f"--tol: must be a finite number > 0, got {tol}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", "mcybe", "--samples", "x"], "--samples: must be a whole number, got 'x'"),
+    (["check", "all", "--samples", "2.5"], "--samples: must be a whole number, got '2.5'"),
+    (["flow", "commutation", "--steps", "1.5"], "--steps: must be a whole number, got '1.5'"),
+    (["flow", "commutation", "--steps", "ten"], "--steps: must be a whole number, got 'ten'"),
+    (["check", "mcybe", "--tol", "abc"], "--tol: must be a finite number > 0, got abc"),
+    (["flow", "run", "--tol", "1e-3x"], "--tol: must be a finite number > 0, got 1e-3x"),
+])
+def test_non_numeric_values_name_the_expected_input(argv, message, capsys):
+    with pytest.raises(SystemExit) as ex:
+        main(argv)
+    assert ex.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "invalid" not in err
+
+
 def test_program_bug_is_not_a_usage_error(monkeypatch):
     def broken(alg, samples, seed, tol):
         raise ValueError("a bug inside a battery")

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from toda2 import (
+    CapabilityError,
+    Element,
     FlowConfig,
     PairPoint,
     PreconditionError,
+    RMatrixConfig,
     bracket,
     expand_pencil,
     family,
@@ -21,6 +24,7 @@ from toda2 import (
     project,
     trajectory_to_csv,
 )
+from toda2.rmatrix import pair_bracket, r_apply
 
 
 def seed_point(alg, seed=42):
@@ -70,6 +74,58 @@ def test_pencil_fields_exist_and_are_tangent(gl2):
         v = field(m)
         shifted = PairPoint(m.x + v.x, m.y + v.y)
         assert ps.membership_residual(shifted) < 1e-11
+
+
+# the coordinate-side closed forms the pencil fields had before they became
+# matrix commutators, kept as the reference: the power of λx − y is taken in
+# the basis matrices, its coordinates by least squares and ĝ by a Gram solve,
+# and the bracket is the structure-tensor one
+
+
+def _pencil_power(m, lam, power):
+    alg = m.alg
+    X, Y = (np.einsum("a,aij->ij", v.coords, alg.basis) for v in (m.x, m.y))
+    return np.linalg.matrix_power(lam * X - Y, power)
+
+
+def quadratic_oracle(i, lam, m, cfg):
+    alg = m.alg
+    W = _pencil_power(m, lam, i + 1)
+    w = Element(alg, np.linalg.lstsq(alg.basis.reshape(alg.dim, -1).T, W.ravel(), rcond=None)[0])
+    return -pair_bracket(m, PairPoint(r_apply(w, cfg) - w, r_apply(w, cfg) + w))
+
+
+def linear_pencil_oracle(i, lam, m, cfg):
+    alg = m.alg
+    W = _pencil_power(m, lam, i)
+    p = Element(alg, np.linalg.solve(alg.gram, np.einsum("ij,aji->a", W, alg.basis)))
+    u, v = r_apply(p, cfg) - cfg.c * p, r_apply(p, cfg) + cfg.c * p
+    return 0.5 * (lam - 1.0) * pair_bracket(PairPoint(u, v), m)
+
+
+@pytest.mark.parametrize("name", ["sl3", "gl3", "so5"])
+def test_pencil_fields_match_coordinate_closed_forms(name, request):
+    alg = request.getfixturevalue(name)
+    cfgs = [RMatrixConfig(c=c, plus_region=plus, minus_region=minus)
+            for c in (1.0, 0.5) for plus, minus in ((">=0", "<0"), (">0", "<=0"))]
+    for m in phase_tp(alg).sample_points(seed=8, count=2):
+        for cfg in cfgs:
+            for i in alg.exponents:
+                for lam in (0.0, 0.5, -1.0):
+                    X = field_linear_pencil(i, lam, m, cfg)
+                    assert (X - linear_pencil_oracle(i, lam, m, cfg)).norm() < 1e-13
+                    if alg.associative:
+                        X = field_quadratic(i, lam, m, cfg)
+                        assert (X - quadratic_oracle(i, lam, m, cfg)).norm() < 1e-13
+
+
+def test_quadratic_field_needs_associative_algebra(sl3, so5):
+    for alg in (sl3, so5):
+        m = seed_point(alg)
+        with pytest.raises(CapabilityError, match="associative"):
+            field_quadratic(1, 0.0, m)
+        with pytest.raises(CapabilityError, match="associative"):
+            integrate(FlowConfig(field="quadratic", i=1, lam=0.0, dt=0.1, T=0.2), m)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +208,20 @@ def test_blowup_is_truncated_with_note(gl2):
     assert "non-finite" in traj.note and "truncated" in traj.note
     assert len(traj.times) == len(traj.states)
     assert np.all(np.isfinite(traj.states))
+
+
+def test_blowup_is_truncated_from_nearby_starts(gl2):
+    # past the blow-up RK4 runs on rounding garbage; from starts a relative
+    # 1e-14 apart every run must still end at a non-finite state, not settle
+    # where the i = 1, λ = 0 field vanishes (traceless M) and run on to T
+    ps = phase_tp(gl2)
+    rng = np.random.default_rng(0)
+    cfg = FlowConfig(field="quadratic", i=1, lam=0.0, dt=0.05, T=3.0)
+    for u0 in (ps.coords_of(seed_point(gl2)), 40.0 * np.ones(ps.dim)):
+        for _ in range(12):
+            u = u0 * (1.0 + 1e-14 * rng.standard_normal(u0.shape))
+            traj = integrate(cfg, ps.point_from_coords(u), conserved=[])
+            assert traj.truncated, np.abs(traj.states[-1]).max()
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,27 @@ def test_jacobi_battery_passes_at_former_roundoff_seeds(gl3):
             assert r.verdict, r.line()
 
 
+@pytest.mark.parametrize("name", ["sl3", "gl2", "gl3", "so5"])
+def test_jacobi_inner_bracket_gradients_match_finite_differences(name, request):
+    # the inner bracket of two linear functions has degree ≤ 2 in m, so unit-step
+    # central differences are exact on it up to roundoff
+    from toda2.poisson import _inner_bracket_gradient
+
+    alg = request.getfixturevalue(name)
+    rng = np.random.default_rng(23)
+    kinds = [("linear", linear_bracket)]
+    if alg.associative:
+        kinds.append(("quadratic", quadratic_bracket))
+    for _ in range(3):
+        m = random_pair(alg, rng)
+        G, H = (linear_function(random_pair(alg, rng)) for _ in range(2))
+        for which, val in kinds:
+            inner = ScalarFunction("{G,H}", lambda mm, val=val: val(G, H, mm))
+            fd = gradient2(inner, m, step=1.0)
+            exact = _inner_bracket_gradient(which, m, G.gradient(m), H.gradient(m))
+            assert (fd - exact).norm() < 1e-12 * (1.0 + exact.norm())
+
+
 def test_quadratic_needs_associative(sl3):
     rng = np.random.default_rng(5)
     F, G = _random_linear(sl3, rng, "F"), _random_linear(sl3, rng, "G")
@@ -430,8 +451,8 @@ def test_psi1_morphism_check(sl2, gl2):
 
 
 def test_psi1_morphism_check_passes_on_so5(so5):
-    # the quadratic monomials get exact unit-step central differences; at the
-    # FD step 1e-5 their roundoff measured 1.13e-9 against the 1e-9 tolerance
+    # with finite-difference gradients of the quadratic monomials at step 1e-5
+    # the roundoff once measured 1.13e-9 against the 1e-9 tolerance
     report = check_morphism_psi1(so5)
     assert report.verdict, report.line()
     assert report.measured < 1e-12

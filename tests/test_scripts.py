@@ -14,3 +14,24 @@ def test_flow_demo_runs_on_sl2(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "t-flow over T=0.01" in out and "s-flow over T=0.01" in out
     assert "t/s commutation defect" in out
+
+
+def test_make_so5_spec_writes_a_loadable_valid_spec(tmp_path, monkeypatch, capsys):
+    from toda2 import load_spec, validate_spec
+
+    main = runpy.run_path(str(SCRIPTS / "make_so5_spec.py"))["main"]
+    out = tmp_path / "so5.json"
+    monkeypatch.setattr(sys, "argv", ["make_so5_spec.py", str(out)])
+    assert main() == 0
+    assert "linear Poisson rank 12" in capsys.readouterr().out
+    alg = load_spec(out)
+    assert (alg.name, alg.dim, alg.exponents) == ("so5", 10, (1, 3))
+    assert validate_spec(alg) == []
+
+
+def test_rank_survey_runs_on_the_desk(monkeypatch, capsys):
+    main = runpy.run_path(str(SCRIPTS / "rank_survey.py"))["main"]
+    monkeypatch.setattr(sys, "argv", ["rank_survey.py"])
+    assert main() == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 7 and all(r.endswith("ok") for r in rows)

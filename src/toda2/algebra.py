@@ -273,54 +273,48 @@ class AlgebraSpec:
         return np.einsum("a,abc->cb", x.coords, self.struct)
 
     @cached_property
-    def _masks(self) -> dict[str, np.ndarray]:
+    def _memo_table(self) -> dict:
         return {}
+
+    def memo(self, key, build):
+        """build(), computed once per spec and key and kept; an array result is
+        made read-only.  Masks, splittings, projectors and phase spaces are
+        derived data of the spec, asked for at every bracket or battery.  A
+        build that raises stores nothing, so it raises again on every call."""
+        table = self._memo_table
+        if key not in table:
+            value = build()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            table[key] = value
+        return table[key]
 
     def mask(self, region: str) -> np.ndarray:
         """Read-only mask of the basis vectors whose degree lies in `region`,
         cached: R and the projections ask for the same regions at every bracket."""
-        m = self._masks.get(region)
-        if m is None:
-            m = degree_mask(self.degrees, region)
-            m.flags.writeable = False
-            self._masks[region] = m
-        return m
-
-    @cached_property
-    def _splittings(self) -> dict[tuple[str, str], np.ndarray]:
-        return {}
+        return self.memo(("mask", region), lambda: degree_mask(self.degrees, region))
 
     def splitting_signs(self, plus_region: str, minus_region: str) -> np.ndarray:
         """Read-only ±1 per basis vector for 𝔤 = 𝔤₊ ⊕ 𝔤₋ split by degree region,
         cached like `mask`: every R and R* application asks for it.  Regions
         that do not partition the degrees raise on every call, uncached."""
-        key = (plus_region, minus_region)
-        s = self._splittings.get(key)
-        if s is None:
+
+        def build():
             plus, minus = self.mask(plus_region), self.mask(minus_region)
             if np.any(plus & minus) or not np.all(plus | minus):
                 raise AlgebraError(
                     f"splitting regions {plus_region!r}/{minus_region!r} "
                     f"do not partition the degrees of {self.name}"
                 )
-            s = np.where(plus, 1.0, -1.0)
-            s.flags.writeable = False
-            self._splittings[key] = s
-        return s
+            return np.where(plus, 1.0, -1.0)
 
-    @cached_property
-    def _projectors(self) -> dict[str, np.ndarray]:
-        return {}
+        return self.memo(("splitting", plus_region, minus_region), build)
 
     def matrix_projector(self, region: str) -> np.ndarray:
         """Read-only n²×n² matrix of `project(·, region)` on flattened matrices
         of the span, cached: the Lax fields apply it at every step."""
-        P = self._projectors.get(region)
-        if P is None:
-            P = (self._flat_basis * self.mask(region)) @ self._flat_pinv
-            P.flags.writeable = False
-            self._projectors[region] = P
-        return P
+        return self.memo(("projector", region),
+                         lambda: (self._flat_basis * self.mask(region)) @ self._flat_pinv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -729,8 +723,14 @@ def load_spec(source) -> AlgebraSpec:
             associative=bool(doc["associative"]),
             n=None if doc.get("n") is None else int(doc["n"]),
         )
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        # OverflowError: an infinite or out-of-range number where an int belongs
         raise AlgebraError(f"algebra spec parse failure: {err}") from err
+    for field, ndim in (("degrees", 1), ("e_coords", 1), ("h_coords", 1), ("cartan", 2)):
+        if getattr(spec, field).ndim != ndim:
+            raise AlgebraError(
+                f"algebra spec parse failure: {field} must be an array of {ndim} "
+                f"dimension{'s' if ndim > 1 else ''}")
     for field in ("basis", "gram", "e_coords", "h_coords"):
         if not np.all(np.isfinite(getattr(spec, field))):
             raise AlgebraError(

@@ -8,36 +8,33 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import AlgebraSpec, Element, bracket, form
-from .flows import field_linear_pencil, field_quadratic, field_s, field_t
+from .flows import field_rows
 from .invariants import (
-    family,
-    family_gradients,
+    family_gradient_stack,
     family_labels,
-    pencil_pullback,
+    pullback_gradients,
     rais_vectors,
 )
 from .poisson import (
     PreconditionError,
-    ScalarFunction,
     _bracket_table,
-    _inner_bracket_gradient,
-    hamiltonian_field,
-    linear_bracket,
-    linear_function,
-    phase_tp,
+    bracket_tables,
     check_morphism_psi1,
-    quadratic_bracket,
-    rank_sweep,
+    inner_bracket_gradients,
+    linear_field,
+    phase_tp,
+    quadratic_field,
+    rank_sweep_evidence,
 )
 from .rmatrix import (
     PairPoint,
     RMatrixConfig,
+    block_norms,
     check_mcybe,
-    random_element,
-    random_pair,
-    r_bracket,
+    form_blocks,
+    r_bracket_blocks,
 )
-from .reports import CheckReport
+from .reports import CheckReport, worst
 from .toda import (
     check_binomial_identity,
     check_poisson_iso,
@@ -74,52 +71,44 @@ def check_mcybe_battery(alg: AlgebraSpec, samples: int = 200, seed: int = 42,
 
 def check_jacobi_battery(alg: AlgebraSpec, samples: int = 20, seed: int = 42,
                          tol: float = 1e-9) -> list[CheckReport]:
-    """Jacobi identities: R/ℛ-brackets on elements, both function brackets."""
+    """Jacobi identities: R/ℛ-brackets on elements, both function brackets.
+
+    Each identity draws its samples as one stack, in the order of the
+    per-sample draws, and evaluates them all at once.
+    """
     rng = np.random.default_rng(seed)
     out = []
 
-    # the R-bracket on 𝔤, then the ℛ-bracket on 𝔤×𝔤 (r_bracket of pairs)
-    for name, draw in (("r", random_element), ("rr", random_pair)):
-        worst = 0.0
-        for _ in range(samples):
-            x, y, z = (draw(alg, rng) for _ in range(3))
-            cyc = (
-                r_bracket(r_bracket(x, y), z)
-                + r_bracket(r_bracket(y, z), x)
-                + r_bracket(r_bracket(z, x), y)
-            )
-            worst = max(worst, cyc.norm())
+    def rb(a, b):
+        return r_bracket_blocks(alg, a, b)
+
+    # the R-bracket on 𝔤, then the ℛ-bracket on 𝔤×𝔤: x, y, z per sample
+    for name, k in (("r", 1), ("rr", 2)):
+        x, y, z = np.moveaxis(rng.uniform(-1.0, 1.0, (samples, 3, k, alg.dim)), 1, 0)
+        cyc = rb(rb(x, y), z) + rb(rb(y, z), x) + rb(rb(z, x), y)
+        residual = worst(block_norms(cyc))
         out.append(CheckReport(
             check=f"jacobi-{name}-bracket", anchor=f"{name}-bracket-jacobi",
             algebra=alg.name, params={"samples": samples, "seed": seed, "tol": 1e-11},
-            measured=worst, expected="< 1e-11", verdict=worst < 1e-11,
+            measured=residual, expected="< 1e-11", verdict=residual < 1e-11,
         ))
 
     for which in ("linear", "quadratic") if alg.associative else ("linear",):
-        val = linear_bracket if which == "linear" else quadratic_bracket
-        worst = 0.0
-        for _ in range(samples):
-            m = random_pair(alg, rng)
-            F, G, H = (
-                linear_function(random_pair(alg, rng), f"{nm}")
-                for nm in "FGH"
-            )
-            # the inner bracket of two linear functions, with its exact gradient
-            def pb(A, B):
-                return ScalarFunction(
-                    f"{{{A.name},{B.name}}}", lambda mm, A=A, B=B: val(A, B, mm),
-                    lambda mm, A=A, B=B: _inner_bracket_gradient(
-                        which, mm, A.gradient(mm), B.gradient(mm)),
-                )
-            cyc = (
-                val(F, pb(G, H), m) + val(G, pb(H, F), m) + val(H, pb(F, G), m)
-            )
-            worst = max(worst, abs(cyc))
+        field = linear_field if which == "linear" else quadratic_field
+        # per sample: the point m, then the gradients of linear F, G, H
+        m, f, g, h = np.moveaxis(rng.uniform(-1.0, 1.0, (samples, 4, 2, alg.dim)), 1, 0)
+
+        # {A, {B, C}}(m) = ⟨∇A, X_{B,C}(m)⟩, the inner bracket with its exact gradient
+        def outer(a, b, c):
+            return form_blocks(alg, a, field(alg, m, inner_bracket_gradients(alg, which, m, b, c)))
+
+        cyc = outer(f, g, h) + outer(g, h, f) + outer(h, f, g)
+        residual = worst(np.abs(cyc))
         out.append(CheckReport(
             check=f"jacobi-{which}-bracket", anchor=f"{which}-poisson-jacobi",
             algebra=alg.name,
             params={"samples": samples, "seed": seed, "tol": tol},
-            measured=worst, expected=f"< {tol:g}", verdict=worst < tol,
+            measured=residual, expected=f"< {tol:g}", verdict=residual < tol,
         ))
     return out
 
@@ -131,33 +120,29 @@ def check_involutivity_battery(alg: AlgebraSpec, points: int = 20, seed: int = 4
     labels = family_labels(alg)
     out = []
     kinds = ("linear", "quadratic") if alg.associative else ("linear",)
+    V = ps.sample_stack(seed, points)
+    M, A = V.reshape(points, 2, alg.dim), family_gradient_stack(alg, V)
     for which in kinds:
-        worst = 0.0
-        for m in ps.sample_points(seed, points):
-            table = _bracket_table(m, family_gradients(alg, m), which)
-            worst = max(worst, float(np.abs(table).max()))
+        residual = worst(np.abs(bracket_tables(alg, which, M, A)))
         out.append(CheckReport(
             check=f"involutivity-{which}", anchor=f"family-involutive-{which}",
             algebra=alg.name,
             params={"points": points, "seed": seed, "tol": tol,
                     "pairs": len(labels) * (len(labels) - 1) // 2},
-            measured=worst, expected=f"< {tol:g}", verdict=worst < tol,
+            measured=residual, expected=f"< {tol:g}", verdict=residual < tol,
         ))
 
     # pencil pullbacks at mixed λ, γ are in involution for the linear bracket
     lams = (0.0, 0.5, 1.0, 2.0, -1.0)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(5):
-        m = random_pair(alg, rng)
-        grads = [pencil_pullback(alg, i, lam).gradient(m)
-                 for i in alg.exponents for lam in lams]
-        worst = max(worst, float(np.abs(_bracket_table(m, grads, "linear")).max()))
+    M = np.random.default_rng(seed).uniform(-1.0, 1.0, (5, 2, alg.dim))
+    A = np.stack([pullback_gradients(alg, i, lam, M)
+                  for i in alg.exponents for lam in lams], axis=1).reshape(5, -1, 2 * alg.dim)
+    residual = worst(np.abs(bracket_tables(alg, "linear", M, A)))
     out.append(CheckReport(
         check="involutivity-pencil", anchor="pencil-pullbacks-involutive",
         algebra=alg.name,
         params={"points": 5, "seed": seed, "lambdas": list(lams), "tol": tol},
-        measured=worst, expected=f"< {tol:g}", verdict=worst < tol,
+        measured=residual, expected=f"< {tol:g}", verdict=residual < tol,
     ))
     return out
 
@@ -165,16 +150,14 @@ def check_involutivity_battery(alg: AlgebraSpec, points: int = 20, seed: int = 4
 def check_casimir_battery(alg: AlgebraSpec, samples: int = 20, seed: int = 42,
                           tol: float = 1e-9) -> list[CheckReport]:
     """X_{P_i∘ψ₁} vanishes identically on 𝔤×𝔤 for every generator."""
-    rng = np.random.default_rng(seed)
-    pts = [random_pair(alg, rng) for _ in range(samples)]
+    M = np.random.default_rng(seed).uniform(-1.0, 1.0, (samples, 2, alg.dim))
     out = []
     for i in alg.exponents:
-        C = pencil_pullback(alg, i, 1.0)
-        worst = max(hamiltonian_field(C, m).norm() for m in pts)
+        residual = worst(block_norms(linear_field(alg, M, pullback_gradients(alg, i, 1.0, M))))
         out.append(CheckReport(
             check=f"casimir-P{i}", anchor="psi1-pullback-casimir", algebra=alg.name,
             params={"samples": samples, "seed": seed, "tol": tol, "generator": i},
-            measured=worst, expected=f"< {tol:g}", verdict=worst < tol,
+            measured=residual, expected=f"< {tol:g}", verdict=residual < tol,
         ))
     return out
 
@@ -185,11 +168,11 @@ def check_independence_battery(alg: AlgebraSpec, points: int = 20,
     ps = phase_tp(alg)
     card = len(family_labels(alg))
 
-    def rank(pts):
-        return max(ps.jacobian_rank(family_gradients(alg, m)) for m in pts)
+    def rank(V):
+        return int(ps.jacobian_ranks(family_gradient_stack(alg, V)).max())
 
-    at_eh = rank([PairPoint(alg.e, alg.h)])
-    sweep = rank(ps.sample_points(seed, points))
+    at_eh = rank(PairPoint(alg.e, alg.h).vec()[None])
+    sweep = rank(ps.sample_stack(seed, points))
     return [
         CheckReport(
             check="independence-at-eh", anchor="family-independent-at-eh",
@@ -308,12 +291,14 @@ def check_rank_battery(alg: AlgebraSpec, seed: int = 42,
     out = []
     kinds = ("linear", "quadratic") if alg.associative else ("linear",)
     for which in kinds:
-        got = rank_sweep(ps, which, seed=seed, points=points)
+        sweep = rank_sweep_evidence(ps, which, seed=seed, points=points)
+        got = sweep.rank
         out.append(CheckReport(
             check=f"rank-{which}", anchor="restricted-poisson-rank",
             algebra=alg.name,
             params={"points": points, "seed": seed, "phase_space": "T_P"},
             measured=got, expected=want, verdict=got == want,
+            detail=sweep.evidence,
         ))
         identity_ok = card == ps.dim - got // 2
         out.append(CheckReport(
@@ -353,9 +338,9 @@ def check_rank_battery(alg: AlgebraSpec, seed: int = 42,
 # --------------------------------------------------------------------------
 
 
-def relquad_residual(alg: AlgebraSpec, i: int, lam: float, m: PairPoint,
-                     cfg: RMatrixConfig = _DEFAULT) -> float:
-    """Residual of X^Q_{P_i∘φ_λ} = (2/(λ−1))·X_{P_{i+1}∘φ_λ}.
+def relquad_residuals(alg: AlgebraSpec, i: int, lam: float, V: np.ndarray,
+                      cfg: RMatrixConfig = _DEFAULT) -> np.ndarray:
+    """Residual of X^Q_{P_i∘φ_λ} = (2/(λ−1))·X_{P_{i+1}∘φ_λ} at point rows V (…, 2·dim).
 
     The two closed-form fields are proportional with ratio 2/(λ−1); λ = 1 is
     excluded (the linear field degenerates there).
@@ -364,34 +349,44 @@ def relquad_residual(alg: AlgebraSpec, i: int, lam: float, m: PairPoint,
         raise PreconditionError(
             "the quadratic/linear field relation degenerates at λ = 1"
         )
-    xq = field_quadratic(i, lam, m, cfg)
-    xl = field_linear_pencil(i + 1, lam, m, cfg)
-    return (xq - (2.0 / (lam - 1.0)) * xl).norm()
+    xq = field_rows(alg, "quadratic", V, cfg, i, lam)
+    xl = field_rows(alg, "linear", V, cfg, i + 1, lam)
+    return np.abs(xq - xl * (2.0 / (lam - 1.0))).max(axis=-1)
+
+
+def _pencil_field_defect(alg: AlgebraSpec, which: str, V: np.ndarray,
+                         lams=(0.0, 2.0, -1.0)) -> float:
+    """Largest gap between the closed-form pencil field of P_i∘φ_λ (flows.py) and
+    the bracket field of its gradient, over the point rows V and every i, λ."""
+    M = V.reshape(len(V), 2, alg.dim)
+    field = linear_field if which == "linear" else quadratic_field
+    gaps = [
+        block_norms(field_rows(alg, which, V, _DEFAULT, i, lam).reshape(M.shape)
+                    - field(alg, M, pullback_gradients(alg, i, lam, M)))
+        for i in alg.exponents for lam in lams
+    ]
+    return worst(gaps)
 
 
 def check_field_identities(alg: AlgebraSpec, seed: int = 42,
                            tol: float = 1e-9) -> list[CheckReport]:
     """Bracket fields of H, H̃ and P_i∘φ_λ equal the flows' closed-form fields."""
-    ps = phase_tp(alg)
-    pts = ps.sample_points(seed, 5)
+    V = phase_tp(alg).sample_stack(seed, 5)
+    M = V.reshape(5, 2, alg.dim)
+    zero = np.zeros_like(M[:, 0])
     out = []
 
-    H = ScalarFunction(
-        "H", lambda m: 0.5 * form(m.x, m.x),
-        lambda m: PairPoint(m.x, m.x.alg.zero()),
-    )
-    Ht = ScalarFunction(
-        "H~", lambda m: 0.5 * form(m.y, m.y),
-        lambda m: PairPoint(m.y.alg.zero(), -m.y),
-    )
-    worst_t = max((hamiltonian_field(H, m) - field_t(m)).norm() for m in pts)
+    # H = ½⟨x, x⟩ has gradient (x, 0), H̃ = ½⟨y, y⟩ has gradient (0, −y)
+    x_h = linear_field(alg, M, np.stack([M[:, 0], zero], axis=1))
+    x_ht = linear_field(alg, M, np.stack([zero, -M[:, 1]], axis=1))
+    worst_t = worst(block_norms(x_h - field_rows(alg, "t", V).reshape(M.shape)))
     out.append(CheckReport(
         check="field-t-hamiltonian", anchor="t-flow-is-hamiltonian",
         algebra=alg.name, params={"seed": seed, "tol": tol},
         measured=worst_t, expected=f"< {tol:g}", verdict=worst_t < tol,
     ))
     # the s-flow is the Hamiltonian field of −H̃ under these conventions
-    worst_s = max((hamiltonian_field(Ht, m) + field_s(m)).norm() for m in pts)
+    worst_s = worst(block_norms(x_ht + field_rows(alg, "s", V).reshape(M.shape)))
     out.append(CheckReport(
         check="field-s-hamiltonian", anchor="s-flow-is-hamiltonian-of-minus",
         algebra=alg.name, params={"seed": seed, "tol": tol},
@@ -399,18 +394,12 @@ def check_field_identities(alg: AlgebraSpec, seed: int = 42,
     ))
 
     lams = (0.0, 2.0, -1.0)
-    worst = 0.0
-    for m in pts[:3]:
-        for i in alg.exponents:
-            for lam in lams:
-                closed = field_linear_pencil(i, lam, m)
-                generic = hamiltonian_field(pencil_pullback(alg, i, lam), m)
-                worst = max(worst, (closed - generic).norm())
+    gap = _pencil_field_defect(alg, "linear", V[:3], lams)
     out.append(CheckReport(
         check="field-pencil-closed-form", anchor="pencil-field-closed-form",
         algebra=alg.name,
         params={"seed": seed, "lambdas": list(lams), "tol": tol},
-        measured=worst, expected=f"< {tol:g}", verdict=worst < tol,
+        measured=gap, expected=f"< {tol:g}", verdict=gap < tol,
     ))
     return out
 
@@ -420,73 +409,58 @@ def check_quadratic_relations(alg: AlgebraSpec, seed: int = 42,
     """Quadratic-vs-linear field relations on an associative algebra."""
     if not alg.associative:
         return []
-    ps = phase_tp(alg)
-    pts = ps.sample_points(seed, 5)
+    V = phase_tp(alg).sample_stack(seed, 5)
     out = []
 
-    worst = 0.0
-    for m in pts[:3]:
-        for i in alg.exponents:
-            for lam in (0.0, 2.0, -1.0):
-                closed = field_quadratic(i, lam, m)
-                generic = hamiltonian_field(
-                    pencil_pullback(alg, i, lam), m, which="quadratic"
-                )
-                worst = max(worst, (closed - generic).norm())
+    gap = _pencil_field_defect(alg, "quadratic", V[:3])
     out.append(CheckReport(
         check="field-quadratic-closed-form", anchor="quadratic-field-closed-form",
         algebra=alg.name, params={"seed": seed, "tol": tol},
-        measured=worst, expected=f"< {tol:g}", verdict=worst < tol,
+        measured=gap, expected=f"< {tol:g}", verdict=gap < tol,
     ))
 
-    worst = 0.0
-    for m in pts:
-        for i in alg.exponents:
-            for lam in (0.0, 2.0, -1.0):
-                worst = max(worst, relquad_residual(alg, i, lam, m))
+    residual = worst([relquad_residuals(alg, i, lam, V)
+                      for i in alg.exponents for lam in (0.0, 2.0, -1.0)])
     out.append(CheckReport(
         check="relquad", anchor="quadratic-linear-field-ratio",
         algebra=alg.name,
         params={"seed": seed, "lambdas": [0.0, 2.0, -1.0], "tol": tol},
-        measured=worst, expected=f"< {tol:g}", verdict=worst < tol,
+        measured=residual, expected=f"< {tol:g}", verdict=residual < tol,
         detail="X^Q_{P_i∘φλ} = 2/(λ−1) · X_{P_{i+1}∘φλ}",
     ))
 
-    # coefficient-level relations between the two field families
-    fam = dict(zip(family_labels(alg), family(alg)))
+    # coefficient-level relations between the two field families: every
+    # member's field under both brackets at the first three points at once
+    M = V[:3].reshape(3, 2, alg.dim)
+    G = family_gradient_stack(alg, V[:3]).reshape(3, -1, 2, alg.dim)
+    XQ, XL = quadratic_field(alg, M[:, None], G), linear_field(alg, M[:, None], G)
+    at = {label: k for k, label in enumerate(family_labels(alg))}
 
-    def xfield(j, i, which):
-        return lambda m: hamiltonian_field(fam[(j, i)], m, which=which)
+    def xq(j, i):
+        return XQ[:, at[(j, i)]]
+
+    def xl(j, i):
+        return XL[:, at[(j, i)]]
 
     n = alg.n or alg.matrix_size
-    worst_lines = {1: 0.0, 2: 0.0, 3: 0.0}
-    for m in pts[:3]:
-        for i in range(n - 1):
-            r = (xfield(0, i, "quadratic")(m) - 2.0 * xfield(0, i + 1, "linear")(m)).norm()
-            worst_lines[1] = max(worst_lines[1], r)
-            for j in range(1, i + 2):
-                r = (
-                    xfield(j, i, "quadratic")(m)
-                    + xfield(j - 1, i, "quadratic")(m)
-                    - 2.0 * xfield(j, i + 1, "linear")(m)
-                ).norm()
-                worst_lines[2] = max(worst_lines[2], r)
-            r = (
-                xfield(i + 1, i, "quadratic")(m)
-                - 2.0 * xfield(i + 2, i + 1, "linear")(m)
-            ).norm()
-            worst_lines[3] = max(worst_lines[3], r)
+    gaps = {1: [], 2: [], 3: []}
+    for i in range(n - 1):
+        gaps[1].append(block_norms(xq(0, i) - xl(0, i + 1) * 2.0))
+        for j in range(1, i + 2):
+            gaps[2].append(block_norms(xq(j, i) + xq(j - 1, i) - xl(j, i + 1) * 2.0))
+        gaps[3].append(block_norms(xq(i + 1, i) - xl(i + 2, i + 1) * 2.0))
     lines = {
         1: ("relquadline-1", "X^Q_{F_0i} = 2·X_{F_0,i+1}"),
         2: ("relquadline-2", "X^Q_{F_ji} + X^Q_{F_j-1,i} = 2·X_{F_j,i+1}"),
         3: ("relquadline-3", "X^Q_{F_i+1,i} = 2·X_{F_i+2,i+1}"),
     }
     for k, (check_id, text) in lines.items():
+        residual = worst(gaps[k])
         out.append(CheckReport(
             check=check_id, anchor="family-field-recursion", algebra=alg.name,
             params={"seed": seed, "tol": tol},
-            measured=worst_lines[k], expected=f"< {tol:g}",
-            verdict=worst_lines[k] < tol, detail=text,
+            measured=residual, expected=f"< {tol:g}",
+            verdict=residual < tol, detail=text,
         ))
     return out
 
@@ -494,6 +468,22 @@ def check_quadratic_relations(alg: AlgebraSpec, seed: int = 42,
 # --------------------------------------------------------------------------
 # Toda battery and the "run everything" entry point
 # --------------------------------------------------------------------------
+
+
+def _intersection_population(alg: AlgebraSpec, seed: int) -> np.ndarray:
+    """200 pair rows (200, 2·dim): draw k makes a point of T_T′, of T_P, of the
+    diagonal or of 𝔤×𝔤 as k % 4 = 0, 1, 2, 3.  The draws are one array of 50
+    rows of the four in turn; the points come out grouped by mode."""
+    ps, dps, dim = phase_tp(alg), diag_phase_space(alg), alg.dim
+    widths = np.cumsum([dps.dim, ps.dim, dim, 2 * dim])
+    U = np.split(np.random.default_rng(seed).uniform(-1, 1, (50, int(widths[-1]))),
+                 widths[:-1], axis=1)
+    return np.concatenate([
+        dps.points_from_coords(U[0]),
+        ps.points_from_coords(U[1]),
+        np.concatenate([U[2], U[2]], axis=1),
+        U[3],
+    ])
 
 
 def check_toda_battery(alg: AlgebraSpec, samples: int = 100,
@@ -505,26 +495,13 @@ def check_toda_battery(alg: AlgebraSpec, samples: int = 100,
     out.extend(toda_suite(alg, seed=seed))
 
     # T_T' = T_P ∩ Δ: membership verdicts agree on a mixed random population
-    ps = phase_tp(alg)
-    dps = diag_phase_space(alg)
-    rng = np.random.default_rng(seed)
-    mism = 0
-    for k in range(200):
-        mode = k % 4
-        if mode == 0:
-            p = dps.point_from_coords(rng.uniform(-1, 1, dps.dim))
-        elif mode == 1:
-            p = ps.point_from_coords(rng.uniform(-1, 1, ps.dim))
-        elif mode == 2:
-            x = Element(alg, rng.uniform(-1, 1, alg.dim))
-            p = PairPoint(x, x)
-        else:
-            p = random_pair(alg, rng)
-        in_ttp = dps.membership_residual(p) < 1e-10
-        diagonal = float(np.abs(p.x.coords - p.y.coords).max()) < 1e-10
-        in_tp = ps.membership_residual(p) < 1e-10
-        if in_ttp != (in_tp and diagonal):
-            mism += 1
+    ps, dps = phase_tp(alg), diag_phase_space(alg)
+    P = _intersection_population(alg, seed)
+    dim = alg.dim
+    in_ttp = dps.membership_residuals(P) < 1e-10
+    diagonal = np.abs(P[:, :dim] - P[:, dim:]).max(axis=1) < 1e-10
+    in_tp = ps.membership_residuals(P) < 1e-10
+    mism = int(np.sum(in_ttp != (in_tp & diagonal)))
     out.append(CheckReport(
         check="toda-intersection", anchor="diagonal-space-is-tp-intersection",
         algebra=alg.name, params={"points": 200, "seed": seed},

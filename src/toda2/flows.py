@@ -47,7 +47,9 @@ __all__ = [
     "field_quadratic",
     "field_linear_pencil",
     "lax_field",
+    "lax_rows",
     "lax_point",
+    "field_rows",
     "projected_partner",
     "whole_steps",
     "rk4_states",
@@ -66,8 +68,9 @@ _DEFAULT = RMatrixConfig()
 
 
 def lax_field(partner: Callable) -> Callable[[np.ndarray], np.ndarray]:
-    """V ↦ [Z, V] = ZV − VZ on a (k, n, n) stack, with Z = partner(V) one
-    matrix for every block or a (k, n, n) stack of one matrix per block."""
+    """V ↦ [Z, V] = ZV − VZ on a (…, k, n, n) stack, with Z = partner(V) one
+    matrix for every block ((n, n), or (…, 1, n, n) on a stack of points) or
+    one matrix per block (…, k, n, n)."""
 
     def field(V: np.ndarray) -> np.ndarray:
         Z = partner(V)
@@ -76,17 +79,28 @@ def lax_field(partner: Callable) -> Callable[[np.ndarray], np.ndarray]:
     return field
 
 
+def lax_rows(alg: AlgebraSpec, V: np.ndarray, partner: Callable) -> np.ndarray:
+    """The Lax field at coordinate rows V (…, k·dim): one block (k = 1) on 𝔤,
+    two on 𝔤×𝔤; matrices in, commutator, coordinates out."""
+    return alg.to_coords(lax_field(partner)(alg.to_matrices(V)))
+
+
 def lax_point(m: Point, partner: Callable) -> Point:
     """The Lax field at one point of 𝔤 (one block) or 𝔤×𝔤 (two blocks)."""
-    alg = m.alg
-    dV = lax_field(partner)(alg.to_matrices(m.vec()))
-    return type(m).from_vec(alg, alg.to_coords(dV))
+    return type(m).from_vec(m.alg, lax_rows(m.alg, m.vec(), partner))
 
 
 def projected_partner(alg: AlgebraSpec, block: int, region: str) -> Callable:
-    """Z = Π_region(V[block]), one matrix for the whole stack."""
+    """Z = Π_region(V[block]), one matrix for all blocks of each stack entry."""
     P, n = alg.matrix_projector(region), alg.matrix_size
-    return lambda V: (P @ V[block].reshape(-1)).reshape(n, n)
+
+    def partner(V: np.ndarray) -> np.ndarray:
+        if V.ndim == 3:     # one point, as RK4 steps it: one matrix-vector product
+            return (P @ V[block].reshape(-1)).reshape(n, n)
+        lead = V.shape[:-3]     # a stack: the same product for every entry
+        return (P @ V[..., block, :, :].reshape(*lead, n * n, 1)).reshape(*lead, 1, n, n)
+
+    return partner
 
 
 def _partner(alg: AlgebraSpec, field: str, cfg: RMatrixConfig, i: int = 0,
@@ -97,7 +111,8 @@ def _partner(alg: AlgebraSpec, field: str, cfg: RMatrixConfig, i: int = 0,
     W^{i+1} (quadratic: c = s = 1) or ĝ(W^i) (linear: c = cfg.c, s = ½(λ−1)),
     W = λL − M, less its centre part: kept, that part lets RK4 past a gl(2)
     quadratic blow-up (i = 1, λ = 0) settle on an exactly traceless M, where
-    the field vanishes, instead of ending at a non-finite state."""
+    the field vanishes, instead of ending at a non-finite state.  The t-flow
+    partner on one block is the Toda partner Π₊A."""
     if field == "t":
         return projected_partner(alg, 0, cfg.plus_region)
     if field == "s":
@@ -110,15 +125,26 @@ def _partner(alg: AlgebraSpec, field: str, cfg: RMatrixConfig, i: int = 0,
             )
         power, coords, c, s = i + 1, alg.to_coords, 1.0, 1.0
     else:
-        power, coords, c, s = i, alg.gradient_from_matrix, cfg.c, 0.5 * (lam - 1.0)
+        power, c, s = i, cfg.c, 0.5 * (lam - 1.0)
+
+        def coords(W):
+            return alg.gradient_from_matrix(W)[..., 0, :]
     signs = cfg.signs(alg)
 
     def partner(V: np.ndarray) -> np.ndarray:
-        p = coords(np.linalg.matrix_power(lam * V[0] - V[1], power))
-        Z = alg.strip_centre(np.stack([(signs - c) * p, (signs + c) * p]))
-        return s * alg.to_matrices(Z.reshape(-1))
+        # W keeps a block axis of length one, so each entry is one matrix
+        p = coords(np.linalg.matrix_power(lam * V[..., :1, :, :] - V[..., 1:, :, :], power))
+        Z = alg.strip_centre(np.stack([(signs - c) * p, (signs + c) * p], axis=-2))
+        return s * alg.to_matrices(Z.reshape(*Z.shape[:-2], -1))
 
     return partner
+
+
+def field_rows(alg: AlgebraSpec, field: str, V: np.ndarray, cfg: RMatrixConfig = _DEFAULT,
+               i: int = 0, lam: float = 0.0) -> np.ndarray:
+    """The t-, s-, quadratic or linear pencil field at coordinate rows V (…, 2·dim);
+    the "t" field on rows (…, dim) of 𝔤 is the Toda field [A₊, A]."""
+    return lax_rows(alg, V, _partner(alg, field, cfg, i, lam))
 
 
 def field_t(m: PairPoint, cfg: RMatrixConfig = _DEFAULT) -> PairPoint:

@@ -35,18 +35,22 @@ from .poisson import (
     gradient2,
     numerical_rank,
 )
-from .rmatrix import PairPoint
+from .rmatrix import PairPoint, block_point, point_block
 
 __all__ = [
     "PencilExpansion",
     "RaisData",
     "trace_invariant",
+    "trace_values",
+    "trace_gradients",
+    "pullback_gradients",
     "expand_pencil",
     "require_generator_label",
     "pencil_pullback",
     "family",
     "family_values",
     "family_gradients",
+    "family_gradient_stack",
     "family_labels",
     "rais_vectors",
     "independence_rank",
@@ -91,21 +95,26 @@ def family_values(alg: AlgebraSpec, states: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def family_gradients(alg: AlgebraSpec, m: PairPoint) -> tuple[PairPoint, ...]:
-    """∇F_{j,i}(m) for every member, in `family_labels` order.
+def family_gradient_stack(alg: AlgebraSpec, states: np.ndarray) -> np.ndarray:
+    """∇F_{j,i} at every row of an (N, 2·dim) state stack, as rows vec(∇F_{j,i})
+    in `family_labels` order: shape (N, card, 2·dim).
 
     ∇F_{j,i} = (−1)^{m_i+1−j}(ĝ(V_{j−1}), ĝ(V_j)) with V = (λx − y)^{m_i} and
     V_{−1} = V_{m_i+1} = 0, ĝ read from the cached `trace_projector`.
     """
-    W = _pencil_powers(alg, m.vec()[None], max(alg.exponents))
+    W = _pencil_powers(alg, states, max(alg.exponents))
     zero = np.zeros_like(W[0][0])
     out = []
-    for i in alg.exponents:   # ĝ of V_{−1}, V_0, …, V_{m_i+1}: i + 3 matrices
-        g = alg.gradient_from_matrix(np.concatenate([zero, *W[i], zero]))
-        for j in range(i + 2):
-            sgn = (-1.0) ** (i + 1 - j)
-            out.append(PairPoint(Element(alg, sgn * g[j]), Element(alg, sgn * g[j + 1])))
-    return tuple(out)
+    for i in alg.exponents:   # ĝ of V_{−1}, V_0, …, V_{m_i+1}: i + 3 matrices per state
+        g = alg.gradient_from_matrix(np.stack([zero, *W[i], zero], axis=1))
+        sgn = (-1.0) ** (i + 1 - np.arange(i + 2))
+        out.append(sgn[:, None] * np.concatenate([g[:, :-1], g[:, 1:]], axis=2))
+    return np.concatenate(out, axis=1)
+
+
+def family_gradients(alg: AlgebraSpec, m: PairPoint) -> tuple[PairPoint, ...]:
+    """∇F_{j,i}(m) for every member, in `family_labels` order."""
+    return tuple(PairPoint.from_vec(alg, v) for v in family_gradient_stack(alg, m.vec()[None])[0])
 
 
 # --------------------------------------------------------------------------
@@ -113,21 +122,32 @@ def family_gradients(alg: AlgebraSpec, m: PairPoint) -> tuple[PairPoint, ...]:
 # --------------------------------------------------------------------------
 
 
+def trace_values(alg: AlgebraSpec, X: np.ndarray, i: int) -> np.ndarray:
+    """P_i(x) = Tr(x^{i+1})/(i+1) at every coordinate row of X (…, dim)."""
+    P = np.linalg.matrix_power(alg.to_matrices(X), i + 1)
+    return np.trace(P, axis1=-2, axis2=-1)[..., 0] / (i + 1)
+
+
+def trace_gradients(alg: AlgebraSpec, X: np.ndarray, i: int) -> np.ndarray:
+    """∇P_i(x) = ĝ(x^i) at every coordinate row of X (…, dim), shape (…, dim)."""
+    P = np.linalg.matrix_power(alg.to_matrices(X), i)
+    return alg.gradient_from_matrix(P)[..., 0, :]
+
+
 def trace_invariant(alg: AlgebraSpec, i: int) -> ScalarFunction:
     """P_i(x) = Tr(x^{i+1})/(i+1) on 𝔤, with trace-form gradient ĝ(x^i).
 
     Returned as a ScalarFunction over single Elements (evaluator and gradient
-    both take and return Elements).
+    both take and return Elements), wrapping `trace_values`/`trace_gradients`.
     """
     if i < 0:
         raise ValueError(f"trace_invariant: generator label must be ≥ 0, got {i}")
 
     def evaluate(x: Element) -> float:
-        return float(np.trace(np.linalg.matrix_power(x.matrix(), i + 1))) / (i + 1)
+        return float(trace_values(alg, x.coords, i))
 
     def gradient(x: Element) -> Element:
-        p = np.linalg.matrix_power(x.matrix(), i)
-        return Element(alg, alg.gradient_from_matrix(p))
+        return Element(alg, trace_gradients(alg, x.coords, i))
 
     return ScalarFunction(f"P_{i}", evaluate, gradient)
 
@@ -170,6 +190,12 @@ def expand_pencil(alg: AlgebraSpec, i: int, m: PairPoint) -> PencilExpansion:
     )
 
 
+def pullback_gradients(alg: AlgebraSpec, i: int, lam: float, M: np.ndarray) -> np.ndarray:
+    """∇(P_i∘ψ_λ) = (λ∇P_i(w), ∇P_i(w)), w = λx − y, on pair blocks M (…, 2, dim)."""
+    g = trace_gradients(alg, lam * M[..., 0, :] - M[..., 1, :], i)
+    return np.stack([g * lam, g], axis=-2)
+
+
 def pencil_pullback(alg: AlgebraSpec, i: int, lam: float) -> ScalarFunction:
     """P_i∘ψ_λ as a pair function: m ↦ P_i(λx − y), gradient (λ∇P_i(w), ∇P_i(w)).
 
@@ -181,8 +207,7 @@ def pencil_pullback(alg: AlgebraSpec, i: int, lam: float) -> ScalarFunction:
         return P(lam * m.x - m.y)
 
     def gradient(m: PairPoint) -> PairPoint:
-        g = P.gradient(lam * m.x - m.y)
-        return PairPoint(lam * g, g)
+        return block_point(alg, pullback_gradients(alg, i, lam, point_block(m)))
 
     return ScalarFunction(f"P_{i}∘ψ_{lam:g}", evaluate, gradient)
 
@@ -254,7 +279,9 @@ def rais_vectors(alg: AlgebraSpec) -> RaisData:
 
 def independence_rank(functions: list[ScalarFunction], ps: PhaseSpace,
                       points: list[Point]) -> int:
-    """Max over points of the Jacobian rank of the functions restricted to ps."""
+    """Max over points of the Jacobian rank of the functions restricted to ps:
+    the gradients of arbitrary functions point by point, ranked in one stacked call."""
     if not points:
         raise ValueError("independence_rank needs at least one point")
-    return max(ps.jacobian_rank([gradient2(F, m) for F in functions]) for m in points)
+    G = np.stack([[gradient2(F, m).vec() for F in functions] for m in points])
+    return int(ps.jacobian_ranks(G).max())

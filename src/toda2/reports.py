@@ -10,7 +10,9 @@ import json
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["CheckReport", "emit_report", "all_pass"]
+import numpy as np
+
+__all__ = ["CheckReport", "emit_report", "all_pass", "worst"]
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,6 @@ class CheckReport:
 
 
 def _plain(v):
-    import numpy as np
-
     if isinstance(v, (float, np.floating)):
         return float(v) if math.isfinite(v) else None
     if isinstance(v, (np.integer,)):
@@ -68,6 +68,13 @@ def _short(v) -> str:
     if isinstance(v, float):
         return format(v, ".6g")
     return str(v)
+
+
+def worst(values) -> float:
+    """The largest of `values` (any shape), 0.0 for none: the measured value
+    of a residual check on a sample stack.  A NaN entry is passed over, as a
+    running max(worst, v) from 0 does."""
+    return float(np.fmax.reduce(np.ravel(values), initial=0.0))
 
 
 def all_pass(reports) -> bool:

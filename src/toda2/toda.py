@@ -23,10 +23,10 @@ import math
 import numpy as np
 
 from .algebra import AlgebraSpec, Element
-from .flows import field_t, lax_field, lax_point, projected_partner, rk4_states, whole_steps
-from .invariants import family_labels, family_values, independence_rank, trace_invariant
-from .poisson import PhaseSpace, _bracket_table, hamiltonian_field, linear_function
-from .rmatrix import PairPoint, RMatrixConfig
+from .flows import field_rows, lax_field, lax_point, projected_partner, rk4_states, whole_steps
+from .invariants import family_labels, family_values, trace_gradients, trace_values
+from .poisson import PhaseSpace, bracket_tables, linear_field
+from .rmatrix import PairPoint, RMatrixConfig, _matvec, block_norms
 
 __all__ = [
     "toda_space",
@@ -43,19 +43,26 @@ _DEFAULT = RMatrixConfig()
 
 
 def toda_space(alg: AlgebraSpec) -> PhaseSpace:
-    """The affine space T_T = 𝔤₋₁ ⊕ 𝔤₀ + e inside a single algebra."""
-    tangent = tuple(
-        Element(alg, v)
-        for v in np.eye(alg.dim)[alg.mask(">=-1") & alg.mask("<=0")]
-    )
-    return PhaseSpace("T_T", alg.e, tangent)
+    """The affine space T_T = 𝔤₋₁ ⊕ 𝔤₀ + e inside a single algebra, built once per spec."""
+
+    def build():
+        tangent = tuple(
+            Element(alg, v)
+            for v in np.eye(alg.dim)[alg.mask(">=-1") & alg.mask("<=0")]
+        )
+        return PhaseSpace("T_T", alg.e, tangent)
+
+    return alg.memo("T_T", build)
 
 
 def diag_phase_space(alg: AlgebraSpec) -> PhaseSpace:
-    """T_T′ = Δ(𝔤₋₁⊕𝔤₀) + (e, e), the diagonal image of T_T inside 𝔤×𝔤."""
-    ts = toda_space(alg)
-    tangent = tuple(PairPoint(t, t) for t in ts.tangent)
-    return PhaseSpace("T_T'", PairPoint(alg.e, alg.e), tangent)
+    """T_T′ = Δ(𝔤₋₁⊕𝔤₀) + (e, e), the diagonal image of T_T inside 𝔤×𝔤, built once per spec."""
+
+    def build():
+        tangent = tuple(PairPoint(t, t) for t in toda_space(alg).tangent)
+        return PhaseSpace("T_T'", PairPoint(alg.e, alg.e), tangent)
+
+    return alg.memo("T_T'", build)
 
 
 def embed_phi(ts: PhaseSpace, x: Element, tol: float = 1e-10) -> PairPoint:
@@ -82,7 +89,7 @@ def integrate_toda(x0: Element, dt: float = 1e-3, T: float = 1.0,
 
 
 # --------------------------------------------------------------------------
-# the reduction checks
+# the reduction checks, each on its whole sample stack
 # --------------------------------------------------------------------------
 
 
@@ -96,111 +103,98 @@ def check_poisson_iso(alg: AlgebraSpec, samples: int = 100, seed: int = 42,
     measures exactly the Poisson property.  Both sides are the raw coordinate
     bracket tables, never a Dirac-corrected `poisson_matrix`.
     """
-    from .reports import CheckReport
+    from .reports import CheckReport, worst
 
-    ts = toda_space(alg)
-    dps = diag_phase_space(alg)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        x = ts.point_from_coords(rng.uniform(-1.0, 1.0, ts.dim))
-        p = embed_phi(ts, x)
-        lhs = _bracket_table(p, [xi.gradient(p) for xi in dps.coords], "linear", cfg)
-        rhs = _bracket_table(x, [zeta.gradient(x) for zeta in ts.coords], "linear", cfg)
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    ts, dps = toda_space(alg), diag_phase_space(alg)
+    X = ts.sample_stack(seed, samples)                  # (samples, dim)
+    ts.require_members(X)
+    P = np.stack([X, X], axis=1)                        # φ(x) = (x, x) as pair blocks
+    lhs = bracket_tables(alg, "linear", P, dps.coord_gradients, cfg)
+    rhs = bracket_tables(alg, "linear", X[:, None], ts.coord_gradients, cfg)
+    residual = worst(np.abs(lhs - rhs))
     return CheckReport(
         check="toda-poisson-iso",
         anchor="diagonal-embedding-poisson-iso",
         algebra=alg.name,
         params={"samples": samples, "seed": seed, "tol": 1e-9},
-        measured=worst,
+        measured=residual,
         expected="< 1e-09",
-        verdict=worst < 1e-9,
+        verdict=residual < 1e-9,
     )
 
 
 def check_binomial_identity(alg: AlgebraSpec, samples: int = 20, seed: int = 42):
     """F_{k,i}(φ(x)) = C(m_i+1, k) · P_i(x) on seeded Toda points, to 1e−10."""
-    from .reports import CheckReport
+    from .reports import CheckReport, worst
 
-    xs = toda_space(alg).sample_points(seed, samples)
-    values = family_values(alg, np.stack([PairPoint(x, x).vec() for x in xs]))
-    gens = {i: trace_invariant(alg, i) for i in alg.exponents}
-    worst = 0.0
-    for x, row in zip(xs, values):
-        p = {i: P(x) for i, P in gens.items()}
-        for (k, i), f in zip(family_labels(alg), row):
-            worst = max(worst, abs(f - math.comb(i + 1, k) * p[i]))
+    X = toda_space(alg).sample_stack(seed, samples)
+    values = family_values(alg, np.concatenate([X, X], axis=1))
+    labels = family_labels(alg)
+    P = {i: trace_values(alg, X, i) for i in alg.exponents}
+    want = np.stack([math.comb(i + 1, k) * P[i] for (k, i) in labels], axis=1)
+    residual = worst(np.abs(values - want))
     return CheckReport(
         check="toda-binomial",
         anchor="diagonal-binomial-collapse",
         algebra=alg.name,
         params={"samples": samples, "seed": seed, "tol": 1e-10},
-        measured=worst,
+        measured=residual,
         expected="< 1e-10",
-        verdict=worst < 1e-10,
+        verdict=residual < 1e-10,
     )
 
 
 def toda_suite(alg: AlgebraSpec, seed: int = 42, cfg: RMatrixConfig = _DEFAULT) -> list:
     """The Toda-side verification battery; returns a list of CheckReports."""
-    from .reports import CheckReport
+    from .reports import CheckReport, worst
 
     ts = toda_space(alg)
     reports = []
-    points = ts.sample_points(seed, 20)
+    X = ts.sample_stack(seed, 20)                       # (20, dim) Toda points
 
     # T_T is a Poisson submanifold: every Hamiltonian field is tangent to it;
     # the fields of the basis coordinates x ↦ x_a = ⟨G⁻¹e_a, x⟩ span them all
-    coords = [linear_function(Element.from_covector(alg, e)) for e in np.eye(alg.dim)]
-    worst = max(
-        ts.normal_residual(hamiltonian_field(z, x, cfg=cfg))
-        for x in points[:5]
-        for z in coords
-    )
+    coords = _matvec(alg.gram_inv, np.eye(alg.dim))[:, None]     # gradients G⁻¹e_a
+    fields = linear_field(alg, X[:5, None, None], coords, cfg)
+    residual = worst(ts.normal_residuals(fields[..., 0, :]))
     reports.append(CheckReport(
         check="toda-submanifold",
         anchor="toda-space-poisson-submanifold",
         algebra=alg.name,
         params={"points": 5, "seed": seed, "tol": 1e-9},
-        measured=worst, expected="< 1e-09", verdict=worst < 1e-9,
+        measured=residual, expected="< 1e-09", verdict=residual < 1e-9,
     ))
 
     # the P₁ flow is the Toda equation [A₊, A]
-    p1 = trace_invariant(alg, 1)
-    worst = max(
-        (hamiltonian_field(p1, x, cfg=cfg) - field_toda(x, cfg)).norm()
-        for x in points
-    )
+    toda = field_rows(alg, "t", X, cfg)
+    x_p1 = linear_field(alg, X[:, None], trace_gradients(alg, X, 1)[:, None], cfg)
+    residual = worst(block_norms(x_p1 - toda[:, None]))
     reports.append(CheckReport(
         check="toda-lax-form",
         anchor="toda-flow-is-lax-bracket",
         algebra=alg.name,
-        params={"points": len(points), "seed": seed, "tol": 1e-9},
-        measured=worst, expected="< 1e-09", verdict=worst < 1e-9,
+        params={"points": len(X), "seed": seed, "tol": 1e-9},
+        measured=residual, expected="< 1e-09", verdict=residual < 1e-9,
     ))
 
     # involutivity of the P_i on (𝔤, R-bracket)
-    gens = [trace_invariant(alg, i) for i in alg.exponents]
-    worst = max(
-        float(np.abs(_bracket_table(x, [P.gradient(x) for P in gens], "linear", cfg)).max())
-        for x in points
-    )
+    grads = np.stack([trace_gradients(alg, X, i) for i in alg.exponents], axis=1)
+    residual = worst(np.abs(bracket_tables(alg, "linear", X[:, None], grads, cfg)))
     reports.append(CheckReport(
         check="toda-involutivity",
         anchor="toda-invariants-involutive",
         algebra=alg.name,
-        params={"points": len(points), "seed": seed, "tol": 1e-9},
-        measured=worst, expected="< 1e-09", verdict=worst < 1e-9,
+        params={"points": len(X), "seed": seed, "tol": 1e-9},
+        measured=residual, expected="< 1e-09", verdict=residual < 1e-9,
     ))
 
     # independence of the P_i on T_T
-    best = independence_rank(gens, ts, points)
+    best = int(ts.jacobian_ranks(grads).max())
     reports.append(CheckReport(
         check="toda-independence",
         anchor="toda-invariants-independent",
         algebra=alg.name,
-        params={"points": len(points), "seed": seed},
+        params={"points": len(X), "seed": seed},
         measured=best, expected=alg.rank, verdict=best == alg.rank,
     ))
 
@@ -209,31 +203,27 @@ def toda_suite(alg: AlgebraSpec, seed: int = 42, cfg: RMatrixConfig = _DEFAULT) 
         np.random.default_rng(seed).uniform(-1.0, 1.0, ts.dim)
     )
     _, states = integrate_toda(x0, dt=1e-3, T=1.0, cfg=cfg)
-    X = alg.to_matrices(states)[:, 0]
-    worst = 0.0
-    for i in alg.exponents:   # P_i = Tr(x^{i+1})/(i+1) on the whole stack
-        vals = np.trace(np.linalg.matrix_power(X, i + 1), axis1=1, axis2=2) / (i + 1)
-        worst = max(worst, float(np.abs(vals - vals[0]).max() / (1.0 + abs(vals[0]))))
+    drift = 0.0
+    for i in alg.exponents:   # P_i on the whole stack
+        vals = trace_values(alg, states, i)
+        drift = max(drift, float(np.abs(vals - vals[0]).max() / (1.0 + abs(vals[0]))))
     reports.append(CheckReport(
         check="toda-conservation",
         anchor="toda-flow-conserves-invariants",
         algebra=alg.name,
         params={"dt": 1e-3, "T": 1.0, "seed": seed, "tol": 1e-6},
-        measured=worst, expected="< 1e-06", verdict=worst < 1e-6,
+        measured=drift, expected="< 1e-06", verdict=drift < 1e-6,
     ))
 
     # the diagonal is t-flow invariant and the pushforward matches field_t
-    worst = 0.0
-    for x in points:
-        ft = field_t(PairPoint(x, x), cfg)
-        xt = field_toda(x, cfg)
-        worst = max(worst, (ft - PairPoint(xt, xt)).norm())
+    ft = field_rows(alg, "t", np.concatenate([X, X], axis=1), cfg)
+    residual = worst(np.abs(ft - np.concatenate([toda, toda], axis=1)).max(axis=1))
     reports.append(CheckReport(
         check="toda-diagonal-consistency",
         anchor="t-flow-restricts-to-toda-flow",
         algebra=alg.name,
-        params={"points": len(points), "seed": seed, "tol": 1e-10},
-        measured=worst, expected="< 1e-10", verdict=worst < 1e-10,
+        params={"points": len(X), "seed": seed, "tol": 1e-10},
+        measured=residual, expected="< 1e-10", verdict=residual < 1e-10,
     ))
 
     return reports

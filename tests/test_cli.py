@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from toda2 import checks, cli, load_spec, save_spec, spec_to_document
+from toda2 import build_sl, checks, cli, emit_report, load_spec, run_battery, save_spec, spec_to_document
 from toda2.checks import BATTERY_NAMES
 from toda2.cli import main, resolve_algebra
 
@@ -139,6 +139,18 @@ def test_check_json_output_is_deterministic(capsys):
     assert first == second
     doc = json.loads(first)
     assert doc["all_pass"] is True
+
+
+def test_check_all_json_is_byte_identical_with_warm_caches(capsys):
+    # the phase spaces are cached per spec: a second run on the same spec reads
+    # them warm, a freshly built spec and the CLI (which builds its own) cold
+    alg = build_sl(3)
+    first = emit_report(run_battery("all", alg, samples=5), fmt="json")
+    warm = emit_report(run_battery("all", alg, samples=5), fmt="json")
+    fresh = emit_report(run_battery("all", build_sl(3), samples=5), fmt="json")
+    assert main(["check", "all", "--format", "json", "--samples", "5", "--algebra", "sl3"]) == 0
+    assert first == warm == fresh
+    assert capsys.readouterr().out == first + "\n"
 
 
 def test_check_out_file(tmp_path, capsys):

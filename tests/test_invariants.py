@@ -193,20 +193,22 @@ def test_constant_adds_no_rank(sl3):
     assert independence_rank(padded, ps, pts) == base
 
 
-def test_independence_battery_reads_the_family_once_per_point(sl3, monkeypatch):
-    # one family_gradients pass per point, ranked in one product with the
-    # tangent matrix; the same rank as the member-by-member Jacobian
+def test_independence_battery_reads_the_family_once_per_stack(sl3, monkeypatch):
+    # one family_gradient_stack pass at (e, h) and one on the whole sweep stack,
+    # ranked in one stacked product with the tangent matrix; the same rank as
+    # the member-by-member Jacobian
     from toda2 import checks
+    from toda2.invariants import family_gradient_stack
 
     calls = []
 
-    def counted(alg, m):
-        calls.append(m)
-        return family_gradients(alg, m)
+    def counted(alg, states):
+        calls.append(len(states))
+        return family_gradient_stack(alg, states)
 
-    monkeypatch.setattr(checks, "family_gradients", counted)
+    monkeypatch.setattr(checks, "family_gradient_stack", counted)
     at_eh, sweep = checks.check_independence_battery(sl3, points=4, seed=7)
-    assert len(calls) == 1 + 4
+    assert calls == [1, 4]
     ps, pts = phase_tp(sl3), phase_tp(sl3).sample_points(7, 4)
     assert sweep.measured == independence_rank(family(sl3), ps, pts) == 7
     eh = PairPoint(sl3.e, sl3.h)

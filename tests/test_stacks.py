@@ -1,0 +1,335 @@
+"""Batteries on point stacks against their per-point loops.
+
+Every battery draws its samples as one array and evaluates them as one stack.
+Each test below keeps the per-point loop the battery replaced, written with
+the Point API (one Element or PairPoint at a time, draws interleaved as the
+loop makes them), as the reference.  The block fields give a stack the bits of
+its points one at a time, so the measured values must agree bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from toda2 import (
+    Element,
+    PairPoint,
+    RMatrixConfig,
+    ScalarFunction,
+    bracket,
+    field_s,
+    field_t,
+    field_toda,
+    form,
+    form2,
+    hamiltonian_field,
+    linear_bracket,
+    pencil_pullback,
+    phase_tp,
+    poisson_matrix,
+    quadratic_bracket,
+    rank_at,
+    r_bracket,
+    trace_invariant,
+)
+from toda2 import checks, poisson, toda
+from toda2.flows import field_linear_pencil, field_quadratic
+from toda2.invariants import family, family_gradient_stack, family_gradients, family_labels
+from toda2.poisson import _bracket_table, _inner_bracket_gradient, bracket_of, linear_function
+from toda2.rmatrix import random_element, random_pair
+
+ALGEBRAS = ["sl3", "gl3", "so5"]
+
+
+@pytest.fixture(params=ALGEBRAS)
+def alg(request):
+    return request.getfixturevalue(request.param)
+
+
+def measured(reports, check):
+    return next(r.measured for r in reports if r.check == check)
+
+
+def same(a, b):
+    """Bit-for-bit equality of two measured values."""
+    return np.array_equal(np.asarray(a), np.asarray(b))
+
+
+# ---------------------------------------------------------------------------
+# draws
+# ---------------------------------------------------------------------------
+
+
+def test_one_array_draw_equals_interleaved_draws():
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    stacked = a.uniform(-1.0, 1.0, (7, 3))
+    assert np.array_equal(stacked, [b.uniform(-1.0, 1.0, 3) for _ in range(7)])
+
+
+def test_psi1_draws_are_the_interleaved_draws(alg):
+    # every fifth sample draws four unit vectors instead of two covectors
+    M, gf, gg = poisson._psi1_samples(alg, seed=42, samples=23)
+    rng, gi = np.random.default_rng(42), alg.gram_inv
+    for k in range(23):
+        m = PairPoint(Element(alg, rng.uniform(-1, 1, alg.dim)),
+                      Element(alg, rng.uniform(-1, 1, alg.dim)))
+        w = m.x - m.y
+        if k % 5 == 4:
+            def unit():
+                v = rng.uniform(-1, 1, alg.dim)
+                return Element(alg, v / np.linalg.norm(v))
+            a, b, c, d = unit(), unit(), unit(), unit()
+            f = form(b, w) * a + form(a, w) * b
+            g = form(d, w) * c + form(c, w) * d
+        else:
+            f = Element(alg, gi @ rng.uniform(-1, 1, alg.dim))
+            g = Element(alg, gi @ rng.uniform(-1, 1, alg.dim))
+        assert np.array_equal(M[k].ravel(), m.vec())
+        assert np.array_equal(gf[k], f.coords) and np.array_equal(gg[k], g.coords)
+
+
+def test_intersection_population_is_the_interleaved_draws(alg):
+    # 200 draws cycling through four modes of different widths, grouped by mode
+    ps, dps = phase_tp(alg), toda.diag_phase_space(alg)
+    rng = np.random.default_rng(42)
+    points = []
+    for k in range(200):
+        mode = k % 4
+        if mode == 0:
+            p = dps.point_from_coords(rng.uniform(-1, 1, dps.dim))
+        elif mode == 1:
+            p = ps.point_from_coords(rng.uniform(-1, 1, ps.dim))
+        elif mode == 2:
+            x = Element(alg, rng.uniform(-1, 1, alg.dim))
+            p = PairPoint(x, x)
+        else:
+            p = random_pair(alg, rng)
+        points.append(p.vec())
+    by_mode = np.concatenate([points[mode::4] for mode in range(4)])
+    assert np.array_equal(checks._intersection_population(alg, 42), by_mode)
+
+
+# ---------------------------------------------------------------------------
+# poisson.py: bracket tables, Poisson matrices, rank sweep, ψ₁
+# ---------------------------------------------------------------------------
+
+
+def test_poisson_matrices_match_the_point_loop(alg):
+    ps = phase_tp(alg)
+    kinds = ("linear", "quadratic") if alg.associative else ("linear",)
+    for which in kinds:
+        M, corrected, defect = poisson.poisson_matrices(ps, ps.sample_stack(3, 6), which)
+        for k, m in enumerate(ps.sample_points(3, 6)):
+            pm = poisson_matrix(ps, m, which)
+            assert np.array_equal(M[k], pm.matrix)
+            assert corrected[k] == pm.corrected and defect[k] == pm.invariance_defect
+        sweep = poisson.rank_sweep_evidence(ps, which, seed=3, points=6)
+        assert sweep.rank == max(rank_at(ps, m, which) for m in ps.sample_points(3, 6))
+        assert sweep.corrected == int(corrected.sum())
+        assert sweep.invariance_defect == defect.max()
+
+
+def test_rank_evidence_is_in_the_rank_reports(gl3, sl3):
+    # gl3's quadratic bracket moves T_P (every point corrected); sl3's linear one does not
+    quad = next(r for r in checks.check_rank_battery(gl3) if r.check == "rank-quadratic")
+    lin = next(r for r in checks.check_rank_battery(sl3) if r.check == "rank-linear")
+    assert "Dirac-corrected points 25/25" in quad.detail
+    assert "Dirac-corrected points 0/25" in lin.detail
+    for r in (quad, lin):
+        gap = float(r.detail.split("sv gap min ")[1].split(",")[0])
+        assert gap > 1e6       # the rank decision has a wide margin
+        assert "invariance defect max " in r.detail
+
+
+def test_morphism_psi1_matches_the_point_loop(alg):
+    cfg = RMatrixConfig()
+    M, gf, gg = poisson._psi1_samples(alg, seed=42, samples=100)
+    worst = 0.0
+    for m_blk, f, g in zip(M, gf, gg):
+        m = PairPoint(Element(alg, m_blk[0]), Element(alg, m_blk[1]))
+        f, g = Element(alg, f), Element(alg, g)
+        lhs = form2(PairPoint(f, f), bracket_of("linear", m)(m, PairPoint(g, g), cfg))
+        rhs = form(m.x - m.y, bracket(f, g))
+        worst = max(worst, abs(lhs - rhs))
+    assert same(poisson.check_morphism_psi1(alg).measured, worst)
+
+
+# ---------------------------------------------------------------------------
+# checks.py batteries
+# ---------------------------------------------------------------------------
+
+
+def test_casimir_battery_matches_the_point_loop(alg):
+    rng = np.random.default_rng(42)
+    pts = [random_pair(alg, rng) for _ in range(20)]
+    reports = checks.check_casimir_battery(alg)
+    for i in alg.exponents:
+        C = pencil_pullback(alg, i, 1.0)
+        worst = max(hamiltonian_field(C, m).norm() for m in pts)
+        assert same(measured(reports, f"casimir-P{i}"), worst)
+
+
+def test_jacobi_battery_matches_the_point_loop(alg):
+    rng = np.random.default_rng(42)
+    reports = checks.check_jacobi_battery(alg)
+    for name, draw in (("r", random_element), ("rr", random_pair)):
+        worst = 0.0
+        for _ in range(20):
+            x, y, z = (draw(alg, rng) for _ in range(3))
+            cyc = (r_bracket(r_bracket(x, y), z) + r_bracket(r_bracket(y, z), x)
+                   + r_bracket(r_bracket(z, x), y))
+            worst = max(worst, cyc.norm())
+        assert same(measured(reports, f"jacobi-{name}-bracket"), worst)
+    for which in ("linear", "quadratic") if alg.associative else ("linear",):
+        val = linear_bracket if which == "linear" else quadratic_bracket
+        worst = 0.0
+        for _ in range(20):
+            m = random_pair(alg, rng)
+            F, G, H = (linear_function(random_pair(alg, rng), nm) for nm in "FGH")
+
+            def pb(A, B):
+                return ScalarFunction(
+                    "pb", lambda mm: val(A, B, mm),
+                    lambda mm: _inner_bracket_gradient(which, mm, A.gradient(mm), B.gradient(mm)))
+            worst = max(worst, abs(val(F, pb(G, H), m) + val(G, pb(H, F), m) + val(H, pb(F, G), m)))
+        assert same(measured(reports, f"jacobi-{which}-bracket"), worst)
+
+
+def test_involutivity_battery_matches_the_point_loop(alg):
+    ps = phase_tp(alg)
+    reports = checks.check_involutivity_battery(alg)
+    for which in ("linear", "quadratic") if alg.associative else ("linear",):
+        worst = max(float(np.abs(_bracket_table(m, family_gradients(alg, m), which)).max())
+                    for m in ps.sample_points(42, 20))
+        assert same(measured(reports, f"involutivity-{which}"), worst)
+    rng, worst = np.random.default_rng(42), 0.0
+    for _ in range(5):
+        m = random_pair(alg, rng)
+        grads = [pencil_pullback(alg, i, lam).gradient(m)
+                 for i in alg.exponents for lam in (0.0, 0.5, 1.0, 2.0, -1.0)]
+        worst = max(worst, float(np.abs(_bracket_table(m, grads, "linear")).max()))
+    assert same(measured(reports, "involutivity-pencil"), worst)
+
+
+def test_family_gradient_stack_matches_the_point_loop(alg):
+    ps = phase_tp(alg)
+    G = family_gradient_stack(alg, ps.sample_stack(8, 4))
+    for k, m in enumerate(ps.sample_points(8, 4)):
+        assert np.array_equal(G[k], [g.vec() for g in family_gradients(alg, m)])
+
+
+def test_independence_battery_matches_the_point_loop(alg):
+    ps = phase_tp(alg)
+    at_eh, sweep = checks.check_independence_battery(alg)
+    assert at_eh.measured == ps.jacobian_rank(family_gradients(alg, PairPoint(alg.e, alg.h)))
+    assert sweep.measured == max(ps.jacobian_rank(family_gradients(alg, m))
+                                 for m in ps.sample_points(42, 20))
+
+
+def test_field_identities_match_the_point_loop(alg):
+    pts = phase_tp(alg).sample_points(42, 5)
+    reports = checks.check_field_identities(alg)
+    H = ScalarFunction("H", lambda m: 0.0, lambda m: PairPoint(m.x, alg.zero()))
+    Ht = ScalarFunction("H~", lambda m: 0.0, lambda m: PairPoint(alg.zero(), -m.y))
+    assert same(measured(reports, "field-t-hamiltonian"),
+                max((hamiltonian_field(H, m) - field_t(m)).norm() for m in pts))
+    assert same(measured(reports, "field-s-hamiltonian"),
+                max((hamiltonian_field(Ht, m) + field_s(m)).norm() for m in pts))
+    worst = max(
+        (field_linear_pencil(i, lam, m) - hamiltonian_field(pencil_pullback(alg, i, lam), m)).norm()
+        for m in pts[:3] for i in alg.exponents for lam in (0.0, 2.0, -1.0))
+    assert same(measured(reports, "field-pencil-closed-form"), worst)
+
+
+def test_quadratic_relations_match_the_point_loop(gl3):
+    alg = gl3
+    pts = phase_tp(alg).sample_points(42, 5)
+    reports = checks.check_quadratic_relations(alg)
+    lams = (0.0, 2.0, -1.0)
+    worst = max(
+        (field_quadratic(i, lam, m)
+         - hamiltonian_field(pencil_pullback(alg, i, lam), m, which="quadratic")).norm()
+        for m in pts[:3] for i in alg.exponents for lam in lams)
+    assert same(measured(reports, "field-quadratic-closed-form"), worst)
+    worst = max((field_quadratic(i, lam, m) - (2.0 / (lam - 1.0)) * field_linear_pencil(i + 1, lam, m)).norm()
+                for m in pts for i in alg.exponents for lam in lams)
+    assert same(measured(reports, "relquad"), worst)
+    fam = dict(zip(family_labels(alg), family(alg)))
+
+    def x(j, i, which, m):
+        return hamiltonian_field(fam[(j, i)], m, which=which)
+
+    lines = {1: 0.0, 2: 0.0, 3: 0.0}
+    for m in pts[:3]:
+        for i in range(alg.n - 1):
+            lines[1] = max(lines[1], (x(0, i, "quadratic", m) - 2.0 * x(0, i + 1, "linear", m)).norm())
+            for j in range(1, i + 2):
+                r = x(j, i, "quadratic", m) + x(j - 1, i, "quadratic", m) - 2.0 * x(j, i + 1, "linear", m)
+                lines[2] = max(lines[2], r.norm())
+            r = x(i + 1, i, "quadratic", m) - 2.0 * x(i + 2, i + 1, "linear", m)
+            lines[3] = max(lines[3], r.norm())
+    for k, value in lines.items():
+        assert same(measured(reports, f"relquadline-{k}"), value)
+
+
+# ---------------------------------------------------------------------------
+# toda.py batteries
+# ---------------------------------------------------------------------------
+
+
+def test_poisson_iso_matches_the_point_loop(alg):
+    ts, dps = toda.toda_space(alg), toda.diag_phase_space(alg)
+    rng, worst = np.random.default_rng(42), 0.0
+    for _ in range(100):
+        x = ts.point_from_coords(rng.uniform(-1.0, 1.0, ts.dim))
+        p = toda.embed_phi(ts, x)
+        lhs = _bracket_table(p, [xi.gradient(p) for xi in dps.coords], "linear")
+        rhs = _bracket_table(x, [z.gradient(x) for z in ts.coords], "linear")
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    assert same(toda.check_poisson_iso(alg).measured, worst)
+
+
+def test_binomial_identity_matches_the_point_loop(alg):
+    xs = toda.toda_space(alg).sample_points(42, 20)
+    worst = 0.0
+    for x in xs:
+        values = family(alg)
+        for (k, i), F in zip(family_labels(alg), values):
+            worst = max(worst, abs(F(PairPoint(x, x)) - math.comb(i + 1, k) * trace_invariant(alg, i)(x)))
+    assert same(toda.check_binomial_identity(alg).measured, worst)
+
+
+def test_toda_suite_matches_the_point_loop(alg):
+    ts = toda.toda_space(alg)
+    points = ts.sample_points(42, 20)
+    reports = toda.toda_suite(alg)
+    coords = [linear_function(Element.from_covector(alg, e)) for e in np.eye(alg.dim)]
+    assert same(measured(reports, "toda-submanifold"),
+                max(ts.normal_residual(hamiltonian_field(z, x)) for x in points[:5] for z in coords))
+    p1 = trace_invariant(alg, 1)
+    assert same(measured(reports, "toda-lax-form"),
+                max((hamiltonian_field(p1, x) - field_toda(x)).norm() for x in points))
+    gens = [trace_invariant(alg, i) for i in alg.exponents]
+    assert same(measured(reports, "toda-involutivity"), max(
+        float(np.abs(_bracket_table(x, [P.gradient(x) for P in gens], "linear")).max())
+        for x in points))
+    assert measured(reports, "toda-independence") == max(
+        ts.jacobian_rank([P.gradient(x) for P in gens]) for x in points)
+    worst = max((field_t(PairPoint(x, x)) - PairPoint(field_toda(x), field_toda(x))).norm()
+                for x in points)
+    assert same(measured(reports, "toda-diagonal-consistency"), worst)
+
+
+def test_phase_spaces_are_built_once_per_spec_and_read_only(sl3, gl3):
+    for alg in (sl3, gl3):
+        for build in (phase_tp, toda.toda_space, toda.diag_phase_space):
+            ps = build(alg)
+            assert build(alg) is ps
+            for name in ("tangent_matrix", "_pinv", "duals", "coord_gradients",
+                         "normal_gradients"):
+                A = getattr(ps, name)
+                assert getattr(ps, name) is A and not A.flags.writeable
+                with pytest.raises(ValueError):
+                    A[0, 0] = 1.0
+    assert phase_tp(sl3) is not phase_tp(gl3)

@@ -21,7 +21,7 @@ def survey(alg):
     rows = []
     kinds = ("linear", "quadratic") if alg.associative else ("linear",)
     for which in kinds:
-        r = rank_sweep(ps, which, points=15)
+        r = rank_sweep(ps, which, points=15).rank
         ident = "ok" if card == ps.dim - r // 2 else "VIOLATED"
         rows.append((alg.name, which, alg.dim, ps.dim, r, expected_rank(alg), card, ident))
     return rows

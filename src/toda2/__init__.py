@@ -29,10 +29,6 @@ from .rmatrix import (
     check_mcybe,
     decompose_pair,
     form2,
-    pair_bracket,
-    r_apply,
-    rr_apply,
-    r_bracket,
 )
 from .poisson import (
     CapabilityError,
@@ -40,37 +36,22 @@ from .poisson import (
     PreconditionError,
     ScalarFunction,
     gradient2,
-    hamiltonian_field,
-    linear_bracket,
-    phase_full,
     phase_tp,
     poisson_matrix,
     psi1,
-    quadratic_bracket,
-    rank_at,
     rank_sweep,
     check_morphism_psi1,
 )
 from .invariants import (
-    PencilExpansion,
     RaisData,
-    expand_pencil,
     family,
-    family_gradients,
     family_labels,
     family_values,
-    independence_rank,
-    pencil_pullback,
     rais_vectors,
-    trace_invariant,
 )
 from .flows import (
     FlowConfig,
     Trajectory,
-    field_linear_pencil,
-    field_quadratic,
-    field_s,
-    field_t,
     flow_commutation,
     integrate,
     pencil_eigenvalue_drift,
@@ -79,14 +60,12 @@ from .flows import (
 from .toda import (
     check_binomial_identity,
     check_poisson_iso,
-    embed_phi,
-    field_toda,
     integrate_toda,
     toda_space,
     toda_suite,
 )
 from .reports import CheckReport, all_pass, emit_report
-from .checks import BATTERY_NAMES, cartan_block, expected_rank, run_battery
+from .checks import BATTERY_NAMES, expected_rank, run_battery
 
 __version__ = "0.1.0"
 
@@ -111,50 +90,29 @@ __all__ = [
     "check_mcybe",
     "decompose_pair",
     "form2",
-    "pair_bracket",
-    "r_apply",
-    "rr_apply",
-    "r_bracket",
     "CapabilityError",
     "PhaseSpace",
     "PreconditionError",
     "ScalarFunction",
     "gradient2",
-    "hamiltonian_field",
-    "linear_bracket",
-    "phase_full",
     "phase_tp",
     "poisson_matrix",
     "psi1",
-    "quadratic_bracket",
-    "rank_at",
     "rank_sweep",
     "check_morphism_psi1",
-    "PencilExpansion",
     "RaisData",
-    "expand_pencil",
     "family",
-    "family_gradients",
     "family_labels",
     "family_values",
-    "independence_rank",
-    "pencil_pullback",
     "rais_vectors",
-    "trace_invariant",
     "FlowConfig",
     "Trajectory",
-    "field_linear_pencil",
-    "field_quadratic",
-    "field_s",
-    "field_t",
     "flow_commutation",
     "integrate",
     "pencil_eigenvalue_drift",
     "trajectory_to_csv",
     "check_binomial_identity",
     "check_poisson_iso",
-    "embed_phi",
-    "field_toda",
     "integrate_toda",
     "toda_space",
     "toda_suite",
@@ -162,7 +120,6 @@ __all__ = [
     "all_pass",
     "emit_report",
     "BATTERY_NAMES",
-    "cartan_block",
     "expected_rank",
     "run_battery",
 ]

@@ -17,14 +17,13 @@ from .invariants import (
 )
 from .poisson import (
     PreconditionError,
-    _bracket_table,
     bracket_tables,
     check_morphism_psi1,
     inner_bracket_gradients,
     linear_field,
     phase_tp,
     quadratic_field,
-    rank_sweep_evidence,
+    rank_sweep,
 )
 from .rmatrix import (
     PairPoint,
@@ -32,6 +31,7 @@ from .rmatrix import (
     block_norms,
     check_mcybe,
     form_blocks,
+    point_block,
     r_bracket_blocks,
 )
 from .reports import CheckReport, worst
@@ -261,8 +261,7 @@ def _simple_system(alg: AlgebraSpec) -> tuple[list, list, list, np.ndarray, str]
         f"{np.round(A).astype(int).tolist()}, neither cartan nor its transpose")
 
 
-def _cartan_block(alg: AlgebraSpec,
-                  cfg: RMatrixConfig = _DEFAULT) -> tuple[np.ndarray, np.ndarray, str]:
+def _cartan_block(alg: AlgebraSpec) -> tuple[np.ndarray, np.ndarray, str]:
     """The measured block, the Cartan block C it should equal, and C's note.
 
     Coordinates are ψ₁-pullbacks z_j = ⟨h_j, x−y⟩ over the simple coroots and
@@ -273,14 +272,9 @@ def _cartan_block(alg: AlgebraSpec,
     es, fs, hs, C, note = _simple_system(alg)
     w = np.linalg.solve(np.array([[form(a, b) for b in hs] for a in hs]), np.ones(len(hs)))
     u = sum((wk * h for wk, h in zip(w, hs)), sum(es, alg.zero()))
-    m = PairPoint(u, alg.zero())
-    M = _bracket_table(m, [PairPoint(a, a) for a in hs + fs], "linear", cfg)
-    return M, C, note
-
-
-def cartan_block(alg: AlgebraSpec, cfg: RMatrixConfig = _DEFAULT) -> np.ndarray:
-    """The 𝔤₀⊕𝔤₁-factor Poisson block [[0, −Cᵀ], [C, 0]] at unit coordinates."""
-    return _cartan_block(alg, cfg)[0]
+    m = point_block(PairPoint(u, alg.zero()))
+    A = np.stack([PairPoint(a, a).vec() for a in hs + fs])
+    return bracket_tables(alg, "linear", m, A), C, note
 
 
 def check_rank_battery(alg: AlgebraSpec, seed: int = 42,
@@ -291,7 +285,7 @@ def check_rank_battery(alg: AlgebraSpec, seed: int = 42,
     out = []
     kinds = ("linear", "quadratic") if alg.associative else ("linear",)
     for which in kinds:
-        sweep = rank_sweep_evidence(ps, which, seed=seed, points=points)
+        sweep = rank_sweep(ps, which, seed=seed, points=points)
         got = sweep.rank
         out.append(CheckReport(
             check=f"rank-{which}", anchor="restricted-poisson-rank",

@@ -48,6 +48,9 @@ _BUILTIN = re.compile(r"^(sl|gl)([1-9]\d*)$")
 # at sl20) and validate_spec's Jacobi check takes dim⁵ time (~40 min at sl20,
 # extrapolated from sl9)
 BUILTIN_ORDERS = range(2, 10)
+# every battery draws its samples as one array: involutivity on gl9 takes
+# ~0.26 MB per sample, so a run at this bound stays near 0.3 GB
+MAX_SAMPLES = 1000
 
 
 def resolve_algebra(token: str) -> AlgebraSpec:
@@ -181,6 +184,14 @@ def _count(text: str) -> int:
     return value
 
 
+def _samples(text: str) -> int:
+    """An argparse type: a sample count from 1 to MAX_SAMPLES."""
+    value = _count(text)
+    if value > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_SAMPLES}, got {value}")
+    return value
+
+
 def _tolerance(text: str) -> float:
     """An argparse type: a finite tolerance > 0 (nan, inf and ≤ 0 would make
     every verdict false, or every verdict true)."""
@@ -222,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("name", choices=sorted(BATTERY_NAMES) + ["all"])
     c.add_argument("--algebra", action="append", default=None,
                    help="builtin name or spec path; repeatable (default sl2)")
-    c.add_argument("--samples", type=_count, default=20)
+    c.add_argument("--samples", type=_samples, default=20)
     _add_report_flags(c, tol=None)
     c.set_defaults(fn=_cmd_check)
 

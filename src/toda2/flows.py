@@ -22,9 +22,9 @@ stack (`lax_field`); only its partner Z = Z(V) differs:
     quadratic   Z = (−2Π₋W, 2Π₊W),               W = (λL − M)^{i+1}
     linear      Z = ½(λ−1)(RP − cP, RP + cP),    P = ĝ((λL − M)^i)
 
-with R = Π₊ − Π₋ and ĝ the trace-form projection onto 𝔤.  The Point fields
-(`field_t`, `field_s`, `field_quadratic`, `field_linear_pencil`,
-`toda.field_toda`) evaluate the same commutator on one point (`lax_point`).
+with R = Π₊ − Π₋ and ĝ the trace-form projection onto 𝔤.  `field_rows`
+evaluates the same commutator at a stack of coordinate rows; one point is a
+one-row stack.
 """
 from __future__ import annotations
 
@@ -36,19 +36,14 @@ import numpy as np
 
 from .algebra import AlgebraSpec
 from .invariants import family, family_values, require_generator_label
-from .poisson import CapabilityError, PhaseSpace, Point, PreconditionError, ScalarFunction
+from .poisson import CapabilityError, PhaseSpace, PreconditionError, ScalarFunction
 from .rmatrix import PairPoint, RMatrixConfig
 
 __all__ = [
     "FlowConfig",
     "Trajectory",
-    "field_t",
-    "field_s",
-    "field_quadratic",
-    "field_linear_pencil",
     "lax_field",
     "lax_rows",
-    "lax_point",
     "field_rows",
     "projected_partner",
     "whole_steps",
@@ -83,11 +78,6 @@ def lax_rows(alg: AlgebraSpec, V: np.ndarray, partner: Callable) -> np.ndarray:
     """The Lax field at coordinate rows V (…, k·dim): one block (k = 1) on 𝔤,
     two on 𝔤×𝔤; matrices in, commutator, coordinates out."""
     return alg.to_coords(lax_field(partner)(alg.to_matrices(V)))
-
-
-def lax_point(m: Point, partner: Callable) -> Point:
-    """The Lax field at one point of 𝔤 (one block) or 𝔤×𝔤 (two blocks)."""
-    return type(m).from_vec(m.alg, lax_rows(m.alg, m.vec(), partner))
 
 
 def projected_partner(alg: AlgebraSpec, block: int, region: str) -> Callable:
@@ -145,37 +135,6 @@ def field_rows(alg: AlgebraSpec, field: str, V: np.ndarray, cfg: RMatrixConfig =
     """The t-, s-, quadratic or linear pencil field at coordinate rows V (…, 2·dim);
     the "t" field on rows (…, dim) of 𝔤 is the Toda field [A₊, A]."""
     return lax_rows(alg, V, _partner(alg, field, cfg, i, lam))
-
-
-def field_t(m: PairPoint, cfg: RMatrixConfig = _DEFAULT) -> PairPoint:
-    """[(L₊, L₊), (L, M)] — the t-flow direction."""
-    return lax_point(m, _partner(m.alg, "t", cfg))
-
-
-def field_s(m: PairPoint, cfg: RMatrixConfig = _DEFAULT) -> PairPoint:
-    """[(M₋, M₋), (L, M)] — the s-flow direction."""
-    return lax_point(m, _partner(m.alg, "s", cfg))
-
-
-def field_quadratic(i: int, lam: float, m: PairPoint,
-                    cfg: RMatrixConfig = _DEFAULT) -> PairPoint:
-    """Quadratic-bracket field of P_i∘φ_λ (closed form, associative algebras):
-
-        X = −[(x, y), ((R−I)(λx−y)^{i+1}, (R+I)(λx−y)^{i+1})].
-    """
-    return lax_point(m, _partner(m.alg, "quadratic", cfg, i, lam))
-
-
-def field_linear_pencil(i: int, lam: float, m: PairPoint,
-                        cfg: RMatrixConfig = _DEFAULT) -> PairPoint:
-    """Closed form of the linear-bracket field of P_i∘φ_λ:
-
-        X = ½(λ−1)·[((R−c)∇P_i(w), (R+c)∇P_i(w)), (x, y)],   w = λx−y.
-
-    (The gradient ∇P_i(w) is the trace-form projection of w^{m_i}, so this
-    works on sl as well as gl.)
-    """
-    return lax_point(m, _partner(m.alg, "linear", cfg, i, lam))
 
 
 # --------------------------------------------------------------------------
@@ -257,10 +216,7 @@ class Trajectory:
         return dev / (1.0 + np.abs(f0))
 
     def tangency_drift(self, ps: PhaseSpace) -> float:
-        base, T, pinv = ps.base.vec(), ps.tangent_matrix, ps._pinv
-        v = self.states - base[None, :]
-        normal = v - (pinv @ v.T).T @ T.T
-        return float(np.abs(normal).max())
+        return float(ps.membership_residuals(self.states).max())
 
 
 def rk4_states(field: Callable[[np.ndarray], np.ndarray], v0: np.ndarray,

@@ -13,7 +13,10 @@ defines the family members; their ⟨·,·⟩₂-gradients come from reading
 with W_{−1} = W_{m_i+1} = 0 and ĝ the trace-form projection onto 𝔤 (for gl
 this is the matrix itself, for sl the traceless part).  Everything is exact
 polynomial-matrix arithmetic — no λ sampling — so downstream involutivity
-residuals sit at machine precision.
+residuals sit at machine precision.  Values and gradients are evaluated on
+(N, 2·dim) state stacks (`family_values`, `family_gradient_stack`), the
+generators P_i and their gradients on coordinate rows of 𝔤 (`trace_values`,
+`trace_gradients`, `pullback_gradients`).
 
 Conventions that make the family uniform across sl and gl: on sl(n) the
 labels are the exponents 1..n−1; on gl(n) they are 0..n−1 (so F_{0,0} = Tr(y)
@@ -27,33 +30,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraSpec, Element
-from .poisson import (
-    PhaseSpace,
-    Point,
-    PreconditionError,
-    ScalarFunction,
-    gradient2,
-    numerical_rank,
-)
-from .rmatrix import PairPoint, block_point, point_block
+from .poisson import PreconditionError, ScalarFunction, numerical_rank
+from .rmatrix import PairPoint
 
 __all__ = [
-    "PencilExpansion",
     "RaisData",
-    "trace_invariant",
     "trace_values",
     "trace_gradients",
     "pullback_gradients",
-    "expand_pencil",
     "require_generator_label",
-    "pencil_pullback",
     "family",
     "family_values",
-    "family_gradients",
     "family_gradient_stack",
     "family_labels",
     "rais_vectors",
-    "independence_rank",
 ]
 
 
@@ -112,11 +102,6 @@ def family_gradient_stack(alg: AlgebraSpec, states: np.ndarray) -> np.ndarray:
     return np.concatenate(out, axis=1)
 
 
-def family_gradients(alg: AlgebraSpec, m: PairPoint) -> tuple[PairPoint, ...]:
-    """∇F_{j,i}(m) for every member, in `family_labels` order."""
-    return tuple(PairPoint.from_vec(alg, v) for v in family_gradient_stack(alg, m.vec()[None])[0])
-
-
 # --------------------------------------------------------------------------
 # generators and views of the family
 # --------------------------------------------------------------------------
@@ -134,41 +119,6 @@ def trace_gradients(alg: AlgebraSpec, X: np.ndarray, i: int) -> np.ndarray:
     return alg.gradient_from_matrix(P)[..., 0, :]
 
 
-def trace_invariant(alg: AlgebraSpec, i: int) -> ScalarFunction:
-    """P_i(x) = Tr(x^{i+1})/(i+1) on 𝔤, with trace-form gradient ĝ(x^i).
-
-    Returned as a ScalarFunction over single Elements (evaluator and gradient
-    both take and return Elements), wrapping `trace_values`/`trace_gradients`.
-    """
-    if i < 0:
-        raise ValueError(f"trace_invariant: generator label must be ≥ 0, got {i}")
-
-    def evaluate(x: Element) -> float:
-        return float(trace_values(alg, x.coords, i))
-
-    def gradient(x: Element) -> Element:
-        return Element(alg, trace_gradients(alg, x.coords, i))
-
-    return ScalarFunction(f"P_{i}", evaluate, gradient)
-
-
-@dataclass(frozen=True)
-class PencilExpansion:
-    """Coefficients F_{j,i} and gradients ∇F_{j,i} of P_i(λx−y) at one point."""
-
-    i: int                                # generator label (the exponent m_i)
-    degree: int                           # m_i + 1
-    coeffs: np.ndarray                    # length m_i + 2
-    grad_coeffs: tuple[PairPoint, ...]    # length m_i + 2
-
-    def pencil_value(self, lam: float) -> float:
-        """Σ_j (−1)^{m_i+1−j} λ^j coeffs[j] — should equal P_i(λx − y)."""
-        d = self.degree
-        return float(
-            sum((-1.0) ** (d - j) * lam**j * self.coeffs[j] for j in range(d + 1))
-        )
-
-
 def require_generator_label(alg: AlgebraSpec, i: int) -> None:
     """A generator label is one of the exponents m_i of the algebra."""
     if i not in alg.exponents:
@@ -177,39 +127,10 @@ def require_generator_label(alg: AlgebraSpec, i: int) -> None:
         )
 
 
-def expand_pencil(alg: AlgebraSpec, i: int, m: PairPoint) -> PencilExpansion:
-    """The members F_{·,i} of one generator label i and their gradients at m."""
-    require_generator_label(alg, i)
-    k = family_labels(alg).index((0, i))
-    members = slice(k, k + i + 2)
-    return PencilExpansion(
-        i=i,
-        degree=i + 1,
-        coeffs=family_values(alg, m.vec()[None])[0, members],
-        grad_coeffs=family_gradients(alg, m)[members],
-    )
-
-
 def pullback_gradients(alg: AlgebraSpec, i: int, lam: float, M: np.ndarray) -> np.ndarray:
     """∇(P_i∘ψ_λ) = (λ∇P_i(w), ∇P_i(w)), w = λx − y, on pair blocks M (…, 2, dim)."""
     g = trace_gradients(alg, lam * M[..., 0, :] - M[..., 1, :], i)
     return np.stack([g * lam, g], axis=-2)
-
-
-def pencil_pullback(alg: AlgebraSpec, i: int, lam: float) -> ScalarFunction:
-    """P_i∘ψ_λ as a pair function: m ↦ P_i(λx − y), gradient (λ∇P_i(w), ∇P_i(w)).
-
-    λ = 1 gives the Casimir pullbacks of the linear bracket.
-    """
-    P = trace_invariant(alg, i)
-
-    def evaluate(m: PairPoint) -> float:
-        return P(lam * m.x - m.y)
-
-    def gradient(m: PairPoint) -> PairPoint:
-        return block_point(alg, pullback_gradients(alg, i, lam, point_block(m)))
-
-    return ScalarFunction(f"P_{i}∘ψ_{lam:g}", evaluate, gradient)
 
 
 def family_labels(alg: AlgebraSpec) -> list[tuple[int, int]]:
@@ -220,21 +141,23 @@ def family_labels(alg: AlgebraSpec) -> list[tuple[int, int]]:
 def family(alg: AlgebraSpec) -> list[ScalarFunction]:
     """The full conserved family as ScalarFunctions named F_{j}_{i}.
 
-    Member k reads column k of `family_values` and entry k of
-    `family_gradients`, so it agrees bit for bit with a batch evaluation.
+    Member k reads column k of `family_values` and row k of
+    `family_gradient_stack` on the one-row stack of its point, so it agrees
+    bit for bit with a batch evaluation.
     """
     return [
         ScalarFunction(
             f"F_{j}_{i}",
             lambda m, k=k: family_values(m.alg, m.vec()[None])[0, k],
-            lambda m, k=k: family_gradients(m.alg, m)[k],
+            lambda m, k=k: PairPoint.from_vec(
+                m.alg, family_gradient_stack(m.alg, m.vec()[None])[0, k]),
         )
         for k, (j, i) in enumerate(family_labels(alg))
     ]
 
 
 # --------------------------------------------------------------------------
-# Raïs vectors and independence
+# Raïs vectors
 # --------------------------------------------------------------------------
 
 
@@ -253,9 +176,9 @@ class RaisData:
 
 
 def rais_vectors(alg: AlgebraSpec) -> RaisData:
-    grads = family_gradients(alg, PairPoint(alg.e, alg.h))
+    grads = family_gradient_stack(alg, PairPoint(alg.e, alg.h).vec()[None])[0]
     vectors = [
-        (j - 1, i, math.factorial(j - 1) * g.x)
+        (j - 1, i, Element(alg, g[: alg.dim] * float(math.factorial(j - 1))))
         for (j, i), g in zip(family_labels(alg), grads)
         if j >= 1
     ]
@@ -276,12 +199,3 @@ def rais_vectors(alg: AlgebraSpec) -> RaisData:
         max_negative_component=neg,
     )
 
-
-def independence_rank(functions: list[ScalarFunction], ps: PhaseSpace,
-                      points: list[Point]) -> int:
-    """Max over points of the Jacobian rank of the functions restricted to ps:
-    the gradients of arbitrary functions point by point, ranked in one stacked call."""
-    if not points:
-        raise ValueError("independence_rank needs at least one point")
-    G = np.stack([[gradient2(F, m).vec() for F in functions] for m in points])
-    return int(ps.jacobian_ranks(G).max())

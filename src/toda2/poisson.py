@@ -25,12 +25,12 @@ and gradients broadcast over the leading axes, so a gradient stack at one
 point (the rows of a bracket table) or a stack of points is one call.  The
 kernel is that of `algebra.bracket`/`mult` — the einsum of the blocks with
 the cached `struct`/`prod_tensor` — and the R-operators are the block actions
-of `rmatrix` (`r_block`, `rr_block` and their adjoints).  `hamiltonian_field`,
-`bracket_of` and the bracket values are thin Point wrappers over the blocks;
-a stack gives the same bits as the points one at a time.  So do the bracket
-tables and Poisson matrices: `bracket_tables` and `poisson_matrices` take a
-stack of points, and `_bracket_table`, `poisson_matrix` and `rank_sweep`
-(one stacked matrix call and one stacked SVD) wrap them.
+of `rmatrix` (`r_block`, `rr_block` and their adjoints).  A stack gives the
+same bits as its points one at a time, and one point is a one-row stack.
+Bracket values are the pairing of a gradient with a field (`form_blocks`);
+`bracket_tables` and `poisson_matrices` take a stack of points, and
+`rank_sweep` is one stacked matrix call and one stacked SVD.  `poisson_matrix`
+is `poisson_matrices` at one point.
 
 Affine phase spaces (T_P and friends in 𝔤×𝔤, T_T in 𝔤) are a base point plus
 a tangent basis; their coordinate functions are Euclidean duals of the tangent
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -59,7 +59,6 @@ from .algebra import (
     AlgebraSpec,
     Element,
     bracket_blocks,
-    form,
     mult_blocks,
 )
 from .rmatrix import (
@@ -67,8 +66,6 @@ from .rmatrix import (
     Point,
     RMatrixConfig,
     _matvec,
-    block_point,
-    form2,
     form_blocks,
     point_block,
     r_bracket_blocks,
@@ -84,25 +81,17 @@ __all__ = [
     "PoissonMatrixAt",
     "RankSweep",
     "gradient2",
-    "bracket_of",
     "linear_field",
     "quadratic_field",
     "bracket_tables",
     "inner_bracket_gradients",
-    "linear_bracket",
-    "quadratic_bracket",
-    "hamiltonian_field",
     "poisson_matrix",
     "poisson_matrices",
-    "rank_at",
     "rank_sweep",
-    "rank_sweep_evidence",
     "numerical_rank",
     "numerical_ranks",
     "check_morphism_psi1",
-    "linear_function",
     "phase_tp",
-    "phase_full",
     "psi1",
 ]
 
@@ -164,15 +153,6 @@ def gradient2(F: ScalarFunction, m: Point, step: float = FD_STEP) -> Point:
     return type(m).from_covector(m.alg, _fd_partials(F, m, step))
 
 
-def _pairing(p: Point, q: Point) -> float:
-    return form(p, q) if isinstance(p, Element) else form2(p, q)
-
-
-def linear_function(p: Point, name: str = "linear") -> ScalarFunction:
-    """The function m ↦ ⟨p, m⟩ (⟨p, m⟩₂ on 𝔤×𝔤), whose gradient is the constant p."""
-    return ScalarFunction(name, lambda m: _pairing(p, m), lambda m: p)
-
-
 def psi1(m: PairPoint) -> Element:
     """ψ₁(x, y) = x − y."""
     return m.x - m.y
@@ -229,40 +209,6 @@ def _block_field(which: str, alg: AlgebraSpec, k: int):
     return quadratic_field
 
 
-def bracket_of(which: str, m: Point) -> Callable[[Point, Point, RMatrixConfig], Point]:
-    """The Hamiltonian field (m, ∇F, cfg) ↦ X_F(m) of bracket `which` at points like m.
-
-    "linear" is the R-bracket on 𝔤 or the ℛ-bracket on 𝔤×𝔤; "quadratic"
-    exists only on 𝔤×𝔤 over an associative algebra (CapabilityError
-    otherwise).  Any other kind is a ValueError.  The field is a Point
-    wrapper over `linear_field`/`quadratic_field`.
-    """
-    field = _block_field(which, m.alg, len(point_block(m)))
-
-    def point_field(m: Point, g: Point, cfg: RMatrixConfig = _DEFAULT) -> Point:
-        return block_point(m.alg, field(m.alg, point_block(m), point_block(g), cfg))
-
-    return point_field
-
-
-def linear_bracket(F: ScalarFunction, G: ScalarFunction, m: Point,
-                   cfg: RMatrixConfig = _DEFAULT) -> float:
-    """{F, G}(m) = ⟨∇F, X_G(m)⟩ = ½⟨m, [R∇F, ∇G] + [∇F, R∇G]⟩ (ℛ, ⟨·,·⟩₂ on 𝔤×𝔤)."""
-    return _pairing(gradient2(F, m), hamiltonian_field(G, m, "linear", cfg))
-
-
-def quadratic_bracket(F: ScalarFunction, G: ScalarFunction, m: PairPoint,
-                      cfg: RMatrixConfig = _DEFAULT) -> float:
-    """{F, G}^Q_ℛ(m) = ⟨∇F, X^Q_G(m)⟩₂; requires the algebra to be associative."""
-    return form2(gradient2(F, m), hamiltonian_field(G, m, "quadratic", cfg))
-
-
-def hamiltonian_field(F: ScalarFunction, m: Point, which: str = "linear",
-                      cfg: RMatrixConfig = _DEFAULT) -> Point:
-    """X_F(m), with X_F[K] = ⟨∇K, X_F(m)⟩ = {K, F}(m)."""
-    return bracket_of(which, m)(m, gradient2(F, m), cfg)
-
-
 def inner_bracket_gradients(alg: AlgebraSpec, which: str, M: np.ndarray, G: np.ndarray,
                             H: np.ndarray, cfg: RMatrixConfig = _DEFAULT) -> np.ndarray:
     """∇ of m ↦ {G, H}(m) for linear G, H with gradients G, H, on pair blocks
@@ -280,13 +226,6 @@ def inner_bracket_gradients(alg: AlgebraSpec, which: str, M: np.ndarray, G: np.n
     return T(G, H) - T(H, G)
 
 
-def _inner_bracket_gradient(which: str, m: PairPoint, g: PairPoint, h: PairPoint,
-                            cfg: RMatrixConfig = _DEFAULT) -> PairPoint:
-    """`inner_bracket_gradients` at one point."""
-    return block_point(m.alg, inner_bracket_gradients(
-        m.alg, which, point_block(m), point_block(g), point_block(h), cfg))
-
-
 # --------------------------------------------------------------------------
 # affine phase spaces
 # --------------------------------------------------------------------------
@@ -301,9 +240,11 @@ def _read_only(A: np.ndarray) -> np.ndarray:
 class PhaseSpace:
     """An affine subspace base + span(tangent) of 𝔤 or 𝔤×𝔤 with dual coordinates.
 
-    Points, tangent vectors and gradients share the type of `base`.  Stacks
-    of points are coordinate rows (…, D), D = dim 𝔤 or 2·dim 𝔤, as `vec()`
-    gives them; each per-point method wraps its stacked form.
+    Points, tangent vectors and gradients share the type of `base`.  The
+    residual, rank and coordinate methods take stacks of coordinate rows
+    (…, D), D = dim 𝔤 or 2·dim 𝔤, as `vec()` gives them; one point is a
+    one-row stack.  `coords`, `normal_covectors` and `sample_points` give the
+    same data as ScalarFunctions and Points.
     """
 
     name: str
@@ -381,16 +322,9 @@ class PhaseSpace:
         T, pinv = self.tangent_matrix, self._pinv
         return np.abs(V - _matvec(T, _matvec(pinv, V))).max(axis=-1)
 
-    def normal_residual(self, w: Point) -> float:
-        """Size of the component of a *vector* w transverse to the tangent space."""
-        return float(self.normal_residuals(w.vec()))
-
     def membership_residuals(self, V: np.ndarray) -> np.ndarray:
         """Distance-like residual of every point row of V (…, D) from the space."""
         return self.normal_residuals(V - self.base.vec())
-
-    def membership_residual(self, m: Point) -> float:
-        return float(self.membership_residuals(m.vec()))
 
     def require_members(self, V: np.ndarray, tol: float = 1e-10) -> None:
         """PreconditionError naming the first point row of V (S, D) off the space."""
@@ -400,9 +334,6 @@ class PhaseSpace:
             raise PreconditionError(
                 f"point lies off {self.name} (normal residual {r[bad[0]]:.3e} > {tol:g})"
             )
-
-    def require_member(self, m: Point, tol: float = 1e-10) -> None:
-        self.require_members(m.vec()[None], tol)
 
     def jacobian_ranks(self, G: np.ndarray) -> np.ndarray:
         """Rank along this space of the differentials with gradient rows G (…, n, D),
@@ -414,19 +345,9 @@ class PhaseSpace:
         """
         return numerical_ranks(G @ _pairing_matrix(self.base) @ self.tangent_matrix)
 
-    def jacobian_rank(self, grads: Sequence[Point]) -> int:
-        """Rank of the differentials along this space of functions with gradients `grads`."""
-        return int(self.jacobian_ranks(np.stack([g.vec() for g in grads])))
-
     def points_from_coords(self, U: np.ndarray) -> np.ndarray:
         """Point rows base + T·u for coordinate rows U (…, dim)."""
         return self.base.vec() + _matvec(self.tangent_matrix, np.asarray(U, dtype=float))
-
-    def point_from_coords(self, u: Sequence[float]) -> Point:
-        return type(self.base).from_vec(self.alg, self.points_from_coords(u))
-
-    def coords_of(self, m: Point) -> np.ndarray:
-        return self._pinv @ (m.vec() - self.base.vec())
 
     def sample_stack(self, seed: int, count: int) -> np.ndarray:
         """`count` seeded point rows (count, D), coordinates uniform in [−1, 1]."""
@@ -453,15 +374,6 @@ def phase_tp(alg: AlgebraSpec) -> PhaseSpace:
         return PhaseSpace("T_P", PairPoint(alg.e, zero), tuple(tangent))
 
     return alg.memo("T_P", build)
-
-
-def phase_full(alg: AlgebraSpec) -> PhaseSpace:
-    """All of 𝔤×𝔤 as a PhaseSpace (base 0, full tangent basis)."""
-    zero = alg.zero()
-    tangent = [PairPoint(Element(alg, v), zero) for v in np.eye(alg.dim)] + [
-        PairPoint(zero, Element(alg, v)) for v in np.eye(alg.dim)
-    ]
-    return PhaseSpace("g×g", PairPoint(zero, zero), tuple(tangent))
 
 
 # --------------------------------------------------------------------------
@@ -498,13 +410,6 @@ def bracket_tables(alg: AlgebraSpec, which: str, M: np.ndarray, A: np.ndarray,
     X = _block_field(which, alg, k)(alg, M[..., None, :, :], G, cfg)
     T = A @ _block_pairing(alg, k) @ X.reshape(*X.shape[:-2], -1).swapaxes(-1, -2)
     return 0.5 * (T - T.swapaxes(-1, -2))
-
-
-def _bracket_table(m: Point, grads: Sequence[Point], which: str,
-                   cfg: RMatrixConfig = _DEFAULT) -> np.ndarray:
-    """`bracket_tables` at one point for the functions with gradients grads[a]."""
-    A = np.stack([g.vec() for g in grads])
-    return bracket_tables(m.alg, which, point_block(m), A, cfg)
 
 
 def poisson_matrices(ps: PhaseSpace, V: np.ndarray, which: str = "linear",
@@ -571,12 +476,6 @@ def numerical_rank(M: np.ndarray, rel: float = 1e-10) -> int:
     return int(numerical_ranks(M, rel))
 
 
-def rank_at(ps: PhaseSpace, m: PairPoint, which: str = "linear",
-            cfg: RMatrixConfig = _DEFAULT) -> int:
-    """Numerical rank of the restricted Poisson matrix at one point."""
-    return numerical_rank(poisson_matrix(ps, m, which, cfg).matrix)
-
-
 @dataclass(frozen=True)
 class RankSweep:
     """The max rank over a seeded sweep, with the evidence of its rank decisions."""
@@ -594,9 +493,8 @@ class RankSweep:
                 f"{self.invariance_defect:.3e}")
 
 
-def rank_sweep_evidence(ps: PhaseSpace, which: str = "linear",
-                        cfg: RMatrixConfig = _DEFAULT, seed: int = 42,
-                        points: int = 25) -> RankSweep:
+def rank_sweep(ps: PhaseSpace, which: str = "linear", cfg: RMatrixConfig = _DEFAULT,
+               seed: int = 42, points: int = 25) -> RankSweep:
     """Max rank over seeded sample points (rank is lower semicontinuous), from
     one stacked Poisson-matrix call and one stacked SVD.
 
@@ -613,12 +511,6 @@ def rank_sweep_evidence(ps: PhaseSpace, which: str = "linear",
         np.take_along_axis(padded, r + 1, 1), np.finfo(float).tiny)
     return RankSweep(rank=int(ranks.max()), points=points, sv_gap=float(gaps.min()),
                      corrected=int(corrected.sum()), invariance_defect=float(defect.max()))
-
-
-def rank_sweep(ps: PhaseSpace, which: str = "linear", cfg: RMatrixConfig = _DEFAULT,
-               seed: int = 42, points: int = 25) -> int:
-    """Max rank over seeded sample points (rank is lower semicontinuous)."""
-    return rank_sweep_evidence(ps, which, cfg, seed, points).rank
 
 
 # --------------------------------------------------------------------------

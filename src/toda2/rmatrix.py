@@ -10,9 +10,11 @@ for the decomposition
 
 Each operator is written once, as a block action on coordinate arrays of
 shape (…, k, dim) — k = 1 on 𝔤, k = 2 on 𝔤×𝔤 — broadcasting over the leading
-axes; the Element/PairPoint functions are thin wrappers over those actions.
-The checkers below measure the modified Yang–Baxter residual
-B_R(x,y) + c²[x,y] and its pair analogue on the whole sample stack at once.
+axes; one point is a one-row block (`point_block`).  `form2` and
+`decompose_pair` give the pairing and ℛ as Point-level formulas, independent
+of the block actions.  The checker below measures the modified Yang–Baxter
+residual B_R(x,y) + c²[x,y] and its pair analogue on the whole sample stack
+at once.
 """
 from __future__ import annotations
 
@@ -28,7 +30,6 @@ __all__ = [
     "Point",
     "RMatrixConfig",
     "point_block",
-    "block_point",
     "r_block",
     "rr_block",
     "r_adjoint_block",
@@ -37,17 +38,9 @@ __all__ = [
     "r_bracket_blocks",
     "form_blocks",
     "block_norms",
-    "r_apply",
-    "rr_apply",
-    "r_adjoint",
-    "rr_adjoint",
-    "pair_bracket",
     "form2",
     "decompose_pair",
-    "r_bracket",
     "check_mcybe",
-    "random_element",
-    "random_pair",
 ]
 
 
@@ -125,13 +118,6 @@ def point_block(p: Point) -> np.ndarray:
     return p.vec().reshape(-1, p.alg.dim)
 
 
-def block_point(alg: AlgebraSpec, B: np.ndarray) -> Point:
-    """The Element (B of shape (1, dim)) or PairPoint (shape (2, dim)) with block B."""
-    if B.shape[0] == 1:
-        return Element(alg, B[0])
-    return PairPoint(Element(alg, B[0]), Element(alg, B[1]))
-
-
 def _matvec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     # A applied to each coordinate vector of X (…, dim), one matrix-vector
     # product per vector: a stack gets the bits of the single products
@@ -192,31 +178,6 @@ def _operator(alg: AlgebraSpec, R: ROperator, cfg: RMatrixConfig):
     return lambda B: rr_block(alg, B, cfg)
 
 
-def r_apply(x: Element, cfg: RMatrixConfig = _DEFAULT) -> Element:
-    """Splitting R-matrix: the difference of projections P₊ − P₋."""
-    return Element(x.alg, r_block(x.alg, x.coords, cfg))
-
-
-def rr_apply(p: PairPoint, cfg: RMatrixConfig = _DEFAULT) -> PairPoint:
-    """ℛ(x, y) = (R(x−y) + cy, R(x−y) + cx)."""
-    return block_point(p.alg, rr_block(p.alg, point_block(p), cfg))
-
-
-def r_adjoint(x: Element, cfg: RMatrixConfig = _DEFAULT) -> Element:
-    """R*, the ⟨·,·⟩-adjoint of R: G⁻¹·diag(signs)·G·x."""
-    return Element(x.alg, r_adjoint_block(x.alg, x.coords, cfg))
-
-
-def rr_adjoint(p: PairPoint, cfg: RMatrixConfig = _DEFAULT) -> PairPoint:
-    """ℛ*(u, v) = (R*(u−v) − cv, R*(u−v) − cu), the ⟨·,·⟩₂-adjoint of ℛ."""
-    return block_point(p.alg, rr_adjoint_block(p.alg, point_block(p), cfg))
-
-
-def pair_bracket(p: PairPoint, q: PairPoint) -> PairPoint:
-    """Componentwise Lie bracket [(x,y),(z,s)] = ([x,z],[y,s])."""
-    return block_point(p.alg, bracket_blocks(p.alg, point_block(p), point_block(q)))
-
-
 def form2(p: PairPoint, q: PairPoint) -> float:
     """The pairing ⟨(x₁,y₁),(x₂,y₂)⟩₂ = ⟨x₁,x₂⟩ − ⟨y₁,y₂⟩."""
     return form(p.x, q.x) - form(p.y, q.y)
@@ -239,12 +200,6 @@ def r_bracket_blocks(alg: AlgebraSpec, X: np.ndarray, Y: np.ndarray, R: ROperato
     return 0.5 * (bracket_blocks(alg, op(X), Y) + bracket_blocks(alg, X, op(Y)))
 
 
-def r_bracket(x: Point, y: Point, R: ROperator = None,
-              cfg: RMatrixConfig = _DEFAULT) -> Point:
-    """The R-bracket ½([Rx, y] + [x, Ry]); the ℛ-bracket when x, y are pairs."""
-    return block_point(x.alg, r_bracket_blocks(x.alg, point_block(x), point_block(y), R, cfg))
-
-
 def b_tensor_block(alg: AlgebraSpec, X: np.ndarray, Y: np.ndarray, R: ROperator = None,
                    cfg: RMatrixConfig = _DEFAULT) -> np.ndarray:
     """B(X, Y) = [𝒪X, 𝒪Y] − 𝒪([𝒪X, Y] + [X, 𝒪Y]) on blocks (…, k, dim).
@@ -263,23 +218,14 @@ def b_tensor_block(alg: AlgebraSpec, X: np.ndarray, Y: np.ndarray, R: ROperator 
 # --------------------------------------------------------------------------
 
 
-def random_element(alg: AlgebraSpec, rng: np.random.Generator) -> Element:
-    return Element(alg, rng.uniform(-1.0, 1.0, alg.dim))
-
-
-def random_pair(alg: AlgebraSpec, rng: np.random.Generator) -> PairPoint:
-    return PairPoint(random_element(alg, rng), random_element(alg, rng))
-
-
 def check_mcybe(alg: AlgebraSpec, R: ROperator = None, c: float = 1.0,
                 samples: int = 200, seed: int = 42, pair: bool = False,
                 tol: float = 1e-11):
     """Max residual of B(x,y) + c²[x,y] (mod center) over seeded samples.
 
     Returns a CheckReport; `pair=True` runs the 𝔤×𝔤 version with the induced
-    ℛ of the configured splitting.  The samples are drawn as one stack, in
-    the order of `random_element`/`random_pair` calls x, y per sample, and
-    the residual is evaluated on the whole stack.
+    ℛ of the configured splitting.  The samples are drawn as one stack,
+    x then y per sample, and the residual is evaluated on the whole stack.
     """
     from .reports import CheckReport, worst
 

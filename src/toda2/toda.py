@@ -5,10 +5,10 @@ Single-algebra side: T_T = 𝔤₋₁ ⊕ 𝔤₀ + e carries the R-bracket
     {f, g}_R(x) = ½⟨x, [R∇f, ∇g] + [∇f, R∇g]⟩,
 
 whose flow for H = P₁ is the Toda equation Ȧ = [A₊, A].  The bracket and its
-Hamiltonian fields are those of the 2-Toda side (`poisson.linear_bracket`,
-`poisson.hamiltonian_field`) applied to points of 𝔤; the Toda field is the
-t-flow's Lax commutator on a one-matrix stack, run on the same RK4 driver
-(`flows.rk4_states`).
+Hamiltonian fields are those of the 2-Toda side (`poisson.linear_field`,
+`poisson.bracket_tables`) on one-block coordinate arrays of 𝔤; the Toda field
+is the t-flow's Lax commutator on a one-matrix stack (`flows.field_rows` with
+field "t" on rows of 𝔤), run by the same RK4 loop (`flows.rk4_states`).
 
 The diagonal embedding φ(x) = (x, x) lands in T_T′ = Δ(𝔤₋₁⊕𝔤₀) + (e, e)
 ⊂ T_P, and matching dual coordinates through φ gives a Poisson isomorphism
@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .algebra import AlgebraSpec, Element
-from .flows import field_rows, lax_field, lax_point, projected_partner, rk4_states, whole_steps
+from .flows import field_rows, lax_field, projected_partner, rk4_states, whole_steps
 from .invariants import family_labels, family_values, trace_gradients, trace_values
 from .poisson import PhaseSpace, bracket_tables, linear_field
 from .rmatrix import PairPoint, RMatrixConfig, _matvec, block_norms
@@ -31,8 +31,6 @@ from .rmatrix import PairPoint, RMatrixConfig, _matvec, block_norms
 __all__ = [
     "toda_space",
     "diag_phase_space",
-    "embed_phi",
-    "field_toda",
     "integrate_toda",
     "check_poisson_iso",
     "check_binomial_identity",
@@ -63,17 +61,6 @@ def diag_phase_space(alg: AlgebraSpec) -> PhaseSpace:
         return PhaseSpace("T_T'", PairPoint(alg.e, alg.e), tangent)
 
     return alg.memo("T_T'", build)
-
-
-def embed_phi(ts: PhaseSpace, x: Element, tol: float = 1e-10) -> PairPoint:
-    """φ(x) = (x, x), with a membership check on the Toda space."""
-    ts.require_member(x, tol)
-    return PairPoint(x, x)
-
-
-def field_toda(x: Element, cfg: RMatrixConfig = _DEFAULT) -> Element:
-    """The Toda equation right-hand side [A₊, A]."""
-    return lax_point(x, projected_partner(x.alg, 0, cfg.plus_region))
 
 
 def integrate_toda(x0: Element, dt: float = 1e-3, T: float = 1.0,
@@ -199,9 +186,9 @@ def toda_suite(alg: AlgebraSpec, seed: int = 42, cfg: RMatrixConfig = _DEFAULT) 
     ))
 
     # conservation along the integrated Toda flow
-    x0 = ts.point_from_coords(
+    x0 = Element(alg, ts.points_from_coords(
         np.random.default_rng(seed).uniform(-1.0, 1.0, ts.dim)
-    )
+    ))
     _, states = integrate_toda(x0, dt=1e-3, T=1.0, cfg=cfg)
     drift = 0.0
     for i in alg.exponents:   # P_i on the whole stack
@@ -215,7 +202,7 @@ def toda_suite(alg: AlgebraSpec, seed: int = 42, cfg: RMatrixConfig = _DEFAULT) 
         measured=drift, expected="< 1e-06", verdict=drift < 1e-6,
     ))
 
-    # the diagonal is t-flow invariant and the pushforward matches field_t
+    # the diagonal is t-flow invariant and the pushforward matches the t-flow field
     ft = field_rows(alg, "t", np.concatenate([X, X], axis=1), cfg)
     residual = worst(np.abs(ft - np.concatenate([toda, toda], axis=1)).max(axis=1))
     reports.append(CheckReport(

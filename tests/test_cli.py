@@ -204,6 +204,22 @@ def test_check_samples_must_be_positive(battery, count, capsys):
     assert "--samples: must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", ["1001", str(10**30)])
+def test_check_samples_are_bounded_before_any_build(count, monkeypatch, capsys):
+    # every battery draws its samples as one array: a huge count would allocate
+    # its whole stack at once, so it is refused while the arguments are parsed
+    def no_build(*args):
+        raise AssertionError("an algebra was built")
+
+    monkeypatch.setattr(cli, "build_sl", no_build)
+    monkeypatch.setattr(cli, "build_gl", no_build)
+    with pytest.raises(SystemExit) as ex:
+        main(["check", "casimir", "--algebra", "gl3", "--samples", count])
+    assert ex.value.code == 2
+    assert "--samples: must be at most 1000" in capsys.readouterr().err
+    assert cli.build_parser().parse_args(["check", "casimir", "--samples", "1000"]).samples == 1000
+
+
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_flow_commutation_steps_must_be_positive(count, capsys):
     with pytest.raises(SystemExit) as ex:

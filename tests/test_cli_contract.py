@@ -2,8 +2,10 @@
 (all checks pass), 1 (a check failed) or 2 (usage or configuration error),
 never in an uncaught exception.
 
-Only cheap commands run (`algebra validate`, `check rais`), in-process, on
-fuzzed --samples, --tol and --algebra tokens and on malformed spec documents.
+Only cheap commands run in-process: `algebra validate` and `check rais` on
+fuzzed --samples, --tol and --algebra tokens and on malformed spec documents,
+and `check casimir` on sl2, gl2 and sl3 with fuzzed --samples (at most 1000
+are accepted) and --tol tokens.
 """
 
 import contextlib
@@ -81,6 +83,18 @@ def exit_code(argv) -> int:
 def test_fuzzed_tokens_keep_the_exit_code_contract(algebra, samples, tol):
     assert exit_code(["algebra", "validate", algebra]) in (0, 1, 2)
     argv = ["check", "rais", "--algebra", algebra, "--samples", samples, "--tol", tol]
+    assert exit_code(argv) in (0, 1, 2)
+
+
+SAMPLE_TOKENS = st.one_of(st.integers(-1, 1001).map(str), NUMBER_TOKENS)
+
+
+@settings(max_examples=50)
+@given(algebra=st.sampled_from(["sl2", "gl2", "sl3"]), samples=SAMPLE_TOKENS, tol=NUMBER_TOKENS)
+@example(algebra="sl3", samples="1000", tol="1e-9")
+@example(algebra="gl2", samples=str(10**30), tol="1e-9")
+def test_fuzzed_samples_keep_the_exit_code_contract_on_casimir(algebra, samples, tol):
+    argv = ["check", "casimir", "--algebra", algebra, "--samples", samples, "--tol", tol]
     assert exit_code(argv) in (0, 1, 2)
 
 

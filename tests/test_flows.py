@@ -11,12 +11,7 @@ from toda2 import (
     PreconditionError,
     RMatrixConfig,
     bracket,
-    expand_pencil,
     family,
-    field_linear_pencil,
-    field_quadratic,
-    field_s,
-    field_t,
     flow_commutation,
     integrate,
     pencil_eigenvalue_drift,
@@ -24,7 +19,10 @@ from toda2 import (
     project,
     trajectory_to_csv,
 )
-from toda2.rmatrix import pair_bracket, r_apply
+from toda2.flows import field_rows
+from toda2.rmatrix import r_block
+
+from pointwise import flow_at
 
 
 def seed_point(alg, seed=42):
@@ -43,7 +41,7 @@ def test_field_t_is_projected_lax_bracket(sl3, gl3, so5):
         for m in phase_tp(alg).sample_points(seed=42, count=3):
             xp = project(m.x, ">=0")
             want = PairPoint(bracket(xp, m.x), bracket(xp, m.y))
-            assert (field_t(m) - want).norm() < 1e-13
+            assert (flow_at("t", m) - want).norm() < 1e-13
 
 
 def test_field_s_is_projected_lax_bracket(sl3, gl3, so5):
@@ -51,29 +49,23 @@ def test_field_s_is_projected_lax_bracket(sl3, gl3, so5):
         for m in phase_tp(alg).sample_points(seed=42, count=3):
             yn = project(m.y, "<0")
             want = PairPoint(bracket(yn, m.x), bracket(yn, m.y))
-            assert (field_s(m) - want).norm() < 1e-13
+            assert (flow_at("s", m) - want).norm() < 1e-13
 
 
 def test_fields_are_tangent_to_phase_space(sl3, gl3):
     for alg in (sl3, gl3):
         ps = phase_tp(alg)
-        for m in ps.sample_points(seed=3, count=4):
-            for f in (field_t, field_s):
-                v = f(m)
-                shifted = PairPoint(m.x + v.x, m.y + v.y)
-                assert ps.membership_residual(shifted) < 1e-12
+        V = ps.sample_stack(seed=3, count=4)
+        for f in ("t", "s"):
+            assert ps.membership_residuals(V + field_rows(alg, f, V)).max() < 1e-12
 
 
 def test_pencil_fields_exist_and_are_tangent(gl2):
     ps = phase_tp(gl2)
-    m = ps.sample_points(seed=4, count=1)[0]
-    for field in (
-        lambda m: field_quadratic(1, 0.0, m),
-        lambda m: field_linear_pencil(1, 2.0, m),
-    ):
-        v = field(m)
-        shifted = PairPoint(m.x + v.x, m.y + v.y)
-        assert ps.membership_residual(shifted) < 1e-11
+    V = ps.sample_stack(seed=4, count=1)
+    for field, lam in (("quadratic", 0.0), ("linear", 2.0)):
+        v = field_rows(gl2, field, V, i=1, lam=lam)
+        assert ps.membership_residuals(V + v).max() < 1e-11
 
 
 # the coordinate-side closed forms the pencil fields had before they became
@@ -88,18 +80,24 @@ def _pencil_power(m, lam, power):
     return np.linalg.matrix_power(lam * X - Y, power)
 
 
+def pair_bracket(p, q):
+    return PairPoint(bracket(p.x, q.x), bracket(p.y, q.y))
+
+
 def quadratic_oracle(i, lam, m, cfg):
     alg = m.alg
     W = _pencil_power(m, lam, i + 1)
     w = Element(alg, np.linalg.lstsq(alg.basis.reshape(alg.dim, -1).T, W.ravel(), rcond=None)[0])
-    return -pair_bracket(m, PairPoint(r_apply(w, cfg) - w, r_apply(w, cfg) + w))
+    Rw = Element(alg, r_block(alg, w.coords, cfg))
+    return -pair_bracket(m, PairPoint(Rw - w, Rw + w))
 
 
 def linear_pencil_oracle(i, lam, m, cfg):
     alg = m.alg
     W = _pencil_power(m, lam, i)
     p = Element(alg, np.linalg.solve(alg.gram, np.einsum("ij,aji->a", W, alg.basis)))
-    u, v = r_apply(p, cfg) - cfg.c * p, r_apply(p, cfg) + cfg.c * p
+    Rp = Element(alg, r_block(alg, p.coords, cfg))
+    u, v = Rp - cfg.c * p, Rp + cfg.c * p
     return 0.5 * (lam - 1.0) * pair_bracket(PairPoint(u, v), m)
 
 
@@ -112,10 +110,10 @@ def test_pencil_fields_match_coordinate_closed_forms(name, request):
         for cfg in cfgs:
             for i in alg.exponents:
                 for lam in (0.0, 0.5, -1.0):
-                    X = field_linear_pencil(i, lam, m, cfg)
+                    X = flow_at("linear", m, cfg, i, lam)
                     assert (X - linear_pencil_oracle(i, lam, m, cfg)).norm() < 1e-13
                     if alg.associative:
-                        X = field_quadratic(i, lam, m, cfg)
+                        X = flow_at("quadratic", m, cfg, i, lam)
                         assert (X - quadratic_oracle(i, lam, m, cfg)).norm() < 1e-13
 
 
@@ -123,7 +121,7 @@ def test_quadratic_field_needs_associative_algebra(sl3, so5):
     for alg in (sl3, so5):
         m = seed_point(alg)
         with pytest.raises(CapabilityError, match="associative"):
-            field_quadratic(1, 0.0, m)
+            flow_at("quadratic", m, i=1, lam=0.0)
         with pytest.raises(CapabilityError, match="associative"):
             integrate(FlowConfig(field="quadratic", i=1, lam=0.0, dt=0.1, T=0.2), m)
 
@@ -202,7 +200,7 @@ def test_explicit_empty_conserved_list(sl2):
 
 def test_blowup_is_truncated_with_note(gl2):
     ps = phase_tp(gl2)
-    big = ps.point_from_coords(40.0 * np.ones(ps.dim))
+    big = PairPoint.from_vec(gl2, ps.points_from_coords(40.0 * np.ones(ps.dim)))
     traj = integrate(FlowConfig(field="quadratic", i=1, lam=0.0, dt=0.05, T=3.0), big)
     assert traj.truncated
     assert "non-finite" in traj.note and "truncated" in traj.note
@@ -217,10 +215,11 @@ def test_blowup_is_truncated_from_nearby_starts(gl2):
     ps = phase_tp(gl2)
     rng = np.random.default_rng(0)
     cfg = FlowConfig(field="quadratic", i=1, lam=0.0, dt=0.05, T=3.0)
-    for u0 in (ps.coords_of(seed_point(gl2)), 40.0 * np.ones(ps.dim)):
+    u_seed = ps.duals.T @ (seed_point(gl2).vec() - ps.base.vec())
+    for u0 in (u_seed, 40.0 * np.ones(ps.dim)):
         for _ in range(12):
             u = u0 * (1.0 + 1e-14 * rng.standard_normal(u0.shape))
-            traj = integrate(cfg, ps.point_from_coords(u), conserved=[])
+            traj = integrate(cfg, PairPoint.from_vec(gl2, ps.points_from_coords(u)), conserved=[])
             assert traj.truncated, np.abs(traj.states[-1]).max()
 
 

@@ -1,8 +1,9 @@
 """Conserved family F_{j,i} from the pencil expansion of Tr-power invariants.
 
-The oracle here is deliberately independent of `expand_pencil`'s internals:
-evaluate P_i(λx − y) at distinct nodes and solve the (signed) Vandermonde
-system for the coefficients.  Everything else must agree with that.
+The oracle here is deliberately independent of the pencil recurrence behind
+`family_values`: evaluate P_i(λx − y) at distinct nodes and solve the
+(signed) Vandermonde system for the coefficients.  Everything else must agree
+with that.
 """
 
 import numpy as np
@@ -11,20 +12,23 @@ import pytest
 from toda2 import (
     PairPoint,
     ScalarFunction,
-    expand_pencil,
     family,
-    family_gradients,
     family_labels,
     family_values,
     form,
     gradient2,
-    hamiltonian_field,
-    independence_rank,
-    pencil_pullback,
     phase_tp,
     rais_vectors,
-    trace_invariant,
 )
+from toda2.invariants import (
+    family_gradient_stack,
+    pullback_gradients,
+    require_generator_label,
+    trace_gradients,
+    trace_values,
+)
+from toda2.poisson import linear_field
+from toda2.rmatrix import block_norms, point_block
 
 EXPECTED_CARD = {"sl2": 3, "sl3": 7, "sl4": 12, "gl2": 5, "gl3": 9}
 
@@ -44,20 +48,17 @@ def test_trace_invariant_values(sl3, gl2):
     rng = np.random.default_rng(0)
     x = sl3.element(rng.uniform(-1, 1, sl3.dim))
     X = x.matrix()
-    assert trace_invariant(sl3, 1)(x) == pytest.approx(0.5 * np.trace(X @ X))
-    assert trace_invariant(sl3, 2)(x) == pytest.approx(np.trace(X @ X @ X) / 3.0)
+    assert trace_values(sl3, x.coords, 1) == pytest.approx(0.5 * np.trace(X @ X))
+    assert trace_values(sl3, x.coords, 2) == pytest.approx(np.trace(X @ X @ X) / 3.0)
     g = gl2.element(rng.uniform(-1, 1, gl2.dim))
-    assert trace_invariant(gl2, 0)(g) == pytest.approx(np.trace(g.matrix()))
-    with pytest.raises(ValueError):
-        trace_invariant(sl3, -1)
+    assert trace_values(gl2, g.coords, 0) == pytest.approx(np.trace(g.matrix()))
 
 
 def test_trace_invariant_gradient_is_projected_power(sl3):
     # ⟨∇P_i(x), u⟩ = Tr(xⁱ u) for every direction u
     rng = np.random.default_rng(1)
     x = sl3.element(rng.uniform(-1, 1, sl3.dim))
-    P2 = trace_invariant(sl3, 2)
-    g = P2.gradient(x)
+    g = sl3.element(trace_gradients(sl3, x.coords, 2))
     for _ in range(6):
         u = sl3.element(rng.uniform(-1, 1, sl3.dim))
         assert form(g, u) == pytest.approx(
@@ -71,29 +72,34 @@ def test_trace_invariant_gradient_is_projected_power(sl3):
 
 def vandermonde_coefficients(alg, i, m):
     """Solve for F_{j,i} from values of P_i(λx − y) at distinct nodes."""
-    P = trace_invariant(alg, i)
     d = i + 1
     nodes = np.linspace(-1.1, 1.7, d + 1)
     A = np.array(
         [[(-1.0) ** (d - j) * lam**j for j in range(d + 1)] for lam in nodes]
     )
-    vals = np.array([P(lam * m.x - m.y) for lam in nodes])
+    vals = trace_values(alg, np.stack([(lam * m.x - m.y).coords for lam in nodes]), i)
     return np.linalg.solve(A, vals)
+
+
+def members(alg, i, m):
+    """The values F_{0,i} … F_{m_i+1,i} and their gradients at m, from the
+    family stacks on the one-row stack of m."""
+    labels = family_labels(alg)
+    cols = [labels.index((j, i)) for j in range(i + 2)]
+    row = m.vec()[None]
+    grads = family_gradient_stack(alg, row)[0, cols]
+    return family_values(alg, row)[0, cols], [PairPoint.from_vec(alg, g) for g in grads]
 
 
 def test_expansion_matches_vandermonde(sl3, sl4, gl3):
     rng = np.random.default_rng(2)
     for alg in (sl3, sl4, gl3):
-        labels = family_labels(alg)
         for i in alg.exponents:
             m = random_pair(alg, rng)
-            exp = expand_pencil(alg, i, m)
+            coeffs, _ = members(alg, i, m)
             want = vandermonde_coefficients(alg, i, m)
-            assert exp.degree == i + 1
-            assert np.allclose(exp.coeffs, want, atol=1e-10), (alg.name, i)
-            row = family_values(alg, m.vec()[None])[0]
-            batch = [row[labels.index((j, i))] for j in range(i + 2)]
-            assert np.allclose(batch, want, atol=1e-10), (alg.name, i)
+            assert len(coeffs) == i + 2
+            assert np.allclose(coeffs, want, atol=1e-10), (alg.name, i)
 
 
 def test_family_values_batch_is_rowwise_and_memberwise(desk_algebras):
@@ -112,45 +118,43 @@ def test_family_values_batch_is_rowwise_and_memberwise(desk_algebras):
 
 
 def test_expand_pencil_takes_generator_labels_only(sl3):
-    m = PairPoint(sl3.e, sl3.h)
     for i in (-1, 0, 3):
         with pytest.raises(ValueError):
-            expand_pencil(sl3, i, m)
+            require_generator_label(sl3, i)
 
 
 def test_pencil_value_consistency(sl3):
     rng = np.random.default_rng(3)
     m = random_pair(sl3, rng)
-    P2 = trace_invariant(sl3, 2)
-    exp = expand_pencil(sl3, 2, m)
+    coeffs, _ = members(sl3, 2, m)
     for lam in (-1.0, 0.0, 0.5, 2.0):
-        assert exp.pencil_value(lam) == pytest.approx(P2(lam * m.x - m.y), abs=1e-12)
-        assert pencil_pullback(sl3, 2, lam)(m) == pytest.approx(
-            exp.pencil_value(lam), abs=1e-12
-        )
+        # Σ_j (−1)^{m_i+1−j} λ^j F_{j,i} is P_i(λx − y)
+        value = float(sum((-1.0) ** (3 - j) * lam**j * coeffs[j] for j in range(4)))
+        assert value == pytest.approx(float(trace_values(sl3, (lam * m.x - m.y).coords, 2)),
+                                      abs=1e-12)
 
 
 def test_gradient_coefficients_match_fd(gl3):
     rng = np.random.default_rng(4)
     m = random_pair(gl3, rng)
-    exp = expand_pencil(gl3, 2, m)
+    _, grads = members(gl3, 2, m)
     fam, labels = family(gl3), family_labels(gl3)
-    for j in range(exp.degree + 1):
+    for j in range(len(grads)):
         F = fam[labels.index((j, 2))]
         bare = ScalarFunction("fd-only", F.evaluator)  # force the FD path
-        assert (gradient2(bare, m) - exp.grad_coeffs[j]).norm() < 1e-8
+        assert (gradient2(bare, m) - grads[j]).norm() < 1e-8
 
 
 def test_low_coefficients_are_classical(sl3):
     # F_{2,1} = ½⟨x,x⟩, F_{1,1} = ⟨x,y⟩, F_{0,1} = ½⟨y,y⟩
     rng = np.random.default_rng(5)
     m = random_pair(sl3, rng)
-    exp = expand_pencil(sl3, 1, m)
-    assert exp.coeffs[2] == pytest.approx(0.5 * form(m.x, m.x), abs=1e-12)
-    assert exp.coeffs[1] == pytest.approx(form(m.x, m.y), abs=1e-12)
-    assert exp.coeffs[0] == pytest.approx(0.5 * form(m.y, m.y), abs=1e-12)
+    coeffs, _ = members(sl3, 1, m)
+    assert coeffs[2] == pytest.approx(0.5 * form(m.x, m.x), abs=1e-12)
+    assert coeffs[1] == pytest.approx(form(m.x, m.y), abs=1e-12)
+    assert coeffs[0] == pytest.approx(0.5 * form(m.y, m.y), abs=1e-12)
     # and ∇F_{1,1} = (y, −x): at (e, h) that is (h, −e)
-    g = expand_pencil(sl3, 1, PairPoint(sl3.e, sl3.h)).grad_coeffs[1]
+    g = members(sl3, 1, PairPoint(sl3.e, sl3.h))[1][1]
     assert np.allclose(g.x.coords, sl3.h.coords, atol=1e-13)
     assert np.allclose(g.y.coords, -sl3.e.coords, atol=1e-13)
 
@@ -170,10 +174,16 @@ def test_family_cardinalities(desk_algebras):
 def test_pullback_at_one_is_casimir(sl3):
     rng = np.random.default_rng(6)
     for i in sl3.exponents:
-        C = pencil_pullback(sl3, i, 1.0)
         for _ in range(4):
-            m = random_pair(sl3, rng)
-            assert hamiltonian_field(C, m).norm() < 1e-9
+            m = point_block(random_pair(sl3, rng))
+            assert block_norms(linear_field(sl3, m, pullback_gradients(sl3, i, 1.0, m))) < 1e-9
+
+
+def independence_rank(functions, ps, points):
+    """Max over points of the Jacobian rank of the functions along ps, with
+    gradients from `gradient2` (analytic, else central differences)."""
+    G = np.stack([[gradient2(F, m).vec() for F in functions] for m in points])
+    return int(ps.jacobian_ranks(G).max())
 
 
 def test_family_independent_at_principal_point(desk_algebras):
@@ -212,12 +222,7 @@ def test_independence_battery_reads_the_family_once_per_stack(sl3, monkeypatch):
     ps, pts = phase_tp(sl3), phase_tp(sl3).sample_points(7, 4)
     assert sweep.measured == independence_rank(family(sl3), ps, pts) == 7
     eh = PairPoint(sl3.e, sl3.h)
-    assert at_eh.measured == ps.jacobian_rank(family_gradients(sl3, eh)) == 7
-
-
-def test_independence_requires_points(sl3):
-    with pytest.raises(ValueError):
-        independence_rank(family(sl3), phase_tp(sl3), [])
+    assert at_eh.measured == independence_rank(family(sl3), ps, [eh]) == 7
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Batteries on point stacks against their per-point loops.
 
 Every battery draws its samples as one array and evaluates them as one stack.
-Each test below keeps the per-point loop the battery replaced, written with
-the Point API (one Element or PairPoint at a time, draws interleaved as the
-loop makes them), as the reference.  The block fields give a stack the bits of
-its points one at a time, so the measured values must agree bit for bit.
+Each test below keeps the per-point loop the battery replaced as the
+reference: one Element or PairPoint at a time (the block forms on one-point
+blocks, `pointwise`), draws interleaved as the loop makes them.  The block
+fields give a stack the bits of its points one at a time, so the measured
+values must agree bit for bit.
 """
 
 import math
@@ -18,26 +19,24 @@ from toda2 import (
     RMatrixConfig,
     ScalarFunction,
     bracket,
-    field_s,
-    field_t,
-    field_toda,
     form,
     form2,
-    hamiltonian_field,
-    linear_bracket,
-    pencil_pullback,
     phase_tp,
     poisson_matrix,
-    quadratic_bracket,
-    rank_at,
-    r_bracket,
-    trace_invariant,
 )
 from toda2 import checks, poisson, toda
-from toda2.flows import field_linear_pencil, field_quadratic
-from toda2.invariants import family, family_gradient_stack, family_gradients, family_labels
-from toda2.poisson import _bracket_table, _inner_bracket_gradient, bracket_of, linear_function
-from toda2.rmatrix import random_element, random_pair
+from toda2.invariants import family, family_gradient_stack, family_labels
+from toda2.poisson import bracket_tables, inner_bracket_gradients, numerical_rank
+from toda2.rmatrix import point_block, r_bracket_blocks
+
+from pointwise import (
+    bracket_value,
+    field_at,
+    flow_at,
+    linear_function,
+    pullback,
+    trace_function,
+)
 
 ALGEBRAS = ["sl3", "gl3", "so5"]
 
@@ -54,6 +53,26 @@ def measured(reports, check):
 def same(a, b):
     """Bit-for-bit equality of two measured values."""
     return np.array_equal(np.asarray(a), np.asarray(b))
+
+
+def random_pair(alg, rng):
+    return PairPoint(Element(alg, rng.uniform(-1.0, 1.0, alg.dim)),
+                     Element(alg, rng.uniform(-1.0, 1.0, alg.dim)))
+
+
+def table_at(m, grads, which):
+    """The bracket table of the functions with gradients grads at one point."""
+    return bracket_tables(m.alg, which, point_block(m), np.stack([g.vec() for g in grads]))
+
+
+def hamiltonian_field(F, m, which="linear"):
+    """X_F(m) of bracket `which` at one point, from F's analytic gradient."""
+    return field_at(which, m, F.gradient(m))
+
+
+def gradients_at(alg, m):
+    """∇F_{j,i}(m) of every family member, from the one-row stack of m."""
+    return [PairPoint.from_vec(alg, g) for g in family_gradient_stack(alg, m.vec()[None])[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +116,9 @@ def test_intersection_population_is_the_interleaved_draws(alg):
     for k in range(200):
         mode = k % 4
         if mode == 0:
-            p = dps.point_from_coords(rng.uniform(-1, 1, dps.dim))
+            p = PairPoint.from_vec(alg, dps.points_from_coords(rng.uniform(-1, 1, dps.dim)))
         elif mode == 1:
-            p = ps.point_from_coords(rng.uniform(-1, 1, ps.dim))
+            p = PairPoint.from_vec(alg, ps.points_from_coords(rng.uniform(-1, 1, ps.dim)))
         elif mode == 2:
             x = Element(alg, rng.uniform(-1, 1, alg.dim))
             p = PairPoint(x, x)
@@ -124,8 +143,9 @@ def test_poisson_matrices_match_the_point_loop(alg):
             pm = poisson_matrix(ps, m, which)
             assert np.array_equal(M[k], pm.matrix)
             assert corrected[k] == pm.corrected and defect[k] == pm.invariance_defect
-        sweep = poisson.rank_sweep_evidence(ps, which, seed=3, points=6)
-        assert sweep.rank == max(rank_at(ps, m, which) for m in ps.sample_points(3, 6))
+        sweep = poisson.rank_sweep(ps, which, seed=3, points=6)
+        assert sweep.rank == max(numerical_rank(poisson_matrix(ps, m, which).matrix)
+                                 for m in ps.sample_points(3, 6))
         assert sweep.corrected == int(corrected.sum())
         assert sweep.invariance_defect == defect.max()
 
@@ -149,7 +169,7 @@ def test_morphism_psi1_matches_the_point_loop(alg):
     for m_blk, f, g in zip(M, gf, gg):
         m = PairPoint(Element(alg, m_blk[0]), Element(alg, m_blk[1]))
         f, g = Element(alg, f), Element(alg, g)
-        lhs = form2(PairPoint(f, f), bracket_of("linear", m)(m, PairPoint(g, g), cfg))
+        lhs = form2(PairPoint(f, f), field_at("linear", m, PairPoint(g, g), cfg))
         rhs = form(m.x - m.y, bracket(f, g))
         worst = max(worst, abs(lhs - rhs))
     assert same(poisson.check_morphism_psi1(alg).measured, worst)
@@ -165,7 +185,7 @@ def test_casimir_battery_matches_the_point_loop(alg):
     pts = [random_pair(alg, rng) for _ in range(20)]
     reports = checks.check_casimir_battery(alg)
     for i in alg.exponents:
-        C = pencil_pullback(alg, i, 1.0)
+        C = pullback(alg, i, 1.0)
         worst = max(hamiltonian_field(C, m).norm() for m in pts)
         assert same(measured(reports, f"casimir-P{i}"), worst)
 
@@ -173,25 +193,34 @@ def test_casimir_battery_matches_the_point_loop(alg):
 def test_jacobi_battery_matches_the_point_loop(alg):
     rng = np.random.default_rng(42)
     reports = checks.check_jacobi_battery(alg)
-    for name, draw in (("r", random_element), ("rr", random_pair)):
+    def r_bracket(x, y):
+        B = r_bracket_blocks(alg, point_block(x), point_block(y))
+        return type(x).from_vec(alg, B.ravel())
+
+    for name, k in (("r", 1), ("rr", 2)):
         worst = 0.0
         for _ in range(20):
-            x, y, z = (draw(alg, rng) for _ in range(3))
+            x, y, z = (Element(alg, rng.uniform(-1.0, 1.0, alg.dim)) if k == 1
+                       else random_pair(alg, rng) for _ in range(3))
             cyc = (r_bracket(r_bracket(x, y), z) + r_bracket(r_bracket(y, z), x)
                    + r_bracket(r_bracket(z, x), y))
             worst = max(worst, cyc.norm())
         assert same(measured(reports, f"jacobi-{name}-bracket"), worst)
     for which in ("linear", "quadratic") if alg.associative else ("linear",):
-        val = linear_bracket if which == "linear" else quadratic_bracket
         worst = 0.0
         for _ in range(20):
             m = random_pair(alg, rng)
             F, G, H = (linear_function(random_pair(alg, rng), nm) for nm in "FGH")
 
+            def val(A, B, mm):
+                return bracket_value(which, A, B, mm)
+
             def pb(A, B):
-                return ScalarFunction(
-                    "pb", lambda mm: val(A, B, mm),
-                    lambda mm: _inner_bracket_gradient(which, mm, A.gradient(mm), B.gradient(mm)))
+                def grad(mm):
+                    return PairPoint.from_vec(alg, inner_bracket_gradients(
+                        alg, which, point_block(mm), point_block(A.gradient(mm)),
+                        point_block(B.gradient(mm))).ravel())
+                return ScalarFunction("pb", lambda mm: val(A, B, mm), grad)
             worst = max(worst, abs(val(F, pb(G, H), m) + val(G, pb(H, F), m) + val(H, pb(F, G), m)))
         assert same(measured(reports, f"jacobi-{which}-bracket"), worst)
 
@@ -200,15 +229,15 @@ def test_involutivity_battery_matches_the_point_loop(alg):
     ps = phase_tp(alg)
     reports = checks.check_involutivity_battery(alg)
     for which in ("linear", "quadratic") if alg.associative else ("linear",):
-        worst = max(float(np.abs(_bracket_table(m, family_gradients(alg, m), which)).max())
+        worst = max(float(np.abs(table_at(m, gradients_at(alg, m), which)).max())
                     for m in ps.sample_points(42, 20))
         assert same(measured(reports, f"involutivity-{which}"), worst)
     rng, worst = np.random.default_rng(42), 0.0
     for _ in range(5):
         m = random_pair(alg, rng)
-        grads = [pencil_pullback(alg, i, lam).gradient(m)
+        grads = [pullback(alg, i, lam).gradient(m)
                  for i in alg.exponents for lam in (0.0, 0.5, 1.0, 2.0, -1.0)]
-        worst = max(worst, float(np.abs(_bracket_table(m, grads, "linear")).max()))
+        worst = max(worst, float(np.abs(table_at(m, grads, "linear")).max()))
     assert same(measured(reports, "involutivity-pencil"), worst)
 
 
@@ -216,14 +245,18 @@ def test_family_gradient_stack_matches_the_point_loop(alg):
     ps = phase_tp(alg)
     G = family_gradient_stack(alg, ps.sample_stack(8, 4))
     for k, m in enumerate(ps.sample_points(8, 4)):
-        assert np.array_equal(G[k], [g.vec() for g in family_gradients(alg, m)])
+        assert np.array_equal(G[k], family_gradient_stack(alg, m.vec()[None])[0])
 
 
 def test_independence_battery_matches_the_point_loop(alg):
     ps = phase_tp(alg)
     at_eh, sweep = checks.check_independence_battery(alg)
-    assert at_eh.measured == ps.jacobian_rank(family_gradients(alg, PairPoint(alg.e, alg.h)))
-    assert sweep.measured == max(ps.jacobian_rank(family_gradients(alg, m))
+
+    def jacobian_rank(grads):
+        return int(ps.jacobian_ranks(np.stack([g.vec() for g in grads])))
+
+    assert at_eh.measured == jacobian_rank(gradients_at(alg, PairPoint(alg.e, alg.h)))
+    assert sweep.measured == max(jacobian_rank(gradients_at(alg, m))
                                  for m in ps.sample_points(42, 20))
 
 
@@ -233,11 +266,11 @@ def test_field_identities_match_the_point_loop(alg):
     H = ScalarFunction("H", lambda m: 0.0, lambda m: PairPoint(m.x, alg.zero()))
     Ht = ScalarFunction("H~", lambda m: 0.0, lambda m: PairPoint(alg.zero(), -m.y))
     assert same(measured(reports, "field-t-hamiltonian"),
-                max((hamiltonian_field(H, m) - field_t(m)).norm() for m in pts))
+                max((hamiltonian_field(H, m) - flow_at("t", m)).norm() for m in pts))
     assert same(measured(reports, "field-s-hamiltonian"),
-                max((hamiltonian_field(Ht, m) + field_s(m)).norm() for m in pts))
+                max((hamiltonian_field(Ht, m) + flow_at("s", m)).norm() for m in pts))
     worst = max(
-        (field_linear_pencil(i, lam, m) - hamiltonian_field(pencil_pullback(alg, i, lam), m)).norm()
+        (flow_at("linear", m, i=i, lam=lam) - hamiltonian_field(pullback(alg, i, lam), m)).norm()
         for m in pts[:3] for i in alg.exponents for lam in (0.0, 2.0, -1.0))
     assert same(measured(reports, "field-pencil-closed-form"), worst)
 
@@ -248,17 +281,18 @@ def test_quadratic_relations_match_the_point_loop(gl3):
     reports = checks.check_quadratic_relations(alg)
     lams = (0.0, 2.0, -1.0)
     worst = max(
-        (field_quadratic(i, lam, m)
-         - hamiltonian_field(pencil_pullback(alg, i, lam), m, which="quadratic")).norm()
+        (flow_at("quadratic", m, i=i, lam=lam)
+         - hamiltonian_field(pullback(alg, i, lam), m, "quadratic")).norm()
         for m in pts[:3] for i in alg.exponents for lam in lams)
     assert same(measured(reports, "field-quadratic-closed-form"), worst)
-    worst = max((field_quadratic(i, lam, m) - (2.0 / (lam - 1.0)) * field_linear_pencil(i + 1, lam, m)).norm()
+    worst = max((flow_at("quadratic", m, i=i, lam=lam)
+                 - (2.0 / (lam - 1.0)) * flow_at("linear", m, i=i + 1, lam=lam)).norm()
                 for m in pts for i in alg.exponents for lam in lams)
     assert same(measured(reports, "relquad"), worst)
     fam = dict(zip(family_labels(alg), family(alg)))
 
     def x(j, i, which, m):
-        return hamiltonian_field(fam[(j, i)], m, which=which)
+        return hamiltonian_field(fam[(j, i)], m, which)
 
     lines = {1: 0.0, 2: 0.0, 3: 0.0}
     for m in pts[:3]:
@@ -282,10 +316,11 @@ def test_poisson_iso_matches_the_point_loop(alg):
     ts, dps = toda.toda_space(alg), toda.diag_phase_space(alg)
     rng, worst = np.random.default_rng(42), 0.0
     for _ in range(100):
-        x = ts.point_from_coords(rng.uniform(-1.0, 1.0, ts.dim))
-        p = toda.embed_phi(ts, x)
-        lhs = _bracket_table(p, [xi.gradient(p) for xi in dps.coords], "linear")
-        rhs = _bracket_table(x, [z.gradient(x) for z in ts.coords], "linear")
+        x = Element(alg, ts.points_from_coords(rng.uniform(-1.0, 1.0, ts.dim)))
+        ts.require_members(x.vec()[None])
+        p = PairPoint(x, x)
+        lhs = table_at(p, [xi.gradient(p) for xi in dps.coords], "linear")
+        rhs = table_at(x, [z.gradient(x) for z in ts.coords], "linear")
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     assert same(toda.check_poisson_iso(alg).measured, worst)
 
@@ -296,7 +331,7 @@ def test_binomial_identity_matches_the_point_loop(alg):
     for x in xs:
         values = family(alg)
         for (k, i), F in zip(family_labels(alg), values):
-            worst = max(worst, abs(F(PairPoint(x, x)) - math.comb(i + 1, k) * trace_invariant(alg, i)(x)))
+            worst = max(worst, abs(F(PairPoint(x, x)) - math.comb(i + 1, k) * trace_function(alg, i)(x)))
     assert same(toda.check_binomial_identity(alg).measured, worst)
 
 
@@ -306,17 +341,18 @@ def test_toda_suite_matches_the_point_loop(alg):
     reports = toda.toda_suite(alg)
     coords = [linear_function(Element.from_covector(alg, e)) for e in np.eye(alg.dim)]
     assert same(measured(reports, "toda-submanifold"),
-                max(ts.normal_residual(hamiltonian_field(z, x)) for x in points[:5] for z in coords))
-    p1 = trace_invariant(alg, 1)
+                max(float(ts.normal_residuals(hamiltonian_field(z, x).vec()))
+                    for x in points[:5] for z in coords))
+    p1 = trace_function(alg, 1)
     assert same(measured(reports, "toda-lax-form"),
-                max((hamiltonian_field(p1, x) - field_toda(x)).norm() for x in points))
-    gens = [trace_invariant(alg, i) for i in alg.exponents]
+                max((hamiltonian_field(p1, x) - flow_at("t", x)).norm() for x in points))
+    gens = [trace_function(alg, i) for i in alg.exponents]
     assert same(measured(reports, "toda-involutivity"), max(
-        float(np.abs(_bracket_table(x, [P.gradient(x) for P in gens], "linear")).max())
+        float(np.abs(table_at(x, [P.gradient(x) for P in gens], "linear")).max())
         for x in points))
     assert measured(reports, "toda-independence") == max(
-        ts.jacobian_rank([P.gradient(x) for P in gens]) for x in points)
-    worst = max((field_t(PairPoint(x, x)) - PairPoint(field_toda(x), field_toda(x))).norm()
+        int(ts.jacobian_ranks(np.stack([P.gradient(x).vec() for P in gens]))) for x in points)
+    worst = max((flow_at("t", PairPoint(x, x)) - PairPoint(flow_at("t", x), flow_at("t", x))).norm()
                 for x in points)
     assert same(measured(reports, "toda-diagonal-consistency"), worst)
 

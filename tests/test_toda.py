@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from toda2 import (
+    Element,
     PairPoint,
     PhaseSpace,
     PreconditionError,
@@ -14,9 +15,8 @@ from toda2 import (
     bracket,
     check_binomial_identity,
     check_poisson_iso,
-    embed_phi,
-    expand_pencil,
-    field_toda,
+    family_labels,
+    family_values,
     form,
     gradient2,
     integrate_toda,
@@ -24,8 +24,11 @@ from toda2 import (
     project,
     toda_space,
     toda_suite,
-    trace_invariant,
 )
+from toda2.flows import field_rows
+from toda2.invariants import trace_values
+
+from pointwise import trace_function
 
 
 def test_toda_space_dimensions(desk_algebras):
@@ -36,7 +39,7 @@ def test_toda_space_dimensions(desk_algebras):
         else:
             assert ts.dim == 2 * (alg.n - 1)
         for x in ts.sample_points(seed=0, count=3):
-            assert ts.membership_residual(x) < 1e-12
+            assert ts.membership_residuals(x.vec()) < 1e-12
             # superdiagonal stays pinned at the unit Jacobi shape
             assert np.allclose(np.diag(x.matrix(), 1), 1.0)
 
@@ -50,7 +53,8 @@ def test_toda_space_is_a_phase_space_of_elements(sl3, gl3):
         x = ts.sample_points(seed=0, count=1)[0]
         G = np.array([[form(z.gradient(x), t) for t in ts.tangent] for z in ts.coords])
         assert np.allclose(G, np.eye(ts.dim), atol=1e-13)
-        assert np.allclose(ts.coords_of(x), [z(x) for z in ts.coords], atol=1e-13)
+        u = ts.duals.T @ (x.vec() - ts.base.vec())   # coordinates of x
+        assert np.allclose(u, [z(x) for z in ts.coords], atol=1e-13)
         for nv in ts.normal_covectors:
             assert max(abs(form(nv, t)) for t in ts.tangent) < 1e-13
 
@@ -60,36 +64,33 @@ def test_element_gradient2_fd_matches_analytic(sl3, gl3):
     for alg in (sl3, gl3):
         x = toda_space(alg).sample_points(seed=6, count=1)[0]
         for i in alg.exponents:
-            P = trace_invariant(alg, i)
+            P = trace_function(alg, i)
             fd = gradient2(ScalarFunction("fd-only", P.evaluator), x)
             assert (fd - P.gradient(x)).norm() < 1e-8, (alg.name, i)
 
 
 def test_embed_phi_doubles_the_point(sl3):
-    ts = toda_space(sl3)
-    x = ts.sample_points(seed=1, count=1)[0]
-    m = embed_phi(ts, x)
-    assert np.allclose(m.x.coords, x.coords)
-    assert np.allclose(m.y.coords, x.coords)
-    assert phase_tp(sl3).membership_residual(m) < 1e-12
+    # φ(x) = (x, x) of a Toda point lies on T_P
+    x = toda_space(sl3).sample_stack(seed=1, count=1)
+    assert phase_tp(sl3).membership_residuals(np.concatenate([x, x], axis=1)) < 1e-12
 
 
 def test_embed_phi_rejects_off_space(sl3):
     ts = toda_space(sl3)
-    x = ts.sample_points(seed=1, count=1)[0]
+    x = ts.sample_stack(seed=1, count=1)
     a = int(np.where(sl3.degrees == -2)[0][0])
     with pytest.raises(PreconditionError):
-        embed_phi(ts, x + sl3.element(np.eye(sl3.dim)[a]))
+        ts.require_members(x + np.eye(sl3.dim)[a])
 
 
 def test_field_toda_is_lax_bracket(sl3, gl3, so5):
     for alg in (sl3, gl3, so5):
         ts = toda_space(alg)
         for x in ts.sample_points(seed=2, count=3):
-            v = field_toda(x)
+            v = Element(alg, field_rows(alg, "t", x.coords))
             assert (v - bracket(project(x, ">=0"), x)).norm() < 1e-13
             # tangent: the flow stays on the Jacobi stratum
-            assert ts.membership_residual(x + v) < 1e-12
+            assert ts.membership_residuals((x + v).vec()) < 1e-12
 
 
 def test_toda_flow_is_isospectral(sl3):
@@ -119,15 +120,14 @@ def test_poisson_iso_check(sl2, sl3, gl2):
 def test_binomial_identity_explicit(sl3):
     # F_{k,i}(φ(x)) = C(m_i+1, k)·(−... the collapse leaves binomial weights
     ts = toda_space(sl3)
-    rng_points = ts.sample_points(seed=4, count=5)
-    for x in rng_points:
-        m = embed_phi(ts, x)
+    labels = family_labels(sl3)
+    for x in ts.sample_stack(seed=4, count=5):
+        values = family_values(sl3, np.concatenate([x, x])[None])[0]   # at φ(x) = (x, x)
         for i in sl3.exponents:
-            exp = expand_pencil(sl3, i, m)
-            Pi = trace_invariant(sl3, i)(x)
-            for k in range(exp.degree + 1):
+            Pi = float(trace_values(sl3, x, i))
+            for k in range(i + 2):
                 want = math.comb(i + 1, k) * Pi
-                assert exp.coeffs[k] == pytest.approx(want, abs=1e-10)
+                assert values[labels.index((k, i))] == pytest.approx(want, abs=1e-10)
 
 
 def test_binomial_identity_check(desk_algebras):
@@ -140,11 +140,12 @@ def test_toda_conservation_batch_matches_per_state_loop(sl3, gl3):
     for alg in (sl3, gl3):
         report = next(r for r in toda_suite(alg) if r.check == "toda-conservation")
         ts = toda_space(alg)
-        x0 = ts.point_from_coords(np.random.default_rng(42).uniform(-1.0, 1.0, ts.dim))
+        u0 = np.random.default_rng(42).uniform(-1.0, 1.0, ts.dim)
+        x0 = Element(alg, ts.points_from_coords(u0))
         _, states = integrate_toda(x0, dt=1e-3, T=1.0)
         worst = 0.0
         for i in alg.exponents:
-            P = trace_invariant(alg, i)
+            P = trace_function(alg, i)
             vals = np.array([P(alg.element(v)) for v in states])
             worst = max(worst, np.abs(vals - vals[0]).max() / (1.0 + abs(vals[0])))
         assert abs(report.measured - worst) < 1e-14
@@ -167,6 +168,6 @@ def test_diagonal_membership_agreement(sl3):
         else:
             x = sl3.element(rng.uniform(-1, 1, sl3.dim))
         m = PairPoint(x, x)
-        in_tt = ts.membership_residual(x) < 1e-10
-        in_tp = ps.membership_residual(m) < 1e-10
+        in_tt = ts.membership_residuals(x.vec()) < 1e-10
+        in_tp = ps.membership_residuals(m.vec()) < 1e-10
         assert in_tt == in_tp

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from toda2 import load_spec, phase_tp, rank_sweep, save_spec, validate_spec
+from toda2 import load_spec, phase_tp, rank_sweep, save_spec
 
 
 def X(i, j):
@@ -54,12 +54,7 @@ def main() -> int:
     out = sys.argv[1] if len(sys.argv) > 1 else "so5.json"
     import json
 
-    alg = load_spec(json.dumps(so5_document()))
-    violations = validate_spec(alg)
-    if violations:
-        for v in violations:
-            print("violation:", v)
-        return 1
+    alg = load_spec(json.dumps(so5_document()))   # validates, raises on a violation
     save_spec(alg, out)
     ps = phase_tp(alg)
     print(f"wrote {out}: dim {alg.dim}, rank {alg.rank}, exponents {alg.exponents}")

@@ -61,6 +61,7 @@ from .algebra import (
     bracket_blocks,
     mult_blocks,
 )
+from .reports import CheckReport, worst
 from .rmatrix import (
     PairPoint,
     Point,
@@ -554,8 +555,6 @@ def check_morphism_psi1(alg: AlgebraSpec, samples: int = 100, seed: int = 42,
     (`_psi1_samples`), all evaluated on the sample stack at once.  Requires
     c = 1.
     """
-    from .reports import CheckReport, worst
-
     if cfg.c != 1.0:
         raise PreconditionError(
             f"psi1 is a Poisson morphism only for c = 1 (configured c = {cfg.c})"
@@ -566,13 +565,5 @@ def check_morphism_psi1(alg: AlgebraSpec, samples: int = 100, seed: int = 42,
     F2, G2 = np.stack([gf, gf], axis=1), np.stack([gg, gg], axis=1)
     lhs = form_blocks(alg, F2, linear_field(alg, M, G2, cfg))
     rhs = form_blocks(alg, w[:, None], bracket_blocks(alg, gf, gg)[:, None])   # {f, g}(w)
-    residual = worst(np.abs(lhs - rhs))
-    return CheckReport(
-        check="morphism-psi1",
-        anchor="psi1-poisson-morphism",
-        algebra=alg.name,
-        params={"samples": samples, "seed": seed, "tol": tol},
-        measured=residual,
-        expected=f"< {tol:g}",
-        verdict=residual < tol,
-    )
+    return CheckReport.below("morphism-psi1", "psi1-poisson-morphism", alg.name,
+                             worst(np.abs(lhs - rhs)), tol, {"samples": samples, "seed": seed})

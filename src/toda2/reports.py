@@ -28,6 +28,23 @@ class CheckReport:
     verdict: bool = False
     detail: str = ""
 
+    @classmethod
+    def below(cls, check: str, anchor: str, algebra: str, measured, tol: float,
+              params: dict, detail: str = "") -> "CheckReport":
+        """A residual check: passes when measured < tol (a NaN residual fails);
+        the tolerance is recorded in params and as the expected "< tol"."""
+        return cls(check=check, anchor=anchor, algebra=algebra, params={**params, "tol": tol},
+                   measured=measured, expected=f"< {tol:g}", verdict=bool(measured < tol),
+                   detail=detail)
+
+    @classmethod
+    def equal(cls, check: str, anchor: str, algebra: str, measured, expected,
+              params: dict, detail: str = "") -> "CheckReport":
+        """An exact check: passes when measured == expected (ranks, counts)."""
+        return cls(check=check, anchor=anchor, algebra=algebra, params=params,
+                   measured=measured, expected=expected, verdict=bool(measured == expected),
+                   detail=detail)
+
     def to_dict(self) -> dict:
         return {
             "check": self.check,

@@ -24,6 +24,7 @@ from typing import Union
 import numpy as np
 
 from .algebra import AlgebraError, AlgebraSpec, Element, bracket_blocks, form, project
+from .reports import CheckReport, worst
 
 __all__ = [
     "PairPoint",
@@ -227,8 +228,6 @@ def check_mcybe(alg: AlgebraSpec, R: ROperator = None, c: float = 1.0,
     ℛ of the configured splitting.  The samples are drawn as one stack,
     x then y per sample, and the residual is evaluated on the whole stack.
     """
-    from .reports import CheckReport, worst
-
     if samples < 1:
         raise ValueError(f"check_mcybe needs samples ≥ 1, got {samples}")
     cfg = RMatrixConfig(c=c)
@@ -240,13 +239,8 @@ def check_mcybe(alg: AlgebraSpec, R: ROperator = None, c: float = 1.0,
     # residuals are only required to lie in the centre
     Z = alg.strip_centre(res)
     norms = np.sqrt(np.vecdot(Z, Z))            # (samples, k) Euclidean norms
-    residual = worst(norms)
-    return CheckReport(
-        check="mcybe-pair" if pair else "mcybe",
-        anchor="mcybe-splitting-exact" if R is None else "mcybe-user-operator",
-        algebra=alg.name,
-        params={"samples": samples, "seed": seed, "c": c, "tol": tol},
-        measured=residual,
-        expected=f"< {tol:g}",
-        verdict=residual < tol,
+    return CheckReport.below(
+        "mcybe-pair" if pair else "mcybe",
+        "mcybe-splitting-exact" if R is None else "mcybe-user-operator",
+        alg.name, worst(norms), tol, {"samples": samples, "seed": seed, "c": c},
     )

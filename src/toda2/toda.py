@@ -26,6 +26,7 @@ from .algebra import AlgebraSpec, Element
 from .flows import field_rows, lax_field, projected_partner, rk4_states, whole_steps
 from .invariants import family_labels, family_values, trace_gradients, trace_values
 from .poisson import PhaseSpace, bracket_tables, linear_field
+from .reports import CheckReport, worst
 from .rmatrix import PairPoint, RMatrixConfig, _matvec, block_norms
 
 __all__ = [
@@ -90,51 +91,30 @@ def check_poisson_iso(alg: AlgebraSpec, samples: int = 100, seed: int = 42,
     measures exactly the Poisson property.  Both sides are the raw coordinate
     bracket tables, never a Dirac-corrected `poisson_matrix`.
     """
-    from .reports import CheckReport, worst
-
     ts, dps = toda_space(alg), diag_phase_space(alg)
     X = ts.sample_stack(seed, samples)                  # (samples, dim)
     ts.require_members(X)
     P = np.stack([X, X], axis=1)                        # φ(x) = (x, x) as pair blocks
     lhs = bracket_tables(alg, "linear", P, dps.coord_gradients, cfg)
     rhs = bracket_tables(alg, "linear", X[:, None], ts.coord_gradients, cfg)
-    residual = worst(np.abs(lhs - rhs))
-    return CheckReport(
-        check="toda-poisson-iso",
-        anchor="diagonal-embedding-poisson-iso",
-        algebra=alg.name,
-        params={"samples": samples, "seed": seed, "tol": 1e-9},
-        measured=residual,
-        expected="< 1e-09",
-        verdict=residual < 1e-9,
-    )
+    return CheckReport.below("toda-poisson-iso", "diagonal-embedding-poisson-iso", alg.name,
+                             worst(np.abs(lhs - rhs)), 1e-9, {"samples": samples, "seed": seed})
 
 
 def check_binomial_identity(alg: AlgebraSpec, samples: int = 20, seed: int = 42):
     """F_{k,i}(φ(x)) = C(m_i+1, k) · P_i(x) on seeded Toda points, to 1e−10."""
-    from .reports import CheckReport, worst
-
     X = toda_space(alg).sample_stack(seed, samples)
     values = family_values(alg, np.concatenate([X, X], axis=1))
     labels = family_labels(alg)
     P = {i: trace_values(alg, X, i) for i in alg.exponents}
     want = np.stack([math.comb(i + 1, k) * P[i] for (k, i) in labels], axis=1)
-    residual = worst(np.abs(values - want))
-    return CheckReport(
-        check="toda-binomial",
-        anchor="diagonal-binomial-collapse",
-        algebra=alg.name,
-        params={"samples": samples, "seed": seed, "tol": 1e-10},
-        measured=residual,
-        expected="< 1e-10",
-        verdict=residual < 1e-10,
-    )
+    return CheckReport.below("toda-binomial", "diagonal-binomial-collapse", alg.name,
+                             worst(np.abs(values - want)), 1e-10,
+                             {"samples": samples, "seed": seed})
 
 
 def toda_suite(alg: AlgebraSpec, seed: int = 42, cfg: RMatrixConfig = _DEFAULT) -> list:
     """The Toda-side verification battery; returns a list of CheckReports."""
-    from .reports import CheckReport, worst
-
     ts = toda_space(alg)
     reports = []
     X = ts.sample_stack(seed, 20)                       # (20, dim) Toda points
@@ -144,46 +124,26 @@ def toda_suite(alg: AlgebraSpec, seed: int = 42, cfg: RMatrixConfig = _DEFAULT) 
     coords = _matvec(alg.gram_inv, np.eye(alg.dim))[:, None]     # gradients G⁻¹e_a
     fields = linear_field(alg, X[:5, None, None], coords, cfg)
     residual = worst(ts.normal_residuals(fields[..., 0, :]))
-    reports.append(CheckReport(
-        check="toda-submanifold",
-        anchor="toda-space-poisson-submanifold",
-        algebra=alg.name,
-        params={"points": 5, "seed": seed, "tol": 1e-9},
-        measured=residual, expected="< 1e-09", verdict=residual < 1e-9,
-    ))
+    reports.append(CheckReport.below("toda-submanifold", "toda-space-poisson-submanifold",
+                                     alg.name, residual, 1e-9, {"points": 5, "seed": seed}))
 
     # the P₁ flow is the Toda equation [A₊, A]
     toda = field_rows(alg, "t", X, cfg)
     x_p1 = linear_field(alg, X[:, None], trace_gradients(alg, X, 1)[:, None], cfg)
     residual = worst(block_norms(x_p1 - toda[:, None]))
-    reports.append(CheckReport(
-        check="toda-lax-form",
-        anchor="toda-flow-is-lax-bracket",
-        algebra=alg.name,
-        params={"points": len(X), "seed": seed, "tol": 1e-9},
-        measured=residual, expected="< 1e-09", verdict=residual < 1e-9,
-    ))
+    reports.append(CheckReport.below("toda-lax-form", "toda-flow-is-lax-bracket", alg.name,
+                                     residual, 1e-9, {"points": len(X), "seed": seed}))
 
     # involutivity of the P_i on (𝔤, R-bracket)
     grads = np.stack([trace_gradients(alg, X, i) for i in alg.exponents], axis=1)
     residual = worst(np.abs(bracket_tables(alg, "linear", X[:, None], grads, cfg)))
-    reports.append(CheckReport(
-        check="toda-involutivity",
-        anchor="toda-invariants-involutive",
-        algebra=alg.name,
-        params={"points": len(X), "seed": seed, "tol": 1e-9},
-        measured=residual, expected="< 1e-09", verdict=residual < 1e-9,
-    ))
+    reports.append(CheckReport.below("toda-involutivity", "toda-invariants-involutive",
+                                     alg.name, residual, 1e-9, {"points": len(X), "seed": seed}))
 
     # independence of the P_i on T_T
     best = int(ts.jacobian_ranks(grads).max())
-    reports.append(CheckReport(
-        check="toda-independence",
-        anchor="toda-invariants-independent",
-        algebra=alg.name,
-        params={"points": len(X), "seed": seed},
-        measured=best, expected=alg.rank, verdict=best == alg.rank,
-    ))
+    reports.append(CheckReport.equal("toda-independence", "toda-invariants-independent",
+                                     alg.name, best, alg.rank, {"points": len(X), "seed": seed}))
 
     # conservation along the integrated Toda flow
     x0 = Element(alg, ts.points_from_coords(
@@ -194,23 +154,13 @@ def toda_suite(alg: AlgebraSpec, seed: int = 42, cfg: RMatrixConfig = _DEFAULT) 
     for i in alg.exponents:   # P_i on the whole stack
         vals = trace_values(alg, states, i)
         drift = max(drift, float(np.abs(vals - vals[0]).max() / (1.0 + abs(vals[0]))))
-    reports.append(CheckReport(
-        check="toda-conservation",
-        anchor="toda-flow-conserves-invariants",
-        algebra=alg.name,
-        params={"dt": 1e-3, "T": 1.0, "seed": seed, "tol": 1e-6},
-        measured=drift, expected="< 1e-06", verdict=drift < 1e-6,
-    ))
+    reports.append(CheckReport.below("toda-conservation", "toda-flow-conserves-invariants",
+                                     alg.name, drift, 1e-6, {"dt": 1e-3, "T": 1.0, "seed": seed}))
 
     # the diagonal is t-flow invariant and the pushforward matches the t-flow field
     ft = field_rows(alg, "t", np.concatenate([X, X], axis=1), cfg)
     residual = worst(np.abs(ft - np.concatenate([toda, toda], axis=1)).max(axis=1))
-    reports.append(CheckReport(
-        check="toda-diagonal-consistency",
-        anchor="t-flow-restricts-to-toda-flow",
-        algebra=alg.name,
-        params={"points": len(X), "seed": seed, "tol": 1e-10},
-        measured=residual, expected="< 1e-10", verdict=residual < 1e-10,
-    ))
+    reports.append(CheckReport.below("toda-diagonal-consistency", "t-flow-restricts-to-toda-flow",
+                                     alg.name, residual, 1e-10, {"points": len(X), "seed": seed}))
 
     return reports

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from toda2 import build_sl, checks, cli, emit_report, load_spec, run_battery, save_spec, spec_to_document
+from toda2 import algebra, build_sl, checks, cli, emit_report, load_spec, run_battery, save_spec, spec_to_document
 from toda2.checks import BATTERY_NAMES
 from toda2.cli import main, resolve_algebra
 
@@ -33,6 +33,20 @@ def test_algebra_validate(capsys, tmp_path):
     main(["algebra", "build", "sl2", "--out", str(out)])
     capsys.readouterr()
     assert main(["algebra", "validate", str(out)]) == 0
+
+
+def test_algebra_validate_runs_the_jacobi_check_once(tmp_path, monkeypatch, capsys, sl2):
+    # building or loading validates; the command reads that verdict, it does not validate again
+    path = tmp_path / "sl2.json"
+    save_spec(sl2, path)
+    calls = []
+    jacobi = algebra.jacobi_residual
+    monkeypatch.setattr(algebra, "jacobi_residual", lambda C: calls.append(1) or jacobi(C))
+    for token in ("sl3", str(path)):
+        calls.clear()
+        assert main(["algebra", "validate", token]) == 0
+        assert len(calls) == 1, token
+    assert capsys.readouterr().out.count("invariants hold") == 2
 
 
 @pytest.mark.parametrize("field, value, invariant", [
@@ -226,6 +240,28 @@ def test_flow_commutation_steps_must_be_positive(count, capsys):
         main(["flow", "commutation", "--steps", count])
     assert ex.value.code == 2
     assert "--steps: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["flow", "commutation", "--steps", str(10**30)], "--steps: must be at most 10000"),
+    (["flow", "commutation", "--steps", "10001"], "--steps: must be at most 10000"),
+    (["flow", "run", "--T", "1e12"],
+     "T/dt = 1000000000000000 steps; a flow run takes at most 10000"),
+], ids=["steps-1e30", "steps-10001", "run-T-1e12"])
+def test_flow_steps_are_bounded_before_any_build(argv, message, monkeypatch, capsys):
+    # RK4 keeps every state: a huge step count would hang or exhaust memory
+    def no_build(*args):
+        raise AssertionError("an algebra was built")
+
+    monkeypatch.setattr(cli, "build_sl", no_build)
+    monkeypatch.setattr(cli, "build_gl", no_build)
+    try:    # argparse refuses --steps, the command refuses T/dt
+        code = main(argv + ["--algebra", "gl3"])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert cli.build_parser().parse_args(["flow", "commutation", "--steps", "10000"]).steps == 10000
 
 
 @pytest.mark.parametrize("command", [

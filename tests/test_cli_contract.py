@@ -4,8 +4,10 @@ never in an uncaught exception.
 
 Only cheap commands run in-process: `algebra validate` and `check rais` on
 fuzzed --samples, --tol and --algebra tokens and on malformed spec documents,
-and `check casimir` on sl2, gl2 and sl3 with fuzzed --samples (at most 1000
-are accepted) and --tol tokens.
+`check casimir` on sl2, gl2 and sl3 with fuzzed --samples (at most 1000
+are accepted) and --tol tokens, and `flow run` and `flow commutation` on sl2
+and gl2 with fuzzed step sizes, horizons, fields and pencil parameters (at
+most 10000 steps are accepted, ~0.5 s on gl2).
 """
 
 import contextlib
@@ -108,3 +110,36 @@ def test_malformed_spec_documents_keep_the_exit_code_contract(doc, samples):
         path.write_text(json.dumps(doc))
         assert exit_code(["algebra", "validate", str(path)]) in (0, 1, 2)
         assert exit_code(["check", "rais", "--algebra", str(path), "--samples", samples]) in (0, 1, 2)
+
+
+# step sizes and horizons that make a few steps, often enough to be drawn
+STEP_TOKENS = st.sampled_from(["0.05", "0.1", "0.25", "0.5", "1", "2"])
+
+
+@settings(max_examples=50)
+@given(algebra=st.sampled_from(["sl2", "gl2"]),
+       field=st.sampled_from(["t", "s", "quadratic", "linear", "x"]),
+       dt=STEP_TOKENS | NUMBER_TOKENS, T=STEP_TOKENS | NUMBER_TOKENS,
+       i=st.none() | st.integers(-1, 3).map(str) | NUMBER_TOKENS,
+       lam=st.none() | st.sampled_from(["0", "1", "2", "-1"]) | NUMBER_TOKENS)
+@example(algebra="gl2", field="quadratic", dt="0.05", T="3", i="1", lam="0")
+@example(algebra="sl2", field="linear", dt="0.1", T="1", i="1", lam="nan")
+@example(algebra="gl2", field="t", dt="1e-5", T="0.1", i=None, lam=None)
+@example(algebra="sl2", field="s", dt="1e-300", T="1", i=None, lam=None)
+def test_fuzzed_flow_run_keeps_the_exit_code_contract(algebra, field, dt, T, i, lam):
+    argv = ["flow", "run", "--algebra", algebra, "--field", field, f"--dt={dt}", f"--T={T}"]
+    argv += [] if i is None else [f"--i={i}"]
+    argv += [] if lam is None else [f"--lam={lam}"]
+    assert exit_code(argv) in (0, 1, 2)
+
+
+@settings(max_examples=50)
+@given(algebra=st.sampled_from(["sl2", "gl2"]),
+       steps=SAMPLE_TOKENS | st.integers(9990, 10010).map(str), dt=STEP_TOKENS | NUMBER_TOKENS)
+@example(algebra="gl2", steps="10000", dt="1e-3")
+@example(algebra="sl2", steps=str(10**30), dt="1e-3")
+@example(algebra="sl2", steps="--", dt="0.05")     # argparse would store [] for --steps=--
+@example(algebra="sl2", steps="9", dt="1")       # the runs blow up
+def test_fuzzed_flow_commutation_keeps_the_exit_code_contract(algebra, steps, dt):
+    argv = ["flow", "commutation", "--algebra", algebra, f"--steps={steps}", f"--dt={dt}"]
+    assert exit_code(argv) in (0, 1, 2)

@@ -150,7 +150,7 @@ def test_batched_eigenvalue_drift_matches_row_loop(sl3, gl3, so5):
                          conserved=[])
         for lam0 in (0.0, 1.0, 2.0):
             def eigs(k):
-                m = traj.point(k)
+                m = PairPoint.from_vec(alg, traj.states[k])
                 w = np.linalg.eigvals(lam0 * m.x.matrix() - m.y.matrix())
                 return np.sort_complex(w)
 
@@ -161,11 +161,15 @@ def test_batched_eigenvalue_drift_matches_row_loop(sl3, gl3, so5):
 
 def test_rk4_order_via_step_halving(sl3):
     m0 = seed_point(sl3)
-    ref = integrate(FlowConfig(field="t", dt=0.005, T=2.0), m0).points[-1]
+
+    def end(dt):
+        traj = integrate(FlowConfig(field="t", dt=dt, T=2.0), m0)
+        return PairPoint.from_vec(sl3, traj.states[-1])
+
+    ref = end(0.005)
 
     def err(dt):
-        end = integrate(FlowConfig(field="t", dt=dt, T=2.0), m0).points[-1]
-        return (end - ref).norm()
+        return (end(dt) - ref).norm()
 
     ratio = err(0.04) / err(0.02)
     assert ratio > 8.0  # a 4th-order scheme gives ≈ 16; >8 rules out 3rd
@@ -265,8 +269,8 @@ def exact_flow(field, m0, T):
 def test_rk4_matches_exact_factorization_solution(field, sl3, gl3, sl4):
     for alg in (sl3, gl3, sl4):
         m0 = seed_point(alg)
-        end = integrate(FlowConfig(field=field, dt=1e-3, T=1.0), m0,
-                        conserved=[]).point(-1)
+        traj = integrate(FlowConfig(field=field, dt=1e-3, T=1.0), m0, conserved=[])
+        end = PairPoint.from_vec(alg, traj.states[-1])
         L, M = exact_flow(field, m0, 1.0)
         err = max(np.abs(end.x.matrix() - L).max(), np.abs(end.y.matrix() - M).max())
         assert err <= 1e-9, (alg.name, field, err)

@@ -34,6 +34,35 @@ def test_line_format():
     assert bad.line().startswith("[FAIL]")
 
 
+@pytest.mark.parametrize("residual", [3e-12, 2e-9, np.float64(5e-10), float("nan")])
+def test_below_is_the_hand_built_residual_report(residual):
+    tol = 1e-9
+    hand = CheckReport(
+        check="casimir-P1", anchor="psi1-pullback-casimir", algebra="sl2",
+        params={"samples": 5, "seed": 42, "tol": tol, "generator": 1},
+        measured=residual, expected=f"< {tol:g}", verdict=residual < tol, detail="d",
+    )
+    made = CheckReport.below("casimir-P1", "psi1-pullback-casimir", "sl2", residual, tol,
+                             {"samples": 5, "seed": 42, "generator": 1}, detail="d")
+    assert made.to_dict() == hand.to_dict()
+    assert made.line() == hand.line()
+    assert made.verdict is bool(residual < tol)     # a NaN residual fails, as `<` does
+    assert emit_report([made], "json") == emit_report([hand], "json")
+
+
+@pytest.mark.parametrize("measured", [4, 3, np.int64(4)])
+def test_equal_is_the_hand_built_count_report(measured):
+    hand = CheckReport(
+        check="rank-linear", anchor="restricted-poisson-rank", algebra="sl2",
+        params={"points": 25}, measured=measured, expected=4, verdict=measured == 4,
+    )
+    made = CheckReport.equal("rank-linear", "restricted-poisson-rank", "sl2", measured, 4,
+                             {"points": 25})
+    assert made.to_dict() == hand.to_dict()
+    assert made.line() == hand.line()
+    assert made.verdict is bool(measured == 4)
+
+
 def test_all_pass():
     good = CheckReport(check="a", anchor="x", algebra="sl2", verdict=True)
     bad = CheckReport(check="b", anchor="x", algebra="sl2", verdict=False)

@@ -25,7 +25,6 @@ from .algebra import (
 )
 from .rmatrix import (
     PairPoint,
-    RMatrixConfig,
     check_mcybe,
     decompose_pair,
     form2,
@@ -86,7 +85,6 @@ __all__ = [
     "validate_spec",
     "with_rescaled_basis",
     "PairPoint",
-    "RMatrixConfig",
     "check_mcybe",
     "decompose_pair",
     "form2",

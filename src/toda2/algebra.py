@@ -91,6 +91,11 @@ _OPS = {
 }
 
 
+# the paper's splitting 𝔤 = 𝔤_{≥0} ⊕ 𝔤_{<0}: R = P₊ − P₋, the t-flow partner
+# Π₊L and the s-flow partner Π₋M all read these two regions
+PLUS, MINUS = ">=0", "<0"
+
+
 def degree_mask(degrees: np.ndarray, region: str) -> np.ndarray:
     op, k = parse_region(region)
     return _OPS[op](degrees, k)
@@ -278,9 +283,9 @@ class AlgebraSpec:
 
     def memo(self, key, build):
         """build(), computed once per spec and key and kept; an array result is
-        made read-only.  Masks, splittings, projectors and phase spaces are
-        derived data of the spec, asked for at every bracket or battery.  A
-        build that raises stores nothing, so it raises again on every call."""
+        made read-only.  Masks, projectors and phase spaces are derived data of
+        the spec, asked for at every bracket or battery.  A build that raises
+        stores nothing, so it raises again on every call."""
         table = self._memo_table
         if key not in table:
             value = build()
@@ -294,21 +299,13 @@ class AlgebraSpec:
         cached: R and the projections ask for the same regions at every bracket."""
         return self.memo(("mask", region), lambda: degree_mask(self.degrees, region))
 
-    def splitting_signs(self, plus_region: str, minus_region: str) -> np.ndarray:
-        """Read-only ±1 per basis vector for 𝔤 = 𝔤₊ ⊕ 𝔤₋ split by degree region,
-        cached like `mask`: every R and R* application asks for it.  Regions
-        that do not partition the degrees raise on every call, uncached."""
-
-        def build():
-            plus, minus = self.mask(plus_region), self.mask(minus_region)
-            if np.any(plus & minus) or not np.all(plus | minus):
-                raise AlgebraError(
-                    f"splitting regions {plus_region!r}/{minus_region!r} "
-                    f"do not partition the degrees of {self.name}"
-                )
-            return np.where(plus, 1.0, -1.0)
-
-        return self.memo(("splitting", plus_region, minus_region), build)
+    @cached_property
+    def splitting_signs(self) -> np.ndarray:
+        """Read-only ±1 per basis vector, +1 on 𝔤_{≥0} (`PLUS`) and −1 on 𝔤_{<0},
+        cached: the diagonal of R = P₊ − P₋, read at every R and R* application."""
+        S = np.where(self.mask(PLUS), 1.0, -1.0)
+        S.flags.writeable = False
+        return S
 
     def matrix_projector(self, region: str) -> np.ndarray:
         """Read-only n²×n² matrix of `project(·, region)` on flattened matrices

@@ -27,7 +27,6 @@ from .poisson import (
 )
 from .rmatrix import (
     PairPoint,
-    RMatrixConfig,
     block_norms,
     check_mcybe,
     form_blocks,
@@ -41,8 +40,6 @@ from .toda import (
     diag_phase_space,
     toda_suite,
 )
-
-_DEFAULT = RMatrixConfig()
 
 
 def expected_rank(alg: AlgebraSpec) -> int:
@@ -64,8 +61,8 @@ def expected_rank(alg: AlgebraSpec) -> int:
 def check_mcybe_battery(alg: AlgebraSpec, samples: int = 200, seed: int = 42,
                         tol: float = 1e-11) -> list[CheckReport]:
     return [
-        check_mcybe(alg, R=None, c=1.0, samples=samples, seed=seed, tol=tol),
-        check_mcybe(alg, c=1.0, samples=samples, seed=seed, pair=True, tol=tol),
+        check_mcybe(alg, samples=samples, seed=seed, tol=tol),
+        check_mcybe(alg, samples=samples, seed=seed, pair=True, tol=tol),
     ]
 
 
@@ -300,8 +297,7 @@ def check_rank_battery(alg: AlgebraSpec, seed: int = 42,
 # --------------------------------------------------------------------------
 
 
-def relquad_residuals(alg: AlgebraSpec, i: int, lam: float, V: np.ndarray,
-                      cfg: RMatrixConfig = _DEFAULT) -> np.ndarray:
+def relquad_residuals(alg: AlgebraSpec, i: int, lam: float, V: np.ndarray) -> np.ndarray:
     """Residual of X^Q_{P_i∘φ_λ} = (2/(λ−1))·X_{P_{i+1}∘φ_λ} at point rows V (…, 2·dim).
 
     The two closed-form fields are proportional with ratio 2/(λ−1); λ = 1 is
@@ -311,8 +307,8 @@ def relquad_residuals(alg: AlgebraSpec, i: int, lam: float, V: np.ndarray,
         raise PreconditionError(
             "the quadratic/linear field relation degenerates at λ = 1"
         )
-    xq = field_rows(alg, "quadratic", V, cfg, i, lam)
-    xl = field_rows(alg, "linear", V, cfg, i + 1, lam)
+    xq = field_rows(alg, "quadratic", V, i, lam)
+    xl = field_rows(alg, "linear", V, i + 1, lam)
     return np.abs(xq - xl * (2.0 / (lam - 1.0))).max(axis=-1)
 
 
@@ -323,7 +319,7 @@ def _pencil_field_defect(alg: AlgebraSpec, which: str, V: np.ndarray,
     M = V.reshape(len(V), 2, alg.dim)
     field = linear_field if which == "linear" else quadratic_field
     gaps = [
-        block_norms(field_rows(alg, which, V, _DEFAULT, i, lam).reshape(M.shape)
+        block_norms(field_rows(alg, which, V, i, lam).reshape(M.shape)
                     - field(alg, M, pullback_gradients(alg, i, lam, M)))
         for i in alg.exponents for lam in lams
     ]

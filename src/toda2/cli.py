@@ -33,6 +33,7 @@ from .algebra import (
 )
 from .checks import BATTERY_NAMES, run_battery
 from .flows import (
+    MAX_STEPS,
     FlowConfig,
     flow_commutation,
     integrate,
@@ -50,10 +51,6 @@ BUILTIN_ORDERS = range(2, 10)
 # every battery draws its samples as one array: involutivity on gl9 takes
 # ~0.26 MB per sample, so a run at this bound stays near 0.3 GB
 MAX_SAMPLES = 1000
-# RK4 keeps every state: `flow run` on gl9 at this bound (dt 1e-4, T 1) peaks
-# at 442 MB resident in 3.6 s, +39 KB per step; `flow commutation` keeps one
-# run of these steps at a time (102 MB on gl9)
-MAX_STEPS = 10_000
 
 
 def resolve_algebra(token: str) -> AlgebraSpec:
@@ -119,9 +116,6 @@ def _cmd_check(args) -> int:
 def _cmd_flow_run(args) -> int:
     cfg = FlowConfig(field=args.field, dt=args.dt, T=args.T, i=args.i,
                      lam=args.lam)
-    if cfg.n_steps > MAX_STEPS:
-        raise PreconditionError(
-            f"T/dt = {cfg.n_steps} steps; a flow run takes at most {MAX_STEPS}")
     alg = resolve_algebra(args.algebra)
     ps = phase_tp(alg)
     m0 = ps.sample_points(args.seed, 1)[0]

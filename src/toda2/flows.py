@@ -20,7 +20,7 @@ stack (`lax_field`); only its partner Z = Z(V) differs:
     s-flow      Z = Π₋M
     Toda        Z = Π₊A                          (`toda.py`, one block)
     quadratic   Z = (−2Π₋W, 2Π₊W),               W = (λL − M)^{i+1}
-    linear      Z = ½(λ−1)(RP − cP, RP + cP),    P = ĝ((λL − M)^i)
+    linear      Z = ½(λ−1)(RP − P, RP + P),      P = ĝ((λL − M)^i)
 
 with R = Π₊ − Π₋ and ĝ the trace-form projection onto 𝔤.  `field_rows`
 evaluates the same commutator at a stack of coordinate rows; one point is a
@@ -34,12 +34,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import AlgebraSpec
+from .algebra import MINUS, PLUS, AlgebraSpec
 from .invariants import family, family_values, require_generator_label
 from .poisson import CapabilityError, PhaseSpace, PreconditionError, ScalarFunction
-from .rmatrix import PairPoint, RMatrixConfig
+from .rmatrix import PairPoint
 
 __all__ = [
+    "MAX_STEPS",
     "FlowConfig",
     "Trajectory",
     "lax_field",
@@ -54,7 +55,10 @@ __all__ = [
     "pencil_eigenvalue_drift",
 ]
 
-_DEFAULT = RMatrixConfig()
+# RK4 keeps every state: `flow run` on gl9 at this bound (dt 1e-4, T 1) peaks
+# at 442 MB resident in 3.6 s, +39 KB per step; `flow commutation` keeps one
+# run of these steps at a time (102 MB on gl9)
+MAX_STEPS = 10_000
 
 
 # --------------------------------------------------------------------------
@@ -93,48 +97,47 @@ def projected_partner(alg: AlgebraSpec, block: int, region: str) -> Callable:
     return partner
 
 
-def _partner(alg: AlgebraSpec, field: str, cfg: RMatrixConfig, i: int = 0,
-             lam: float = 0.0) -> Callable:
+def _partner(alg: AlgebraSpec, field: str, i: int = 0, lam: float = 0.0) -> Callable:
     """The partner Z of the t-, s-, quadratic or linear pencil field on (L, M).
 
-    A pencil partner is Z = s·((R − c)p, (R + c)p) with p the coordinates of
-    W^{i+1} (quadratic: c = s = 1) or ĝ(W^i) (linear: c = cfg.c, s = ½(λ−1)),
+    A pencil partner is Z = s·((R − 1)p, (R + 1)p) with p the coordinates of
+    W^{i+1} (quadratic: s = 1) or ĝ(W^i) (linear: s = ½(λ−1)),
     W = λL − M, less its centre part: kept, that part lets RK4 past a gl(2)
     quadratic blow-up (i = 1, λ = 0) settle on an exactly traceless M, where
     the field vanishes, instead of ending at a non-finite state.  The t-flow
     partner on one block is the Toda partner Π₊A."""
     if field == "t":
-        return projected_partner(alg, 0, cfg.plus_region)
+        return projected_partner(alg, 0, PLUS)
     if field == "s":
-        return projected_partner(alg, 1, cfg.minus_region)
+        return projected_partner(alg, 1, MINUS)
     if field == "quadratic":
         if not alg.associative:
             raise CapabilityError(
                 f"quadratic pencil field needs an associative algebra; "
                 f"{alg.name} has associative=False"
             )
-        power, coords, c, s = i + 1, alg.to_coords, 1.0, 1.0
+        power, coords, s = i + 1, alg.to_coords, 1.0
     else:
-        power, c, s = i, cfg.c, 0.5 * (lam - 1.0)
+        power, s = i, 0.5 * (lam - 1.0)
 
         def coords(W):
             return alg.gradient_from_matrix(W)[..., 0, :]
-    signs = cfg.signs(alg)
+    lo, hi = alg.splitting_signs - 1.0, alg.splitting_signs + 1.0     # R − 1, R + 1
 
     def partner(V: np.ndarray) -> np.ndarray:
         # W keeps a block axis of length one, so each entry is one matrix
         p = coords(np.linalg.matrix_power(lam * V[..., :1, :, :] - V[..., 1:, :, :], power))
-        Z = alg.strip_centre(np.stack([(signs - c) * p, (signs + c) * p], axis=-2))
+        Z = alg.strip_centre(np.stack([lo * p, hi * p], axis=-2))
         return s * alg.to_matrices(Z.reshape(*Z.shape[:-2], -1))
 
     return partner
 
 
-def field_rows(alg: AlgebraSpec, field: str, V: np.ndarray, cfg: RMatrixConfig = _DEFAULT,
-               i: int = 0, lam: float = 0.0) -> np.ndarray:
+def field_rows(alg: AlgebraSpec, field: str, V: np.ndarray, i: int = 0,
+               lam: float = 0.0) -> np.ndarray:
     """The t-, s-, quadratic or linear pencil field at coordinate rows V (…, 2·dim);
     the "t" field on rows (…, dim) of 𝔤 is the Toda field [A₊, A]."""
-    return lax_rows(alg, V, _partner(alg, field, cfg, i, lam))
+    return lax_rows(alg, V, _partner(alg, field, i, lam))
 
 
 # --------------------------------------------------------------------------
@@ -151,11 +154,12 @@ def _named_field(cfg: "FlowConfig",
         if cfg.i is None or cfg.lam is None:
             raise PreconditionError(f"{cfg.field} pencil field needs generator label i and λ")
         require_generator_label(alg, cfg.i)
-    return lax_field(_partner(alg, cfg.field, cfg.rmatrix, cfg.i, cfg.lam))
+    return lax_field(_partner(alg, cfg.field, cfg.i, cfg.lam))
 
 
 def whole_steps(dt: float, T: float) -> int:
-    """The number of steps dt in the horizon T, which must be a whole number."""
+    """The number of steps dt in the horizon T, which must be a whole number
+    of at most MAX_STEPS."""
     if not (dt > 0):
         raise PreconditionError(f"dt must be positive, got {dt}")
     if T < dt:
@@ -165,7 +169,10 @@ def whole_steps(dt: float, T: float) -> int:
         raise PreconditionError(
             f"horizon T = {T} is not a whole number of steps dt = {dt}"
         )
-    return int(round(ratio))
+    n = int(round(ratio))
+    if n > MAX_STEPS:
+        raise PreconditionError(f"T/dt = {n} steps; a flow run takes at most {MAX_STEPS}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -177,13 +184,9 @@ class FlowConfig:
     T: float = 1.0
     i: Optional[int] = None          # generator label for pencil fields
     lam: Optional[float] = None      # λ for pencil fields
-    integrator: str = "rk4"
-    rmatrix: RMatrixConfig = _DEFAULT
 
     def __post_init__(self):
         whole_steps(self.dt, self.T)
-        if self.integrator != "rk4":
-            raise PreconditionError(f"unknown integrator {self.integrator!r}")
 
     @property
     def n_steps(self) -> int:

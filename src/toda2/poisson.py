@@ -65,7 +65,6 @@ from .reports import CheckReport, worst
 from .rmatrix import (
     PairPoint,
     Point,
-    RMatrixConfig,
     _matvec,
     form_blocks,
     point_block,
@@ -96,7 +95,6 @@ __all__ = [
     "psi1",
 ]
 
-_DEFAULT = RMatrixConfig()
 FD_STEP = 1e-5
 
 
@@ -175,22 +173,20 @@ def _pairing_matrix(m: Point) -> np.ndarray:
     return _block_pairing(m.alg, len(point_block(m)))
 
 
-def linear_field(alg: AlgebraSpec, m: np.ndarray, g: np.ndarray,
-                 cfg: RMatrixConfig = _DEFAULT) -> np.ndarray:
+def linear_field(alg: AlgebraSpec, m: np.ndarray, g: np.ndarray) -> np.ndarray:
     """X(m) = ½(ℛ*[g, m] + [ℛg, m]) on blocks (…, k, dim) of points m and gradients g.
 
     k = 1 gives R, R* on 𝔤, k = 2 gives ℛ, ℛ* on 𝔤×𝔤; m and g broadcast, so one
     call evaluates the field of a gradient stack at a point, or at a point stack.
     """
-    return 0.5 * (rr_adjoint_block(alg, bracket_blocks(alg, g, m), cfg)
-                  + bracket_blocks(alg, rr_block(alg, g, cfg), m))
+    return 0.5 * (rr_adjoint_block(alg, bracket_blocks(alg, g, m))
+                  + bracket_blocks(alg, rr_block(alg, g), m))
 
 
-def quadratic_field(alg: AlgebraSpec, m: np.ndarray, g: np.ndarray,
-                    cfg: RMatrixConfig = _DEFAULT) -> np.ndarray:
+def quadratic_field(alg: AlgebraSpec, m: np.ndarray, g: np.ndarray) -> np.ndarray:
     """X(m) = ½[ℛ(mg + gm), m] − ½(wm + mw), w = ℛ*[m, g], on pair blocks (…, 2, dim)."""
-    w = rr_adjoint_block(alg, bracket_blocks(alg, m, g), cfg)
-    s = rr_block(alg, mult_blocks(alg, m, g) + mult_blocks(alg, g, m), cfg)
+    w = rr_adjoint_block(alg, bracket_blocks(alg, m, g))
+    s = rr_block(alg, mult_blocks(alg, m, g) + mult_blocks(alg, g, m))
     return 0.5 * (bracket_blocks(alg, s, m) - mult_blocks(alg, w, m) - mult_blocks(alg, m, w))
 
 
@@ -211,17 +207,17 @@ def _block_field(which: str, alg: AlgebraSpec, k: int):
 
 
 def inner_bracket_gradients(alg: AlgebraSpec, which: str, M: np.ndarray, G: np.ndarray,
-                            H: np.ndarray, cfg: RMatrixConfig = _DEFAULT) -> np.ndarray:
+                            H: np.ndarray) -> np.ndarray:
     """∇ of m ↦ {G, H}(m) for linear G, H with gradients G, H, on pair blocks
     (…, 2, dim) of points M: the ℛ-bracket ½([ℛg, h] + [g, ℛh]) for "linear",
     T(g, h) − T(h, g) for "quadratic" with T(g, h) = ½([g, ℛ(mh + hm)] + hw + wh),
     w = ℛ*[m, g]."""
     if which == "linear":
-        return r_bracket_blocks(alg, G, H, cfg=cfg)
+        return r_bracket_blocks(alg, G, H)
 
     def T(g, h):
-        w = rr_adjoint_block(alg, bracket_blocks(alg, M, g), cfg)
-        s = rr_block(alg, mult_blocks(alg, M, h) + mult_blocks(alg, h, M), cfg)
+        w = rr_adjoint_block(alg, bracket_blocks(alg, M, g))
+        s = rr_block(alg, mult_blocks(alg, M, h) + mult_blocks(alg, h, M))
         return 0.5 * (bracket_blocks(alg, g, s) + mult_blocks(alg, h, w) + mult_blocks(alg, w, h))
 
     return T(G, H) - T(H, G)
@@ -398,8 +394,7 @@ class PoissonMatrixAt:
             )
 
 
-def bracket_tables(alg: AlgebraSpec, which: str, M: np.ndarray, A: np.ndarray,
-                   cfg: RMatrixConfig = _DEFAULT) -> np.ndarray:
+def bracket_tables(alg: AlgebraSpec, which: str, M: np.ndarray, A: np.ndarray) -> np.ndarray:
     """{F_a, F_b} = ⟨∇F_a, X_{F_b}⟩ at points M (…, k, dim), shape (…, n, n).
 
     A holds the gradient rows vec(∇F_a), (n, k·dim) shared by every point or
@@ -408,13 +403,13 @@ def bracket_tables(alg: AlgebraSpec, which: str, M: np.ndarray, A: np.ndarray,
     """
     k = M.shape[-2]
     G = A.reshape(*A.shape[:-1], k, alg.dim)
-    X = _block_field(which, alg, k)(alg, M[..., None, :, :], G, cfg)
+    X = _block_field(which, alg, k)(alg, M[..., None, :, :], G)
     T = A @ _block_pairing(alg, k) @ X.reshape(*X.shape[:-2], -1).swapaxes(-1, -2)
     return 0.5 * (T - T.swapaxes(-1, -2))
 
 
 def poisson_matrices(ps: PhaseSpace, V: np.ndarray, which: str = "linear",
-                     cfg: RMatrixConfig = _DEFAULT, membership_tol: float = 1e-10):
+                     membership_tol: float = 1e-10):
     """Induced Poisson matrices {ζ_a, ζ_b}(m) of the phase-space coordinates at
     the point rows V (S, D): matrices (S, dim, dim), Dirac-corrected flags and
     invariance defects max |{ζ, χ}|, one per point.
@@ -430,7 +425,7 @@ def poisson_matrices(ps: PhaseSpace, V: np.ndarray, which: str = "linear",
     ps.require_members(V, membership_tol)
     alg, kt = ps.alg, ps.dim
     A = np.concatenate([ps.coord_gradients, ps.normal_gradients])
-    full = bracket_tables(alg, which, V.reshape(len(V), -1, alg.dim), A, cfg)
+    full = bracket_tables(alg, which, V.reshape(len(V), -1, alg.dim), A)
     M, D, C = full[:, :kt, :kt], full[:, :kt, kt:], full[:, kt:, kt:]
     defect = np.abs(D).max(axis=(1, 2)) if D.size else np.zeros(len(V))
     corrected = ~(defect <= 1e-12 * (1.0 + np.abs(M).max(axis=(1, 2))))
@@ -453,10 +448,9 @@ def poisson_matrices(ps: PhaseSpace, V: np.ndarray, which: str = "linear",
 
 
 def poisson_matrix(ps: PhaseSpace, m: PairPoint, which: str = "linear",
-                   cfg: RMatrixConfig = _DEFAULT,
                    membership_tol: float = 1e-10) -> PoissonMatrixAt:
     """`poisson_matrices` at one point."""
-    M, corrected, defect = poisson_matrices(ps, m.vec()[None], which, cfg, membership_tol)
+    M, corrected, defect = poisson_matrices(ps, m.vec()[None], which, membership_tol)
     return PoissonMatrixAt(point=m, matrix=M[0], which=which, corrected=bool(corrected[0]),
                            invariance_defect=float(defect[0]))
 
@@ -494,15 +488,15 @@ class RankSweep:
                 f"{self.invariance_defect:.3e}")
 
 
-def rank_sweep(ps: PhaseSpace, which: str = "linear", cfg: RMatrixConfig = _DEFAULT,
-               seed: int = 42, points: int = 25) -> RankSweep:
+def rank_sweep(ps: PhaseSpace, which: str = "linear", seed: int = 42,
+               points: int = 25) -> RankSweep:
     """Max rank over seeded sample points (rank is lower semicontinuous), from
     one stacked Poisson-matrix call and one stacked SVD.
 
     The gap at a point of rank r is σ_r/σ_{r+1} (σ_0 = ∞, σ_{n+1} = 0, and a
     zero σ_{r+1} reads as the smallest positive float).
     """
-    M, corrected, defect = poisson_matrices(ps, ps.sample_stack(seed, points), which, cfg)
+    M, corrected, defect = poisson_matrices(ps, ps.sample_stack(seed, points), which)
     sv = np.linalg.svd(M, compute_uv=False)
     ranks = _ranks(sv, M.shape[-1], 1e-10)
     S = len(sv)
@@ -547,23 +541,18 @@ def _psi1_samples(alg: AlgebraSpec, seed: int, samples: int):
 
 
 def check_morphism_psi1(alg: AlgebraSpec, samples: int = 100, seed: int = 42,
-                        cfg: RMatrixConfig = _DEFAULT, tol: float = 1e-9):
+                        tol: float = 1e-9):
     """Verify {F∘ψ₁, G∘ψ₁}_ℛ(x,y) = {F, G}_LP(x−y) on random functions.
 
     F, G run over random linear functions of 𝔤 plus, at every fifth sample,
     quadratic monomials u ↦ ⟨a,u⟩⟨b,u⟩, with their exact gradients
-    (`_psi1_samples`), all evaluated on the sample stack at once.  Requires
-    c = 1.
+    (`_psi1_samples`), all evaluated on the sample stack at once.
     """
-    if cfg.c != 1.0:
-        raise PreconditionError(
-            f"psi1 is a Poisson morphism only for c = 1 (configured c = {cfg.c})"
-        )
     M, gf, gg = _psi1_samples(alg, seed, samples)
     w = M[:, 0] - M[:, 1]                                      # ψ₁(m)
     # ∇(f∘ψ₁)(m) = (∇f(w), ∇f(w)), and {F, G} = ⟨∇F, X_G⟩₂
     F2, G2 = np.stack([gf, gf], axis=1), np.stack([gg, gg], axis=1)
-    lhs = form_blocks(alg, F2, linear_field(alg, M, G2, cfg))
+    lhs = form_blocks(alg, F2, linear_field(alg, M, G2))
     rhs = form_blocks(alg, w[:, None], bracket_blocks(alg, gf, gg)[:, None])   # {f, g}(w)
     return CheckReport.below("morphism-psi1", "psi1-poisson-morphism", alg.name,
                              worst(np.abs(lhs - rhs)), tol, {"samples": samples, "seed": seed})

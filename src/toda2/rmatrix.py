@@ -1,8 +1,8 @@
 """The product algebra 𝔤×𝔤, the splitting R on 𝔤, and the induced ℛ on 𝔤×𝔤.
 
-R is the difference of projections P₊ − P₋ for the splitting 𝔤 = 𝔤_{≥0} ⊕ 𝔤_{<0};
-the pair operator is ℛ(x, y) = (R(x−y) + cy, R(x−y) + cx).  For c = 1 this is,
-componentwise, (x₊ − x₋ + 2y₋, y₋ − y₊ + 2x₊), i.e. plus-part minus minus-part
+R is the difference of projections P₊ − P₋ for the splitting 𝔤 = 𝔤_{≥0} ⊕ 𝔤_{<0}
+(`algebra.PLUS`/`MINUS`); the pair operator is ℛ(x, y) = (R(x−y) + y, R(x−y) + x),
+componentwise (x₊ − x₋ + 2y₋, y₋ − y₊ + 2x₊), i.e. plus-part minus minus-part
 for the decomposition
 
     (x, y)₊ = (x₊ + y₋, x₊ + y₋)   (diagonal),
@@ -13,7 +13,7 @@ shape (…, k, dim) — k = 1 on 𝔤, k = 2 on 𝔤×𝔤 — broadcasting over
 axes; one point is a one-row block (`point_block`).  `form2` and
 `decompose_pair` give the pairing and ℛ as Point-level formulas, independent
 of the block actions.  The checker below measures the modified Yang–Baxter
-residual B_R(x,y) + c²[x,y] and its pair analogue on the whole sample stack
+residual B_R(x,y) + [x,y] and its pair analogue on the whole sample stack
 at once.
 """
 from __future__ import annotations
@@ -23,13 +23,12 @@ from typing import Union
 
 import numpy as np
 
-from .algebra import AlgebraError, AlgebraSpec, Element, bracket_blocks, form, project
+from .algebra import MINUS, PLUS, AlgebraError, AlgebraSpec, Element, bracket_blocks, form, project
 from .reports import CheckReport, worst
 
 __all__ = [
     "PairPoint",
     "Point",
-    "RMatrixConfig",
     "point_block",
     "r_block",
     "rr_block",
@@ -92,21 +91,6 @@ class PairPoint:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class RMatrixConfig:
-    """Constant c plus the two degree regions splitting 𝔤 into subalgebras."""
-
-    c: float = 1.0
-    plus_region: str = ">=0"
-    minus_region: str = "<0"
-
-    def signs(self, alg: AlgebraSpec) -> np.ndarray:
-        """Read-only diagonal of R = P₊ − P₋ in basis coordinates, cached per algebra."""
-        return alg.splitting_signs(self.plus_region, self.minus_region)
-
-
-_DEFAULT = RMatrixConfig()
-
 # a point of 𝔤 (an Element, paired by ⟨·,·⟩) or of 𝔤×𝔤 (a PairPoint, by ⟨·,·⟩₂)
 Point = Union[Element, PairPoint]
 
@@ -141,42 +125,40 @@ def block_norms(B: np.ndarray) -> np.ndarray:
     return np.abs(B).max(axis=(-2, -1))
 
 
-def r_block(alg: AlgebraSpec, X: np.ndarray, cfg: RMatrixConfig = _DEFAULT) -> np.ndarray:
+def r_block(alg: AlgebraSpec, X: np.ndarray) -> np.ndarray:
     """R = P₊ − P₋ on coordinate vectors (…, dim): the splitting signs."""
-    return cfg.signs(alg) * X
+    return alg.splitting_signs * X
 
 
-def r_adjoint_block(alg: AlgebraSpec, X: np.ndarray,
-                    cfg: RMatrixConfig = _DEFAULT) -> np.ndarray:
+def r_adjoint_block(alg: AlgebraSpec, X: np.ndarray) -> np.ndarray:
     """R*, the ⟨·,·⟩-adjoint of R, on coordinate vectors (…, dim): G⁻¹·diag(signs)·G."""
-    return _matvec(alg.gram_inv, cfg.signs(alg) * _matvec(alg.gram, X))
+    return _matvec(alg.gram_inv, alg.splitting_signs * _matvec(alg.gram, X))
 
 
-def rr_block(alg: AlgebraSpec, P: np.ndarray, cfg: RMatrixConfig = _DEFAULT) -> np.ndarray:
-    """ℛ(x, y) = (R(x−y) + cy, R(x−y) + cx) on pair blocks (…, 2, dim); R itself
+def rr_block(alg: AlgebraSpec, P: np.ndarray) -> np.ndarray:
+    """ℛ(x, y) = (R(x−y) + y, R(x−y) + x) on pair blocks (…, 2, dim); R itself
     on blocks (…, 1, dim) of 𝔤, so one formula serves the brackets of both."""
     if P.shape[-2] == 1:
-        return r_block(alg, P, cfg)
-    d = r_block(alg, P[..., 0, :] - P[..., 1, :], cfg)
-    return d[..., None, :] + cfg.c * P[..., ::-1, :]
+        return r_block(alg, P)
+    d = r_block(alg, P[..., 0, :] - P[..., 1, :])
+    return d[..., None, :] + P[..., ::-1, :]
 
 
-def rr_adjoint_block(alg: AlgebraSpec, P: np.ndarray,
-                     cfg: RMatrixConfig = _DEFAULT) -> np.ndarray:
-    """ℛ*(u, v) = (R*(u−v) − cv, R*(u−v) − cu), the ⟨·,·⟩₂-adjoint of ℛ, on
+def rr_adjoint_block(alg: AlgebraSpec, P: np.ndarray) -> np.ndarray:
+    """ℛ*(u, v) = (R*(u−v) − v, R*(u−v) − u), the ⟨·,·⟩₂-adjoint of ℛ, on
     (…, 2, dim); R* itself on blocks (…, 1, dim) of 𝔤."""
     if P.shape[-2] == 1:
-        return r_adjoint_block(alg, P, cfg)
-    d = r_adjoint_block(alg, P[..., 0, :] - P[..., 1, :], cfg)
-    return d[..., None, :] - cfg.c * P[..., ::-1, :]
+        return r_adjoint_block(alg, P)
+    d = r_adjoint_block(alg, P[..., 0, :] - P[..., 1, :])
+    return d[..., None, :] - P[..., ::-1, :]
 
 
-def _operator(alg: AlgebraSpec, R: ROperator, cfg: RMatrixConfig):
+def _operator(alg: AlgebraSpec, R: ROperator):
     """The block action of a user matrix R, else of ℛ (R on blocks of 𝔤)."""
     if R is not None:
         A = np.asarray(R, dtype=float)
         return lambda B: _matvec(A, B)
-    return lambda B: rr_block(alg, B, cfg)
+    return lambda B: rr_block(alg, B)
 
 
 def form2(p: PairPoint, q: PairPoint) -> float:
@@ -184,31 +166,29 @@ def form2(p: PairPoint, q: PairPoint) -> float:
     return form(p.x, q.x) - form(p.y, q.y)
 
 
-def decompose_pair(p: PairPoint, cfg: RMatrixConfig = _DEFAULT) -> tuple[PairPoint, PairPoint]:
+def decompose_pair(p: PairPoint) -> tuple[PairPoint, PairPoint]:
     """Split p into its diagonal plus-part and its 𝔤₋×𝔤₊ minus-part."""
-    xp = project(p.x, cfg.plus_region)
-    xm = project(p.x, cfg.minus_region)
-    yp = project(p.y, cfg.plus_region)
-    ym = project(p.y, cfg.minus_region)
+    xp, xm = project(p.x, PLUS), project(p.x, MINUS)
+    yp, ym = project(p.y, PLUS), project(p.y, MINUS)
     diag = xp + ym
     return PairPoint(diag, diag), PairPoint(xm - ym, yp - xp)
 
 
-def r_bracket_blocks(alg: AlgebraSpec, X: np.ndarray, Y: np.ndarray, R: ROperator = None,
-                     cfg: RMatrixConfig = _DEFAULT) -> np.ndarray:
+def r_bracket_blocks(alg: AlgebraSpec, X: np.ndarray, Y: np.ndarray,
+                     R: ROperator = None) -> np.ndarray:
     """The R-bracket ½([RX, Y] + [X, RY]) on blocks (…, k, dim); ℛ on pair blocks."""
-    op = _operator(alg, R, cfg)
+    op = _operator(alg, R)
     return 0.5 * (bracket_blocks(alg, op(X), Y) + bracket_blocks(alg, X, op(Y)))
 
 
-def b_tensor_block(alg: AlgebraSpec, X: np.ndarray, Y: np.ndarray, R: ROperator = None,
-                   cfg: RMatrixConfig = _DEFAULT) -> np.ndarray:
+def b_tensor_block(alg: AlgebraSpec, X: np.ndarray, Y: np.ndarray,
+                   R: ROperator = None) -> np.ndarray:
     """B(X, Y) = [𝒪X, 𝒪Y] − 𝒪([𝒪X, Y] + [X, 𝒪Y]) on blocks (…, k, dim).
 
     𝒪 is the user matrix R when given, else ℛ on pair blocks (k = 2) and the
     splitting R on blocks of 𝔤 (k = 1).
     """
-    op = _operator(alg, R, cfg)
+    op = _operator(alg, R)
     RX, RY = op(X), op(Y)
     return bracket_blocks(alg, RX, RY) - op(
         bracket_blocks(alg, RX, Y) + bracket_blocks(alg, X, RY))
@@ -219,28 +199,27 @@ def b_tensor_block(alg: AlgebraSpec, X: np.ndarray, Y: np.ndarray, R: ROperator 
 # --------------------------------------------------------------------------
 
 
-def check_mcybe(alg: AlgebraSpec, R: ROperator = None, c: float = 1.0,
-                samples: int = 200, seed: int = 42, pair: bool = False,
-                tol: float = 1e-11):
-    """Max residual of B(x,y) + c²[x,y] (mod center) over seeded samples.
+def check_mcybe(alg: AlgebraSpec, R: ROperator = None, samples: int = 200,
+                seed: int = 42, pair: bool = False, tol: float = 1e-11):
+    """Max residual of B(x,y) + [x,y] (mod center) over seeded samples: the
+    modified classical Yang–Baxter equation with c = 1.
 
-    Returns a CheckReport; `pair=True` runs the 𝔤×𝔤 version with the induced
-    ℛ of the configured splitting.  The samples are drawn as one stack,
-    x then y per sample, and the residual is evaluated on the whole stack.
+    Returns a CheckReport; `pair=True` runs the 𝔤×𝔤 version with ℛ.  The
+    samples are drawn as one stack, x then y per sample, and the residual is
+    evaluated on the whole stack.
     """
     if samples < 1:
         raise ValueError(f"check_mcybe needs samples ≥ 1, got {samples}")
-    cfg = RMatrixConfig(c=c)
     rng = np.random.default_rng(seed)
     k = 2 if pair else 1
     XY = rng.uniform(-1.0, 1.0, (samples, 2, k, alg.dim))
     X, Y = XY[:, 0], XY[:, 1]
-    res = b_tensor_block(alg, X, Y, None if pair else R, cfg) + c * c * bracket_blocks(alg, X, Y)
+    res = b_tensor_block(alg, X, Y, None if pair else R) + bracket_blocks(alg, X, Y)
     # residuals are only required to lie in the centre
     Z = alg.strip_centre(res)
     norms = np.sqrt(np.vecdot(Z, Z))            # (samples, k) Euclidean norms
     return CheckReport.below(
         "mcybe-pair" if pair else "mcybe",
         "mcybe-splitting-exact" if R is None else "mcybe-user-operator",
-        alg.name, worst(norms), tol, {"samples": samples, "seed": seed, "c": c},
+        alg.name, worst(norms), tol, {"samples": samples, "seed": seed, "c": 1.0},
     )

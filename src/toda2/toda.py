@@ -22,12 +22,12 @@ import math
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element
+from .algebra import PLUS, AlgebraSpec, Element
 from .flows import field_rows, lax_field, projected_partner, rk4_states, whole_steps
 from .invariants import family_labels, family_values, trace_gradients, trace_values
 from .poisson import PhaseSpace, bracket_tables, linear_field
 from .reports import CheckReport, worst
-from .rmatrix import PairPoint, RMatrixConfig, _matvec, block_norms
+from .rmatrix import PairPoint, _matvec, block_norms
 
 __all__ = [
     "toda_space",
@@ -37,8 +37,6 @@ __all__ = [
     "check_binomial_identity",
     "toda_suite",
 ]
-
-_DEFAULT = RMatrixConfig()
 
 
 def toda_space(alg: AlgebraSpec) -> PhaseSpace:
@@ -64,14 +62,13 @@ def diag_phase_space(alg: AlgebraSpec) -> PhaseSpace:
     return alg.memo("T_T'", build)
 
 
-def integrate_toda(x0: Element, dt: float = 1e-3, T: float = 1.0,
-                   cfg: RMatrixConfig = _DEFAULT):
+def integrate_toda(x0: Element, dt: float = 1e-3, T: float = 1.0):
     """RK4 run of Ȧ = [A₊, A]; returns (times, states) coordinate arrays.
 
     T must be a whole number of steps dt, as for `FlowConfig`.
     """
     alg = x0.alg
-    stack = rk4_states(lax_field(projected_partner(alg, 0, cfg.plus_region)),
+    stack = rk4_states(lax_field(projected_partner(alg, 0, PLUS)),
                        alg.to_matrices(x0.vec()), dt, whole_steps(dt, T))
     return np.arange(len(stack)) * dt, alg.to_coords(stack)
 
@@ -81,8 +78,7 @@ def integrate_toda(x0: Element, dt: float = 1e-3, T: float = 1.0,
 # --------------------------------------------------------------------------
 
 
-def check_poisson_iso(alg: AlgebraSpec, samples: int = 100, seed: int = 42,
-                      cfg: RMatrixConfig = _DEFAULT):
+def check_poisson_iso(alg: AlgebraSpec, samples: int = 100, seed: int = 42):
     """φ matches the R-bracket on T_T with the ℛ-bracket on T_T′.
 
     Coordinate functions are the Euclidean duals of the matched tangent
@@ -95,8 +91,8 @@ def check_poisson_iso(alg: AlgebraSpec, samples: int = 100, seed: int = 42,
     X = ts.sample_stack(seed, samples)                  # (samples, dim)
     ts.require_members(X)
     P = np.stack([X, X], axis=1)                        # φ(x) = (x, x) as pair blocks
-    lhs = bracket_tables(alg, "linear", P, dps.coord_gradients, cfg)
-    rhs = bracket_tables(alg, "linear", X[:, None], ts.coord_gradients, cfg)
+    lhs = bracket_tables(alg, "linear", P, dps.coord_gradients)
+    rhs = bracket_tables(alg, "linear", X[:, None], ts.coord_gradients)
     return CheckReport.below("toda-poisson-iso", "diagonal-embedding-poisson-iso", alg.name,
                              worst(np.abs(lhs - rhs)), 1e-9, {"samples": samples, "seed": seed})
 
@@ -113,7 +109,7 @@ def check_binomial_identity(alg: AlgebraSpec, samples: int = 20, seed: int = 42)
                              {"samples": samples, "seed": seed})
 
 
-def toda_suite(alg: AlgebraSpec, seed: int = 42, cfg: RMatrixConfig = _DEFAULT) -> list:
+def toda_suite(alg: AlgebraSpec, seed: int = 42) -> list:
     """The Toda-side verification battery; returns a list of CheckReports."""
     ts = toda_space(alg)
     reports = []
@@ -122,21 +118,21 @@ def toda_suite(alg: AlgebraSpec, seed: int = 42, cfg: RMatrixConfig = _DEFAULT) 
     # T_T is a Poisson submanifold: every Hamiltonian field is tangent to it;
     # the fields of the basis coordinates x ↦ x_a = ⟨G⁻¹e_a, x⟩ span them all
     coords = _matvec(alg.gram_inv, np.eye(alg.dim))[:, None]     # gradients G⁻¹e_a
-    fields = linear_field(alg, X[:5, None, None], coords, cfg)
+    fields = linear_field(alg, X[:5, None, None], coords)
     residual = worst(ts.normal_residuals(fields[..., 0, :]))
     reports.append(CheckReport.below("toda-submanifold", "toda-space-poisson-submanifold",
                                      alg.name, residual, 1e-9, {"points": 5, "seed": seed}))
 
     # the P₁ flow is the Toda equation [A₊, A]
-    toda = field_rows(alg, "t", X, cfg)
-    x_p1 = linear_field(alg, X[:, None], trace_gradients(alg, X, 1)[:, None], cfg)
+    toda = field_rows(alg, "t", X)
+    x_p1 = linear_field(alg, X[:, None], trace_gradients(alg, X, 1)[:, None])
     residual = worst(block_norms(x_p1 - toda[:, None]))
     reports.append(CheckReport.below("toda-lax-form", "toda-flow-is-lax-bracket", alg.name,
                                      residual, 1e-9, {"points": len(X), "seed": seed}))
 
     # involutivity of the P_i on (𝔤, R-bracket)
     grads = np.stack([trace_gradients(alg, X, i) for i in alg.exponents], axis=1)
-    residual = worst(np.abs(bracket_tables(alg, "linear", X[:, None], grads, cfg)))
+    residual = worst(np.abs(bracket_tables(alg, "linear", X[:, None], grads)))
     reports.append(CheckReport.below("toda-involutivity", "toda-invariants-involutive",
                                      alg.name, residual, 1e-9, {"points": len(X), "seed": seed}))
 
@@ -149,7 +145,7 @@ def toda_suite(alg: AlgebraSpec, seed: int = 42, cfg: RMatrixConfig = _DEFAULT) 
     x0 = Element(alg, ts.points_from_coords(
         np.random.default_rng(seed).uniform(-1.0, 1.0, ts.dim)
     ))
-    _, states = integrate_toda(x0, dt=1e-3, T=1.0, cfg=cfg)
+    _, states = integrate_toda(x0, dt=1e-3, T=1.0)
     drift = 0.0
     for i in alg.exponents:   # P_i on the whole stack
         vals = trace_values(alg, states, i)
@@ -158,7 +154,7 @@ def toda_suite(alg: AlgebraSpec, seed: int = 42, cfg: RMatrixConfig = _DEFAULT) 
                                      alg.name, drift, 1e-6, {"dt": 1e-3, "T": 1.0, "seed": seed}))
 
     # the diagonal is t-flow invariant and the pushforward matches the t-flow field
-    ft = field_rows(alg, "t", np.concatenate([X, X], axis=1), cfg)
+    ft = field_rows(alg, "t", np.concatenate([X, X], axis=1))
     residual = worst(np.abs(ft - np.concatenate([toda, toda], axis=1)).max(axis=1))
     reports.append(CheckReport.below("toda-diagonal-consistency", "t-flow-restricts-to-toda-flow",
                                      alg.name, residual, 1e-10, {"points": len(X), "seed": seed}))

@@ -7,13 +7,11 @@ bits of its points one at a time, so these views carry the bits the stacked
 batteries must reproduce.
 """
 
-from toda2 import Element, PairPoint, RMatrixConfig, ScalarFunction, form, form2, gradient2
+from toda2 import Element, PairPoint, ScalarFunction, form, form2, gradient2
 from toda2.flows import field_rows
 from toda2.invariants import pullback_gradients, trace_gradients, trace_values
 from toda2.poisson import _block_field
 from toda2.rmatrix import point_block
-
-CFG = RMatrixConfig()
 
 
 def pairing(p, q):
@@ -21,24 +19,24 @@ def pairing(p, q):
     return form(p, q) if isinstance(p, Element) else form2(p, q)
 
 
-def field_at(which, m, g, cfg=CFG):
+def field_at(which, m, g):
     """X(m) of bracket `which` for the gradient g at one point: the block field
     on one-point blocks, after its capability checks."""
     X = _block_field(which, m.alg, len(point_block(m)))(
-        m.alg, point_block(m), point_block(g), cfg)
+        m.alg, point_block(m), point_block(g))
     return type(m).from_vec(m.alg, X.ravel())
 
 
-def flow_at(field, m, cfg=CFG, i=0, lam=0.0):
+def flow_at(field, m, i=0, lam=0.0):
     """The t-, s-, quadratic or linear pencil field at one point, on its
     coordinate row; "t" on a point of 𝔤 is the Toda field."""
-    return type(m).from_vec(m.alg, field_rows(m.alg, field, m.vec(), cfg, i, lam))
+    return type(m).from_vec(m.alg, field_rows(m.alg, field, m.vec(), i, lam))
 
 
-def bracket_value(which, F, G, m, cfg=CFG):
+def bracket_value(which, F, G, m):
     """{F, G}(m) = ⟨∇F, X_G(m)⟩, gradients from `gradient2` (analytic, else
     central differences)."""
-    return pairing(gradient2(F, m), field_at(which, m, gradient2(G, m), cfg))
+    return pairing(gradient2(F, m), field_at(which, m, gradient2(G, m)))
 
 
 def linear_function(p, name="linear"):

@@ -19,7 +19,6 @@ from toda2 import (
     PairPoint,
     PhaseSpace,
     PreconditionError,
-    RMatrixConfig,
     ScalarFunction,
     bracket,
     build_sl,
@@ -239,10 +238,6 @@ def test_single_algebra_bracket_matches_inline_formula(name, request):
         assert form(gf, X) == pytest.approx(bracket_value("linear", f, g, x), abs=1e-12)
 
 
-SPLITTINGS = [RMatrixConfig(c=c, plus_region=p, minus_region=q)
-              for c in (1.0, 0.5) for p, q in ((">=0", "<0"), (">0", "<=0"))]
-
-
 @pytest.mark.parametrize("name", ["gl2", "gl3", "so5"])
 def test_pair_brackets_match_inline_formulas(name, request):
     # {F, G}(m) = ½⟨m, [ℛa, b] + [a, ℛb]⟩₂ and
@@ -252,8 +247,8 @@ def test_pair_brackets_match_inline_formulas(name, request):
     alg = request.getfixturevalue(name)
     rng = np.random.default_rng(18)
 
-    def rr(p, cfg):
-        return PairPoint.from_vec(alg, rr_block(alg, point_block(p), cfg).ravel())
+    def rr(p):
+        return PairPoint.from_vec(alg, rr_block(alg, point_block(p)).ravel())
 
     def pbr(p, q):
         return PairPoint(bracket(p.x, q.x), bracket(p.y, q.y))
@@ -261,13 +256,13 @@ def test_pair_brackets_match_inline_formulas(name, request):
     def pmul(p, q):
         return PairPoint(mult(p.x, q.x), mult(p.y, q.y))
 
-    def linear(m, a, b, cfg):
-        term = pbr(rr(a, cfg), b) + pbr(a, rr(b, cfg))
+    def linear(m, a, b):
+        term = pbr(rr(a), b) + pbr(a, rr(b))
         return 0.5 * form2(m, term)
 
-    def quadratic(m, a, b, cfg):
+    def quadratic(m, a, b):
         def half(a, b):
-            return 0.5 * form2(pbr(m, a), rr(pmul(m, b) + pmul(b, m), cfg))
+            return 0.5 * form2(pbr(m, a), rr(pmul(m, b) + pmul(b, m)))
         return half(a, b) - half(b, a)
 
     kinds = {"linear": linear}
@@ -279,21 +274,20 @@ def test_pair_brackets_match_inline_formulas(name, request):
                           lambda m: form2(q, m) * p + form2(p, m) * q),
            pullback(alg, alg.exponents[-1], -0.5)]
     unit = [PairPoint.from_covector(alg, e) for e in np.eye(2 * alg.dim)]
-    for cfg in SPLITTINGS:
-        m = random_pair(alg, rng)
-        grads = [F.gradient(m) for F in fns]
-        for which, inline in kinds.items():
-            for F, a in zip(fns, grads):
-                for G, b in zip(fns, grads):
-                    assert abs(bracket_value(which, F, G, m, cfg) - inline(m, a, b, cfg)) < 1e-13
-                # X_F[K] = {K, F} for every basis coordinate K
-                X = field_at(which, m, a, cfg).vec()
-                want = [inline(m, k, a, cfg) for k in unit]
-                assert np.abs(X - want).max() < 1e-13
-            A = np.stack([g.vec() for g in grads])
-            table = bracket_tables(alg, which, point_block(m), A, cfg)
-            want = [[inline(m, a, b, cfg) for b in grads] for a in grads]
-            assert np.abs(table - want).max() < 1e-13
+    m = random_pair(alg, rng)
+    grads = [F.gradient(m) for F in fns]
+    for which, inline in kinds.items():
+        for F, a in zip(fns, grads):
+            for G, b in zip(fns, grads):
+                assert abs(bracket_value(which, F, G, m) - inline(m, a, b)) < 1e-13
+            # X_F[K] = {K, F} for every basis coordinate K
+            X = field_at(which, m, a).vec()
+            want = [inline(m, k, a) for k in unit]
+            assert np.abs(X - want).max() < 1e-13
+        A = np.stack([g.vec() for g in grads])
+        table = bracket_tables(alg, which, point_block(m), A)
+        want = [[inline(m, a, b) for b in grads] for a in grads]
+        assert np.abs(table - want).max() < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +447,6 @@ def test_psi1_morphism_check(sl2, gl2):
     for alg in (sl2, gl2):
         report = check_morphism_psi1(alg, samples=40)
         assert report.verdict, report.line()
-    with pytest.raises(PreconditionError):
-        check_morphism_psi1(sl2, cfg=RMatrixConfig(c=2.0))
 
 
 def test_psi1_morphism_check_passes_on_so5(so5):
@@ -469,14 +461,14 @@ def test_psi1_morphism_check_passes_on_so5(so5):
 # block fields
 # ---------------------------------------------------------------------------
 
-def _point_closed_forms(alg, cfg):
+def _point_closed_forms(alg):
     """The two closed-form fields one point at a time, kept as the reference.
 
     Brackets and products are taken in the matrix representation and R, R*
     read off the degree masks and the Gram matrix, independently of the
     structure-tensor contractions and block actions the fields use.
     """
-    signs = np.where(alg.mask(cfg.plus_region), 1.0, -1.0)
+    signs = np.where(alg.degrees >= 0, 1.0, -1.0)       # R = P₊ − P₋ on 𝔤_{≥0} ⊕ 𝔤_{<0}
     G, Gi = alg.gram, alg.gram_inv
 
     def br(x, y):
@@ -494,11 +486,11 @@ def _point_closed_forms(alg, cfg):
 
     def RR(p):
         d = R(p[0] - p[1])
-        return np.stack([d + cfg.c * p[1], d + cfg.c * p[0]])
+        return np.stack([d + p[1], d + p[0]])
 
     def RRs(p):
         d = Rs(p[0] - p[1])
-        return np.stack([d - cfg.c * p[1], d - cfg.c * p[0]])
+        return np.stack([d - p[1], d - p[0]])
 
     def pbr(p, q):
         return np.stack([br(a, b) for a, b in zip(p, q)])
@@ -523,28 +515,27 @@ def _point_closed_forms(alg, cfg):
 def test_block_fields_match_point_closed_forms(name, request):
     alg = request.getfixturevalue(name)
     rng = np.random.default_rng(31)
-    for cfg in (RMatrixConfig(), RMatrixConfig(c=0.5, plus_region=">0", minus_region="<=0")):
-        reference = _point_closed_forms(alg, cfg)
-        for k in (1, 2):
-            kinds = ["linear"] + (["quadratic"] if k == 2 and alg.associative else [])
-            for which in kinds:
-                m = rng.uniform(-1, 1, (k, alg.dim))
-                grads = rng.uniform(-1, 1, (4, k, alg.dim))
-                points = rng.uniform(-1, 1, (4, k, alg.dim))
-                block_field = {"linear": linear_field, "quadratic": quadratic_field}[which]
-                ref = reference[which]
-                # one gradient, a gradient stack at one point, a point stack
-                one = block_field(alg, m, grads[0], cfg)
-                assert np.abs(one - ref(m, grads[0])).max() < 1e-13
-                stack = block_field(alg, m, grads, cfg)
-                assert stack.shape == (4, k, alg.dim)
-                moved = block_field(alg, points, grads[0], cfg)
-                for j in range(4):
-                    assert np.abs(stack[j] - ref(m, grads[j])).max() < 1e-13
-                    assert np.abs(moved[j] - ref(points[j], grads[0])).max() < 1e-13
-                    # one point at a time gives the bits of the stack rows
-                    assert np.array_equal(block_field(alg, m, grads[j], cfg), stack[j])
-                    assert np.array_equal(block_field(alg, points[j], grads[0], cfg), moved[j])
+    reference = _point_closed_forms(alg)
+    for k in (1, 2):
+        kinds = ["linear"] + (["quadratic"] if k == 2 and alg.associative else [])
+        for which in kinds:
+            m = rng.uniform(-1, 1, (k, alg.dim))
+            grads = rng.uniform(-1, 1, (4, k, alg.dim))
+            points = rng.uniform(-1, 1, (4, k, alg.dim))
+            block_field = {"linear": linear_field, "quadratic": quadratic_field}[which]
+            ref = reference[which]
+            # one gradient, a gradient stack at one point, a point stack
+            one = block_field(alg, m, grads[0])
+            assert np.abs(one - ref(m, grads[0])).max() < 1e-13
+            stack = block_field(alg, m, grads)
+            assert stack.shape == (4, k, alg.dim)
+            moved = block_field(alg, points, grads[0])
+            for j in range(4):
+                assert np.abs(stack[j] - ref(m, grads[j])).max() < 1e-13
+                assert np.abs(moved[j] - ref(points[j], grads[0])).max() < 1e-13
+                # one point at a time gives the bits of the stack rows
+                assert np.array_equal(block_field(alg, m, grads[j]), stack[j])
+                assert np.array_equal(block_field(alg, points[j], grads[0]), moved[j])
 
 
 def test_pairing_matrix_is_cached_read_only(gl2, sl3):

@@ -6,10 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from toda2 import (
-    AlgebraError,
     Element,
     PairPoint,
-    RMatrixConfig,
     bracket,
     build_sl,
     check_mcybe,
@@ -27,17 +25,15 @@ from toda2.rmatrix import (
     rr_block,
 )
 
-CFG = RMatrixConfig()
 
-
-def r_point(x, cfg=CFG):
+def r_point(x):
     """R on one Element, as its coordinate block action."""
-    return Element(x.alg, r_block(x.alg, x.coords, cfg))
+    return Element(x.alg, r_block(x.alg, x.coords))
 
 
-def rr_point(p, cfg=CFG):
+def rr_point(p):
     """ℛ on one PairPoint, as its pair-block action."""
-    return PairPoint.from_vec(p.alg, rr_block(p.alg, point_block(p), cfg).ravel())
+    return PairPoint.from_vec(p.alg, rr_block(p.alg, point_block(p)).ravel())
 
 
 def test_r_apply_on_sl2_basis(sl2):
@@ -49,7 +45,7 @@ def test_r_apply_on_sl2_basis(sl2):
 
 
 def test_rr_apply_worked_example(sl2):
-    # ℛ(x, y) = (R(x−y) + y, R(x−y) + x) at c = 1; for (e, f):
+    # ℛ(x, y) = (R(x−y) + y, R(x−y) + x); for (e, f):
     # R(e−f) = e+f, so ℛ(e, f) = (e + 2f, 2e + f).
     e, f = sl2.element(np.eye(3)[0]), sl2.element(np.eye(3)[1])
     out = rr_point(PairPoint(e, f))
@@ -64,7 +60,7 @@ coords = st.lists(
 
 @given(coords, coords)
 def test_rr_apply_componentwise_formula(a, b):
-    # componentwise: x ↦ x₊ − x₋ + 2y₋·(c/1),  y ↦ y₋ − y₊ + 2x₊, at c = 1
+    # componentwise: x ↦ x₊ − x₋ + 2y₋,  y ↦ y₋ − y₊ + 2x₊
     alg = build_sl(2)
     x, y = alg.element(a), alg.element(b)
     out = rr_point(PairPoint(x, y))
@@ -153,52 +149,40 @@ def test_pairpoint_vector_roundtrip(sl3):
     assert p.vec().shape == (2 * sl3.dim,)
 
 
-SPLITTINGS = [RMatrixConfig(c=c, plus_region=p, minus_region=q)
-              for c in (1.0, 0.5) for p, q in ((">=0", "<0"), (">0", "<=0"))]
-
-
 @pytest.mark.parametrize("name", ["sl3", "gl3", "so5"])
 def test_adjoints_move_r_across_the_pairings(name, request):
     # ⟨u, Rx⟩ = ⟨R*u, x⟩ and ⟨p, ℛq⟩₂ = ⟨ℛ*p, q⟩₂, R* read off the Gram matrix
     alg = request.getfixturevalue(name)
     rng = np.random.default_rng(17)
-    for cfg in SPLITTINGS:
-        u, x = (alg.element(rng.uniform(-1, 1, alg.dim)) for _ in range(2))
-        Rs_u = Element(alg, r_adjoint_block(alg, u.coords, cfg))
-        assert form(u, r_point(x, cfg)) == pytest.approx(form(Rs_u, x), abs=1e-13)
-        p, q = (PairPoint(*(alg.element(rng.uniform(-1, 1, alg.dim)) for _ in range(2)))
-                for _ in range(2))
-        RRs_p = PairPoint.from_vec(alg, rr_adjoint_block(alg, point_block(p), cfg).ravel())
-        assert form2(p, rr_point(q, cfg)) == pytest.approx(form2(RRs_p, q), abs=1e-13)
+    u, x = (alg.element(rng.uniform(-1, 1, alg.dim)) for _ in range(2))
+    Rs_u = Element(alg, r_adjoint_block(alg, u.coords))
+    assert form(u, r_point(x)) == pytest.approx(form(Rs_u, x), abs=1e-13)
+    p, q = (PairPoint(*(alg.element(rng.uniform(-1, 1, alg.dim)) for _ in range(2)))
+            for _ in range(2))
+    RRs_p = PairPoint.from_vec(alg, rr_adjoint_block(alg, point_block(p)).ravel())
+    assert form2(p, rr_point(q)) == pytest.approx(form2(RRs_p, q), abs=1e-13)
     # R is not self-adjoint: the form pairs degree k with degree −k
     e = alg.element(np.eye(alg.dim)[list(alg.degrees).index(1)])
     assert np.linalg.norm(r_adjoint_block(alg, e.coords) + e.coords) < 1e-14
 
 
-def test_signs_are_cached_read_only_and_failures_are_not(sl3):
-    first = CFG.signs(sl3)
-    assert CFG.signs(sl3) is first
-    assert RMatrixConfig(c=0.5).signs(sl3) is first      # keyed by regions, not c
+def test_signs_are_cached_and_read_only(sl3):
+    first = sl3.splitting_signs
+    assert sl3.splitting_signs is first
     assert not first.flags.writeable
     assert np.array_equal(first, np.where(sl3.degrees >= 0, 1.0, -1.0))
-    # degree 0 lies in both regions: every call re-runs the partition check
-    overlap = RMatrixConfig(plus_region=">=0", minus_region="<=0")
-    for _ in range(2):
-        with pytest.raises(AlgebraError, match="do not partition"):
-            overlap.signs(sl3)
 
 
-def _mcybe_per_sample(alg, R=None, c=1.0, samples=200, seed=42, pair=False):
+def _mcybe_per_sample(alg, R=None, samples=200, seed=42, pair=False):
     """check_mcybe's residual one sample at a time, kept as the reference:
     the same draws, one point's coordinates (dim,) or pair block (2, dim) at a
     time, centre projection and running max."""
-    cfg = RMatrixConfig(c=c)
     rng = np.random.default_rng(seed)
 
     def op(p):
         if pair:
-            return rr_block(alg, p, cfg)
-        return r_block(alg, p, cfg) if R is None else R @ p
+            return rr_block(alg, p)
+        return r_block(alg, p) if R is None else R @ p
 
     def centred(z):
         if not alg.associative:
@@ -215,7 +199,7 @@ def _mcybe_per_sample(alg, R=None, c=1.0, samples=200, seed=42, pair=False):
     for _ in range(samples):
         x, y = rng.uniform(-1.0, 1.0, shape), rng.uniform(-1.0, 1.0, shape)
         Rx, Ry = op(x), op(y)
-        res = (br(Rx, Ry) - op(br(Rx, y) + br(x, Ry))) + c * c * br(x, y)
+        res = (br(Rx, Ry) - op(br(Rx, y) + br(x, Ry))) + br(x, y)
         parts = res if pair else (res,)
         worst = max(worst, max(float(np.linalg.norm(centred(z))) for z in parts))
     return worst
@@ -225,6 +209,6 @@ def _mcybe_per_sample(alg, R=None, c=1.0, samples=200, seed=42, pair=False):
 def test_check_mcybe_stack_matches_per_sample_loop(name, request):
     alg = request.getfixturevalue(name)
     user_R = np.random.default_rng(3).uniform(-1, 1, (alg.dim, alg.dim))
-    for kwargs in ({}, {"R": user_R}, {"pair": True}, {"c": 0.5}, {"c": 0.5, "pair": True}):
+    for kwargs in ({}, {"R": user_R}, {"pair": True}):
         report = check_mcybe(alg, samples=50, seed=9, **kwargs)
         assert report.measured == _mcybe_per_sample(alg, samples=50, seed=9, **kwargs)

@@ -4,6 +4,8 @@ import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -14,6 +16,24 @@ def test_flow_demo_runs_on_sl2(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "t-flow over T=0.01" in out and "s-flow over T=0.01" in out
     assert "t/s commutation defect" in out
+
+
+def test_flow_demo_refuses_a_horizon_past_the_step_bound(monkeypatch):
+    # RK4 keeps every state: 1e15 steps would hang or exhaust memory
+    from toda2 import FlowConfig, PreconditionError, flows
+
+    def no_steps(*args):
+        raise AssertionError("an RK4 step was taken")
+
+    monkeypatch.setattr(flows, "rk4_states", no_steps)
+    main = runpy.run_path(str(SCRIPTS / "flow_demo.py"))["main"]
+    monkeypatch.setattr(sys, "argv", ["flow_demo.py", "--algebra", "sl2", "--T", "1e12"])
+    message = "T/dt = 1000000000000000 steps; a flow run takes at most 10000"
+    with pytest.raises(PreconditionError, match=message):
+        main()
+    with pytest.raises(PreconditionError, match=message):
+        FlowConfig(dt=1e-3, T=1e12)
+    assert FlowConfig(dt=1e-3, T=10.0).n_steps == flows.MAX_STEPS
 
 
 def test_make_so5_spec_writes_a_loadable_valid_spec(tmp_path, monkeypatch, capsys):

@@ -16,7 +16,6 @@ import pytest
 from toda2 import (
     Element,
     PairPoint,
-    RMatrixConfig,
     ScalarFunction,
     bracket,
     form,
@@ -163,13 +162,12 @@ def test_rank_evidence_is_in_the_rank_reports(gl3, sl3):
 
 
 def test_morphism_psi1_matches_the_point_loop(alg):
-    cfg = RMatrixConfig()
     M, gf, gg = poisson._psi1_samples(alg, seed=42, samples=100)
     worst = 0.0
     for m_blk, f, g in zip(M, gf, gg):
         m = PairPoint(Element(alg, m_blk[0]), Element(alg, m_blk[1]))
         f, g = Element(alg, f), Element(alg, g)
-        lhs = form2(PairPoint(f, f), field_at("linear", m, PairPoint(g, g), cfg))
+        lhs = form2(PairPoint(f, f), field_at("linear", m, PairPoint(g, g)))
         rhs = form(m.x - m.y, bracket(f, g))
         worst = max(worst, abs(lhs - rhs))
     assert same(poisson.check_morphism_psi1(alg).measured, worst)

@@ -283,7 +283,7 @@ class AlgebraSpec:
 
     def memo(self, key, build):
         """build(), computed once per spec and key and kept; an array result is
-        made read-only.  Masks, projectors and phase spaces are derived data of
+        made read-only.  Masks, entry masks and phase spaces are derived data of
         the spec, asked for at every bracket or battery.  A build that raises
         stores nothing, so it raises again on every call."""
         table = self._memo_table
@@ -306,12 +306,6 @@ class AlgebraSpec:
         S = np.where(self.mask(PLUS), 1.0, -1.0)
         S.flags.writeable = False
         return S
-
-    def matrix_projector(self, region: str) -> np.ndarray:
-        """Read-only n²×n² matrix of `project(·, region)` on flattened matrices
-        of the span, cached: the Lax fields apply it at every step."""
-        return self.memo(("projector", region),
-                         lambda: (self._flat_basis * self.mask(region)) @ self._flat_pinv)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,9 +22,10 @@ stack (`lax_field`); only its partner Z = Z(V) differs:
     quadratic   Z = (−2Π₋W, 2Π₊W),               W = (λL − M)^{i+1}
     linear      Z = ½(λ−1)(RP − P, RP + P),      P = ĝ((λL − M)^i)
 
-with R = Π₊ − Π₋ and ĝ the trace-form projection onto 𝔤.  `field_rows`
-evaluates the same commutator at a stack of coordinate rows; one point is a
-one-row stack.
+with R = Π₊ − Π₋ and ĝ the trace-form projection onto 𝔤.  Π± keeps or zeroes
+whole matrix entries: Π(V) = V ∘ m, m the region's `entry_mask`.
+`field_rows` evaluates the same commutator at a stack of coordinate rows; one
+point is a one-row stack.
 """
 from __future__ import annotations
 
@@ -44,8 +45,8 @@ __all__ = [
     "FlowConfig",
     "Trajectory",
     "lax_field",
-    "lax_rows",
     "field_rows",
+    "entry_mask",
     "projected_partner",
     "whole_steps",
     "rk4_states",
@@ -56,8 +57,8 @@ __all__ = [
 ]
 
 # RK4 keeps every state: `flow run` on gl9 at this bound (dt 1e-4, T 1) peaks
-# at 442 MB resident in 3.6 s, +39 KB per step; `flow commutation` keeps one
-# run of these steps at a time (102 MB on gl9)
+# at 214 MB resident in 2.6 s, +16 KB per step; `flow commutation` keeps one
+# stacked run of both orders at a time (75 MB on gl9)
 MAX_STEPS = 10_000
 
 
@@ -68,8 +69,7 @@ MAX_STEPS = 10_000
 
 def lax_field(partner: Callable) -> Callable[[np.ndarray], np.ndarray]:
     """V ↦ [Z, V] = ZV − VZ on a (…, k, n, n) stack, with Z = partner(V) one
-    matrix for every block ((n, n), or (…, 1, n, n) on a stack of points) or
-    one matrix per block (…, k, n, n)."""
+    matrix for all blocks (…, 1, n, n) or one per block (…, k, n, n)."""
 
     def field(V: np.ndarray) -> np.ndarray:
         Z = partner(V)
@@ -78,21 +78,29 @@ def lax_field(partner: Callable) -> Callable[[np.ndarray], np.ndarray]:
     return field
 
 
-def lax_rows(alg: AlgebraSpec, V: np.ndarray, partner: Callable) -> np.ndarray:
-    """The Lax field at coordinate rows V (…, k·dim): one block (k = 1) on 𝔤,
-    two on 𝔤×𝔤; matrices in, commutator, coordinates out."""
-    return alg.to_coords(lax_field(partner)(alg.to_matrices(V)))
+def entry_mask(alg: AlgebraSpec, region: str) -> np.ndarray:
+    """Read-only (n, n) 0/1 mask of the entries the basis vectors of `region`
+    carry, cached per spec; Π_region(V) = V ∘ mask is exact on the span when
+    no entry is carried inside and outside the region (sl, gl, so5: degree
+    j − i), and any other spec is refused."""
+
+    def build():
+        support, inside = alg.basis != 0.0, alg.mask(region)
+        here = support[inside].any(axis=0)
+        if np.any(here & support[~inside].any(axis=0)):
+            raise CapabilityError(f"{alg.name} is not graded entry by entry: the "
+                                  f"Lax flows cannot project onto degree {region}")
+        return here.astype(float)
+
+    return alg.memo(("entry-mask", region), build)
 
 
-def projected_partner(alg: AlgebraSpec, block: int, region: str) -> Callable:
-    """Z = Π_region(V[block]), one matrix for all blocks of each stack entry."""
-    P, n = alg.matrix_projector(region), alg.matrix_size
+def projected_partner(block: int, mask: np.ndarray) -> Callable:
+    """Z = V[block] ∘ mask, one matrix for all blocks of each stack entry; one
+    (n, n) `entry_mask` for all entries, or one per entry (…, 1, n, n)."""
 
     def partner(V: np.ndarray) -> np.ndarray:
-        if V.ndim == 3:     # one point, as RK4 steps it: one matrix-vector product
-            return (P @ V[block].reshape(-1)).reshape(n, n)
-        lead = V.shape[:-3]     # a stack: the same product for every entry
-        return (P @ V[..., block, :, :].reshape(*lead, n * n, 1)).reshape(*lead, 1, n, n)
+        return V[..., block:block + 1, :, :] * mask
 
     return partner
 
@@ -100,16 +108,17 @@ def projected_partner(alg: AlgebraSpec, block: int, region: str) -> Callable:
 def _partner(alg: AlgebraSpec, field: str, i: int = 0, lam: float = 0.0) -> Callable:
     """The partner Z of the t-, s-, quadratic or linear pencil field on (L, M).
 
+    The t- and s-partners are Π₊L = L ∘ m₊ and Π₋M = M ∘ m₋, entry masks; on
+    one block the t-partner is the Toda partner Π₊A.
     A pencil partner is Z = s·((R − 1)p, (R + 1)p) with p the coordinates of
     W^{i+1} (quadratic: s = 1) or ĝ(W^i) (linear: s = ½(λ−1)),
     W = λL − M, less its centre part: kept, that part lets RK4 past a gl(2)
     quadratic blow-up (i = 1, λ = 0) settle on an exactly traceless M, where
-    the field vanishes, instead of ending at a non-finite state.  The t-flow
-    partner on one block is the Toda partner Π₊A."""
+    the field vanishes, instead of ending at a non-finite state."""
     if field == "t":
-        return projected_partner(alg, 0, PLUS)
+        return projected_partner(0, entry_mask(alg, PLUS))
     if field == "s":
-        return projected_partner(alg, 1, MINUS)
+        return projected_partner(1, entry_mask(alg, MINUS))
     if field == "quadratic":
         if not alg.associative:
             raise CapabilityError(
@@ -137,7 +146,7 @@ def field_rows(alg: AlgebraSpec, field: str, V: np.ndarray, i: int = 0,
                lam: float = 0.0) -> np.ndarray:
     """The t-, s-, quadratic or linear pencil field at coordinate rows V (…, 2·dim);
     the "t" field on rows (…, dim) of 𝔤 is the Toda field [A₊, A]."""
-    return lax_rows(alg, V, _partner(alg, field, i, lam))
+    return alg.to_coords(lax_field(_partner(alg, field, i, lam))(alg.to_matrices(V)))
 
 
 # --------------------------------------------------------------------------
@@ -215,6 +224,11 @@ class Trajectory:
         return float(ps.membership_residuals(self.states).max())
 
 
+# steps between finiteness tests; a non-finite entry stays non-finite, so the
+# latest state tells for every state before it
+_FINITE_EVERY = 64
+
+
 def rk4_states(field: Callable[[np.ndarray], np.ndarray], v0: np.ndarray,
                dt: float, n_steps: int) -> np.ndarray:
     """Fixed-step RK4 run of v̇ = field(v) from the array v0.
@@ -222,22 +236,25 @@ def rk4_states(field: Callable[[np.ndarray], np.ndarray], v0: np.ndarray,
     Returns the states stacked along a new first axis; a run that reaches a
     non-finite state ends there, with that state as its last entry.
     """
-    v = np.asarray(v0, dtype=float)
-    states = [v]
+    states = np.empty((n_steps + 1, *np.shape(v0)))
+    states[0] = v0
+    v = states[0]
+    half, sixth = 0.5 * dt, dt / 6.0
     # overflow on the way to a detected blow-up is expected, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_steps):
+        for step in range(1, n_steps + 1):
             k1 = field(v)
-            k2 = field(v + 0.5 * dt * k1)
-            k3 = field(v + 0.5 * dt * k2)
+            k2 = field(v + half * k1)
+            k3 = field(v + half * k2)
             k4 = field(v + dt * k3)
-            v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            states.append(v)
-            # a finite sum means finite entries; only an overflowing sum
-            # needs the entrywise test
-            if not math.isfinite(v.sum()) and not np.all(np.isfinite(v)):
-                break
-    return np.array(states)
+            k = k1 + 2.0 * k2       # k1 + 2k2 + 2k3 + k4, left to right
+            k += 2.0 * k3
+            k += k4
+            v = np.add(v, sixth * k, out=states[step])
+            if (step % _FINITE_EVERY == 0 or step == n_steps) and not np.isfinite(v).all():
+                finite = np.isfinite(states[:step + 1].reshape(step + 1, -1)).all(axis=1)
+                return states[:int(np.argmin(finite)) + 1]
+    return states
 
 
 def integrate(cfg: FlowConfig, m0: PairPoint,
@@ -282,19 +299,22 @@ def integrate(cfg: FlowConfig, m0: PairPoint,
 def flow_commutation(m0: PairPoint, dt: float = 1e-3, n_steps: int = 100) -> float:
     """‖(Φ_t∘Φ_s − Φ_s∘Φ_t)(m0)‖∞ for the t- and s-flows run n_steps each.
 
-    The flows commute, so the defect collapses to integrator error.
+    The flows commute, so the defect collapses to integrator error.  Both
+    orders run as one two-entry stack whose partners read block 0, each with
+    its own mask: the s-flow entry holds (M, L).  Between the legs the
+    entries trade places and blocks, and so flows.
     """
     alg = m0.alg
-    fa, fb = (_named_field(FlowConfig(field=f, dt=dt, T=dt * n_steps), alg) for f in "ts")
-
-    def run(fld, V):
-        return rk4_states(fld, V, dt, n_steps)[-1]
-
+    whole_steps(dt, dt * n_steps)
+    masks = np.stack([entry_mask(alg, MINUS), entry_mask(alg, PLUS)])[:, None]
+    field = lax_field(projected_partner(0, masks))
     V0 = alg.to_matrices(m0.vec())
-    ab = run(fa, run(fb, V0))
-    ba = run(fb, run(fa, V0))
-    if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(ba))):
-        return math.inf     # a run blew up: no finite defect to measure
+    S = np.stack([V0[::-1], V0])         # (M, L) for Φ_s first, (L, M) for Φ_t first
+    for _ in range(2):
+        S = rk4_states(field, S, dt, n_steps)[-1][::-1, ::-1].copy()    # frees the run
+        if not np.all(np.isfinite(S)):
+            return math.inf     # a run blew up: no finite defect to measure
+    ab, ba = S[0][::-1], S[1]   # Φ_t∘Φ_s held as (M, L), Φ_s∘Φ_t as (L, M)
     return float(np.abs(alg.to_coords(ab) - alg.to_coords(ba)).max())
 
 

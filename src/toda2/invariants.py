@@ -52,23 +52,23 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
-def _pencil_powers(alg: AlgebraSpec, states: np.ndarray, top: int) -> list:
+def _pencil_powers(alg: AlgebraSpec, states: np.ndarray, top: int):
     """λ-coefficients of (λX − Y)^k, k = 0..top, at every row of `states`.
 
-    `states` is an (N, 2·dim) stack of vec(PairPoint) rows.  Entry k of the
-    result is the list of k+1 (N, n, n) coefficient stacks of λ⁰…λ^k, built by
-    the recurrence W⁽ᵏ⁺¹⁾_c = W⁽ᵏ⁾_{c−1}X − W⁽ᵏ⁾_cY; every product is a
-    per-state matmul, so a row's values do not depend on the rest of the stack.
+    `states` is an (N, 2·dim) stack of vec(PairPoint) rows.  Yields (k, W),
+    W the list of k+1 (N, n, n) coefficient stacks of λ⁰…λ^k, built by the
+    recurrence W⁽ᵏ⁺¹⁾_c = W⁽ᵏ⁾_{c−1}X − W⁽ᵏ⁾_cY, two powers alive at a time;
+    every product is a per-state matmul, so a row's values do not depend on
+    the rest of the stack.
     """
     V = alg.to_matrices(states)
     X, mY = V[:, 0], -V[:, 1]
     W = [np.broadcast_to(np.eye(X.shape[-1]), X.shape)]
-    powers = [W]
-    for _ in range(top):
+    yield 0, W
+    for k in range(1, top + 1):
         inner = [W[c - 1] @ X + W[c] @ mY for c in range(1, len(W))]
         W = [W[0] @ mY] + inner + [W[-1] @ X]
-        powers.append(W)
-    return powers
+        yield k, W
 
 
 def family_values(alg: AlgebraSpec, states: np.ndarray) -> np.ndarray:
@@ -77,9 +77,11 @@ def family_values(alg: AlgebraSpec, states: np.ndarray) -> np.ndarray:
     Columns follow `family_labels`: F_{j,i} = (−1)^{m_i+1−j} Tr(W_j)/(m_i+1)
     with W = (λx − y)^{m_i+1}.
     """
-    W = _pencil_powers(alg, states, max(alg.exponents) + 1)
+    traces = {k: [np.trace(w, axis1=1, axis2=2) for w in W]
+              for k, W in _pencil_powers(alg, states, max(alg.exponents) + 1)
+              if k - 1 in alg.exponents}
     cols = [
-        (-1.0) ** (i + 1 - j) * np.trace(W[i + 1][j], axis1=1, axis2=2) / (i + 1)
+        (-1.0) ** (i + 1 - j) * traces[i + 1][j] / (i + 1)
         for (j, i) in family_labels(alg)
     ]
     return np.stack(cols, axis=1)
@@ -92,14 +94,14 @@ def family_gradient_stack(alg: AlgebraSpec, states: np.ndarray) -> np.ndarray:
     ∇F_{j,i} = (−1)^{m_i+1−j}(ĝ(V_{j−1}), ĝ(V_j)) with V = (λx − y)^{m_i} and
     V_{−1} = V_{m_i+1} = 0, ĝ read from the cached `trace_projector`.
     """
-    W = _pencil_powers(alg, states, max(alg.exponents))
-    zero = np.zeros_like(W[0][0])
-    out = []
-    for i in alg.exponents:   # ĝ of V_{−1}, V_0, …, V_{m_i+1}: i + 3 matrices per state
-        g = alg.gradient_from_matrix(np.stack([zero, *W[i], zero], axis=1))
-        sgn = (-1.0) ** (i + 1 - np.arange(i + 2))
-        out.append(sgn[:, None] * np.concatenate([g[:, :-1], g[:, 1:]], axis=2))
-    return np.concatenate(out, axis=1)
+    blocks = {}
+    for i, W in _pencil_powers(alg, states, max(alg.exponents)):
+        if i in alg.exponents:  # ĝ of V_{−1}, V_0, …, V_{m_i+1}: i + 3 matrices per state
+            zero = np.zeros_like(W[0])
+            g = alg.gradient_from_matrix(np.stack([zero, *W, zero], axis=1))
+            sgn = (-1.0) ** (i + 1 - np.arange(i + 2))
+            blocks[i] = sgn[:, None] * np.concatenate([g[:, :-1], g[:, 1:]], axis=2)
+    return np.concatenate([blocks[i] for i in alg.exponents], axis=1)
 
 
 # --------------------------------------------------------------------------

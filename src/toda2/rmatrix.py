@@ -204,17 +204,19 @@ def check_mcybe(alg: AlgebraSpec, R: ROperator = None, samples: int = 200,
     """Max residual of B(x,y) + [x,y] (mod center) over seeded samples: the
     modified classical Yang–Baxter equation with c = 1.
 
-    Returns a CheckReport; `pair=True` runs the 𝔤×𝔤 version with ℛ.  The
-    samples are drawn as one stack, x then y per sample, and the residual is
-    evaluated on the whole stack.
+    Returns a CheckReport; `pair=True` runs the 𝔤×𝔤 version with ℛ and
+    takes no user operator R.  The samples are drawn as one stack, x then y
+    per sample, and the residual is evaluated on the whole stack.
     """
     if samples < 1:
         raise ValueError(f"check_mcybe needs samples ≥ 1, got {samples}")
+    if pair and R is not None:
+        raise ValueError("check_mcybe: pair=True checks ℛ, not a user R")
     rng = np.random.default_rng(seed)
     k = 2 if pair else 1
     XY = rng.uniform(-1.0, 1.0, (samples, 2, k, alg.dim))
     X, Y = XY[:, 0], XY[:, 1]
-    res = b_tensor_block(alg, X, Y, None if pair else R) + bracket_blocks(alg, X, Y)
+    res = b_tensor_block(alg, X, Y, R) + bracket_blocks(alg, X, Y)
     # residuals are only required to lie in the centre
     Z = alg.strip_centre(res)
     norms = np.sqrt(np.vecdot(Z, Z))            # (samples, k) Euclidean norms

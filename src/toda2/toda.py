@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .algebra import PLUS, AlgebraSpec, Element
-from .flows import field_rows, lax_field, projected_partner, rk4_states, whole_steps
+from .flows import entry_mask, field_rows, lax_field, projected_partner, rk4_states, whole_steps
 from .invariants import family_labels, family_values, trace_gradients, trace_values
 from .poisson import PhaseSpace, bracket_tables, linear_field
 from .reports import CheckReport, worst
@@ -68,7 +68,7 @@ def integrate_toda(x0: Element, dt: float = 1e-3, T: float = 1.0):
     T must be a whole number of steps dt, as for `FlowConfig`.
     """
     alg = x0.alg
-    stack = rk4_states(lax_field(projected_partner(alg, 0, PLUS)),
+    stack = rk4_states(lax_field(projected_partner(0, entry_mask(alg, PLUS))),
                        alg.to_matrices(x0.vec()), dt, whole_steps(dt, T))
     return np.arange(len(stack)) * dt, alg.to_coords(stack)
 

@@ -5,7 +5,14 @@ and returns a Point or a ScalarFunction, so that a test can state an identity
 one point at a time or hand a function to `gradient2`.  A stack gives the
 bits of its points one at a time, so these views carry the bits the stacked
 batteries must reproduce.
+
+The RK4 driver and the projected partner have their straightforward forms
+here too (`rk4_reference`, `projector_partner`): one new array per stage and
+per state, a finiteness test at every step, and Π as the coordinate
+projection through the basis.
 """
+
+import numpy as np
 
 from toda2 import Element, PairPoint, ScalarFunction, form, form2, gradient2
 from toda2.flows import field_rows
@@ -60,3 +67,35 @@ def pullback(alg, i, lam):
         lambda m: float(trace_values(alg, lam * m.x.coords - m.y.coords, i)),
         lambda m: PairPoint.from_vec(alg, pullback_gradients(alg, i, lam, point_block(m)).ravel()),
     )
+
+
+def rk4_reference(field, v0, dt, n_steps):
+    """Fixed-step RK4 of v̇ = field(v), one state at a time: the states along
+    a new first axis, ending at the first non-finite state."""
+    v = np.asarray(v0, dtype=float)
+    states = [v]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            k1 = field(v)
+            k2 = field(v + 0.5 * dt * k1)
+            k3 = field(v + 0.5 * dt * k2)
+            k4 = field(v + dt * k3)
+            v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            states.append(v)
+            if not np.all(np.isfinite(v)):
+                break
+    return np.array(states)
+
+
+def projector_partner(alg, block, region):
+    """Z = Π_region(V[block]) as the n²×n² matrix of `project(·, region)` on
+    flattened matrices, read through the basis and its pseudo-inverse."""
+    n = alg.matrix_size
+    flat = alg.basis.reshape(alg.dim, -1).T
+    P = (flat * alg.mask(region)) @ np.linalg.pinv(flat)
+
+    def partner(V):
+        lead = V.shape[:-3]
+        return (P @ V[..., block, :, :].reshape(*lead, n * n, 1)).reshape(*lead, 1, n, n)
+
+    return partner

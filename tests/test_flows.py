@@ -1,4 +1,6 @@
-"""Lax flows: closed-form fields, RK4 integration, conservation, CSV export."""
+"""Lax flows: closed-form fields, entry masks, RK4 integration, conservation, CSV export."""
+
+import math
 
 import numpy as np
 import pytest
@@ -9,19 +11,29 @@ from toda2 import (
     FlowConfig,
     PairPoint,
     PreconditionError,
+    algebra,
     bracket,
+    build_gl,
+    build_sl,
     family,
     flow_commutation,
     integrate,
+    load_spec,
     pencil_eigenvalue_drift,
     phase_tp,
     project,
+    save_spec,
+    spec_to_document,
     trajectory_to_csv,
+    validate_spec,
 )
-from toda2.flows import field_rows
+from toda2.algebra import MINUS, PLUS
+from toda2.cli import main
+from toda2.flows import _named_field, entry_mask, field_rows, lax_field, rk4_states
 from toda2.rmatrix import r_block
+from toda2.toda import integrate_toda, toda_space
 
-from pointwise import flow_at
+from pointwise import flow_at, projector_partner, rk4_reference
 
 
 def seed_point(alg, seed=42):
@@ -221,6 +233,154 @@ def test_blowup_is_truncated_from_nearby_starts(gl2):
             u = u0 * (1.0 + 1e-14 * rng.standard_normal(u0.shape))
             traj = integrate(cfg, PairPoint.from_vec(gl2, ps.points_from_coords(u)), conserved=[])
             assert traj.truncated, np.abs(traj.states[-1]).max()
+
+
+# ---------------------------------------------------------------------------
+# entry masks: which specs the t- and s-partners serve
+# ---------------------------------------------------------------------------
+
+def test_every_shipped_spec_has_its_entry_masks(so5, monkeypatch):
+    # the masks read only the basis and its degrees; validating every order
+    # is the builders' own test, so the builds here skip it
+    monkeypatch.setattr(algebra, "validate_spec", lambda spec: [])
+    specs = [build(n) for build in (build_sl, build_gl) for n in range(2, 10)]
+    for alg in specs + [so5]:
+        plus, minus = entry_mask(alg, PLUS), entry_mask(alg, MINUS)
+        assert not np.any(plus * minus), alg.name
+        if alg is not so5:      # type A: 𝔤_{≥0} is the upper triangle
+            n = alg.matrix_size
+            assert np.array_equal(plus, np.triu(np.ones((n, n)))), alg.name
+            assert np.array_equal(minus, np.tril(np.ones((n, n)), -1)), alg.name
+        assert entry_mask(alg, PLUS) is plus and not plus.flags.writeable
+
+
+def rotated_sl2_document():
+    """sl2 with every basis matrix conjugated by a plane rotation: the same
+    Lie algebra and grading, but 𝔤_{≥0} and 𝔤_{<0} share matrix entries."""
+    c, s = np.cos(0.3), np.sin(0.3)
+    Q = np.array([[c, -s], [s, c]])
+    doc = spec_to_document(build_sl(2))
+    doc["basis"] = [(Q @ np.array(b) @ Q.T).tolist() for b in doc["basis"]]
+    return doc
+
+
+def test_flows_refuse_a_spec_not_graded_entry_by_entry(tmp_path, capsys):
+    alg = load_spec(rotated_sl2_document())
+    assert validate_spec(alg) == []
+    m0 = seed_point(alg)
+    for field in ("t", "s"):
+        with pytest.raises(CapabilityError, match="graded entry by entry"):
+            integrate(FlowConfig(field=field, dt=0.1, T=0.2), m0)
+    with pytest.raises(CapabilityError, match="graded entry by entry"):
+        flow_commutation(m0, dt=0.1, n_steps=2)
+    path = tmp_path / "sl2-rotated.json"
+    save_spec(alg, path)
+    capsys.readouterr()
+    assert main(["flow", "run", "--algebra", str(path), "--dt", "0.1", "--T", "0.2"]) == 2
+    assert "graded entry by entry" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the RK4 loop and the entry-mask partners against their straightforward forms
+# ---------------------------------------------------------------------------
+
+def _start(alg, scale=None):
+    """The seed point of T_P, or the point with every T_P coordinate = scale."""
+    if scale is None:
+        return seed_point(alg)
+    ps = phase_tp(alg)
+    return PairPoint.from_vec(alg, ps.points_from_coords(scale * np.ones(ps.dim)))
+
+
+# (algebra, field, i, λ, dt, steps, start scale); the last three blow up:
+# the quadratic field at step 3, the gl2 t-flow at step 82, past the loop's
+# first finiteness test at step 64
+LOOP_CASES = [
+    ("gl3", "t", None, None, 1e-3, 200, None),
+    ("gl3", "s", None, None, 1e-3, 200, None),
+    ("gl4", "t", None, None, 1e-3, 200, None),
+    ("gl4", "s", None, None, 1e-3, 200, None),
+    ("so5", "s", None, None, 1e-3, 200, None),
+    ("sl3", "t", None, None, 1e-3, 200, None),
+    ("gl3", "linear", 1, 2.0, 1e-3, 200, None),
+    ("gl2", "quadratic", 1, 0.0, 0.05, 60, 40.0),
+    ("gl2", "t", None, None, 0.05, 100, None),
+    ("gl2", "t", None, None, 0.05, 1000, None),
+]
+
+
+def _algebra(name, request):
+    return build_gl(4) if name == "gl4" else request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("case", LOOP_CASES, ids=lambda c: "-".join(map(str, c[:2] + c[5:6])))
+def test_rk4_states_matches_the_reference_loop_bit_for_bit(case, request):
+    name, field, i, lam, dt, steps, scale = case
+    alg = _algebra(name, request)
+    f = _named_field(FlowConfig(field=field, dt=dt, T=dt * steps, i=i, lam=lam), alg)
+    V0 = alg.to_matrices(_start(alg, scale).vec())
+    lean, ref = rk4_states(f, V0, dt, steps), rk4_reference(f, V0, dt, steps)
+    # the same length: both runs stop at the same step, on the same state
+    assert lean.shape == ref.shape
+    assert np.array_equal(lean, ref, equal_nan=True)
+
+
+@pytest.mark.parametrize("name", ["gl3", "gl4", "sl3", "sl4", "so5"])
+def test_entry_masks_project_like_the_coordinate_projection(name, request):
+    # Π(V) = V ∘ m against Π read through the basis and its pseudo-inverse:
+    # the same bits where the projection copies entries (gl, and strictly
+    # lower entries on sl), roundoff where it reads the diagonal through
+    # the pinv (sl's traceless diagonal, so5)
+    alg = _algebra(name, request)
+    V0 = alg.to_matrices(seed_point(alg).vec())
+    for field, block, region in (("t", 0, PLUS), ("s", 1, MINUS)):
+        lean = integrate(FlowConfig(field=field, dt=1e-3, T=0.2), seed_point(alg), conserved=[])
+        ref = alg.to_coords(rk4_reference(lax_field(projector_partner(alg, block, region)),
+                                          V0, 1e-3, 200))
+        if alg.associative or (name != "so5" and field == "s"):
+            assert np.array_equal(lean.states, ref), (field, np.abs(lean.states - ref).max())
+        else:
+            assert np.abs(lean.states - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("name", ["sl3", "sl4", "so5"])
+def test_toda_run_matches_the_coordinate_projection(name, request):
+    alg = request.getfixturevalue(name)
+    ts = toda_space(alg)
+    x0 = Element(alg, ts.points_from_coords(np.random.default_rng(3).uniform(-1, 1, ts.dim)))
+    _, states = integrate_toda(x0, dt=1e-3, T=0.5)
+    ref = alg.to_coords(rk4_reference(lax_field(projector_partner(alg, 0, PLUS)),
+                                      alg.to_matrices(x0.vec()), 1e-3, 500))
+    assert np.abs(states - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def sequential_commutation(m0, dt, n_steps):
+    """The commutation defect from four runs of the reference loop: Φ_s then
+    Φ_t, and Φ_t then Φ_s, each field on its own."""
+    alg = m0.alg
+    ft, fs = (_named_field(FlowConfig(field=f, dt=dt, T=dt * n_steps), alg) for f in "ts")
+
+    def run(f, V):
+        return rk4_reference(f, V, dt, n_steps)[-1]
+
+    V0 = alg.to_matrices(m0.vec())
+    ab, ba = run(ft, run(fs, V0)), run(fs, run(ft, V0))
+    if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(ba))):
+        return math.inf
+    return float(np.abs(alg.to_coords(ab) - alg.to_coords(ba)).max())
+
+
+@pytest.mark.parametrize("name, dt, steps", [
+    ("sl3", 1e-3, 100), ("gl3", 1e-3, 100), ("sl4", 1e-3, 100), ("gl4", 1e-3, 100),
+    ("so5", 1e-3, 100), ("gl2", 0.05, 100),
+    ("sl2", 1.0, 9),        # both orders blow up: an infinite defect
+])
+def test_stacked_commutation_equals_four_sequential_runs(name, dt, steps, request):
+    alg = _algebra(name, request)
+    m0 = phase_tp(alg).sample_points(seed=42, count=1)[0]
+    want = sequential_commutation(m0, dt, steps)
+    assert flow_commutation(m0, dt=dt, n_steps=steps) == want
+    assert math.isinf(want) == (name in ("sl2", "gl2"))
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,15 @@ The oracle here is deliberately independent of the pencil recurrence behind
 with that.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from toda2 import (
     PairPoint,
     ScalarFunction,
+    build_gl,
     family,
     family_labels,
     family_values,
@@ -115,6 +118,24 @@ def test_family_values_batch_is_rowwise_and_memberwise(desk_algebras):
         members = np.array([[F(m) for F in fam] for m in pts])
         assert np.array_equal(batch, rows), alg.name
         assert np.array_equal(batch, members), alg.name
+
+
+def test_family_values_stream_the_pencil_powers():
+    # the recurrence hands each power on and drops it: two powers of at most
+    # top + 1 coefficient stacks are alive at a time, not all (top + 1)(top + 2)/2
+    alg = build_gl(5)
+    states = np.random.default_rng(0).uniform(-1.0, 1.0, (2000, 2 * alg.dim))
+    top = max(alg.exponents) + 1
+    stack = len(states) * alg.matrix_size ** 2 * 8       # one (N, n, n) array
+    family_values(alg, states[:2])
+    tracemalloc.start()
+    try:
+        family_values(alg, states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 14.6 stacks measured; 23 while every power's list was kept to the end
+    assert peak < 3 * (top + 1) * stack
 
 
 def test_expand_pencil_takes_generator_labels_only(sl3):

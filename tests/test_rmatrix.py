@@ -138,6 +138,15 @@ def test_check_mcybe_rejects_broken_operator(sl2):
     assert report.measured > 1e-3
 
 
+def test_check_mcybe_pair_takes_no_user_operator(sl2):
+    # the pair check measures ℛ; a user matrix there would be dropped while
+    # the report names it, so a failing M would read as a pass
+    M = np.random.default_rng(1).uniform(-1, 1, (3, 3))
+    with pytest.raises(ValueError, match="pair=True"):
+        check_mcybe(sl2, R=M, pair=True, samples=40)
+    assert check_mcybe(sl2, pair=True, samples=40).anchor == "mcybe-splitting-exact"
+
+
 def test_pairpoint_vector_roundtrip(sl3):
     rng = np.random.default_rng(6)
     p = PairPoint(

@@ -7,11 +7,27 @@ The two defining flows on T_P are
 
 plus the quadratic-bracket fields of the pencil pullbacks P_i∘φ_λ on
 associative algebras and the linear pencil fields used as cross-checks.
-Integration is fixed-step RK4 with no re-projection onto the phase space:
-tangency drift is a measured signal, not something to suppress.  RK4 runs on
-the stack of n×n matrices (L, M) of the defining representation; coordinates
-are converted to matrices once at the start of a run and back once at the end
-(`AlgebraSpec.to_matrices`/`to_coords`).
+Runs work on the stack of n×n matrices (L, M) of the defining representation;
+coordinates are converted to matrices once at the start of a run and back
+once at the end (`AlgebraSpec.to_matrices`/`to_coords`).
+
+The t- and s-flows are Adler–Kostant–Symes flows and are solved exactly
+(Kostant 1979, Symes 1980/82; Ueno–Takasaki 1984 for the 2-Toda lattice):
+
+    t-flow: exp(tL₀) = n₋b₊,   (L, M)(t) = b₊(L₀, M₀)b₊⁻¹,
+    s-flow: exp(−sM₀) = n₋b₊,  (L, M)(s) = n₋⁻¹(L₀, M₀)n₋,
+
+with n₋ unit lower-triangular and b₊ upper-triangular, in an order of the
+matrix indices that makes 𝔤_{≥0} upper-triangular (`_triangular_order`):
+one stacked pass of `_expm`, the unpivoted `_lu` and a conjugation gives
+every sample of a stretch, and a new stretch starts from the last state where
+τ‖X‖₁ would pass _FACTOR_NORM.  A leading minor of exp(τX) that changes sign
+between two pivot tests is a pole of the flow; the run stops before it, with
+a note.  The pivots are tested at every sample, and on a finer grid where a
+minor could turn by more than _TURN between samples.  The
+pencil fields and the Toda run of `toda.py` are integrated by fixed-step RK4
+(`rk4_states`) with no re-projection onto the phase space: tangency drift is
+a measured signal, not something to suppress.
 
 Every field is one matrix commutator V ↦ [Z, V] = ZV − VZ on a (k, n, n)
 stack (`lax_field`); only its partner Z = Z(V) differs:
@@ -56,9 +72,10 @@ __all__ = [
     "pencil_eigenvalue_drift",
 ]
 
-# RK4 keeps every state: `flow run` on gl9 at this bound (dt 1e-4, T 1) peaks
-# at 214 MB resident in 2.6 s, +16 KB per step; `flow commutation` keeps one
-# stacked run of both orders at a time (75 MB on gl9)
+# a run keeps every state: `flow run` on gl9 at this bound (dt 1e-4, T 1)
+# peaks at 214 MB resident in 2.0 s, +16 KB per sample, most of it the
+# family's pencil powers; `flow commutation` keeps one leg at a time (76 MB
+# on gl9 at dt 1e-5)
 MAX_STEPS = 10_000
 
 
@@ -96,8 +113,7 @@ def entry_mask(alg: AlgebraSpec, region: str) -> np.ndarray:
 
 
 def projected_partner(block: int, mask: np.ndarray) -> Callable:
-    """Z = V[block] ∘ mask, one matrix for all blocks of each stack entry; one
-    (n, n) `entry_mask` for all entries, or one per entry (…, 1, n, n)."""
+    """Z = V[block] ∘ mask, one matrix for all blocks of each stack entry."""
 
     def partner(V: np.ndarray) -> np.ndarray:
         return V[..., block:block + 1, :, :] * mask
@@ -150,7 +166,7 @@ def field_rows(alg: AlgebraSpec, field: str, V: np.ndarray, i: int = 0,
 
 
 # --------------------------------------------------------------------------
-# the integrator
+# configuration and the RK4 integrator
 # --------------------------------------------------------------------------
 
 
@@ -186,7 +202,8 @@ def whole_steps(dt: float, T: float) -> int:
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Field selector plus fixed-step RK4 parameters."""
+    """Field selector, sample step dt and horizon T (the RK4 step of the
+    pencil fields), and the pencil's generator label and λ."""
 
     field: str = "t"                 # t | s | quadratic | linear
     dt: float = 1e-3
@@ -257,27 +274,203 @@ def rk4_states(field: Callable[[np.ndarray], np.ndarray], v0: np.ndarray,
     return states
 
 
+# --------------------------------------------------------------------------
+# the exact t- and s-flows: factorization of exp(τX)
+# --------------------------------------------------------------------------
+
+# largest τ‖X‖₁ of one factorization: a longer stretch of samples starts a
+# new factorization from its last kept state, so that no pivot of exp(τX) is
+# lost to cancellation (one factorization of exp(tL₀) on the sl2 seed point
+# loses its second pivot near t = 12.6)
+_FACTOR_NORM = 1.0
+# most samples of one stretch: its temporaries stay ~20 (n, n) stacks this long
+_STRETCH_SAMPLES = 512
+# largest phase, in radians, a minor of exp(τX) may turn between two pivot
+# tests: a sign change takes a half-turn (π), so none hides between tests
+_TURN = 1.0
+# Taylor degree of `_expm` at ‖B‖₁ ≤ ½: the tail is below 2⁻¹⁵/15! ≈ 2.3e-17
+_TAYLOR_DEGREE = 14
+# largest |log det exp(τX) − τ tr X| of a factorization taken as exact
+_DET_TOL = 1e-8
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """exp of each matrix of an (m, n, n) stack: a Taylor series on A/2^s,
+    one s for the whole stack so that every ‖A/2^s‖₁ ≤ ½, then s squarings."""
+    _, e = np.frexp(np.abs(A).sum(axis=-2).max())     # largest ‖A_k‖₁ < 2^e
+    s = max(0, int(e) + 1)
+    B = A / 2.0**s
+    eye = np.eye(A.shape[-1])
+    E = eye + B / _TAYLOR_DEGREE
+    for k in range(_TAYLOR_DEGREE - 1, 0, -1):        # Horner: I + B/k·(…)
+        E = B @ E
+        E /= k
+        E += eye
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
+def _lu(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E = n₋b₊ for each matrix of a stack, without pivoting: n₋ unit
+    lower-triangular, b₊ upper-triangular.  A vanishing pivot gives
+    non-finite entries, not an error."""
+    size = E.shape[-1]
+    lower, upper = np.zeros_like(E), E.copy()
+    for k in range(size - 1):
+        lower[..., k + 1:, k] = upper[..., k + 1:, k] / upper[..., k, k, None]
+        upper[..., k + 1:, k + 1:] -= lower[..., k + 1:, k, None] * upper[..., None, k, k + 1:]
+    lower += np.eye(size)
+    return lower, np.triu(upper)
+
+
+def _triangular_order(alg: AlgebraSpec) -> Optional[np.ndarray]:
+    """An order of the matrix indices that puts the entries of 𝔤_{≥0} on or
+    above the diagonal and those of 𝔤_{<0} below it, cached per spec; None
+    when the given order does.  The factor path splits gl(n) as upper ⊕
+    strictly lower triangular, so it runs the flows in this order, and a
+    spec that has none is refused."""
+
+    def build():
+        plus, minus = entry_mask(alg, PLUS) > 0, entry_mask(alg, MINUS) > 0
+        before = plus | minus.T     # before[i, j]: i must come before j
+        np.fill_diagonal(before, False)
+        order, left = [], list(range(alg.matrix_size))
+        free = [] if np.any(np.diagonal(minus)) else left
+        while free:     # the first index that no index left must precede
+            free = [j for j in left if not before[left, j].any()]
+            order += free[:1]
+            left = [j for j in left if j not in order]
+        if left:
+            raise CapabilityError(
+                f"{alg.name}: no order of the matrix indices makes 𝔤_{{≥0}} "
+                f"upper-triangular and 𝔤_{{<0}} strictly lower-triangular: "
+                f"exp(τX) = n₋b₊ does not split the t- and s-flows")
+        return None if order == sorted(order) else np.array(order)
+
+    return alg.memo("triangular-order", build)
+
+
+def _factor_stretch(field: str, V: np.ndarray, taus: np.ndarray) -> tuple[np.ndarray, str]:
+    """(L, M)(τ) at the times `taus` from V = (L, M), one stacked pass.
+
+    t-flow: exp(τL) = n₋b₊, (L, M)(τ) = b₊(L, M)b₊⁻¹; s-flow: exp(−τM) = n₋b₊,
+    (L, M)(τ) = n₋⁻¹(L, M)n₋.  The flow has a pole where a leading principal
+    minor of exp(τX), a cumulative product of the pivots, changes sign.  The
+    product of all pivots is det exp(τX) = exp(τ tr X) whatever the minors
+    do, so it witnesses that the factorization is exact to _DET_TOL.  The
+    states stop before the first time whose pivots are not all positive, or
+    not witnessed; the second value says why: "pole", "inexact" or "".
+    """
+    X = V[0] if field == "t" else -V[1]
+    lower, upper = _lu(_expm(taus[:, None, None] * X))
+    pivots = np.diagonal(upper, axis1=-2, axis2=-1)
+    exact = np.abs(np.log(np.abs(pivots)).sum(axis=-1) - taus * np.trace(X)) <= _DET_TOL
+    good = exact & np.all(pivots > 0, axis=-1)
+    kept = len(taus) if good.all() else int(np.argmin(good))
+    # g and g⁻¹ through the inverse of an upper-triangular factor with a
+    # positive finite diagonal, which LAPACK never finds singular
+    if field == "t":
+        g = upper[:kept]
+        gi = np.linalg.inv(g)
+    else:
+        gi = lower[:kept]
+        g = np.linalg.inv(gi.swapaxes(-1, -2)).swapaxes(-1, -2)
+    states = g[:, None] @ V @ gi[:, None]
+    stop = "" if kept == len(taus) else ("pole" if exact[kept] else "inexact")
+    return states, stop
+
+
+def _factor_states(field: str, V0: np.ndarray, dt: float, n_steps: int,
+                   order: Optional[np.ndarray]) -> tuple[np.ndarray, str]:
+    """The t- or s-flow from V0 = (L, M) sampled at k·dt, k = 0…n_steps,
+    solved exactly with the matrix indices taken in `order`
+    (`_triangular_order`).
+
+    A stretch of samples whose τ‖X‖₁ would pass _FACTOR_NORM, or that would
+    hold more than _STRETCH_SAMPLES samples, starts again from its last
+    state, with at least one sample per stretch.  Every minor of exp(τX) is
+    a sum of exponentials whose frequencies differ by at most
+    ω = Σ|Im λ(X)|, and the flow keeps the spectrum of X: where dt·ω passes
+    _TURN the run steps on a grid of q = ⌈dt·ω/_TURN⌉ points per sample,
+    tests the pivots at each and keeps every q-th state.  The grid holds at
+    most MAX_STEPS points.
+
+    Returns the states along a new first axis and a note, empty unless the
+    run stops before n_steps: at a pole, at a sample whose factorization is
+    not exact, at a non-finite state, or where the grid runs out.
+    """
+    if order is not None:
+        V0 = V0[..., order[:, None], order]
+    X = V0[0] if field == "t" else -V0[1]
+    # near and past a pole the factors overflow or divide by a vanishing
+    # pivot: the run stops there, and numpy's warnings are expected
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # a non-finite start stops at its first sample, whatever the grid
+        turn = dt * float(np.abs(np.linalg.eigvals(X).imag).sum()) / _TURN \
+            if np.isfinite(X).all() else 0.0
+        q = max(1, math.ceil(turn)) if turn <= MAX_STEPS else MAX_STEPS + 1
+        h, n = dt / q, min(n_steps, MAX_STEPS // q) * q
+        states = np.empty((n + 1, *V0.shape))
+        states[0] = V0
+        k, stop = 0, ""
+        while k < n and not stop:
+            V = states[k]
+            rate = h * float(np.abs(V[0] if field == "t" else V[1]).sum(axis=0).max())
+            m = min(n - k, _STRETCH_SAMPLES)
+            if rate * m > _FACTOR_NORM:
+                m = max(1, int(_FACTOR_NORM / rate))
+            stretch, stop = _factor_stretch(field, V, h * np.arange(1, m + 1))
+            finite = np.isfinite(stretch).all(axis=(1, 2, 3))
+            if not finite.all():
+                stretch, stop = stretch[:int(np.argmin(finite))], "non-finite"
+            states[k + 1:k + 1 + len(stretch)] = stretch
+            k += len(stretch)
+    states = states[:k + 1:q]
+    if order is not None:
+        back = np.argsort(order)
+        states = states[..., back[:, None], back]
+    k = len(states) - 1
+    at = f"step {k + 1} (t = {(k + 1) * dt:g})"
+    note = {
+        "": "",
+        "pole": f"pole between t = {k * dt:g} and t = {(k + 1) * dt:g} (steps {k} and {k + 1})",
+        "inexact": f"exp(τX) cannot be factored exactly at {at}",
+        "non-finite": f"non-finite state at {at}",
+        "unresolved": f"step too large to resolve poles at {at}",
+    }[stop or ("unresolved" if k < n_steps else "")]
+    return states, note and note + "; trajectory truncated"
+
+
+# --------------------------------------------------------------------------
+# trajectories
+# --------------------------------------------------------------------------
+
+
 def integrate(cfg: FlowConfig, m0: PairPoint,
               conserved: Optional[list[ScalarFunction]] = None) -> Trajectory:
-    """Fixed-step RK4 run; truncates with a diagnostic on non-finite states.
+    """A run of the configured flow sampled every dt: the t- and s-flows
+    solved exactly by factorization, the pencil fields by fixed-step RK4.
+    A run that reaches a pole or a non-finite state is truncated before it,
+    with a note.
 
     Without `conserved` the whole family is evaluated on the state stack in
     one batch; an explicit list is evaluated function by function.
     """
     alg = m0.alg
-    stack = rk4_states(_named_field(cfg, alg), alg.to_matrices(m0.vec()),
-                       cfg.dt, cfg.n_steps)
-    truncated, note = False, ""
-    if not np.all(np.isfinite(stack[-1])):
-        truncated = True
-        k = len(stack) - 1
-        note = (f"non-finite state at step {k} "
-                f"(t = {k * cfg.dt:g}); trajectory truncated")
-        stack = stack[:-1]
+    V0 = alg.to_matrices(m0.vec())
+    if cfg.field in ("t", "s"):
+        stack, note = _factor_states(cfg.field, V0, cfg.dt, cfg.n_steps, _triangular_order(alg))
+    else:
+        stack, note = rk4_states(_named_field(cfg, alg), V0, cfg.dt, cfg.n_steps), ""
+        if not np.all(np.isfinite(stack[-1])):
+            k = len(stack) - 1
+            stack = stack[:-1]
+            note = f"non-finite state at step {k} (t = {k * cfg.dt:g}); trajectory truncated"
     states = alg.to_coords(stack)
     names = tuple(F.name for F in (family(alg) if conserved is None else conserved))
     # the kept states of a run that blew up may still overflow the pencil
-    # powers: the same policy as `rk4_states`, the report carries the truncation
+    # powers: the report carries the truncation
     with np.errstate(over="ignore", invalid="ignore"):
         if conserved is None:
             values = family_values(alg, states)
@@ -291,31 +484,34 @@ def integrate(cfg: FlowConfig, m0: PairPoint,
         states=states,
         conserved=values,
         conserved_names=names,
-        truncated=truncated,
+        truncated=bool(note),
         note=note,
     )
 
 
 def flow_commutation(m0: PairPoint, dt: float = 1e-3, n_steps: int = 100) -> float:
-    """‖(Φ_t∘Φ_s − Φ_s∘Φ_t)(m0)‖∞ for the t- and s-flows run n_steps each.
+    """‖(Φ_t∘Φ_s − Φ_s∘Φ_t)(m0)‖∞ for the t- and s-flows run n_steps of dt each.
 
-    The flows commute, so the defect collapses to integrator error.  Both
-    orders run as one two-entry stack whose partners read block 0, each with
-    its own mask: the s-flow entry holds (M, L).  Between the legs the
-    entries trade places and blocks, and so flows.
+    Each leg is the exact factorization solution, so the defect is roundoff;
+    a leg that meets a pole or a non-finite state makes it infinite.
     """
     alg = m0.alg
     whole_steps(dt, dt * n_steps)
-    masks = np.stack([entry_mask(alg, MINUS), entry_mask(alg, PLUS)])[:, None]
-    field = lax_field(projected_partner(0, masks))
+    order = _triangular_order(alg)
+
+    def leg(field, V):
+        states, note = _factor_states(field, V, dt, n_steps, order)
+        return None if note else states[-1]
+
     V0 = alg.to_matrices(m0.vec())
-    S = np.stack([V0[::-1], V0])         # (M, L) for Φ_s first, (L, M) for Φ_t first
-    for _ in range(2):
-        S = rk4_states(field, S, dt, n_steps)[-1][::-1, ::-1].copy()    # frees the run
-        if not np.all(np.isfinite(S)):
-            return math.inf     # a run blew up: no finite defect to measure
-    ab, ba = S[0][::-1], S[1]   # Φ_t∘Φ_s held as (M, L), Φ_s∘Φ_t as (L, M)
-    return float(np.abs(alg.to_coords(ab) - alg.to_coords(ba)).max())
+    ends = []
+    for first, second in ("st", "ts"):            # Φ_t∘Φ_s, then Φ_s∘Φ_t
+        V = leg(first, V0)
+        V = None if V is None else leg(second, V)
+        if V is None:
+            return math.inf     # a leg blew up: no finite defect to measure
+        ends.append(alg.to_coords(V))
+    return float(np.abs(ends[0] - ends[1]).max())
 
 
 # --------------------------------------------------------------------------

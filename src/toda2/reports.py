@@ -45,6 +45,14 @@ class CheckReport:
                    measured=measured, expected=expected, verdict=bool(measured == expected),
                    detail=detail)
 
+    @classmethod
+    def not_applicable(cls, check: str, anchor: str, algebra: str, params: dict,
+                       reason) -> "CheckReport":
+        """A check the spec's data do not support: nothing measured, no failure."""
+        return cls(check=check, anchor=anchor, algebra=algebra, params=params,
+                   measured=None, expected="not applicable", verdict=True,
+                   detail=f"not applicable: {reason}")
+
     def to_dict(self) -> dict:
         return {
             "check": self.check,

@@ -9,13 +9,18 @@ batteries must reproduce.
 The RK4 driver and the projected partner have their straightforward forms
 here too (`rk4_reference`, `projector_partner`): one new array per stage and
 per state, a finiteness test at every step, and Π as the coordinate
-projection through the basis.
+projection through the basis.  `rk4_trajectory` and `sequential_commutation`
+run the t- and s-flows by RK4, a witness independent of the exact
+factorization that `integrate` and `flow_commutation` use.
 """
+
+import math
 
 import numpy as np
 
-from toda2 import Element, PairPoint, ScalarFunction, form, form2, gradient2
-from toda2.flows import field_rows
+from toda2 import Element, FlowConfig, PairPoint, ScalarFunction, form, form2, gradient2
+from toda2.flows import Trajectory, _named_field, field_rows, rk4_states
+from toda2.invariants import family, family_values
 from toda2.invariants import pullback_gradients, trace_gradients, trace_values
 from toda2.poisson import _block_field
 from toda2.rmatrix import point_block
@@ -99,3 +104,31 @@ def projector_partner(alg, block, region):
         return (P @ V[..., block, :, :].reshape(*lead, n * n, 1)).reshape(*lead, 1, n, n)
 
     return partner
+
+
+def rk4_trajectory(cfg, m0):
+    """The RK4 run of the configured field from m0 as a Trajectory, with the
+    family evaluated on every state; truncated before a non-finite state."""
+    alg = m0.alg
+    stack = rk4_states(_named_field(cfg, alg), alg.to_matrices(m0.vec()), cfg.dt, cfg.n_steps)
+    truncated = not np.all(np.isfinite(stack[-1]))
+    states = alg.to_coords(stack[:-1] if truncated else stack)
+    return Trajectory(alg=alg, times=np.arange(len(states)) * cfg.dt, states=states,
+                      conserved=family_values(alg, states),
+                      conserved_names=tuple(F.name for F in family(alg)), truncated=truncated)
+
+
+def sequential_commutation(m0, dt, n_steps):
+    """The commutation defect from four runs of the reference loop: Φ_s then
+    Φ_t, and Φ_t then Φ_s, each field on its own."""
+    alg = m0.alg
+    ft, fs = (_named_field(FlowConfig(field=f, dt=dt, T=dt * n_steps), alg) for f in "ts")
+
+    def run(f, V):
+        return rk4_reference(f, V, dt, n_steps)[-1]
+
+    V0 = alg.to_matrices(m0.vec())
+    ab, ba = run(ft, run(fs, V0)), run(fs, run(ft, V0))
+    if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(ba))):
+        return math.inf
+    return float(np.abs(alg.to_coords(ab) - alg.to_coords(ba)).max())

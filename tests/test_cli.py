@@ -144,6 +144,26 @@ def test_truncated_flow_report_is_strict_json(capsys):
     assert "non-finite state at step" in report["detail"]
 
 
+@pytest.mark.parametrize("argv, interval", [
+    # the sl4 t-flow from the default seed meets a pole between two samples
+    (["--algebra", "sl4", "--field", "t", "--dt", "2e-3", "--T", "3"],
+     "t = 2.056 and t = 2.058 (steps 1028 and 1029)"),
+    # the gl2 s-flow's first pole lies in (1.87, 1.88): a sample step of 100
+    # spans many sign changes of a minor, and the run still stops at the first
+    (["--algebra", "gl2", "--field", "s", "--dt", "100", "--T", "400"],
+     "t = 0 and t = 100 (steps 0 and 1)"),
+])
+def test_flow_run_names_the_interval_of_a_pole(argv, interval, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["flow", "run", *argv, "--format", "json"])
+    assert code == 1
+    doc = _strict_json(capsys.readouterr().out)
+    report = next(r for r in doc["reports"] if r["check"] == "flow-conservation")
+    assert report["verdict"] is False
+    assert report["detail"] == f"pole between {interval}; trajectory truncated"
+
+
 def test_check_json_output_is_deterministic(capsys):
     args = ["check", "casimir", "--algebra", "sl2", "--format", "json"]
     assert main(args) == 0

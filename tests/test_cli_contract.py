@@ -112,8 +112,9 @@ def test_malformed_spec_documents_keep_the_exit_code_contract(doc, samples):
         assert exit_code(["check", "rais", "--algebra", str(path), "--samples", samples]) in (0, 1, 2)
 
 
-# step sizes and horizons that make a few steps, often enough to be drawn
-STEP_TOKENS = st.sampled_from(["0.05", "0.1", "0.25", "0.5", "1", "2"])
+# step sizes and horizons that make a few steps, often enough to be drawn, and
+# dt = 100, where dt·‖X‖ is in the hundreds
+STEP_TOKENS = st.sampled_from(["0.05", "0.1", "0.25", "0.5", "1", "2", "100", "1e5"])
 
 
 @settings(max_examples=50)
@@ -126,6 +127,8 @@ STEP_TOKENS = st.sampled_from(["0.05", "0.1", "0.25", "0.5", "1", "2"])
 @example(algebra="sl2", field="linear", dt="0.1", T="1", i="1", lam="nan")
 @example(algebra="gl2", field="t", dt="1e-5", T="0.1", i=None, lam=None)
 @example(algebra="sl2", field="s", dt="1e-300", T="1", i=None, lam=None)
+@example(algebra="sl2", field="t", dt="100", T="1e5", i=None, lam=None)    # dt·‖X‖ ≈ 300
+@example(algebra="gl2", field="s", dt="100", T="1e5", i=None, lam=None)
 def test_fuzzed_flow_run_keeps_the_exit_code_contract(algebra, field, dt, T, i, lam):
     argv = ["flow", "run", "--algebra", algebra, "--field", field, f"--dt={dt}", f"--T={T}"]
     argv += [] if i is None else [f"--i={i}"]
@@ -139,7 +142,8 @@ def test_fuzzed_flow_run_keeps_the_exit_code_contract(algebra, field, dt, T, i, 
 @example(algebra="gl2", steps="10000", dt="1e-3")
 @example(algebra="sl2", steps=str(10**30), dt="1e-3")
 @example(algebra="sl2", steps="--", dt="0.05")     # argparse would store [] for --steps=--
-@example(algebra="sl2", steps="9", dt="1")       # the runs blow up
+@example(algebra="sl2", steps="9", dt="1")       # RK4 would blow up here
+@example(algebra="gl2", steps="1000", dt="100")  # dt·‖X‖ in the hundreds
 def test_fuzzed_flow_commutation_keeps_the_exit_code_contract(algebra, steps, dt):
     argv = ["flow", "commutation", "--algebra", algebra, f"--steps={steps}", f"--dt={dt}"]
     assert exit_code(argv) in (0, 1, 2)

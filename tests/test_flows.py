@@ -1,5 +1,6 @@
-"""Lax flows: closed-form fields, entry masks, RK4 integration, conservation, CSV export."""
+"""Lax flows: closed-form fields, entry masks, the exact factorization path, RK4, conservation, CSV export."""
 
+import json
 import math
 
 import numpy as np
@@ -29,11 +30,13 @@ from toda2 import (
 )
 from toda2.algebra import MINUS, PLUS
 from toda2.cli import main
-from toda2.flows import _named_field, entry_mask, field_rows, lax_field, rk4_states
+from toda2 import flows
+from toda2.flows import (_expm, _factor_stretch, _named_field, _triangular_order, entry_mask,
+                         field_rows, lax_field, rk4_states)
 from toda2.rmatrix import r_block
 from toda2.toda import integrate_toda, toda_space
 
-from pointwise import flow_at, projector_partner, rk4_reference
+from pointwise import flow_at, projector_partner, rk4_reference, sequential_commutation
 
 
 def seed_point(alg, seed=42):
@@ -168,19 +171,16 @@ def test_batched_eigenvalue_drift_matches_row_loop(sl3, gl3, so5):
 
 
 def test_rk4_order_via_step_halving(sl3):
+    # the error against the exact factorization solution shrinks ~16×
     m0 = seed_point(sl3)
-
-    def end(dt):
-        traj = integrate(FlowConfig(field="t", dt=dt, T=2.0), m0)
-        return PairPoint.from_vec(sl3, traj.states[-1])
-
-    ref = end(0.005)
+    exact = integrate(FlowConfig(field="t", dt=0.02, T=2.0), m0, conserved=[]).states[-1]
+    field = _named_field(FlowConfig(field="t", dt=0.02, T=2.0), sl3)
 
     def err(dt):
-        return (end(dt) - ref).norm()
+        end = rk4_states(field, sl3.to_matrices(m0.vec()), dt, round(2.0 / dt))[-1]
+        return np.abs(sl3.to_coords(end) - exact).max()
 
-    ratio = err(0.04) / err(0.02)
-    assert ratio > 8.0  # a 4th-order scheme gives ≈ 16; >8 rules out 3rd
+    assert 12.0 <= err(0.04) / err(0.02) <= 20.0   # a 4th-order scheme gives ≈ 16
 
 
 def test_flows_commute(sl3, gl2):
@@ -252,6 +252,7 @@ def test_every_shipped_spec_has_its_entry_masks(so5, monkeypatch):
             assert np.array_equal(plus, np.triu(np.ones((n, n)))), alg.name
             assert np.array_equal(minus, np.tril(np.ones((n, n)), -1)), alg.name
         assert entry_mask(alg, PLUS) is plus and not plus.flags.writeable
+        assert _triangular_order(alg) is None, alg.name
 
 
 def rotated_sl2_document():
@@ -278,6 +279,24 @@ def test_flows_refuse_a_spec_not_graded_entry_by_entry(tmp_path, capsys):
     capsys.readouterr()
     assert main(["flow", "run", "--algebra", str(path), "--dt", "0.1", "--T", "0.2"]) == 2
     assert "graded entry by entry" in capsys.readouterr().err
+
+
+def test_check_all_reports_the_batteries_a_spec_cannot_serve(tmp_path, capsys):
+    # the flow-reading batteries are not applicable on the rotated basis; the
+    # others report as on sl2, and the exit code follows the verdicts
+    path = tmp_path / "sl2-rotated.json"
+    save_spec(load_spec(rotated_sl2_document()), path)
+    capsys.readouterr()
+    code = main(["check", "all", "--algebra", str(path), "--samples", "5", "--format", "json"])
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert code == (0 if all(r["verdict"] for r in reports) else 1) == 0
+    skipped = {r["check"]: r for r in reports if r["expected"] == "not applicable"}
+    assert set(skipped) == {"quadratic-relations", "toda"}
+    for r in skipped.values():
+        assert r["verdict"] and r["measured"] is None
+        assert r["detail"].startswith("not applicable: ") and "graded entry by entry" in r["detail"]
+    ran = {r["check"] for r in reports} - set(skipped)
+    assert {"mcybe", "jacobi-linear-bracket", "rank-linear", "cartan-block", "rais-span"} <= ran
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +353,14 @@ def test_entry_masks_project_like_the_coordinate_projection(name, request):
     alg = _algebra(name, request)
     V0 = alg.to_matrices(seed_point(alg).vec())
     for field, block, region in (("t", 0, PLUS), ("s", 1, MINUS)):
-        lean = integrate(FlowConfig(field=field, dt=1e-3, T=0.2), seed_point(alg), conserved=[])
+        f = _named_field(FlowConfig(field=field, dt=1e-3, T=0.2), alg)
+        lean = alg.to_coords(rk4_states(f, V0, 1e-3, 200))
         ref = alg.to_coords(rk4_reference(lax_field(projector_partner(alg, block, region)),
                                           V0, 1e-3, 200))
         if alg.associative or (name != "so5" and field == "s"):
-            assert np.array_equal(lean.states, ref), (field, np.abs(lean.states - ref).max())
+            assert np.array_equal(lean, ref), (field, np.abs(lean - ref).max())
         else:
-            assert np.abs(lean.states - ref).max() <= 1e-14 * np.abs(ref).max()
+            assert np.abs(lean - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("name", ["sl3", "sl4", "so5"])
@@ -354,33 +374,27 @@ def test_toda_run_matches_the_coordinate_projection(name, request):
     assert np.abs(states - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
-def sequential_commutation(m0, dt, n_steps):
-    """The commutation defect from four runs of the reference loop: Φ_s then
-    Φ_t, and Φ_t then Φ_s, each field on its own."""
-    alg = m0.alg
-    ft, fs = (_named_field(FlowConfig(field=f, dt=dt, T=dt * n_steps), alg) for f in "ts")
-
-    def run(f, V):
-        return rk4_reference(f, V, dt, n_steps)[-1]
-
-    V0 = alg.to_matrices(m0.vec())
-    ab, ba = run(ft, run(fs, V0)), run(fs, run(ft, V0))
-    if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(ba))):
-        return math.inf
-    return float(np.abs(alg.to_coords(ab) - alg.to_coords(ba)).max())
-
-
 @pytest.mark.parametrize("name, dt, steps", [
     ("sl3", 1e-3, 100), ("gl3", 1e-3, 100), ("sl4", 1e-3, 100), ("gl4", 1e-3, 100),
     ("so5", 1e-3, 100), ("gl2", 0.05, 100),
-    ("sl2", 1.0, 9),        # both orders blow up: an infinite defect
+    ("sl2", 1.0, 9),
 ])
 def test_stacked_commutation_equals_four_sequential_runs(name, dt, steps, request):
+    # flow_commutation's four exact legs against four sequential RK4 legs
+    # (`sequential_commutation`): roundoff where RK4 is
+    # finite; gl2 (dt 0.05) meets a true pole on both paths; on sl2 (dt 1)
+    # RK4 is unstable at that step size, but no minor of exp(τX) changes
+    # sign on either leg, so the exact defect is finite
     alg = _algebra(name, request)
     m0 = phase_tp(alg).sample_points(seed=42, count=1)[0]
-    want = sequential_commutation(m0, dt, steps)
-    assert flow_commutation(m0, dt=dt, n_steps=steps) == want
-    assert math.isinf(want) == (name in ("sl2", "gl2"))
+    rk4 = sequential_commutation(m0, dt, steps)
+    exact = flow_commutation(m0, dt=dt, n_steps=steps)
+    if name == "gl2":
+        assert math.isinf(rk4) and math.isinf(exact)
+    elif name == "sl2":
+        assert math.isinf(rk4) and math.isfinite(exact)
+    else:
+        assert math.isfinite(rk4) and exact <= 1e-12, (rk4, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -421,15 +435,179 @@ def exact_flow(field, m0, T):
     return g @ L0 @ gi, g @ M0 @ gi
 
 
+@pytest.mark.parametrize("size", [2, 4, 9])
+def test_stacked_expm_matches_the_taylor_oracle(size):
+    # one scale for the whole stack, the oracle one per matrix: the same
+    # exponentials to roundoff that grows with the squarings
+    rng = np.random.default_rng(size)
+    for norm in (0.01, 0.3, 1.0, 5.0, 30.0, 300.0):
+        A = rng.standard_normal((6, size, size))
+        A *= norm / np.abs(A).sum(axis=-2).max(axis=-1)[:, None, None]
+        for got, want in zip(_expm(A), (expm(a) for a in A)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), norm
+
+
+def rk4_end(alg, field, m0, dt, T):
+    """The last state (L, M) of the RK4 run of the t- or s-field."""
+    f = _named_field(FlowConfig(field=field, dt=dt, T=dt), alg)
+    return rk4_states(f, alg.to_matrices(m0.vec()), dt, round(T / dt))[-1]
+
+
 @pytest.mark.parametrize("field", ["t", "s"])
 def test_rk4_matches_exact_factorization_solution(field, sl3, gl3, sl4):
     for alg in (sl3, gl3, sl4):
         m0 = seed_point(alg)
-        traj = integrate(FlowConfig(field=field, dt=1e-3, T=1.0), m0, conserved=[])
-        end = PairPoint.from_vec(alg, traj.states[-1])
+        end = rk4_end(alg, field, m0, 1e-3, 1.0)
         L, M = exact_flow(field, m0, 1.0)
-        err = max(np.abs(end.x.matrix() - L).max(), np.abs(end.y.matrix() - M).max())
+        err = max(np.abs(end[0] - L).max(), np.abs(end[1] - M).max())
         assert err <= 1e-9, (alg.name, field, err)
+
+
+@pytest.mark.parametrize("field", ["t", "s"])
+@pytest.mark.parametrize("name", ["sl3", "gl3", "sl4", "gl4", "so5"])
+def test_factor_path_matches_the_oracle_and_beats_rk4(name, field, request):
+    # integrate re-anchors its factorization along the way; the oracle takes
+    # one Taylor exp and one loop LU at T.  RK4 at dt/2 is nearer the factor
+    # path than RK4 at dt is, down to a roundoff floor
+    alg = _algebra(name, request)
+    m0 = seed_point(alg)
+    for T in (0.37, 1.0):
+        traj = integrate(FlowConfig(field=field, dt=1e-3, T=T), m0, conserved=[])
+        end = alg.to_matrices(traj.states[-1])
+        L, M = exact_flow(field, m0, T)
+        assert max(np.abs(end[0] - L).max(), np.abs(end[1] - M).max()) <= 1e-12
+    coarse, fine = rk4_end(alg, field, m0, 1e-3, 1.0), rk4_end(alg, field, m0, 5e-4, 1.0)
+    floor = 1e-14 * np.abs(fine).max()
+    assert np.abs(end - fine).max() <= max(np.abs(coarse - fine).max(), floor)
+    assert traj.tangency_drift(phase_tp(alg)) <= 1e-13
+
+
+@pytest.mark.parametrize("name, first_bad", [("sl4", 1029), ("gl4", 809)])
+def test_blowup_stops_before_the_pole(name, first_bad, request):
+    # a leading minor of exp(τL) changes sign between two samples: the run
+    # stops before it, at most 3 samples before RK4 reaches a non-finite state
+    alg = _algebra(name, request)
+    dt = 2e-3
+    traj = integrate(FlowConfig(field="t", dt=dt, T=3.0), seed_point(alg))
+    assert traj.truncated and len(traj.states) == first_bad
+    assert traj.note == (f"pole between t = {(first_bad - 1) * dt:g} and t = "
+                         f"{first_bad * dt:g} (steps {first_bad - 1} and {first_bad}); "
+                         f"trajectory truncated")
+    assert np.all(np.isfinite(traj.states)) and np.all(np.isfinite(traj.conserved))
+    stack = rk4_states(_named_field(FlowConfig(field="t", dt=dt, T=dt), alg),
+                       alg.to_matrices(seed_point(alg).vec()), dt, 1500)
+    finite = np.isfinite(stack.reshape(len(stack), -1)).all(axis=1)
+    assert 0 <= int(np.argmin(finite)) - first_bad <= 3
+
+
+def test_no_blowup_where_the_values_only_grow(sl2):
+    # the sl2 t-flow from the seed point has no pole; M grows to |V| ≈ 3e5
+    # by T = 9 and 1.4e19 by T = 30.  One factorization of exp(30L₀) would
+    # lose its second pivot to cancellation near t = 12.6; re-anchored
+    # stretches keep every factorization exact
+    m0 = seed_point(sl2)
+    traj = integrate(FlowConfig(field="t", dt=1e-3, T=9.0), m0, conserved=[])
+    assert not traj.truncated and len(traj.states) == 9001
+    end, rk4 = sl2.to_matrices(traj.states[-1]), rk4_end(sl2, "t", m0, 1e-3, 9.0)
+    assert np.abs(rk4).max() > 1e5
+    assert np.abs(end - rk4).max() <= 1e-10 * np.abs(rk4).max()
+    traj = integrate(FlowConfig(field="t", dt=0.05, T=30.0), m0, conserved=[])
+    assert not traj.truncated and np.abs(traj.states[-1]).max() > 1e19
+
+
+@pytest.mark.parametrize("name", ["sl2", "gl2"])
+def test_huge_steps_stop_without_an_error(name, request):
+    # dt·‖X‖ in the hundreds: exp(τX) cannot be split exactly (sl2, whose
+    # spectra are real, tests its pivots once per sample), or a minor changes
+    # sign on the pivot grid (gl2); either way the run stops with a note
+    alg = request.getfixturevalue(name)
+    m0 = seed_point(alg)
+    for field in ("t", "s"):
+        traj = integrate(FlowConfig(field=field, dt=100.0, T=1e5), m0)
+        assert traj.truncated and "trajectory truncated" in traj.note
+        assert np.all(np.isfinite(traj.states))
+    assert flow_commutation(m0, dt=100.0, n_steps=1000) == math.inf
+
+
+@pytest.mark.parametrize("dt, T", [(0.01, 5.0), (1.0, 4.0), (5.0, 20.0), (100.0, 400.0)])
+def test_a_pole_does_not_hide_between_long_steps(dt, T, gl2):
+    # the gl2 s-flow from the seed point: M₀ has eigenvalues 0.46 ± 0.88i, so
+    # the minor e₁₁ of exp(−sM₀) changes sign about every π/0.88 ≈ 3.6, the
+    # first time in (1.87, 1.88).  A sample step of 5 or 100 spans several
+    # sign changes; the pivots are tested on a grid fine enough for every
+    # one of them, and the run stops at the first
+    traj = integrate(FlowConfig(field="s", dt=dt, T=T), seed_point(gl2), conserved=[])
+    k = int(1.875 // dt)
+    assert len(traj.states) == k + 1
+    assert traj.note == (f"pole between t = {k * dt:g} and t = {(k + 1) * dt:g} "
+                         f"(steps {k} and {k + 1}); trajectory truncated")
+
+
+@pytest.mark.parametrize("dt", [1e5, 1.7e308])
+def test_a_step_too_long_for_the_pivot_grid_stops_the_run(dt, gl2):
+    # q = ⌈dt·Σ|Im λ(M₀)|⌉ ≈ 1.8e5 pivot tests for one step, or a count that
+    # overflows: more than MAX_STEPS, so the run stops before the step rather
+    # than trust one test
+    traj = integrate(FlowConfig(field="s", dt=dt, T=dt), seed_point(gl2), conserved=[])
+    assert len(traj.states) == 1
+    assert traj.note == (f"step too large to resolve poles at step 1 (t = {dt:g}); "
+                         f"trajectory truncated")
+
+
+@pytest.mark.parametrize("dt", [20.0, 100.0])
+def test_a_lost_pivot_is_not_called_a_pole(dt, sl2):
+    # L₀ = [[a, b], [c, −a]] with ω² = a² + bc > 0 and |a/ω| < 1: the minor
+    # e₁₁ of exp(tL₀) = cosh ωt + (a/ω) sinh ωt never vanishes, so the
+    # t-flow has no pole; one step of 20 or 100 loses the second pivot
+    # 1/e₁₁ (≈ 1e-32 at 100, cancelled to 0) or most of its digits (at 20,
+    # still positive), and the determinant witness stops the run there
+    m0 = seed_point(sl2)
+    (a, b), (c, _) = m0.x.matrix()
+    omega = math.sqrt(a * a + b * c)
+    assert abs(a / omega) < 1.0
+    traj = integrate(FlowConfig(field="t", dt=dt, T=10 * dt), m0)
+    assert traj.note == (f"exp(τX) cannot be factored exactly at step 1 (t = {dt:g}); "
+                         f"trajectory truncated")
+
+
+@pytest.mark.parametrize("name, order", [("sl2", [1, 0]), ("gl3", [2, 0, 1]), ("sl4", [3, 1, 0, 2])])
+def test_factor_path_reorders_a_grading_that_is_not_triangular(name, order, request):
+    # the builder's basis conjugated by a permutation P: graded entry by entry,
+    # but 𝔤_{≥0} no longer upper-triangular.  The factor path runs the flows in
+    # the index order that makes it so again: the same trajectories as on the
+    # builder's basis, carried over by P
+    base = request.getfixturevalue(name) if name != "gl3" else build_gl(3)
+    P = np.eye(base.matrix_size)[:, order]
+    doc = spec_to_document(base)
+    doc["basis"] = [(P @ np.array(b) @ P.T).tolist() for b in doc["basis"]]
+    alg = load_spec(doc)
+    assert validate_spec(alg) == []
+    found = _triangular_order(alg)
+    assert np.array_equal(entry_mask(alg, PLUS)[np.ix_(found, found)], entry_mask(base, PLUS))
+    m0 = seed_point(alg)
+    V0 = alg.to_matrices(m0.vec())
+    m0_base = PairPoint.from_vec(base, base.to_coords(P.T @ V0 @ P))
+    for field in ("t", "s"):
+        cfg = FlowConfig(field=field, dt=1e-3, T=0.5)
+        got = alg.to_matrices(integrate(cfg, m0, conserved=[]).states)
+        want = P @ base.to_matrices(integrate(cfg, m0_base, conserved=[]).states) @ P.T
+        assert got.shape == want.shape == (501, 2, base.matrix_size, base.matrix_size)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert flow_commutation(m0, dt=1e-3, n_steps=100) <= 1e-12
+
+
+def test_factor_path_refuses_a_grading_with_no_triangular_order(monkeypatch):
+    # E₁₂ and E₂₁ both in 𝔤_{≥0}, a parabolic rather than a Borel: no order
+    # of the indices puts both on or above the diagonal, and exp(τX) = n₋b₊
+    # does not split the flows
+    alg = build_gl(2)
+    m0 = seed_point(alg)
+    monkeypatch.setattr(flows, "entry_mask", lambda alg, region: np.full((2, 2), float(region == PLUS)))
+    for field in ("t", "s"):
+        with pytest.raises(CapabilityError, match="no order of the matrix indices"):
+            integrate(FlowConfig(field=field, dt=0.1, T=0.2), m0)
+    with pytest.raises(CapabilityError, match="no order of the matrix indices"):
+        flow_commutation(m0, dt=0.1, n_steps=2)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ that no builder covers.
 
 import json
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from toda2 import (
     AlgebraError,
     AlgebraValidationError,
+    algebra,
     bracket,
     build_gl,
     build_sl,
@@ -31,7 +33,7 @@ from toda2 import (
     validate_spec,
     with_rescaled_basis,
 )
-from toda2.algebra import jacobi_residual
+from toda2.algebra import jacobi_bound, jacobi_residual
 
 # ---------------------------------------------------------------------------
 # builders
@@ -232,11 +234,14 @@ def test_validate_flags_broken_grading(sl2):
     assert (0, 1) in {v["indices"] for v in graded}
 
 
-def test_validate_flags_broken_closure(sl2):
+def _broken_closure(sl2):
     basis = sl2.basis.copy()
     basis[2, 0, 0] = 0.5  # h no longer diag(1, −1): brackets leave the span
-    bad = replace(sl2, basis=basis)
-    names = {v["invariant"] for v in validate_spec(bad)}
+    return replace(sl2, basis=basis)
+
+
+def test_validate_flags_broken_closure(sl2):
+    names = {v["invariant"] for v in validate_spec(_broken_closure(sl2))}
     assert "bracket-closure" in names
 
 
@@ -263,6 +268,77 @@ def test_jacobi_residual_matches_dense_formula(dim):
     for _ in range(3):
         C = rng.uniform(-1, 1, (dim, dim, dim))
         assert jacobi_residual(C) == pytest.approx(_dense_jacobi_residual(C), abs=1e-12)
+
+
+def _shuffled_and_rescaled(alg, rng):
+    """The spec document with its basis order shuffled and each basis vector
+    rescaled by a factor in [0.5, 2]: the same algebra in another basis."""
+    perm, f = rng.permutation(alg.dim), rng.uniform(0.5, 2.0, alg.dim)
+    doc = spec_to_document(alg)
+    doc.update(basis=(alg.basis[perm] * f[:, None, None]).tolist(),
+               degrees=alg.degrees[perm].tolist(),
+               e_coords=(alg.e_coords[perm] / f).tolist(),
+               h_coords=(alg.h_coords[perm] / f).tolist())
+    return doc
+
+
+def test_closure_certifies_jacobi_without_the_exhaustive_residual(monkeypatch, sl2, sl3,
+                                                                  gl3, so5):
+    calls = []
+    monkeypatch.setattr(algebra, "jacobi_residual",
+                        lambda C: calls.append(1) or jacobi_residual(C))
+    for n in range(2, 10):
+        build_sl(n), build_gl(n)
+    rng = np.random.default_rng(0)
+    load_spec(spec_to_document(so5))
+    for alg in (sl3, gl3):
+        load_spec(_shuffled_and_rescaled(alg, rng))
+        load_spec(spec_to_document(with_rescaled_basis(alg, 1e-3)))
+    assert calls == []
+    # a spec whose closure fails cannot be certified: one exhaustive run,
+    # with the records it always gave
+    vs = validate_spec(_broken_closure(sl2))
+    assert calls == [1]
+    assert [(v["invariant"], v.get("indices")) for v in vs] == [
+        ("bracket-closure", (0, 1)), ("bracket-closure", (1, 0)),
+        ("form-invariance", None), ("he-relation", None)]
+    assert [v["residual"] for v in vs] == pytest.approx([0.4, 0.4, 0.9, 0.5], rel=1e-12)
+
+
+@given(which=st.integers(0, 2), exponent=st.floats(-15.0, -6.0), seed=st.integers(0, 2**32 - 1))
+def test_jacobi_certificate_is_sound_on_perturbed_bases(sl3, gl3, so5, which, exponent, seed):
+    # a basis perturbed off closure by 1e-15…1e-6: wherever the certificate
+    # holds, it bounds the exhaustive residual and gives the same verdicts
+    alg = (sl3, gl3, so5)[which]
+    rng = np.random.default_rng(seed)
+    basis = alg.basis + 10.0 ** exponent * rng.uniform(-1.0, 1.0, alg.basis.shape)
+    spec = replace(alg, basis=basis, gram=np.einsum("aij,bji->ab", basis, basis))
+    bounds = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "jacobi_bound",
+                   lambda s, r: bounds.append(jacobi_bound(s, r)) or bounds[-1])
+        certified = [v["invariant"] for v in validate_spec(spec)]
+        mp.setattr(algebra, "jacobi_bound", lambda s, r: np.inf)
+        exhaustive = [v["invariant"] for v in validate_spec(spec)]
+    assert certified == exhaustive
+    C = spec.struct
+    cmax2 = np.abs(C).max() ** 2
+    if bounds[0] < 1e-11 * (1.0 + cmax2) / 2:
+        assert jacobi_residual(C) <= bounds[0] + 3 * spec.dim * np.finfo(float).eps * cmax2
+
+
+def test_validate_fails_closed_on_non_finite_residuals(sl2, gl3):
+    # a basis scaled by 1e140 overflows ⟨[b_a, b_b], b_d⟩ to ±inf, and form
+    # invariance reads inf − inf = NaN: a residual not shown within its
+    # tolerance is a violation, and no RuntimeWarning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for alg in (sl2, gl3):
+            vs = validate_spec(with_rescaled_basis(alg, 1e280))
+            assert [v["invariant"] for v in vs] == ["form-invariance"]
+            assert np.isnan(vs[0]["residual"])
+        # nor does a NaN closure residual certify Jacobi
+        assert not jacobi_bound(sl2, float("nan")) < 1.0
 
 
 def test_validate_spec_stays_below_dim4_memory():

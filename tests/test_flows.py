@@ -379,7 +379,7 @@ def test_toda_run_matches_the_coordinate_projection(name, request):
     ("so5", 1e-3, 100), ("gl2", 0.05, 100),
     ("sl2", 1.0, 9),
 ])
-def test_stacked_commutation_equals_four_sequential_runs(name, dt, steps, request):
+def test_exact_commutation_agrees_with_sequential_rk4(name, dt, steps, request):
     # flow_commutation's four exact legs against four sequential RK4 legs
     # (`sequential_commutation`): roundoff where RK4 is
     # finite; gl2 (dt 0.05) meets a true pole on both paths; on sl2 (dt 1)

@@ -34,7 +34,6 @@ from .poisson import (
     PhaseSpace,
     PreconditionError,
     ScalarFunction,
-    gradient2,
     phase_tp,
     poisson_matrix,
     psi1,
@@ -92,7 +91,6 @@ __all__ = [
     "PhaseSpace",
     "PreconditionError",
     "ScalarFunction",
-    "gradient2",
     "phase_tp",
     "poisson_matrix",
     "psi1",

@@ -105,6 +105,8 @@ def degree_mask(degrees: np.ndarray, region: str) -> np.ndarray:
 # the algebra container
 # --------------------------------------------------------------------------
 
+_SPAN_TOL = 1e-10   # `from_matrix`: largest distance from the span per 1 + ‖mat‖
+
 
 @dataclass(frozen=True, eq=False)
 class AlgebraSpec:
@@ -238,13 +240,13 @@ class AlgebraSpec:
         """The matrix of one coordinate vector (dim,)."""
         return self.to_matrices(coords).reshape(self.matrix_size, self.matrix_size)
 
-    def from_matrix(self, mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    def from_matrix(self, mat: np.ndarray) -> np.ndarray:
         """Coordinates of a matrix; error if it lies off the basis span."""
         flat = np.asarray(mat, dtype=float).ravel()
         coords = self._flat_pinv @ flat
         residual = np.linalg.norm(self._flat_basis @ coords - flat)
         scale = 1.0 + np.linalg.norm(flat)
-        if residual > tol * scale:
+        if residual > _SPAN_TOL * scale:
             raise AlgebraError(
                 f"{self.name}: matrix lies outside the algebra span "
                 f"(reconstruction residual {residual:.3e}, scale {scale:.3e})"
@@ -648,12 +650,15 @@ def validate_spec(spec: AlgebraSpec) -> list[dict]:
     if spec.cartan.shape != (spec.rank, spec.rank):
         hit("cartan-shape")
 
-    # e regular nilpotent: ad_e has rank dim − ℓ
+    # e regular nilpotent: ad_e has rank dim − ℓ (a non-finite ad_e has no SVD)
     ad_e = spec.ad(e)
-    sv = np.linalg.svd(ad_e, compute_uv=False)
-    r = int(np.sum(sv > sv[0] * dim * 1e-10)) if sv[0] > 0 else 0
-    if r != dim - spec.rank:
-        hit("regular-nilpotent", float(r))
+    if not np.isfinite(ad_e).all():
+        hit("regular-nilpotent", np.nan)
+    else:
+        sv = np.linalg.svd(ad_e, compute_uv=False)
+        r = int(np.sum(sv > sv[0] * dim * 1e-10)) if sv[0] > 0 else 0
+        if r != dim - spec.rank:
+            hit("regular-nilpotent", float(r))
 
     if prod_res is not None:
         hit("product-closure", prod_res)

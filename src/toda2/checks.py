@@ -250,19 +250,18 @@ def _cartan_block(alg: AlgebraSpec) -> tuple[np.ndarray, np.ndarray, str]:
     return bracket_tables(alg, "linear", m, A), C, note
 
 
-def check_rank_battery(alg: AlgebraSpec, seed: int = 42,
-                       points: int = 25) -> list[CheckReport]:
+def check_rank_battery(alg: AlgebraSpec, seed: int = 42) -> list[CheckReport]:
     ps = phase_tp(alg)
     card = len(family_labels(alg))
     want = expected_rank(alg)
     out = []
     kinds = ("linear", "quadratic") if alg.associative else ("linear",)
     for which in kinds:
-        sweep = rank_sweep(ps, which, seed=seed, points=points)
+        sweep = rank_sweep(ps, which, seed=seed)
         got = sweep.rank
         out.append(CheckReport.equal(
             f"rank-{which}", "restricted-poisson-rank", alg.name, got, want,
-            {"points": points, "seed": seed, "phase_space": "T_P"}, detail=sweep.evidence,
+            {"points": sweep.points, "seed": seed, "phase_space": "T_P"}, detail=sweep.evidence,
         ))
         out.append(CheckReport.equal(
             f"count-identity-{which}", "cardinality-rank-identity", alg.name,
@@ -309,16 +308,18 @@ def relquad_residuals(alg: AlgebraSpec, i: int, lam: float, V: np.ndarray) -> np
     return np.abs(xq - xl * (2.0 / (lam - 1.0))).max(axis=-1)
 
 
-def _pencil_field_defect(alg: AlgebraSpec, which: str, V: np.ndarray,
-                         lams=(0.0, 2.0, -1.0)) -> float:
+_LAMBDAS = (0.0, 2.0, -1.0)     # the λ of the pencil-field identities
+
+
+def _pencil_field_defect(alg: AlgebraSpec, which: str, V: np.ndarray) -> float:
     """Largest gap between the closed-form pencil field of P_i∘φ_λ (flows.py) and
-    the bracket field of its gradient, over the point rows V and every i, λ."""
+    the bracket field of its gradient, over the point rows V, every i and λ in _LAMBDAS."""
     M = V.reshape(len(V), 2, alg.dim)
     field = linear_field if which == "linear" else quadratic_field
     gaps = [
         block_norms(field_rows(alg, which, V, i, lam).reshape(M.shape)
                     - field(alg, M, pullback_gradients(alg, i, lam, M)))
-        for i in alg.exponents for lam in lams
+        for i in alg.exponents for lam in _LAMBDAS
     ]
     return worst(gaps)
 
@@ -342,10 +343,9 @@ def check_field_identities(alg: AlgebraSpec, seed: int = 42,
     out.append(CheckReport.below("field-s-hamiltonian", "s-flow-is-hamiltonian-of-minus",
                                  alg.name, worst_s, tol, {"seed": seed}))
 
-    lams = (0.0, 2.0, -1.0)
-    gap = _pencil_field_defect(alg, "linear", V[:3], lams)
-    out.append(CheckReport.below("field-pencil-closed-form", "pencil-field-closed-form",
-                                 alg.name, gap, tol, {"seed": seed, "lambdas": list(lams)}))
+    gap = _pencil_field_defect(alg, "linear", V[:3])
+    out.append(CheckReport.below("field-pencil-closed-form", "pencil-field-closed-form", alg.name,
+                                 gap, tol, {"seed": seed, "lambdas": list(_LAMBDAS)}))
     return out
 
 
@@ -362,10 +362,10 @@ def check_quadratic_relations(alg: AlgebraSpec, seed: int = 42,
                                  alg.name, gap, tol, {"seed": seed}))
 
     residual = worst([relquad_residuals(alg, i, lam, V)
-                      for i in alg.exponents for lam in (0.0, 2.0, -1.0)])
+                      for i in alg.exponents for lam in _LAMBDAS])
     out.append(CheckReport.below(
         "relquad", "quadratic-linear-field-ratio", alg.name,
-        residual, tol, {"seed": seed, "lambdas": [0.0, 2.0, -1.0]},
+        residual, tol, {"seed": seed, "lambdas": list(_LAMBDAS)},
         detail="X^Q_{P_i∘φλ} = 2/(λ−1) · X_{P_{i+1}∘φλ}",
     ))
 
@@ -442,26 +442,28 @@ def check_toda_battery(alg: AlgebraSpec, samples: int = 100,
     return out
 
 
+# `tol` is run_battery's override, {"tol": t} or empty, so that a battery's
+# default tolerance is said once, in its signature; `**_` drops it
 _BATTERIES = {
-    "mcybe": lambda alg, samples, seed, tol: check_mcybe_battery(
-        alg, samples=max(samples, 200), seed=seed, tol=tol or 1e-11),
-    "jacobi": lambda alg, samples, seed, tol: check_jacobi_battery(
-        alg, samples=samples, seed=seed, tol=tol or 1e-9),
-    "involutivity": lambda alg, samples, seed, tol: check_involutivity_battery(
-        alg, points=samples, seed=seed, tol=tol or 1e-8),
-    "casimir": lambda alg, samples, seed, tol: check_casimir_battery(
-        alg, samples=samples, seed=seed, tol=tol or 1e-9),
-    "morphism": lambda alg, samples, seed, tol: [check_morphism_psi1(
-        alg, samples=max(samples, 100), seed=seed, tol=tol or 1e-9)],
-    "independence": lambda alg, samples, seed, tol: check_independence_battery(
+    "mcybe": lambda alg, samples, seed, **tol: check_mcybe_battery(
+        alg, samples=max(samples, 200), seed=seed, **tol),
+    "jacobi": lambda alg, samples, seed, **tol: check_jacobi_battery(
+        alg, samples=samples, seed=seed, **tol),
+    "involutivity": lambda alg, samples, seed, **tol: check_involutivity_battery(
+        alg, points=samples, seed=seed, **tol),
+    "casimir": lambda alg, samples, seed, **tol: check_casimir_battery(
+        alg, samples=samples, seed=seed, **tol),
+    "morphism": lambda alg, samples, seed, **tol: [check_morphism_psi1(
+        alg, samples=max(samples, 100), seed=seed, **tol)],
+    "independence": lambda alg, samples, seed, **_: check_independence_battery(
         alg, points=samples, seed=seed),
-    "rank": lambda alg, samples, seed, tol: check_rank_battery(alg, seed=seed),
-    "rais": lambda alg, samples, seed, tol: check_rais_battery(alg),
-    "quadratic-relations": lambda alg, samples, seed, tol: (
-        check_field_identities(alg, seed=seed, tol=tol or 1e-9)
-        + check_quadratic_relations(alg, seed=seed, tol=tol or 1e-9)
+    "rank": lambda alg, samples, seed, **_: check_rank_battery(alg, seed=seed),
+    "rais": lambda alg, samples, seed, **_: check_rais_battery(alg),
+    "quadratic-relations": lambda alg, samples, seed, **tol: (
+        check_field_identities(alg, seed=seed, **tol)
+        + check_quadratic_relations(alg, seed=seed, **tol)
     ),
-    "toda": lambda alg, samples, seed, tol: check_toda_battery(
+    "toda": lambda alg, samples, seed, **_: check_toda_battery(
         alg, samples=max(samples, 100), seed=seed),
 }
 
@@ -471,16 +473,16 @@ BATTERY_NAMES = tuple(_BATTERIES)
 
 def run_battery(name: str, alg: AlgebraSpec, samples: int = 20, seed: int = 42,
                 tol: float | None = None) -> list[CheckReport]:
+    """The reports of battery `name` ("all": of every battery); `tol` overrides their default."""
+    override = {} if tol is None else {"tol": tol}
     if name == "all":
         # a battery the spec cannot serve (say, flows on a basis not graded
         # entry by entry) reports so, and the others still run
         out = []
         for key in _BATTERIES:
             try:
-                out.extend(_BATTERIES[key](alg, samples, seed, tol))
+                out.extend(_BATTERIES[key](alg, samples, seed, **override))
             except CapabilityError as err:
                 out.append(CheckReport.not_applicable(key, f"{key}-battery", alg.name, {}, err))
         return out
-    if name not in _BATTERIES:
-        raise KeyError(name)
-    return _BATTERIES[name](alg, samples, seed, tol)
+    return _BATTERIES[name](alg, samples, seed, **override)

@@ -53,7 +53,7 @@ import numpy as np
 
 from .algebra import MINUS, PLUS, AlgebraSpec
 from .invariants import family, family_values, require_generator_label
-from .poisson import CapabilityError, PhaseSpace, PreconditionError, ScalarFunction
+from .poisson import CapabilityError, PhaseSpace, PreconditionError
 from .rmatrix import PairPoint
 
 __all__ = [
@@ -447,15 +447,14 @@ def _factor_states(field: str, V0: np.ndarray, dt: float, n_steps: int,
 # --------------------------------------------------------------------------
 
 
-def integrate(cfg: FlowConfig, m0: PairPoint,
-              conserved: Optional[list[ScalarFunction]] = None) -> Trajectory:
+def integrate(cfg: FlowConfig, m0: PairPoint, conserved: bool = True) -> Trajectory:
     """A run of the configured flow sampled every dt: the t- and s-flows
     solved exactly by factorization, the pencil fields by fixed-step RK4.
     A run that reaches a pole or a non-finite state is truncated before it,
     with a note.
 
-    Without `conserved` the whole family is evaluated on the state stack in
-    one batch; an explicit list is evaluated function by function.
+    The whole family is evaluated on the state stack in one batch, or
+    nothing is when `conserved` is false (False, [] or None alike).
     """
     alg = m0.alg
     V0 = alg.to_matrices(m0.vec())
@@ -468,16 +467,13 @@ def integrate(cfg: FlowConfig, m0: PairPoint,
             stack = stack[:-1]
             note = f"non-finite state at step {k} (t = {k * cfg.dt:g}); trajectory truncated"
     states = alg.to_coords(stack)
-    names = tuple(F.name for F in (family(alg) if conserved is None else conserved))
-    # the kept states of a run that blew up may still overflow the pencil
-    # powers: the report carries the truncation
-    with np.errstate(over="ignore", invalid="ignore"):
-        if conserved is None:
+    names, values = (), np.empty((len(states), 0))
+    if conserved:
+        names = tuple(F.name for F in family(alg))
+        # the kept states of a run that blew up may still overflow the
+        # pencil powers: the report carries the truncation
+        with np.errstate(over="ignore", invalid="ignore"):
             values = family_values(alg, states)
-        else:
-            values = np.array(
-                [[F(PairPoint.from_vec(alg, row)) for F in conserved] for row in states]
-            )
     return Trajectory(
         alg=alg,
         times=np.arange(len(states)) * cfg.dt,

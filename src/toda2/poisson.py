@@ -80,7 +80,6 @@ __all__ = [
     "PhaseSpace",
     "PoissonMatrixAt",
     "RankSweep",
-    "gradient2",
     "linear_field",
     "quadratic_field",
     "bracket_tables",
@@ -95,7 +94,8 @@ __all__ = [
     "psi1",
 ]
 
-FD_STEP = 1e-5
+_MEMBERSHIP_TOL = 1e-10   # largest normal residual of a point on a phase space
+_RANK_REL = 1e-10         # rank cut: σ > σ_max·size·_RANK_REL counts
 
 
 class CapabilityError(ValueError):
@@ -107,7 +107,7 @@ class PreconditionError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# scalar functions and gradients
+# scalar functions
 # --------------------------------------------------------------------------
 
 
@@ -130,26 +130,6 @@ class ScalarFunction:
 
     def __call__(self, m: Point) -> float:
         return float(self.evaluator(m))
-
-
-def _fd_partials(F: ScalarFunction, m: Point, step: float = FD_STEP) -> np.ndarray:
-    """Central finite-difference partials of F in the basis coordinates of m."""
-    alg, point = m.alg, type(m)
-    v0 = m.vec()
-    w = np.empty(v0.size)
-    for a in range(v0.size):
-        vp, vm = v0.copy(), v0.copy()
-        vp[a] += step
-        vm[a] -= step
-        w[a] = (F(point.from_vec(alg, vp)) - F(point.from_vec(alg, vm))) / (2.0 * step)
-    return w
-
-
-def gradient2(F: ScalarFunction, m: Point, step: float = FD_STEP) -> Point:
-    """Gradient of F at m: analytic when available, else central differences."""
-    if F.gradient is not None:
-        return F.gradient(m)
-    return type(m).from_covector(m.alg, _fd_partials(F, m, step))
 
 
 def psi1(m: PairPoint) -> Element:
@@ -323,14 +303,13 @@ class PhaseSpace:
         """Distance-like residual of every point row of V (…, D) from the space."""
         return self.normal_residuals(V - self.base.vec())
 
-    def require_members(self, V: np.ndarray, tol: float = 1e-10) -> None:
+    def require_members(self, V: np.ndarray) -> None:
         """PreconditionError naming the first point row of V (S, D) off the space."""
         r = self.membership_residuals(V)
-        bad = np.flatnonzero(~(r <= tol))
+        bad = np.flatnonzero(~(r <= _MEMBERSHIP_TOL))
         if bad.size:
-            raise PreconditionError(
-                f"point lies off {self.name} (normal residual {r[bad[0]]:.3e} > {tol:g})"
-            )
+            raise PreconditionError(f"point lies off {self.name} (normal residual "
+                                    f"{r[bad[0]]:.3e} > {_MEMBERSHIP_TOL:g})")
 
     def jacobian_ranks(self, G: np.ndarray) -> np.ndarray:
         """Rank along this space of the differentials with gradient rows G (…, n, D),
@@ -408,8 +387,7 @@ def bracket_tables(alg: AlgebraSpec, which: str, M: np.ndarray, A: np.ndarray) -
     return 0.5 * (T - T.swapaxes(-1, -2))
 
 
-def poisson_matrices(ps: PhaseSpace, V: np.ndarray, which: str = "linear",
-                     membership_tol: float = 1e-10):
+def poisson_matrices(ps: PhaseSpace, V: np.ndarray, which: str = "linear"):
     """Induced Poisson matrices {ζ_a, ζ_b}(m) of the phase-space coordinates at
     the point rows V (S, D): matrices (S, dim, dim), Dirac-corrected flags and
     invariance defects max |{ζ, χ}|, one per point.
@@ -422,7 +400,7 @@ def poisson_matrices(ps: PhaseSpace, V: np.ndarray, which: str = "linear",
     is well-defined exactly when range({χ, ζ}) ⊆ range(C).  One bracket-table
     call serves the stack, and one stacked pinv the points that need it.
     """
-    ps.require_members(V, membership_tol)
+    ps.require_members(V)
     alg, kt = ps.alg, ps.dim
     A = np.concatenate([ps.coord_gradients, ps.normal_gradients])
     full = bracket_tables(alg, which, V.reshape(len(V), -1, alg.dim), A)
@@ -447,28 +425,27 @@ def poisson_matrices(ps: PhaseSpace, V: np.ndarray, which: str = "linear",
     return M, corrected, defect
 
 
-def poisson_matrix(ps: PhaseSpace, m: PairPoint, which: str = "linear",
-                   membership_tol: float = 1e-10) -> PoissonMatrixAt:
+def poisson_matrix(ps: PhaseSpace, m: PairPoint, which: str = "linear") -> PoissonMatrixAt:
     """`poisson_matrices` at one point."""
-    M, corrected, defect = poisson_matrices(ps, m.vec()[None], which, membership_tol)
+    M, corrected, defect = poisson_matrices(ps, m.vec()[None], which)
     return PoissonMatrixAt(point=m, matrix=M[0], which=which, corrected=bool(corrected[0]),
                            invariance_defect=float(defect[0]))
 
 
-def _ranks(sv: np.ndarray, size: int, rel: float) -> np.ndarray:
-    # singular values above the largest times size·rel, per stack entry
-    return np.sum(sv > sv[..., :1] * size * rel, axis=-1)
+def _ranks(sv: np.ndarray, size: int) -> np.ndarray:
+    # singular values above the largest times size·_RANK_REL, per stack entry
+    return np.sum(sv > sv[..., :1] * size * _RANK_REL, axis=-1)
 
 
-def numerical_ranks(M: np.ndarray, rel: float = 1e-10) -> np.ndarray:
+def numerical_ranks(M: np.ndarray) -> np.ndarray:
     """`numerical_rank` of every matrix of a stack (…, r, c), one stacked SVD."""
     if M.size == 0:
         return np.zeros(M.shape[:-2], dtype=int)
-    return _ranks(np.linalg.svd(M, compute_uv=False), max(M.shape[-2:]), rel)
+    return _ranks(np.linalg.svd(M, compute_uv=False), max(M.shape[-2:]))
 
 
-def numerical_rank(M: np.ndarray, rel: float = 1e-10) -> int:
-    return int(numerical_ranks(M, rel))
+def numerical_rank(M: np.ndarray) -> int:
+    return int(numerical_ranks(M))
 
 
 @dataclass(frozen=True)
@@ -498,7 +475,7 @@ def rank_sweep(ps: PhaseSpace, which: str = "linear", seed: int = 42,
     """
     M, corrected, defect = poisson_matrices(ps, ps.sample_stack(seed, points), which)
     sv = np.linalg.svd(M, compute_uv=False)
-    ranks = _ranks(sv, M.shape[-1], 1e-10)
+    ranks = _ranks(sv, M.shape[-1])
     S = len(sv)
     padded = np.concatenate([np.full((S, 1), np.inf), sv, np.zeros((S, 1))], axis=1)
     r = ranks[:, None]

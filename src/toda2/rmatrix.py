@@ -94,10 +94,6 @@ class PairPoint:
 # a point of 𝔤 (an Element, paired by ⟨·,·⟩) or of 𝔤×𝔤 (a PairPoint, by ⟨·,·⟩₂)
 Point = Union[Element, PairPoint]
 
-# an R operator is the splitting (None) or a coordinate matrix
-ROperator = Union[None, np.ndarray]
-
-
 def point_block(p: Point) -> np.ndarray:
     """The coordinate block of a point: (1, dim) for an Element, (2, dim) for a pair."""
     return p.vec().reshape(-1, p.alg.dim)
@@ -153,14 +149,6 @@ def rr_adjoint_block(alg: AlgebraSpec, P: np.ndarray) -> np.ndarray:
     return d[..., None, :] - P[..., ::-1, :]
 
 
-def _operator(alg: AlgebraSpec, R: ROperator):
-    """The block action of a user matrix R, else of ℛ (R on blocks of 𝔤)."""
-    if R is not None:
-        A = np.asarray(R, dtype=float)
-        return lambda B: _matvec(A, B)
-    return lambda B: rr_block(alg, B)
-
-
 def form2(p: PairPoint, q: PairPoint) -> float:
     """The pairing ⟨(x₁,y₁),(x₂,y₂)⟩₂ = ⟨x₁,x₂⟩ − ⟨y₁,y₂⟩."""
     return form(p.x, q.x) - form(p.y, q.y)
@@ -174,24 +162,18 @@ def decompose_pair(p: PairPoint) -> tuple[PairPoint, PairPoint]:
     return PairPoint(diag, diag), PairPoint(xm - ym, yp - xp)
 
 
-def r_bracket_blocks(alg: AlgebraSpec, X: np.ndarray, Y: np.ndarray,
-                     R: ROperator = None) -> np.ndarray:
+def r_bracket_blocks(alg: AlgebraSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """The R-bracket ½([RX, Y] + [X, RY]) on blocks (…, k, dim); ℛ on pair blocks."""
-    op = _operator(alg, R)
-    return 0.5 * (bracket_blocks(alg, op(X), Y) + bracket_blocks(alg, X, op(Y)))
+    return 0.5 * (bracket_blocks(alg, rr_block(alg, X), Y)
+                  + bracket_blocks(alg, X, rr_block(alg, Y)))
 
 
-def b_tensor_block(alg: AlgebraSpec, X: np.ndarray, Y: np.ndarray,
-                   R: ROperator = None) -> np.ndarray:
-    """B(X, Y) = [𝒪X, 𝒪Y] − 𝒪([𝒪X, Y] + [X, 𝒪Y]) on blocks (…, k, dim).
-
-    𝒪 is the user matrix R when given, else ℛ on pair blocks (k = 2) and the
-    splitting R on blocks of 𝔤 (k = 1).
-    """
-    op = _operator(alg, R)
-    RX, RY = op(X), op(Y)
-    return bracket_blocks(alg, RX, RY) - op(
-        bracket_blocks(alg, RX, Y) + bracket_blocks(alg, X, RY))
+def b_tensor_block(alg: AlgebraSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """B(X, Y) = [RX, RY] − R([RX, Y] + [X, RY]) on blocks (…, k, dim), with
+    ℛ in place of R on pair blocks (k = 2)."""
+    RX, RY = rr_block(alg, X), rr_block(alg, Y)
+    return bracket_blocks(alg, RX, RY) - rr_block(
+        alg, bracket_blocks(alg, RX, Y) + bracket_blocks(alg, X, RY))
 
 
 # --------------------------------------------------------------------------
@@ -199,29 +181,27 @@ def b_tensor_block(alg: AlgebraSpec, X: np.ndarray, Y: np.ndarray,
 # --------------------------------------------------------------------------
 
 
-def check_mcybe(alg: AlgebraSpec, R: ROperator = None, samples: int = 200,
-                seed: int = 42, pair: bool = False, tol: float = 1e-11):
+def check_mcybe(alg: AlgebraSpec, samples: int = 200, seed: int = 42,
+                pair: bool = False, tol: float = 1e-11):
     """Max residual of B(x,y) + [x,y] (mod center) over seeded samples: the
     modified classical Yang–Baxter equation with c = 1.
 
-    Returns a CheckReport; `pair=True` runs the 𝔤×𝔤 version with ℛ and
-    takes no user operator R.  The samples are drawn as one stack, x then y
-    per sample, and the residual is evaluated on the whole stack.
+    Returns a CheckReport; `pair=True` runs the 𝔤×𝔤 version with ℛ.  The
+    samples are drawn as one stack, x then y per sample, and the residual is
+    evaluated on the whole stack.
     """
     if samples < 1:
         raise ValueError(f"check_mcybe needs samples ≥ 1, got {samples}")
-    if pair and R is not None:
-        raise ValueError("check_mcybe: pair=True checks ℛ, not a user R")
     rng = np.random.default_rng(seed)
     k = 2 if pair else 1
     XY = rng.uniform(-1.0, 1.0, (samples, 2, k, alg.dim))
     X, Y = XY[:, 0], XY[:, 1]
-    res = b_tensor_block(alg, X, Y, R) + bracket_blocks(alg, X, Y)
+    res = b_tensor_block(alg, X, Y) + bracket_blocks(alg, X, Y)
     # residuals are only required to lie in the centre
     Z = alg.strip_centre(res)
     norms = np.sqrt(np.vecdot(Z, Z))            # (samples, k) Euclidean norms
     return CheckReport.below(
         "mcybe-pair" if pair else "mcybe",
-        "mcybe-splitting-exact" if R is None else "mcybe-user-operator",
-        alg.name, worst(norms), tol, {"samples": samples, "seed": seed, "c": 1.0},
+        "mcybe-splitting-exact", alg.name, worst(norms), tol,
+        {"samples": samples, "seed": seed, "c": 1.0},
     )

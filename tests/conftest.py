@@ -1,13 +1,33 @@
 """Shared fixtures: the five desk-scale algebras and split so(5), built once per session."""
 
+import ast
 import json
+import os
 import runpy
 from pathlib import Path
 
-import pytest
-from hypothesis import HealthCheck, settings
+ROOT = Path(__file__).resolve().parent.parent
 
-from toda2 import build_gl, build_sl, load_spec
+
+def _blas_thread_vars() -> tuple:
+    """The BLAS thread variables perfbench/run.py pins, read from its source
+    so that numpy is not imported by reading them."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "BLAS_THREAD_VARS":
+            return ast.literal_eval(node.value)
+    raise LookupError("perfbench/run.py defines no BLAS_THREAD_VARS")
+
+
+# one BLAS thread, as in the benchmark: a BLAS library reads these once, when
+# numpy first loads it, and the suite's small products only pay for threads
+for _var in _blas_thread_vars():
+    os.environ[_var] = "1"
+
+import pytest  # noqa: E402
+from hypothesis import HealthCheck, settings  # noqa: E402
+
+from toda2 import build_gl, build_sl, load_spec  # noqa: E402
 
 settings.register_profile(
     "desk",
@@ -53,7 +73,7 @@ def desk_algebras(sl2, sl3, sl4, gl2, gl3):
 # so(5), split form: an algebra no builder provides, defined by document
 # ---------------------------------------------------------------------------
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SCRIPTS = ROOT / "scripts"
 
 
 @pytest.fixture(scope="session")

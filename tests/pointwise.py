@@ -2,9 +2,10 @@
 
 Each helper calls a block form on one point (a one-row block, `point_block`)
 and returns a Point or a ScalarFunction, so that a test can state an identity
-one point at a time or hand a function to `gradient2`.  A stack gives the
-bits of its points one at a time, so these views carry the bits the stacked
-batteries must reproduce.
+one point at a time or hand a function to `gradient2`, which falls back on
+central differences where a function has no analytic gradient.  A stack
+gives the bits of its points one at a time, so these views carry the bits
+the stacked batteries must reproduce.
 
 The RK4 driver and the projected partner have their straightforward forms
 here too (`rk4_reference`, `projector_partner`): one new array per stage and
@@ -18,17 +19,39 @@ import math
 
 import numpy as np
 
-from toda2 import Element, FlowConfig, PairPoint, ScalarFunction, form, form2, gradient2
+from toda2 import Element, FlowConfig, PairPoint, ScalarFunction, form, form2
 from toda2.flows import Trajectory, _named_field, field_rows, rk4_states
 from toda2.invariants import family, family_values
 from toda2.invariants import pullback_gradients, trace_gradients, trace_values
 from toda2.poisson import _block_field
 from toda2.rmatrix import point_block
 
+FD_STEP = 1e-5
+
 
 def pairing(p, q):
     """⟨p, q⟩ on 𝔤, ⟨p, q⟩₂ on 𝔤×𝔤."""
     return form(p, q) if isinstance(p, Element) else form2(p, q)
+
+
+def _fd_partials(F, m, step=FD_STEP):
+    """Central finite-difference partials of F in the basis coordinates of m."""
+    alg, point = m.alg, type(m)
+    v0 = m.vec()
+    w = np.empty(v0.size)
+    for a in range(v0.size):
+        vp, vm = v0.copy(), v0.copy()
+        vp[a] += step
+        vm[a] -= step
+        w[a] = (F(point.from_vec(alg, vp)) - F(point.from_vec(alg, vm))) / (2.0 * step)
+    return w
+
+
+def gradient2(F, m, step=FD_STEP):
+    """Gradient of F at m: analytic when available, else central differences."""
+    if F.gradient is not None:
+        return F.gradient(m)
+    return type(m).from_covector(m.alg, _fd_partials(F, m, step))
 
 
 def field_at(which, m, g):

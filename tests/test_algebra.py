@@ -341,6 +341,19 @@ def test_validate_fails_closed_on_non_finite_residuals(sl2, gl3):
         assert not jacobi_bound(sl2, float("nan")) < 1.0
 
 
+def test_validate_records_a_non_finite_ad_e_instead_of_raising(sl2, gl3):
+    # a basis scaled by 1e160 overflows the basis products, so ad_e is not
+    # finite and has no SVD: regular-nilpotent is recorded with a NaN
+    # residual, next to the records of the earlier checks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for alg in (sl2, gl3):
+            vs = validate_spec(replace(alg, basis=alg.basis * 1e160))
+            nilpotent = [v for v in vs if v["invariant"] == "regular-nilpotent"]
+            assert len(nilpotent) == 1 and np.isnan(nilpotent[0]["residual"])
+            assert "bracket-closure" in {v["invariant"] for v in vs}
+
+
 def test_validate_spec_stays_below_dim4_memory():
     alg = build_sl(7)
     tracemalloc.start()

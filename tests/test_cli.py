@@ -315,7 +315,7 @@ def test_non_numeric_values_name_the_expected_input(argv, message, capsys):
 
 
 def test_program_bug_is_not_a_usage_error(monkeypatch):
-    def broken(alg, samples, seed, tol):
+    def broken(alg, samples, seed, **tol):
         raise ValueError("a bug inside a battery")
 
     monkeypatch.setitem(checks._BATTERIES, "rais", broken)

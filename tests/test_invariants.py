@@ -19,7 +19,6 @@ from toda2 import (
     family_labels,
     family_values,
     form,
-    gradient2,
     phase_tp,
     rais_vectors,
 )
@@ -32,6 +31,8 @@ from toda2.invariants import (
 )
 from toda2.poisson import linear_field
 from toda2.rmatrix import block_norms, point_block
+
+from pointwise import gradient2
 
 EXPECTED_CARD = {"sl2": 3, "sl3": 7, "sl4": 12, "gl2": 5, "gl3": 9}
 

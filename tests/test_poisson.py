@@ -25,7 +25,6 @@ from toda2 import (
     check_morphism_psi1,
     form,
     form2,
-    gradient2,
     mult,
     phase_tp,
     poisson_matrix,
@@ -46,7 +45,9 @@ from toda2.poisson import (
 )
 from toda2.rmatrix import block_norms, point_block, r_block, rr_block
 
-from pointwise import bracket_value, field_at, linear_function, pullback, trace_function
+from pointwise import (
+    bracket_value, field_at, gradient2, linear_function, pullback, trace_function,
+)
 
 
 def random_pair(alg, rng):

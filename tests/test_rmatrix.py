@@ -1,5 +1,7 @@
 """Splitting operator R = P₊ − P₋ and its pair extension ℛ."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -130,21 +132,14 @@ def test_check_mcybe_passes_everywhere(desk_algebras):
 
 
 def test_check_mcybe_rejects_broken_operator(sl2):
-    # an operator that is not built from a subalgebra splitting fails
-    rng = np.random.default_rng(1)
-    M = rng.uniform(-1, 1, (3, 3))
-    report = check_mcybe(sl2, R=M, samples=40)
-    assert not report.verdict
-    assert report.measured > 1e-3
-
-
-def test_check_mcybe_pair_takes_no_user_operator(sl2):
-    # the pair check measures ℛ; a user matrix there would be dropped while
-    # the report names it, so a failing M would read as a pass
-    M = np.random.default_rng(1).uniform(-1, 1, (3, 3))
-    with pytest.raises(ValueError, match="pair=True"):
-        check_mcybe(sl2, R=M, pair=True, samples=40)
-    assert check_mcybe(sl2, pair=True, samples=40).anchor == "mcybe-splitting-exact"
+    # a negative control: grade e and f by 0 and h by −1, so that the
+    # splitting's 𝔤_{≥0} = span(e, f) is not a subalgebra ([e, f] = h), and
+    # R = P₊ − P₋ of that splitting fails mCYBE on 𝔤 and on 𝔤×𝔤
+    broken = dataclasses.replace(sl2, degrees=np.where(sl2.degrees == 0, -1, 0))
+    for pair in (False, True):
+        report = check_mcybe(broken, samples=40, pair=pair)
+        assert not report.verdict
+        assert report.measured > 1e-3
 
 
 def test_pairpoint_vector_roundtrip(sl3):
@@ -182,16 +177,14 @@ def test_signs_are_cached_and_read_only(sl3):
     assert np.array_equal(first, np.where(sl3.degrees >= 0, 1.0, -1.0))
 
 
-def _mcybe_per_sample(alg, R=None, samples=200, seed=42, pair=False):
+def _mcybe_per_sample(alg, samples=200, seed=42, pair=False):
     """check_mcybe's residual one sample at a time, kept as the reference:
     the same draws, one point's coordinates (dim,) or pair block (2, dim) at a
     time, centre projection and running max."""
     rng = np.random.default_rng(seed)
 
     def op(p):
-        if pair:
-            return rr_block(alg, p)
-        return r_block(alg, p) if R is None else R @ p
+        return rr_block(alg, p) if pair else r_block(alg, p)
 
     def centred(z):
         if not alg.associative:
@@ -217,7 +210,6 @@ def _mcybe_per_sample(alg, R=None, samples=200, seed=42, pair=False):
 @pytest.mark.parametrize("name", ["sl3", "gl3", "so5"])
 def test_check_mcybe_stack_matches_per_sample_loop(name, request):
     alg = request.getfixturevalue(name)
-    user_R = np.random.default_rng(3).uniform(-1, 1, (alg.dim, alg.dim))
-    for kwargs in ({}, {"R": user_R}, {"pair": True}):
-        report = check_mcybe(alg, samples=50, seed=9, **kwargs)
-        assert report.measured == _mcybe_per_sample(alg, samples=50, seed=9, **kwargs)
+    for pair in (False, True):
+        report = check_mcybe(alg, samples=50, seed=9, pair=pair)
+        assert report.measured == _mcybe_per_sample(alg, samples=50, seed=9, pair=pair)

@@ -18,7 +18,6 @@ from toda2 import (
     family_labels,
     family_values,
     form,
-    gradient2,
     integrate_toda,
     phase_tp,
     project,
@@ -28,7 +27,7 @@ from toda2 import (
 from toda2.flows import field_rows
 from toda2.invariants import trace_values
 
-from pointwise import trace_function
+from pointwise import gradient2, trace_function
 
 
 def test_toda_space_dimensions(desk_algebras):

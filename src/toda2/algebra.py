@@ -8,7 +8,9 @@ diagonal: the elementary matrix E_ij sits in degree j − i, so 𝔤₀ is the
 diagonal (Cartan) part, 𝔤₁ the first superdiagonal, and so on.
 
 Everything downstream (projections, R-matrices, Poisson brackets) reduces to
-coordinate masks and dense tensor contractions against the data cached here.
+coordinate masks, the structure constants and the matrices of the basis
+cached here.  On an associative spec (gl) the product of coordinate arrays is
+the product of their matrices (`mult_blocks`).
 """
 from __future__ import annotations
 
@@ -112,8 +114,8 @@ _SPAN_TOL = 1e-10   # `from_matrix`: largest distance from the span per 1 + ‖m
 class AlgebraSpec:
     """A finite-dimensional graded Lie algebra in a faithful matrix rep.
 
-    Fields mirror the on-disk algebra-spec document; derived tensors
-    (structure constants, product tensor, Gram inverse) are cached lazily.
+    Fields mirror the on-disk algebra-spec document; derived arrays
+    (structure constants, basis pseudo-inverse, Gram inverse) are cached lazily.
     """
 
     name: str
@@ -148,7 +150,7 @@ class AlgebraSpec:
         """All products b_a b_b as flattened matrices, shape (dim, dim, n²).
 
         One (dim·n, n) @ (n, dim·n) product.  Not cached: it is as large as
-        `struct`, and only the two tensors below and validation read it.
+        `struct`, and only `struct` and validation read it.
         """
         B, n = self.basis, self.matrix_size
         rows = B.reshape(-1, n) @ B.transpose(1, 0, 2).reshape(n, -1)   # [a i, b j]
@@ -160,16 +162,6 @@ class AlgebraSpec:
         """Structure constants C[a,b,c]: [b_a, b_b] = Σ_c C[a,b,c] b_c."""
         prod = self._basis_products()
         return (prod - prod.transpose(1, 0, 2)) @ self._flat_pinv.T
-
-    @cached_property
-    def prod_tensor(self) -> np.ndarray:
-        """Associative product tensor P[a,b,c]: b_a b_b = Σ_c P[a,b,c] b_c."""
-        if not self.associative:
-            raise AlgebraError(
-                f"{self.name}: matrix product does not close on a "
-                "non-associative spec (associative=False)"
-            )
-        return self._basis_products() @ self._flat_pinv.T
 
     @cached_property
     def gram_inv(self) -> np.ndarray:
@@ -368,8 +360,15 @@ def bracket_blocks(alg: AlgebraSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray
 
 
 def mult_blocks(alg: AlgebraSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """The matrix product XY on coordinate arrays (…, dim) (needs spec.associative)."""
-    return np.einsum("...a,...b,abc->...c", X, Y, alg.prod_tensor)
+    """The matrix product XY on coordinate arrays (…, dim), broadcasting over
+    the leading axes: the product of their matrices, which stays in the span
+    only on an associative spec (gl)."""
+    if not alg.associative:
+        raise AlgebraError(
+            f"{alg.name}: matrix product does not close on a "
+            "non-associative spec (associative=False)"
+        )
+    return alg.to_coords(alg.to_matrices(X) @ alg.to_matrices(Y))
 
 
 def bracket(x: Element, y: Element) -> Element:
@@ -494,7 +493,8 @@ def jacobi_residual(C: np.ndarray) -> float:
 
     One first index a at a time, so each product is a (dim, dim) @ (dim, dim²)
     or (dim², dim) @ (dim, dim) matmul and no array is larger than dim³: the
-    arithmetic stays dim⁵, the memory does not grow to dim⁴.
+    arithmetic stays dim⁵, the memory does not grow to dim⁴.  A NaN sum gives
+    NaN, which no tolerance passes.
     """
     dim = C.shape[0]
     rows = C.reshape(dim, -1)             # [e, (c d)]
@@ -505,8 +505,8 @@ def jacobi_residual(C: np.ndarray) -> float:
         jac = (C[a] @ rows).reshape(dim, dim, dim)                   # [b, c, d]
         jac += (cols @ Ca).reshape(dim, dim, dim)
         jac += (Ca @ rows).reshape(dim, dim, dim).transpose(1, 0, 2)
-        worst = max(worst, float(np.abs(jac).max()))
-    return worst
+        worst = np.maximum(worst, np.abs(jac).max())    # NaN propagates
+    return float(worst)
 
 
 def jacobi_bound(spec: AlgebraSpec, closure_residual: float) -> float:
@@ -570,7 +570,6 @@ def validate_spec(spec: AlgebraSpec) -> list[dict]:
     # bracket closure, then product closure, basis pair by basis pair; the
     # products and commutators are released before the steps below allocate
     coeffs = spec.struct
-    ptensor = spec.prod_tensor if spec.associative else None
     prod = spec._basis_products()
     comm = prod - prod.transpose(1, 0, 2)
     scale = 1.0 + np.abs(comm).max()
@@ -579,8 +578,8 @@ def validate_spec(spec: AlgebraSpec) -> list[dict]:
     close_res = np.abs(res, out=res).max(axis=2)
     del comm, res
     prod_res = None
-    if ptensor is not None:
-        res = ptensor @ flat.T
+    if spec.associative:     # b_a b_b against φ(φ⁺(b_a b_b)), φ⁺ = `_flat_pinv`
+        res = prod @ spec._flat_pinv.T @ flat.T
         res -= prod
         pres = np.abs(res, out=res).max()
         if not (pres <= 1e-12 * (1.0 + np.abs(prod).max())):

@@ -23,8 +23,8 @@ one stacked pass of `_expm`, the unpivoted `_lu` and a conjugation gives
 every sample of a stretch, and a new stretch starts from the last state where
 τ‖X‖₁ would pass _FACTOR_NORM.  A leading minor of exp(τX) that changes sign
 between two pivot tests is a pole of the flow; the run stops before it, with
-a note.  The pivots are tested at every sample, and on a finer grid where a
-minor could turn by more than _TURN between samples.  The
+a note.  The pivots are tested at every sample, and on a finer grid where the
+exponents of a minor could drift apart by more than _TURN between samples.  The
 pencil fields and the Toda run of `toda.py` are integrated by fixed-step RK4
 (`rk4_states`) with no re-projection onto the phase space: tangency drift is
 a measured signal, not something to suppress.
@@ -285,8 +285,10 @@ def rk4_states(field: Callable[[np.ndarray], np.ndarray], v0: np.ndarray,
 _FACTOR_NORM = 1.0
 # most samples of one stretch: its temporaries stay ~20 (n, n) stacks this long
 _STRETCH_SAMPLES = 512
-# largest phase, in radians, a minor of exp(τX) may turn between two pivot
-# tests: a sign change takes a half-turn (π), so none hides between tests
+# largest τ·Σ|λ(X)| between two pivot tests: no two terms exp(τμ) of a minor
+# of exp(τX) turn by more than a radian against each other (a sign change
+# takes π) or change their ratio by more than e.  A test, not a certificate:
+# two real zeros closer than its step can still hide
 _TURN = 1.0
 # Taylor degree of `_expm` at ‖B‖₁ ≤ ½: the tail is below 2⁻¹⁵/15! ≈ 2.3e-17
 _TAYLOR_DEGREE = 14
@@ -390,11 +392,12 @@ def _factor_states(field: str, V0: np.ndarray, dt: float, n_steps: int,
     A stretch of samples whose τ‖X‖₁ would pass _FACTOR_NORM, or that would
     hold more than _STRETCH_SAMPLES samples, starts again from its last
     state, with at least one sample per stretch.  Every minor of exp(τX) is
-    a sum of exponentials whose frequencies differ by at most
-    ω = Σ|Im λ(X)|, and the flow keeps the spectrum of X: where dt·ω passes
-    _TURN the run steps on a grid of q = ⌈dt·ω/_TURN⌉ points per sample,
-    tests the pivots at each and keeps every q-th state.  The grid holds at
-    most MAX_STEPS points.
+    a sum of exponentials whose exponents differ by at most Ω = Σ|λ(X)| per
+    unit τ, and the flow keeps the spectrum of X: where dt·Ω passes _TURN
+    the run steps on a grid of q = ⌈dt·Ω/_TURN⌉ points per sample, tests the
+    pivots at each and keeps every q-th state.  A real spectrum needs the
+    grid too, since a real exponential sum can change sign twice within one
+    sample.  The grid holds at most MAX_STEPS points.
 
     Returns the states along a new first axis and a note, empty unless the
     run stops before n_steps: at a pole, at a sample whose factorization is
@@ -407,7 +410,7 @@ def _factor_states(field: str, V0: np.ndarray, dt: float, n_steps: int,
     # pivot: the run stops there, and numpy's warnings are expected
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # a non-finite start stops at its first sample, whatever the grid
-        turn = dt * float(np.abs(np.linalg.eigvals(X).imag).sum()) / _TURN \
+        turn = dt * float(np.abs(np.linalg.eigvals(X)).sum()) / _TURN \
             if np.isfinite(X).all() else 0.0
         q = max(1, math.ceil(turn)) if turn <= MAX_STEPS else MAX_STEPS + 1
         h, n = dt / q, min(n_steps, MAX_STEPS // q) * q

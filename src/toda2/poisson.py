@@ -23,9 +23,10 @@ The fields are written once, on coordinate blocks: arrays of shape (…, k, dim)
 with k = 1 on 𝔤 and k = 2 on 𝔤×𝔤 (`linear_field`, `quadratic_field`).  Points
 and gradients broadcast over the leading axes, so a gradient stack at one
 point (the rows of a bracket table) or a stack of points is one call.  The
-kernel is that of `algebra.bracket`/`mult` — the einsum of the blocks with
-the cached `struct`/`prod_tensor` — and the R-operators are the block actions
-of `rmatrix` (`r_block`, `rr_block` and their adjoints).  A stack gives the
+kernels are `algebra.bracket_blocks` (the einsum of the blocks with the
+cached `struct`) and `algebra.mult_blocks` (the product of the blocks'
+matrices), and the R-operators are the block actions of `rmatrix`
+(`r_block`, `rr_block` and their adjoints).  A stack gives the
 same bits as its points one at a time, and one point is a one-row stack.
 Bracket values are the pairing of a gradient with a field (`form_blocks`);
 `bracket_tables` and `poisson_matrices` take a stack of points, and

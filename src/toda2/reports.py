@@ -97,9 +97,9 @@ def _short(v) -> str:
 
 def worst(values) -> float:
     """The largest of `values` (any shape), 0.0 for none: the measured value
-    of a residual check on a sample stack.  A NaN entry is passed over, as a
-    running max(worst, v) from 0 does."""
-    return float(np.fmax.reduce(np.ravel(values), initial=0.0))
+    of a residual check on a sample stack.  A NaN entry gives NaN, so the
+    check fails: a residual that is not a number is not shown small."""
+    return float(np.max(np.ravel(values), initial=0.0))
 
 
 def all_pass(reports) -> bool:

@@ -162,13 +162,45 @@ def test_project_splits_by_degree(sl3):
     assert not sl3.mask(">=0").flags.writeable
 
 
-def test_mult_closed_on_gl_only(gl2, sl2):
+def test_mult_closed_on_gl_only(gl2, sl2, sl3, so5):
     rng = np.random.default_rng(5)
     x = gl2.element(rng.uniform(-1, 1, 4))
     y = gl2.element(rng.uniform(-1, 1, 4))
     assert np.allclose(mult(x, y).matrix(), x.matrix() @ y.matrix(), atol=1e-13)
-    with pytest.raises(AlgebraError):
-        mult(sl2.element(np.ones(3)), sl2.element(np.ones(3)))
+    for alg in (sl2, sl3, so5):
+        with pytest.raises(AlgebraError, match=r"non-associative spec \(associative=False\)"):
+            mult(alg.element(np.ones(alg.dim)), alg.element(np.ones(alg.dim)))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_mult_blocks_matches_the_product_tensor(n):
+    # the product tensor P[a,b] = φ⁺(b_a b_b), built here from the basis
+    # products: contracting with it gives the coordinates of the matrix product
+    alg = build_gl(n)
+    P = alg._basis_products() @ alg._flat_pinv.T
+    X, Y = np.random.default_rng(n).uniform(-1, 1, (2, 7, 2, alg.dim))
+    want = np.einsum("...a,...b,abc->...c", X, Y, P)
+    got = algebra.mult_blocks(alg, X, Y)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_mult_blocks_stack_gives_the_bits_of_its_rows(gl3):
+    X, Y = np.random.default_rng(3).uniform(-1, 1, (2, 6, 2, gl3.dim))
+    rows = np.array([[algebra.mult_blocks(gl3, x, y) for x, y in zip(xs, ys)]
+                     for xs, ys in zip(X, Y)])
+    assert np.array_equal(algebra.mult_blocks(gl3, X, Y), rows)
+    # one point against a stack of gradients broadcasts, as in a bracket table
+    rows = np.array([algebra.mult_blocks(gl3, X[0], y) for y in Y])
+    assert np.array_equal(algebra.mult_blocks(gl3, X[0], Y), rows)
+
+
+def test_validate_flags_product_closure(sl3):
+    # sl3 marked associative: H₁H₁ = E₁₁ + E₂₂ has trace 2, and its nearest
+    # traceless matrix is off by the identity times 2/3
+    vs = validate_spec(replace(sl3, associative=True))
+    assert [v["invariant"] for v in vs] == ["product-closure"]
+    assert vs[0]["residual"] == pytest.approx(2 / 3, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +384,17 @@ def test_validate_records_a_non_finite_ad_e_instead_of_raising(sl2, gl3):
             nilpotent = [v for v in vs if v["invariant"] == "regular-nilpotent"]
             assert len(nilpotent) == 1 and np.isnan(nilpotent[0]["residual"])
             assert "bracket-closure" in {v["invariant"] for v in vs}
+
+
+def test_jacobi_residual_propagates_nan(sl2):
+    # a basis scaled by 1e160 overflows the basis products, so the structure
+    # constants hold inf and NaN: the residual is NaN, not a NaN dropped from
+    # a running max, and validation records jacobi with it
+    spec = replace(sl2, basis=sl2.basis * 1e160)
+    with np.errstate(all="ignore"):
+        assert np.isnan(jacobi_residual(spec.struct))
+    jacobi = [v for v in validate_spec(spec) if v["invariant"] == "jacobi"]
+    assert len(jacobi) == 1 and np.isnan(jacobi[0]["residual"])
 
 
 def test_validate_spec_stays_below_dim4_memory():

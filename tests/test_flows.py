@@ -517,9 +517,9 @@ def test_no_blowup_where_the_values_only_grow(sl2):
 
 @pytest.mark.parametrize("name", ["sl2", "gl2"])
 def test_huge_steps_stop_without_an_error(name, request):
-    # dt·‖X‖ in the hundreds: exp(τX) cannot be split exactly (sl2, whose
-    # spectra are real, tests its pivots once per sample), or a minor changes
-    # sign on the pivot grid (gl2); either way the run stops with a note
+    # dt·‖X‖ in the hundreds: the states overflow (sl2 t-flow), the pivot
+    # grid runs out (sl2 s-flow), or a minor changes sign on it (gl2); either
+    # way the run stops with a note
     alg = request.getfixturevalue(name)
     m0 = seed_point(alg)
     for field in ("t", "s"):
@@ -543,9 +543,28 @@ def test_a_pole_does_not_hide_between_long_steps(dt, T, gl2):
                          f"(steps {k} and {k + 1}); trajectory truncated")
 
 
+def test_a_real_spectrum_pole_pair_does_not_hide_in_one_sample(sl3):
+    # L₀ ∈ e + 𝔤_{≤0} has the real spectrum −2.577, −0.108, 2.685, and the
+    # minor e₁₁ of exp(uL₀) is negative on ≈ (0.583, 1.026): two poles of the
+    # t-flow inside the first sample of 2, with e₁₁ > 0 at both of its ends.
+    # A grid spaced by Σ|Im λ(L₀)| = 0 tests the pivots at the ends only; the
+    # grid spaced by Σ|λ(L₀)| stops the run before the first pole
+    L0 = np.array([[-3.53, 1, 0], [-3, 0.17, 1], [-0.4, -1.96, 3.36]])
+    M0 = np.array([[0.5, 0.2, -0.3], [1, -0.1, 0.4], [0, 0.7, -0.4]])
+    m0 = PairPoint.from_vec(sl3, np.concatenate([sl3.from_matrix(L0), sl3.from_matrix(M0)]))
+    assert phase_tp(sl3).membership_residuals(m0.vec()) == 0.0
+    assert np.all(np.linalg.eigvals(L0).imag == 0.0)
+    e11 = _expm(np.array([0.0, 0.8, 2.0])[:, None, None] * L0)[:, 0, 0]
+    assert e11[0] > 0 and e11[1] < 0 and e11[2] > 0
+    traj = integrate(FlowConfig(field="t", dt=2.0, T=6.0), m0)
+    assert len(traj.states) == 1
+    assert traj.note == "pole between t = 0 and t = 2 (steps 0 and 1); trajectory truncated"
+    assert flow_commutation(m0, dt=2.0, n_steps=1) == math.inf
+
+
 @pytest.mark.parametrize("dt", [1e5, 1.7e308])
 def test_a_step_too_long_for_the_pivot_grid_stops_the_run(dt, gl2):
-    # q = ⌈dt·Σ|Im λ(M₀)|⌉ ≈ 1.8e5 pivot tests for one step, or a count that
+    # q = ⌈dt·Σ|λ(M₀)|⌉ ≈ 2e5 pivot tests for one step, or a count that
     # overflows: more than MAX_STEPS, so the run stops before the step rather
     # than trust one test
     traj = integrate(FlowConfig(field="s", dt=dt, T=dt), seed_point(gl2), conserved=[])
@@ -554,20 +573,23 @@ def test_a_step_too_long_for_the_pivot_grid_stops_the_run(dt, gl2):
                          f"trajectory truncated")
 
 
-@pytest.mark.parametrize("dt", [20.0, 100.0])
-def test_a_lost_pivot_is_not_called_a_pole(dt, sl2):
+@pytest.mark.parametrize("dt, note", [
+    (20.0, ""),
+    (100.0, "non-finite state at step 5 (t = 500); trajectory truncated"),
+], ids=["20.0", "100.0"])
+def test_a_lost_pivot_is_not_called_a_pole(dt, note, sl2):
     # L₀ = [[a, b], [c, −a]] with ω² = a² + bc > 0 and |a/ω| < 1: the minor
     # e₁₁ of exp(tL₀) = cosh ωt + (a/ω) sinh ωt never vanishes, so the
-    # t-flow has no pole; one step of 20 or 100 loses the second pivot
-    # 1/e₁₁ (≈ 1e-32 at 100, cancelled to 0) or most of its digits (at 20,
-    # still positive), and the determinant witness stops the run there
+    # t-flow has no pole.  One factorization over a step of 20 or 100 would
+    # lose the second pivot 1/e₁₁ to cancellation; the pivot grid, spaced by
+    # Σ|λ(L₀)| = 2ω, factors in short steps instead, so the dt 20 run keeps
+    # every pivot and the dt 100 run stops where its states overflow
     m0 = seed_point(sl2)
     (a, b), (c, _) = m0.x.matrix()
     omega = math.sqrt(a * a + b * c)
     assert abs(a / omega) < 1.0
     traj = integrate(FlowConfig(field="t", dt=dt, T=10 * dt), m0)
-    assert traj.note == (f"exp(τX) cannot be factored exactly at step 1 (t = {dt:g}); "
-                         f"trajectory truncated")
+    assert traj.note == note
 
 
 @pytest.mark.parametrize("name, order", [("sl2", [1, 0]), ("gl3", [2, 0, 1]), ("sl4", [3, 1, 0, 2])])

@@ -14,6 +14,7 @@ from toda2 import (
     expected_rank,
     run_battery,
 )
+from toda2.reports import worst
 
 
 def test_line_format():
@@ -48,6 +49,20 @@ def test_below_is_the_hand_built_residual_report(residual):
     assert made.line() == hand.line()
     assert made.verdict is bool(residual < tol)     # a NaN residual fails, as `<` does
     assert emit_report([made], "json") == emit_report([hand], "json")
+
+
+@pytest.mark.parametrize("values, want", [
+    ([], 0.0),
+    ([[1e-12, 3e-10], [2e-11, 0.0]], 3e-10),
+    ([float("nan")], float("nan")),
+    ([1e-12, float("nan"), 5e-13], float("nan")),
+])
+def test_worst_propagates_nan(values, want):
+    # a residual stack with a NaN entry is not shown small: its worst value
+    # is NaN and the residual check fails, even where every other entry passes
+    got = worst(values)
+    assert got == want or (np.isnan(got) and np.isnan(want))
+    assert CheckReport.below("x", "y", "z", got, 1e-9, {}).verdict is (want < 1e-9)
 
 
 @pytest.mark.parametrize("measured", [4, 3, np.int64(4)])

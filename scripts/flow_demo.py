@@ -14,7 +14,7 @@ import argparse
 
 from toda2 import (
     FlowConfig,
-    family,
+    family_names,
     flow_commutation,
     integrate,
     pencil_eigenvalue_drift,
@@ -36,7 +36,7 @@ def main() -> int:
     alg = resolve_algebra(args.algebra)
     ps = phase_tp(alg)
     m0 = ps.sample_points(seed=args.seed, count=1)[0]
-    names = [f.name for f in family(alg)]
+    names = family_names(alg)
 
     print(f"{alg.name}: phase space dim {ps.dim}, {len(names)} conserved functions")
     for field in ("t", "s"):

@@ -12,12 +12,12 @@ Usage: python3 scripts/rank_survey.py [more-specs.json ...]
 
 import sys
 
-from toda2 import build_gl, build_sl, expected_rank, family, load_spec, phase_tp, rank_sweep
+from toda2 import build_gl, build_sl, expected_rank, family_labels, load_spec, phase_tp, rank_sweep
 
 
 def survey(alg):
     ps = phase_tp(alg)
-    card = len(family(alg))
+    card = len(family_labels(alg))
     rows = []
     kinds = ("linear", "quadratic") if alg.associative else ("linear",)
     for which in kinds:

@@ -44,6 +44,7 @@ from .invariants import (
     RaisData,
     family,
     family_labels,
+    family_names,
     family_values,
     rais_vectors,
 )
@@ -99,6 +100,7 @@ __all__ = [
     "RaisData",
     "family",
     "family_labels",
+    "family_names",
     "family_values",
     "rais_vectors",
     "FlowConfig",

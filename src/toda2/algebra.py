@@ -37,6 +37,7 @@ __all__ = [
     "build_gl",
     "load_spec",
     "save_spec",
+    "spec_to_json",
     "validate_spec",
     "describe_violation",
     "parse_region",
@@ -114,28 +115,38 @@ _SPAN_TOL = 1e-10   # `from_matrix`: largest distance from the span per 1 + ‖m
 class AlgebraSpec:
     """A finite-dimensional graded Lie algebra in a faithful matrix rep.
 
-    Fields mirror the on-disk algebra-spec document; derived arrays
-    (structure constants, basis pseudo-inverse, Gram inverse) are cached lazily.
+    Fields are the defining arrays of the on-disk algebra-spec document;
+    everything else (dim, rank, matrix size, Gram matrix, structure
+    constants, basis pseudo-inverse) is derived from them and cached lazily.
     """
 
     name: str
-    dim: int
-    rank: int
     basis: np.ndarray            # (dim, n, n)
     degrees: np.ndarray          # (dim,) integers
-    gram: np.ndarray             # (dim, dim), ⟨b_a, b_b⟩ = Tr(b_a b_b)
     exponents: tuple[int, ...]   # m_1 ≤ … ≤ m_ℓ
     cartan: np.ndarray           # (ℓ, ℓ) integers
     e_coords: np.ndarray
     h_coords: np.ndarray
     associative: bool
-    n: int | None = None         # matrix size of the stored rep, if meaningful
 
     # -- derived, cached ---------------------------------------------------
 
     @cached_property
+    def dim(self) -> int:
+        return self.basis.shape[0]
+
+    @cached_property
+    def rank(self) -> int:
+        return len(self.exponents)
+
+    @cached_property
     def matrix_size(self) -> int:
         return self.basis.shape[1]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """(dim, dim), ⟨b_a, b_b⟩ = Tr(b_a b_b)."""
+        return np.einsum("aij,bji->ab", self.basis, self.basis)
 
     @cached_property
     def _flat_basis(self) -> np.ndarray:
@@ -317,11 +328,6 @@ class Element:
     def from_vec(alg: AlgebraSpec, v: np.ndarray) -> "Element":
         return Element(alg, np.array(v, dtype=float))
 
-    @staticmethod
-    def from_covector(alg: AlgebraSpec, w: np.ndarray) -> "Element":
-        """The ⟨·,·⟩-gradient G⁻¹w of a Euclidean covector w."""
-        return Element(alg, alg.gram_inv @ w)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.coords))
 
@@ -406,25 +412,18 @@ def _type_a_cartan(size: int) -> np.ndarray:
     return C
 
 
-def _assemble(name, mats, degs, exponents, cartan, e_mat, h_mat, associative, n):
+def _assemble(name, mats, degs, exponents, cartan, e_mat, h_mat, associative):
     basis = np.array(mats, dtype=float)
-    dim = basis.shape[0]
-    gram = np.einsum("aij,bji->ab", basis, basis)
-    flat = basis.reshape(dim, -1).T
-    pinv = np.linalg.pinv(flat)
+    pinv = np.linalg.pinv(basis.reshape(len(basis), -1).T)
     spec = AlgebraSpec(
         name=name,
-        dim=dim,
-        rank=len(exponents),
         basis=basis,
         degrees=np.array(degs, dtype=int),
-        gram=gram,
         exponents=tuple(exponents),
         cartan=np.asarray(cartan, dtype=int),
         e_coords=pinv @ np.asarray(e_mat, dtype=float).ravel(),
         h_coords=pinv @ np.asarray(h_mat, dtype=float).ravel(),
         associative=associative,
-        n=n,
     )
     violations = validate_spec(spec)
     if violations:
@@ -454,7 +453,7 @@ def build_sl(n: int) -> AlgebraSpec:
     h_mat = np.diag([n - 1 - 2 * i for i in range(n)]).astype(float)
     return _assemble(
         f"sl{n}", mats, degs, range(1, n), _type_a_cartan(n - 1),
-        e_mat, h_mat, associative=False, n=n,
+        e_mat, h_mat, associative=False,
     )
 
 
@@ -479,7 +478,7 @@ def build_gl(n: int) -> AlgebraSpec:
     h_mat = np.diag([n - 1 - 2 * i for i in range(n)]).astype(float)
     return _assemble(
         f"gl{n}", mats, degs, range(0, n), cartan,
-        e_mat, h_mat, associative=True, n=n,
+        e_mat, h_mat, associative=True,
     )
 
 
@@ -555,7 +554,7 @@ def validate_spec(spec: AlgebraSpec) -> list[dict]:
 
     B, D = spec.basis, spec.degrees
     dim = spec.dim
-    if B.shape[0] != dim or B.shape[1] != B.shape[2]:
+    if B.shape[1] != B.shape[2]:
         hit("basis-shape")
         return out
     if len(D) != dim:
@@ -605,9 +604,12 @@ def validate_spec(spec: AlgebraSpec) -> list[dict]:
         hit("graded-orthogonality", gram_res[a, b], (a, b))
     if not (np.abs(G - G.T).max() <= 1e-12 * (1.0 + np.abs(G).max())):
         hit("gram-symmetry", np.abs(G - G.T).max())
-    sv = np.linalg.svd(G, compute_uv=False)
-    if not (sv[-1] > 1e-10 * sv[0]):
-        hit("form-nondegenerate", sv[-1] / sv[0] if sv[0] > 0 else 0.0)
+    if not np.isfinite(G).all():     # an overflowing form has no SVD
+        hit("form-nondegenerate", np.nan)
+    else:
+        sv = np.linalg.svd(G, compute_uv=False)
+        if not (sv[-1] > 1e-10 * sv[0]):
+            hit("form-nondegenerate", sv[-1] / sv[0] if sv[0] > 0 else 0.0)
 
     # form invariance ⟨[x,y],z⟩ + ⟨y,[x,z]⟩ = 0 on basis triples
     bf = coeffs @ G                                  # ⟨[b_a,b_b], b_d⟩
@@ -640,9 +642,7 @@ def validate_spec(spec: AlgebraSpec) -> list[dict]:
 
     # exponents and Cartan shape
     ex = spec.exponents
-    if len(ex) != spec.rank:
-        hit("exponents-length")
-    elif list(ex) != sorted(ex) or any(m < 0 for m in ex):
+    if list(ex) != sorted(ex) or any(m < 0 for m in ex):
         hit("exponents-ordering")
     elif 2 * sum(m + 1 for m in ex) != dim + spec.rank:
         hit("exponents-count", 2 * sum(m + 1 for m in ex) - dim - spec.rank)
@@ -669,32 +669,12 @@ def validate_spec(spec: AlgebraSpec) -> list[dict]:
 # serialization: the algebra-spec document
 # --------------------------------------------------------------------------
 
-_DOC_FIELDS = (
-    "name", "n", "dim", "rank", "basis", "degrees",
-    "exponents", "cartan", "e_coords", "h_coords", "associative",
-)
-
-
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    if isinstance(v, str):
-        return json.dumps(v)
-    if v is None:
-        return "null"
-    if isinstance(v, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_fmt(w) for w in v) + "]"
-    raise TypeError(f"cannot serialize {type(v)}")
-
-
 def spec_to_document(spec: AlgebraSpec) -> dict:
+    """The algebra-spec document: the defining fields, with the derived n,
+    dim and rank written beside them for a reader."""
     return {
         "name": spec.name,
-        "n": spec.n,
+        "n": spec.matrix_size,
         "dim": spec.dim,
         "rank": spec.rank,
         "basis": [[list(row) for row in mat] for mat in spec.basis],
@@ -707,19 +687,40 @@ def spec_to_document(spec: AlgebraSpec) -> dict:
     }
 
 
-def save_spec(spec: AlgebraSpec, path) -> None:
-    """Write the algebra-spec document (numbers at 17 significant digits)."""
+def spec_to_json(spec: AlgebraSpec) -> str:
+    """The document as JSON text, one field a line; floats are written as
+    their repr, so a load gives back the same bits."""
     doc = spec_to_document(spec)
-    lines = ["{"]
-    for k, key in enumerate(_DOC_FIELDS):
-        sep = "," if k < len(_DOC_FIELDS) - 1 else ""
-        lines.append(f'  "{key}": {_fmt(doc[key])}{sep}')
-    lines.append("}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    fields = ",\n".join(f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in doc.items())
+    return "{\n" + fields + "\n}\n"
+
+
+def save_spec(spec: AlgebraSpec, path) -> None:
+    """Write the algebra-spec document (`spec_to_json`)."""
+    Path(path).write_text(spec_to_json(spec))
+
+
+# the document's derived fields, by the invariant a mismatch violates
+_STATED = {"dim": "basis-shape", "rank": "exponents-length", "n": "matrix-size"}
+
+
+def _integers(value, field: str, ndim: int) -> np.ndarray:
+    """An integer field of the document; a float, string or bool is refused,
+    not truncated."""
+    a = np.asarray(value)
+    if a.dtype.kind != "i" or a.ndim != ndim:
+        raise ValueError(f"{field} must be an integer" if ndim == 0 else
+                         f"{field} must be an array of integers of {ndim} "
+                         f"dimension{'s' if ndim > 1 else ''}")
+    return a.astype(int)
 
 
 def load_spec(source) -> AlgebraSpec:
-    """Load and validate an algebra-spec document (path, JSON text, or dict)."""
+    """Load and validate an algebra-spec document (path, JSON text, or dict).
+
+    The document's dim, rank and n (optional) must equal the values derived
+    from its basis and exponents.
+    """
     if isinstance(source, dict):
         doc = source
     else:
@@ -733,35 +734,33 @@ def load_spec(source) -> AlgebraSpec:
         except json.JSONDecodeError as err:
             raise AlgebraError(f"algebra spec parse failure: {err}") from err
     try:
-        basis = np.array(doc["basis"], dtype=float)
-        dim = int(doc["dim"])
         spec = AlgebraSpec(
             name=str(doc["name"]),
-            dim=dim,
-            rank=int(doc["rank"]),
-            basis=basis,
-            degrees=np.array(doc["degrees"], dtype=int),
-            gram=np.einsum("aij,bji->ab", basis, basis),
-            exponents=tuple(int(m) for m in doc["exponents"]),
-            cartan=np.array(doc["cartan"], dtype=int),
+            basis=np.array(doc["basis"], dtype=float),
+            degrees=_integers(doc["degrees"], "degrees", 1),
+            exponents=tuple(int(m) for m in _integers(doc["exponents"], "exponents", 1)),
+            cartan=_integers(doc["cartan"], "cartan", 2),
             e_coords=np.array(doc["e_coords"], dtype=float),
             h_coords=np.array(doc["h_coords"], dtype=float),
             associative=bool(doc["associative"]),
-            n=None if doc.get("n") is None else int(doc["n"]),
         )
+        stated = {key: int(_integers(doc[key], key, 0)) for key in ("dim", "rank")}
+        if doc.get("n") is not None:     # n may be left out
+            stated["n"] = int(_integers(doc["n"], "n", 0))
     except (KeyError, TypeError, ValueError, OverflowError) as err:
-        # OverflowError: an infinite or out-of-range number where an int belongs
         raise AlgebraError(f"algebra spec parse failure: {err}") from err
-    for field, ndim in (("degrees", 1), ("e_coords", 1), ("h_coords", 1), ("cartan", 2)):
+    for field, ndim in (("basis", 3), ("e_coords", 1), ("h_coords", 1)):
         if getattr(spec, field).ndim != ndim:
             raise AlgebraError(
                 f"algebra spec parse failure: {field} must be an array of {ndim} "
                 f"dimension{'s' if ndim > 1 else ''}")
-    for field in ("basis", "gram", "e_coords", "h_coords"):
+    for field in ("basis", "e_coords", "h_coords"):
         if not np.all(np.isfinite(getattr(spec, field))):
             raise AlgebraError(
                 f"algebra spec parse failure: {field} has non-finite entries")
-    violations = validate_spec(spec)
+    derived = {"dim": spec.dim, "rank": spec.rank, "n": spec.matrix_size}
+    violations = [{"invariant": _STATED[key]} for key, value in stated.items()
+                  if value != derived[key]] or validate_spec(spec)
     if violations:
         raise AlgebraValidationError(spec.name, violations)
     return spec
@@ -776,12 +775,10 @@ def with_rescaled_basis(spec: AlgebraSpec, s: float) -> AlgebraSpec:
     if not (np.isfinite(s) and s > 0):
         raise AlgebraError(f"with_rescaled_basis: scale must be finite and > 0, got {s}")
     r = float(np.sqrt(s))
-    basis = spec.basis * r
     return replace(
         spec,
         name=f"{spec.name}@scale{s:g}",
-        basis=basis,
-        gram=spec.gram * s,
+        basis=spec.basis * r,
         e_coords=spec.e_coords / r,
         h_coords=spec.h_coords / r,
     )

@@ -51,7 +51,7 @@ def expected_rank(alg: AlgebraSpec) -> int:
     For type A the two expressions agree numerically.
     """
     if alg.associative:
-        n = alg.n or alg.matrix_size
+        n = alg.matrix_size
         return n * n + n - 2
     return alg.dim + alg.rank
 
@@ -382,9 +382,8 @@ def check_quadratic_relations(alg: AlgebraSpec, seed: int = 42,
     def xl(j, i):
         return XL[:, at[(j, i)]]
 
-    n = alg.n or alg.matrix_size
     gaps = {1: [], 2: [], 3: []}
-    for i in range(n - 1):
+    for i in range(alg.matrix_size - 1):
         gaps[1].append(block_norms(xq(0, i) - xl(0, i + 1) * 2.0))
         for j in range(1, i + 2):
             gaps[2].append(block_norms(xq(j, i) + xq(j - 1, i) - xl(j, i + 1) * 2.0))

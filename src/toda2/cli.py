@@ -14,7 +14,6 @@ turned into an exit code.  Reports are deterministic for fixed flags.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -29,7 +28,7 @@ from .algebra import (
     describe_violation,
     load_spec,
     save_spec,
-    spec_to_document,
+    spec_to_json,
 )
 from .checks import BATTERY_NAMES, run_battery
 from .flows import (
@@ -86,7 +85,7 @@ def _cmd_algebra_build(args) -> int:
         save_spec(alg, args.out)
         print(f"wrote {args.out}")
     else:
-        print(json.dumps(spec_to_document(alg), indent=2, sort_keys=True))
+        sys.stdout.write(spec_to_json(alg))
     return 0
 
 

@@ -52,7 +52,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import MINUS, PLUS, AlgebraSpec
-from .invariants import family, family_values, require_generator_label
+from .invariants import family_names, family_values, require_generator_label
 from .poisson import CapabilityError, PhaseSpace, PreconditionError
 from .rmatrix import PairPoint
 
@@ -228,8 +228,11 @@ class Trajectory:
     states: np.ndarray                 # (N, 2·dim)
     conserved: np.ndarray              # (N, card)
     conserved_names: tuple[str, ...]
-    truncated: bool = False
-    note: str = ""
+    note: str = ""                     # why the run stopped early, if it did
+
+    @property
+    def truncated(self) -> bool:
+        return bool(self.note)
 
     def conservation_drift(self) -> np.ndarray:
         """Per-function max relative drift |F(t) − F(0)| / (1 + |F(0)|)."""
@@ -472,7 +475,7 @@ def integrate(cfg: FlowConfig, m0: PairPoint, conserved: bool = True) -> Traject
     states = alg.to_coords(stack)
     names, values = (), np.empty((len(states), 0))
     if conserved:
-        names = tuple(F.name for F in family(alg))
+        names = tuple(family_names(alg))
         # the kept states of a run that blew up may still overflow the
         # pencil powers: the report carries the truncation
         with np.errstate(over="ignore", invalid="ignore"):
@@ -483,7 +486,6 @@ def integrate(cfg: FlowConfig, m0: PairPoint, conserved: bool = True) -> Traject
         states=states,
         conserved=values,
         conserved_names=names,
-        truncated=bool(note),
         note=note,
     )
 

@@ -43,6 +43,7 @@ __all__ = [
     "family_values",
     "family_gradient_stack",
     "family_labels",
+    "family_names",
     "rais_vectors",
 ]
 
@@ -140,6 +141,11 @@ def family_labels(alg: AlgebraSpec) -> list[tuple[int, int]]:
     return [(j, i) for i in alg.exponents for j in range(i + 2)]
 
 
+def family_names(alg: AlgebraSpec) -> list[str]:
+    """The names F_{j}_{i} of the family members, in `family_labels` order."""
+    return [f"F_{j}_{i}" for (j, i) in family_labels(alg)]
+
+
 def family(alg: AlgebraSpec) -> list[ScalarFunction]:
     """The full conserved family as ScalarFunctions named F_{j}_{i}.
 
@@ -149,12 +155,12 @@ def family(alg: AlgebraSpec) -> list[ScalarFunction]:
     """
     return [
         ScalarFunction(
-            f"F_{j}_{i}",
+            name,
             lambda m, k=k: family_values(m.alg, m.vec()[None])[0, k],
             lambda m, k=k: PairPoint.from_vec(
                 m.alg, family_gradient_stack(m.alg, m.vec()[None])[0, k]),
         )
-        for k, (j, i) in enumerate(family_labels(alg))
+        for k, name in enumerate(family_names(alg))
     ]
 
 

@@ -68,7 +68,6 @@ from .rmatrix import (
     Point,
     _matvec,
     form_blocks,
-    point_block,
     r_bracket_blocks,
     rr_adjoint_block,
     rr_block,
@@ -113,8 +112,8 @@ class PreconditionError(ValueError):
 
 
 # a Point (rmatrix.Point) is an Element of 𝔤, paired by ⟨·,·⟩, or a PairPoint
-# of 𝔤×𝔤, paired by ⟨·,·⟩₂; both carry vec(), from_vec and from_covector, so
-# the code below serves both
+# of 𝔤×𝔤, paired by ⟨·,·⟩₂; both carry vec() and from_vec, so the code below
+# serves both
 
 
 @dataclass(frozen=True)
@@ -149,9 +148,12 @@ def _block_pairing(alg: AlgebraSpec, k: int) -> np.ndarray:
     return alg.gram if k == 1 else alg.pair_gram
 
 
-def _pairing_matrix(m: Point) -> np.ndarray:
-    """The matrix of the pairing on m.vec()."""
-    return _block_pairing(m.alg, len(point_block(m)))
+def _gradient_blocks(alg: AlgebraSpec, W: np.ndarray) -> np.ndarray:
+    """The pairing gradients of Euclidean covector blocks W (…, k, dim): G⁻¹w
+    on 𝔤 (k = 1), (G⁻¹w_x, −G⁻¹w_y) on 𝔤×𝔤 (k = 2)."""
+    g = _matvec(alg.gram_inv, W)
+    g[..., 1:, :] *= -1.0
+    return g
 
 
 def linear_field(alg: AlgebraSpec, m: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -218,35 +220,47 @@ def _read_only(A: np.ndarray) -> np.ndarray:
 class PhaseSpace:
     """An affine subspace base + span(tangent) of 𝔤 or 𝔤×𝔤 with dual coordinates.
 
-    Points, tangent vectors and gradients share the type of `base`.  The
-    residual, rank and coordinate methods take stacks of coordinate rows
-    (…, D), D = dim 𝔤 or 2·dim 𝔤, as `vec()` gives them; one point is a
-    one-row stack.  `coords`, `normal_covectors` and `sample_points` give the
-    same data as ScalarFunctions and Points.
+    `base` is a point row and the columns of `tangent_matrix` the tangent
+    basis, both in the coordinates (D,) that `vec()` gives, D = dim 𝔤 or
+    2·dim 𝔤; both are read-only.  The residual, rank and coordinate methods
+    take stacks of coordinate rows (…, D); one point is a one-row stack.
+    `coords`, `normal_covectors` and `sample_points` give the same data as
+    ScalarFunctions and Points.
     """
 
     name: str
-    base: Point
-    tangent: tuple[Point, ...]
+    alg: AlgebraSpec
+    base: np.ndarray              # (D,)
+    tangent_matrix: np.ndarray    # (D, dim)
 
-    @property
-    def alg(self) -> AlgebraSpec:
-        return self.base.alg
+    def __post_init__(self):
+        _read_only(self.base)
+        _read_only(self.tangent_matrix)
 
     @property
     def dim(self) -> int:
-        return len(self.tangent)
+        return self.tangent_matrix.shape[1]
 
-    @cached_property
-    def tangent_matrix(self) -> np.ndarray:
-        T = np.stack([t.vec() for t in self.tangent], axis=1)
-        if np.linalg.matrix_rank(T) < T.shape[1]:
-            raise AlgebraError(f"{self.name}: tangent vectors are linearly dependent")
-        return _read_only(T)
+    @property
+    def _blocks(self) -> int:
+        # k = 1 on 𝔤, 2 on 𝔤×𝔤
+        return len(self.base) // self.alg.dim
+
+    def _points(self, rows) -> list:
+        point = Element if self._blocks == 1 else PairPoint
+        return [point.from_vec(self.alg, v) for v in rows]
+
+    def _gradient_rows(self, W: np.ndarray) -> np.ndarray:
+        """Rows vec(∇) of the gradients of Euclidean covector rows W (r, D)."""
+        G = _gradient_blocks(self.alg, W.reshape(len(W), self._blocks, self.alg.dim))
+        return _read_only(G.reshape(W.shape))
 
     @cached_property
     def _pinv(self) -> np.ndarray:
-        return _read_only(np.linalg.pinv(self.tangent_matrix))
+        T = self.tangent_matrix
+        if np.linalg.matrix_rank(T) < T.shape[1]:
+            raise AlgebraError(f"{self.name}: tangent vectors are linearly dependent")
+        return _read_only(np.linalg.pinv(T))
 
     @cached_property
     def duals(self) -> np.ndarray:
@@ -257,32 +271,26 @@ class PhaseSpace:
     def coord_gradients(self) -> np.ndarray:
         """Read-only rows vec(∇ζ_a), shape (dim, D): the gradients of the
         coordinate functions, the same at every point."""
-        point = type(self.base)
-        return _read_only(np.stack(
-            [point.from_covector(self.alg, d.copy()).vec() for d in self.duals.T]))
+        return self._gradient_rows(self._pinv)
 
     @cached_property
     def normal_gradients(self) -> np.ndarray:
         """Read-only rows: gradients of a dual basis of the normal directions."""
         T = self.tangent_matrix
         u, s, vt = np.linalg.svd(T, full_matrices=True)
-        N = u[:, T.shape[1]:]  # orthonormal basis of the Euclidean complement
-        point = type(self.base)
-        rows = [point.from_covector(self.alg, N[:, j]).vec() for j in range(N.shape[1])]
-        return _read_only(np.stack(rows) if rows else np.zeros((0, T.shape[0])))
+        # an orthonormal basis of the Euclidean complement, one row each
+        return self._gradient_rows(u[:, T.shape[1]:].T)
 
     @cached_property
     def coords(self) -> tuple[ScalarFunction, ...]:
         """Coordinate functions ζ_a dual to the tangent basis (constant gradients)."""
-        alg, base_vec, point = self.alg, self.base.vec(), type(self.base)
         out = []
-        for a in range(self.dim):
+        for a, grad in enumerate(self._points(self.coord_gradients)):
             d = self.duals[:, a].copy()
-            grad = point.from_vec(alg, self.coord_gradients[a])
             out.append(
                 ScalarFunction(
                     f"{self.name}[{a}]",
-                    lambda m, d=d, b=base_vec: float(d @ (m.vec() - b)),
+                    lambda m, d=d: float(d @ (m.vec() - self.base)),
                     lambda m, g=grad: g,
                 )
             )
@@ -291,8 +299,7 @@ class PhaseSpace:
     @cached_property
     def normal_covectors(self) -> tuple[Point, ...]:
         """Gradients of a dual basis of the normal directions, as Points."""
-        point = type(self.base)
-        return tuple(point.from_vec(self.alg, row) for row in self.normal_gradients)
+        return tuple(self._points(self.normal_gradients))
 
     def normal_residuals(self, V: np.ndarray) -> np.ndarray:
         """Size of the component transverse to the tangent space of every
@@ -302,7 +309,7 @@ class PhaseSpace:
 
     def membership_residuals(self, V: np.ndarray) -> np.ndarray:
         """Distance-like residual of every point row of V (…, D) from the space."""
-        return self.normal_residuals(V - self.base.vec())
+        return self.normal_residuals(V - self.base)
 
     def require_members(self, V: np.ndarray) -> None:
         """PreconditionError naming the first point row of V (S, D) off the space."""
@@ -320,11 +327,11 @@ class PhaseSpace:
         one product of the stacked gradients with the tangent matrix, then one
         stacked SVD.
         """
-        return numerical_ranks(G @ _pairing_matrix(self.base) @ self.tangent_matrix)
+        return numerical_ranks(G @ _block_pairing(self.alg, self._blocks) @ self.tangent_matrix)
 
     def points_from_coords(self, U: np.ndarray) -> np.ndarray:
         """Point rows base + T·u for coordinate rows U (…, dim)."""
-        return self.base.vec() + _matvec(self.tangent_matrix, np.asarray(U, dtype=float))
+        return self.base + _matvec(self.tangent_matrix, np.asarray(U, dtype=float))
 
     def sample_stack(self, seed: int, count: int) -> np.ndarray:
         """`count` seeded point rows (count, D), coordinates uniform in [−1, 1]."""
@@ -332,23 +339,16 @@ class PhaseSpace:
         return self.points_from_coords(rng.uniform(-1.0, 1.0, (count, self.dim)))
 
     def sample_points(self, seed: int, count: int) -> list[Point]:
-        point = type(self.base)
-        return [point.from_vec(self.alg, v) for v in self.sample_stack(seed, count)]
+        return self._points(self.sample_stack(seed, count))
 
 
 def phase_tp(alg: AlgebraSpec) -> PhaseSpace:
     """T_P = 𝔤_{≤0} × 𝔤_{≥−1} + (e, 0), the 2-Toda phase space, built once per spec."""
 
     def build():
-        zero = alg.zero()
-        tangent = [
-            PairPoint(Element(alg, v), zero)
-            for v in np.eye(alg.dim)[alg.mask("<=0")]
-        ] + [
-            PairPoint(zero, Element(alg, v))
-            for v in np.eye(alg.dim)[alg.mask(">=-1")]
-        ]
-        return PhaseSpace("T_P", PairPoint(alg.e, zero), tuple(tangent))
+        free = np.concatenate([alg.mask("<=0"), alg.mask(">=-1")])
+        base = np.concatenate([alg.e.coords, np.zeros(alg.dim)])
+        return PhaseSpace("T_P", alg, base, np.eye(2 * alg.dim)[:, free])
 
     return alg.memo("T_P", build)
 
@@ -360,11 +360,9 @@ def phase_tp(alg: AlgebraSpec) -> PhaseSpace:
 
 @dataclass(frozen=True, eq=False)
 class PoissonMatrixAt:
-    point: PairPoint
     matrix: np.ndarray
-    which: str
-    corrected: bool = False          # True iff a Dirac correction was applied
-    invariance_defect: float = 0.0   # max |{ζ, χ}| against normal coordinates
+    corrected: bool            # True iff a Dirac correction was applied
+    invariance_defect: float   # max |{ζ, χ}| against normal coordinates
 
     def __post_init__(self):
         skew = np.abs(self.matrix + self.matrix.T).max()
@@ -429,7 +427,7 @@ def poisson_matrices(ps: PhaseSpace, V: np.ndarray, which: str = "linear"):
 def poisson_matrix(ps: PhaseSpace, m: PairPoint, which: str = "linear") -> PoissonMatrixAt:
     """`poisson_matrices` at one point."""
     M, corrected, defect = poisson_matrices(ps, m.vec()[None], which)
-    return PoissonMatrixAt(point=m, matrix=M[0], which=which, corrected=bool(corrected[0]),
+    return PoissonMatrixAt(matrix=M[0], corrected=bool(corrected[0]),
                            invariance_defect=float(defect[0]))
 
 

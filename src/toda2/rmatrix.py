@@ -67,12 +67,6 @@ class PairPoint:
         v = np.asarray(v, dtype=float)
         return PairPoint(Element(alg, v[: alg.dim].copy()), Element(alg, v[alg.dim:].copy()))
 
-    @staticmethod
-    def from_covector(alg: AlgebraSpec, w: np.ndarray) -> "PairPoint":
-        """The ⟨·,·⟩₂-gradient (G⁻¹w_x, −G⁻¹w_y) of a Euclidean covector w."""
-        gi = alg.gram_inv
-        return PairPoint(Element(alg, gi @ w[: alg.dim]), Element(alg, -(gi @ w[alg.dim:])))
-
     def norm(self) -> float:
         return float(np.abs(self.vec()).max()) if self.alg.dim else 0.0
 

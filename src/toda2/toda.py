@@ -27,7 +27,7 @@ from .flows import entry_mask, field_rows, lax_field, projected_partner, rk4_sta
 from .invariants import family_labels, family_values, trace_gradients, trace_values
 from .poisson import PhaseSpace, bracket_tables, linear_field
 from .reports import CheckReport, worst
-from .rmatrix import PairPoint, _matvec, block_norms
+from .rmatrix import _matvec, block_norms
 
 __all__ = [
     "toda_space",
@@ -43,11 +43,8 @@ def toda_space(alg: AlgebraSpec) -> PhaseSpace:
     """The affine space T_T = 𝔤₋₁ ⊕ 𝔤₀ + e inside a single algebra, built once per spec."""
 
     def build():
-        tangent = tuple(
-            Element(alg, v)
-            for v in np.eye(alg.dim)[alg.mask(">=-1") & alg.mask("<=0")]
-        )
-        return PhaseSpace("T_T", alg.e, tangent)
+        free = alg.mask(">=-1") & alg.mask("<=0")
+        return PhaseSpace("T_T", alg, alg.e.coords, np.eye(alg.dim)[:, free])
 
     return alg.memo("T_T", build)
 
@@ -56,8 +53,9 @@ def diag_phase_space(alg: AlgebraSpec) -> PhaseSpace:
     """T_T′ = Δ(𝔤₋₁⊕𝔤₀) + (e, e), the diagonal image of T_T inside 𝔤×𝔤, built once per spec."""
 
     def build():
-        tangent = tuple(PairPoint(t, t) for t in toda_space(alg).tangent)
-        return PhaseSpace("T_T'", PairPoint(alg.e, alg.e), tangent)
+        ts = toda_space(alg)
+        return PhaseSpace("T_T'", alg, np.concatenate([ts.base, ts.base]),
+                          np.concatenate([ts.tangent_matrix, ts.tangent_matrix]))
 
     return alg.memo("T_T'", build)
 

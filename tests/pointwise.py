@@ -21,9 +21,9 @@ import numpy as np
 
 from toda2 import Element, FlowConfig, PairPoint, ScalarFunction, form, form2
 from toda2.flows import Trajectory, _named_field, field_rows, rk4_states
-from toda2.invariants import family, family_values
+from toda2.invariants import family_names, family_values
 from toda2.invariants import pullback_gradients, trace_gradients, trace_values
-from toda2.poisson import _block_field
+from toda2.poisson import _block_field, _gradient_blocks
 from toda2.rmatrix import point_block
 
 FD_STEP = 1e-5
@@ -51,7 +51,8 @@ def gradient2(F, m, step=FD_STEP):
     """Gradient of F at m: analytic when available, else central differences."""
     if F.gradient is not None:
         return F.gradient(m)
-    return type(m).from_covector(m.alg, _fd_partials(F, m, step))
+    partials = _fd_partials(F, m, step).reshape(point_block(m).shape)
+    return type(m).from_vec(m.alg, _gradient_blocks(m.alg, partials).ravel())
 
 
 def field_at(which, m, g):
@@ -138,7 +139,8 @@ def rk4_trajectory(cfg, m0):
     states = alg.to_coords(stack[:-1] if truncated else stack)
     return Trajectory(alg=alg, times=np.arange(len(states)) * cfg.dt, states=states,
                       conserved=family_values(alg, states),
-                      conserved_names=tuple(F.name for F in family(alg)), truncated=truncated)
+                      conserved_names=tuple(family_names(alg)),
+                      note="non-finite state; trajectory truncated" if truncated else "")
 
 
 def sequential_commutation(m0, dt, n_steps):

@@ -25,6 +25,15 @@ def test_algebra_build_writes_loadable_spec(tmp_path, capsys):
     assert alg.name == "gl2" and alg.associative
 
 
+def test_algebra_build_prints_what_it_writes(tmp_path, capsys):
+    for token in ("sl3", "gl2"):
+        out = tmp_path / f"{token}.json"
+        assert main(["algebra", "build", token, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["algebra", "build", token]) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
 def test_algebra_validate(capsys, tmp_path):
     assert main(["algebra", "validate", "sl3"]) == 0
     assert "invariants hold" in capsys.readouterr().out

@@ -19,7 +19,7 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toda2 import build_sl, spec_to_document
+from toda2 import build_gl, build_sl, spec_to_document
 from toda2.cli import main
 
 SL2_DOC = spec_to_document(build_sl(2))
@@ -110,6 +110,53 @@ def test_malformed_spec_documents_keep_the_exit_code_contract(doc, samples):
         path.write_text(json.dumps(doc))
         assert exit_code(["algebra", "validate", str(path)]) in (0, 1, 2)
         assert exit_code(["check", "rais", "--algebra", str(path), "--samples", samples]) in (0, 1, 2)
+
+
+def run_on_document(doc, argv, capsys):
+    """main(argv + [path]) on doc written to a file: (exit code, stdout, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_text(json.dumps(doc))
+        code = main(argv + [str(path)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_a_stated_matrix_size_must_match_the_basis(capsys):
+    # gl3 stated as n = 4 would expect the rank of gl4 (18, measured 10)
+    doc = {**spec_to_document(build_gl(3)), "n": 4}
+    code, out, err = run_on_document(doc, ["check", "rank", "--algebra"], capsys)
+    assert code == 2 and "matrix-size" in err and out == ""
+    code, out, _ = run_on_document(doc, ["algebra", "validate"], capsys)
+    assert code == 1 and out == "violated: matrix-size\n"
+    # n may be left out, or null
+    for stated in ({}, {"n": None}):
+        doc = {k: v for k, v in SL2_DOC.items() if k != "n"} | stated
+        assert run_on_document(doc, ["algebra", "validate"], capsys)[0] == 0
+
+
+def test_a_stated_dim_or_rank_must_match_basis_and_exponents(capsys):
+    for field, value, invariant in (("dim", 4, "basis-shape"), ("rank", 2, "exponents-length")):
+        doc = {**SL2_DOC, field: value}
+        code, out, _ = run_on_document(doc, ["algebra", "validate"], capsys)
+        assert code == 1 and out == f"violated: {invariant}\n"
+        code, _, err = run_on_document(doc, ["check", "rais", "--algebra"], capsys)
+        assert code == 2 and invariant in err
+
+
+def test_a_basis_of_one_or_two_axes_is_a_parse_failure(capsys):
+    for basis in ([1.0, 0.0, 0.0], [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]):
+        code, _, err = run_on_document({**SL2_DOC, "basis": basis}, ["algebra", "validate"],
+                                       capsys)
+        assert code == 2 and "parse failure: basis" in err
+
+
+def test_integer_fields_are_refused_not_truncated(capsys):
+    for field, value in (("degrees", [1.5, -1, 0]), ("exponents", [1.9]), ("dim", 3.7),
+                         ("n", "2"), ("rank", True), ("cartan", [[2.0]])):
+        code, _, err = run_on_document({**SL2_DOC, field: value}, ["algebra", "validate"],
+                                       capsys)
+        assert code == 2 and f"parse failure: {field} must be" in err, field
 
 
 # step sizes and horizons that make a few steps, often enough to be drawn, and

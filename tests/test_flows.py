@@ -227,7 +227,7 @@ def test_blowup_is_truncated_from_nearby_starts(gl2):
     ps = phase_tp(gl2)
     rng = np.random.default_rng(0)
     cfg = FlowConfig(field="quadratic", i=1, lam=0.0, dt=0.05, T=3.0)
-    u_seed = ps.duals.T @ (seed_point(gl2).vec() - ps.base.vec())
+    u_seed = ps.duals.T @ (seed_point(gl2).vec() - ps.base)
     for u0 in (u_seed, 40.0 * np.ones(ps.dim)):
         for _ in range(12):
             u = u0 * (1.0 + 1e-14 * rng.standard_normal(u0.shape))

@@ -34,9 +34,9 @@ def test_toda_space_dimensions(desk_algebras):
     for alg in desk_algebras.values():
         ts = toda_space(alg)
         if alg.associative:
-            assert ts.dim == 2 * alg.n - 1
+            assert ts.dim == 2 * alg.matrix_size - 1
         else:
-            assert ts.dim == 2 * (alg.n - 1)
+            assert ts.dim == 2 * (alg.matrix_size - 1)
         for x in ts.sample_points(seed=0, count=3):
             assert ts.membership_residuals(x.vec()) < 1e-12
             # superdiagonal stays pinned at the unit Jacobi shape
@@ -50,12 +50,13 @@ def test_toda_space_is_a_phase_space_of_elements(sl3, gl3):
         ts = toda_space(alg)
         assert isinstance(ts, PhaseSpace) and ts.alg is alg
         x = ts.sample_points(seed=0, count=1)[0]
-        G = np.array([[form(z.gradient(x), t) for t in ts.tangent] for z in ts.coords])
+        tangent = [Element(alg, t) for t in ts.tangent_matrix.T]
+        G = np.array([[form(z.gradient(x), t) for t in tangent] for z in ts.coords])
         assert np.allclose(G, np.eye(ts.dim), atol=1e-13)
-        u = ts.duals.T @ (x.vec() - ts.base.vec())   # coordinates of x
+        u = ts.duals.T @ (x.vec() - ts.base)   # coordinates of x
         assert np.allclose(u, [z(x) for z in ts.coords], atol=1e-13)
         for nv in ts.normal_covectors:
-            assert max(abs(form(nv, t)) for t in ts.tangent) < 1e-13
+            assert max(abs(form(nv, t)) for t in tangent) < 1e-13
 
 
 def test_element_gradient2_fd_matches_analytic(sl3, gl3):

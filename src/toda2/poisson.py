@@ -453,13 +453,13 @@ class RankSweep:
 
     rank: int
     points: int
-    sv_gap: float              # min over points of σ_r/σ_{r+1}, r the point's rank
+    sv_margin: float           # min over points of σ_r/(σ_1·size·_RANK_REL), r the point's rank
     corrected: int             # points whose matrix needed the Dirac correction
     invariance_defect: float   # max |{ζ, χ}| over the sweep
 
     @property
     def evidence(self) -> str:
-        return (f"sv gap min {self.sv_gap:.3e}, Dirac-corrected points "
+        return (f"sv margin min {self.sv_margin:.3e}, Dirac-corrected points "
                 f"{self.corrected}/{self.points}, invariance defect max "
                 f"{self.invariance_defect:.3e}")
 
@@ -469,18 +469,20 @@ def rank_sweep(ps: PhaseSpace, which: str = "linear", seed: int = 42,
     """Max rank over seeded sample points (rank is lower semicontinuous), from
     one stacked Poisson-matrix call and one stacked SVD.
 
-    The gap at a point of rank r is σ_r/σ_{r+1} (σ_0 = ∞, σ_{n+1} = 0, and a
-    zero σ_{r+1} reads as the smallest positive float).
+    The margin at a point of rank r is σ_r/(σ_1·size·_RANK_REL): how far the
+    smallest counted singular value clears the rank cut (σ_0 = ∞, so a zero
+    matrix has margin ∞).  Unlike σ_r/σ_{r+1} it does not read the roundoff
+    σ_{r+1}.
     """
     M, corrected, defect = poisson_matrices(ps, ps.sample_stack(seed, points), which)
     sv = np.linalg.svd(M, compute_uv=False)
     ranks = _ranks(sv, M.shape[-1])
     S = len(sv)
-    padded = np.concatenate([np.full((S, 1), np.inf), sv, np.zeros((S, 1))], axis=1)
-    r = ranks[:, None]
-    gaps = np.take_along_axis(padded, r, 1) / np.maximum(
-        np.take_along_axis(padded, r + 1, 1), np.finfo(float).tiny)
-    return RankSweep(rank=int(ranks.max()), points=points, sv_gap=float(gaps.min()),
+    padded = np.concatenate([np.full((S, 1), np.inf), sv], axis=1)
+    smallest = np.take_along_axis(padded, ranks[:, None], 1)[:, 0]
+    margins = np.divide(smallest, sv[:, 0] * M.shape[-1] * _RANK_REL,
+                        out=np.full(S, np.inf), where=ranks > 0)
+    return RankSweep(rank=int(ranks.max()), points=points, sv_margin=float(margins.min()),
                      corrected=int(corrected.sum()), invariance_defect=float(defect.max()))
 
 

@@ -709,9 +709,7 @@ def _integers(value, field: str, ndim: int) -> np.ndarray:
     not truncated."""
     a = np.asarray(value)
     if a.dtype.kind != "i" or a.ndim != ndim:
-        raise ValueError(f"{field} must be an integer" if ndim == 0 else
-                         f"{field} must be an array of integers of {ndim} "
-                         f"dimension{'s' if ndim > 1 else ''}")
+        raise ValueError(f"{field} must be {ndim}-dimensional and hold integers")
     return a.astype(int)
 
 

@@ -33,8 +33,8 @@ Bracket values are the pairing of a gradient with a field (`form_blocks`);
 `rank_sweep` is one stacked matrix call and one stacked SVD.  `poisson_matrix`
 is `poisson_matrices` at one point.
 
-Affine phase spaces (T_P and friends in 𝔤×𝔤, T_T in 𝔤) are a base point plus
-a tangent basis; their coordinate functions are Euclidean duals of the tangent
+Affine phase spaces (T_P and friends in 𝔤×𝔤, T_T in 𝔤) are a base row plus
+a tangent matrix; their coordinate functions are Euclidean duals of the tangent
 vectors.  For the linear bracket these spaces are genuine Poisson
 submanifolds, so the matrix of coordinate brackets is the restricted
 structure.  The quadratic bracket does not leave the 2-Toda phase space
@@ -56,7 +56,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import (
-    AlgebraError,
     AlgebraSpec,
     Element,
     bracket_blocks,
@@ -257,10 +256,7 @@ class PhaseSpace:
 
     @cached_property
     def _pinv(self) -> np.ndarray:
-        T = self.tangent_matrix
-        if np.linalg.matrix_rank(T) < T.shape[1]:
-            raise AlgebraError(f"{self.name}: tangent vectors are linearly dependent")
-        return _read_only(np.linalg.pinv(T))
+        return _read_only(np.linalg.pinv(self.tangent_matrix))
 
     @cached_property
     def duals(self) -> np.ndarray:
@@ -470,18 +466,15 @@ def rank_sweep(ps: PhaseSpace, which: str = "linear", seed: int = 42,
     one stacked Poisson-matrix call and one stacked SVD.
 
     The margin at a point of rank r is σ_r/(σ_1·size·_RANK_REL): how far the
-    smallest counted singular value clears the rank cut (σ_0 = ∞, so a zero
-    matrix has margin ∞).  Unlike σ_r/σ_{r+1} it does not read the roundoff
-    σ_{r+1}.
+    smallest counted singular value clears the rank cut (∞ at rank 0).
+    Unlike σ_r/σ_{r+1} it does not read the roundoff σ_{r+1}.
     """
     M, corrected, defect = poisson_matrices(ps, ps.sample_stack(seed, points), which)
     sv = np.linalg.svd(M, compute_uv=False)
     ranks = _ranks(sv, M.shape[-1])
-    S = len(sv)
-    padded = np.concatenate([np.full((S, 1), np.inf), sv], axis=1)
-    smallest = np.take_along_axis(padded, ranks[:, None], 1)[:, 0]
+    smallest = np.take_along_axis(sv, np.maximum(ranks, 1)[:, None] - 1, 1)[:, 0]   # σ_r
     margins = np.divide(smallest, sv[:, 0] * M.shape[-1] * _RANK_REL,
-                        out=np.full(S, np.inf), where=ranks > 0)
+                        out=np.full(len(sv), np.inf), where=ranks > 0)
     return RankSweep(rank=int(ranks.max()), points=points, sv_margin=float(margins.min()),
                      corrected=int(corrected.sum()), invariance_defect=float(defect.max()))
 

@@ -25,9 +25,9 @@ import numpy as np
 from .algebra import PLUS, AlgebraSpec, Element
 from .flows import entry_mask, field_rows, lax_field, projected_partner, rk4_states, whole_steps
 from .invariants import family_labels, family_values, trace_gradients, trace_values
-from .poisson import PhaseSpace, bracket_tables, linear_field
+from .poisson import PhaseSpace, _gradient_blocks, bracket_tables, linear_field
 from .reports import CheckReport, worst
-from .rmatrix import _matvec, block_norms
+from .rmatrix import block_norms
 
 __all__ = [
     "toda_space",
@@ -115,7 +115,7 @@ def toda_suite(alg: AlgebraSpec, seed: int = 42) -> list:
 
     # T_T is a Poisson submanifold: every Hamiltonian field is tangent to it;
     # the fields of the basis coordinates x ↦ x_a = ⟨G⁻¹e_a, x⟩ span them all
-    coords = _matvec(alg.gram_inv, np.eye(alg.dim))[:, None]     # gradients G⁻¹e_a
+    coords = _gradient_blocks(alg, np.eye(alg.dim)[:, None])     # gradients G⁻¹e_a
     fields = linear_field(alg, X[:5, None, None], coords)
     residual = worst(ts.normal_residuals(fields[..., 0, :]))
     reports.append(CheckReport.below("toda-submanifold", "toda-space-poisson-submanifold",

@@ -157,7 +157,7 @@ def test_rank_evidence_is_in_the_rank_reports(gl3, sl3):
     assert "Dirac-corrected points 0/25" in lin.detail
     for r in (quad, lin):
         margin = float(r.detail.split("sv margin min ")[1].split(",")[0])
-        assert margin > 1e3    # the smallest counted σ clears the rank cut widely
+        assert margin > 1e6    # the smallest counted σ clears the rank cut widely
         assert "invariance defect max " in r.detail
 
 

@@ -7,15 +7,17 @@ pair (e, h) normalised so that [h, e] = 2e.  Degrees come from the matrix
 diagonal: the elementary matrix E_ij sits in degree j − i, so 𝔤₀ is the
 diagonal (Cartan) part, 𝔤₁ the first superdiagonal, and so on.
 
-Everything downstream (projections, R-matrices, Poisson brackets) reduces to
-coordinate masks, the structure constants and the matrices of the basis
+The paper's one splitting 𝔤 = 𝔤_{≥0} ⊕ 𝔤_{<0} is read off `degrees` by
+integer comparison: R = P₊ − P₋ is the sign vector `splitting_signs`, and
+since the form pairs 𝔤_k only with 𝔤_{−k}, R* = P_{≤0} − P_{>0}.  Everything
+downstream (projections, R-matrices, Poisson brackets) reduces to these
+degree comparisons, the structure constants and the matrices of the basis
 cached here.  On an associative spec (gl) the product of coordinate arrays is
 the product of their matrices (`mult_blocks`).
 """
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -40,7 +42,6 @@ __all__ = [
     "spec_to_json",
     "validate_spec",
     "describe_violation",
-    "parse_region",
 ]
 
 
@@ -67,41 +68,10 @@ def describe_violation(v: dict) -> str:
     return text
 
 
-# --------------------------------------------------------------------------
-# degree regions
-# --------------------------------------------------------------------------
-
-_REGION_RE = re.compile(r"\s*(>=|<=|==|=|<|>)\s*(-?\d+)\s*$")
-
-
-def parse_region(region: str) -> tuple[str, int]:
-    """Parse a degree predicate like ``'>=0'``, ``'<0'``, ``'=2'``."""
-    m = _REGION_RE.match(region)
-    if m is None:
-        raise AlgebraError(f"cannot parse degree region {region!r}")
-    op, k = m.group(1), int(m.group(2))
-    if op == "==":
-        op = "="
-    return op, k
-
-
-_OPS = {
-    ">=": lambda d, k: d >= k,
-    "<=": lambda d, k: d <= k,
-    "<": lambda d, k: d < k,
-    ">": lambda d, k: d > k,
-    "=": lambda d, k: d == k,
-}
-
-
-# the paper's splitting 𝔤 = 𝔤_{≥0} ⊕ 𝔤_{<0}: R = P₊ − P₋, the t-flow partner
-# Π₊L and the s-flow partner Π₋M all read these two regions
-PLUS, MINUS = ">=0", "<0"
-
-
-def degree_mask(degrees: np.ndarray, region: str) -> np.ndarray:
-    op, k = parse_region(region)
-    return _OPS[op](degrees, k)
+def read_only(A: np.ndarray) -> np.ndarray:
+    """A, made read-only: cached arrays are shared by every caller."""
+    A.flags.writeable = False
+    return A
 
 
 # --------------------------------------------------------------------------
@@ -182,9 +152,7 @@ class AlgebraSpec:
     def pair_gram(self) -> np.ndarray:
         """Read-only matrix diag(G, −G) of ⟨·,·⟩₂ on 𝔤×𝔤 coordinates, cached:
         every bracket table and Jacobian rank on 𝔤×𝔤 pairs through it."""
-        P = np.kron(np.diag([1.0, -1.0]), self.gram)
-        P.flags.writeable = False
-        return P
+        return read_only(np.kron(np.diag([1.0, -1.0]), self.gram))
 
     @cached_property
     def identity_coords(self) -> np.ndarray:
@@ -274,9 +242,8 @@ class AlgebraSpec:
         """Read-only dim×n² matrix of ĝ from flattened matrices to coordinates,
         G⁻¹·[Tr(b_a ·)], cached: family gradients and the linear pencil field
         apply it at every point."""
-        P = np.linalg.solve(self.gram, self.basis.transpose(0, 2, 1).reshape(self.dim, -1))
-        P.flags.writeable = False
-        return P
+        return read_only(np.linalg.solve(self.gram,
+                                         self.basis.transpose(0, 2, 1).reshape(self.dim, -1)))
 
     def ad(self, x: "Element") -> np.ndarray:
         """Matrix of ad_x in basis coordinates: (ad_x)_{cb} = Σ_a x_a C[a,b,c]."""
@@ -288,29 +255,20 @@ class AlgebraSpec:
 
     def memo(self, key, build):
         """build(), computed once per spec and key and kept; an array result is
-        made read-only.  Masks, entry masks and phase spaces are derived data of
-        the spec, asked for at every bracket or battery.  A build that raises
+        made read-only.  Entry masks and phase spaces are derived data of the
+        spec, asked for at every flow or battery.  A build that raises
         stores nothing, so it raises again on every call."""
         table = self._memo_table
         if key not in table:
             value = build()
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            table[key] = value
+            table[key] = read_only(value) if isinstance(value, np.ndarray) else value
         return table[key]
-
-    def mask(self, region: str) -> np.ndarray:
-        """Read-only mask of the basis vectors whose degree lies in `region`,
-        cached: R and the projections ask for the same regions at every bracket."""
-        return self.memo(("mask", region), lambda: degree_mask(self.degrees, region))
 
     @cached_property
     def splitting_signs(self) -> np.ndarray:
-        """Read-only ±1 per basis vector, +1 on 𝔤_{≥0} (`PLUS`) and −1 on 𝔤_{<0},
-        cached: the diagonal of R = P₊ − P₋, read at every R and R* application."""
-        S = np.where(self.mask(PLUS), 1.0, -1.0)
-        S.flags.writeable = False
-        return S
+        """Read-only ±1 per basis vector, +1 on 𝔤_{≥0} and −1 on 𝔤_{<0}, cached:
+        the diagonal of R = P₊ − P₋, read at every R application."""
+        return read_only(np.where(self.degrees >= 0, 1.0, -1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,9 +347,9 @@ def form(x: Element, y: Element) -> float:
     return float(x.coords @ x.alg.gram @ y.coords)
 
 
-def project(x: Element, region: str) -> Element:
-    """Projection onto the span of basis vectors whose degree satisfies `region`."""
-    return Element(x.alg, np.where(x.alg.mask(region), x.coords, 0.0))
+def project(x: Element, plus: bool) -> Element:
+    """Projection onto 𝔤_{≥0} (plus) or onto 𝔤_{<0}."""
+    return Element(x.alg, np.where((x.alg.degrees >= 0) == plus, x.coords, 0.0))
 
 
 def mult(x: Element, y: Element) -> Element:
@@ -704,13 +662,24 @@ def save_spec(spec: AlgebraSpec, path) -> None:
 _STATED = {"dim": "basis-shape", "rank": "exponents-length", "n": "matrix-size"}
 
 
-def _integers(value, field: str, ndim: int) -> np.ndarray:
-    """An integer field of the document; a float, string or bool is refused,
-    not truncated."""
-    a = np.asarray(value)
-    if a.dtype.kind != "i" or a.ndim != ndim:
-        raise ValueError(f"{field} must be {ndim}-dimensional and hold integers")
-    return a.astype(int)
+def _numbers(value, field: str, ndim: int, kind: type) -> np.ndarray:
+    """A number field of the document as an ndim-dimensional array of `kind`.
+
+    An int field takes JSON integers only and a float field JSON numbers only:
+    a string, bool or null is refused rather than converted, a float rather
+    than truncated, and a non-finite float rather than kept.
+    """
+    a, allowed = np.array(value, dtype=object), (int,) if kind is int else (int, float)
+    if a.ndim != ndim or any(isinstance(v, bool) or not isinstance(v, allowed) for v in a.flat):
+        raise ValueError(f"{field} must be {ndim}-dimensional and hold "
+                         f"{'integers' if kind is int else 'numbers'}")
+    try:
+        a = a.astype(kind)
+    except OverflowError:
+        raise ValueError(f"{field} holds a number out of range") from None
+    if not np.isfinite(a).all():
+        raise ValueError(f"{field} has non-finite entries")
+    return a
 
 
 def load_spec(source) -> AlgebraSpec:
@@ -732,30 +701,23 @@ def load_spec(source) -> AlgebraSpec:
         except json.JSONDecodeError as err:
             raise AlgebraError(f"algebra spec parse failure: {err}") from err
     try:
+        if not isinstance(doc["associative"], bool):
+            raise ValueError("associative must be true or false")
         spec = AlgebraSpec(
             name=str(doc["name"]),
-            basis=np.array(doc["basis"], dtype=float),
-            degrees=_integers(doc["degrees"], "degrees", 1),
-            exponents=tuple(int(m) for m in _integers(doc["exponents"], "exponents", 1)),
-            cartan=_integers(doc["cartan"], "cartan", 2),
-            e_coords=np.array(doc["e_coords"], dtype=float),
-            h_coords=np.array(doc["h_coords"], dtype=float),
-            associative=bool(doc["associative"]),
+            basis=_numbers(doc["basis"], "basis", 3, float),
+            degrees=_numbers(doc["degrees"], "degrees", 1, int),
+            exponents=tuple(int(m) for m in _numbers(doc["exponents"], "exponents", 1, int)),
+            cartan=_numbers(doc["cartan"], "cartan", 2, int),
+            e_coords=_numbers(doc["e_coords"], "e_coords", 1, float),
+            h_coords=_numbers(doc["h_coords"], "h_coords", 1, float),
+            associative=doc["associative"],
         )
-        stated = {key: int(_integers(doc[key], key, 0)) for key in ("dim", "rank")}
+        stated = {key: int(_numbers(doc[key], key, 0, int)) for key in ("dim", "rank")}
         if doc.get("n") is not None:     # n may be left out
-            stated["n"] = int(_integers(doc["n"], "n", 0))
+            stated["n"] = int(_numbers(doc["n"], "n", 0, int))
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise AlgebraError(f"algebra spec parse failure: {err}") from err
-    for field, ndim in (("basis", 3), ("e_coords", 1), ("h_coords", 1)):
-        if getattr(spec, field).ndim != ndim:
-            raise AlgebraError(
-                f"algebra spec parse failure: {field} must be an array of {ndim} "
-                f"dimension{'s' if ndim > 1 else ''}")
-    for field in ("basis", "e_coords", "h_coords"):
-        if not np.all(np.isfinite(getattr(spec, field))):
-            raise AlgebraError(
-                f"algebra spec parse failure: {field} has non-finite entries")
     derived = {"dim": spec.dim, "rank": spec.rank, "n": spec.matrix_size}
     violations = [{"invariant": _STATED[key]} for key, value in stated.items()
                   if value != derived[key]] or validate_spec(spec)

@@ -161,27 +161,21 @@ def _cmd_flow_commutation(args) -> int:
     )], args)
 
 
-def _count(text: str) -> int:
-    """An argparse type: a whole number ≥ 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a whole number, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _whole(least: int, most: float):
+    """An argparse type: a whole number from `least` to `most`."""
 
-
-def _count_up_to(limit: int):
-    """An argparse type: a whole number from 1 to `limit`."""
-
-    def count(text: str) -> int:
-        value = _count(text)
-        if value > limit:
-            raise argparse.ArgumentTypeError(f"must be at most {limit}, got {value}")
+    def whole(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be a whole number, got {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        if value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
         return value
 
-    return count
+    return whole
 
 
 def _tolerance(text: str) -> float:
@@ -197,7 +191,7 @@ def _tolerance(text: str) -> float:
 
 
 def _add_report_flags(p: argparse.ArgumentParser, tol: float | None) -> None:
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_whole(0, math.inf), default=42)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="write the report to this file instead of stdout")
     p.add_argument("--tol", type=_tolerance, default=tol,
@@ -225,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("name", choices=sorted(BATTERY_NAMES) + ["all"])
     c.add_argument("--algebra", action="append", default=None,
                    help="builtin name or spec path; repeatable (default sl2)")
-    c.add_argument("--samples", type=_count_up_to(MAX_SAMPLES), default=20)
+    c.add_argument("--samples", type=_whole(1, MAX_SAMPLES), default=20)
     _add_report_flags(c, tol=None)
     c.set_defaults(fn=_cmd_check)
 
@@ -248,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     fc = fsub.add_parser("commutation", help="t/s flow commutation defect")
     fc.add_argument("--algebra", default="sl2")
     fc.add_argument("--dt", type=float, default=1e-3)
-    fc.add_argument("--steps", type=_count_up_to(MAX_STEPS), default=100)
+    fc.add_argument("--steps", type=_whole(1, MAX_STEPS), default=100)
     _add_report_flags(fc, tol=1e-6)
     fc.set_defaults(fn=_cmd_flow_commutation)
     return p

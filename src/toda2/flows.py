@@ -39,7 +39,7 @@ stack (`lax_field`); only its partner Z = Z(V) differs:
     linear      Z = ½(λ−1)(RP − P, RP + P),      P = ĝ((λL − M)^i)
 
 with R = Π₊ − Π₋ and ĝ the trace-form projection onto 𝔤.  Π± keeps or zeroes
-whole matrix entries: Π(V) = V ∘ m, m the region's `entry_mask`.
+whole matrix entries: Π±(V) = V ∘ m±, with (m₊, m₋) = `entry_masks`.
 `field_rows` evaluates the same commutator at a stack of coordinate rows; one
 point is a one-row stack.
 """
@@ -51,7 +51,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import MINUS, PLUS, AlgebraSpec
+from .algebra import AlgebraSpec, read_only
 from .invariants import family_names, family_values, require_generator_label
 from .poisson import CapabilityError, PhaseSpace, PreconditionError
 from .rmatrix import PairPoint
@@ -62,7 +62,7 @@ __all__ = [
     "Trajectory",
     "lax_field",
     "field_rows",
-    "entry_mask",
+    "entry_masks",
     "projected_partner",
     "whole_steps",
     "rk4_states",
@@ -95,21 +95,21 @@ def lax_field(partner: Callable) -> Callable[[np.ndarray], np.ndarray]:
     return field
 
 
-def entry_mask(alg: AlgebraSpec, region: str) -> np.ndarray:
-    """Read-only (n, n) 0/1 mask of the entries the basis vectors of `region`
-    carry, cached per spec; Π_region(V) = V ∘ mask is exact on the span when
-    no entry is carried inside and outside the region (sl, gl, so5: degree
-    j − i), and any other spec is refused."""
+def entry_masks(alg: AlgebraSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (n, n) 0/1 masks (m₊, m₋) of the entries the basis vectors
+    of 𝔤_{≥0} and of 𝔤_{<0} carry, cached per spec; Π±(V) = V ∘ m± is exact
+    on the span when no entry is carried by both (sl, gl, so5: degree j − i),
+    and any other spec is refused."""
 
     def build():
-        support, inside = alg.basis != 0.0, alg.mask(region)
-        here = support[inside].any(axis=0)
-        if np.any(here & support[~inside].any(axis=0)):
+        support, plus = alg.basis != 0.0, alg.degrees >= 0
+        here, there = support[plus].any(axis=0), support[~plus].any(axis=0)
+        if np.any(here & there):
             raise CapabilityError(f"{alg.name} is not graded entry by entry: the "
-                                  f"Lax flows cannot project onto degree {region}")
-        return here.astype(float)
+                                  f"Lax flows cannot project onto 𝔤_{{≥0}} and 𝔤_{{<0}}")
+        return read_only(here.astype(float)), read_only(there.astype(float))
 
-    return alg.memo(("entry-mask", region), build)
+    return alg.memo("entry-masks", build)
 
 
 def projected_partner(block: int, mask: np.ndarray) -> Callable:
@@ -132,9 +132,9 @@ def _partner(alg: AlgebraSpec, field: str, i: int = 0, lam: float = 0.0) -> Call
     quadratic blow-up (i = 1, λ = 0) settle on an exactly traceless M, where
     the field vanishes, instead of ending at a non-finite state."""
     if field == "t":
-        return projected_partner(0, entry_mask(alg, PLUS))
+        return projected_partner(0, entry_masks(alg)[0])
     if field == "s":
-        return projected_partner(1, entry_mask(alg, MINUS))
+        return projected_partner(1, entry_masks(alg)[1])
     if field == "quadratic":
         if not alg.associative:
             raise CapabilityError(
@@ -337,7 +337,7 @@ def _triangular_order(alg: AlgebraSpec) -> Optional[np.ndarray]:
     spec that has none is refused."""
 
     def build():
-        plus, minus = entry_mask(alg, PLUS) > 0, entry_mask(alg, MINUS) > 0
+        plus, minus = (m > 0 for m in entry_masks(alg))
         before = plus | minus.T     # before[i, j]: i must come before j
         np.fill_diagonal(before, False)
         order, left = [], list(range(alg.matrix_size))

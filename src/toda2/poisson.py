@@ -60,12 +60,12 @@ from .algebra import (
     Element,
     bracket_blocks,
     mult_blocks,
+    read_only,
 )
 from .reports import CheckReport, worst
 from .rmatrix import (
     PairPoint,
     Point,
-    _matvec,
     form_blocks,
     r_bracket_blocks,
     rr_adjoint_block,
@@ -141,6 +141,12 @@ def psi1(m: PairPoint) -> Element:
 # --------------------------------------------------------------------------
 
 
+def _matvec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    # A applied to each coordinate vector of X (…, dim), one matrix-vector
+    # product per vector: a stack gets the bits of the single products
+    return (A @ X[..., None])[..., 0]
+
+
 def _block_pairing(alg: AlgebraSpec, k: int) -> np.ndarray:
     """The matrix of the pairing on vec() of blocks (k, dim): G on 𝔤 (k = 1),
     diag(G, −G) on 𝔤×𝔤 (k = 2)."""
@@ -210,11 +216,6 @@ def inner_bracket_gradients(alg: AlgebraSpec, which: str, M: np.ndarray, G: np.n
 # --------------------------------------------------------------------------
 
 
-def _read_only(A: np.ndarray) -> np.ndarray:
-    A.flags.writeable = False
-    return A
-
-
 @dataclass(frozen=True, eq=False)
 class PhaseSpace:
     """An affine subspace base + span(tangent) of 𝔤 or 𝔤×𝔤 with dual coordinates.
@@ -233,8 +234,8 @@ class PhaseSpace:
     tangent_matrix: np.ndarray    # (D, dim)
 
     def __post_init__(self):
-        _read_only(self.base)
-        _read_only(self.tangent_matrix)
+        read_only(self.base)
+        read_only(self.tangent_matrix)
 
     @property
     def dim(self) -> int:
@@ -252,11 +253,11 @@ class PhaseSpace:
     def _gradient_rows(self, W: np.ndarray) -> np.ndarray:
         """Rows vec(∇) of the gradients of Euclidean covector rows W (r, D)."""
         G = _gradient_blocks(self.alg, W.reshape(len(W), self._blocks, self.alg.dim))
-        return _read_only(G.reshape(W.shape))
+        return read_only(G.reshape(W.shape))
 
     @cached_property
     def _pinv(self) -> np.ndarray:
-        return _read_only(np.linalg.pinv(self.tangent_matrix))
+        return read_only(np.linalg.pinv(self.tangent_matrix))
 
     @cached_property
     def duals(self) -> np.ndarray:
@@ -342,7 +343,7 @@ def phase_tp(alg: AlgebraSpec) -> PhaseSpace:
     """T_P = 𝔤_{≤0} × 𝔤_{≥−1} + (e, 0), the 2-Toda phase space, built once per spec."""
 
     def build():
-        free = np.concatenate([alg.mask("<=0"), alg.mask(">=-1")])
+        free = np.concatenate([alg.degrees <= 0, alg.degrees >= -1])
         base = np.concatenate([alg.e.coords, np.zeros(alg.dim)])
         return PhaseSpace("T_P", alg, base, np.eye(2 * alg.dim)[:, free])
 

@@ -1,9 +1,10 @@
 """The product algebra 𝔤×𝔤, the splitting R on 𝔤, and the induced ℛ on 𝔤×𝔤.
 
-R is the difference of projections P₊ − P₋ for the splitting 𝔤 = 𝔤_{≥0} ⊕ 𝔤_{<0}
-(`algebra.PLUS`/`MINUS`); the pair operator is ℛ(x, y) = (R(x−y) + y, R(x−y) + x),
-componentwise (x₊ − x₋ + 2y₋, y₋ − y₊ + 2x₊), i.e. plus-part minus minus-part
-for the decomposition
+R is the difference of projections P₊ − P₋ for the splitting 𝔤 = 𝔤_{≥0} ⊕ 𝔤_{<0},
+read off the degrees (`AlgebraSpec.splitting_signs`); the form pairs 𝔤_k only
+with 𝔤_{−k}, so its adjoint is R* = P_{≤0} − P_{>0}.  The pair operator is
+ℛ(x, y) = (R(x−y) + y, R(x−y) + x), componentwise (x₊ − x₋ + 2y₋, y₋ − y₊ + 2x₊),
+i.e. plus-part minus minus-part for the decomposition
 
     (x, y)₊ = (x₊ + y₋, x₊ + y₋)   (diagonal),
     (x, y)₋ = (x₋ − y₋, y₊ − x₊)   (in 𝔤₋ × 𝔤₊).
@@ -23,7 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from .algebra import MINUS, PLUS, AlgebraError, AlgebraSpec, Element, bracket_blocks, form, project
+from .algebra import AlgebraError, AlgebraSpec, Element, bracket_blocks, form, project
 from .reports import CheckReport, worst
 
 __all__ = [
@@ -93,12 +94,6 @@ def point_block(p: Point) -> np.ndarray:
     return p.vec().reshape(-1, p.alg.dim)
 
 
-def _matvec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    # A applied to each coordinate vector of X (…, dim), one matrix-vector
-    # product per vector: a stack gets the bits of the single products
-    return (A @ X[..., None])[..., 0]
-
-
 def form_blocks(alg: AlgebraSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """⟨p, q⟩ on blocks (…, 1, dim) of 𝔤, ⟨p, q⟩₂ on pair blocks (…, 2, dim): one
     value per block.  Each ⟨x, y⟩ is (x·G)·y as in `form`, one vector product
@@ -121,8 +116,9 @@ def r_block(alg: AlgebraSpec, X: np.ndarray) -> np.ndarray:
 
 
 def r_adjoint_block(alg: AlgebraSpec, X: np.ndarray) -> np.ndarray:
-    """R*, the ⟨·,·⟩-adjoint of R, on coordinate vectors (…, dim): G⁻¹·diag(signs)·G."""
-    return _matvec(alg.gram_inv, alg.splitting_signs * _matvec(alg.gram, X))
+    """R* = P_{≤0} − P_{>0}, the ⟨·,·⟩-adjoint of R, on coordinate vectors (…, dim):
+    the form pairs degree k with degree −k only."""
+    return np.where(alg.degrees > 0, -X, X)
 
 
 def rr_block(alg: AlgebraSpec, P: np.ndarray) -> np.ndarray:
@@ -150,8 +146,8 @@ def form2(p: PairPoint, q: PairPoint) -> float:
 
 def decompose_pair(p: PairPoint) -> tuple[PairPoint, PairPoint]:
     """Split p into its diagonal plus-part and its 𝔤₋×𝔤₊ minus-part."""
-    xp, xm = project(p.x, PLUS), project(p.x, MINUS)
-    yp, ym = project(p.y, PLUS), project(p.y, MINUS)
+    xp, xm = project(p.x, True), project(p.x, False)
+    yp, ym = project(p.y, True), project(p.y, False)
     diag = xp + ym
     return PairPoint(diag, diag), PairPoint(xm - ym, yp - xp)
 

@@ -22,8 +22,8 @@ import math
 
 import numpy as np
 
-from .algebra import PLUS, AlgebraSpec, Element
-from .flows import entry_mask, field_rows, lax_field, projected_partner, rk4_states, whole_steps
+from .algebra import AlgebraSpec, Element
+from .flows import entry_masks, field_rows, lax_field, projected_partner, rk4_states, whole_steps
 from .invariants import family_labels, family_values, trace_gradients, trace_values
 from .poisson import PhaseSpace, _gradient_blocks, bracket_tables, linear_field
 from .reports import CheckReport, worst
@@ -43,7 +43,7 @@ def toda_space(alg: AlgebraSpec) -> PhaseSpace:
     """The affine space T_T = 𝔤₋₁ ⊕ 𝔤₀ + e inside a single algebra, built once per spec."""
 
     def build():
-        free = alg.mask(">=-1") & alg.mask("<=0")
+        free = (alg.degrees >= -1) & (alg.degrees <= 0)
         return PhaseSpace("T_T", alg, alg.e.coords, np.eye(alg.dim)[:, free])
 
     return alg.memo("T_T", build)
@@ -66,7 +66,7 @@ def integrate_toda(x0: Element, dt: float = 1e-3, T: float = 1.0):
     T must be a whole number of steps dt, as for `FlowConfig`.
     """
     alg = x0.alg
-    stack = rk4_states(lax_field(projected_partner(0, entry_mask(alg, PLUS))),
+    stack = rk4_states(lax_field(projected_partner(0, entry_masks(alg)[0])),
                        alg.to_matrices(x0.vec()), dt, whole_steps(dt, T))
     return np.arange(len(stack)) * dt, alg.to_coords(stack)
 

@@ -13,13 +13,14 @@ per state, a finiteness test at every step, and Π as the coordinate
 projection through the basis.  `rk4_trajectory` and `sequential_commutation`
 run the t- and s-flows by RK4, a witness independent of the exact
 factorization that `integrate` and `flow_commutation` use.
+`shuffled_and_rescaled` writes a spec in another basis of the same algebra.
 """
 
 import math
 
 import numpy as np
 
-from toda2 import Element, FlowConfig, PairPoint, ScalarFunction, form, form2
+from toda2 import Element, FlowConfig, PairPoint, ScalarFunction, form, form2, spec_to_document
 from toda2.flows import Trajectory, _named_field, field_rows, rk4_states
 from toda2.invariants import family_names, family_values
 from toda2.invariants import pullback_gradients, trace_gradients, trace_values
@@ -27,6 +28,18 @@ from toda2.poisson import _block_field, _gradient_blocks
 from toda2.rmatrix import point_block
 
 FD_STEP = 1e-5
+
+
+def shuffled_and_rescaled(alg, rng):
+    """The spec document with its basis order shuffled and each basis vector
+    rescaled by a factor in [0.5, 2]: the same algebra in another basis."""
+    perm, f = rng.permutation(alg.dim), rng.uniform(0.5, 2.0, alg.dim)
+    doc = spec_to_document(alg)
+    doc.update(basis=(alg.basis[perm] * f[:, None, None]).tolist(),
+               degrees=alg.degrees[perm].tolist(),
+               e_coords=(alg.e_coords[perm] / f).tolist(),
+               h_coords=(alg.h_coords[perm] / f).tolist())
+    return doc
 
 
 def pairing(p, q):
@@ -116,12 +129,12 @@ def rk4_reference(field, v0, dt, n_steps):
     return np.array(states)
 
 
-def projector_partner(alg, block, region):
-    """Z = Π_region(V[block]) as the n²×n² matrix of `project(·, region)` on
-    flattened matrices, read through the basis and its pseudo-inverse."""
+def projector_partner(alg, block, plus):
+    """Z = Π±(V[block]) as the n²×n² matrix of `project(·, plus)` on flattened
+    matrices, read through the basis and its pseudo-inverse."""
     n = alg.matrix_size
     flat = alg.basis.reshape(alg.dim, -1).T
-    P = (flat * alg.mask(region)) @ np.linalg.pinv(flat)
+    P = (flat * ((alg.degrees >= 0) == plus)) @ np.linalg.pinv(flat)
 
     def partner(V):
         lead = V.shape[:-3]

@@ -5,9 +5,10 @@ never in an uncaught exception.
 Only cheap commands run in-process: `algebra validate` and `check rais` on
 fuzzed --samples, --tol and --algebra tokens and on malformed spec documents,
 `check casimir` on sl2, gl2 and sl3 with fuzzed --samples (at most 1000
-are accepted) and --tol tokens, and `flow run` and `flow commutation` on sl2
-and gl2 with fuzzed step sizes, horizons, fields and pencil parameters (at
-most 10000 steps are accepted, ~0.5 s on gl2).
+are accepted), --tol and --seed tokens, and `flow run` and `flow commutation`
+on sl2 and gl2 with fuzzed step sizes, horizons, fields and pencil parameters
+(at most 10000 steps are accepted, ~0.5 s on gl2), and fuzzed --seed tokens
+on `flow commutation`.
 """
 
 import contextlib
@@ -92,11 +93,14 @@ SAMPLE_TOKENS = st.one_of(st.integers(-1, 1001).map(str), NUMBER_TOKENS)
 
 
 @settings(max_examples=50)
-@given(algebra=st.sampled_from(["sl2", "gl2", "sl3"]), samples=SAMPLE_TOKENS, tol=NUMBER_TOKENS)
-@example(algebra="sl3", samples="1000", tol="1e-9")
-@example(algebra="gl2", samples=str(10**30), tol="1e-9")
-def test_fuzzed_samples_keep_the_exit_code_contract_on_casimir(algebra, samples, tol):
-    argv = ["check", "casimir", "--algebra", algebra, "--samples", samples, "--tol", tol]
+@given(algebra=st.sampled_from(["sl2", "gl2", "sl3"]), samples=SAMPLE_TOKENS, tol=NUMBER_TOKENS,
+       seed=NUMBER_TOKENS)
+@example(algebra="sl3", samples="1000", tol="1e-9", seed="42")
+@example(algebra="gl2", samples=str(10**30), tol="1e-9", seed="42")
+@example(algebra="sl2", samples="5", tol="1e-9", seed="-1")     # a seed must be ≥ 0
+def test_fuzzed_samples_keep_the_exit_code_contract_on_casimir(algebra, samples, tol, seed):
+    argv = ["check", "casimir", "--algebra", algebra, "--samples", samples, "--tol", tol,
+            f"--seed={seed}"]
     assert exit_code(argv) in (0, 1, 2)
 
 
@@ -153,9 +157,24 @@ def test_a_basis_of_one_or_two_axes_is_a_parse_failure(capsys):
 
 def test_integer_fields_are_refused_not_truncated(capsys):
     for field, value in (("degrees", [1.5, -1, 0]), ("exponents", [1.9]), ("dim", 3.7),
-                         ("n", "2"), ("rank", True), ("cartan", [[2.0]])):
+                         ("n", "2"), ("rank", True), ("cartan", [[2.0]]),
+                         ("degrees", [1, True, 0])):
         code, _, err = run_on_document({**SL2_DOC, field: value}, ["algebra", "validate"],
                                        capsys)
+        assert code == 2 and f"parse failure: {field} must be" in err, field
+
+
+def test_strings_and_booleans_are_refused_where_numbers_or_a_boolean_belong(capsys):
+    # each was read through bool() or a float conversion: the first failed
+    # product closure (exit 1) and the others validated clean (exit 0)
+    gl2_doc = spec_to_document(build_gl(2))
+    for doc, field in (({**SL2_DOC, "associative": "false"}, "associative"),
+                       ({**gl2_doc, "associative": 1}, "associative"),
+                       ({**SL2_DOC, "e_coords": [str(v) for v in SL2_DOC["e_coords"]]}, "e_coords"),
+                       ({**SL2_DOC, "h_coords": [str(v) for v in SL2_DOC["h_coords"]]}, "h_coords"),
+                       ({**SL2_DOC, "basis": [[[bool(v) for v in row] for row in mat]
+                                              for mat in SL2_DOC["basis"]]}, "basis")):
+        code, _, err = run_on_document(doc, ["algebra", "validate"], capsys)
         assert code == 2 and f"parse failure: {field} must be" in err, field
 
 
@@ -185,12 +204,15 @@ def test_fuzzed_flow_run_keeps_the_exit_code_contract(algebra, field, dt, T, i, 
 
 @settings(max_examples=50)
 @given(algebra=st.sampled_from(["sl2", "gl2"]),
-       steps=SAMPLE_TOKENS | st.integers(9990, 10010).map(str), dt=STEP_TOKENS | NUMBER_TOKENS)
-@example(algebra="gl2", steps="10000", dt="1e-3")
-@example(algebra="sl2", steps=str(10**30), dt="1e-3")
-@example(algebra="sl2", steps="--", dt="0.05")     # argparse would store [] for --steps=--
-@example(algebra="sl2", steps="9", dt="1")       # RK4 would blow up here
-@example(algebra="gl2", steps="1000", dt="100")  # dt·‖X‖ in the hundreds
-def test_fuzzed_flow_commutation_keeps_the_exit_code_contract(algebra, steps, dt):
-    argv = ["flow", "commutation", "--algebra", algebra, f"--steps={steps}", f"--dt={dt}"]
+       steps=SAMPLE_TOKENS | st.integers(9990, 10010).map(str), dt=STEP_TOKENS | NUMBER_TOKENS,
+       seed=NUMBER_TOKENS)
+@example(algebra="gl2", steps="10000", dt="1e-3", seed="42")
+@example(algebra="sl2", steps=str(10**30), dt="1e-3", seed="42")
+@example(algebra="sl2", steps="--", dt="0.05", seed="42")  # argparse would store [] for --steps=--
+@example(algebra="sl2", steps="9", dt="1", seed="42")      # RK4 would blow up here
+@example(algebra="gl2", steps="1000", dt="100", seed="42")  # dt·‖X‖ in the hundreds
+@example(algebra="sl2", steps="10", dt="1e-3", seed="-1")  # a seed must be ≥ 0
+def test_fuzzed_flow_commutation_keeps_the_exit_code_contract(algebra, steps, dt, seed):
+    argv = ["flow", "commutation", "--algebra", algebra, f"--steps={steps}", f"--dt={dt}",
+            f"--seed={seed}"]
     assert exit_code(argv) in (0, 1, 2)

@@ -28,10 +28,9 @@ from toda2 import (
     trajectory_to_csv,
     validate_spec,
 )
-from toda2.algebra import MINUS, PLUS
 from toda2.cli import main
 from toda2 import flows
-from toda2.flows import (_expm, _factor_stretch, _named_field, _triangular_order, entry_mask,
+from toda2.flows import (_expm, _factor_stretch, _named_field, _triangular_order, entry_masks,
                          field_rows, lax_field, rk4_states)
 from toda2.rmatrix import r_block
 from toda2.toda import integrate_toda, toda_space
@@ -53,7 +52,7 @@ def seed_point(alg, seed=42):
 def test_field_t_is_projected_lax_bracket(sl3, gl3, so5):
     for alg in (sl3, gl3, so5):
         for m in phase_tp(alg).sample_points(seed=42, count=3):
-            xp = project(m.x, ">=0")
+            xp = project(m.x, True)
             want = PairPoint(bracket(xp, m.x), bracket(xp, m.y))
             assert (flow_at("t", m) - want).norm() < 1e-13
 
@@ -61,7 +60,7 @@ def test_field_t_is_projected_lax_bracket(sl3, gl3, so5):
 def test_field_s_is_projected_lax_bracket(sl3, gl3, so5):
     for alg in (sl3, gl3, so5):
         for m in phase_tp(alg).sample_points(seed=42, count=3):
-            yn = project(m.y, "<0")
+            yn = project(m.y, False)
             want = PairPoint(bracket(yn, m.x), bracket(yn, m.y))
             assert (flow_at("s", m) - want).norm() < 1e-13
 
@@ -245,13 +244,15 @@ def test_every_shipped_spec_has_its_entry_masks(so5, monkeypatch):
     monkeypatch.setattr(algebra, "validate_spec", lambda spec: [])
     specs = [build(n) for build in (build_sl, build_gl) for n in range(2, 10)]
     for alg in specs + [so5]:
-        plus, minus = entry_mask(alg, PLUS), entry_mask(alg, MINUS)
+        plus, minus = entry_masks(alg)
         assert not np.any(plus * minus), alg.name
         if alg is not so5:      # type A: 𝔤_{≥0} is the upper triangle
             n = alg.matrix_size
             assert np.array_equal(plus, np.triu(np.ones((n, n)))), alg.name
             assert np.array_equal(minus, np.tril(np.ones((n, n)), -1)), alg.name
-        assert entry_mask(alg, PLUS) is plus and not plus.flags.writeable
+        # one memo entry, shared by every caller, so no caller may edit it
+        assert entry_masks(alg)[0] is plus and entry_masks(alg)[1] is minus
+        assert not plus.flags.writeable and not minus.flags.writeable
         assert _triangular_order(alg) is None, alg.name
 
 
@@ -352,10 +353,10 @@ def test_entry_masks_project_like_the_coordinate_projection(name, request):
     # the pinv (sl's traceless diagonal, so5)
     alg = _algebra(name, request)
     V0 = alg.to_matrices(seed_point(alg).vec())
-    for field, block, region in (("t", 0, PLUS), ("s", 1, MINUS)):
+    for field, block, plus in (("t", 0, True), ("s", 1, False)):
         f = _named_field(FlowConfig(field=field, dt=1e-3, T=0.2), alg)
         lean = alg.to_coords(rk4_states(f, V0, 1e-3, 200))
-        ref = alg.to_coords(rk4_reference(lax_field(projector_partner(alg, block, region)),
+        ref = alg.to_coords(rk4_reference(lax_field(projector_partner(alg, block, plus)),
                                           V0, 1e-3, 200))
         if alg.associative or (name != "so5" and field == "s"):
             assert np.array_equal(lean, ref), (field, np.abs(lean - ref).max())
@@ -369,7 +370,7 @@ def test_toda_run_matches_the_coordinate_projection(name, request):
     ts = toda_space(alg)
     x0 = Element(alg, ts.points_from_coords(np.random.default_rng(3).uniform(-1, 1, ts.dim)))
     _, states = integrate_toda(x0, dt=1e-3, T=0.5)
-    ref = alg.to_coords(rk4_reference(lax_field(projector_partner(alg, 0, PLUS)),
+    ref = alg.to_coords(rk4_reference(lax_field(projector_partner(alg, 0, True)),
                                       alg.to_matrices(x0.vec()), 1e-3, 500))
     assert np.abs(states - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -605,7 +606,7 @@ def test_factor_path_reorders_a_grading_that_is_not_triangular(name, order, requ
     alg = load_spec(doc)
     assert validate_spec(alg) == []
     found = _triangular_order(alg)
-    assert np.array_equal(entry_mask(alg, PLUS)[np.ix_(found, found)], entry_mask(base, PLUS))
+    assert np.array_equal(entry_masks(alg)[0][np.ix_(found, found)], entry_masks(base)[0])
     m0 = seed_point(alg)
     V0 = alg.to_matrices(m0.vec())
     m0_base = PairPoint.from_vec(base, base.to_coords(P.T @ V0 @ P))
@@ -624,7 +625,7 @@ def test_factor_path_refuses_a_grading_with_no_triangular_order(monkeypatch):
     # does not split the flows
     alg = build_gl(2)
     m0 = seed_point(alg)
-    monkeypatch.setattr(flows, "entry_mask", lambda alg, region: np.full((2, 2), float(region == PLUS)))
+    monkeypatch.setattr(flows, "entry_masks", lambda alg: (np.ones((2, 2)), np.zeros((2, 2))))
     for field in ("t", "s"):
         with pytest.raises(CapabilityError, match="no order of the matrix indices"):
             integrate(FlowConfig(field=field, dt=0.1, T=0.2), m0)

@@ -16,6 +16,7 @@ from toda2 import (
     decompose_pair,
     form,
     form2,
+    load_spec,
 )
 from toda2.algebra import bracket_blocks
 from toda2.rmatrix import (
@@ -26,6 +27,8 @@ from toda2.rmatrix import (
     rr_adjoint_block,
     rr_block,
 )
+
+from pointwise import shuffled_and_rescaled
 
 
 def r_point(x):
@@ -155,7 +158,7 @@ def test_pairpoint_vector_roundtrip(sl3):
 
 @pytest.mark.parametrize("name", ["sl3", "gl3", "so5"])
 def test_adjoints_move_r_across_the_pairings(name, request):
-    # ⟨u, Rx⟩ = ⟨R*u, x⟩ and ⟨p, ℛq⟩₂ = ⟨ℛ*p, q⟩₂, R* read off the Gram matrix
+    # ⟨u, Rx⟩ = ⟨R*u, x⟩ and ⟨p, ℛq⟩₂ = ⟨ℛ*p, q⟩₂, R* read off the degrees
     alg = request.getfixturevalue(name)
     rng = np.random.default_rng(17)
     u, x = (alg.element(rng.uniform(-1, 1, alg.dim)) for _ in range(2))
@@ -168,6 +171,21 @@ def test_adjoints_move_r_across_the_pairings(name, request):
     # R is not self-adjoint: the form pairs degree k with degree −k
     e = alg.element(np.eye(alg.dim)[list(alg.degrees).index(1)])
     assert np.linalg.norm(r_adjoint_block(alg, e.coords) + e.coords) < 1e-14
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl4", "gl2", "gl3", "so5",
+                                  "sl3-shuffled", "gl3-shuffled"])
+def test_r_adjoint_is_r_conjugated_by_the_gram_matrix(name, request):
+    # R* = P_{≤0} − P_{>0} read off the degrees against the adjoint written
+    # through the form, G⁻¹·diag(signs)·G, also in a shuffled and rescaled
+    # basis, where G is no permutation
+    base, _, shuffled = name.partition("-")
+    alg = request.getfixturevalue(base)
+    if shuffled:
+        alg = load_spec(shuffled_and_rescaled(alg, np.random.default_rng(5)))
+    X = np.random.default_rng(23).uniform(-1, 1, (7, alg.dim))
+    ref = (np.linalg.inv(alg.gram) @ (alg.splitting_signs[:, None] * (alg.gram @ X.T))).T
+    assert np.abs(r_adjoint_block(alg, X) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_signs_are_cached_and_read_only(sl3):

@@ -5,7 +5,8 @@ never in an uncaught exception.
 Only cheap commands run in-process: `algebra validate` and `check rais` on
 fuzzed --samples, --tol and --algebra tokens and on malformed spec documents,
 `check casimir` on sl2, gl2 and sl3 with fuzzed --samples (at most 1000
-are accepted), --tol and --seed tokens, and `flow run` and `flow commutation`
+are accepted), --tol and --seed tokens, `check toda` on the same algebras
+with fuzzed --seed tokens, and `flow run` and `flow commutation`
 on sl2 and gl2 with fuzzed step sizes, horizons, fields and pencil parameters
 (at most 10000 steps are accepted, ~0.5 s on gl2), and fuzzed --seed tokens
 on `flow commutation`.
@@ -102,6 +103,14 @@ def test_fuzzed_samples_keep_the_exit_code_contract_on_casimir(algebra, samples,
     argv = ["check", "casimir", "--algebra", algebra, "--samples", samples, "--tol", tol,
             f"--seed={seed}"]
     assert exit_code(argv) in (0, 1, 2)
+
+
+@settings(max_examples=20)
+@given(algebra=st.sampled_from(["sl2", "gl2", "sl3"]),
+       seed=st.integers(0, 10**6).map(str) | NUMBER_TOKENS)
+@example(algebra="sl3", seed="126")     # the Toda run meets a pole: exit 1, no warning
+def test_fuzzed_seeds_keep_the_exit_code_contract_on_toda(algebra, seed):
+    assert exit_code(["check", "toda", "--algebra", algebra, f"--seed={seed}"]) in (0, 1, 2)
 
 
 @settings(max_examples=50)

@@ -30,8 +30,8 @@ from toda2 import (
 )
 from toda2.cli import main
 from toda2 import flows
-from toda2.flows import (_expm, _factor_stretch, _named_field, _triangular_order, entry_masks,
-                         field_rows, lax_field, rk4_states)
+from toda2.flows import (_expm, _factor_states, _factor_stretch, _named_field, _triangular_order,
+                         entry_masks, field_rows, lax_field, projected_partner, rk4_states)
 from toda2.rmatrix import r_block
 from toda2.toda import integrate_toda, toda_space
 
@@ -369,10 +369,47 @@ def test_toda_run_matches_the_coordinate_projection(name, request):
     alg = request.getfixturevalue(name)
     ts = toda_space(alg)
     x0 = Element(alg, ts.points_from_coords(np.random.default_rng(3).uniform(-1, 1, ts.dim)))
-    _, states = integrate_toda(x0, dt=1e-3, T=0.5)
+    _, states, _ = integrate_toda(x0, dt=1e-3, T=0.5)
     ref = alg.to_coords(rk4_reference(lax_field(projector_partner(alg, 0, True)),
                                       alg.to_matrices(x0.vec()), 1e-3, 500))
     assert np.abs(states - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def toda_seed_point(alg, seed=42):
+    """The start of `toda_suite`'s conservation run."""
+    ts = toda_space(alg)
+    return Element(alg, ts.points_from_coords(np.random.default_rng(seed).uniform(-1, 1, ts.dim)))
+
+
+# (algebra, seed); sl3 at seed 126 reaches a non-finite state at step 886
+@pytest.mark.parametrize("name, seed", [("sl3", 42), ("gl3", 42), ("so5", 42), ("sl3", 126)])
+def test_toda_run_matches_the_one_block_reference_bit_for_bit(name, seed, request):
+    # the Toda run steps one n×n matrix; the reference loop steps the
+    # one-block (1, n, n) stack with the t-flow's partner
+    alg = request.getfixturevalue(name)
+    x0 = toda_seed_point(alg, seed)
+    _, states, note = integrate_toda(x0, dt=1e-3, T=1.0)
+    ref = rk4_reference(lax_field(projected_partner(0, entry_masks(alg)[0])),
+                        alg.to_matrices(x0.vec()), 1e-3, 1000)
+    assert len(ref) == len(states) + bool(note)
+    assert np.array_equal(states, alg.to_coords(ref[:len(states)]))
+
+
+@pytest.mark.parametrize("name", ["sl3", "gl3", "sl4", "gl4"])
+def test_toda_rk4_has_order_four_against_the_factor_path(name, request):
+    # the Toda flow is the t-flow on one block, solved exactly by
+    # factorization; halving the step cuts RK4's global error ~16×
+    alg = _algebra(name, request)
+    x0 = toda_seed_point(alg)
+    exact, note = _factor_states("t", alg.to_matrices(x0.vec()), 0.025, 40,
+                                 _triangular_order(alg))
+    assert note == ""
+
+    def err(dt):
+        states = integrate_toda(x0, dt=dt, T=1.0)[1]
+        return np.abs(states[-1] - alg.to_coords(exact[-1])).max()
+
+    assert 12.0 <= err(0.05) / err(0.025) <= 20.0, err(0.05) / err(0.025)
 
 
 @pytest.mark.parametrize("name, dt, steps", [

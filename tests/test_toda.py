@@ -1,6 +1,7 @@
 """Classical Toda reduction: diagonal embedding, R-bracket isomorphism,
 binomial collapse of the conserved family."""
 
+import json
 import math
 
 import numpy as np
@@ -24,7 +25,8 @@ from toda2 import (
     toda_space,
     toda_suite,
 )
-from toda2.flows import field_rows
+from toda2.cli import main
+from toda2.flows import _factor_states, field_rows
 from toda2.invariants import trace_values
 
 from pointwise import gradient2, trace_function
@@ -96,8 +98,8 @@ def test_field_toda_is_lax_bracket(sl3, gl3, so5):
 def test_toda_flow_is_isospectral(sl3):
     ts = toda_space(sl3)
     x0 = ts.sample_points(seed=3, count=1)[0]
-    times, states = integrate_toda(x0, dt=1e-3, T=0.5)
-    assert times.shape[0] == states.shape[0]
+    times, states, note = integrate_toda(x0, dt=1e-3, T=0.5)
+    assert times.shape[0] == states.shape[0] and note == ""
     lam0 = np.sort(np.linalg.eigvals(sl3.to_matrix(states[0])).real)
     lamT = np.sort(np.linalg.eigvals(sl3.to_matrix(states[-1])).real)
     assert np.abs(lam0 - lamT).max() < 1e-8
@@ -107,8 +109,8 @@ def test_toda_horizon_must_be_whole_number_of_steps(sl3):
     x0 = toda_space(sl3).sample_points(seed=3, count=1)[0]
     with pytest.raises(PreconditionError, match="whole number of steps"):
         integrate_toda(x0, dt=0.3, T=1.0)
-    times, states = integrate_toda(x0, dt=0.25, T=1.0)
-    assert times[-1] == 1.0 and states.shape == (5, sl3.dim)
+    times, states, note = integrate_toda(x0, dt=0.25, T=1.0)
+    assert times[-1] == 1.0 and states.shape == (5, sl3.dim) and note == ""
 
 
 def test_poisson_iso_check(sl2, sl3, gl2):
@@ -142,13 +144,31 @@ def test_toda_conservation_batch_matches_per_state_loop(sl3, gl3):
         ts = toda_space(alg)
         u0 = np.random.default_rng(42).uniform(-1.0, 1.0, ts.dim)
         x0 = Element(alg, ts.points_from_coords(u0))
-        _, states = integrate_toda(x0, dt=1e-3, T=1.0)
+        _, states, _ = integrate_toda(x0, dt=1e-3, T=1.0)
         worst = 0.0
         for i in alg.exponents:
             P = trace_function(alg, i)
             vals = np.array([P(alg.element(v)) for v in states])
             worst = max(worst, np.abs(vals - vals[0]).max() / (1.0 + abs(vals[0])))
         assert abs(report.measured - worst) < 1e-14
+
+
+def test_a_toda_run_through_a_pole_fails_closed(sl3, capsys):
+    # from the seed-126 start the exact one-block t-flow has a pole between
+    # t = 0.882 and 0.883; RK4 steps past it to a non-finite state at step
+    # 886, which the run drops, and the conservation check fails on it
+    ts = toda_space(sl3)
+    x0 = Element(sl3, ts.points_from_coords(np.random.default_rng(126).uniform(-1.0, 1.0, ts.dim)))
+    exact, pole = _factor_states("t", sl3.to_matrices(x0.vec()), 1e-3, 1000, None)
+    assert pole.startswith("pole between t = 0.882 and t = 0.883 (steps 882 and 883)")
+    _, states, note = integrate_toda(x0, dt=1e-3, T=1.0)
+    assert note == "non-finite state at step 886 (t = 0.886); trajectory truncated"
+    assert len(exact) <= len(states) and np.isfinite(states).all()
+    code = main(["check", "toda", "--algebra", "sl3", "--seed=126", "--format", "json"])
+    out, err = capsys.readouterr()
+    report = next(r for r in json.loads(out)["reports"] if r["check"] == "toda-conservation")
+    assert code == 1 and err == ""      # no RuntimeWarning escapes
+    assert report["measured"] is None and not report["verdict"] and report["detail"] == note
 
 
 def test_toda_suite_passes(sl2, sl3):

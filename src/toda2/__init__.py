@@ -11,24 +11,14 @@ from .algebra import (
     AlgebraSpec,
     AlgebraValidationError,
     Element,
-    bracket,
     build_gl,
     build_sl,
-    form,
     load_spec,
-    mult,
-    project,
     save_spec,
     spec_to_document,
     validate_spec,
-    with_rescaled_basis,
 )
-from .rmatrix import (
-    PairPoint,
-    check_mcybe,
-    decompose_pair,
-    form2,
-)
+from .rmatrix import PairPoint, check_mcybe
 from .poisson import (
     CapabilityError,
     PhaseSpace,
@@ -36,7 +26,6 @@ from .poisson import (
     ScalarFunction,
     phase_tp,
     poisson_matrix,
-    psi1,
     rank_sweep,
     check_morphism_psi1,
 )
@@ -73,28 +62,20 @@ __all__ = [
     "AlgebraSpec",
     "AlgebraValidationError",
     "Element",
-    "bracket",
     "build_gl",
     "build_sl",
-    "form",
     "load_spec",
-    "mult",
-    "project",
     "save_spec",
     "spec_to_document",
     "validate_spec",
-    "with_rescaled_basis",
     "PairPoint",
     "check_mcybe",
-    "decompose_pair",
-    "form2",
     "CapabilityError",
     "PhaseSpace",
     "PreconditionError",
     "ScalarFunction",
     "phase_tp",
     "poisson_matrix",
-    "psi1",
     "rank_sweep",
     "check_morphism_psi1",
     "RaisData",

@@ -18,7 +18,7 @@ the product of their matrices (`mult_blocks`).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -29,11 +29,7 @@ __all__ = [
     "AlgebraValidationError",
     "AlgebraSpec",
     "Element",
-    "bracket",
     "bracket_blocks",
-    "form",
-    "project",
-    "mult",
     "mult_blocks",
     "build_sl",
     "build_gl",
@@ -182,9 +178,6 @@ class AlgebraSpec:
             )
         return Element(self, c)
 
-    def zero(self) -> "Element":
-        return Element(self, np.zeros(self.dim))
-
     @cached_property
     def e(self) -> "Element":
         return Element(self, np.asarray(self.e_coords, dtype=float))
@@ -244,10 +237,6 @@ class AlgebraSpec:
         apply it at every point."""
         return read_only(np.linalg.solve(self.gram,
                                          self.basis.transpose(0, 2, 1).reshape(self.dim, -1)))
-
-    def ad(self, x: "Element") -> np.ndarray:
-        """Matrix of ad_x in basis coordinates: (ad_x)_{cb} = Σ_a x_a C[a,b,c]."""
-        return np.einsum("a,abc->cb", x.coords, self.struct)
 
     @cached_property
     def _memo_table(self) -> dict:
@@ -314,7 +303,7 @@ def _same_algebra(x: Element, y: Element) -> None:
 
 
 # --------------------------------------------------------------------------
-# the four basic operations
+# the bracket and the product on coordinate arrays
 # --------------------------------------------------------------------------
 
 
@@ -333,29 +322,6 @@ def mult_blocks(alg: AlgebraSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
             "non-associative spec (associative=False)"
         )
     return alg.to_coords(alg.to_matrices(X) @ alg.to_matrices(Y))
-
-
-def bracket(x: Element, y: Element) -> Element:
-    """Lie bracket [x, y] via the cached structure constants."""
-    _same_algebra(x, y)
-    return Element(x.alg, bracket_blocks(x.alg, x.coords, y.coords))
-
-
-def form(x: Element, y: Element) -> float:
-    """Invariant trace form ⟨x, y⟩ = Tr(xy) through the Gram matrix."""
-    _same_algebra(x, y)
-    return float(x.coords @ x.alg.gram @ y.coords)
-
-
-def project(x: Element, plus: bool) -> Element:
-    """Projection onto 𝔤_{≥0} (plus) or onto 𝔤_{<0}."""
-    return Element(x.alg, np.where((x.alg.degrees >= 0) == plus, x.coords, 0.0))
-
-
-def mult(x: Element, y: Element) -> Element:
-    """Associative matrix product xy (needs spec.associative)."""
-    _same_algebra(x, y)
-    return Element(x.alg, mult_blocks(x.alg, x.coords, y.coords))
 
 
 # --------------------------------------------------------------------------
@@ -587,15 +553,14 @@ def validate_spec(spec: AlgebraSpec) -> list[dict]:
         if not (jac_res <= tol):
             hit("jacobi", jac_res)
 
-    # principal pair
-    e, h = spec.element(spec.e_coords), spec.element(spec.h_coords)
-    he = bracket(h, e)
-    he_res = np.abs(he.coords - 2.0 * e.coords).max()
-    if not (he_res <= 1e-12 * (1.0 + np.abs(e.coords).max())):
+    # principal pair, each a coordinate row of shape (dim,)
+    e, h = (spec.element(c).coords for c in (spec.e_coords, spec.h_coords))
+    he_res = np.abs(bracket_blocks(spec, h, e) - 2.0 * e).max()
+    if not (he_res <= 1e-12 * (1.0 + np.abs(e).max())):
         hit("he-relation", he_res)
-    if not (np.abs(np.where(D == 1, 0.0, e.coords)).max() <= 1e-12):
+    if not (np.abs(np.where(D == 1, 0.0, e)).max() <= 1e-12):
         hit("e-degree")
-    if not (np.abs(np.where(D == 0, 0.0, h.coords)).max() <= 1e-12):
+    if not (np.abs(np.where(D == 0, 0.0, h)).max() <= 1e-12):
         hit("h-degree")
 
     # exponents and Cartan shape
@@ -607,8 +572,9 @@ def validate_spec(spec: AlgebraSpec) -> list[dict]:
     if spec.cartan.shape != (spec.rank, spec.rank):
         hit("cartan-shape")
 
-    # e regular nilpotent: ad_e has rank dim − ℓ (a non-finite ad_e has no SVD)
-    ad_e = spec.ad(e)
+    # e regular nilpotent: ad_e, (ad_e)_{cb} = Σ_a e_a C[a,b,c], has rank dim − ℓ
+    # (a non-finite ad_e has no SVD)
+    ad_e = np.einsum("a,abc->cb", e, coeffs)
     if not np.isfinite(ad_e).all():
         hit("regular-nilpotent", np.nan)
     else:
@@ -724,21 +690,3 @@ def load_spec(source) -> AlgebraSpec:
     if violations:
         raise AlgebraValidationError(spec.name, violations)
     return spec
-
-
-def with_rescaled_basis(spec: AlgebraSpec, s: float) -> AlgebraSpec:
-    """Same algebra with basis scaled by √s, so the trace form scales by s.
-
-    Used by the form-scale invariance checks: verdicts (ranks, Casimirs,
-    involutivity) must not depend on the overall normalisation of ⟨·,·⟩.
-    """
-    if not (np.isfinite(s) and s > 0):
-        raise AlgebraError(f"with_rescaled_basis: scale must be finite and > 0, got {s}")
-    r = float(np.sqrt(s))
-    return replace(
-        spec,
-        name=f"{spec.name}@scale{s:g}",
-        basis=spec.basis * r,
-        e_coords=spec.e_coords / r,
-        h_coords=spec.h_coords / r,
-    )

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, bracket, form
+from .algebra import AlgebraSpec, bracket_blocks
 from .flows import field_rows
 from .invariants import (
     family_gradient_stack,
@@ -26,14 +26,7 @@ from .poisson import (
     quadratic_field,
     rank_sweep,
 )
-from .rmatrix import (
-    PairPoint,
-    block_norms,
-    check_mcybe,
-    form_blocks,
-    point_block,
-    r_bracket_blocks,
-)
+from .rmatrix import block_norms, check_mcybe, form_blocks, r_bracket_blocks
 from .reports import CheckReport, worst
 from .toda import (
     check_binomial_identity,
@@ -161,7 +154,7 @@ def check_independence_battery(alg: AlgebraSpec, points: int = 20,
     def rank(V):
         return int(ps.jacobian_ranks(family_gradient_stack(alg, V)).max())
 
-    at_eh = rank(PairPoint(alg.e, alg.h).vec()[None])
+    at_eh = rank(np.concatenate([alg.e_coords, alg.h_coords])[None])
     sweep = rank(ps.sample_stack(seed, points))
     return [
         CheckReport.equal("independence-at-eh", "family-independent-at-eh", alg.name,
@@ -185,9 +178,10 @@ def check_rais_battery(alg: AlgebraSpec) -> list[CheckReport]:
     ]
 
 
-def _simple_system(alg: AlgebraSpec) -> tuple[list, list, list, np.ndarray, str]:
+def _simple_system(alg: AlgebraSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, str]:
     """Root vectors e_i, lowering elements f_i and coroots h_i of the simple
-    roots, read off the spec data, and the Cartan block C[i, j] = α_i(h_j).
+    roots, read off the spec data as coordinate rows (one row per root), and
+    the Cartan block C[i, j] = α_i(h_j).
 
     The e_i are the degree-1 basis vectors, the f_i the degree −1 elements
     with ⟨e_j, f_i⟩ = δ_ij, and h_i = 2t_i/α_i(t_i) with t_i = [e_i, f_i].  C
@@ -209,18 +203,19 @@ def _simple_system(alg: AlgebraSpec) -> tuple[list, list, list, np.ndarray, str]
     K = alg.gram[np.ix_(up, down)]
     if np.linalg.matrix_rank(K) < ns:
         raise PreconditionError(f"{alg.name}: the form does not pair degrees 1 and -1")
-    es = [Element(alg, unit[a]) for a in up]
-    fs = [Element(alg, c) for c in np.linalg.solve(K.T, unit[down])]
-    ts = [bracket(e, f) for e, f in zip(es, fs)]
-    lengths = [form(bracket(t, e), f) for t, e, f in zip(ts, es, fs)]   # α_i(t_i)
-    if min(abs(c) for c in lengths) < 1e-12:
+
+    def pair(X, Y):     # ⟨x, y⟩ of coordinate rows (…, dim), one value per row
+        return form_blocks(alg, X[..., None, :], Y[..., None, :])
+
+    E, F = unit[up], np.linalg.solve(K.T, unit[down])
+    T = bracket_blocks(alg, E, F)
+    lengths = pair(bracket_blocks(alg, T, E), F)                  # α_i(t_i)
+    if np.abs(lengths).min() < 1e-12:
         raise PreconditionError(f"{alg.name}: a degree-1 basis vector is not a root vector")
-    hs = [(2.0 / c) * t for c, t in zip(lengths, ts)]
-    A = np.array([[form(bracket(h, e), f) for h in hs] for e, f in zip(es, fs)])
-    off_root = max(
-        (bracket(h, e) - A[i, j] * e).norm()
-        for i, e in enumerate(es) for j, h in enumerate(hs)
-    )
+    H = T * (2.0 / lengths)[:, None]
+    HE = bracket_blocks(alg, H[None], E[:, None])                  # [i, j] = [h_j, e_i]
+    A = pair(HE, F[:, None])
+    off_root = np.linalg.norm(HE - A[..., None] * E[:, None], axis=-1).max()
     if off_root > 1e-9:
         raise PreconditionError(
             f"{alg.name}: the degree-1 basis vectors are not root vectors "
@@ -228,7 +223,7 @@ def _simple_system(alg: AlgebraSpec) -> tuple[list, list, list, np.ndarray, str]
     block = cartan[:ns, :ns]
     for C, note in ((block, ""), (block.T, " (cartan transposed)")):
         if np.abs(A - C).max() < 1e-9:
-            return es, fs, hs, C, note
+            return E, F, H, C, note
     raise PreconditionError(
         f"{alg.name}: the degree-1 root vectors have Cartan integers alpha_i(h_j) = "
         f"{np.round(A).astype(int).tolist()}, neither cartan nor its transpose")
@@ -242,12 +237,13 @@ def _cartan_block(alg: AlgebraSpec) -> tuple[np.ndarray, np.ndarray, str]:
     (h_j, h_j) and (f_i, f_i), at the point
     (u, 0) with u = Σ e_i + Σ w_k h_k, ⟨h_j, Σ w_k h_k⟩ = 1: all of them are 1.
     """
-    es, fs, hs, C, note = _simple_system(alg)
-    w = np.linalg.solve(np.array([[form(a, b) for b in hs] for a in hs]), np.ones(len(hs)))
-    u = sum((wk * h for wk, h in zip(w, hs)), sum(es, alg.zero()))
-    m = point_block(PairPoint(u, alg.zero()))
-    A = np.stack([PairPoint(a, a).vec() for a in hs + fs])
-    return bracket_tables(alg, "linear", m, A), C, note
+    E, F, H, C, note = _simple_system(alg)
+    gram_h = form_blocks(alg, H[:, None, None], H[None, :, None])
+    w = np.linalg.solve(gram_h, np.ones(len(H)))
+    u = np.concatenate([E, w[:, None] * H]).sum(axis=0)           # row by row, in order
+    m = np.stack([u, np.zeros(alg.dim)])
+    HF = np.concatenate([H, F])
+    return bracket_tables(alg, "linear", m, np.concatenate([HF, HF], axis=1)), C, note
 
 
 def check_rank_battery(alg: AlgebraSpec, seed: int = 42) -> list[CheckReport]:

@@ -213,6 +213,10 @@ class FlowConfig:
 
     def __post_init__(self):
         whole_steps(self.dt, self.T)
+        if self.field in ("t", "s") and (self.i, self.lam) != (None, None):
+            raise PreconditionError(f"the {self.field}-flow takes no generator label i or λ")
+        if self.lam is not None and not math.isfinite(self.lam):
+            raise PreconditionError(f"λ must be finite, got {self.lam}")
 
     @property
     def n_steps(self) -> int:

@@ -184,7 +184,7 @@ class RaisData:
 
 
 def rais_vectors(alg: AlgebraSpec) -> RaisData:
-    grads = family_gradient_stack(alg, PairPoint(alg.e, alg.h).vec()[None])[0]
+    grads = family_gradient_stack(alg, np.concatenate([alg.e_coords, alg.h_coords])[None])[0]
     vectors = [
         (j - 1, i, Element(alg, g[: alg.dim] * float(math.factorial(j - 1))))
         for (j, i), g in zip(family_labels(alg), grads)

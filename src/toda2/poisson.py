@@ -90,7 +90,6 @@ __all__ = [
     "numerical_ranks",
     "check_morphism_psi1",
     "phase_tp",
-    "psi1",
 ]
 
 _MEMBERSHIP_TOL = 1e-10   # largest normal residual of a point on a phase space
@@ -129,11 +128,6 @@ class ScalarFunction:
 
     def __call__(self, m: Point) -> float:
         return float(self.evaluator(m))
-
-
-def psi1(m: PairPoint) -> Element:
-    """ψ₁(x, y) = x − y."""
-    return m.x - m.y
 
 
 # --------------------------------------------------------------------------

@@ -11,11 +11,10 @@ i.e. plus-part minus minus-part for the decomposition
 
 Each operator is written once, as a block action on coordinate arrays of
 shape (…, k, dim) — k = 1 on 𝔤, k = 2 on 𝔤×𝔤 — broadcasting over the leading
-axes; one point is a one-row block (`point_block`).  `form2` and
-`decompose_pair` give the pairing and ℛ as Point-level formulas, independent
-of the block actions.  The checker below measures the modified Yang–Baxter
-residual B_R(x,y) + [x,y] and its pair analogue on the whole sample stack
-at once.
+axes; one point is a one-row block.  `PairPoint` is the record of one point
+of 𝔤×𝔤 at the API edge; nothing here reads its arithmetic.  The checker below
+measures the modified Yang–Baxter residual B_R(x,y) + [x,y] and its pair
+analogue on the whole sample stack at once.
 """
 from __future__ import annotations
 
@@ -24,13 +23,12 @@ from typing import Union
 
 import numpy as np
 
-from .algebra import AlgebraError, AlgebraSpec, Element, bracket_blocks, form, project
+from .algebra import AlgebraError, AlgebraSpec, Element, bracket_blocks
 from .reports import CheckReport, worst
 
 __all__ = [
     "PairPoint",
     "Point",
-    "point_block",
     "r_block",
     "rr_block",
     "r_adjoint_block",
@@ -39,8 +37,6 @@ __all__ = [
     "r_bracket_blocks",
     "form_blocks",
     "block_norms",
-    "form2",
-    "decompose_pair",
     "check_mcybe",
 ]
 
@@ -89,15 +85,11 @@ class PairPoint:
 # a point of 𝔤 (an Element, paired by ⟨·,·⟩) or of 𝔤×𝔤 (a PairPoint, by ⟨·,·⟩₂)
 Point = Union[Element, PairPoint]
 
-def point_block(p: Point) -> np.ndarray:
-    """The coordinate block of a point: (1, dim) for an Element, (2, dim) for a pair."""
-    return p.vec().reshape(-1, p.alg.dim)
-
 
 def form_blocks(alg: AlgebraSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """⟨p, q⟩ on blocks (…, 1, dim) of 𝔤, ⟨p, q⟩₂ on pair blocks (…, 2, dim): one
-    value per block.  Each ⟨x, y⟩ is (x·G)·y as in `form`, one vector product
-    per block, so a stack gives the bits of `form`/`form2` one point at a time."""
+    value per block.  Each ⟨x, y⟩ is (x·G)·y, one vector product per block, so a
+    stack gives the bits of its points one at a time."""
     f = ((P[..., None, :] @ alg.gram) @ Q[..., :, None])[..., 0, 0]
     return f[..., 0] if f.shape[-1] == 1 else f[..., 0] - f[..., 1]
 
@@ -137,19 +129,6 @@ def rr_adjoint_block(alg: AlgebraSpec, P: np.ndarray) -> np.ndarray:
         return r_adjoint_block(alg, P)
     d = r_adjoint_block(alg, P[..., 0, :] - P[..., 1, :])
     return d[..., None, :] - P[..., ::-1, :]
-
-
-def form2(p: PairPoint, q: PairPoint) -> float:
-    """The pairing ⟨(x₁,y₁),(x₂,y₂)⟩₂ = ⟨x₁,x₂⟩ − ⟨y₁,y₂⟩."""
-    return form(p.x, q.x) - form(p.y, q.y)
-
-
-def decompose_pair(p: PairPoint) -> tuple[PairPoint, PairPoint]:
-    """Split p into its diagonal plus-part and its 𝔤₋×𝔤₊ minus-part."""
-    xp, xm = project(p.x, True), project(p.x, False)
-    yp, ym = project(p.y, True), project(p.y, False)
-    diag = xp + ym
-    return PairPoint(diag, diag), PairPoint(xm - ym, yp - xp)
 
 
 def r_bracket_blocks(alg: AlgebraSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

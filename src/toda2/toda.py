@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element
+from .algebra import AlgebraSpec
 from .flows import _drop_non_finite, entry_masks, field_rows, lax_field, rk4_states, whole_steps
 from .invariants import family_labels, family_values, trace_gradients, trace_values
 from .poisson import PhaseSpace, _gradient_blocks, bracket_tables, linear_field
@@ -61,16 +61,16 @@ def diag_phase_space(alg: AlgebraSpec) -> PhaseSpace:
     return alg.memo("T_T'", build)
 
 
-def integrate_toda(x0: Element, dt: float = 1e-3, T: float = 1.0):
-    """RK4 run of Ȧ = [A₊, A] on one n×n matrix; returns (times, states, note),
-    coordinate arrays and a note that is empty unless the run reached a
-    non-finite state, which is dropped, as in `flows.integrate`.
+def integrate_toda(alg: AlgebraSpec, row: np.ndarray, dt: float = 1e-3, T: float = 1.0):
+    """RK4 run of Ȧ = [A₊, A] on one n×n matrix from the coordinate row (dim,);
+    returns (times, states, note), coordinate arrays and a note that is empty
+    unless the run reached a non-finite state, which is dropped, as in
+    `flows.integrate`.
 
     T must be a whole number of steps dt, as for `FlowConfig`.
     """
-    alg = x0.alg
     plus = entry_masks(alg)[0]
-    stack = rk4_states(lax_field(lambda A: A * plus), alg.to_matrix(x0.vec()), dt,
+    stack = rk4_states(lax_field(lambda A: A * plus), alg.to_matrix(row), dt,
                        whole_steps(dt, T))
     stack, note = _drop_non_finite(stack, dt)
     return np.arange(len(stack)) * dt, alg.to_coords(stack[:, None]), note
@@ -145,10 +145,8 @@ def toda_suite(alg: AlgebraSpec, seed: int = 42) -> list:
                                      alg.name, best, alg.rank, {"points": len(X), "seed": seed}))
 
     # conservation along the integrated Toda flow
-    x0 = Element(alg, ts.points_from_coords(
-        np.random.default_rng(seed).uniform(-1.0, 1.0, ts.dim)
-    ))
-    _, states, note = integrate_toda(x0, dt=1e-3, T=1.0)
+    x0 = ts.points_from_coords(np.random.default_rng(seed).uniform(-1.0, 1.0, ts.dim))
+    _, states, note = integrate_toda(alg, x0, dt=1e-3, T=1.0)
     drift = math.inf        # a run that reached a non-finite state fails whatever its drift
     if not note:            # P_i on the whole stack
         vals = [trace_values(alg, states, i) for i in alg.exponents]

@@ -1,6 +1,12 @@
-"""Point-level views of toda2's block and stack forms, for the tests.
+"""Point-level oracles and views of toda2's block and stack forms, for the tests.
 
-Each helper calls a block form on one point (a one-row block, `point_block`)
+The Point-level formulas (`bracket`, `form`, `project`, `mult`, `form2`,
+`decompose_pair`, `psi1`, `with_rescaled_basis`) state the algebra one
+`Element` or `PairPoint` at a time, independently of the block actions that
+src computes with: ℛ from the ±-decomposition, the pairing on 𝔤×𝔤 from two
+forms, the product with its non-associative guard, the rescaled form.
+
+Each view calls a block form on one point (a one-row block, `point_block`)
 and returns a Point or a ScalarFunction, so that a test can state an identity
 one point at a time or hand a function to `gradient2`, which falls back on
 central differences where a function has no analytic gradient.  A stack
@@ -17,17 +23,74 @@ factorization that `integrate` and `flow_commutation` use.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from toda2 import Element, FlowConfig, PairPoint, ScalarFunction, form, form2, spec_to_document
+from toda2 import AlgebraError, Element, FlowConfig, PairPoint, ScalarFunction, spec_to_document
+from toda2.algebra import bracket_blocks, mult_blocks
 from toda2.flows import Trajectory, _named_field, field_rows, rk4_states
 from toda2.invariants import family_names, family_values
 from toda2.invariants import pullback_gradients, trace_gradients, trace_values
 from toda2.poisson import _block_field, _gradient_blocks
-from toda2.rmatrix import point_block
 
 FD_STEP = 1e-5
+
+
+def zero(alg):
+    return Element(alg, np.zeros(alg.dim))
+
+
+def bracket(x, y):
+    """Lie bracket [x, y] through the structure constants."""
+    return Element(x.alg, bracket_blocks(x.alg, x.coords, y.coords))
+
+
+def form(x, y):
+    """Invariant trace form ⟨x, y⟩ = Tr(xy) through the Gram matrix."""
+    return float(x.coords @ x.alg.gram @ y.coords)
+
+
+def project(x, plus):
+    """Projection onto 𝔤_{≥0} (plus) or onto 𝔤_{<0}."""
+    return Element(x.alg, np.where((x.alg.degrees >= 0) == plus, x.coords, 0.0))
+
+
+def mult(x, y):
+    """Matrix product xy; AlgebraError on a non-associative spec."""
+    return Element(x.alg, mult_blocks(x.alg, x.coords, y.coords))
+
+
+def form2(p, q):
+    """The pairing ⟨(x₁,y₁),(x₂,y₂)⟩₂ = ⟨x₁,x₂⟩ − ⟨y₁,y₂⟩."""
+    return form(p.x, q.x) - form(p.y, q.y)
+
+
+def decompose_pair(p):
+    """Split p into its diagonal plus-part and its 𝔤₋×𝔤₊ minus-part."""
+    xp, xm = project(p.x, True), project(p.x, False)
+    yp, ym = project(p.y, True), project(p.y, False)
+    diag = xp + ym
+    return PairPoint(diag, diag), PairPoint(xm - ym, yp - xp)
+
+
+def psi1(m):
+    """ψ₁(x, y) = x − y."""
+    return m.x - m.y
+
+
+def point_block(p):
+    """The coordinate block of a point: (1, dim) for an Element, (2, dim) for a pair."""
+    return p.vec().reshape(-1, p.alg.dim)
+
+
+def with_rescaled_basis(spec, s):
+    """The same algebra with its basis scaled by √s, so the trace form scales by s."""
+    if not (np.isfinite(s) and s > 0):
+        raise AlgebraError(f"with_rescaled_basis: scale must be finite and > 0, got {s}")
+    r = float(np.sqrt(s))
+    return replace(spec, name=f"{spec.name}@scale{s:g}", basis=spec.basis * r,
+                   e_coords=spec.e_coords / r, h_coords=spec.h_coords / r)
 
 
 def shuffled_and_rescaled(alg, rng):

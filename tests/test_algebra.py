@@ -19,24 +19,19 @@ from toda2 import (
     AlgebraError,
     AlgebraValidationError,
     algebra,
-    bracket,
     build_gl,
     build_sl,
-    form,
     load_spec,
-    mult,
     phase_tp,
-    project,
     rank_sweep,
     save_spec,
     spec_to_document,
     validate_spec,
-    with_rescaled_basis,
 )
 from toda2.algebra import jacobi_bound, jacobi_residual
 from toda2.poisson import _gradient_blocks
 
-from pointwise import shuffled_and_rescaled
+from pointwise import bracket, form, mult, project, shuffled_and_rescaled, with_rescaled_basis
 
 # ---------------------------------------------------------------------------
 # builders

@@ -381,3 +381,51 @@ def test_morphism_check_passes_on_so5_spec(so5, tmp_path, capsys):
     save_spec(so5, path)
     assert main(["check", "morphism", "--algebra", str(path)]) == 0
     assert "[PASS] morphism-psi1" in capsys.readouterr().out
+
+
+GL1 = {"name": "gl1", "n": 1, "dim": 1, "rank": 1, "basis": [[[1.0]]], "degrees": [0],
+       "exponents": [0], "cartan": [[0]], "e_coords": [0.0], "h_coords": [0.0],
+       "associative": True}
+
+
+# each refusal of `checks._simple_system` that a validating spec reaches, with
+# the detail of its cartan-block report.  No validating spec reaches "the
+# form does not pair degrees 1 and -1": a non-degenerate graded form pairs 𝔤₁
+# with 𝔤₋₁, so degrees 1 and −1 also hold equally many basis vectors.  None
+# known reaches "a degree-1 basis vector is not a root vector", which needs
+# α_i(t_i) = ⟨[t_i, e_i], f_i⟩ = ⟨t_i, t_i⟩ = 0 for t_i = [e_i, f_i] in 𝔤₀, nor
+# the first refusal with more degree-1 basis vectors than the rank
+# ("neither cartan nor its transpose" is the test above)
+@pytest.mark.parametrize("case", ["gl1", "gl3-padded-row", "sl3-mixed"])
+def test_cartan_block_refusals_reachable_by_a_validating_spec(case, sl3, gl3, tmp_path, capsys):
+    if case == "gl1":       # no builder makes gl(1), but its document validates
+        doc, want = GL1, ("degrees 1 and -1 hold 0 and 0 basis vectors; "
+                          "a simple system needs equally many, at most rank 1")
+    elif case == "gl3-padded-row":
+        doc = spec_to_document(gl3)
+        doc["cartan"][2][0] = 1
+        want = "cartan has nonzero entries outside the 2 simple roots of degree 1"
+    else:                   # sl3's degree-1 basis mixed by an invertible 2×2
+        up, mix, doc = sl3.degrees == 1, np.array([[1.0, 2.0], [0.0, 1.0]]), spec_to_document(sl3)
+        basis, e = np.array(doc["basis"]), np.array(doc["e_coords"])
+        basis[up] = np.einsum("ij,jkl->ikl", mix, basis[up])
+        e[up] = np.linalg.solve(mix.T, e[up])               # e stays the same matrix
+        doc.update(basis=basis.tolist(), e_coords=e.tolist())
+        want = "the degree-1 basis vectors are not root vectors (residual 6)"
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert main(["algebra", "validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["check", "rank", "--algebra", str(path), "--format", "json"]) == 0
+    report = next(r for r in json.loads(capsys.readouterr().out)["reports"]
+                  if r["check"] == "cartan-block")
+    assert report["detail"] == f"not applicable: {doc['name']}: {want}"
+
+
+def test_algebra_validate_refuses_a_short_principal_pair_row(sl2, tmp_path, capsys):
+    doc = spec_to_document(sl2)
+    doc["e_coords"] = doc["e_coords"][:2]
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(doc))
+    assert main(["algebra", "validate", str(path)]) == 2
+    assert "sl2: coordinate vector has shape (2,), expected (3,)" in capsys.readouterr().err

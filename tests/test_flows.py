@@ -13,7 +13,6 @@ from toda2 import (
     PairPoint,
     PreconditionError,
     algebra,
-    bracket,
     build_gl,
     build_sl,
     family,
@@ -22,7 +21,6 @@ from toda2 import (
     load_spec,
     pencil_eigenvalue_drift,
     phase_tp,
-    project,
     save_spec,
     spec_to_document,
     trajectory_to_csv,
@@ -35,7 +33,8 @@ from toda2.flows import (_expm, _factor_states, _factor_stretch, _named_field, _
 from toda2.rmatrix import r_block
 from toda2.toda import integrate_toda, toda_space
 
-from pointwise import flow_at, projector_partner, rk4_reference, sequential_commutation
+from pointwise import (bracket, flow_at, project, projector_partner, rk4_reference,
+                       sequential_commutation)
 
 
 def seed_point(alg, seed=42):
@@ -368,17 +367,17 @@ def test_entry_masks_project_like_the_coordinate_projection(name, request):
 def test_toda_run_matches_the_coordinate_projection(name, request):
     alg = request.getfixturevalue(name)
     ts = toda_space(alg)
-    x0 = Element(alg, ts.points_from_coords(np.random.default_rng(3).uniform(-1, 1, ts.dim)))
-    _, states, _ = integrate_toda(x0, dt=1e-3, T=0.5)
+    x0 = ts.points_from_coords(np.random.default_rng(3).uniform(-1, 1, ts.dim))
+    _, states, _ = integrate_toda(alg, x0, dt=1e-3, T=0.5)
     ref = alg.to_coords(rk4_reference(lax_field(projector_partner(alg, 0, True)),
-                                      alg.to_matrices(x0.vec()), 1e-3, 500))
+                                      alg.to_matrices(x0), 1e-3, 500))
     assert np.abs(states - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def toda_seed_point(alg, seed=42):
-    """The start of `toda_suite`'s conservation run."""
+    """The start row of `toda_suite`'s conservation run."""
     ts = toda_space(alg)
-    return Element(alg, ts.points_from_coords(np.random.default_rng(seed).uniform(-1, 1, ts.dim)))
+    return ts.points_from_coords(np.random.default_rng(seed).uniform(-1, 1, ts.dim))
 
 
 # (algebra, seed); sl3 at seed 126 reaches a non-finite state at step 886
@@ -388,9 +387,9 @@ def test_toda_run_matches_the_one_block_reference_bit_for_bit(name, seed, reques
     # one-block (1, n, n) stack with the t-flow's partner
     alg = request.getfixturevalue(name)
     x0 = toda_seed_point(alg, seed)
-    _, states, note = integrate_toda(x0, dt=1e-3, T=1.0)
+    _, states, note = integrate_toda(alg, x0, dt=1e-3, T=1.0)
     ref = rk4_reference(lax_field(projected_partner(0, entry_masks(alg)[0])),
-                        alg.to_matrices(x0.vec()), 1e-3, 1000)
+                        alg.to_matrices(x0), 1e-3, 1000)
     assert len(ref) == len(states) + bool(note)
     assert np.array_equal(states, alg.to_coords(ref[:len(states)]))
 
@@ -401,12 +400,12 @@ def test_toda_rk4_has_order_four_against_the_factor_path(name, request):
     # factorization; halving the step cuts RK4's global error ~16×
     alg = _algebra(name, request)
     x0 = toda_seed_point(alg)
-    exact, note = _factor_states("t", alg.to_matrices(x0.vec()), 0.025, 40,
+    exact, note = _factor_states("t", alg.to_matrices(x0), 0.025, 40,
                                  _triangular_order(alg))
     assert note == ""
 
     def err(dt):
-        states = integrate_toda(x0, dt=dt, T=1.0)[1]
+        states = integrate_toda(alg, x0, dt=dt, T=1.0)[1]
         return np.abs(states[-1] - alg.to_coords(exact[-1])).max()
 
     assert 12.0 <= err(0.05) / err(0.025) <= 20.0, err(0.05) / err(0.025)
@@ -679,6 +678,21 @@ def test_config_validation():
         FlowConfig(dt=-1.0)
     with pytest.raises(PreconditionError):
         FlowConfig(dt=0.5, T=0.1)
+
+
+@pytest.mark.parametrize("argv, match", [
+    (["--algebra", "sl2", "--field", "linear", "--i", "1", "--lam", "nan"], "λ must be finite"),
+    (["--algebra", "gl2", "--field", "quadratic", "--i", "1", "--lam", "inf"], "λ must be finite"),
+    (["--algebra", "sl2", "--field", "t", "--i", "7", "--lam", "nan"], "takes no generator label"),
+])
+def test_pencil_parameters_are_checked_where_they_are_set(argv, match, capsys):
+    # a non-finite λ, or an i or λ given to the t- or s-flow, is a usage error
+    assert main(["flow", "run", *argv]) == 2
+    assert match in capsys.readouterr().err
+    with pytest.raises(PreconditionError, match=match):
+        FlowConfig(field=argv[3], i=int(argv[5]), lam=float(argv[7]))
+    with pytest.raises(PreconditionError, match="takes no generator label"):
+        FlowConfig(field="s", lam=1.0)
 
 
 def test_field_selector_validation(gl2):

@@ -18,7 +18,6 @@ from toda2 import (
     family,
     family_labels,
     family_values,
-    form,
     phase_tp,
     rais_vectors,
 )
@@ -30,9 +29,9 @@ from toda2.invariants import (
     trace_values,
 )
 from toda2.poisson import linear_field
-from toda2.rmatrix import block_norms, point_block
+from toda2.rmatrix import block_norms
 
-from pointwise import gradient2
+from pointwise import form, gradient2, point_block
 
 EXPECTED_CARD = {"sl2": 3, "sl3": 7, "sl4": 12, "gl2": 5, "gl3": 9}
 

@@ -20,17 +20,11 @@ from toda2 import (
     PhaseSpace,
     PreconditionError,
     ScalarFunction,
-    bracket,
     build_sl,
     check_morphism_psi1,
-    form,
-    form2,
-    mult,
     phase_tp,
     poisson_matrix,
-    psi1,
     rank_sweep,
-    with_rescaled_basis,
 )
 from toda2.checks import _cartan_block
 from toda2.invariants import pullback_gradients, trace_gradients
@@ -44,10 +38,11 @@ from toda2.poisson import (
     numerical_rank,
     quadratic_field,
 )
-from toda2.rmatrix import block_norms, point_block, r_block, rr_block
+from toda2.rmatrix import block_norms, r_block, rr_block
 
 from pointwise import (
-    bracket_value, field_at, gradient2, linear_function, pullback, trace_function,
+    bracket, bracket_value, field_at, form, form2, gradient2, linear_function, mult,
+    point_block, psi1, pullback, trace_function, with_rescaled_basis,
 )
 
 

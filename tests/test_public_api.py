@@ -1,5 +1,6 @@
 """Every name a toda2 module exports in `__all__` resolves, and has a caller;
-every public method has a caller, and every default a caller that sets it."""
+every public method has a caller, and every default a caller that sets it;
+every name the benchmark reads off the package resolves."""
 
 import ast
 import importlib
@@ -18,15 +19,6 @@ EXPORTING = [m for m in MODULES if hasattr(m, "__all__")]
 
 ROOT = Path(__file__).resolve().parent.parent
 CALLER_DIRS = ("src/toda2", "scripts", "perfbench")
-
-# independent formulas the tests hold the stacked forms against: ℛ from the
-# ±-decomposition, the rescaled form, the product with its non-associative
-# guard, the pairing on 𝔤×𝔤 and ψ₁ (finite differences live in
-# tests/pointwise.py)
-TEST_ORACLES = (
-    "decompose_pair", "project", "with_rescaled_basis", "mult", "form2", "psi1",
-)
-
 
 @pytest.mark.parametrize("module", EXPORTING, ids=lambda m: m.__name__)
 def test_all_names_resolve(module):
@@ -65,11 +57,10 @@ def _used_names() -> set:
 
 
 def test_every_export_has_a_caller_outside_the_tests():
-    # a name only tests call is a duplicate of the stacked form it wraps,
-    # unless it is one of the test oracles
+    # a name only tests call is a duplicate of the stacked form it wraps, or
+    # an oracle that belongs in tests/pointwise.py
     used = _used_names()
-    uncalled = [f"{m.__name__}.{n}" for m in EXPORTING for n in m.__all__
-                if n not in used and n not in TEST_ORACLES]
+    uncalled = [f"{m.__name__}.{n}" for m in EXPORTING for n in m.__all__ if n not in used]
     assert uncalled == []
 
 
@@ -216,7 +207,7 @@ class _CallGraph:
 def test_every_public_method_has_a_caller_outside_the_tests():
     used = _used_names()
     uncalled = [name for name, fn, method in _public_definitions()
-                if method and fn.name not in used and fn.name not in TEST_ORACLES]
+                if method and fn.name not in used]
     assert uncalled == []
 
 
@@ -226,7 +217,42 @@ def test_every_default_is_set_by_a_caller_outside_the_tests():
     graph = _CallGraph()
     unset = []
     for name, fn, _ in _public_definitions():
-        if fn.name not in TEST_ORACLES:
-            unset += [f"{name}({p}=…)" for p in _defaulted(fn)
-                      if not graph.is_set(fn.name, p, _positional_index(fn, p))]
+        unset += [f"{name}({p}=…)" for p in _defaulted(fn)
+                  if not graph.is_set(fn.name, p, _positional_index(fn, p))]
     assert unset == []
+
+
+# --------------------------------------------------------------------------
+# the names perfbench reads off the package
+# --------------------------------------------------------------------------
+
+
+def _chains(tree: ast.AST, root: str) -> set:
+    """Every dotted attribute chain `root.a.b…` read in tree, outermost first."""
+    found = set()
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id == root:
+            found.add(".".join(reversed(parts)))
+    return found
+
+
+def test_every_name_perfbench_reads_off_the_package_resolves():
+    # perfbench takes the package as `tk`; its smoke run is slow, so this
+    # static check stands guard for it in the fast suite
+    chains = set().union(*(_chains(ast.parse(path.read_text(encoding="utf-8")), "tk")
+                           for path in sorted((ROOT / "perfbench").glob("*.py"))))
+    assert "cli.build_parser" in chains
+
+    def resolves(chain):
+        obj = toda2
+        for attr in chain.split("."):
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+
+    assert sorted(c for c in chains if not resolves(c)) == []

@@ -10,17 +10,12 @@ from hypothesis import strategies as st
 from toda2 import (
     Element,
     PairPoint,
-    bracket,
     build_sl,
     check_mcybe,
-    decompose_pair,
-    form,
-    form2,
     load_spec,
 )
 from toda2.algebra import bracket_blocks
 from toda2.rmatrix import (
-    point_block,
     r_adjoint_block,
     r_block,
     r_bracket_blocks,
@@ -28,7 +23,7 @@ from toda2.rmatrix import (
     rr_block,
 )
 
-from pointwise import shuffled_and_rescaled
+from pointwise import bracket, decompose_pair, form, form2, point_block, shuffled_and_rescaled, zero
 
 
 def r_point(x):
@@ -90,10 +85,10 @@ def test_form2_signature(sl3):
     rng = np.random.default_rng(2)
     x = sl3.element(rng.uniform(-1, 1, sl3.dim))
     y = sl3.element(rng.uniform(-1, 1, sl3.dim))
-    assert form2(PairPoint(x, sl3.zero()), PairPoint(x, sl3.zero())) == pytest.approx(
+    assert form2(PairPoint(x, zero(sl3)), PairPoint(x, zero(sl3))) == pytest.approx(
         form(x, x)
     )
-    assert form2(PairPoint(sl3.zero(), y), PairPoint(sl3.zero(), y)) == pytest.approx(
+    assert form2(PairPoint(zero(sl3), y), PairPoint(zero(sl3), y)) == pytest.approx(
         -form(y, y)
     )
 

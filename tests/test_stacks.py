@@ -17,24 +17,26 @@ from toda2 import (
     Element,
     PairPoint,
     ScalarFunction,
-    bracket,
-    form,
-    form2,
     phase_tp,
     poisson_matrix,
 )
 from toda2 import checks, poisson, toda
 from toda2.invariants import family, family_gradient_stack, family_labels
 from toda2.poisson import _gradient_blocks, bracket_tables, inner_bracket_gradients, numerical_rank
-from toda2.rmatrix import point_block, r_bracket_blocks
+from toda2.rmatrix import r_bracket_blocks
 
 from pointwise import (
+    bracket,
     bracket_value,
     field_at,
     flow_at,
+    form,
+    form2,
     linear_function,
+    point_block,
     pullback,
     trace_function,
+    zero,
 )
 
 ALGEBRAS = ["sl3", "gl3", "so5"]
@@ -261,8 +263,8 @@ def test_independence_battery_matches_the_point_loop(alg):
 def test_field_identities_match_the_point_loop(alg):
     pts = phase_tp(alg).sample_points(42, 5)
     reports = checks.check_field_identities(alg)
-    H = ScalarFunction("H", lambda m: 0.0, lambda m: PairPoint(m.x, alg.zero()))
-    Ht = ScalarFunction("H~", lambda m: 0.0, lambda m: PairPoint(alg.zero(), -m.y))
+    H = ScalarFunction("H", lambda m: 0.0, lambda m: PairPoint(m.x, zero(alg)))
+    Ht = ScalarFunction("H~", lambda m: 0.0, lambda m: PairPoint(zero(alg), -m.y))
     assert same(measured(reports, "field-t-hamiltonian"),
                 max((hamiltonian_field(H, m) - flow_at("t", m)).norm() for m in pts))
     assert same(measured(reports, "field-s-hamiltonian"),

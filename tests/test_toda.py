@@ -13,15 +13,12 @@ from toda2 import (
     PhaseSpace,
     PreconditionError,
     ScalarFunction,
-    bracket,
     check_binomial_identity,
     check_poisson_iso,
     family_labels,
     family_values,
-    form,
     integrate_toda,
     phase_tp,
-    project,
     toda_space,
     toda_suite,
 )
@@ -29,7 +26,7 @@ from toda2.cli import main
 from toda2.flows import _factor_states, field_rows
 from toda2.invariants import trace_values
 
-from pointwise import gradient2, trace_function
+from pointwise import bracket, form, gradient2, project, trace_function
 
 
 def test_toda_space_dimensions(desk_algebras):
@@ -97,8 +94,8 @@ def test_field_toda_is_lax_bracket(sl3, gl3, so5):
 
 def test_toda_flow_is_isospectral(sl3):
     ts = toda_space(sl3)
-    x0 = ts.sample_points(seed=3, count=1)[0]
-    times, states, note = integrate_toda(x0, dt=1e-3, T=0.5)
+    x0 = ts.sample_stack(seed=3, count=1)[0]
+    times, states, note = integrate_toda(sl3, x0, dt=1e-3, T=0.5)
     assert times.shape[0] == states.shape[0] and note == ""
     lam0 = np.sort(np.linalg.eigvals(sl3.to_matrix(states[0])).real)
     lamT = np.sort(np.linalg.eigvals(sl3.to_matrix(states[-1])).real)
@@ -106,10 +103,10 @@ def test_toda_flow_is_isospectral(sl3):
 
 
 def test_toda_horizon_must_be_whole_number_of_steps(sl3):
-    x0 = toda_space(sl3).sample_points(seed=3, count=1)[0]
+    x0 = toda_space(sl3).sample_stack(seed=3, count=1)[0]
     with pytest.raises(PreconditionError, match="whole number of steps"):
-        integrate_toda(x0, dt=0.3, T=1.0)
-    times, states, note = integrate_toda(x0, dt=0.25, T=1.0)
+        integrate_toda(sl3, x0, dt=0.3, T=1.0)
+    times, states, note = integrate_toda(sl3, x0, dt=0.25, T=1.0)
     assert times[-1] == 1.0 and states.shape == (5, sl3.dim) and note == ""
 
 
@@ -143,8 +140,7 @@ def test_toda_conservation_batch_matches_per_state_loop(sl3, gl3):
         report = next(r for r in toda_suite(alg) if r.check == "toda-conservation")
         ts = toda_space(alg)
         u0 = np.random.default_rng(42).uniform(-1.0, 1.0, ts.dim)
-        x0 = Element(alg, ts.points_from_coords(u0))
-        _, states, _ = integrate_toda(x0, dt=1e-3, T=1.0)
+        _, states, _ = integrate_toda(alg, ts.points_from_coords(u0), dt=1e-3, T=1.0)
         worst = 0.0
         for i in alg.exponents:
             P = trace_function(alg, i)
@@ -158,10 +154,10 @@ def test_a_toda_run_through_a_pole_fails_closed(sl3, capsys):
     # t = 0.882 and 0.883; RK4 steps past it to a non-finite state at step
     # 886, which the run drops, and the conservation check fails on it
     ts = toda_space(sl3)
-    x0 = Element(sl3, ts.points_from_coords(np.random.default_rng(126).uniform(-1.0, 1.0, ts.dim)))
-    exact, pole = _factor_states("t", sl3.to_matrices(x0.vec()), 1e-3, 1000, None)
+    x0 = ts.points_from_coords(np.random.default_rng(126).uniform(-1.0, 1.0, ts.dim))
+    exact, pole = _factor_states("t", sl3.to_matrices(x0), 1e-3, 1000, None)
     assert pole.startswith("pole between t = 0.882 and t = 0.883 (steps 882 and 883)")
-    _, states, note = integrate_toda(x0, dt=1e-3, T=1.0)
+    _, states, note = integrate_toda(sl3, x0, dt=1e-3, T=1.0)
     assert note == "non-finite state at step 886 (t = 0.886); trajectory truncated"
     assert len(exact) <= len(states) and np.isfinite(states).all()
     code = main(["check", "toda", "--algebra", "sl3", "--seed=126", "--format", "json"])

@@ -438,7 +438,7 @@ def check_toda_battery(alg: AlgebraSpec, samples: int = 100,
 
 
 # `tol` is run_battery's override, {"tol": t} or empty, so that a battery's
-# default tolerance is said once, in its signature; `**_` drops it
+# default tolerance is said once, in its signature
 _BATTERIES = {
     "mcybe": lambda alg, samples, seed, **tol: check_mcybe_battery(
         alg, samples=max(samples, 200), seed=seed, **tol),
@@ -450,17 +450,20 @@ _BATTERIES = {
         alg, samples=samples, seed=seed, **tol),
     "morphism": lambda alg, samples, seed, **tol: [check_morphism_psi1(
         alg, samples=max(samples, 100), seed=seed, **tol)],
-    "independence": lambda alg, samples, seed, **_: check_independence_battery(
+    "independence": lambda alg, samples, seed: check_independence_battery(
         alg, points=samples, seed=seed),
-    "rank": lambda alg, samples, seed, **_: check_rank_battery(alg, seed=seed),
-    "rais": lambda alg, samples, seed, **_: check_rais_battery(alg),
+    "rank": lambda alg, samples, seed: check_rank_battery(alg, seed=seed),
+    "rais": lambda alg, samples, seed: check_rais_battery(alg),
     "quadratic-relations": lambda alg, samples, seed, **tol: (
         check_field_identities(alg, seed=seed, **tol)
         + check_quadratic_relations(alg, seed=seed, **tol)
     ),
-    "toda": lambda alg, samples, seed, **_: check_toda_battery(
+    "toda": lambda alg, samples, seed: check_toda_battery(
         alg, samples=max(samples, 100), seed=seed),
 }
+# batteries whose checks keep their own tolerances: run alone they refuse an
+# override, and "all" runs them without it
+_OWN_TOLERANCES = ("independence", "rank", "rais", "toda")
 
 
 BATTERY_NAMES = tuple(_BATTERIES)
@@ -468,16 +471,25 @@ BATTERY_NAMES = tuple(_BATTERIES)
 
 def run_battery(name: str, alg: AlgebraSpec, samples: int = 20, seed: int = 42,
                 tol: float | None = None) -> list[CheckReport]:
-    """The reports of battery `name` ("all": of every battery); `tol` overrides their default."""
-    override = {} if tol is None else {"tol": tol}
+    """The reports of battery `name` ("all": of every battery); `tol` overrides
+    their default, and a battery whose checks keep their own tolerances
+    refuses it (PreconditionError)."""
+    if tol is not None and name in _OWN_TOLERANCES:
+        raise PreconditionError(f"battery {name!r} takes no tolerance override (--tol): "
+                                f"its checks keep their own tolerances")
+
+    def run(key):
+        override = {} if tol is None or key in _OWN_TOLERANCES else {"tol": tol}
+        return _BATTERIES[key](alg, samples, seed, **override)
+
     if name == "all":
         # a battery the spec cannot serve (say, flows on a basis not graded
         # entry by entry) reports so, and the others still run
         out = []
         for key in _BATTERIES:
             try:
-                out.extend(_BATTERIES[key](alg, samples, seed, **override))
+                out.extend(run(key))
             except CapabilityError as err:
                 out.append(CheckReport.not_applicable(key, f"{key}-battery", alg.name, {}, err))
         return out
-    return _BATTERIES[name](alg, samples, seed, **override)
+    return run(name)

@@ -190,12 +190,12 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _add_report_flags(p: argparse.ArgumentParser, tol: float | None) -> None:
+def _add_report_flags(p: argparse.ArgumentParser, tol: float | None,
+                      tol_help: str = "override the default tolerance of the check") -> None:
     p.add_argument("--seed", type=_whole(0, math.inf), default=42)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="write the report to this file instead of stdout")
-    p.add_argument("--tol", type=_tolerance, default=tol,
-                   help="override the default tolerance of the check")
+    p.add_argument("--tol", type=_tolerance, default=tol, help=tol_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,7 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--algebra", action="append", default=None,
                    help="builtin name or spec path; repeatable (default sl2)")
     c.add_argument("--samples", type=_whole(1, MAX_SAMPLES), default=20)
-    _add_report_flags(c, tol=None)
+    _add_report_flags(c, tol=None, tol_help=(
+        "override the default tolerance of the residual checks; the independence, "
+        "rank, rais and toda batteries refuse it, and keep their own tolerances "
+        "under 'all', as do jacobi-r-bracket and jacobi-rr-bracket (1e-11)"))
     c.set_defaults(fn=_cmd_check)
 
     f = sub.add_parser("flow", help="integrate Lax flows")

@@ -25,12 +25,12 @@ every sample of a stretch, and a new stretch starts from the last state where
 between two pivot tests is a pole of the flow; the run stops before it, with
 a note.  The pivots are tested at every sample, and on a finer grid where the
 exponents of a minor could drift apart by more than _TURN between samples.  The
-pencil fields and the Toda run of `toda.py` are integrated by fixed-step RK4
-(`rk4_states`) with no re-projection onto the phase space: tangency drift is
-a measured signal, not something to suppress.
+pencil fields and the Toda run of `toda.py` are integrated by one fixed-step
+RK4 driver of Lax equations (`rk4_states`), with no re-projection onto the
+phase space: tangency drift is a measured signal, not something to suppress.
 
 Every field is one matrix commutator V ↦ [Z, V] = ZV − VZ on a (k, n, n)
-stack (`lax_field`); only its partner Z = Z(V) differs:
+stack; only its partner Z = Z(V) differs:
 
     t-flow      Z = Π₊L
     s-flow      Z = Π₋M
@@ -39,9 +39,11 @@ stack (`lax_field`); only its partner Z = Z(V) differs:
     linear      Z = ½(λ−1)(RP − P, RP + P),      P = ĝ((λL − M)^i)
 
 with R = Π₊ − Π₋ and ĝ the trace-form projection onto 𝔤.  Π± keeps or zeroes
-whole matrix entries: Π±(V) = V ∘ m±, with (m₊, m₋) = `entry_masks`.
-`field_rows` evaluates the same commutator at a stack of coordinate rows; one
-point is a one-row stack.
+whole matrix entries: Π±(V) = V ∘ m±, with (m₊, m₋) = `entry_masks`.  A
+partner takes a weight w = 1 or 2 and returns w·Z(V), the weight folded into
+its mask or scale, so that RK4 gets its doubled stages exactly.  `field_rows`
+evaluates the commutator at a stack of coordinate rows; one point is a
+one-row stack.
 """
 from __future__ import annotations
 
@@ -60,7 +62,6 @@ __all__ = [
     "MAX_STEPS",
     "FlowConfig",
     "Trajectory",
-    "lax_field",
     "field_rows",
     "entry_masks",
     "projected_partner",
@@ -84,17 +85,6 @@ MAX_STEPS = 10_000
 # --------------------------------------------------------------------------
 
 
-def lax_field(partner: Callable) -> Callable[[np.ndarray], np.ndarray]:
-    """V ↦ [Z, V] = ZV − VZ on a (…, k, n, n) stack, with Z = partner(V) one
-    matrix for all blocks (…, 1, n, n) or one per block (…, k, n, n)."""
-
-    def field(V: np.ndarray) -> np.ndarray:
-        Z = partner(V)
-        return Z @ V - V @ Z
-
-    return field
-
-
 def entry_masks(alg: AlgebraSpec) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (n, n) 0/1 masks (m₊, m₋) of the entries the basis vectors
     of 𝔤_{≥0} and of 𝔤_{<0} carry, cached per spec; Π±(V) = V ∘ m± is exact
@@ -112,25 +102,26 @@ def entry_masks(alg: AlgebraSpec) -> tuple[np.ndarray, np.ndarray]:
     return alg.memo("entry-masks", build)
 
 
-def projected_partner(block: int, mask: np.ndarray) -> Callable:
-    """Z = V[block] ∘ mask, one matrix for all blocks of each stack entry."""
-
-    def partner(V: np.ndarray) -> np.ndarray:
-        return V[..., block:block + 1, :, :] * mask
-
-    return partner
+def projected_partner(block: Optional[int], mask: np.ndarray) -> Callable:
+    """w·Z(V) with Z = V[block] ∘ mask, one matrix for all blocks of each
+    stack entry, or Z = V ∘ mask on one matrix when block is None."""
+    weighted = {1: mask, 2: 2.0 * mask}
+    if block is None:
+        return lambda V, w: V * weighted[w]
+    return lambda V, w: V[..., block:block + 1, :, :] * weighted[w]
 
 
 def _partner(alg: AlgebraSpec, field: str, i: int = 0, lam: float = 0.0) -> Callable:
-    """The partner Z of the t-, s-, quadratic or linear pencil field on (L, M).
+    """The partner w·Z of the t-, s-, quadratic or linear pencil field on (L, M).
 
-    The t- and s-partners are Π₊L = L ∘ m₊ and Π₋M = M ∘ m₋, entry masks; on
-    one block the t-partner is the Toda partner Π₊A.
+    The t- and s-partners are Π₊L = L ∘ m₊ and Π₋M = M ∘ m₋, entry masks
+    (`projected_partner`; on one matrix, Π₊A is the Toda partner).
     A pencil partner is Z = s·((R − 1)p, (R + 1)p) with p the coordinates of
     W^{i+1} (quadratic: s = 1) or ĝ(W^i) (linear: s = ½(λ−1)),
     W = λL − M, less its centre part: kept, that part lets RK4 past a gl(2)
     quadratic blow-up (i = 1, λ = 0) settle on an exactly traceless M, where
-    the field vanishes, instead of ending at a non-finite state."""
+    the field vanishes, instead of ending at a non-finite state.  The weight
+    w = 2 scales s, which is exact."""
     if field == "t":
         return projected_partner(0, entry_masks(alg)[0])
     if field == "s":
@@ -148,12 +139,13 @@ def _partner(alg: AlgebraSpec, field: str, i: int = 0, lam: float = 0.0) -> Call
         def coords(W):
             return alg.gradient_from_matrix(W)[..., 0, :]
     lo, hi = alg.splitting_signs - 1.0, alg.splitting_signs + 1.0     # R − 1, R + 1
+    weighted = {1: s, 2: 2.0 * s}
 
-    def partner(V: np.ndarray) -> np.ndarray:
+    def partner(V: np.ndarray, w: int) -> np.ndarray:
         # W keeps a block axis of length one, so each entry is one matrix
         p = coords(np.linalg.matrix_power(lam * V[..., :1, :, :] - V[..., 1:, :, :], power))
         Z = alg.strip_centre(np.stack([lo * p, hi * p], axis=-2))
-        return s * alg.to_matrices(Z.reshape(*Z.shape[:-2], -1))
+        return weighted[w] * alg.to_matrices(Z.reshape(*Z.shape[:-2], -1))
 
     return partner
 
@@ -162,7 +154,9 @@ def field_rows(alg: AlgebraSpec, field: str, V: np.ndarray, i: int = 0,
                lam: float = 0.0) -> np.ndarray:
     """The t-, s-, quadratic or linear pencil field at coordinate rows V (…, 2·dim);
     the "t" field on rows (…, dim) of 𝔤 is the Toda field [A₊, A]."""
-    return alg.to_coords(lax_field(_partner(alg, field, i, lam))(alg.to_matrices(V)))
+    V = alg.to_matrices(V)
+    Z = _partner(alg, field, i, lam)(V, 1)
+    return alg.to_coords(Z @ V - V @ Z)
 
 
 # --------------------------------------------------------------------------
@@ -170,16 +164,15 @@ def field_rows(alg: AlgebraSpec, field: str, V: np.ndarray, i: int = 0,
 # --------------------------------------------------------------------------
 
 
-def _named_field(cfg: "FlowConfig",
-                 alg: AlgebraSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """The selected field on (2, n, n) stacks (L, M)."""
+def _named_partner(cfg: "FlowConfig", alg: AlgebraSpec) -> Callable:
+    """The partner of the selected field on (2, n, n) stacks (L, M)."""
     if cfg.field not in ("t", "s", "quadratic", "linear"):
         raise PreconditionError(f"unknown field selector {cfg.field!r}")
     if cfg.field in ("quadratic", "linear"):
         if cfg.i is None or cfg.lam is None:
             raise PreconditionError(f"{cfg.field} pencil field needs generator label i and λ")
         require_generator_label(alg, cfg.i)
-    return lax_field(_partner(alg, cfg.field, cfg.i, cfg.lam))
+    return _partner(alg, cfg.field, cfg.i, cfg.lam)
 
 
 def whole_steps(dt: float, T: float) -> int:
@@ -253,32 +246,41 @@ class Trajectory:
 _FINITE_EVERY = 64
 
 
-def rk4_states(field: Callable[[np.ndarray], np.ndarray], v0: np.ndarray,
-               dt: float, n_steps: int) -> np.ndarray:
-    """Fixed-step RK4 run of v̇ = field(v) from the array v0; field returns a
-    new array.
+def rk4_states(partner: Callable, v0: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
+    """Fixed-step RK4 run of the Lax equation V̇ = [Z(V), V] from v0, one
+    (n, n) matrix or a stack (…, k, n, n); partner(V, w) returns w·Z(V) for
+    w = 1 or 2, one matrix for all blocks of a stack entry or one per block.
 
     Returns the states stacked along a new first axis; a run that reaches a
-    non-finite state ends there, with that state as its last entry.  The
-    stage inputs and the weighted sum are written into two buffers, in the
-    operation order of v + dt/6·(k1 + 2k2 + 2k3 + k4), so the bits are those
-    of the plain loop.
+    non-finite state ends there, with that state as its last entry.  Each
+    commutator is written into preallocated buffers, by `np.dot` on one
+    matrix and `np.matmul` on a stack.  The stages k₂ and k₃ take the
+    partner 2Z, so they give 2k₂ and 2k₃ exactly (a factor 2 commutes with
+    rounding short of overflow and underflow), and their stage inputs take
+    dt/4 and dt/2 of them.  The sum is accumulated left to right, so the bits
+    are those of the plain loop v + dt/6·(k1 + 2k2 + 2k3 + k4).
     """
     states = np.empty((n_steps + 1, *np.shape(v0)))
     states[0] = v0
     v = states[0]
-    stage, k = np.empty_like(v), np.empty_like(v)
-    half, sixth = 0.5 * dt, dt / 6.0
+    product = np.dot if v.ndim == 2 else np.matmul
+    stage, k, dk, zv, vz = (np.empty_like(v) for _ in range(5))
+    quarter, half, sixth = 0.25 * dt, 0.5 * dt, dt / 6.0
+
+    def commutator(V, w, out):     # w·[Z(V), V] into out
+        Z = partner(V, w)
+        return np.subtract(product(Z, V, out=zv), product(V, Z, out=vz), out=out)
+
     # overflow on the way to a detected blow-up is expected, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
-            k1 = field(v)
-            k2 = field(np.add(v, np.multiply(half, k1, out=stage), out=stage))
-            k3 = field(np.add(v, np.multiply(half, k2, out=stage), out=stage))
-            k4 = field(np.add(v, np.multiply(dt, k3, out=stage), out=stage))
-            np.add(k1, np.multiply(2.0, k2, out=k), out=k)   # k1 + 2k2 + 2k3 + k4, left to right
-            k += np.multiply(2.0, k3, out=stage)
-            k += k4
+            commutator(v, 1, k)                                                  # k1
+            commutator(np.add(v, np.multiply(half, k, out=stage), out=stage), 2, dk)
+            k += dk                                                              # + 2k2
+            commutator(np.add(v, np.multiply(quarter, dk, out=stage), out=stage), 2, dk)
+            k += dk                                                              # + 2k3
+            commutator(np.add(v, np.multiply(half, dk, out=stage), out=stage), 1, dk)
+            k += dk                                                              # + k4
             v = np.add(v, np.multiply(sixth, k, out=k), out=states[step])
             if (step % _FINITE_EVERY == 0 or step == n_steps) and not np.isfinite(v).all():
                 finite = np.isfinite(states[:step + 1].reshape(step + 1, -1)).all(axis=1)
@@ -485,7 +487,7 @@ def integrate(cfg: FlowConfig, m0: PairPoint, conserved: bool = True) -> Traject
     if cfg.field in ("t", "s"):
         stack, note = _factor_states(cfg.field, V0, cfg.dt, cfg.n_steps, _triangular_order(alg))
     else:
-        stack = rk4_states(_named_field(cfg, alg), V0, cfg.dt, cfg.n_steps)
+        stack = rk4_states(_named_partner(cfg, alg), V0, cfg.dt, cfg.n_steps)
         stack, note = _drop_non_finite(stack, cfg.dt)
     states = alg.to_coords(stack)
     names, values = (), np.empty((len(states), 0))

@@ -8,8 +8,8 @@ whose flow for H = P₁ is the Toda equation Ȧ = [A₊, A].  The bracket and it
 Hamiltonian fields are those of the 2-Toda side (`poisson.linear_field`,
 `poisson.bracket_tables`) on one-block coordinate arrays of 𝔤; the Toda field
 is the t-flow's Lax commutator (`flows.field_rows` with field "t" on rows of
-𝔤), and the Toda run steps the one n×n matrix A by the same RK4 loop
-(`flows.rk4_states`).
+𝔤), and the Toda run steps the one n×n matrix A by the flows' one RK4 driver
+of Lax equations (`flows.rk4_states`), with the partner Z = A ∘ m₊.
 
 The diagonal embedding φ(x) = (x, x) lands in T_T′ = Δ(𝔤₋₁⊕𝔤₀) + (e, e)
 ⊂ T_P, and matching dual coordinates through φ gives a Poisson isomorphism
@@ -24,7 +24,8 @@ import math
 import numpy as np
 
 from .algebra import AlgebraSpec
-from .flows import _drop_non_finite, entry_masks, field_rows, lax_field, rk4_states, whole_steps
+from .flows import (_drop_non_finite, entry_masks, field_rows, projected_partner, rk4_states,
+                    whole_steps)
 from .invariants import family_labels, family_values, trace_gradients, trace_values
 from .poisson import PhaseSpace, _gradient_blocks, bracket_tables, linear_field
 from .reports import CheckReport, worst
@@ -69,8 +70,7 @@ def integrate_toda(alg: AlgebraSpec, row: np.ndarray, dt: float = 1e-3, T: float
 
     T must be a whole number of steps dt, as for `FlowConfig`.
     """
-    plus = entry_masks(alg)[0]
-    stack = rk4_states(lax_field(lambda A: A * plus), alg.to_matrix(row), dt,
+    stack = rk4_states(projected_partner(None, entry_masks(alg)[0]), alg.to_matrix(row), dt,
                        whole_steps(dt, T))
     stack, note = _drop_non_finite(stack, dt)
     return np.arange(len(stack)) * dt, alg.to_coords(stack[:, None]), note

@@ -16,9 +16,11 @@ the stacked batteries must reproduce.
 The RK4 driver and the projected partner have their straightforward forms
 here too (`rk4_reference`, `projector_partner`): one new array per stage and
 per state, a finiteness test at every step, and Π as the coordinate
-projection through the basis.  `rk4_trajectory` and `sequential_commutation`
-run the t- and s-flows by RK4, a witness independent of the exact
-factorization that `integrate` and `flow_commutation` use.
+projection through the basis; `lax_field` turns the driver's partner into
+the field V ↦ [Z, V] that the reference loop steps.  `rk4_trajectory` and
+`sequential_commutation` run the t- and s-flows by RK4, a witness
+independent of the exact factorization that `integrate` and
+`flow_commutation` use.
 `shuffled_and_rescaled` writes a spec in another basis of the same algebra.
 """
 
@@ -29,7 +31,7 @@ import numpy as np
 
 from toda2 import AlgebraError, Element, FlowConfig, PairPoint, ScalarFunction, spec_to_document
 from toda2.algebra import bracket_blocks, mult_blocks
-from toda2.flows import Trajectory, _named_field, field_rows, rk4_states
+from toda2.flows import Trajectory, _named_partner, field_rows, rk4_states
 from toda2.invariants import family_names, family_values
 from toda2.invariants import pullback_gradients, trace_gradients, trace_values
 from toda2.poisson import _block_field, _gradient_blocks
@@ -192,16 +194,27 @@ def rk4_reference(field, v0, dt, n_steps):
     return np.array(states)
 
 
+def lax_field(partner):
+    """V ↦ [Z, V] = ZV − VZ with Z = partner(V, 1), the weight-one partner
+    that `rk4_states` takes."""
+
+    def field(V):
+        Z = partner(V, 1)
+        return Z @ V - V @ Z
+
+    return field
+
+
 def projector_partner(alg, block, plus):
-    """Z = Π±(V[block]) as the n²×n² matrix of `project(·, plus)` on flattened
-    matrices, read through the basis and its pseudo-inverse."""
+    """w·Z with Z = Π±(V[block]) as the n²×n² matrix of `project(·, plus)` on
+    flattened matrices, read through the basis and its pseudo-inverse."""
     n = alg.matrix_size
     flat = alg.basis.reshape(alg.dim, -1).T
     P = (flat * ((alg.degrees >= 0) == plus)) @ np.linalg.pinv(flat)
 
-    def partner(V):
+    def partner(V, w):
         lead = V.shape[:-3]
-        return (P @ V[..., block, :, :].reshape(*lead, n * n, 1)).reshape(*lead, 1, n, n)
+        return w * (P @ V[..., block, :, :].reshape(*lead, n * n, 1)).reshape(*lead, 1, n, n)
 
     return partner
 
@@ -210,7 +223,7 @@ def rk4_trajectory(cfg, m0):
     """The RK4 run of the configured field from m0 as a Trajectory, with the
     family evaluated on every state; truncated before a non-finite state."""
     alg = m0.alg
-    stack = rk4_states(_named_field(cfg, alg), alg.to_matrices(m0.vec()), cfg.dt, cfg.n_steps)
+    stack = rk4_states(_named_partner(cfg, alg), alg.to_matrices(m0.vec()), cfg.dt, cfg.n_steps)
     truncated = not np.all(np.isfinite(stack[-1]))
     states = alg.to_coords(stack[:-1] if truncated else stack)
     return Trajectory(alg=alg, times=np.arange(len(states)) * cfg.dt, states=states,
@@ -223,7 +236,8 @@ def sequential_commutation(m0, dt, n_steps):
     """The commutation defect from four runs of the reference loop: Φ_s then
     Φ_t, and Φ_t then Φ_s, each field on its own."""
     alg = m0.alg
-    ft, fs = (_named_field(FlowConfig(field=f, dt=dt, T=dt * n_steps), alg) for f in "ts")
+    ft, fs = (lax_field(_named_partner(FlowConfig(field=f, dt=dt, T=dt * n_steps), alg))
+              for f in "ts")
 
     def run(f, V):
         return rk4_reference(f, V, dt, n_steps)[-1]

@@ -104,6 +104,32 @@ def test_check_pass_and_fail_exit_codes(capsys):
     assert "[FAIL]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", ["independence", "rank", "rais", "toda"])
+def test_tol_is_refused_by_a_battery_that_keeps_its_own(name, capsys):
+    assert main(["check", name, "--algebra", "sl2", "--tol", "1e-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"battery {name!r} takes no tolerance override (--tol)" in captured.err
+
+
+def test_check_all_keeps_the_own_tolerances_under_an_override(capsys):
+    sl2 = build_sl(2)
+    own = {r.check for name in ("independence", "rank", "rais", "toda")
+           for r in run_battery(name, sl2, samples=2)} | {"jacobi-r-bracket", "jacobi-rr-bracket"}
+
+    def reports(*flags):
+        main(["check", "all", "--algebra", "sl2", "--samples", "2", "--format", "json", *flags])
+        return json.loads(capsys.readouterr().out)["reports"]
+
+    plain, tight = reports(), reports("--tol", "1e-300")
+    assert [r["check"] for r in plain] == [r["check"] for r in tight]
+    for before, after in zip(plain, tight):
+        if before["check"] in own:
+            assert after == before
+        elif "tol" in before["params"]:
+            assert after["params"]["tol"] == 1e-300
+
+
 def test_check_rejects_unknown_battery():
     with pytest.raises(SystemExit) as ex:
         main(["check", "nonsense"])

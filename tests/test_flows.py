@@ -28,12 +28,12 @@ from toda2 import (
 )
 from toda2.cli import main
 from toda2 import flows
-from toda2.flows import (_expm, _factor_states, _factor_stretch, _named_field, _triangular_order,
-                         entry_masks, field_rows, lax_field, projected_partner, rk4_states)
+from toda2.flows import (_expm, _factor_states, _factor_stretch, _named_partner,
+                         _triangular_order, entry_masks, field_rows, projected_partner, rk4_states)
 from toda2.rmatrix import r_block
 from toda2.toda import integrate_toda, toda_space
 
-from pointwise import (bracket, flow_at, project, projector_partner, rk4_reference,
+from pointwise import (bracket, flow_at, lax_field, project, projector_partner, rk4_reference,
                        sequential_commutation)
 
 
@@ -172,10 +172,10 @@ def test_rk4_order_via_step_halving(sl3):
     # the error against the exact factorization solution shrinks ~16×
     m0 = seed_point(sl3)
     exact = integrate(FlowConfig(field="t", dt=0.02, T=2.0), m0, conserved=[]).states[-1]
-    field = _named_field(FlowConfig(field="t", dt=0.02, T=2.0), sl3)
+    partner = _named_partner(FlowConfig(field="t", dt=0.02, T=2.0), sl3)
 
     def err(dt):
-        end = rk4_states(field, sl3.to_matrices(m0.vec()), dt, round(2.0 / dt))[-1]
+        end = rk4_states(partner, sl3.to_matrices(m0.vec()), dt, round(2.0 / dt))[-1]
         return np.abs(sl3.to_coords(end) - exact).max()
 
     assert 12.0 <= err(0.04) / err(0.02) <= 20.0   # a 4th-order scheme gives ≈ 16
@@ -336,9 +336,9 @@ def _algebra(name, request):
 def test_rk4_states_matches_the_reference_loop_bit_for_bit(case, request):
     name, field, i, lam, dt, steps, scale = case
     alg = _algebra(name, request)
-    f = _named_field(FlowConfig(field=field, dt=dt, T=dt * steps, i=i, lam=lam), alg)
+    partner = _named_partner(FlowConfig(field=field, dt=dt, T=dt * steps, i=i, lam=lam), alg)
     V0 = alg.to_matrices(_start(alg, scale).vec())
-    lean, ref = rk4_states(f, V0, dt, steps), rk4_reference(f, V0, dt, steps)
+    lean, ref = rk4_states(partner, V0, dt, steps), rk4_reference(lax_field(partner), V0, dt, steps)
     # the same length: both runs stop at the same step, on the same state
     assert lean.shape == ref.shape
     assert np.array_equal(lean, ref, equal_nan=True)
@@ -353,8 +353,8 @@ def test_entry_masks_project_like_the_coordinate_projection(name, request):
     alg = _algebra(name, request)
     V0 = alg.to_matrices(seed_point(alg).vec())
     for field, block, plus in (("t", 0, True), ("s", 1, False)):
-        f = _named_field(FlowConfig(field=field, dt=1e-3, T=0.2), alg)
-        lean = alg.to_coords(rk4_states(f, V0, 1e-3, 200))
+        partner = _named_partner(FlowConfig(field=field, dt=1e-3, T=0.2), alg)
+        lean = alg.to_coords(rk4_states(partner, V0, 1e-3, 200))
         ref = alg.to_coords(rk4_reference(lax_field(projector_partner(alg, block, plus)),
                                           V0, 1e-3, 200))
         if alg.associative or (name != "so5" and field == "s"):
@@ -381,10 +381,14 @@ def toda_seed_point(alg, seed=42):
 
 
 # (algebra, seed); sl3 at seed 126 reaches a non-finite state at step 886
+TODA_BLOWUPS = {("sl3", 126): 886}
+
+
 @pytest.mark.parametrize("name, seed", [("sl3", 42), ("gl3", 42), ("so5", 42), ("sl3", 126)])
 def test_toda_run_matches_the_one_block_reference_bit_for_bit(name, seed, request):
-    # the Toda run steps one n×n matrix; the reference loop steps the
-    # one-block (1, n, n) stack with the t-flow's partner
+    # the Toda run steps one n×n matrix by np.dot with 2·m₊ in its doubled
+    # stages; the reference loop steps the one-block (1, n, n) stack with
+    # the t-flow's partner by @ and doubles k₂, k₃ after the commutator
     alg = request.getfixturevalue(name)
     x0 = toda_seed_point(alg, seed)
     _, states, note = integrate_toda(alg, x0, dt=1e-3, T=1.0)
@@ -392,6 +396,37 @@ def test_toda_run_matches_the_one_block_reference_bit_for_bit(name, seed, reques
                         alg.to_matrices(x0), 1e-3, 1000)
     assert len(ref) == len(states) + bool(note)
     assert np.array_equal(states, alg.to_coords(ref[:len(states)]))
+    bad = TODA_BLOWUPS.get((name, seed))
+    assert note == ("" if bad is None else
+                    f"non-finite state at step {bad} (t = {bad * 1e-3:g}); trajectory truncated")
+    assert bad is None or len(ref) == bad + 1
+
+
+# (algebra, field, i, λ, dt, T, step of the first non-finite state or None):
+# from the seed point the so5 linear run blows up at step 781 and the gl2
+# quadratic run at step 22
+INTEGRATE_CASES = [
+    ("gl3", "quadratic", 1, 0.5, 1e-3, 1.0, None),
+    ("sl3", "linear", 1, 2.0, 1e-3, 1.0, None),
+    ("so5", "linear", 1, 2.0, 1e-3, 1.0, 781),
+    ("gl2", "quadratic", 1, 0.0, 0.05, 3.0, 22),
+]
+
+
+@pytest.mark.parametrize("case", INTEGRATE_CASES, ids=lambda c: f"{c[0]}-{c[1]}-{c[3]:g}")
+def test_integrate_pencil_runs_match_the_reference_loop_bit_for_bit(case, request):
+    name, field, i, lam, dt, T, bad = case
+    alg = request.getfixturevalue(name)
+    cfg = FlowConfig(field=field, i=i, lam=lam, dt=dt, T=T)
+    m0 = seed_point(alg)
+    traj = integrate(cfg, m0, conserved=[])
+    ref = rk4_reference(lax_field(_named_partner(cfg, alg)), alg.to_matrices(m0.vec()),
+                        dt, cfg.n_steps)
+    assert len(ref) == (cfg.n_steps if bad is None else bad) + 1
+    assert len(traj.states) == len(ref) - (bad is not None)
+    assert np.array_equal(traj.states, alg.to_coords(ref[:len(traj.states)]))
+    assert traj.note == ("" if bad is None else
+                         f"non-finite state at step {bad} (t = {bad * dt:g}); trajectory truncated")
 
 
 @pytest.mark.parametrize("name", ["sl3", "gl3", "sl4", "gl4"])
@@ -486,8 +521,8 @@ def test_stacked_expm_matches_the_taylor_oracle(size):
 
 def rk4_end(alg, field, m0, dt, T):
     """The last state (L, M) of the RK4 run of the t- or s-field."""
-    f = _named_field(FlowConfig(field=field, dt=dt, T=dt), alg)
-    return rk4_states(f, alg.to_matrices(m0.vec()), dt, round(T / dt))[-1]
+    partner = _named_partner(FlowConfig(field=field, dt=dt, T=dt), alg)
+    return rk4_states(partner, alg.to_matrices(m0.vec()), dt, round(T / dt))[-1]
 
 
 @pytest.mark.parametrize("field", ["t", "s"])
@@ -531,7 +566,7 @@ def test_blowup_stops_before_the_pole(name, first_bad, request):
                          f"{first_bad * dt:g} (steps {first_bad - 1} and {first_bad}); "
                          f"trajectory truncated")
     assert np.all(np.isfinite(traj.states)) and np.all(np.isfinite(traj.conserved))
-    stack = rk4_states(_named_field(FlowConfig(field="t", dt=dt, T=dt), alg),
+    stack = rk4_states(_named_partner(FlowConfig(field="t", dt=dt, T=dt), alg),
                        alg.to_matrices(seed_point(alg).vec()), dt, 1500)
     finite = np.isfinite(stack.reshape(len(stack), -1)).all(axis=1)
     assert 0 <= int(np.argmin(finite)) - first_bad <= 3

@@ -469,14 +469,20 @@ _OWN_TOLERANCES = ("independence", "rank", "rais", "toda")
 BATTERY_NAMES = tuple(_BATTERIES)
 
 
+def require_tol_accepted(name: str, tol: float | None) -> None:
+    """PreconditionError when `tol` overrides a battery that keeps its own
+    tolerances; it needs no algebra, so a caller can refuse before a build."""
+    if tol is not None and name in _OWN_TOLERANCES:
+        raise PreconditionError(f"battery {name!r} takes no tolerance override (--tol): "
+                                f"its checks keep their own tolerances")
+
+
 def run_battery(name: str, alg: AlgebraSpec, samples: int = 20, seed: int = 42,
                 tol: float | None = None) -> list[CheckReport]:
     """The reports of battery `name` ("all": of every battery); `tol` overrides
     their default, and a battery whose checks keep their own tolerances
-    refuses it (PreconditionError)."""
-    if tol is not None and name in _OWN_TOLERANCES:
-        raise PreconditionError(f"battery {name!r} takes no tolerance override (--tol): "
-                                f"its checks keep their own tolerances")
+    refuses it (`require_tol_accepted`)."""
+    require_tol_accepted(name, tol)
 
     def run(key):
         override = {} if tol is None or key in _OWN_TOLERANCES else {"tol": tol}

@@ -30,7 +30,7 @@ from .algebra import (
     save_spec,
     spec_to_json,
 )
-from .checks import BATTERY_NAMES, run_battery
+from .checks import BATTERY_NAMES, require_tol_accepted, run_battery
 from .flows import (
     MAX_STEPS,
     FlowConfig,
@@ -102,6 +102,7 @@ def _cmd_algebra_validate(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    require_tol_accepted(args.name, args.tol)       # before any algebra is built
     reports: list[CheckReport] = []
     for token in args.algebra:
         alg = resolve_algebra(token)

@@ -28,6 +28,7 @@ exponents of a minor could drift apart by more than _TURN between samples.  The
 pencil fields and the Toda run of `toda.py` are integrated by one fixed-step
 RK4 driver of Lax equations (`rk4_states`), with no re-projection onto the
 phase space: tangency drift is a measured signal, not something to suppress.
+Both engines return (states, note), so `integrate` only picks one.
 
 Every field is one matrix commutator V ↦ [Z, V] = ZV − VZ on a (k, n, n)
 stack; only its partner Z = Z(V) differs:
@@ -35,15 +36,15 @@ stack; only its partner Z = Z(V) differs:
     t-flow      Z = Π₊L
     s-flow      Z = Π₋M
     Toda        Z = Π₊A                          (`toda.py`, one matrix)
-    quadratic   Z = (−2Π₋W, 2Π₊W),               W = (λL − M)^{i+1}
-    linear      Z = ½(λ−1)(RP − P, RP + P),      P = ĝ((λL − M)^i)
+    pencil      Z = s·((R − 1)p, (R + 1)p),      p = ĝ((λL − M)^k)
 
-with R = Π₊ − Π₋ and ĝ the trace-form projection onto 𝔤.  Π± keeps or zeroes
-whole matrix entries: Π±(V) = V ∘ m±, with (m₊, m₋) = `entry_masks`.  A
-partner takes a weight w = 1 or 2 and returns w·Z(V), the weight folded into
-its mask or scale, so that RK4 gets its doubled stages exactly.  `field_rows`
-evaluates the commutator at a stack of coordinate rows; one point is a
-one-row stack.
+with R = Π₊ − Π₋ and ĝ the trace-form projection onto 𝔤; the quadratic
+pencil field takes k = i + 1 and s = 1, the linear one k = i and
+s = ½(λ − 1).  Π± keeps or zeroes whole matrix entries: Π±(V) = V ∘ m±, with
+(m₊, m₋) = `entry_masks`.  A partner takes a weight w = 1 or 2 and returns
+w·Z(V), the weight folded into its mask or sign pair, so that RK4 gets its
+doubled stages exactly.  `field_rows` evaluates the commutator at a stack of
+coordinate rows; one point is a one-row stack.
 """
 from __future__ import annotations
 
@@ -115,37 +116,33 @@ def _partner(alg: AlgebraSpec, field: str, i: int = 0, lam: float = 0.0) -> Call
     """The partner w·Z of the t-, s-, quadratic or linear pencil field on (L, M).
 
     The t- and s-partners are Π₊L = L ∘ m₊ and Π₋M = M ∘ m₋, entry masks
-    (`projected_partner`; on one matrix, Π₊A is the Toda partner).
-    A pencil partner is Z = s·((R − 1)p, (R + 1)p) with p the coordinates of
-    W^{i+1} (quadratic: s = 1) or ĝ(W^i) (linear: s = ½(λ−1)),
-    W = λL − M, less its centre part: kept, that part lets RK4 past a gl(2)
-    quadratic blow-up (i = 1, λ = 0) settle on an exactly traceless M, where
-    the field vanishes, instead of ending at a non-finite state.  The weight
-    w = 2 scales s, which is exact."""
+    (`projected_partner`; on one matrix, Π₊A is the Toda partner).  A pencil
+    partner is Z = s·((R − 1)p, (R + 1)p), p = ĝ(W^k), W = λL − M, with
+    k = i + 1, s = 1 (quadratic; on gl, ĝ is the coordinate map) or k = i,
+    s = ½(λ−1) (linear), less its centre part: kept, that part lets RK4 past
+    a gl(2) quadratic blow-up (i = 1, λ = 0) settle on an exactly traceless
+    M, where the field vanishes, instead of ending at a non-finite state.
+    The weight w = 2 doubles the sign pair, which is exact; s = 1 is not
+    applied."""
     if field == "t":
         return projected_partner(0, entry_masks(alg)[0])
     if field == "s":
         return projected_partner(1, entry_masks(alg)[1])
-    if field == "quadratic":
-        if not alg.associative:
-            raise CapabilityError(
-                f"quadratic pencil field needs an associative algebra; "
-                f"{alg.name} has associative=False"
-            )
-        power, coords, s = i + 1, alg.to_coords, 1.0
-    else:
-        power, s = i, 0.5 * (lam - 1.0)
-
-        def coords(W):
-            return alg.gradient_from_matrix(W)[..., 0, :]
-    lo, hi = alg.splitting_signs - 1.0, alg.splitting_signs + 1.0     # R − 1, R + 1
-    weighted = {1: s, 2: 2.0 * s}
+    if field == "quadratic" and not alg.associative:
+        raise CapabilityError(f"quadratic pencil field needs an associative algebra; "
+                              f"{alg.name} has associative=False")
+    power, s = (i + 1, 1.0) if field == "quadratic" else (i, 0.5 * (lam - 1.0))
+    R = alg.splitting_signs
+    signs = {w: (w * (R - 1.0), w * (R + 1.0)) for w in (1, 2)}     # w(R − 1), w(R + 1)
 
     def partner(V: np.ndarray, w: int) -> np.ndarray:
-        # W keeps a block axis of length one, so each entry is one matrix
-        p = coords(np.linalg.matrix_power(lam * V[..., :1, :, :] - V[..., 1:, :, :], power))
-        Z = alg.strip_centre(np.stack([lo * p, hi * p], axis=-2))
-        return weighted[w] * alg.to_matrices(Z.reshape(*Z.shape[:-2], -1))
+        # W keeps a block axis of length one, so p is one row (…, 1, dim)
+        p = alg.gradient_from_matrix(
+            np.linalg.matrix_power(lam * V[..., :1, :, :] - V[..., 1:, :, :], power))
+        lo, hi = signs[w]
+        Z = alg.strip_centre(np.concatenate([lo * p, hi * p], axis=-2))
+        Z = alg.to_matrices(Z.reshape(*Z.shape[:-2], -1))
+        return Z if s == 1.0 else s * Z
 
     return partner
 
@@ -162,17 +159,6 @@ def field_rows(alg: AlgebraSpec, field: str, V: np.ndarray, i: int = 0,
 # --------------------------------------------------------------------------
 # configuration and the RK4 integrator
 # --------------------------------------------------------------------------
-
-
-def _named_partner(cfg: "FlowConfig", alg: AlgebraSpec) -> Callable:
-    """The partner of the selected field on (2, n, n) stacks (L, M)."""
-    if cfg.field not in ("t", "s", "quadratic", "linear"):
-        raise PreconditionError(f"unknown field selector {cfg.field!r}")
-    if cfg.field in ("quadratic", "linear"):
-        if cfg.i is None or cfg.lam is None:
-            raise PreconditionError(f"{cfg.field} pencil field needs generator label i and λ")
-        require_generator_label(alg, cfg.i)
-    return _partner(alg, cfg.field, cfg.i, cfg.lam)
 
 
 def whole_steps(dt: float, T: float) -> int:
@@ -196,7 +182,8 @@ def whole_steps(dt: float, T: float) -> int:
 @dataclass(frozen=True)
 class FlowConfig:
     """Field selector, sample step dt and horizon T (the RK4 step of the
-    pencil fields), and the pencil's generator label and λ."""
+    pencil fields), and the pencil's generator label and λ; checked here,
+    but for i being a label of the algebra (`integrate` asks it)."""
 
     field: str = "t"                 # t | s | quadratic | linear
     dt: float = 1e-3
@@ -210,6 +197,10 @@ class FlowConfig:
             raise PreconditionError(f"the {self.field}-flow takes no generator label i or λ")
         if self.lam is not None and not math.isfinite(self.lam):
             raise PreconditionError(f"λ must be finite, got {self.lam}")
+        if self.field not in ("t", "s", "quadratic", "linear"):
+            raise PreconditionError(f"unknown field selector {self.field!r}")
+        if self.field not in ("t", "s") and (self.i is None or self.lam is None):
+            raise PreconditionError(f"{self.field} pencil field needs generator label i and λ")
 
     @property
     def n_steps(self) -> int:
@@ -246,14 +237,16 @@ class Trajectory:
 _FINITE_EVERY = 64
 
 
-def rk4_states(partner: Callable, v0: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
+def rk4_states(partner: Callable, v0: np.ndarray, dt: float,
+               n_steps: int) -> tuple[np.ndarray, str]:
     """Fixed-step RK4 run of the Lax equation V̇ = [Z(V), V] from v0, one
     (n, n) matrix or a stack (…, k, n, n); partner(V, w) returns w·Z(V) for
     w = 1 or 2, one matrix for all blocks of a stack entry or one per block.
 
-    Returns the states stacked along a new first axis; a run that reaches a
-    non-finite state ends there, with that state as its last entry.  Each
-    commutator is written into preallocated buffers, by `np.dot` on one
+    Returns the states stacked along a new first axis and a note, as
+    `_factor_states` does: a run that reaches a non-finite state ends
+    before it, and the note names its step (empty when there is none).
+    Each commutator is written into preallocated buffers, by `np.dot` on one
     matrix and `np.matmul` on a stack.  The stages k₂ and k₃ take the
     partner 2Z, so they give 2k₂ and 2k₃ exactly (a factor 2 commutes with
     rounding short of overflow and underflow), and their stage inputs take
@@ -284,17 +277,10 @@ def rk4_states(partner: Callable, v0: np.ndarray, dt: float, n_steps: int) -> np
             v = np.add(v, np.multiply(sixth, k, out=k), out=states[step])
             if (step % _FINITE_EVERY == 0 or step == n_steps) and not np.isfinite(v).all():
                 finite = np.isfinite(states[:step + 1].reshape(step + 1, -1)).all(axis=1)
-                return states[:int(np.argmin(finite)) + 1]
-    return states
-
-
-def _drop_non_finite(stack: np.ndarray, dt: float) -> tuple[np.ndarray, str]:
-    """The states of an `rk4_states` run less a non-finite last state, and a
-    note that names its step, empty when there is none."""
-    if np.isfinite(stack[-1]).all():
-        return stack, ""
-    k = len(stack) - 1
-    return stack[:-1], f"non-finite state at step {k} (t = {k * dt:g}); trajectory truncated"
+                bad = int(np.argmin(finite))
+                return states[:bad], (f"non-finite state at step {bad} (t = {bad * dt:g}); "
+                                      f"trajectory truncated")
+    return states, ""
 
 
 # --------------------------------------------------------------------------
@@ -487,8 +473,9 @@ def integrate(cfg: FlowConfig, m0: PairPoint, conserved: bool = True) -> Traject
     if cfg.field in ("t", "s"):
         stack, note = _factor_states(cfg.field, V0, cfg.dt, cfg.n_steps, _triangular_order(alg))
     else:
-        stack = rk4_states(_named_partner(cfg, alg), V0, cfg.dt, cfg.n_steps)
-        stack, note = _drop_non_finite(stack, cfg.dt)
+        require_generator_label(alg, cfg.i)
+        stack, note = rk4_states(_partner(alg, cfg.field, cfg.i, cfg.lam), V0, cfg.dt,
+                                 cfg.n_steps)
     states = alg.to_coords(stack)
     names, values = (), np.empty((len(states), 0))
     if conserved:

@@ -9,7 +9,8 @@ Hamiltonian fields are those of the 2-Toda side (`poisson.linear_field`,
 `poisson.bracket_tables`) on one-block coordinate arrays of 𝔤; the Toda field
 is the t-flow's Lax commutator (`flows.field_rows` with field "t" on rows of
 𝔤), and the Toda run steps the one n×n matrix A by the flows' one RK4 driver
-of Lax equations (`flows.rk4_states`), with the partner Z = A ∘ m₊.
+of Lax equations (`flows.rk4_states`), with the partner Z = A ∘ m₊; the
+driver stops before a non-finite state and says so in the note it returns.
 
 The diagonal embedding φ(x) = (x, x) lands in T_T′ = Δ(𝔤₋₁⊕𝔤₀) + (e, e)
 ⊂ T_P, and matching dual coordinates through φ gives a Poisson isomorphism
@@ -24,10 +25,9 @@ import math
 import numpy as np
 
 from .algebra import AlgebraSpec
-from .flows import (_drop_non_finite, entry_masks, field_rows, projected_partner, rk4_states,
-                    whole_steps)
+from .flows import entry_masks, field_rows, projected_partner, rk4_states, whole_steps
 from .invariants import family_labels, family_values, trace_gradients, trace_values
-from .poisson import PhaseSpace, _gradient_blocks, bracket_tables, linear_field
+from .poisson import PhaseSpace, bracket_tables, linear_field
 from .reports import CheckReport, worst
 from .rmatrix import block_norms
 
@@ -70,9 +70,8 @@ def integrate_toda(alg: AlgebraSpec, row: np.ndarray, dt: float = 1e-3, T: float
 
     T must be a whole number of steps dt, as for `FlowConfig`.
     """
-    stack = rk4_states(projected_partner(None, entry_masks(alg)[0]), alg.to_matrix(row), dt,
-                       whole_steps(dt, T))
-    stack, note = _drop_non_finite(stack, dt)
+    stack, note = rk4_states(projected_partner(None, entry_masks(alg)[0]), alg.to_matrix(row),
+                             dt, whole_steps(dt, T))
     return np.arange(len(stack)) * dt, alg.to_coords(stack[:, None]), note
 
 
@@ -120,7 +119,7 @@ def toda_suite(alg: AlgebraSpec, seed: int = 42) -> list:
 
     # T_T is a Poisson submanifold: every Hamiltonian field is tangent to it;
     # the fields of the basis coordinates x ↦ x_a = ⟨G⁻¹e_a, x⟩ span them all
-    coords = _gradient_blocks(alg, np.eye(alg.dim)[:, None])     # gradients G⁻¹e_a
+    coords = alg.gram_inv.T[:, None]            # gradients G⁻¹e_a, the rows of (G⁻¹)ᵀ
     fields = linear_field(alg, X[:5, None, None], coords)
     residual = worst(ts.normal_residuals(fields[..., 0, :]))
     reports.append(CheckReport.below("toda-submanifold", "toda-space-poisson-submanifold",

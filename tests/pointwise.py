@@ -29,9 +29,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from toda2 import AlgebraError, Element, FlowConfig, PairPoint, ScalarFunction, spec_to_document
+from toda2 import AlgebraError, Element, PairPoint, ScalarFunction, spec_to_document
 from toda2.algebra import bracket_blocks, mult_blocks
-from toda2.flows import Trajectory, _named_partner, field_rows, rk4_states
+from toda2.flows import Trajectory, _partner, field_rows, rk4_states
 from toda2.invariants import family_names, family_values
 from toda2.invariants import pullback_gradients, trace_gradients, trace_values
 from toda2.poisson import _block_field, _gradient_blocks
@@ -223,21 +223,19 @@ def rk4_trajectory(cfg, m0):
     """The RK4 run of the configured field from m0 as a Trajectory, with the
     family evaluated on every state; truncated before a non-finite state."""
     alg = m0.alg
-    stack = rk4_states(_named_partner(cfg, alg), alg.to_matrices(m0.vec()), cfg.dt, cfg.n_steps)
-    truncated = not np.all(np.isfinite(stack[-1]))
-    states = alg.to_coords(stack[:-1] if truncated else stack)
+    stack, note = rk4_states(_partner(alg, cfg.field, cfg.i, cfg.lam), alg.to_matrices(m0.vec()),
+                             cfg.dt, cfg.n_steps)
+    states = alg.to_coords(stack)
     return Trajectory(alg=alg, times=np.arange(len(states)) * cfg.dt, states=states,
                       conserved=family_values(alg, states),
-                      conserved_names=tuple(family_names(alg)),
-                      note="non-finite state; trajectory truncated" if truncated else "")
+                      conserved_names=tuple(family_names(alg)), note=note)
 
 
 def sequential_commutation(m0, dt, n_steps):
     """The commutation defect from four runs of the reference loop: Φ_s then
     Φ_t, and Φ_t then Φ_s, each field on its own."""
     alg = m0.alg
-    ft, fs = (lax_field(_named_partner(FlowConfig(field=f, dt=dt, T=dt * n_steps), alg))
-              for f in "ts")
+    ft, fs = (lax_field(_partner(alg, f)) for f in "ts")
 
     def run(f, V):
         return rk4_reference(f, V, dt, n_steps)[-1]

@@ -112,6 +112,19 @@ def test_tol_is_refused_by_a_battery_that_keeps_its_own(name, capsys):
     assert f"battery {name!r} takes no tolerance override (--tol)" in captured.err
 
 
+def test_tol_is_refused_before_any_build(monkeypatch, capsys):
+    # the refusal needs no algebra: sl9 is not built, and a bad token does
+    # not hide the flag
+    def no_build(*args):
+        raise AssertionError("an algebra was built")
+
+    monkeypatch.setattr(cli, "build_sl", no_build)
+    for name, token in (("toda", "sl9"), ("rank", "sl99")):
+        assert main(["check", name, "--algebra", token, "--tol", "1e-3"]) == 2
+        err = capsys.readouterr().err
+        assert f"battery {name!r} takes no tolerance override (--tol)" in err and token not in err
+
+
 def test_check_all_keeps_the_own_tolerances_under_an_override(capsys):
     sl2 = build_sl(2)
     own = {r.check for name in ("independence", "rank", "rais", "toda")

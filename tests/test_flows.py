@@ -27,9 +27,9 @@ from toda2 import (
     validate_spec,
 )
 from toda2.cli import main
-from toda2 import flows
-from toda2.flows import (_expm, _factor_states, _factor_stretch, _named_partner,
-                         _triangular_order, entry_masks, field_rows, projected_partner, rk4_states)
+from toda2 import cli, flows
+from toda2.flows import (_expm, _factor_states, _factor_stretch, _partner, _triangular_order,
+                         entry_masks, field_rows, projected_partner, rk4_states)
 from toda2.rmatrix import r_block
 from toda2.toda import integrate_toda, toda_space
 
@@ -172,10 +172,10 @@ def test_rk4_order_via_step_halving(sl3):
     # the error against the exact factorization solution shrinks ~16×
     m0 = seed_point(sl3)
     exact = integrate(FlowConfig(field="t", dt=0.02, T=2.0), m0, conserved=[]).states[-1]
-    partner = _named_partner(FlowConfig(field="t", dt=0.02, T=2.0), sl3)
+    partner = _partner(sl3, "t")
 
     def err(dt):
-        end = rk4_states(partner, sl3.to_matrices(m0.vec()), dt, round(2.0 / dt))[-1]
+        end = rk4_states(partner, sl3.to_matrices(m0.vec()), dt, round(2.0 / dt))[0][-1]
         return np.abs(sl3.to_coords(end) - exact).max()
 
     assert 12.0 <= err(0.04) / err(0.02) <= 20.0   # a 4th-order scheme gives ≈ 16
@@ -279,6 +279,9 @@ def test_flows_refuse_a_spec_not_graded_entry_by_entry(tmp_path, capsys):
     capsys.readouterr()
     assert main(["flow", "run", "--algebra", str(path), "--dt", "0.1", "--T", "0.2"]) == 2
     assert "graded entry by entry" in capsys.readouterr().err
+    # a pencil partner reads no entry mask: its run still runs
+    assert main(["flow", "run", "--algebra", str(path), "--field", "linear", "--i", "1",
+                 "--lam", "2", "--dt", "0.01", "--T", "0.1"]) == 0
 
 
 def test_check_all_reports_the_batteries_a_spec_cannot_serve(tmp_path, capsys):
@@ -336,12 +339,46 @@ def _algebra(name, request):
 def test_rk4_states_matches_the_reference_loop_bit_for_bit(case, request):
     name, field, i, lam, dt, steps, scale = case
     alg = _algebra(name, request)
-    partner = _named_partner(FlowConfig(field=field, dt=dt, T=dt * steps, i=i, lam=lam), alg)
+    partner = _partner(alg, field, i, lam)
     V0 = alg.to_matrices(_start(alg, scale).vec())
-    lean, ref = rk4_states(partner, V0, dt, steps), rk4_reference(lax_field(partner), V0, dt, steps)
-    # the same length: both runs stop at the same step, on the same state
-    assert lean.shape == ref.shape
-    assert np.array_equal(lean, ref, equal_nan=True)
+    lean, note = rk4_states(partner, V0, dt, steps)
+    ref = rk4_reference(lax_field(partner), V0, dt, steps)
+    # the kept states are the reference's bit for bit, and the reference's
+    # next state is non-finite exactly when the note names a step, that step
+    assert np.array_equal(lean, ref[:len(lean)]) and np.isfinite(lean).all()
+    assert len(ref) == len(lean) + bool(note)
+    assert np.isfinite(ref[-1]).all() == (note == "")
+    assert note in ("", f"non-finite state at step {len(lean)} (t = {len(lean) * dt:g}); "
+                        f"trajectory truncated")
+
+
+PARTNER_CASES = [("sl3", "t"), ("gl3", "t"), ("so5", "t"), ("sl3", "s"), ("gl3", "s"),
+                 ("so5", "s"), ("gl2", "quadratic"), ("gl3", "quadratic"), ("sl3", "linear"),
+                 ("gl3", "linear"), ("so5", "linear"), ("rotated-sl2", "linear")]
+
+
+@pytest.mark.parametrize("name, field", PARTNER_CASES, ids="-".join)
+def test_doubled_partner_is_twice_the_partner_bit_for_bit(name, field, request):
+    # RK4's stages k₂ and k₃ take partner(V, 2) for 2·partner(V, 1): the
+    # weight, folded into a mask or the sign pair, must double exactly
+    alg = (load_spec(rotated_sl2_document()) if name == "rotated-sl2"
+           else request.getfixturevalue(name))
+    V = alg.to_matrices(phase_tp(alg).sample_stack(7, 5))
+    pencils = [(None, None)] if field in ("t", "s") else \
+        [(i, lam) for i in alg.exponents for lam in (-1.0, 0.0, 0.5, 2.0, 3.0)]
+    for i, lam in pencils:
+        partner = _partner(alg, field, i, lam)
+        assert partner(V, 2).tobytes() == (2.0 * partner(V, 1)).tobytes(), (i, lam)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_trace_projection_is_the_coordinate_map_on_gl(n):
+    # the quadratic pencil partner reads p = ĝ(W^{i+1}): on gl the
+    # trace-form projection is the coordinate map, to the bit
+    alg = build_gl(n)
+    rng = np.random.default_rng(n)
+    W = rng.standard_normal((6, 1, n, n)) * 10.0 ** rng.uniform(-8, 8, (6, 1, 1, 1))
+    assert alg.to_coords(W).tobytes() == alg.gradient_from_matrix(W)[..., 0, :].tobytes()
 
 
 @pytest.mark.parametrize("name", ["gl3", "gl4", "sl3", "sl4", "so5"])
@@ -353,8 +390,7 @@ def test_entry_masks_project_like_the_coordinate_projection(name, request):
     alg = _algebra(name, request)
     V0 = alg.to_matrices(seed_point(alg).vec())
     for field, block, plus in (("t", 0, True), ("s", 1, False)):
-        partner = _named_partner(FlowConfig(field=field, dt=1e-3, T=0.2), alg)
-        lean = alg.to_coords(rk4_states(partner, V0, 1e-3, 200))
+        lean = alg.to_coords(rk4_states(_partner(alg, field), V0, 1e-3, 200)[0])
         ref = alg.to_coords(rk4_reference(lax_field(projector_partner(alg, block, plus)),
                                           V0, 1e-3, 200))
         if alg.associative or (name != "so5" and field == "s"):
@@ -420,7 +456,7 @@ def test_integrate_pencil_runs_match_the_reference_loop_bit_for_bit(case, reques
     cfg = FlowConfig(field=field, i=i, lam=lam, dt=dt, T=T)
     m0 = seed_point(alg)
     traj = integrate(cfg, m0, conserved=[])
-    ref = rk4_reference(lax_field(_named_partner(cfg, alg)), alg.to_matrices(m0.vec()),
+    ref = rk4_reference(lax_field(_partner(alg, field, i, lam)), alg.to_matrices(m0.vec()),
                         dt, cfg.n_steps)
     assert len(ref) == (cfg.n_steps if bad is None else bad) + 1
     assert len(traj.states) == len(ref) - (bad is not None)
@@ -521,8 +557,7 @@ def test_stacked_expm_matches_the_taylor_oracle(size):
 
 def rk4_end(alg, field, m0, dt, T):
     """The last state (L, M) of the RK4 run of the t- or s-field."""
-    partner = _named_partner(FlowConfig(field=field, dt=dt, T=dt), alg)
-    return rk4_states(partner, alg.to_matrices(m0.vec()), dt, round(T / dt))[-1]
+    return rk4_states(_partner(alg, field), alg.to_matrices(m0.vec()), dt, round(T / dt))[0][-1]
 
 
 @pytest.mark.parametrize("field", ["t", "s"])
@@ -566,10 +601,8 @@ def test_blowup_stops_before_the_pole(name, first_bad, request):
                          f"{first_bad * dt:g} (steps {first_bad - 1} and {first_bad}); "
                          f"trajectory truncated")
     assert np.all(np.isfinite(traj.states)) and np.all(np.isfinite(traj.conserved))
-    stack = rk4_states(_named_partner(FlowConfig(field="t", dt=dt, T=dt), alg),
-                       alg.to_matrices(seed_point(alg).vec()), dt, 1500)
-    finite = np.isfinite(stack.reshape(len(stack), -1)).all(axis=1)
-    assert 0 <= int(np.argmin(finite)) - first_bad <= 3
+    stack, note = rk4_states(_partner(alg, "t"), alg.to_matrices(seed_point(alg).vec()), dt, 1500)
+    assert note and 0 <= len(stack) - first_bad <= 3     # RK4's first non-finite state
 
 
 def test_no_blowup_where_the_values_only_grow(sl2):
@@ -730,12 +763,23 @@ def test_pencil_parameters_are_checked_where_they_are_set(argv, match, capsys):
         FlowConfig(field="s", lam=1.0)
 
 
-def test_field_selector_validation(gl2):
-    m0 = seed_point(gl2)
-    with pytest.raises(PreconditionError):
-        integrate(FlowConfig(field="warp", dt=0.1, T=0.2), m0)
-    with pytest.raises(PreconditionError):
-        integrate(FlowConfig(field="quadratic", dt=0.1, T=0.2), m0)  # no i, λ
+def test_pencil_run_without_its_label_is_refused_before_any_build(monkeypatch, capsys):
+    def no_build(*args):
+        raise AssertionError("an algebra was built")
+
+    monkeypatch.setattr(cli, "build_sl", no_build)
+    for extra in ([], ["--i", "1"], ["--lam", "2"]):
+        assert main(["flow", "run", "--algebra", "sl3", "--field", "linear", *extra]) == 2
+        assert "linear pencil field needs generator label i and λ" in capsys.readouterr().err
+
+
+def test_field_selector_validation():
+    # a config says what it lacks at construction, before any algebra; only
+    # whether i is a generator label waits for one (`integrate`)
+    for kwargs in ({"field": "x"}, {"field": "quadratic"}, {"field": "linear", "i": 1},
+                   {"field": "linear", "lam": 2.0}):
+        with pytest.raises(PreconditionError):
+            FlowConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,19 @@ def test_every_export_has_a_caller_outside_the_tests():
     assert uncalled == []
 
 
+def test_no_module_imports_a_private_name_from_another():
+    # a `_` name is its module's own: a second module that needs it needs a
+    # public name, or the thing the private one computes
+    imported = []
+    for path in sorted((ROOT / "src/toda2").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "toda2"
+                                                     or node.module.startswith("toda2.")):
+                imported += [f"{path.name}: {node.module}.{alias.name}" for alias in node.names
+                             if alias.name.startswith("_")]
+    assert imported == []
+
+
 # --------------------------------------------------------------------------
 # every public method has a caller, and every default is set by one
 # --------------------------------------------------------------------------

@@ -12,16 +12,24 @@ Usage: python3 scripts/rank_survey.py [more-specs.json ...]
 
 import sys
 
-from toda2 import build_gl, build_sl, expected_rank, family_labels, load_spec, phase_tp, rank_sweep
+from toda2 import (
+    brackets,
+    build_gl,
+    build_sl,
+    expected_rank,
+    family_labels,
+    load_spec,
+    phase_tp,
+    rank_sweep,
+)
 
 
 def survey(alg):
     ps = phase_tp(alg)
     card = len(family_labels(alg))
     rows = []
-    kinds = ("linear", "quadratic") if alg.associative else ("linear",)
-    for which in kinds:
-        r = rank_sweep(ps, which, points=15).rank
+    for which in brackets(alg):
+        r = rank_sweep(ps, which).rank
         ident = "ok" if card == ps.dim - r // 2 else "VIOLATED"
         rows.append((alg.name, which, alg.dim, ps.dim, r, expected_rank(alg), card, ident))
     return rows

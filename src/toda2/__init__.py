@@ -24,6 +24,7 @@ from .poisson import (
     PhaseSpace,
     PreconditionError,
     ScalarFunction,
+    brackets,
     phase_tp,
     poisson_matrix,
     rank_sweep,
@@ -74,6 +75,7 @@ __all__ = [
     "PhaseSpace",
     "PreconditionError",
     "ScalarFunction",
+    "brackets",
     "phase_tp",
     "poisson_matrix",
     "rank_sweep",

@@ -5,6 +5,8 @@ acceptance suite.  Sample points are seeded, so reports are deterministic.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .algebra import AlgebraSpec, bracket_blocks
@@ -19,6 +21,7 @@ from .poisson import (
     CapabilityError,
     PreconditionError,
     bracket_tables,
+    brackets,
     check_morphism_psi1,
     inner_bracket_gradients,
     linear_field,
@@ -83,7 +86,7 @@ def check_jacobi_battery(alg: AlgebraSpec, samples: int = 20, seed: int = 42,
             residual, 1e-11, {"samples": samples, "seed": seed},
         ))
 
-    for which in ("linear", "quadratic") if alg.associative else ("linear",):
+    for which in brackets(alg):
         field = linear_field if which == "linear" else quadratic_field
         # per sample: the point m, then the gradients of linear F, G, H
         m, f, g, h = np.moveaxis(rng.uniform(-1.0, 1.0, (samples, 4, 2, alg.dim)), 1, 0)
@@ -107,10 +110,9 @@ def check_involutivity_battery(alg: AlgebraSpec, points: int = 20, seed: int = 4
     ps = phase_tp(alg)
     labels = family_labels(alg)
     out = []
-    kinds = ("linear", "quadratic") if alg.associative else ("linear",)
     V = ps.sample_stack(seed, points)
     M, A = V.reshape(points, 2, alg.dim), family_gradient_stack(alg, V)
-    for which in kinds:
+    for which in brackets(alg):
         residual = worst(np.abs(bracket_tables(alg, which, M, A)))
         out.append(CheckReport.below(
             f"involutivity-{which}", f"family-involutive-{which}", alg.name,
@@ -251,8 +253,7 @@ def check_rank_battery(alg: AlgebraSpec, seed: int = 42) -> list[CheckReport]:
     card = len(family_labels(alg))
     want = expected_rank(alg)
     out = []
-    kinds = ("linear", "quadratic") if alg.associative else ("linear",)
-    for which in kinds:
+    for which in brackets(alg):
         sweep = rank_sweep(ps, which, seed=seed)
         got = sweep.rank
         out.append(CheckReport.equal(
@@ -289,40 +290,20 @@ def check_rank_battery(alg: AlgebraSpec, seed: int = 42) -> list[CheckReport]:
 # --------------------------------------------------------------------------
 
 
-def relquad_residuals(alg: AlgebraSpec, i: int, lam: float, V: np.ndarray) -> np.ndarray:
-    """Residual of X^Q_{P_i∘φ_λ} = (2/(λ−1))·X_{P_{i+1}∘φ_λ} at point rows V (…, 2·dim).
-
-    The two closed-form fields are proportional with ratio 2/(λ−1); λ = 1 is
-    excluded (the linear field degenerates there).
-    """
-    if lam == 1.0:
-        raise PreconditionError(
-            "the quadratic/linear field relation degenerates at λ = 1"
-        )
-    xq = field_rows(alg, "quadratic", V, i, lam)
-    xl = field_rows(alg, "linear", V, i + 1, lam)
-    return np.abs(xq - xl * (2.0 / (lam - 1.0))).max(axis=-1)
-
-
 _LAMBDAS = (0.0, 2.0, -1.0)     # the λ of the pencil-field identities
 
 
-def _pencil_field_defect(alg: AlgebraSpec, which: str, V: np.ndarray) -> float:
-    """Largest gap between the closed-form pencil field of P_i∘φ_λ (flows.py) and
-    the bracket field of its gradient, over the point rows V, every i and λ in _LAMBDAS."""
-    M = V.reshape(len(V), 2, alg.dim)
-    field = linear_field if which == "linear" else quadratic_field
-    gaps = [
-        block_norms(field_rows(alg, which, V, i, lam).reshape(M.shape)
-                    - field(alg, M, pullback_gradients(alg, i, lam, M)))
-        for i in alg.exponents for lam in _LAMBDAS
-    ]
-    return worst(gaps)
+def check_field_battery(alg: AlgebraSpec, seed: int = 42,
+                        tol: float = 1e-9) -> list[CheckReport]:
+    """Field identities at five seeded T_P points: the t- and s-flows are the
+    bracket fields of H and −H̃, and each closed-form pencil field of flows.py
+    is the bracket field of P_i∘φ_λ; on an associative algebra also
+    X^Q_{P_i∘φ_λ} = 2/(λ−1)·X_{P_{i+1}∘φ_λ} and the recursions of the
+    family's fields.
 
-
-def check_field_identities(alg: AlgebraSpec, seed: int = 42,
-                           tol: float = 1e-9) -> list[CheckReport]:
-    """Bracket fields of H, H̃ and P_i∘φ_λ equal the flows' closed-form fields."""
+    The bracket field of each pullback is evaluated once per (bracket, i, λ)
+    at the five points; the closed-form checks read the first three.
+    """
     V = phase_tp(alg).sample_stack(seed, 5)
     M = V.reshape(5, 2, alg.dim)
     zero = np.zeros_like(M[:, 0])
@@ -339,25 +320,26 @@ def check_field_identities(alg: AlgebraSpec, seed: int = 42,
     out.append(CheckReport.below("field-s-hamiltonian", "s-flow-is-hamiltonian-of-minus",
                                  alg.name, worst_s, tol, {"seed": seed}))
 
-    gap = _pencil_field_defect(alg, "linear", V[:3])
+    @functools.cache
+    def pullback_field(which, i, lam):      # X_{P_i∘φ_λ} of bracket `which`, (5, 2, dim)
+        field = linear_field if which == "linear" else quadratic_field
+        return field(alg, M, pullback_gradients(alg, i, lam, M))
+
+    def closed_form_gap(which):             # closed-form pencil fields at the first three points
+        return worst([block_norms(field_rows(alg, which, V[:3], i, lam).reshape(3, 2, alg.dim)
+                                  - pullback_field(which, i, lam)[:3])
+                      for i in alg.exponents for lam in _LAMBDAS])
+
     out.append(CheckReport.below("field-pencil-closed-form", "pencil-field-closed-form", alg.name,
-                                 gap, tol, {"seed": seed, "lambdas": list(_LAMBDAS)}))
-    return out
-
-
-def check_quadratic_relations(alg: AlgebraSpec, seed: int = 42,
-                              tol: float = 1e-9) -> list[CheckReport]:
-    """Quadratic-vs-linear field relations on an associative algebra."""
-    if not alg.associative:
-        return []
-    V = phase_tp(alg).sample_stack(seed, 5)
-    out = []
-
-    gap = _pencil_field_defect(alg, "quadratic", V[:3])
+                                 closed_form_gap("linear"), tol,
+                                 {"seed": seed, "lambdas": list(_LAMBDAS)}))
+    if "quadratic" not in brackets(alg):
+        return out
     out.append(CheckReport.below("field-quadratic-closed-form", "quadratic-field-closed-form",
-                                 alg.name, gap, tol, {"seed": seed}))
+                                 alg.name, closed_form_gap("quadratic"), tol, {"seed": seed}))
 
-    residual = worst([relquad_residuals(alg, i, lam, V)
+    residual = worst([block_norms(pullback_field("quadratic", i, lam)
+                                  - pullback_field("linear", i + 1, lam) * (2.0 / (lam - 1.0)))
                       for i in alg.exponents for lam in _LAMBDAS])
     out.append(CheckReport.below(
         "relquad", "quadratic-linear-field-ratio", alg.name,
@@ -367,7 +349,7 @@ def check_quadratic_relations(alg: AlgebraSpec, seed: int = 42,
 
     # coefficient-level relations between the two field families: every
     # member's field under both brackets at the first three points at once
-    M = V[:3].reshape(3, 2, alg.dim)
+    M = M[:3]
     G = family_gradient_stack(alg, V[:3]).reshape(3, -1, 2, alg.dim)
     XQ, XL = quadratic_field(alg, M[:, None], G), linear_field(alg, M[:, None], G)
     at = {label: k for k, label in enumerate(family_labels(alg))}
@@ -454,10 +436,8 @@ _BATTERIES = {
         alg, points=samples, seed=seed),
     "rank": lambda alg, samples, seed: check_rank_battery(alg, seed=seed),
     "rais": lambda alg, samples, seed: check_rais_battery(alg),
-    "quadratic-relations": lambda alg, samples, seed, **tol: (
-        check_field_identities(alg, seed=seed, **tol)
-        + check_quadratic_relations(alg, seed=seed, **tol)
-    ),
+    "quadratic-relations": lambda alg, samples, seed, **tol: check_field_battery(
+        alg, seed=seed, **tol),
     "toda": lambda alg, samples, seed: check_toda_battery(
         alg, samples=max(samples, 100), seed=seed),
 }

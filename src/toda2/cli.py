@@ -191,6 +191,16 @@ def _tolerance(text: str) -> float:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes a token that starts like a number (-1e-3, -5., -inf) for a value,
+    which Python 3.11's argparse takes for an option unless it reads -1 or
+    -1.5; no option here looks like a number.  Subparsers share the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def _add_report_flags(p: argparse.ArgumentParser, tol: float | None,
                       tol_help: str = "override the default tolerance of the check") -> None:
     p.add_argument("--seed", type=_whole(0, math.inf), default=42)
@@ -200,7 +210,7 @@ def _add_report_flags(p: argparse.ArgumentParser, tol: float | None,
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="toda2",
         description="R-matrix laboratory for the 2-Toda lattice on graded Lie algebras",
     )

@@ -56,7 +56,7 @@ import numpy as np
 
 from .algebra import AlgebraSpec, read_only
 from .invariants import family_names, family_values, require_generator_label
-from .poisson import CapabilityError, PhaseSpace, PreconditionError
+from .poisson import CapabilityError, PhaseSpace, PreconditionError, brackets
 from .rmatrix import PairPoint
 
 __all__ = [
@@ -128,7 +128,7 @@ def _partner(alg: AlgebraSpec, field: str, i: int = 0, lam: float = 0.0) -> Call
         return projected_partner(0, entry_masks(alg)[0])
     if field == "s":
         return projected_partner(1, entry_masks(alg)[1])
-    if field == "quadratic" and not alg.associative:
+    if field == "quadratic" and field not in brackets(alg):
         raise CapabilityError(f"quadratic pencil field needs an associative algebra; "
                               f"{alg.name} has associative=False")
     power, s = (i + 1, 1.0) if field == "quadratic" else (i, 0.5 * (lam - 1.0))

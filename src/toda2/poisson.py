@@ -79,6 +79,7 @@ __all__ = [
     "PhaseSpace",
     "PoissonMatrixAt",
     "RankSweep",
+    "brackets",
     "linear_field",
     "quadratic_field",
     "bracket_tables",
@@ -94,6 +95,7 @@ __all__ = [
 
 _MEMBERSHIP_TOL = 1e-10   # largest normal residual of a point on a phase space
 _RANK_REL = 1e-10         # rank cut: σ > σ_max·size·_RANK_REL counts
+_RANK_POINTS = 25         # seeded points of a rank sweep
 
 
 class CapabilityError(ValueError):
@@ -172,6 +174,12 @@ def quadratic_field(alg: AlgebraSpec, m: np.ndarray, g: np.ndarray) -> np.ndarra
     return 0.5 * (bracket_blocks(alg, s, m) - mult_blocks(alg, w, m) - mult_blocks(alg, m, w))
 
 
+def brackets(alg: AlgebraSpec) -> tuple[str, ...]:
+    """The brackets a spec carries: the linear one, and the quadratic one on an
+    associative matrix algebra."""
+    return ("linear", "quadratic") if alg.associative else ("linear",)
+
+
 def _block_field(which: str, alg: AlgebraSpec, k: int):
     """The block field of bracket `which` on blocks (…, k, dim), after the capability checks."""
     if which == "linear":
@@ -180,7 +188,7 @@ def _block_field(which: str, alg: AlgebraSpec, k: int):
         raise ValueError(f"unknown bracket kind {which!r}")
     if k != 2:
         raise CapabilityError("the quadratic bracket lives on 𝔤×𝔤, not on one algebra")
-    if not alg.associative:
+    if which not in brackets(alg):
         raise CapabilityError(
             f"quadratic bracket needs an associative matrix algebra; "
             f"{alg.name} has associative=False"
@@ -455,22 +463,21 @@ class RankSweep:
                 f"{self.invariance_defect:.3e}")
 
 
-def rank_sweep(ps: PhaseSpace, which: str = "linear", seed: int = 42,
-               points: int = 25) -> RankSweep:
-    """Max rank over seeded sample points (rank is lower semicontinuous), from
-    one stacked Poisson-matrix call and one stacked SVD.
+def rank_sweep(ps: PhaseSpace, which: str = "linear", seed: int = 42) -> RankSweep:
+    """Max rank over _RANK_POINTS seeded sample points (rank is lower
+    semicontinuous), from one stacked Poisson-matrix call and one stacked SVD.
 
     The margin at a point of rank r is σ_r/(σ_1·size·_RANK_REL): how far the
     smallest counted singular value clears the rank cut (∞ at rank 0).
     Unlike σ_r/σ_{r+1} it does not read the roundoff σ_{r+1}.
     """
-    M, corrected, defect = poisson_matrices(ps, ps.sample_stack(seed, points), which)
+    M, corrected, defect = poisson_matrices(ps, ps.sample_stack(seed, _RANK_POINTS), which)
     sv = np.linalg.svd(M, compute_uv=False)
     ranks = _ranks(sv, M.shape[-1])
     smallest = np.take_along_axis(sv, np.maximum(ranks, 1)[:, None] - 1, 1)[:, 0]   # σ_r
     margins = np.divide(smallest, sv[:, 0] * M.shape[-1] * _RANK_REL,
                         out=np.full(len(sv), np.inf), where=ranks > 0)
-    return RankSweep(rank=int(ranks.max()), points=points, sv_margin=float(margins.min()),
+    return RankSweep(rank=int(ranks.max()), points=_RANK_POINTS, sv_margin=float(margins.min()),
                      corrected=int(corrected.sum()), invariance_defect=float(defect.max()))
 
 

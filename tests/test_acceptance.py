@@ -29,6 +29,7 @@ from toda2 import (
     run_battery,
     toda_suite,
 )
+from toda2 import checks
 from toda2.invariants import family_gradient_stack
 
 from pointwise import rk4_trajectory, sequential_commutation
@@ -103,7 +104,7 @@ def test_c05_rank_and_count_identity(desk_algebras):
         ps = phase_tp(alg)
         kinds = ("linear", "quadratic") if alg.associative else ("linear",)
         for which in kinds:
-            r = rank_sweep(ps, which, points=20).rank
+            r = rank_sweep(ps, which).rank
             cells.append(f"{name}/{which}={r}")
             if r != RANK[name]:
                 failures.append(f"{name} {which}: rank {r}, want {RANK[name]}")
@@ -142,6 +143,16 @@ def test_c07_vector_field_identities(desk_algebras):
             "quadratic-relations", desk_algebras[name], samples=20, tol=1e-9
         )
     reports_conclude(7, "closed-form fields, pencil-field relations", reports)
+
+
+def test_c07_relquad_fails_a_quadratic_field_off_by_one_part_in_a_million(gl3, monkeypatch):
+    # a negative control: relquad compares the quadratic bracket field with
+    # the linear one, so a quadratic field off by a factor 1 + 1e-6 fails it
+    field = checks.quadratic_field
+    monkeypatch.setattr(checks, "quadratic_field",
+                        lambda alg, m, g: field(alg, m, g) * (1.0 + 1e-6))
+    relquad = next(r for r in checks.check_field_battery(gl3) if r.check == "relquad")
+    assert not relquad.verdict and relquad.measured > 1e-6
 
 
 def test_c08_flows(desk_algebras):

@@ -476,6 +476,6 @@ def test_so5_rank_and_count_identity(so5):
 
     ps = phase_tp(so5)
     assert ps.dim == 14
-    r = rank_sweep(ps, "linear", points=10).rank
+    r = rank_sweep(ps, "linear").rank
     assert r == 12
     assert len(family(so5)) == ps.dim - r // 2 == 8

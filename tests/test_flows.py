@@ -752,6 +752,7 @@ def test_config_validation():
     (["--algebra", "sl2", "--field", "linear", "--i", "1", "--lam", "nan"], "λ must be finite"),
     (["--algebra", "gl2", "--field", "quadratic", "--i", "1", "--lam", "inf"], "λ must be finite"),
     (["--algebra", "sl2", "--field", "t", "--i", "7", "--lam", "nan"], "takes no generator label"),
+    (["--algebra", "sl2", "--field", "linear", "--i", "1", "--lam", "-inf"], "λ must be finite"),
 ])
 def test_pencil_parameters_are_checked_where_they_are_set(argv, match, capsys):
     # a non-finite λ, or an i or λ given to the t- or s-flow, is a usage error
@@ -761,6 +762,20 @@ def test_pencil_parameters_are_checked_where_they_are_set(argv, match, capsys):
         FlowConfig(field=argv[3], i=int(argv[5]), lam=float(argv[7]))
     with pytest.raises(PreconditionError, match="takes no generator label"):
         FlowConfig(field="s", lam=1.0)
+
+
+def test_lam_takes_every_float_spelling(capsys):
+    # argparse reads only -1 and -1.5 as negative numbers on Python 3.11, and
+    # would take -1e-3 for an option
+    run = ["flow", "run", "--field", "linear", "--i", "1", "--dt", "0.01", "--T", "0.1"]
+    assert main([*run, "--lam", "-0.001"]) == 0
+    want = capsys.readouterr()
+    for lam in (["--lam", "-1e-3"], ["--lam=-1e-3"], ["--lam", "-1E-3"]):
+        assert main([*run, *lam]) == 0
+        assert capsys.readouterr() == want
+    for lam in ("-5.", "-2E+1", "-.5"):
+        assert main([*run, "--lam", lam]) in (0, 1)
+        assert capsys.readouterr().err == ""
 
 
 def test_pencil_run_without_its_label_is_refused_before_any_build(monkeypatch, capsys):

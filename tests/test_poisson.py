@@ -377,11 +377,11 @@ def test_quadratic_restriction_gl3_needs_correction(gl3):
 def test_rank_values_and_parity(sl2, sl3, gl2, gl3):
     for alg, expect in ((sl2, 4), (sl3, 10), (gl2, 4), (gl3, 10)):
         ps = phase_tp(alg)
-        assert rank_sweep(ps, "linear", points=8).rank == expect
+        assert rank_sweep(ps, "linear").rank == expect
         m = ps.sample_points(seed=13, count=1)[0]
         assert numerical_rank(poisson_matrix(ps, m).matrix) % 2 == 0
     for alg, expect in ((gl2, 4), (gl3, 10)):
-        assert rank_sweep(phase_tp(alg), "quadratic", points=8).rank == expect
+        assert rank_sweep(phase_tp(alg), "quadratic").rank == expect
 
 
 def test_rank_can_drop_at_special_points(sl3):
@@ -389,12 +389,12 @@ def test_rank_can_drop_at_special_points(sl3):
     base = PairPoint.from_vec(sl3, ps.points_from_coords(np.zeros(ps.dim)))
     r = numerical_rank(poisson_matrix(ps, base).matrix)
     assert r % 2 == 0
-    assert r <= rank_sweep(ps, points=8).rank
+    assert r <= rank_sweep(ps).rank
 
 
 def test_rank_invariant_under_form_rescale(sl3):
     r2 = with_rescaled_basis(sl3, 2.0)
-    assert rank_sweep(phase_tp(r2), points=8).rank == rank_sweep(phase_tp(sl3), points=8).rank
+    assert rank_sweep(phase_tp(r2)).rank == rank_sweep(phase_tp(sl3)).rank
     # Casimir verdict survives the rescale too
     rng = np.random.default_rng(14)
     m = point_block(random_pair(r2, rng))

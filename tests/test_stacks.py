@@ -137,16 +137,16 @@ def test_intersection_population_is_the_interleaved_draws(alg):
 
 def test_poisson_matrices_match_the_point_loop(alg):
     ps = phase_tp(alg)
-    kinds = ("linear", "quadratic") if alg.associative else ("linear",)
-    for which in kinds:
-        M, corrected, defect = poisson.poisson_matrices(ps, ps.sample_stack(3, 6), which)
-        for k, m in enumerate(ps.sample_points(3, 6)):
-            pm = poisson_matrix(ps, m, which)
+    points = poisson._RANK_POINTS        # the points of a rank sweep
+    for which in poisson.brackets(alg):
+        M, corrected, defect = poisson.poisson_matrices(ps, ps.sample_stack(3, points), which)
+        matrices = [poisson_matrix(ps, m, which) for m in ps.sample_points(3, points)]
+        for k, pm in enumerate(matrices):
             assert np.array_equal(M[k], pm.matrix)
             assert corrected[k] == pm.corrected and defect[k] == pm.invariance_defect
-        sweep = poisson.rank_sweep(ps, which, seed=3, points=6)
-        assert sweep.rank == max(numerical_rank(poisson_matrix(ps, m, which).matrix)
-                                 for m in ps.sample_points(3, 6))
+        sweep = poisson.rank_sweep(ps, which, seed=3)
+        assert sweep.rank == max(numerical_rank(pm.matrix) for pm in matrices)
+        assert sweep.points == points
         assert sweep.corrected == int(corrected.sum())
         assert sweep.invariance_defect == defect.max()
 
@@ -262,7 +262,7 @@ def test_independence_battery_matches_the_point_loop(alg):
 
 def test_field_identities_match_the_point_loop(alg):
     pts = phase_tp(alg).sample_points(42, 5)
-    reports = checks.check_field_identities(alg)
+    reports = checks.check_field_battery(alg)
     H = ScalarFunction("H", lambda m: 0.0, lambda m: PairPoint(m.x, zero(alg)))
     Ht = ScalarFunction("H~", lambda m: 0.0, lambda m: PairPoint(zero(alg), -m.y))
     assert same(measured(reports, "field-t-hamiltonian"),
@@ -278,15 +278,16 @@ def test_field_identities_match_the_point_loop(alg):
 def test_quadratic_relations_match_the_point_loop(gl3):
     alg = gl3
     pts = phase_tp(alg).sample_points(42, 5)
-    reports = checks.check_quadratic_relations(alg)
+    reports = checks.check_field_battery(alg)
     lams = (0.0, 2.0, -1.0)
     worst = max(
         (flow_at("quadratic", m, i=i, lam=lam)
          - hamiltonian_field(pullback(alg, i, lam), m, "quadratic")).norm()
         for m in pts[:3] for i in alg.exponents for lam in lams)
     assert same(measured(reports, "field-quadratic-closed-form"), worst)
-    worst = max((flow_at("quadratic", m, i=i, lam=lam)
-                 - (2.0 / (lam - 1.0)) * flow_at("linear", m, i=i + 1, lam=lam)).norm()
+    # the bracket fields of both sides, not the closed forms, which are one formula
+    worst = max((hamiltonian_field(pullback(alg, i, lam), m, "quadratic")
+                 - (2.0 / (lam - 1.0)) * hamiltonian_field(pullback(alg, i + 1, lam), m)).norm()
                 for m in pts for i in alg.exponents for lam in lams)
     assert same(measured(reports, "relquad"), worst)
     fam = dict(zip(family_labels(alg), family(alg)))
@@ -353,7 +354,8 @@ def test_toda_suite_matches_the_point_loop(alg):
         for x in points))
     assert measured(reports, "toda-independence") == max(
         int(ts.jacobian_ranks(np.stack([P.gradient(x).vec() for P in gens]))) for x in points)
-    worst = max((flow_at("t", PairPoint(x, x)) - PairPoint(flow_at("t", x), flow_at("t", x))).norm()
+    worst = max((flow_at("t", PairPoint(x, x))
+                 - PairPoint(hamiltonian_field(p1, x), hamiltonian_field(p1, x))).norm()
                 for x in points)
     assert same(measured(reports, "toda-diagonal-consistency"), worst)
 

@@ -22,6 +22,7 @@ from toda2 import (
     toda_space,
     toda_suite,
 )
+from toda2 import toda
 from toda2.cli import main
 from toda2.flows import _factor_states, field_rows
 from toda2.invariants import trace_values
@@ -172,6 +173,16 @@ def test_toda_suite_passes(sl2, sl3):
         reports = toda_suite(alg)
         assert len(reports) == 6
         assert all(r.verdict for r in reports), [r.line() for r in reports]
+
+
+def test_diagonal_consistency_fails_a_linear_field_off_by_one_part_in_a_million(sl3,
+                                                                                monkeypatch):
+    # a negative control: the t-flow on the diagonal is compared with the
+    # bracket field of P₁, so a linear field off by a factor 1 + 1e-6 fails it
+    field = toda.linear_field
+    monkeypatch.setattr(toda, "linear_field", lambda alg, m, g: field(alg, m, g) * (1.0 + 1e-6))
+    report = next(r for r in toda_suite(sl3) if r.check == "toda-diagonal-consistency")
+    assert not report.verdict and report.measured > 1e-7
 
 
 def test_diagonal_membership_agreement(sl3):

@@ -49,7 +49,6 @@ from .flows import (
 from .toda import (
     check_binomial_identity,
     check_poisson_iso,
-    integrate_toda,
     toda_space,
     toda_suite,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "trajectory_to_csv",
     "check_binomial_identity",
     "check_poisson_iso",
-    "integrate_toda",
     "toda_space",
     "toda_suite",
     "CheckReport",

@@ -586,6 +586,23 @@ def validate_spec(spec: AlgebraSpec) -> list[dict]:
     if prod_res is not None:
         hit("product-closure", prod_res)
 
+    # the generators Tr x^{m_i+1} independent: their gradients ĝ(x^{m_i}) at
+    # one seeded point of 𝔤, each over ‖x^{m_i}‖, have rank ℓ (the form and
+    # the exponents this reads are only trusted when nothing above failed)
+    if not out:
+        x = spec.to_matrix(np.random.default_rng(42).uniform(-1.0, 1.0, dim))
+        with np.errstate(all="ignore"):     # an overflowing power is recorded below
+            powers = np.array([np.linalg.matrix_power(x, m) for m in ex])
+            rows = spec.gradient_from_matrix(powers)
+            rows /= np.linalg.norm(powers, axis=(1, 2))[:, None]
+        if not np.isfinite(rows).all():
+            hit("generator-independence", np.nan)
+        else:
+            sv = np.linalg.svd(rows, compute_uv=False)
+            r = int(np.sum(sv > sv[0] * dim * 1e-10))
+            if r != spec.rank:
+                hit("generator-independence", float(r))
+
     return out
 
 

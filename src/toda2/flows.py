@@ -24,18 +24,19 @@ every sample of a stretch, and a new stretch starts from the last state where
 τ‖X‖₁ would pass _FACTOR_NORM.  A leading minor of exp(τX) that changes sign
 between two pivot tests is a pole of the flow; the run stops before it, with
 a note.  The pivots are tested at every sample, and on a finer grid where the
-exponents of a minor could drift apart by more than _TURN between samples.  The
-pencil fields and the Toda run of `toda.py` are integrated by one fixed-step
-RK4 driver of Lax equations (`rk4_states`), with no re-projection onto the
-phase space: tangency drift is a measured signal, not something to suppress.
-Both engines return (states, note), so `integrate` only picks one.
+exponents of a minor could drift apart by more than _TURN between samples.
+`factor_states` is the one solver of both flows and of the classical Toda
+run of `toda.py`, which is the t-flow on the one-block stack (A).  The pencil
+fields are integrated by a fixed-step RK4 driver of Lax equations
+(`rk4_states`), with no re-projection onto the phase space: tangency drift is
+a measured signal, not something to suppress.  Both engines return
+(states, note), so `integrate` only picks one.
 
 Every field is one matrix commutator V ↦ [Z, V] = ZV − VZ on a (k, n, n)
 stack; only its partner Z = Z(V) differs:
 
-    t-flow      Z = Π₊L
+    t-flow      Z = Π₊L                          (the Toda field on (A): Π₊A)
     s-flow      Z = Π₋M
-    Toda        Z = Π₊A                          (`toda.py`, one matrix)
     pencil      Z = s·((R − 1)p, (R + 1)p),      p = ĝ((λL − M)^k)
 
 with R = Π₊ − Π₋ and ĝ the trace-form projection onto 𝔤; the quadratic
@@ -65,19 +66,17 @@ __all__ = [
     "Trajectory",
     "field_rows",
     "entry_masks",
-    "projected_partner",
     "whole_steps",
     "rk4_states",
+    "factor_states",
     "integrate",
     "flow_commutation",
     "trajectory_to_csv",
     "pencil_eigenvalue_drift",
 ]
 
-# a run keeps every state: `flow run` on gl9 at this bound (dt 1e-4, T 1)
-# peaks at 207 MB resident in 1.5–1.7 s, +16 KB per sample, most of it the
-# family's pencil powers; `flow commutation` keeps one leg at a time (76 MB
-# on gl9 at dt 1e-5)
+# a run keeps every state, +16 KB per sample on gl9, most of it the family's
+# pencil powers (the README gives the peak of `flow run` at this bound)
 MAX_STEPS = 10_000
 
 
@@ -103,31 +102,25 @@ def entry_masks(alg: AlgebraSpec) -> tuple[np.ndarray, np.ndarray]:
     return alg.memo("entry-masks", build)
 
 
-def projected_partner(block: Optional[int], mask: np.ndarray) -> Callable:
-    """w·Z(V) with Z = V[block] ∘ mask, one matrix for all blocks of each
-    stack entry, or Z = V ∘ mask on one matrix when block is None."""
-    weighted = {1: mask, 2: 2.0 * mask}
-    if block is None:
-        return lambda V, w: V * weighted[w]
-    return lambda V, w: V[..., block:block + 1, :, :] * weighted[w]
-
-
 def _partner(alg: AlgebraSpec, field: str, i: int = 0, lam: float = 0.0) -> Callable:
     """The partner w·Z of the t-, s-, quadratic or linear pencil field on (L, M).
 
-    The t- and s-partners are Π₊L = L ∘ m₊ and Π₋M = M ∘ m₋, entry masks
-    (`projected_partner`; on one matrix, Π₊A is the Toda partner).  A pencil
-    partner is Z = s·((R − 1)p, (R + 1)p), p = ĝ(W^k), W = λL − M, with
-    k = i + 1, s = 1 (quadratic; on gl, ĝ is the coordinate map) or k = i,
-    s = ½(λ−1) (linear), less its centre part: kept, that part lets RK4 past
-    a gl(2) quadratic blow-up (i = 1, λ = 0) settle on an exactly traceless
+    The t- and s-partners are the entry masks Π₊L = L ∘ m₊ and Π₋M = M ∘ m₋,
+    one matrix for all blocks of each stack entry.  A pencil partner is
+    Z = s·((R − 1)p, (R + 1)p), p = ĝ(W^k), W = λL − M, with k = i + 1,
+    s = 1 (quadratic; on gl, ĝ is the coordinate map) or k = i, s = ½(λ−1)
+    (linear), less its centre part: kept, that part lets RK4 past a gl(2)
+    quadratic blow-up (i = 1, λ = 0) settle on an exactly traceless
     M, where the field vanishes, instead of ending at a non-finite state.
-    The weight w = 2 doubles the sign pair, which is exact; s = 1 is not
-    applied."""
-    if field == "t":
-        return projected_partner(0, entry_masks(alg)[0])
-    if field == "s":
-        return projected_partner(1, entry_masks(alg)[1])
+    The weight w = 2 doubles the mask or the sign pair, which is exact;
+    s = 1 is not applied."""
+    if field in ("t", "s"):
+        block = "ts".index(field)
+        mask = entry_masks(alg)[block]
+        weighted = {1: mask, 2: 2.0 * mask}
+        return lambda V, w: V[..., block:block + 1, :, :] * weighted[w]
+    if field not in ("quadratic", "linear"):
+        raise PreconditionError(f"unknown field selector {field!r}")
     if field == "quadratic" and field not in brackets(alg):
         raise CapabilityError(f"quadratic pencil field needs an associative algebra; "
                               f"{alg.name} has associative=False")
@@ -239,30 +232,28 @@ _FINITE_EVERY = 64
 
 def rk4_states(partner: Callable, v0: np.ndarray, dt: float,
                n_steps: int) -> tuple[np.ndarray, str]:
-    """Fixed-step RK4 run of the Lax equation V̇ = [Z(V), V] from v0, one
-    (n, n) matrix or a stack (…, k, n, n); partner(V, w) returns w·Z(V) for
-    w = 1 or 2, one matrix for all blocks of a stack entry or one per block.
+    """Fixed-step RK4 run of the Lax equation V̇ = [Z(V), V] from a stack
+    v0 (…, k, n, n); partner(V, w) returns w·Z(V) for w = 1 or 2, one matrix
+    for all blocks of a stack entry or one per block.
 
     Returns the states stacked along a new first axis and a note, as
-    `_factor_states` does: a run that reaches a non-finite state ends
+    `factor_states` does: a run that reaches a non-finite state ends
     before it, and the note names its step (empty when there is none).
-    Each commutator is written into preallocated buffers, by `np.dot` on one
-    matrix and `np.matmul` on a stack.  The stages k₂ and k₃ take the
-    partner 2Z, so they give 2k₂ and 2k₃ exactly (a factor 2 commutes with
-    rounding short of overflow and underflow), and their stage inputs take
-    dt/4 and dt/2 of them.  The sum is accumulated left to right, so the bits
+    Each commutator is written into preallocated buffers.  The stages k₂ and
+    k₃ take the partner 2Z, so they give 2k₂ and 2k₃ exactly (a factor 2
+    commutes with rounding short of overflow and underflow), and their stage
+    inputs take dt/4 and dt/2 of them.  The sum is accumulated left to right, so the bits
     are those of the plain loop v + dt/6·(k1 + 2k2 + 2k3 + k4).
     """
     states = np.empty((n_steps + 1, *np.shape(v0)))
     states[0] = v0
     v = states[0]
-    product = np.dot if v.ndim == 2 else np.matmul
     stage, k, dk, zv, vz = (np.empty_like(v) for _ in range(5))
     quarter, half, sixth = 0.25 * dt, 0.5 * dt, dt / 6.0
 
     def commutator(V, w, out):     # w·[Z(V), V] into out
         Z = partner(V, w)
-        return np.subtract(product(Z, V, out=zv), product(V, Z, out=vz), out=out)
+        return np.subtract(np.matmul(Z, V, out=zv), np.matmul(V, Z, out=vz), out=out)
 
     # overflow on the way to a detected blow-up is expected, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -392,11 +383,11 @@ def _factor_stretch(field: str, V: np.ndarray, taus: np.ndarray) -> tuple[np.nda
     return states, stop
 
 
-def _factor_states(field: str, V0: np.ndarray, dt: float, n_steps: int,
-                   order: Optional[np.ndarray]) -> tuple[np.ndarray, str]:
-    """The t- or s-flow from V0 = (L, M) sampled at k·dt, k = 0…n_steps,
-    solved exactly with the matrix indices taken in `order`
-    (`_triangular_order`).
+def factor_states(alg: AlgebraSpec, field: str, V0: np.ndarray, dt: float,
+                  n_steps: int) -> tuple[np.ndarray, str]:
+    """The t- or s-flow from the stack V0 = (L, M), or the t-flow from the
+    one-block stack (L), sampled at k·dt, k = 0…n_steps, solved exactly with
+    the matrix indices taken in the order `_triangular_order(alg)`.
 
     A stretch of samples whose τ‖X‖₁ would pass _FACTOR_NORM, or that would
     hold more than _STRETCH_SAMPLES samples, starts again from its last
@@ -412,6 +403,7 @@ def _factor_states(field: str, V0: np.ndarray, dt: float, n_steps: int,
     run stops before n_steps: at a pole, at a sample whose factorization is
     not exact, at a non-finite state, or where the grid runs out.
     """
+    order = _triangular_order(alg)
     if order is not None:
         V0 = V0[..., order[:, None], order]
     X = V0[0] if field == "t" else -V0[1]
@@ -471,7 +463,7 @@ def integrate(cfg: FlowConfig, m0: PairPoint, conserved: bool = True) -> Traject
     alg = m0.alg
     V0 = alg.to_matrices(m0.vec())
     if cfg.field in ("t", "s"):
-        stack, note = _factor_states(cfg.field, V0, cfg.dt, cfg.n_steps, _triangular_order(alg))
+        stack, note = factor_states(alg, cfg.field, V0, cfg.dt, cfg.n_steps)
     else:
         require_generator_label(alg, cfg.i)
         stack, note = rk4_states(_partner(alg, cfg.field, cfg.i, cfg.lam), V0, cfg.dt,
@@ -502,10 +494,9 @@ def flow_commutation(m0: PairPoint, dt: float = 1e-3, n_steps: int = 100) -> flo
     """
     alg = m0.alg
     whole_steps(dt, dt * n_steps)
-    order = _triangular_order(alg)
 
     def leg(field, V):
-        states, note = _factor_states(field, V, dt, n_steps, order)
+        states, note = factor_states(alg, field, V, dt, n_steps)
         return None if note else states[-1]
 
     V0 = alg.to_matrices(m0.vec())

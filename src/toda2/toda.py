@@ -8,9 +8,9 @@ whose flow for H = P₁ is the Toda equation Ȧ = [A₊, A].  The bracket and it
 Hamiltonian fields are those of the 2-Toda side (`poisson.linear_field`,
 `poisson.bracket_tables`) on one-block coordinate arrays of 𝔤; the Toda field
 is the t-flow's Lax commutator (`flows.field_rows` with field "t" on rows of
-𝔤), and the Toda run steps the one n×n matrix A by the flows' one RK4 driver
-of Lax equations (`flows.rk4_states`), with the partner Z = A ∘ m₊; the
-driver stops before a non-finite state and says so in the note it returns.
+𝔤), and the Toda run is the t-flow on the one-block stack (A), solved exactly
+by the flows' factorization exp(tA₀) = n₋b₊ (`flows.factor_states`); it stops
+before a pole or a non-finite state and says so in the note it returns.
 
 The diagonal embedding φ(x) = (x, x) lands in T_T′ = Δ(𝔤₋₁⊕𝔤₀) + (e, e)
 ⊂ T_P, and matching dual coordinates through φ gives a Poisson isomorphism
@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .algebra import AlgebraSpec
-from .flows import entry_masks, field_rows, projected_partner, rk4_states, whole_steps
+from .flows import factor_states, field_rows, whole_steps
 from .invariants import family_labels, family_values, trace_gradients, trace_values
 from .poisson import PhaseSpace, bracket_tables, linear_field
 from .reports import CheckReport, worst
@@ -34,7 +34,6 @@ from .rmatrix import block_norms
 __all__ = [
     "toda_space",
     "diag_phase_space",
-    "integrate_toda",
     "check_poisson_iso",
     "check_binomial_identity",
     "toda_suite",
@@ -60,19 +59,6 @@ def diag_phase_space(alg: AlgebraSpec) -> PhaseSpace:
                           np.concatenate([ts.tangent_matrix, ts.tangent_matrix]))
 
     return alg.memo("T_T'", build)
-
-
-def integrate_toda(alg: AlgebraSpec, row: np.ndarray, dt: float = 1e-3, T: float = 1.0):
-    """RK4 run of Ȧ = [A₊, A] on one n×n matrix from the coordinate row (dim,);
-    returns (times, states, note), coordinate arrays and a note that is empty
-    unless the run reached a non-finite state, which is dropped, as in
-    `flows.integrate`.
-
-    T must be a whole number of steps dt, as for `FlowConfig`.
-    """
-    stack, note = rk4_states(projected_partner(None, entry_masks(alg)[0]), alg.to_matrix(row),
-                             dt, whole_steps(dt, T))
-    return np.arange(len(stack)) * dt, alg.to_coords(stack[:, None]), note
 
 
 # --------------------------------------------------------------------------
@@ -143,10 +129,11 @@ def toda_suite(alg: AlgebraSpec, seed: int = 42) -> list:
     reports.append(CheckReport.equal("toda-independence", "toda-invariants-independent",
                                      alg.name, best, alg.rank, {"points": len(X), "seed": seed}))
 
-    # conservation along the integrated Toda flow
+    # conservation along the Toda flow, the exact t-flow on the one-block stack (A)
     x0 = ts.points_from_coords(np.random.default_rng(seed).uniform(-1.0, 1.0, ts.dim))
-    _, states, note = integrate_toda(alg, x0, dt=1e-3, T=1.0)
-    drift = math.inf        # a run that reached a non-finite state fails whatever its drift
+    stack, note = factor_states(alg, "t", alg.to_matrices(x0), 1e-3, whole_steps(1e-3, 1.0))
+    states = alg.to_coords(stack)
+    drift = math.inf        # a run that met a pole or a non-finite state fails whatever its drift
     if not note:            # P_i on the whole stack
         vals = [trace_values(alg, states, i) for i in alg.exponents]
         drift = worst([np.abs(v - v[0]).max() / (1.0 + abs(v[0])) for v in vals])

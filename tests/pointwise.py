@@ -20,7 +20,8 @@ projection through the basis; `lax_field` turns the driver's partner into
 the field V ↦ [Z, V] that the reference loop steps.  `rk4_trajectory` and
 `sequential_commutation` run the t- and s-flows by RK4, a witness
 independent of the exact factorization that `integrate` and
-`flow_commutation` use.
+`flow_commutation` use.  `toda_run` is the Toda run of `toda_suite`, the
+exact t-flow on a one-block stack, from a start row.
 `shuffled_and_rescaled` writes a spec in another basis of the same algebra.
 """
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from toda2 import AlgebraError, Element, PairPoint, ScalarFunction, spec_to_document
 from toda2.algebra import bracket_blocks, mult_blocks
-from toda2.flows import Trajectory, _partner, field_rows, rk4_states
+from toda2.flows import Trajectory, _partner, factor_states, field_rows, rk4_states, whole_steps
 from toda2.invariants import family_names, family_values
 from toda2.invariants import pullback_gradients, trace_gradients, trace_values
 from toda2.poisson import _block_field, _gradient_blocks
@@ -229,6 +230,13 @@ def rk4_trajectory(cfg, m0):
     return Trajectory(alg=alg, times=np.arange(len(states)) * cfg.dt, states=states,
                       conserved=family_values(alg, states),
                       conserved_names=tuple(family_names(alg)), note=note)
+
+
+def toda_run(alg, x0, dt=1e-3, T=1.0):
+    """The Toda run from the coordinate row x0 (dim,): the t-flow on the
+    one-block stack (A₀), as coordinate rows (N, dim), and its note."""
+    stack, note = factor_states(alg, "t", alg.to_matrices(x0), dt, whole_steps(dt, T))
+    return alg.to_coords(stack), note
 
 
 def sequential_commutation(m0, dt, n_steps):

@@ -1,12 +1,14 @@
 """Command-line entry point: exit codes 0 (pass) / 1 (failed check) / 2 (usage)."""
 
+import itertools
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from toda2 import algebra, build_sl, checks, cli, emit_report, load_spec, run_battery, save_spec, spec_to_document
+from toda2 import (AlgebraValidationError, algebra, build_sl, checks, cli, emit_report, load_spec,
+                   run_battery, save_spec, spec_to_document)
 from toda2.checks import BATTERY_NAMES
 from toda2.cli import main, resolve_algebra
 
@@ -42,6 +44,33 @@ def test_algebra_validate(capsys, tmp_path):
     main(["algebra", "build", "sl2", "--out", str(out)])
     capsys.readouterr()
     assert main(["algebra", "validate", str(out)]) == 0
+
+
+def exterior_square_document(alg):
+    """The spec document of alg acting on Λ²ℂⁿ: each basis matrix b replaced
+    by its action e_i∧e_j ↦ be_i∧e_j + e_i∧be_j, i < j."""
+    n = alg.matrix_size
+    eye = np.eye(n)
+    wedges = np.stack([np.kron(eye[i], eye[j]) - np.kron(eye[j], eye[i])
+                       for i, j in itertools.combinations(range(n), 2)], axis=1)
+    doc = spec_to_document(alg)
+    doc["basis"] = [(wedges.T @ (np.kron(b, eye) + np.kron(eye, b)) @ wedges / 2.0).tolist()
+                    for b in alg.basis]
+    doc["n"] = wedges.shape[1]
+    return doc
+
+
+def test_a_spec_whose_trace_powers_are_dependent_is_refused(tmp_path, capsys):
+    # sl4 on Λ²ℂ⁴ ≅ so6 on ℂ⁶ passes every other invariant, but the odd
+    # trace Tr x³ vanishes on so6: the gradients ĝ(x^{m_i}) have rank 2, and
+    # the family would have 8 independent members, not 12
+    doc = exterior_square_document(build_sl(4))
+    with pytest.raises(AlgebraValidationError, match="generator-independence"):
+        load_spec(doc)
+    path = tmp_path / "sl4-wedge2.json"
+    path.write_text(json.dumps(doc))
+    assert main(["algebra", "validate", str(path)]) == 1
+    assert capsys.readouterr().out == "violated: generator-independence (residual 2)\n"
 
 
 def test_algebra_validate_runs_the_jacobi_check_once(tmp_path, monkeypatch, capsys, sl2):

@@ -5,7 +5,7 @@ never in an uncaught exception.
 Only cheap commands run in-process: `algebra validate` and `check rais` on
 fuzzed --samples and --algebra tokens, with and without a fuzzed --tol, and
 on malformed spec documents, `check casimir` on sl2, gl2 and sl3 with fuzzed --samples (at most 1000
-are accepted), --tol and --seed tokens, `check toda` on the same algebras
+are accepted), --tol and --seed tokens, every battery on the same algebras
 with fuzzed --seed tokens, and `flow run` and `flow commutation`
 on sl2 and gl2 with fuzzed step sizes, horizons, fields and pencil parameters
 (at most 10000 steps are accepted, ~0.5 s on gl2), and fuzzed --seed tokens
@@ -21,7 +21,7 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toda2 import build_gl, build_sl, spec_to_document
+from toda2 import BATTERY_NAMES, build_gl, build_sl, spec_to_document
 from toda2.cli import main
 
 SL2_DOC = spec_to_document(build_sl(2))
@@ -110,8 +110,9 @@ def test_fuzzed_samples_keep_the_exit_code_contract_on_casimir(algebra, samples,
 @given(algebra=st.sampled_from(["sl2", "gl2", "sl3"]),
        seed=st.integers(0, 10**6).map(str) | NUMBER_TOKENS)
 @example(algebra="sl3", seed="126")     # the Toda run meets a pole: exit 1, no warning
-def test_fuzzed_seeds_keep_the_exit_code_contract_on_toda(algebra, seed):
-    assert exit_code(["check", "toda", "--algebra", algebra, f"--seed={seed}"]) in (0, 1, 2)
+def test_fuzzed_seeds_keep_the_exit_code_contract_on_every_battery(algebra, seed):
+    for name in BATTERY_NAMES:
+        assert exit_code(["check", name, "--algebra", algebra, f"--seed={seed}"]) in (0, 1, 2)
 
 
 @settings(max_examples=50)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,13 +29,13 @@ from toda2 import (
 )
 from toda2.cli import main
 from toda2 import cli, flows
-from toda2.flows import (_expm, _factor_states, _factor_stretch, _partner, _triangular_order,
-                         entry_masks, field_rows, projected_partner, rk4_states)
+from toda2.flows import (_expm, _factor_stretch, _partner, _triangular_order, entry_masks,
+                         factor_states, field_rows, rk4_states)
 from toda2.rmatrix import r_block
-from toda2.toda import integrate_toda, toda_space
+from toda2.toda import toda_space
 
 from pointwise import (bracket, flow_at, lax_field, project, projector_partner, rk4_reference,
-                       sequential_commutation)
+                       sequential_commutation, toda_run)
 
 
 def seed_point(alg, seed=42):
@@ -401,13 +402,17 @@ def test_entry_masks_project_like_the_coordinate_projection(name, request):
 
 @pytest.mark.parametrize("name", ["sl3", "sl4", "so5"])
 def test_toda_run_matches_the_coordinate_projection(name, request):
+    # the exact Toda run, split by a triangular order of the matrix indices,
+    # against RK4 with Π₊ read through the basis and its pseudo-inverse:
+    # the two agree to RK4's truncation error
     alg = request.getfixturevalue(name)
     ts = toda_space(alg)
     x0 = ts.points_from_coords(np.random.default_rng(3).uniform(-1, 1, ts.dim))
-    _, states, _ = integrate_toda(alg, x0, dt=1e-3, T=0.5)
+    states, note = toda_run(alg, x0, dt=1e-3, T=0.5)
     ref = alg.to_coords(rk4_reference(lax_field(projector_partner(alg, 0, True)),
                                       alg.to_matrices(x0), 1e-3, 500))
-    assert np.abs(states - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert note == "" and len(states) == len(ref)
+    assert np.abs(states - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
 def toda_seed_point(alg, seed=42):
@@ -416,26 +421,21 @@ def toda_seed_point(alg, seed=42):
     return ts.points_from_coords(np.random.default_rng(seed).uniform(-1, 1, ts.dim))
 
 
-# (algebra, seed); sl3 at seed 126 reaches a non-finite state at step 886
-TODA_BLOWUPS = {("sl3", 126): 886}
-
-
-@pytest.mark.parametrize("name, seed", [("sl3", 42), ("gl3", 42), ("so5", 42), ("sl3", 126)])
-def test_toda_run_matches_the_one_block_reference_bit_for_bit(name, seed, request):
-    # the Toda run steps one n×n matrix by np.dot with 2·m₊ in its doubled
-    # stages; the reference loop steps the one-block (1, n, n) stack with
-    # the t-flow's partner by @ and doubles k₂, k₃ after the commutator
-    alg = request.getfixturevalue(name)
+@pytest.mark.parametrize("name, seed", [(name, seed) for seed in (42, 126)
+                                        for name in ("sl3", "gl3", "sl4", "so5")])
+def test_toda_run_is_the_first_block_of_the_diagonal_t_flow(name, seed, request):
+    # the t-flow keeps the diagonal (x, x) and runs the Toda flow on each
+    # block; sl3 at seed 126 meets a pole between t = 0.882 and 0.883
+    alg = _algebra(name, request)
     x0 = toda_seed_point(alg, seed)
-    _, states, note = integrate_toda(alg, x0, dt=1e-3, T=1.0)
-    ref = rk4_reference(lax_field(projected_partner(0, entry_masks(alg)[0])),
-                        alg.to_matrices(x0), 1e-3, 1000)
-    assert len(ref) == len(states) + bool(note)
-    assert np.array_equal(states, alg.to_coords(ref[:len(states)]))
-    bad = TODA_BLOWUPS.get((name, seed))
-    assert note == ("" if bad is None else
-                    f"non-finite state at step {bad} (t = {bad * 1e-3:g}); trajectory truncated")
-    assert bad is None or len(ref) == bad + 1
+    states, note = toda_run(alg, x0)
+    traj = integrate(FlowConfig("t", 1e-3, 1.0), PairPoint.from_vec(alg, np.concatenate([x0, x0])),
+                     conserved=False)
+    assert len(traj.states) == len(states) and traj.note == note
+    assert (note != "") == ((name, seed) == ("sl3", 126))
+    first, second = traj.states[:, :alg.dim], traj.states[:, alg.dim:]
+    assert np.array_equal(first, second)
+    assert np.abs(first - states).max() <= 1e-14 * np.abs(states).max()
 
 
 # (algebra, field, i, λ, dt, T, step of the first non-finite state or None):
@@ -468,16 +468,16 @@ def test_integrate_pencil_runs_match_the_reference_loop_bit_for_bit(case, reques
 @pytest.mark.parametrize("name", ["sl3", "gl3", "sl4", "gl4"])
 def test_toda_rk4_has_order_four_against_the_factor_path(name, request):
     # the Toda flow is the t-flow on one block, solved exactly by
-    # factorization; halving the step cuts RK4's global error ~16×
+    # factorization; RK4 with the t-partner on the one-block stack cuts its
+    # global error ~16× when the step halves
     alg = _algebra(name, request)
-    x0 = toda_seed_point(alg)
-    exact, note = _factor_states("t", alg.to_matrices(x0), 0.025, 40,
-                                 _triangular_order(alg))
+    V0 = alg.to_matrices(toda_seed_point(alg))
+    exact, note = factor_states(alg, "t", V0, 0.025, 40)
     assert note == ""
 
     def err(dt):
-        states = integrate_toda(alg, x0, dt=dt, T=1.0)[1]
-        return np.abs(states[-1] - alg.to_coords(exact[-1])).max()
+        end = rk4_states(_partner(alg, "t"), V0, dt, round(1.0 / dt))[0][-1]
+        return np.abs(alg.to_coords(end) - alg.to_coords(exact[-1])).max()
 
     assert 12.0 <= err(0.05) / err(0.025) <= 20.0, err(0.05) / err(0.025)
 
@@ -697,6 +697,27 @@ def test_a_lost_pivot_is_not_called_a_pole(dt, note, sl2):
     assert traj.note == note
 
 
+def _note_steps(note):
+    """The step numbers a truncation note names, None for a whole run."""
+    found = re.search(r"steps? (\d+)(?: and (\d+))?", note)
+    return found and found.groups()
+
+
+@pytest.mark.parametrize("c", [0.1, 3.0, 10.0])
+def test_factor_path_is_homogeneous_under_scaling(c, sl3, gl3):
+    # the Lax flows are homogeneous: from cV₀ at step dt/c they pass through
+    # cV(k·dt), so the samples, the pole steps and the states (times c) agree
+    starts = [(alg, field, alg.to_matrices(seed_point(alg).vec()))
+              for alg in (gl3, sl3) for field in ("t", "s")]
+    starts.append((sl3, "t", sl3.to_matrices(toda_seed_point(sl3, 126))))
+    for alg, field, V0 in starts:
+        base, note = factor_states(alg, field, V0, 1e-3, 1000)
+        scaled, scaled_note = factor_states(alg, field, c * V0, 1e-3 / c, 1000)
+        assert len(scaled) == len(base) and _note_steps(scaled_note) == _note_steps(note)
+        assert np.abs(scaled - c * base).max() <= 1e-12 * c * np.abs(base).max()
+    assert _note_steps(note) == ("882", "883")      # the Toda start meets its pole
+
+
 @pytest.mark.parametrize("name, order", [("sl2", [1, 0]), ("gl3", [2, 0, 1]), ("sl4", [3, 1, 0, 2])])
 def test_factor_path_reorders_a_grading_that_is_not_triangular(name, order, request):
     # the builder's basis conjugated by a permutation P: graded entry by entry,
@@ -795,6 +816,15 @@ def test_field_selector_validation():
                    {"field": "linear", "lam": 2.0}):
         with pytest.raises(PreconditionError):
             FlowConfig(**kwargs)
+
+
+def test_an_unknown_field_is_refused_by_the_field_too(sl2):
+    # field_rows reads the field name itself, and refuses it as FlowConfig does
+    V = phase_tp(sl2).sample_stack(42, 1)
+    with pytest.raises(PreconditionError, match="unknown field selector 'bogus'"):
+        field_rows(sl2, "bogus", V, 1, 2.0)
+    with pytest.raises(PreconditionError, match="unknown field selector 'bogus'"):
+        FlowConfig(field="bogus")
 
 
 # ---------------------------------------------------------------------------

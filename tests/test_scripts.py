@@ -26,7 +26,7 @@ def test_flow_demo_refuses_a_horizon_past_the_step_bound(monkeypatch):
         raise AssertionError("a flow run was started")
 
     monkeypatch.setattr(flows, "rk4_states", no_steps)
-    monkeypatch.setattr(flows, "_factor_states", no_steps)
+    monkeypatch.setattr(flows, "factor_states", no_steps)
     main = runpy.run_path(str(SCRIPTS / "flow_demo.py"))["main"]
     monkeypatch.setattr(sys, "argv", ["flow_demo.py", "--algebra", "sl2", "--T", "1e12"])
     message = "T/dt = 1000000000000000 steps; a flow run takes at most 10000"

@@ -20,6 +20,7 @@ from .invariants import (
 from .poisson import (
     CapabilityError,
     PreconditionError,
+    block_field,
     bracket_tables,
     brackets,
     check_morphism_psi1,
@@ -87,7 +88,7 @@ def check_jacobi_battery(alg: AlgebraSpec, samples: int = 20, seed: int = 42,
         ))
 
     for which in brackets(alg):
-        field = linear_field if which == "linear" else quadratic_field
+        field = block_field(which, alg, 2)
         # per sample: the point m, then the gradients of linear F, G, H
         m, f, g, h = np.moveaxis(rng.uniform(-1.0, 1.0, (samples, 4, 2, alg.dim)), 1, 0)
 
@@ -322,8 +323,7 @@ def check_field_battery(alg: AlgebraSpec, seed: int = 42,
 
     @functools.cache
     def pullback_field(which, i, lam):      # X_{P_i∘φ_λ} of bracket `which`, (5, 2, dim)
-        field = linear_field if which == "linear" else quadratic_field
-        return field(alg, M, pullback_gradients(alg, i, lam, M))
+        return block_field(which, alg, 2)(alg, M, pullback_gradients(alg, i, lam, M))
 
     def closed_form_gap(which):             # closed-form pencil fields at the first three points
         return worst([block_norms(field_rows(alg, which, V[:3], i, lam).reshape(3, 2, alg.dim)

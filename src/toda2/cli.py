@@ -32,6 +32,7 @@ from .algebra import (
 )
 from .checks import BATTERY_NAMES, require_tol_accepted, run_battery
 from .flows import (
+    FIELDS,
     MAX_STEPS,
     FlowConfig,
     flow_commutation,
@@ -44,7 +45,7 @@ from .reports import CheckReport, all_pass, emit_report
 
 _BUILTIN = re.compile(r"^(sl|gl)([1-9]\d*)$")
 # builder orders the CLI accepts: the structure tensor is dim³·8 bytes (~0.5 GB
-# at sl20); validate_spec takes 38 ms at sl9 and 48 ms at gl9, so the bound
+# at sl20); validate_spec takes 23 ms at sl9 and 29 ms at gl9, so the bound
 # waits on checking the orders above 9, not on the build
 BUILTIN_ORDERS = range(2, 10)
 # every battery draws its samples as one array: involutivity on gl9 takes
@@ -138,7 +139,7 @@ def _cmd_flow_run(args) -> int:
             {"field": args.field, "dt": args.dt, "T": args.T, "seed": args.seed},
         ),
     ]
-    if args.field in ("t", "s"):
+    if args.field in FIELDS[:2]:
         for lam0 in (0.0, 1.0, 2.0):
             reports.append(CheckReport.below(
                 f"flow-isospectral-l{lam0:g}", "pencil-eigenvalues-conserved", alg.name,
@@ -241,8 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     fsub = f.add_subparsers(dest="subcommand", required=True)
     r = fsub.add_parser("run", help="integrate one flow and report drifts")
     r.add_argument("--algebra", default="sl2")
-    r.add_argument("--field", choices=("t", "s", "quadratic", "linear"),
-                   default="t")
+    r.add_argument("--field", choices=FIELDS, default="t")
     r.add_argument("--i", type=int, default=None,
                    help="generator label (an exponent of the algebra) for "
                         "quadratic/linear pencil fields")

@@ -42,10 +42,9 @@ stack; only its partner Z = Z(V) differs:
 with R = Π₊ − Π₋ and ĝ the trace-form projection onto 𝔤; the quadratic
 pencil field takes k = i + 1 and s = 1, the linear one k = i and
 s = ½(λ − 1).  Π± keeps or zeroes whole matrix entries: Π±(V) = V ∘ m±, with
-(m₊, m₋) = `entry_masks`.  A partner takes a weight w = 1 or 2 and returns
-w·Z(V), the weight folded into its mask or sign pair, so that RK4 gets its
-doubled stages exactly.  `field_rows` evaluates the commutator at a stack of
-coordinate rows; one point is a one-row stack.
+(m₊, m₋) = `entry_masks`.  The four field names are the one tuple `FIELDS`.
+`field_rows` evaluates the commutator at a stack of coordinate rows; one
+point is a one-row stack.
 """
 from __future__ import annotations
 
@@ -62,6 +61,7 @@ from .rmatrix import PairPoint
 
 __all__ = [
     "MAX_STEPS",
+    "FIELDS",
     "FlowConfig",
     "Trajectory",
     "field_rows",
@@ -78,6 +78,8 @@ __all__ = [
 # a run keeps every state, +16 KB per sample on gl9, most of it the family's
 # pencil powers (the README gives the peak of `flow run` at this bound)
 MAX_STEPS = 10_000
+# the field names: the exactly solved t- and s-flows, then the pencil fields
+FIELDS = ("t", "s", "quadratic", "linear")
 
 
 # --------------------------------------------------------------------------
@@ -103,7 +105,7 @@ def entry_masks(alg: AlgebraSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _partner(alg: AlgebraSpec, field: str, i: int = 0, lam: float = 0.0) -> Callable:
-    """The partner w·Z of the t-, s-, quadratic or linear pencil field on (L, M).
+    """The partner Z(V) of the t-, s-, quadratic or linear pencil field on (L, M).
 
     The t- and s-partners are the entry masks Π₊L = L ∘ m₊ and Π₋M = M ∘ m₋,
     one matrix for all blocks of each stack entry.  A pencil partner is
@@ -111,31 +113,26 @@ def _partner(alg: AlgebraSpec, field: str, i: int = 0, lam: float = 0.0) -> Call
     s = 1 (quadratic; on gl, ĝ is the coordinate map) or k = i, s = ½(λ−1)
     (linear), less its centre part: kept, that part lets RK4 past a gl(2)
     quadratic blow-up (i = 1, λ = 0) settle on an exactly traceless
-    M, where the field vanishes, instead of ending at a non-finite state.
-    The weight w = 2 doubles the mask or the sign pair, which is exact;
-    s = 1 is not applied."""
-    if field in ("t", "s"):
-        block = "ts".index(field)
-        mask = entry_masks(alg)[block]
-        weighted = {1: mask, 2: 2.0 * mask}
-        return lambda V, w: V[..., block:block + 1, :, :] * weighted[w]
-    if field not in ("quadratic", "linear"):
+    M, where the field vanishes, instead of ending at a non-finite state."""
+    if field not in FIELDS:
         raise PreconditionError(f"unknown field selector {field!r}")
+    if field in FIELDS[:2]:
+        block = FIELDS.index(field)
+        mask = entry_masks(alg)[block]
+        return lambda V: V[..., block:block + 1, :, :] * mask
     if field == "quadratic" and field not in brackets(alg):
         raise CapabilityError(f"quadratic pencil field needs an associative algebra; "
                               f"{alg.name} has associative=False")
     power, s = (i + 1, 1.0) if field == "quadratic" else (i, 0.5 * (lam - 1.0))
     R = alg.splitting_signs
-    signs = {w: (w * (R - 1.0), w * (R + 1.0)) for w in (1, 2)}     # w(R − 1), w(R + 1)
+    lo, hi = R - 1.0, R + 1.0
 
-    def partner(V: np.ndarray, w: int) -> np.ndarray:
+    def partner(V: np.ndarray) -> np.ndarray:
         # W keeps a block axis of length one, so p is one row (…, 1, dim)
         p = alg.gradient_from_matrix(
             np.linalg.matrix_power(lam * V[..., :1, :, :] - V[..., 1:, :, :], power))
-        lo, hi = signs[w]
         Z = alg.strip_centre(np.concatenate([lo * p, hi * p], axis=-2))
-        Z = alg.to_matrices(Z.reshape(*Z.shape[:-2], -1))
-        return Z if s == 1.0 else s * Z
+        return s * alg.to_matrices(Z.reshape(*Z.shape[:-2], -1))
 
     return partner
 
@@ -145,7 +142,7 @@ def field_rows(alg: AlgebraSpec, field: str, V: np.ndarray, i: int = 0,
     """The t-, s-, quadratic or linear pencil field at coordinate rows V (…, 2·dim);
     the "t" field on rows (…, dim) of 𝔤 is the Toda field [A₊, A]."""
     V = alg.to_matrices(V)
-    Z = _partner(alg, field, i, lam)(V, 1)
+    Z = _partner(alg, field, i, lam)(V)
     return alg.to_coords(Z @ V - V @ Z)
 
 
@@ -178,7 +175,7 @@ class FlowConfig:
     pencil fields), and the pencil's generator label and λ; checked here,
     but for i being a label of the algebra (`integrate` asks it)."""
 
-    field: str = "t"                 # t | s | quadratic | linear
+    field: str = "t"                 # one of FIELDS
     dt: float = 1e-3
     T: float = 1.0
     i: Optional[int] = None          # generator label for pencil fields
@@ -186,13 +183,13 @@ class FlowConfig:
 
     def __post_init__(self):
         whole_steps(self.dt, self.T)
-        if self.field in ("t", "s") and (self.i, self.lam) != (None, None):
+        if self.field in FIELDS[:2] and (self.i, self.lam) != (None, None):
             raise PreconditionError(f"the {self.field}-flow takes no generator label i or λ")
         if self.lam is not None and not math.isfinite(self.lam):
             raise PreconditionError(f"λ must be finite, got {self.lam}")
-        if self.field not in ("t", "s", "quadratic", "linear"):
+        if self.field not in FIELDS:
             raise PreconditionError(f"unknown field selector {self.field!r}")
-        if self.field not in ("t", "s") and (self.i is None or self.lam is None):
+        if self.field not in FIELDS[:2] and (self.i is None or self.lam is None):
             raise PreconditionError(f"{self.field} pencil field needs generator label i and λ")
 
     @property
@@ -225,52 +222,35 @@ class Trajectory:
         return float(ps.membership_residuals(self.states).max())
 
 
-# steps between finiteness tests; a non-finite entry stays non-finite, so the
-# latest state tells for every state before it
-_FINITE_EVERY = 64
-
-
 def rk4_states(partner: Callable, v0: np.ndarray, dt: float,
                n_steps: int) -> tuple[np.ndarray, str]:
     """Fixed-step RK4 run of the Lax equation V̇ = [Z(V), V] from a stack
-    v0 (…, k, n, n); partner(V, w) returns w·Z(V) for w = 1 or 2, one matrix
-    for all blocks of a stack entry or one per block.
+    v0 (…, k, n, n); partner(V) returns Z(V), one matrix for all blocks of a
+    stack entry or one per block.
 
     Returns the states stacked along a new first axis and a note, as
     `factor_states` does: a run that reaches a non-finite state ends
     before it, and the note names its step (empty when there is none).
-    Each commutator is written into preallocated buffers.  The stages k₂ and
-    k₃ take the partner 2Z, so they give 2k₂ and 2k₃ exactly (a factor 2
-    commutes with rounding short of overflow and underflow), and their stage
-    inputs take dt/4 and dt/2 of them.  The sum is accumulated left to right, so the bits
-    are those of the plain loop v + dt/6·(k1 + 2k2 + 2k3 + k4).
     """
+    def field(V):
+        Z = partner(V)
+        return Z @ V - V @ Z
+
     states = np.empty((n_steps + 1, *np.shape(v0)))
     states[0] = v0
     v = states[0]
-    stage, k, dk, zv, vz = (np.empty_like(v) for _ in range(5))
-    quarter, half, sixth = 0.25 * dt, 0.5 * dt, dt / 6.0
-
-    def commutator(V, w, out):     # w·[Z(V), V] into out
-        Z = partner(V, w)
-        return np.subtract(np.matmul(Z, V, out=zv), np.matmul(V, Z, out=vz), out=out)
-
     # overflow on the way to a detected blow-up is expected, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
-            commutator(v, 1, k)                                                  # k1
-            commutator(np.add(v, np.multiply(half, k, out=stage), out=stage), 2, dk)
-            k += dk                                                              # + 2k2
-            commutator(np.add(v, np.multiply(quarter, dk, out=stage), out=stage), 2, dk)
-            k += dk                                                              # + 2k3
-            commutator(np.add(v, np.multiply(half, dk, out=stage), out=stage), 1, dk)
-            k += dk                                                              # + k4
-            v = np.add(v, np.multiply(sixth, k, out=k), out=states[step])
-            if (step % _FINITE_EVERY == 0 or step == n_steps) and not np.isfinite(v).all():
-                finite = np.isfinite(states[:step + 1].reshape(step + 1, -1)).all(axis=1)
-                bad = int(np.argmin(finite))
-                return states[:bad], (f"non-finite state at step {bad} (t = {bad * dt:g}); "
-                                      f"trajectory truncated")
+            k1 = field(v)
+            k2 = field(v + 0.5 * dt * k1)
+            k3 = field(v + 0.5 * dt * k2)
+            k4 = field(v + dt * k3)
+            v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(v).all():
+                return states[:step], (f"non-finite state at step {step} (t = {step * dt:g}); "
+                                       f"trajectory truncated")
+            states[step] = v
     return states, ""
 
 
@@ -462,7 +442,7 @@ def integrate(cfg: FlowConfig, m0: PairPoint, conserved: bool = True) -> Traject
     """
     alg = m0.alg
     V0 = alg.to_matrices(m0.vec())
-    if cfg.field in ("t", "s"):
+    if cfg.field in FIELDS[:2]:
         stack, note = factor_states(alg, cfg.field, V0, cfg.dt, cfg.n_steps)
     else:
         require_generator_label(alg, cfg.i)

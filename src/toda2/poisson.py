@@ -20,8 +20,9 @@ with ℛ* the ⟨·,·⟩₂-adjoint of ℛ (R* the ⟨·,·⟩-adjoint of R on 
 values, fields and Poisson matrices all read these two fields.
 
 The fields are written once, on coordinate blocks: arrays of shape (…, k, dim)
-with k = 1 on 𝔤 and k = 2 on 𝔤×𝔤 (`linear_field`, `quadratic_field`).  Points
-and gradients broadcast over the leading axes, so a gradient stack at one
+with k = 1 on 𝔤 and k = 2 on 𝔤×𝔤 (`linear_field`, `quadratic_field`), and a
+bracket's name chooses its field in one place (`block_field`).  Points and
+gradients broadcast over the leading axes, so a gradient stack at one
 point (the rows of a bracket table) or a stack of points is one call.  The
 kernels are `algebra.bracket_blocks` (the einsum of the blocks with the
 cached `struct`) and `algebra.mult_blocks` (the product of the blocks'
@@ -82,6 +83,7 @@ __all__ = [
     "brackets",
     "linear_field",
     "quadratic_field",
+    "block_field",
     "bracket_tables",
     "inner_bracket_gradients",
     "poisson_matrix",
@@ -180,8 +182,9 @@ def brackets(alg: AlgebraSpec) -> tuple[str, ...]:
     return ("linear", "quadratic") if alg.associative else ("linear",)
 
 
-def _block_field(which: str, alg: AlgebraSpec, k: int):
-    """The block field of bracket `which` on blocks (…, k, dim), after the capability checks."""
+def block_field(which: str, alg: AlgebraSpec, k: int):
+    """The block field of bracket `which` on blocks (…, k, dim), after the
+    capability checks: the one place a bracket's name chooses its field."""
     if which == "linear":
         return linear_field
     if which != "quadratic":
@@ -380,7 +383,7 @@ def bracket_tables(alg: AlgebraSpec, which: str, M: np.ndarray, A: np.ndarray) -
     """
     k = M.shape[-2]
     G = A.reshape(*A.shape[:-1], k, alg.dim)
-    X = _block_field(which, alg, k)(alg, M[..., None, :, :], G)
+    X = block_field(which, alg, k)(alg, M[..., None, :, :], G)
     T = A @ _block_pairing(alg, k) @ X.reshape(*X.shape[:-2], -1).swapaxes(-1, -2)
     return 0.5 * (T - T.swapaxes(-1, -2))
 

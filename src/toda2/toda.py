@@ -129,9 +129,9 @@ def toda_suite(alg: AlgebraSpec, seed: int = 42) -> list:
     reports.append(CheckReport.equal("toda-independence", "toda-invariants-independent",
                                      alg.name, best, alg.rank, {"points": len(X), "seed": seed}))
 
-    # conservation along the Toda flow, the exact t-flow on the one-block stack (A)
-    x0 = ts.points_from_coords(np.random.default_rng(seed).uniform(-1.0, 1.0, ts.dim))
-    stack, note = factor_states(alg, "t", alg.to_matrices(x0), 1e-3, whole_steps(1e-3, 1.0))
+    # conservation along the Toda flow, the exact t-flow on the one-block stack (A₀)
+    # from the first sample point
+    stack, note = factor_states(alg, "t", alg.to_matrices(X[0]), 1e-3, whole_steps(1e-3, 1.0))
     states = alg.to_coords(stack)
     drift = math.inf        # a run that met a pole or a non-finite state fails whatever its drift
     if not note:            # P_i on the whole stack

@@ -13,14 +13,13 @@ central differences where a function has no analytic gradient.  A stack
 gives the bits of its points one at a time, so these views carry the bits
 the stacked batteries must reproduce.
 
-The RK4 driver and the projected partner have their straightforward forms
-here too (`rk4_reference`, `projector_partner`): one new array per stage and
-per state, a finiteness test at every step, and Π as the coordinate
-projection through the basis; `lax_field` turns the driver's partner into
-the field V ↦ [Z, V] that the reference loop steps.  `rk4_trajectory` and
-`sequential_commutation` run the t- and s-flows by RK4, a witness
-independent of the exact factorization that `integrate` and
-`flow_commutation` use.  `toda_run` is the Toda run of `toda_suite`, the
+`rk4_reference` is RK4 on a list of states that keeps the first non-finite
+state, against which the driver's (states, note) contract is checked, and
+`projector_partner` is Π as the coordinate projection through the basis;
+`lax_field` turns the driver's partner into the field V ↦ [Z, V] that the
+reference loop steps.  `rk4_trajectory` and `sequential_commutation` run the
+t- and s-flows by RK4, a witness independent of the exact factorization
+that `integrate` and `flow_commutation` use.  `toda_run` is the Toda run of `toda_suite`, the
 exact t-flow on a one-block stack, from a start row.
 `shuffled_and_rescaled` writes a spec in another basis of the same algebra.
 """
@@ -35,7 +34,7 @@ from toda2.algebra import bracket_blocks, mult_blocks
 from toda2.flows import Trajectory, _partner, factor_states, field_rows, rk4_states, whole_steps
 from toda2.invariants import family_names, family_values
 from toda2.invariants import pullback_gradients, trace_gradients, trace_values
-from toda2.poisson import _block_field, _gradient_blocks
+from toda2.poisson import _gradient_blocks, block_field
 
 FD_STEP = 1e-5
 
@@ -137,7 +136,7 @@ def gradient2(F, m, step=FD_STEP):
 def field_at(which, m, g):
     """X(m) of bracket `which` for the gradient g at one point: the block field
     on one-point blocks, after its capability checks."""
-    X = _block_field(which, m.alg, len(point_block(m)))(
+    X = block_field(which, m.alg, len(point_block(m)))(
         m.alg, point_block(m), point_block(g))
     return type(m).from_vec(m.alg, X.ravel())
 
@@ -196,26 +195,26 @@ def rk4_reference(field, v0, dt, n_steps):
 
 
 def lax_field(partner):
-    """V ↦ [Z, V] = ZV − VZ with Z = partner(V, 1), the weight-one partner
-    that `rk4_states` takes."""
+    """V ↦ [Z, V] = ZV − VZ with Z = partner(V), for a partner that
+    `rk4_states` takes."""
 
     def field(V):
-        Z = partner(V, 1)
+        Z = partner(V)
         return Z @ V - V @ Z
 
     return field
 
 
 def projector_partner(alg, block, plus):
-    """w·Z with Z = Π±(V[block]) as the n²×n² matrix of `project(·, plus)` on
+    """Z = Π±(V[block]) as the n²×n² matrix of `project(·, plus)` on
     flattened matrices, read through the basis and its pseudo-inverse."""
     n = alg.matrix_size
     flat = alg.basis.reshape(alg.dim, -1).T
     P = (flat * ((alg.degrees >= 0) == plus)) @ np.linalg.pinv(flat)
 
-    def partner(V, w):
+    def partner(V):
         lead = V.shape[:-3]
-        return w * (P @ V[..., block, :, :].reshape(*lead, n * n, 1)).reshape(*lead, 1, n, n)
+        return (P @ V[..., block, :, :].reshape(*lead, n * n, 1)).reshape(*lead, 1, n, n)
 
     return partner
 

@@ -29,7 +29,7 @@ from toda2 import (
     run_battery,
     toda_suite,
 )
-from toda2 import checks
+from toda2 import checks, poisson
 from toda2.invariants import family_gradient_stack
 
 from pointwise import rk4_trajectory, sequential_commutation
@@ -147,9 +147,10 @@ def test_c07_vector_field_identities(desk_algebras):
 
 def test_c07_relquad_fails_a_quadratic_field_off_by_one_part_in_a_million(gl3, monkeypatch):
     # a negative control: relquad compares the quadratic bracket field with
-    # the linear one, so a quadratic field off by a factor 1 + 1e-6 fails it
-    field = checks.quadratic_field
-    monkeypatch.setattr(checks, "quadratic_field",
+    # the linear one, so a quadratic field off by a factor 1 + 1e-6 fails it;
+    # the battery reads the field through `poisson.block_field`
+    field = poisson.quadratic_field
+    monkeypatch.setattr(poisson, "quadratic_field",
                         lambda alg, m, g: field(alg, m, g) * (1.0 + 1e-6))
     relquad = next(r for r in checks.check_field_battery(gl3) if r.check == "relquad")
     assert not relquad.verdict and relquad.measured > 1e-6

@@ -4,9 +4,10 @@ never in an uncaught exception.
 
 Only cheap commands run in-process: `algebra validate` and `check rais` on
 fuzzed --samples and --algebra tokens, with and without a fuzzed --tol, and
-on malformed spec documents, `check casimir` on sl2, gl2 and sl3 with fuzzed --samples (at most 1000
-are accepted), --tol and --seed tokens, every battery on the same algebras
-with fuzzed --seed tokens, and `flow run` and `flow commutation`
+on malformed spec documents, every battery and `check all` on sl2, gl2 and
+sl3 with fuzzed --samples (at most 1000 are accepted) and --seed tokens,
+without and with a fuzzed --tol, every battery on the same algebras with
+fuzzed --seed tokens, and `flow run` and `flow commutation`
 on sl2 and gl2 with fuzzed step sizes, horizons, fields and pencil parameters
 (at most 10000 steps are accepted, ~0.5 s on gl2), and fuzzed --seed tokens
 on `flow commutation`.
@@ -95,15 +96,18 @@ SAMPLE_TOKENS = st.one_of(st.integers(-1, 1001).map(str), NUMBER_TOKENS)
 
 
 @settings(max_examples=50)
-@given(algebra=st.sampled_from(["sl2", "gl2", "sl3"]), samples=SAMPLE_TOKENS, tol=NUMBER_TOKENS,
-       seed=NUMBER_TOKENS)
-@example(algebra="sl3", samples="1000", tol="1e-9", seed="42")
-@example(algebra="gl2", samples=str(10**30), tol="1e-9", seed="42")
-@example(algebra="sl2", samples="5", tol="1e-9", seed="-1")     # a seed must be ≥ 0
-def test_fuzzed_samples_keep_the_exit_code_contract_on_casimir(algebra, samples, tol, seed):
-    argv = ["check", "casimir", "--algebra", algebra, "--samples", samples, "--tol", tol,
-            f"--seed={seed}"]
+@given(name=st.sampled_from(BATTERY_NAMES + ("all",)), algebra=st.sampled_from(["sl2", "gl2", "sl3"]),
+       samples=SAMPLE_TOKENS, tol=NUMBER_TOKENS, seed=NUMBER_TOKENS)
+@example(name="all", algebra="sl3", samples="1000", tol="1e-9", seed="42")
+@example(name="casimir", algebra="gl2", samples=str(10**30), tol="1e-9", seed="42")
+@example(name="casimir", algebra="sl2", samples="5", tol="1e-9", seed="-1")  # a seed must be ≥ 0
+def test_fuzzed_samples_keep_the_exit_code_contract_on_every_battery(name, algebra, samples, tol,
+                                                                     seed):
+    # without --tol, then with it: a battery that keeps its own tolerances
+    # refuses --tol, so its --samples are fuzzed on the first run only
+    argv = ["check", name, "--algebra", algebra, "--samples", samples, f"--seed={seed}"]
     assert exit_code(argv) in (0, 1, 2)
+    assert exit_code(argv + ["--tol", tol]) in (0, 1, 2)
 
 
 @settings(max_examples=20)
@@ -220,7 +224,7 @@ def test_fuzzed_flow_run_keeps_the_exit_code_contract(algebra, field, dt, T, i, 
 @example(algebra="gl2", steps="10000", dt="1e-3", seed="42")
 @example(algebra="sl2", steps=str(10**30), dt="1e-3", seed="42")
 @example(algebra="sl2", steps="--", dt="0.05", seed="42")  # argparse would store [] for --steps=--
-@example(algebra="sl2", steps="9", dt="1", seed="42")      # RK4 would blow up here
+@example(algebra="sl2", steps="9", dt="1", seed="42")       # long exact legs: entries reach 3e5
 @example(algebra="gl2", steps="1000", dt="100", seed="42")  # dt·‖X‖ in the hundreds
 @example(algebra="sl2", steps="10", dt="1e-3", seed="-1")  # a seed must be ≥ 0
 def test_fuzzed_flow_commutation_keeps_the_exit_code_contract(algebra, steps, dt, seed):

@@ -316,8 +316,8 @@ def _start(alg, scale=None):
 
 
 # (algebra, field, i, λ, dt, steps, start scale); the last three blow up:
-# the quadratic field at step 3, the gl2 t-flow at step 82, past the loop's
-# first finiteness test at step 64
+# the quadratic field at step 3, the gl2 t-flow at step 82, which the
+# 1000-step run passes by 918 steps
 LOOP_CASES = [
     ("gl3", "t", None, None, 1e-3, 200, None),
     ("gl3", "s", None, None, 1e-3, 200, None),
@@ -333,6 +333,8 @@ LOOP_CASES = [
 
 
 def _algebra(name, request):
+    if name == "rotated-sl2":
+        return load_spec(rotated_sl2_document())
     return build_gl(4) if name == "gl4" else request.getfixturevalue(name)
 
 
@@ -351,25 +353,6 @@ def test_rk4_states_matches_the_reference_loop_bit_for_bit(case, request):
     assert np.isfinite(ref[-1]).all() == (note == "")
     assert note in ("", f"non-finite state at step {len(lean)} (t = {len(lean) * dt:g}); "
                         f"trajectory truncated")
-
-
-PARTNER_CASES = [("sl3", "t"), ("gl3", "t"), ("so5", "t"), ("sl3", "s"), ("gl3", "s"),
-                 ("so5", "s"), ("gl2", "quadratic"), ("gl3", "quadratic"), ("sl3", "linear"),
-                 ("gl3", "linear"), ("so5", "linear"), ("rotated-sl2", "linear")]
-
-
-@pytest.mark.parametrize("name, field", PARTNER_CASES, ids="-".join)
-def test_doubled_partner_is_twice_the_partner_bit_for_bit(name, field, request):
-    # RK4's stages k₂ and k₃ take partner(V, 2) for 2·partner(V, 1): the
-    # weight, folded into a mask or the sign pair, must double exactly
-    alg = (load_spec(rotated_sl2_document()) if name == "rotated-sl2"
-           else request.getfixturevalue(name))
-    V = alg.to_matrices(phase_tp(alg).sample_stack(7, 5))
-    pencils = [(None, None)] if field in ("t", "s") else \
-        [(i, lam) for i in alg.exponents for lam in (-1.0, 0.0, 0.5, 2.0, 3.0)]
-    for i, lam in pencils:
-        partner = _partner(alg, field, i, lam)
-        assert partner(V, 2).tobytes() == (2.0 * partner(V, 1)).tobytes(), (i, lam)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -416,9 +399,8 @@ def test_toda_run_matches_the_coordinate_projection(name, request):
 
 
 def toda_seed_point(alg, seed=42):
-    """The start row of `toda_suite`'s conservation run."""
-    ts = toda_space(alg)
-    return ts.points_from_coords(np.random.default_rng(seed).uniform(-1, 1, ts.dim))
+    """The start row of `toda_suite`'s conservation run, its first sample point."""
+    return toda_space(alg).sample_stack(seed, 20)[0]
 
 
 @pytest.mark.parametrize("name, seed", [(name, seed) for seed in (42, 126)
@@ -440,10 +422,11 @@ def test_toda_run_is_the_first_block_of_the_diagonal_t_flow(name, seed, request)
 
 # (algebra, field, i, λ, dt, T, step of the first non-finite state or None):
 # from the seed point the so5 linear run blows up at step 781 and the gl2
-# quadratic run at step 22
+# quadratic run at step 22; the rotated sl2 is not graded entry by entry
 INTEGRATE_CASES = [
     ("gl3", "quadratic", 1, 0.5, 1e-3, 1.0, None),
     ("sl3", "linear", 1, 2.0, 1e-3, 1.0, None),
+    ("rotated-sl2", "linear", 1, 2.0, 1e-3, 1.0, None),
     ("so5", "linear", 1, 2.0, 1e-3, 1.0, 781),
     ("gl2", "quadratic", 1, 0.0, 0.05, 3.0, 22),
 ]
@@ -452,7 +435,7 @@ INTEGRATE_CASES = [
 @pytest.mark.parametrize("case", INTEGRATE_CASES, ids=lambda c: f"{c[0]}-{c[1]}-{c[3]:g}")
 def test_integrate_pencil_runs_match_the_reference_loop_bit_for_bit(case, request):
     name, field, i, lam, dt, T, bad = case
-    alg = request.getfixturevalue(name)
+    alg = _algebra(name, request)
     cfg = FlowConfig(field=field, i=i, lam=lam, dt=dt, T=T)
     m0 = seed_point(alg)
     traj = integrate(cfg, m0, conserved=[])

@@ -29,14 +29,13 @@ from toda2 import (
 from toda2.checks import _cartan_block
 from toda2.invariants import pullback_gradients, trace_gradients
 from toda2.poisson import (
-    _block_field,
     _block_pairing,
     _gradient_blocks,
+    block_field,
     bracket_tables,
     inner_bracket_gradients,
     linear_field,
     numerical_rank,
-    quadratic_field,
 )
 from toda2.rmatrix import block_norms, r_block, rr_block
 
@@ -202,7 +201,7 @@ def test_bracket_kinds_are_checked_in_one_place(sl3, gl2):
     with pytest.raises(CapabilityError):
         bracket_tables(gl2, "quadratic", point_block(x), gf)
     with pytest.raises(CapabilityError):
-        _block_field("quadratic", gl2, 1)
+        block_field("quadratic", gl2, 1)
     with pytest.raises(CapabilityError):
         bracket_tables(sl3, "quadratic", point_block(random_pair(sl3, rng)),
                        rng.uniform(-1, 1, (2, 2 * sl3.dim)))
@@ -518,20 +517,20 @@ def test_block_fields_match_point_closed_forms(name, request):
             m = rng.uniform(-1, 1, (k, alg.dim))
             grads = rng.uniform(-1, 1, (4, k, alg.dim))
             points = rng.uniform(-1, 1, (4, k, alg.dim))
-            block_field = {"linear": linear_field, "quadratic": quadratic_field}[which]
+            field = block_field(which, alg, k)
             ref = reference[which]
             # one gradient, a gradient stack at one point, a point stack
-            one = block_field(alg, m, grads[0])
+            one = field(alg, m, grads[0])
             assert np.abs(one - ref(m, grads[0])).max() < 1e-13
-            stack = block_field(alg, m, grads)
+            stack = field(alg, m, grads)
             assert stack.shape == (4, k, alg.dim)
-            moved = block_field(alg, points, grads[0])
+            moved = field(alg, points, grads[0])
             for j in range(4):
                 assert np.abs(stack[j] - ref(m, grads[j])).max() < 1e-13
                 assert np.abs(moved[j] - ref(points[j], grads[0])).max() < 1e-13
                 # one point at a time gives the bits of the stack rows
-                assert np.array_equal(block_field(alg, m, grads[j]), stack[j])
-                assert np.array_equal(block_field(alg, points[j], grads[0]), moved[j])
+                assert np.array_equal(field(alg, m, grads[j]), stack[j])
+                assert np.array_equal(field(alg, points[j], grads[0]), moved[j])
 
 
 def test_pairing_matrix_is_cached_read_only(gl2, sl3):

@@ -2,10 +2,14 @@
 
 Every battery returns a list of CheckReports with the tolerances used by the
 acceptance suite.  Sample points are seeded, so reports are deterministic.
+No battery writes a bracket's formula again: each reads the bracket fields
+of `poisson` (by name through `poisson.block_field`), and the Jacobi sums of
+the linear and quadratic brackets are read off those fields alone.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -24,7 +28,6 @@ from .poisson import (
     bracket_tables,
     brackets,
     check_morphism_psi1,
-    inner_bracket_gradients,
     linear_field,
     phase_tp,
     quadratic_field,
@@ -69,7 +72,10 @@ def check_jacobi_battery(alg: AlgebraSpec, samples: int = 20, seed: int = 42,
     """Jacobi identities: R/ℛ-brackets on elements, both function brackets.
 
     Each identity draws its samples as one stack, in the order of the
-    per-sample draws, and evaluates them all at once.
+    per-sample draws, and evaluates them all at once.  A function bracket is
+    read off its field alone (`block_field`): for linear A, B, C,
+    {A, {B, C}}(m) = −⟨∇B, dX_C(m)[X_A(m)]⟩, and as X_C has degree ≤ 2 in m,
+    dX_C(m)[v] = ½(X_C(m + v) − X_C(m − v)) exactly.
     """
     rng = np.random.default_rng(seed)
     out = []
@@ -89,14 +95,14 @@ def check_jacobi_battery(alg: AlgebraSpec, samples: int = 20, seed: int = 42,
 
     for which in brackets(alg):
         field = block_field(which, alg, 2)
-        # per sample: the point m, then the gradients of linear F, G, H
-        m, f, g, h = np.moveaxis(rng.uniform(-1.0, 1.0, (samples, 4, 2, alg.dim)), 1, 0)
-
-        # {A, {B, C}}(m) = ⟨∇A, X_{B,C}(m)⟩, the inner bracket with its exact gradient
-        def outer(a, b, c):
-            return form_blocks(alg, a, field(alg, m, inner_bracket_gradients(alg, which, m, b, c)))
-
-        cyc = outer(f, g, h) + outer(g, h, f) + outer(h, f, g)
+        # per sample: the point m, then the gradients (f, g, h) of linear F, G, H
+        draw = rng.uniform(-1.0, 1.0, (samples, 4, 2, alg.dim))
+        m, A = draw[:, :1], draw[:, 1:]
+        # the terms {A, {B, C}} of the cyclic sum: (A, B, C) = (f, g, h), (g, h, f), (h, f, g)
+        B, C = np.roll(A, -1, axis=1), np.roll(A, -2, axis=1)
+        XA = field(alg, m, A)
+        XC = field(alg, np.stack([m + XA, m - XA]), C)
+        cyc = -form_blocks(alg, B, 0.5 * (XC[0] - XC[1])).sum(axis=-1)
         residual = worst(np.abs(cyc))
         out.append(CheckReport.below(
             f"jacobi-{which}-bracket", f"{which}-poisson-jacobi", alg.name,
@@ -348,24 +354,24 @@ def check_field_battery(alg: AlgebraSpec, seed: int = 42,
     ))
 
     # coefficient-level relations between the two field families: every
-    # member's field under both brackets at the first three points at once
+    # member's field under both brackets at the first three points at once,
+    # and a zero member for the X^Q_{F_{j,i}} of j = −1 and j = i + 2
     M = M[:3]
     G = family_gradient_stack(alg, V[:3]).reshape(3, -1, 2, alg.dim)
     XQ, XL = quadratic_field(alg, M[:, None], G), linear_field(alg, M[:, None], G)
+    XQ = np.concatenate([XQ, np.zeros_like(XQ[:, :1])], axis=1)
     at = {label: k for k, label in enumerate(family_labels(alg))}
 
     def xq(j, i):
-        return XQ[:, at[(j, i)]]
+        return XQ[:, at.get((j, i), -1)]
 
-    def xl(j, i):
-        return XL[:, at[(j, i)]]
-
+    # X^Q_{F_{j,i}} + X^Q_{F_{j−1,i}} = 2·X_{F_{j,i+1}}, j = 0…i+2, one report
+    # each for j = 0, the j in between and j = i + 2
     gaps = {1: [], 2: [], 3: []}
-    for i in range(alg.matrix_size - 1):
-        gaps[1].append(block_norms(xq(0, i) - xl(0, i + 1) * 2.0))
-        for j in range(1, i + 2):
-            gaps[2].append(block_norms(xq(j, i) + xq(j - 1, i) - xl(j, i + 1) * 2.0))
-        gaps[3].append(block_norms(xq(i + 1, i) - xl(i + 2, i + 1) * 2.0))
+    for i, i_next in itertools.pairwise(alg.exponents):
+        for j in range(i + 3):
+            line = 1 if j == 0 else 3 if j == i + 2 else 2
+            gaps[line].append(block_norms(xq(j, i) + xq(j - 1, i) - XL[:, at[(j, i_next)]] * 2.0))
     lines = {
         1: ("relquadline-1", "X^Q_{F_0i} = 2·X_{F_0,i+1}"),
         2: ("relquadline-2", "X^Q_{F_ji} + X^Q_{F_j-1,i} = 2·X_{F_j,i+1}"),

@@ -233,9 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="builtin name or spec path; repeatable (default sl2)")
     c.add_argument("--samples", type=_whole(1, MAX_SAMPLES), default=20)
     _add_report_flags(c, tol=None, tol_help=(
-        "override the default tolerance of the residual checks; the independence, "
-        "rank, rais and toda batteries refuse it, and keep their own tolerances "
-        "under 'all', as do jacobi-r-bracket and jacobi-rr-bracket (1e-11)"))
+        "override the default tolerance of the residual checks; jacobi-r-bracket and "
+        "jacobi-rr-bracket keep theirs (1e-11), and the independence, rank, rais and "
+        "toda batteries refuse it and keep their own tolerances under 'all'"))
     c.set_defaults(fn=_cmd_check)
 
     f = sub.add_parser("flow", help="integrate Lax flows")

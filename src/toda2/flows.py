@@ -306,10 +306,10 @@ def _lu(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lower, np.triu(upper)
 
 
-def _triangular_order(alg: AlgebraSpec) -> Optional[np.ndarray]:
+def _triangular_order(alg: AlgebraSpec) -> np.ndarray:
     """An order of the matrix indices that puts the entries of 𝔤_{≥0} on or
-    above the diagonal and those of 𝔤_{<0} below it, cached per spec; None
-    when the given order does.  The factor path splits gl(n) as upper ⊕
+    above the diagonal and those of 𝔤_{<0} below it, cached per spec (the
+    identity for the builders and so5).  The factor path splits gl(n) as upper ⊕
     strictly lower triangular, so it runs the flows in this order, and a
     spec that has none is refused."""
 
@@ -328,23 +328,24 @@ def _triangular_order(alg: AlgebraSpec) -> Optional[np.ndarray]:
                 f"{alg.name}: no order of the matrix indices makes 𝔤_{{≥0}} "
                 f"upper-triangular and 𝔤_{{<0}} strictly lower-triangular: "
                 f"exp(τX) = n₋b₊ does not split the t- and s-flows")
-        return None if order == sorted(order) else np.array(order)
+        return read_only(np.array(order))
 
     return alg.memo("triangular-order", build)
 
 
-def _factor_stretch(field: str, V: np.ndarray, taus: np.ndarray) -> tuple[np.ndarray, str]:
+def _factor_stretch(X: np.ndarray, V: np.ndarray, block: int,
+                    taus: np.ndarray) -> tuple[np.ndarray, str]:
     """(L, M)(τ) at the times `taus` from V = (L, M), one stacked pass.
 
-    t-flow: exp(τL) = n₋b₊, (L, M)(τ) = b₊(L, M)b₊⁻¹; s-flow: exp(−τM) = n₋b₊,
-    (L, M)(τ) = n₋⁻¹(L, M)n₋.  The flow has a pole where a leading principal
-    minor of exp(τX), a cumulative product of the pivots, changes sign.  The
-    product of all pivots is det exp(τX) = exp(τ tr X) whatever the minors
-    do, so it witnesses that the factorization is exact to _DET_TOL.  The
-    states stop before the first time whose pivots are not all positive, or
-    not witnessed; the second value says why: "pole", "inexact" or "".
+    exp(τX) = n₋b₊, and block 0, the t-flow (X = L), gives (L, M)(τ) =
+    b₊(L, M)b₊⁻¹; block 1, the s-flow (X = −M), (L, M)(τ) = n₋⁻¹(L, M)n₋.
+    The flow has a pole where a leading principal minor of exp(τX), a
+    cumulative product of the pivots, changes sign.  The product of all
+    pivots is det exp(τX) = exp(τ tr X) whatever the minors do, so it
+    witnesses that the factorization is exact to _DET_TOL.  The states stop
+    before the first time whose pivots are not all positive, or not
+    witnessed; the second value says why: "pole", "inexact" or "".
     """
-    X = V[0] if field == "t" else -V[1]
     lower, upper = _lu(_expm(taus[:, None, None] * X))
     pivots = np.diagonal(upper, axis1=-2, axis2=-1)
     exact = np.abs(np.log(np.abs(pivots)).sum(axis=-1) - taus * np.trace(X)) <= _DET_TOL
@@ -352,7 +353,7 @@ def _factor_stretch(field: str, V: np.ndarray, taus: np.ndarray) -> tuple[np.nda
     kept = len(taus) if good.all() else int(np.argmin(good))
     # g and g⁻¹ through the inverse of an upper-triangular factor with a
     # positive finite diagonal, which LAPACK never finds singular
-    if field == "t":
+    if block == 0:
         g = upper[:kept]
         gi = np.linalg.inv(g)
     else:
@@ -384,9 +385,10 @@ def factor_states(alg: AlgebraSpec, field: str, V0: np.ndarray, dt: float,
     not exact, at a non-finite state, or where the grid runs out.
     """
     order = _triangular_order(alg)
-    if order is not None:
-        V0 = V0[..., order[:, None], order]
-    X = V0[0] if field == "t" else -V0[1]
+    V0 = V0[..., order[:, None], order]
+    # the t-flow factors exp(τL), the s-flow exp(−τM)
+    block, sign = (0, 1.0) if field == "t" else (1, -1.0)
+    X = sign * V0[block]
     # near and past a pole the factors overflow or divide by a vanishing
     # pivot: the run stops there, and numpy's warnings are expected
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -400,20 +402,18 @@ def factor_states(alg: AlgebraSpec, field: str, V0: np.ndarray, dt: float,
         k, stop = 0, ""
         while k < n and not stop:
             V = states[k]
-            rate = h * float(np.abs(V[0] if field == "t" else V[1]).sum(axis=0).max())
+            rate = h * float(np.abs(V[block]).sum(axis=0).max())
             m = min(n - k, _STRETCH_SAMPLES)
             if rate * m > _FACTOR_NORM:
                 m = max(1, int(_FACTOR_NORM / rate))
-            stretch, stop = _factor_stretch(field, V, h * np.arange(1, m + 1))
+            stretch, stop = _factor_stretch(sign * V[block], V, block, h * np.arange(1, m + 1))
             finite = np.isfinite(stretch).all(axis=(1, 2, 3))
             if not finite.all():
                 stretch, stop = stretch[:int(np.argmin(finite))], "non-finite"
             states[k + 1:k + 1 + len(stretch)] = stretch
             k += len(stretch)
-    states = states[:k + 1:q]
-    if order is not None:
-        back = np.argsort(order)
-        states = states[..., back[:, None], back]
+    back = np.argsort(order)
+    states = states[:k + 1:q][..., back[:, None], back]
     k = len(states) - 1
     at = f"step {k + 1} (t = {(k + 1) * dt:g})"
     note = {

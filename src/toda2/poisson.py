@@ -17,7 +17,8 @@ field (X_G[F] = ⟨∇F, X_G⟩ = {F, G}); ⟨m, [a, b]⟩ = ⟨[m, a], b⟩ and
     X^Q_G(m) = ½[ℛ(m∇G + ∇G m), m] − ½(wm + mw),   w = ℛ*[m, ∇G],
 
 with ℛ* the ⟨·,·⟩₂-adjoint of ℛ (R* the ⟨·,·⟩-adjoint of R on 𝔤).  Bracket
-values, fields and Poisson matrices all read these two fields.
+values, fields, Poisson matrices and the Jacobi sums of `checks` all read
+these two fields; no other formula of these brackets is written.
 
 The fields are written once, on coordinate blocks: arrays of shape (…, k, dim)
 with k = 1 on 𝔤 and k = 2 on 𝔤×𝔤 (`linear_field`, `quadratic_field`), and a
@@ -68,7 +69,6 @@ from .rmatrix import (
     PairPoint,
     Point,
     form_blocks,
-    r_bracket_blocks,
     rr_adjoint_block,
     rr_block,
 )
@@ -85,7 +85,6 @@ __all__ = [
     "quadratic_field",
     "block_field",
     "bracket_tables",
-    "inner_bracket_gradients",
     "poisson_matrix",
     "poisson_matrices",
     "rank_sweep",
@@ -197,23 +196,6 @@ def block_field(which: str, alg: AlgebraSpec, k: int):
             f"{alg.name} has associative=False"
         )
     return quadratic_field
-
-
-def inner_bracket_gradients(alg: AlgebraSpec, which: str, M: np.ndarray, G: np.ndarray,
-                            H: np.ndarray) -> np.ndarray:
-    """∇ of m ↦ {G, H}(m) for linear G, H with gradients G, H, on pair blocks
-    (…, 2, dim) of points M: the ℛ-bracket ½([ℛg, h] + [g, ℛh]) for "linear",
-    T(g, h) − T(h, g) for "quadratic" with T(g, h) = ½([g, ℛ(mh + hm)] + hw + wh),
-    w = ℛ*[m, g]."""
-    if which == "linear":
-        return r_bracket_blocks(alg, G, H)
-
-    def T(g, h):
-        w = rr_adjoint_block(alg, bracket_blocks(alg, M, g))
-        s = rr_block(alg, mult_blocks(alg, M, h) + mult_blocks(alg, h, M))
-        return 0.5 * (bracket_blocks(alg, g, s) + mult_blocks(alg, h, w) + mult_blocks(alg, w, h))
-
-    return T(G, H) - T(H, G)
 
 
 # --------------------------------------------------------------------------

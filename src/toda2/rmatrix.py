@@ -138,11 +138,10 @@ def r_bracket_blocks(alg: AlgebraSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarr
 
 
 def b_tensor_block(alg: AlgebraSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """B(X, Y) = [RX, RY] − R([RX, Y] + [X, RY]) on blocks (…, k, dim), with
-    ℛ in place of R on pair blocks (k = 2)."""
-    RX, RY = rr_block(alg, X), rr_block(alg, Y)
-    return bracket_blocks(alg, RX, RY) - rr_block(
-        alg, bracket_blocks(alg, RX, Y) + bracket_blocks(alg, X, RY))
+    """B(X, Y) = [RX, RY] − 2·R([X, Y]_R) on blocks (…, k, dim), [X, Y]_R the
+    R-bracket, with ℛ in place of R on pair blocks (k = 2)."""
+    return (bracket_blocks(alg, rr_block(alg, X), rr_block(alg, Y))
+            - 2.0 * rr_block(alg, r_bracket_blocks(alg, X, Y)))
 
 
 # --------------------------------------------------------------------------

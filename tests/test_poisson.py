@@ -26,14 +26,15 @@ from toda2 import (
     poisson_matrix,
     rank_sweep,
 )
-from toda2.checks import _cartan_block
+from toda2 import poisson
+from toda2.algebra import bracket_blocks, mult_blocks
+from toda2.checks import _cartan_block, check_jacobi_battery
 from toda2.invariants import pullback_gradients, trace_gradients
 from toda2.poisson import (
     _block_pairing,
     _gradient_blocks,
     block_field,
     bracket_tables,
-    inner_bracket_gradients,
     linear_field,
     numerical_rank,
 )
@@ -144,30 +145,38 @@ def test_brackets_jacobi_spot(gl2):
 
 def test_jacobi_battery_passes_at_former_roundoff_seeds(gl3):
     # these seeds once put the nested finite-difference roundoff above 1e-9
-    from toda2.checks import check_jacobi_battery
-
     for seed in (12, 13):
         for r in check_jacobi_battery(gl3, samples=5, seed=seed):
             assert r.verdict, r.line()
 
 
-@pytest.mark.parametrize("name", ["sl3", "gl2", "gl3", "so5"])
-def test_jacobi_inner_bracket_gradients_match_finite_differences(name, request):
-    # the inner bracket of two linear functions has degree ≤ 2 in m, so unit-step
-    # central differences are exact on it up to roundoff
+# one term of each field, ½[ℛg, m] of the linear and ½[ℛ(mg + gm), m] of the quadratic
+_FIELD_TERMS = {
+    "linear": lambda alg, m, g: 0.5 * bracket_blocks(alg, rr_block(alg, g), m),
+    "quadratic": lambda alg, m, g: 0.5 * bracket_blocks(
+        alg, rr_block(alg, mult_blocks(alg, m, g) + mult_blocks(alg, g, m)), m),
+}
+
+
+@pytest.mark.parametrize("name, which", [("sl3", "linear"), ("gl3", "linear"),
+                                         ("gl3", "quadratic")])
+def test_jacobi_battery_fails_a_field_with_one_term_off_by_one_part_in_a_million(
+        name, which, request, monkeypatch):
+    # a negative control: the battery reads each bracket off its field alone
+    # (`poisson.block_field`), and with one term scaled by 1 + 1e-6 the field
+    # is no longer that of a Poisson bracket; scaling the whole field by
+    # 1 + 1e-6 scales the bracket, which stays Poisson
     alg = request.getfixturevalue(name)
-    rng = np.random.default_rng(23)
-    kinds = ["linear"] + (["quadratic"] if alg.associative else [])
-    for _ in range(3):
-        m = random_pair(alg, rng)
-        G, H = (linear_function(random_pair(alg, rng)) for _ in range(2))
-        for which in kinds:
-            inner = ScalarFunction("{G,H}", lambda mm, w=which: bracket_value(w, G, H, mm))
-            fd = gradient2(inner, m, step=1.0)
-            exact = PairPoint.from_vec(alg, inner_bracket_gradients(
-                alg, which, point_block(m), point_block(G.gradient(m)),
-                point_block(H.gradient(m))).ravel())
-            assert (fd - exact).norm() < 1e-12 * (1.0 + exact.norm())
+    field, term = getattr(poisson, f"{which}_field"), _FIELD_TERMS[which]
+
+    def jacobi(changed):
+        monkeypatch.setattr(poisson, f"{which}_field", changed)
+        return next(r for r in check_jacobi_battery(alg) if r.check == f"jacobi-{which}-bracket")
+
+    report = jacobi(lambda alg, m, g: field(alg, m, g) + 1e-6 * term(alg, m, g))
+    assert not report.verdict and report.measured > 1e-6, report.line()
+    report = jacobi(lambda alg, m, g: field(alg, m, g) * (1.0 + 1e-6))
+    assert report.verdict, report.line()
 
 
 def test_quadratic_needs_associative(sl3):

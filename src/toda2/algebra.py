@@ -14,6 +14,10 @@ downstream (projections, R-matrices, Poisson brackets) reduces to these
 degree comparisons, the structure constants and the matrices of the basis
 cached here.  On an associative spec (gl) the product of coordinate arrays is
 the product of their matrices (`mult_blocks`).
+
+A point of 𝔤 at the API edge is the bare record `Element` (alg, coords); every
+computation reads coordinate rows, and every numerical rank in the package,
+validation's included, counts the singular values above one cut (`rank_cuts`).
 """
 from __future__ import annotations
 
@@ -38,6 +42,9 @@ __all__ = [
     "spec_to_json",
     "validate_spec",
     "describe_violation",
+    "numerical_rank",
+    "numerical_ranks",
+    "rank_cuts",
 ]
 
 
@@ -167,24 +174,7 @@ class AlgebraSpec:
         t = (Z[..., None, :] @ self.gram @ iden)[..., 0] / float(iden @ self.gram @ iden)
         return Z - t[..., None] * iden
 
-    # -- element plumbing --------------------------------------------------
-
-    def element(self, coords) -> "Element":
-        c = np.asarray(coords, dtype=float)
-        if c.shape != (self.dim,):
-            raise AlgebraError(
-                f"{self.name}: coordinate vector has shape {c.shape}, "
-                f"expected ({self.dim},)"
-            )
-        return Element(self, c)
-
-    @cached_property
-    def e(self) -> "Element":
-        return Element(self, np.asarray(self.e_coords, dtype=float))
-
-    @cached_property
-    def h(self) -> "Element":
-        return Element(self, np.asarray(self.h_coords, dtype=float))
+    # -- coordinates and matrices ------------------------------------------
 
     def to_matrices(self, v: np.ndarray) -> np.ndarray:
         """Coordinate rows (…, k·dim) as stacks of k matrices, shape (…, k, n, n)."""
@@ -199,10 +189,6 @@ class AlgebraSpec:
         lead = V.shape[:-3]
         flat = V.reshape(*lead, -1, self.matrix_size ** 2) @ self._flat_pinv.T
         return flat.reshape(*lead, -1)
-
-    def to_matrix(self, coords: np.ndarray) -> np.ndarray:
-        """The matrix of one coordinate vector (dim,)."""
-        return self.to_matrices(coords).reshape(self.matrix_size, self.matrix_size)
 
     def from_matrix(self, mat: np.ndarray) -> np.ndarray:
         """Coordinates of a matrix; error if it lies off the basis span."""
@@ -262,11 +248,11 @@ class AlgebraSpec:
 
 @dataclass(frozen=True, eq=False)
 class Element:
+    """The record (alg, coords) of one point of 𝔤 at the API edge; every
+    computation reads its coordinate row."""
+
     alg: AlgebraSpec
     coords: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        return self.alg.to_matrix(self.coords)
 
     def vec(self) -> np.ndarray:
         return self.coords
@@ -274,32 +260,6 @@ class Element:
     @staticmethod
     def from_vec(alg: AlgebraSpec, v: np.ndarray) -> "Element":
         return Element(alg, np.array(v, dtype=float))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
-    def __add__(self, other: "Element") -> "Element":
-        _same_algebra(self, other)
-        return Element(self.alg, self.coords + other.coords)
-
-    def __sub__(self, other: "Element") -> "Element":
-        _same_algebra(self, other)
-        return Element(self.alg, self.coords - other.coords)
-
-    def __neg__(self) -> "Element":
-        return Element(self.alg, -self.coords)
-
-    def __mul__(self, s: float) -> "Element":
-        return Element(self.alg, self.coords * float(s))
-
-    __rmul__ = __mul__
-
-
-def _same_algebra(x: Element, y: Element) -> None:
-    if x.alg is not y.alg:
-        raise AlgebraError(
-            f"mismatched algebra handles: {x.alg.name} vs {y.alg.name}"
-        )
 
 
 # --------------------------------------------------------------------------
@@ -404,6 +364,33 @@ def build_gl(n: int) -> AlgebraSpec:
         f"gl{n}", mats, degs, range(0, n), cartan,
         e_mat, h_mat, associative=True,
     )
+
+
+# --------------------------------------------------------------------------
+# the rank cut
+# --------------------------------------------------------------------------
+
+_RANK_REL = 1e-10   # rank cut: σ > σ_max·size·_RANK_REL counts
+
+
+def rank_cuts(sv: np.ndarray, size: int) -> np.ndarray:
+    """The rank cut σ_max·size·_RANK_REL of each descending row of singular
+    values sv (…, k), shape (…, 1), for matrices whose larger side is `size`:
+    the values above it count toward the numerical rank."""
+    return sv[..., :1] * size * _RANK_REL
+
+
+def numerical_ranks(M: np.ndarray) -> np.ndarray:
+    """`numerical_rank` of every matrix of a stack (…, r, c), one stacked SVD."""
+    if M.size == 0:
+        return np.zeros(M.shape[:-2], dtype=int)
+    sv = np.linalg.svd(M, compute_uv=False)
+    return np.sum(sv > rank_cuts(sv, max(M.shape[-2:])), axis=-1)
+
+
+def numerical_rank(M: np.ndarray) -> int:
+    """The number of singular values of M above the rank cut (`rank_cuts`)."""
+    return int(numerical_ranks(M))
 
 
 # --------------------------------------------------------------------------
@@ -554,7 +541,11 @@ def validate_spec(spec: AlgebraSpec) -> list[dict]:
             hit("jacobi", jac_res)
 
     # principal pair, each a coordinate row of shape (dim,)
-    e, h = (spec.element(c).coords for c in (spec.e_coords, spec.h_coords))
+    e, h = (np.asarray(c, dtype=float) for c in (spec.e_coords, spec.h_coords))
+    for c in (e, h):
+        if c.shape != (dim,):
+            raise AlgebraError(f"{spec.name}: coordinate vector has shape {c.shape}, "
+                               f"expected ({dim},)")
     he_res = np.abs(bracket_blocks(spec, h, e) - 2.0 * e).max()
     if not (he_res <= 1e-12 * (1.0 + np.abs(e).max())):
         hit("he-relation", he_res)
@@ -577,11 +568,8 @@ def validate_spec(spec: AlgebraSpec) -> list[dict]:
     ad_e = np.einsum("a,abc->cb", e, coeffs)
     if not np.isfinite(ad_e).all():
         hit("regular-nilpotent", np.nan)
-    else:
-        sv = np.linalg.svd(ad_e, compute_uv=False)
-        r = int(np.sum(sv > sv[0] * dim * 1e-10)) if sv[0] > 0 else 0
-        if r != dim - spec.rank:
-            hit("regular-nilpotent", float(r))
+    elif (r := numerical_rank(ad_e)) != dim - spec.rank:
+        hit("regular-nilpotent", float(r))
 
     if prod_res is not None:
         hit("product-closure", prod_res)
@@ -590,18 +578,15 @@ def validate_spec(spec: AlgebraSpec) -> list[dict]:
     # one seeded point of 𝔤, each over ‖x^{m_i}‖, have rank ℓ (the form and
     # the exponents this reads are only trusted when nothing above failed)
     if not out:
-        x = spec.to_matrix(np.random.default_rng(42).uniform(-1.0, 1.0, dim))
+        x = spec.to_matrices(np.random.default_rng(42).uniform(-1.0, 1.0, dim))[0]
         with np.errstate(all="ignore"):     # an overflowing power is recorded below
             powers = np.array([np.linalg.matrix_power(x, m) for m in ex])
             rows = spec.gradient_from_matrix(powers)
             rows /= np.linalg.norm(powers, axis=(1, 2))[:, None]
         if not np.isfinite(rows).all():
             hit("generator-independence", np.nan)
-        else:
-            sv = np.linalg.svd(rows, compute_uv=False)
-            r = int(np.sum(sv > sv[0] * dim * 1e-10))
-            if r != spec.rank:
-                hit("generator-independence", float(r))
+        elif (r := numerical_rank(rows)) != spec.rank:
+            hit("generator-independence", float(r))
 
     return out
 

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element
-from .poisson import PreconditionError, ScalarFunction, numerical_rank
+from .algebra import AlgebraSpec, numerical_rank
+from .poisson import PreconditionError, ScalarFunction
 from .rmatrix import PairPoint
 
 __all__ = [
@@ -173,7 +173,7 @@ def family(alg: AlgebraSpec) -> list[ScalarFunction]:
 class RaisData:
     """The vectors V_{k,i} = k!·∂_x F_{k+1,i}(e, h), their rank and degrees."""
 
-    vectors: tuple[tuple[int, int, Element], ...]   # (k, i, V_{k,i})
+    vectors: tuple[tuple[int, int, np.ndarray], ...]   # (k, i, coordinate row of V_{k,i})
     rank: int
     degree_profile: tuple[int, ...]
     max_negative_component: float
@@ -185,25 +185,16 @@ class RaisData:
 
 def rais_vectors(alg: AlgebraSpec) -> RaisData:
     grads = family_gradient_stack(alg, np.concatenate([alg.e_coords, alg.h_coords])[None])[0]
-    vectors = [
-        (j - 1, i, Element(alg, g[: alg.dim] * float(math.factorial(j - 1))))
-        for (j, i), g in zip(family_labels(alg), grads)
-        if j >= 1
-    ]
-    stack = np.stack([v.coords for (_, _, v) in vectors])
-    rank = numerical_rank(stack)
+    vectors = tuple((j - 1, i, g[: alg.dim] * float(math.factorial(j - 1)))
+                    for (j, i), g in zip(family_labels(alg), grads) if j >= 1)
+    stack = np.stack([v for (_, _, v) in vectors])
     degrees = alg.degrees
-    present = sorted(
-        {int(d) for (_, _, v) in vectors for d in degrees[np.abs(v.coords) > 1e-12]}
-    )
-    neg = max(
-        (float(np.abs(v.coords[degrees < 0]).max()) if np.any(degrees < 0) else 0.0)
-        for (_, _, v) in vectors
-    )
+    present = np.unique(degrees[(np.abs(stack) > 1e-12).any(axis=0)])
+    negative = np.abs(stack[:, degrees < 0])
     return RaisData(
-        vectors=tuple(vectors),
-        rank=rank,
-        degree_profile=tuple(present),
-        max_negative_component=neg,
+        vectors=vectors,
+        rank=numerical_rank(stack),
+        degree_profile=tuple(int(d) for d in present),
+        max_negative_component=float(negative.max()) if negative.size else 0.0,
     )
 

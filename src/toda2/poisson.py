@@ -32,8 +32,9 @@ matrices), and the R-operators are the block actions of `rmatrix`
 same bits as its points one at a time, and one point is a one-row stack.
 Bracket values are the pairing of a gradient with a field (`form_blocks`);
 `bracket_tables` and `poisson_matrices` take a stack of points, and
-`rank_sweep` is one stacked matrix call and one stacked SVD.  `poisson_matrix`
-is `poisson_matrices` at one point.
+`rank_sweep` is one stacked matrix call and one stacked SVD, its ranks counted
+above the one rank cut of `algebra` (`rank_cuts`).  `poisson_matrix` is
+`poisson_matrices` at one point, read off the row of its `PairPoint` record.
 
 Affine phase spaces (T_P and friends in 𝔤×𝔤, T_T in 𝔤) are a base row plus
 a tangent matrix; their coordinate functions are Euclidean duals of the tangent
@@ -62,12 +63,14 @@ from .algebra import (
     Element,
     bracket_blocks,
     mult_blocks,
+    numerical_rank,
+    numerical_ranks,
+    rank_cuts,
     read_only,
 )
 from .reports import CheckReport, worst
 from .rmatrix import (
     PairPoint,
-    Point,
     form_blocks,
     rr_adjoint_block,
     rr_block,
@@ -88,14 +91,12 @@ __all__ = [
     "poisson_matrix",
     "poisson_matrices",
     "rank_sweep",
-    "numerical_rank",
-    "numerical_ranks",
+    "numerical_rank",      # re-exported from `algebra`: perfbench reads it here
     "check_morphism_psi1",
     "phase_tp",
 ]
 
 _MEMBERSHIP_TOL = 1e-10   # largest normal residual of a point on a phase space
-_RANK_REL = 1e-10         # rank cut: σ > σ_max·size·_RANK_REL counts
 _RANK_POINTS = 25         # seeded points of a rank sweep
 
 
@@ -112,24 +113,23 @@ class PreconditionError(ValueError):
 # --------------------------------------------------------------------------
 
 
-# a Point (rmatrix.Point) is an Element of 𝔤, paired by ⟨·,·⟩, or a PairPoint
-# of 𝔤×𝔤, paired by ⟨·,·⟩₂; both carry vec() and from_vec, so the code below
-# serves both
+# a point is a record, an Element of 𝔤 (paired by ⟨·,·⟩) or a PairPoint of 𝔤×𝔤
+# (by ⟨·,·⟩₂), read through its row vec() and from_vec: the code below serves both
 
 
 @dataclass(frozen=True)
 class ScalarFunction:
-    """A scalar function of a Point with an optional analytic gradient.
+    """A scalar function of a point record with an optional analytic gradient.
 
     The gradient is taken with respect to the point's own pairing: ⟨·,·⟩ on 𝔤,
     ⟨·,·⟩₂ on 𝔤×𝔤.
     """
 
     name: str
-    evaluator: Callable[[Point], float]
-    gradient: Optional[Callable[[Point], Point]] = None
+    evaluator: Callable[[Element | PairPoint], float]
+    gradient: Optional[Callable[[Element | PairPoint], Element | PairPoint]] = None
 
-    def __call__(self, m: Point) -> float:
+    def __call__(self, m: Element | PairPoint) -> float:
         return float(self.evaluator(m))
 
 
@@ -212,7 +212,7 @@ class PhaseSpace:
     2·dim 𝔤; both are read-only.  The residual, rank and coordinate methods
     take stacks of coordinate rows (…, D); one point is a one-row stack.
     `coords`, `normal_covectors` and `sample_points` give the same data as
-    ScalarFunctions and Points.
+    ScalarFunctions and point records (`Element`, `PairPoint`).
     """
 
     name: str
@@ -281,8 +281,8 @@ class PhaseSpace:
         return tuple(out)
 
     @cached_property
-    def normal_covectors(self) -> tuple[Point, ...]:
-        """Gradients of a dual basis of the normal directions, as Points."""
+    def normal_covectors(self) -> tuple[Element | PairPoint, ...]:
+        """Gradients of a dual basis of the normal directions, as point records."""
         return tuple(self._points(self.normal_gradients))
 
     def normal_residuals(self, V: np.ndarray) -> np.ndarray:
@@ -322,7 +322,7 @@ class PhaseSpace:
         rng = np.random.default_rng(seed)
         return self.points_from_coords(rng.uniform(-1.0, 1.0, (count, self.dim)))
 
-    def sample_points(self, seed: int, count: int) -> list[Point]:
+    def sample_points(self, seed: int, count: int) -> list[Element | PairPoint]:
         return self._points(self.sample_stack(seed, count))
 
 
@@ -331,7 +331,7 @@ def phase_tp(alg: AlgebraSpec) -> PhaseSpace:
 
     def build():
         free = np.concatenate([alg.degrees <= 0, alg.degrees >= -1])
-        base = np.concatenate([alg.e.coords, np.zeros(alg.dim)])
+        base = np.concatenate([alg.e_coords, np.zeros(alg.dim)])
         return PhaseSpace("T_P", alg, base, np.eye(2 * alg.dim)[:, free])
 
     return alg.memo("T_P", build)
@@ -415,29 +415,13 @@ def poisson_matrix(ps: PhaseSpace, m: PairPoint, which: str = "linear") -> Poiss
                            invariance_defect=float(defect[0]))
 
 
-def _ranks(sv: np.ndarray, size: int) -> np.ndarray:
-    # singular values above the largest times size·_RANK_REL, per stack entry
-    return np.sum(sv > sv[..., :1] * size * _RANK_REL, axis=-1)
-
-
-def numerical_ranks(M: np.ndarray) -> np.ndarray:
-    """`numerical_rank` of every matrix of a stack (…, r, c), one stacked SVD."""
-    if M.size == 0:
-        return np.zeros(M.shape[:-2], dtype=int)
-    return _ranks(np.linalg.svd(M, compute_uv=False), max(M.shape[-2:]))
-
-
-def numerical_rank(M: np.ndarray) -> int:
-    return int(numerical_ranks(M))
-
-
 @dataclass(frozen=True)
 class RankSweep:
     """The max rank over a seeded sweep, with the evidence of its rank decisions."""
 
     rank: int
     points: int
-    sv_margin: float           # min over points of σ_r/(σ_1·size·_RANK_REL), r the point's rank
+    sv_margin: float           # min over points of σ_r over its rank cut, r the point's rank
     corrected: int             # points whose matrix needed the Dirac correction
     invariance_defect: float   # max |{ζ, χ}| over the sweep
 
@@ -452,16 +436,17 @@ def rank_sweep(ps: PhaseSpace, which: str = "linear", seed: int = 42) -> RankSwe
     """Max rank over _RANK_POINTS seeded sample points (rank is lower
     semicontinuous), from one stacked Poisson-matrix call and one stacked SVD.
 
-    The margin at a point of rank r is σ_r/(σ_1·size·_RANK_REL): how far the
-    smallest counted singular value clears the rank cut (∞ at rank 0).
+    The margin at a point of rank r is σ_r/(σ_1·size·10⁻¹⁰), σ_r over the
+    rank cut (`algebra.rank_cuts`): how far the smallest counted singular
+    value clears the cut (∞ at rank 0).
     Unlike σ_r/σ_{r+1} it does not read the roundoff σ_{r+1}.
     """
     M, corrected, defect = poisson_matrices(ps, ps.sample_stack(seed, _RANK_POINTS), which)
     sv = np.linalg.svd(M, compute_uv=False)
-    ranks = _ranks(sv, M.shape[-1])
+    cuts = rank_cuts(sv, M.shape[-1])
+    ranks = np.sum(sv > cuts, axis=-1)
     smallest = np.take_along_axis(sv, np.maximum(ranks, 1)[:, None] - 1, 1)[:, 0]   # σ_r
-    margins = np.divide(smallest, sv[:, 0] * M.shape[-1] * _RANK_REL,
-                        out=np.full(len(sv), np.inf), where=ranks > 0)
+    margins = np.divide(smallest, cuts[:, 0], out=np.full(len(sv), np.inf), where=ranks > 0)
     return RankSweep(rank=int(ranks.max()), points=_RANK_POINTS, sv_margin=float(margins.min()),
                      corrected=int(corrected.sum()), invariance_defect=float(defect.max()))
 

@@ -11,15 +11,15 @@ i.e. plus-part minus minus-part for the decomposition
 
 Each operator is written once, as a block action on coordinate arrays of
 shape (…, k, dim) — k = 1 on 𝔤, k = 2 on 𝔤×𝔤 — broadcasting over the leading
-axes; one point is a one-row block.  `PairPoint` is the record of one point
-of 𝔤×𝔤 at the API edge; nothing here reads its arithmetic.  The checker below
-measures the modified Yang–Baxter residual B_R(x,y) + [x,y] and its pair
-analogue on the whole sample stack at once.
+axes; one point is a one-row block.  `PairPoint` is the record (x, y) of one
+point of 𝔤×𝔤 at the API edge, with no arithmetic: every computation reads its
+coordinate row `vec()`.  The checker below measures the modified Yang–Baxter
+residual B_R(x,y) + [x,y] and its pair analogue on the whole sample stack at
+once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .reports import CheckReport, worst
 
 __all__ = [
     "PairPoint",
-    "Point",
     "r_block",
     "rr_block",
     "r_adjoint_block",
@@ -64,27 +63,6 @@ class PairPoint:
         v = np.asarray(v, dtype=float)
         return PairPoint(Element(alg, v[: alg.dim].copy()), Element(alg, v[alg.dim:].copy()))
 
-    def norm(self) -> float:
-        return float(np.abs(self.vec()).max()) if self.alg.dim else 0.0
-
-    def __add__(self, o: "PairPoint") -> "PairPoint":
-        return PairPoint(self.x + o.x, self.y + o.y)
-
-    def __sub__(self, o: "PairPoint") -> "PairPoint":
-        return PairPoint(self.x - o.x, self.y - o.y)
-
-    def __neg__(self) -> "PairPoint":
-        return PairPoint(-self.x, -self.y)
-
-    def __mul__(self, s: float) -> "PairPoint":
-        return PairPoint(self.x * s, self.y * s)
-
-    __rmul__ = __mul__
-
-
-# a point of 𝔤 (an Element, paired by ⟨·,·⟩) or of 𝔤×𝔤 (a PairPoint, by ⟨·,·⟩₂)
-Point = Union[Element, PairPoint]
-
 
 def form_blocks(alg: AlgebraSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """⟨p, q⟩ on blocks (…, 1, dim) of 𝔤, ⟨p, q⟩₂ on pair blocks (…, 2, dim): one
@@ -95,8 +73,10 @@ def form_blocks(alg: AlgebraSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 def block_norms(B: np.ndarray) -> np.ndarray:
-    """`Element.norm` (Euclidean) on blocks (…, 1, dim), `PairPoint.norm` (max
-    abs) on pair blocks (…, 2, dim), with the bits of the Point norms."""
+    """The Euclidean norm on blocks (…, 1, dim) of 𝔤, the max abs on pair
+    blocks (…, 2, dim).  Two norms, not one, so that the Jacobi, Casimir,
+    field and Toda residual reports it feeds keep the values they have
+    always measured."""
     if B.shape[-2] == 1:
         return np.sqrt(np.vecdot(B[..., 0, :], B[..., 0, :]))
     return np.abs(B).max(axis=(-2, -1))

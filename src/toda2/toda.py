@@ -45,7 +45,9 @@ def toda_space(alg: AlgebraSpec) -> PhaseSpace:
 
     def build():
         free = (alg.degrees >= -1) & (alg.degrees <= 0)
-        return PhaseSpace("T_T", alg, alg.e.coords, np.eye(alg.dim)[:, free])
+        # a copy for the base, which PhaseSpace makes read-only: not e_coords itself
+        return PhaseSpace("T_T", alg, np.array(alg.e_coords, dtype=float),
+                          np.eye(alg.dim)[:, free])
 
     return alg.memo("T_T", build)
 

@@ -11,7 +11,9 @@ and returns a Point or a ScalarFunction, so that a test can state an identity
 one point at a time or hand a function to `gradient2`, which falls back on
 central differences where a function has no analytic gradient.  A stack
 gives the bits of its points one at a time, so these views carry the bits
-the stacked batteries must reproduce.
+the stacked batteries must reproduce.  The records carry no arithmetic: an
+oracle, or a test, that adds, scales or measures points does so on their
+coordinate rows (`.coords`, `.vec()`).
 
 `rk4_reference` is RK4 on a list of states that keeps the first non-finite
 state, against which the driver's (states, note) contract is checked, and
@@ -70,15 +72,16 @@ def form2(p, q):
 
 def decompose_pair(p):
     """Split p into its diagonal plus-part and its 𝔤₋×𝔤₊ minus-part."""
-    xp, xm = project(p.x, True), project(p.x, False)
-    yp, ym = project(p.y, True), project(p.y, False)
+    xp, xm = project(p.x, True).coords, project(p.x, False).coords
+    yp, ym = project(p.y, True).coords, project(p.y, False).coords
     diag = xp + ym
-    return PairPoint(diag, diag), PairPoint(xm - ym, yp - xp)
+    return (PairPoint.from_vec(p.alg, np.concatenate([diag, diag])),
+            PairPoint.from_vec(p.alg, np.concatenate([xm - ym, yp - xp])))
 
 
 def psi1(m):
     """ψ₁(x, y) = x − y."""
-    return m.x - m.y
+    return Element(m.alg, m.x.coords - m.y.coords)
 
 
 def point_block(p):

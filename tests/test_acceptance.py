@@ -16,7 +16,6 @@ import pytest
 
 from toda2 import (
     FlowConfig,
-    PairPoint,
     check_binomial_identity,
     check_mcybe,
     check_morphism_psi1,
@@ -122,7 +121,7 @@ def test_c06_independence_and_rais(desk_algebras):
     for name in ORDER:
         alg = desk_algebras[name]
         ps = phase_tp(alg)
-        eh = PairPoint(alg.e, alg.h).vec()[None]
+        eh = np.concatenate([alg.e_coords, alg.h_coords])[None]
         r_eh, r_swp = (int(ps.jacobian_ranks(family_gradient_stack(alg, V)).max())
                        for V in (eh, ps.sample_stack(42, 20)))
         if not (r_eh == r_swp == CARD[name]):

@@ -48,8 +48,8 @@ from pointwise import (
 
 def random_pair(alg, rng):
     return PairPoint(
-        alg.element(rng.uniform(-1, 1, alg.dim)),
-        alg.element(rng.uniform(-1, 1, alg.dim)),
+        Element(alg, rng.uniform(-1, 1, alg.dim)),
+        Element(alg, rng.uniform(-1, 1, alg.dim)),
     )
 
 
@@ -68,11 +68,11 @@ def test_gradient_matches_finite_differences(sl3):
     G = ScalarFunction(
         "quad*",
         val,
-        gradient=lambda m: form2(b, m) * a + form2(a, m) * b,
+        gradient=lambda m: PairPoint.from_vec(sl3, form2(b, m) * a.vec() + form2(a, m) * b.vec()),
     )
     m = random_pair(sl3, rng)
     fd, an = gradient2(F, m), G.gradient(m)
-    assert (fd - an).norm() < 1e-9
+    assert np.abs(fd.vec() - an.vec()).max() < 1e-9
 
 
 coords2 = st.lists(
@@ -85,7 +85,7 @@ def test_gradient_of_pairing_is_sign_flipped(a, b):
     # ⟨·,·⟩₂ is indefinite: ∇⟨(p,q), ·⟩₂ = (p, −q) ... realised as the pair
     # whose pairing with any direction reproduces the linear functional.
     alg = build_sl(2)
-    p = PairPoint(alg.element(a), alg.element(b))
+    p = PairPoint(Element(alg, a), Element(alg, b))
     F = ScalarFunction("lin", lambda m: form2(p, m))
     rng = np.random.default_rng(1)
     m = random_pair(alg, rng)
@@ -204,7 +204,7 @@ def test_bracket_kinds_are_checked_in_one_place(sl3, gl2):
     A = rng.uniform(-1, 1, (2, 2 * gl2.dim))
     with pytest.raises(ValueError, match="unknown bracket kind"):
         bracket_tables(gl2, "cubic", point_block(m), A)
-    x = gl2.element(rng.uniform(-1, 1, gl2.dim))
+    x = Element(gl2, rng.uniform(-1, 1, gl2.dim))
     gf = trace_gradients(gl2, x.coords, 1)[None]
     # the quadratic bracket lives on 𝔤×𝔤 only, and only over gl
     with pytest.raises(CapabilityError):
@@ -228,11 +228,11 @@ def test_single_algebra_bracket_matches_inline_formula(name, request):
         return Element(alg, r_block(alg, x.coords))
 
     def inline(x, gf, gg):
-        term = bracket(R(gf), gg) + bracket(gf, R(gg))
+        term = Element(alg, bracket(R(gf), gg).coords + bracket(gf, R(gg)).coords)
         return 0.5 * form(x, term)
 
     for _ in range(3):
-        x = alg.element(rng.uniform(-1, 1, alg.dim))
+        x = Element(alg, rng.uniform(-1, 1, alg.dim))
         gf, gg = f.gradient(x), g.gradient(x)
         assert bracket_value("linear", f, g, x) == pytest.approx(inline(x, gf, gg), abs=1e-13)
         X = field_at("linear", x, gg)
@@ -262,12 +262,13 @@ def test_pair_brackets_match_inline_formulas(name, request):
         return PairPoint(mult(p.x, q.x), mult(p.y, q.y))
 
     def linear(m, a, b):
-        term = pbr(rr(a), b) + pbr(a, rr(b))
+        term = PairPoint.from_vec(alg, pbr(rr(a), b).vec() + pbr(a, rr(b)).vec())
         return 0.5 * form2(m, term)
 
     def quadratic(m, a, b):
         def half(a, b):
-            return 0.5 * form2(pbr(m, a), rr(pmul(m, b) + pmul(b, m)))
+            s = PairPoint.from_vec(alg, pmul(m, b).vec() + pmul(b, m).vec())
+            return 0.5 * form2(pbr(m, a), rr(s))
         return half(a, b) - half(b, a)
 
     kinds = {"linear": linear}
@@ -276,7 +277,8 @@ def test_pair_brackets_match_inline_formulas(name, request):
     p, q = random_pair(alg, rng), random_pair(alg, rng)
     fns = [linear_function(p), linear_function(q),
            ScalarFunction("pq", lambda m: form2(p, m) * form2(q, m),
-                          lambda m: form2(q, m) * p + form2(p, m) * q),
+                          lambda m: PairPoint.from_vec(
+                              alg, form2(q, m) * p.vec() + form2(p, m) * q.vec())),
            pullback(alg, alg.exponents[-1], -0.5)]
     unit = [PairPoint.from_vec(alg, g.ravel())
             for g in _gradient_blocks(alg, np.eye(2 * alg.dim).reshape(-1, 2, alg.dim))]
@@ -317,7 +319,7 @@ def test_phase_tp_membership_and_coords(sl3):
     assert ps.membership_residuals(V).max() < 1e-12
     back = ps.points_from_coords((V - ps.base) @ ps.duals)
     assert np.abs(back - V).max() < 1e-12
-    off = PairPoint(sl3.element(np.ones(8)), sl3.element(np.ones(8))).vec()
+    off = np.ones(2 * sl3.dim)
     assert ps.membership_residuals(off) > 0.1
     with pytest.raises(PreconditionError):
         ps.require_members(off[None])
@@ -327,10 +329,10 @@ def test_phase_tp_base_point_structure(gl3):
     # base point: unit superdiagonal in x, zero y
     ps = phase_tp(gl3)
     m0 = PairPoint.from_vec(gl3, ps.points_from_coords(np.zeros(ps.dim)))
-    x = m0.x.matrix()
+    x = gl3.to_matrices(m0.x.coords)[0]
     assert np.allclose(np.diag(x, 1), 1.0)
     assert np.allclose(x - np.diag(np.diag(x, 1), 1), 0.0)
-    assert m0.y.norm() == 0.0
+    assert np.linalg.norm(m0.y.coords) == 0.0
 
 
 def test_phase_full_is_unconstrained(sl2):
@@ -414,7 +416,7 @@ def test_poisson_matrix_rejects_bad_inputs(sl3):
     m = ps.sample_points(seed=15, count=1)[0]
     with pytest.raises(ValueError):
         poisson_matrix(ps, m, "cubic")
-    off = PairPoint(sl3.element(np.ones(8)), sl3.element(np.ones(8)))
+    off = PairPoint(Element(sl3, np.ones(8)), Element(sl3, np.ones(8)))
     with pytest.raises(PreconditionError):
         poisson_matrix(ps, off)
 
@@ -444,7 +446,7 @@ def test_cartan_block_from_so5_spec_data(so5):
 def test_psi1_is_difference(sl3):
     rng = np.random.default_rng(16)
     m = random_pair(sl3, rng)
-    assert (psi1(m) - (m.x - m.y)).norm() == 0.0
+    assert np.array_equal(psi1(m).coords, m.x.coords - m.y.coords)
 
 
 def test_psi1_morphism_check(sl2, gl2):
@@ -476,11 +478,12 @@ def _point_closed_forms(alg):
     G, Gi = alg.gram, alg.gram_inv
 
     def br(x, y):
-        X, Y = alg.to_matrix(x), alg.to_matrix(y)
+        X, Y = alg.to_matrices(np.concatenate([x, y]))
         return alg.from_matrix(X @ Y - Y @ X)
 
     def mul(x, y):
-        return alg.from_matrix(alg.to_matrix(x) @ alg.to_matrix(y))
+        X, Y = alg.to_matrices(np.concatenate([x, y]))
+        return alg.from_matrix(X @ Y)
 
     def R(x):
         return signs * x

@@ -37,9 +37,21 @@ def _caller_trees(folders=CALLER_DIRS):
             yield ast.parse(path.read_text(encoding="utf-8"))
 
 
+def _chain_root(node: ast.Attribute) -> ast.AST:
+    """The node an attribute chain a.b.c… starts at."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node
+
+
 def _references(tree: ast.AST) -> set:
-    """Names read by a Name or Attribute node, outside the definition of that name."""
+    """Names read by a Name or Attribute node, outside the definition of that
+    name.  An attribute read off an imported module (np.linalg.norm,
+    math.inf) names that module's function, never a toda2 method."""
     found = set()
+    modules = {alias.asname or alias.name.split(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
 
     def visit(node, inside):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -47,7 +59,9 @@ def _references(tree: ast.AST) -> set:
         if isinstance(node, ast.Name) and node.id not in inside:
             found.add(node.id)
         elif isinstance(node, ast.Attribute) and node.attr not in inside:
-            found.add(node.attr)
+            root = _chain_root(node)
+            if not (isinstance(root, ast.Name) and root.id in modules):
+                found.add(node.attr)
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 

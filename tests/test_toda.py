@@ -13,6 +13,7 @@ from toda2 import (
     PhaseSpace,
     PreconditionError,
     ScalarFunction,
+    build_sl,
     check_binomial_identity,
     check_poisson_iso,
     family_labels,
@@ -39,7 +40,7 @@ def test_toda_space_dimensions(desk_algebras):
         for x in ts.sample_points(seed=0, count=3):
             assert ts.membership_residuals(x.vec()) < 1e-12
             # superdiagonal stays pinned at the unit Jacobi shape
-            assert np.allclose(np.diag(x.matrix(), 1), 1.0)
+            assert np.allclose(np.diag(alg.to_matrices(x.coords)[0], 1), 1.0)
 
 
 def test_toda_space_is_a_phase_space_of_elements(sl3, gl3):
@@ -65,7 +66,18 @@ def test_element_gradient2_fd_matches_analytic(sl3, gl3):
         for i in alg.exponents:
             P = trace_function(alg, i)
             fd = gradient2(ScalarFunction("fd-only", P.evaluator), x)
-            assert (fd - P.gradient(x)).norm() < 1e-8, (alg.name, i)
+            assert np.linalg.norm(fd.coords - P.gradient(x).coords) < 1e-8, (alg.name, i)
+
+
+def test_building_toda_space_leaves_the_spec_rows_writeable():
+    # T_T's base is read-only, as every phase-space base is; it is a copy of
+    # e_coords, so building T_T does not freeze the spec's own row
+    alg = build_sl(3)
+    assert alg.e_coords.flags.writeable
+    ts = toda_space(alg)
+    assert alg.e_coords.flags.writeable and alg.h_coords.flags.writeable
+    assert not ts.base.flags.writeable
+    assert np.array_equal(ts.base, alg.e_coords)
 
 
 def test_embed_phi_doubles_the_point(sl3):
@@ -86,10 +98,10 @@ def test_field_toda_is_lax_bracket(sl3, gl3, so5):
     for alg in (sl3, gl3, so5):
         ts = toda_space(alg)
         for x in ts.sample_points(seed=2, count=3):
-            v = Element(alg, field_rows(alg, "t", x.coords))
-            assert (v - bracket(project(x, True), x)).norm() < 1e-13
+            v = field_rows(alg, "t", x.coords)
+            assert np.linalg.norm(v - bracket(project(x, True), x).coords) < 1e-13
             # tangent: the flow stays on the Jacobi stratum
-            assert ts.membership_residuals((x + v).vec()) < 1e-12
+            assert ts.membership_residuals(x.coords + v) < 1e-12
 
 
 def test_toda_flow_is_isospectral(sl3):
@@ -97,8 +109,8 @@ def test_toda_flow_is_isospectral(sl3):
     x0 = ts.sample_stack(seed=3, count=1)[0]
     states, note = toda_run(sl3, x0, dt=1e-3, T=0.5)
     assert states.shape == (501, sl3.dim) and note == ""
-    lam0 = np.sort(np.linalg.eigvals(sl3.to_matrix(states[0])).real)
-    lamT = np.sort(np.linalg.eigvals(sl3.to_matrix(states[-1])).real)
+    lam0 = np.sort(np.linalg.eigvals(sl3.to_matrices(states[0])[0]).real)
+    lamT = np.sort(np.linalg.eigvals(sl3.to_matrices(states[-1])[0]).real)
     assert np.abs(lam0 - lamT).max() < 1e-8
 
 
@@ -144,7 +156,7 @@ def test_toda_conservation_batch_matches_per_state_loop(sl3, gl3):
         worst = 0.0
         for i in alg.exponents:
             P = trace_function(alg, i)
-            vals = np.array([P(alg.element(v)) for v in states])
+            vals = np.array([P(Element(alg, v)) for v in states])
             worst = max(worst, np.abs(vals - vals[0]).max() / (1.0 + abs(vals[0])))
         assert abs(report.measured - worst) < 1e-14
 
@@ -203,7 +215,7 @@ def test_diagonal_membership_agreement(sl3):
         if k % 2 == 0:
             x = ts.sample_points(seed=k, count=1)[0]
         else:
-            x = sl3.element(rng.uniform(-1, 1, sl3.dim))
+            x = Element(sl3, rng.uniform(-1, 1, sl3.dim))
         m = PairPoint(x, x)
         in_tt = ts.membership_residuals(x.vec()) < 1e-10
         in_tp = ps.membership_residuals(m.vec()) < 1e-10

@@ -31,10 +31,13 @@ matrices), and the R-operators are the block actions of `rmatrix`
 (`r_block`, `rr_block` and their adjoints).  A stack gives the
 same bits as its points one at a time, and one point is a one-row stack.
 Bracket values are the pairing of a gradient with a field (`form_blocks`);
-`bracket_tables` and `poisson_matrices` take a stack of points, and
-`rank_sweep` is one stacked matrix call and one stacked SVD, its ranks counted
-above the one rank cut of `algebra` (`rank_cuts`).  `poisson_matrix` is
-`poisson_matrices` at one point, read off the row of its `PairPoint` record.
+`bracket_tables` and `poisson_matrices` take a stack of points.  A Poisson
+matrix evaluates the fields of the coordinate gradients at every point and
+those of the normal gradients only at the points that need the Dirac
+correction, in one stacked call.  `rank_sweep` is one stacked matrix call and
+one stacked SVD, its ranks counted above the one rank cut of `algebra`
+(`rank_cuts`).  `poisson_matrix` is `poisson_matrices` at one point, read off
+the row of its `PairPoint` record.
 
 Affine phase spaces (T_P and friends in 𝔤×𝔤, T_T in 𝔤) are a base row plus
 a tangent matrix; their coordinate functions are Euclidean duals of the tangent
@@ -356,17 +359,29 @@ class PoissonMatrixAt:
             )
 
 
-def bracket_tables(alg: AlgebraSpec, which: str, M: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """{F_a, F_b} = ⟨∇F_a, X_{F_b}⟩ at points M (…, k, dim), shape (…, n, n).
+def _field_pairings(alg: AlgebraSpec, which: str, M: np.ndarray, A: np.ndarray,
+                    B: np.ndarray) -> np.ndarray:
+    """⟨∇F_a, X_{G_b}⟩ = {F_a, G_b} at points M (…, k, dim), shape (…, n, r).
 
-    A holds the gradient rows vec(∇F_a), (n, k·dim) shared by every point or
-    (…, n, k·dim) one set per point.  One field call on the (…, n, k, dim)
-    gradient stack, one product with the pairing per point.
+    A holds the row gradients vec(∇F_a) and B the column gradients vec(∇G_b),
+    each (n, k·dim) shared by every point or (…, n, k·dim) one set per point.
+    One field call on the (…, r, k, dim) column stack, one product with the
+    pairing per point: only the columns' fields are evaluated.
     """
     k = M.shape[-2]
-    G = A.reshape(*A.shape[:-1], k, alg.dim)
+    G = B.reshape(*B.shape[:-1], k, alg.dim)
     X = block_field(which, alg, k)(alg, M[..., None, :, :], G)
-    T = A @ _block_pairing(alg, k) @ X.reshape(*X.shape[:-2], -1).swapaxes(-1, -2)
+    return A @ _block_pairing(alg, k) @ X.reshape(*X.shape[:-2], -1).swapaxes(-1, -2)
+
+
+def bracket_tables(alg: AlgebraSpec, which: str, M: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """{F_a, F_b} = ⟨∇F_a, X_{F_b}⟩ at points M (…, k, dim), shape (…, n, n),
+    antisymmetrised.
+
+    A holds the gradient rows vec(∇F_a), (n, k·dim) shared by every point or
+    (…, n, k·dim) one set per point; the field of every row is evaluated.
+    """
+    T = _field_pairings(alg, which, M, A, A)
     return 0.5 * (T - T.swapaxes(-1, -2))
 
 
@@ -380,18 +395,25 @@ def poisson_matrices(ps: PhaseSpace, V: np.ndarray, which: str = "linear"):
     coordinate brackets.  Otherwise the canonical induced structure is
     returned: the coordinate matrix plus the Dirac correction
     −{ζ, χ} C⁺ {χ, ζ} with C = {χ, χ} over the normal coordinates χ, which
-    is well-defined exactly when range({χ, ζ}) ⊆ range(C).  One bracket-table
-    call serves the stack, and one stacked pinv the points that need it.
+    is well-defined exactly when range({χ, ζ}) ⊆ range(C).
+
+    Only the coordinate fields X_ζ are evaluated at every point, paired with
+    the coordinate and normal gradients: that gives {ζ, ζ} and
+    {ζ, χ} = −{χ, ζ}ᵀ.  The normal fields X_χ, which only C reads, are
+    evaluated at the points whose defect calls for the correction, in one
+    stacked call, and one stacked pinv serves those points.
     """
     ps.require_members(V)
     alg, kt = ps.alg, ps.dim
-    A = np.concatenate([ps.coord_gradients, ps.normal_gradients])
-    full = bracket_tables(alg, which, V.reshape(len(V), -1, alg.dim), A)
-    M, D, C = full[:, :kt, :kt], full[:, :kt, kt:], full[:, kt:, kt:]
+    P = V.reshape(len(V), -1, alg.dim)
+    Z, N = ps.coord_gradients, ps.normal_gradients
+    T = _field_pairings(alg, which, P, np.concatenate([Z, N]), Z)   # {F, ζ}, F = ζ then χ
+    M = 0.5 * (T[:, :kt] - T[:, :kt].swapaxes(1, 2))
+    D = -T[:, kt:].swapaxes(1, 2)                                   # {ζ, χ}
     defect = np.abs(D).max(axis=(1, 2)) if D.size else np.zeros(len(V))
     corrected = ~(defect <= 1e-12 * (1.0 + np.abs(M).max(axis=(1, 2))))
     if corrected.any():
-        Dc, Cc = D[corrected], C[corrected]
+        Dc, Cc = D[corrected], bracket_tables(alg, which, P[corrected], N)
         DT = Dc.swapaxes(1, 2)
         Cp = np.linalg.pinv(Cc, rcond=1e-12)
         range_residual = np.abs(DT - Cc @ (Cp @ DT)).max(axis=(1, 2))
@@ -403,7 +425,6 @@ def poisson_matrices(ps: PhaseSpace, V: np.ndarray, which: str = "linear"):
                 f"(residual {range_residual[bad[0]]:.3e})"
             )
         Mc = M[corrected] + Dc @ Cp @ DT
-        M = M.copy()
         M[corrected] = 0.5 * (Mc - Mc.swapaxes(1, 2))  # scrub pinv roundoff from the antisymmetry
     return M, corrected, defect
 

@@ -8,6 +8,8 @@ must take the induced (constraint-corrected) structure there, report
 weaken them.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,6 +22,7 @@ from toda2 import (
     PhaseSpace,
     PreconditionError,
     ScalarFunction,
+    build_gl,
     build_sl,
     check_morphism_psi1,
     phase_tp,
@@ -552,3 +555,152 @@ def test_pairing_matrix_is_cached_read_only(gl2, sl3):
         assert np.array_equal(P, np.kron(np.diag([1.0, -1.0]), alg.gram))
         assert _block_pairing(alg, 2) is P
         assert _block_pairing(alg, 1) is alg.gram
+
+
+# ---------------------------------------------------------------------------
+# Poisson matrices from the coordinate fields; the shift law on gl
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def built(name):
+    """sl_n or gl_n, built once per session."""
+    return (build_sl if name.startswith("sl") else build_gl)(int(name[2:]))
+
+
+def reference_matrices(ps, V, which):
+    """The full-table formula: every bracket of the 2·dim gradient rows, coordinates
+    ζ then normals χ, split into M = {ζ, ζ}, D = {ζ, χ} and C = {χ, χ}, and the
+    Dirac correction M + D C⁺ Dᵀ at the points whose defect calls for it."""
+    alg, kt = ps.alg, ps.dim
+    A = np.concatenate([ps.coord_gradients, ps.normal_gradients])
+    full = bracket_tables(alg, which, V.reshape(len(V), -1, alg.dim), A)
+    M, D, C = full[:, :kt, :kt].copy(), full[:, :kt, kt:], full[:, kt:, kt:]
+    defect = np.abs(D).max(axis=(1, 2))
+    corrected = ~(defect <= 1e-12 * (1.0 + np.abs(M).max(axis=(1, 2))))
+    for k in np.flatnonzero(corrected):
+        Mc = M[k] + D[k] @ np.linalg.pinv(C[k], rcond=1e-12) @ D[k].T
+        M[k] = 0.5 * (Mc - Mc.T)
+    return M, corrected, defect
+
+
+def mixed_stack(ps, seed):
+    """Three seeded points with the base point (e, 0), whose defect is exactly 0,
+    before the first and the third."""
+    S = ps.sample_stack(seed, 3)
+    return np.stack([ps.base, S[0], S[1], ps.base, S[2]])
+
+
+def matches_the_reference(ps, V, which):
+    """The corrected flags of `poisson_matrices` at V, once its flags equal the
+    reference's, its matrices agree to a relative 1e-13 and its defects to
+    roundoff."""
+    M, corrected, defect = poisson.poisson_matrices(ps, V, which)
+    ref, ref_corrected, ref_defect = reference_matrices(ps, V, which)
+    assert np.array_equal(corrected, ref_corrected)
+    scale = 1.0 + np.abs(ref).max()
+    assert np.abs(M - ref).max() <= 1e-13 * scale, which
+    assert np.abs(defect - ref_defect).max() <= 1e-14 * scale, which
+    return corrected
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl4", "sl5", "sl6",
+                                  "gl2", "gl3", "gl4", "gl5", "so5"])
+def test_poisson_matrices_match_the_full_table(name, request):
+    alg = request.getfixturevalue(name) if name == "so5" else built(name)
+    ps = phase_tp(alg)
+    for which in poisson.brackets(alg):
+        matches_the_reference(ps, ps.sample_stack(21, 4), which)
+    if name in ("gl3", "gl4"):
+        corrected = matches_the_reference(ps, mixed_stack(ps, 23), "quadratic")
+        assert corrected.tolist() == [False, True, True, False, True]
+
+
+_FIELDS = {"linear": poisson.linear_field, "quadratic": poisson.quadratic_field}
+
+
+def counted_fields(ps, monkeypatch):
+    """Wrap both block fields; each call records (points, coordinate rows, normal
+    rows): the points of its stack and the gradient rows it gets per point."""
+    calls = []
+
+    def rows_in(g, table):
+        rows = g.reshape(-1, table.shape[-1])
+        return int((rows[:, None] == table).all(axis=-1).any(axis=-1).sum())
+
+    for which, field in _FIELDS.items():
+        def counting(alg, m, g, field=field):
+            calls.append((int(np.prod(m.shape[:-3])), rows_in(g, ps.coord_gradients),
+                          rows_in(g, ps.normal_gradients)))
+            return field(alg, m, g)
+
+        monkeypatch.setattr(poisson, f"{which}_field", counting)
+    return calls
+
+
+def test_poisson_matrices_evaluate_normal_fields_only_where_corrected(sl4, gl3, monkeypatch):
+    # the linear bracket leaves T_P invariant: dim T_P coordinate fields per
+    # point and no normal field, where the full table would take 2·dim
+    ps = phase_tp(sl4)
+    calls = counted_fields(ps, monkeypatch)
+    _, corrected, _ = poisson.poisson_matrices(ps, ps.sample_stack(24, 5), "linear")
+    assert not corrected.any()
+    assert calls == [(5, ps.dim, 0)]
+    # a mixed quadratic stack: the normal fields at its corrected points, in one call
+    ps = phase_tp(gl3)
+    calls = counted_fields(ps, monkeypatch)
+    _, corrected, _ = poisson.poisson_matrices(ps, mixed_stack(ps, 23), "quadratic")
+    normals = 2 * gl3.dim - ps.dim
+    assert calls == [(5, ps.dim, 0), (int(corrected.sum()), 0, normals)]
+    assert 0 < corrected.sum() < 5
+
+
+def shifted(alg, m, mu):
+    """m + μ(𝟙, 𝟙) on pair blocks (…, 2, dim)."""
+    return m + mu * alg.identity_coords
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_quadratic_field_shifts_to_the_linear_field(n):
+    # X^Q_G(m + μ(𝟙, 𝟙)) = X^Q_G(m) + 2μ·X^L_G(m), exactly: no μ² term
+    alg = built(f"gl{n}")
+    rng = np.random.default_rng(25 + n)
+    m, g = rng.uniform(-1, 1, (2, 6, 2, alg.dim))
+    for mu in (0.5, 10.0):
+        lhs = poisson.quadratic_field(alg, shifted(alg, m, mu), g)
+        terms = (poisson.quadratic_field(alg, m, g), 2 * mu * linear_field(alg, m, g))
+        scale = max(np.abs(t).max() for t in (lhs, *terms))
+        assert np.abs(lhs - terms[0] - terms[1]).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_corrected_quadratic_matrix_shifts_to_the_linear_matrix(n):
+    # Q(m + μe) = Q(m) + 2μ·L(m) on T_P at μ = 10: the shift keeps T_P, since
+    # the identity has degree 0, and ties the Dirac-corrected quadratic matrix,
+    # which reads the normal fields, to the linear one, which never does
+    alg, mu = built(f"gl{n}"), 10.0
+    ps = phase_tp(alg)
+    V = ps.sample_stack(26, 4)
+    moved = shifted(alg, V.reshape(4, 2, alg.dim), mu).reshape(V.shape)
+    Q, corrected, _ = poisson.poisson_matrices(ps, moved, "quadratic")
+    terms = (poisson.poisson_matrices(ps, V, "quadratic")[0],
+             2 * mu * poisson.poisson_matrices(ps, V, "linear")[0])
+    assert corrected.all()
+    scale = max(np.abs(t).max() for t in (Q, *terms))
+    assert np.abs(Q - terms[0] - terms[1]).max() <= 1e-12 * scale
+
+
+def test_shift_law_fails_a_quadratic_field_with_one_term_off(gl3, monkeypatch):
+    # a negative control: one term of the quadratic field off by 1e-6 breaks
+    # the field law, and on T_P such a field already fails the range condition
+    alg, mu = gl3, 10.0
+    field, term = poisson.quadratic_field, _FIELD_TERMS["quadratic"]
+    monkeypatch.setattr(poisson, "quadratic_field",
+                        lambda alg, m, g: field(alg, m, g) + 1e-6 * term(alg, m, g))
+    rng = np.random.default_rng(27)
+    m, g = rng.uniform(-1, 1, (2, 6, 2, alg.dim))
+    lhs = poisson.quadratic_field(alg, shifted(alg, m, mu), g)
+    rhs = poisson.quadratic_field(alg, m, g) + 2 * mu * linear_field(alg, m, g)
+    assert np.abs(lhs - rhs).max() > 1e-7 * np.abs(lhs).max()
+    ps = phase_tp(alg)
+    with pytest.raises(PreconditionError, match="range condition"):
+        poisson.poisson_matrices(ps, ps.sample_stack(26, 4), "quadratic")

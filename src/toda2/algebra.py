@@ -289,13 +289,6 @@ def mult_blocks(alg: AlgebraSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _type_a_cartan(size: int) -> np.ndarray:
-    C = 2 * np.eye(size, dtype=int)
-    for i in range(size - 1):
-        C[i, i + 1] = C[i + 1, i] = -1
-    return C
-
-
 def _assemble(name, mats, degs, exponents, cartan, e_mat, h_mat, associative):
     basis = np.array(mats, dtype=float)
     pinv = np.linalg.pinv(basis.reshape(len(basis), -1).T)
@@ -315,30 +308,33 @@ def _assemble(name, mats, degs, exponents, cartan, e_mat, h_mat, associative):
     return spec
 
 
+def _build_type_a(n: int, gl: bool) -> AlgebraSpec:
+    """sl(n) (gl false) or gl(n) on the matrix units E_ij in row order, graded
+    by j − i; sl leaves out the diagonal units and ends with the coroots
+    H_k = E_kk − E_{k+1,k+1}.  e is the superdiagonal ones, h = diag(n−1,
+    n−3, …, 1−n), and the Cartan matrix is that of A_{n−1}, padded on gl by a
+    zero row and column for the central generator label 0."""
+    kind = "gl" if gl else "sl"
+    if n < 2:
+        raise AlgebraError(f"build_{kind}: order must be ≥ 2, got {n}")
+    unit = np.eye(n)
+    pairs = [(i, j) for i in range(n) for j in range(n) if gl or i != j]
+    mats = [np.outer(unit[i], unit[j]) for i, j in pairs]
+    degs = [j - i for i, j in pairs]
+    if not gl:
+        mats += [np.outer(unit[k], unit[k]) - np.outer(unit[k + 1], unit[k + 1])
+                 for k in range(n - 1)]
+        degs += [0] * (n - 1)
+    cartan = np.zeros((n - 1 + gl, n - 1 + gl), dtype=int)
+    cartan[:n - 1, :n - 1] = 2 * np.eye(n - 1) - np.eye(n - 1, k=1) - np.eye(n - 1, k=-1)
+    return _assemble(f"{kind}{n}", mats, degs, range(0 if gl else 1, n), cartan,
+                     np.diag(np.ones(n - 1), k=1), np.diag(np.arange(n - 1, -n, -2.0)),
+                     associative=gl)
+
+
 def build_sl(n: int) -> AlgebraSpec:
     """sl(n): traceless n×n matrices, diagonal grading, e = superdiagonal ones."""
-    if n < 2:
-        raise AlgebraError(f"build_sl: order must be ≥ 2, got {n}")
-    mats, degs = [], []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            E = np.zeros((n, n))
-            E[i, j] = 1.0
-            mats.append(E)
-            degs.append(j - i)
-    for k in range(n - 1):
-        H = np.zeros((n, n))
-        H[k, k], H[k + 1, k + 1] = 1.0, -1.0
-        mats.append(H)
-        degs.append(0)
-    e_mat = np.diag(np.ones(n - 1), k=1)
-    h_mat = np.diag([n - 1 - 2 * i for i in range(n)]).astype(float)
-    return _assemble(
-        f"sl{n}", mats, degs, range(1, n), _type_a_cartan(n - 1),
-        e_mat, h_mat, associative=False,
-    )
+    return _build_type_a(n, gl=False)
 
 
 def build_gl(n: int) -> AlgebraSpec:
@@ -347,23 +343,7 @@ def build_gl(n: int) -> AlgebraSpec:
     The Cartan matrix stores the A_{n−1} matrix of the simple part padded by a
     zero row/column for the extra (central) generator label.
     """
-    if n < 2:
-        raise AlgebraError(f"build_gl: order must be ≥ 2, got {n}")
-    mats, degs = [], []
-    for i in range(n):
-        for j in range(n):
-            E = np.zeros((n, n))
-            E[i, j] = 1.0
-            mats.append(E)
-            degs.append(j - i)
-    cartan = np.zeros((n, n), dtype=int)
-    cartan[: n - 1, : n - 1] = _type_a_cartan(n - 1)
-    e_mat = np.diag(np.ones(n - 1), k=1)
-    h_mat = np.diag([n - 1 - 2 * i for i in range(n)]).astype(float)
-    return _assemble(
-        f"gl{n}", mats, degs, range(0, n), cartan,
-        e_mat, h_mat, associative=True,
-    )
+    return _build_type_a(n, gl=True)
 
 
 # --------------------------------------------------------------------------

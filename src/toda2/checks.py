@@ -34,7 +34,7 @@ from .poisson import (
     rank_sweep,
 )
 from .rmatrix import block_norms, check_mcybe, form_blocks, r_bracket_blocks
-from .reports import CheckReport, worst
+from .reports import CheckReport
 from .toda import (
     check_binomial_identity,
     check_poisson_iso,
@@ -87,10 +87,9 @@ def check_jacobi_battery(alg: AlgebraSpec, samples: int = 20, seed: int = 42,
     for name, k in (("r", 1), ("rr", 2)):
         x, y, z = np.moveaxis(rng.uniform(-1.0, 1.0, (samples, 3, k, alg.dim)), 1, 0)
         cyc = rb(rb(x, y), z) + rb(rb(y, z), x) + rb(rb(z, x), y)
-        residual = worst(block_norms(cyc))
         out.append(CheckReport.below(
             f"jacobi-{name}-bracket", f"{name}-bracket-jacobi", alg.name,
-            residual, 1e-11, {"samples": samples, "seed": seed},
+            block_norms(cyc), 1e-11, {"samples": samples, "seed": seed}, axes=("sample",),
         ))
 
     for which in brackets(alg):
@@ -103,10 +102,9 @@ def check_jacobi_battery(alg: AlgebraSpec, samples: int = 20, seed: int = 42,
         XA = field(alg, m, A)
         XC = field(alg, np.stack([m + XA, m - XA]), C)
         cyc = -form_blocks(alg, B, 0.5 * (XC[0] - XC[1])).sum(axis=-1)
-        residual = worst(np.abs(cyc))
         out.append(CheckReport.below(
             f"jacobi-{which}-bracket", f"{which}-poisson-jacobi", alg.name,
-            residual, tol, {"samples": samples, "seed": seed},
+            cyc, tol, {"samples": samples, "seed": seed}, axes=("sample",),
         ))
     return out
 
@@ -120,11 +118,11 @@ def check_involutivity_battery(alg: AlgebraSpec, points: int = 20, seed: int = 4
     V = ps.sample_stack(seed, points)
     M, A = V.reshape(points, 2, alg.dim), family_gradient_stack(alg, V)
     for which in brackets(alg):
-        residual = worst(np.abs(bracket_tables(alg, which, M, A)))
         out.append(CheckReport.below(
             f"involutivity-{which}", f"family-involutive-{which}", alg.name,
-            residual, tol,
+            bracket_tables(alg, which, M, A), tol,
             {"points": points, "seed": seed, "pairs": len(labels) * (len(labels) - 1) // 2},
+            axes=("point", "row", "column"),
         ))
 
     # pencil pullbacks at mixed λ, γ are in involution for the linear bracket
@@ -132,10 +130,10 @@ def check_involutivity_battery(alg: AlgebraSpec, points: int = 20, seed: int = 4
     M = np.random.default_rng(seed).uniform(-1.0, 1.0, (5, 2, alg.dim))
     A = np.stack([pullback_gradients(alg, i, lam, M)
                   for i in alg.exponents for lam in lams], axis=1).reshape(5, -1, 2 * alg.dim)
-    residual = worst(np.abs(bracket_tables(alg, "linear", M, A)))
     out.append(CheckReport.below(
         "involutivity-pencil", "pencil-pullbacks-involutive", alg.name,
-        residual, tol, {"points": 5, "seed": seed, "lambdas": list(lams)},
+        bracket_tables(alg, "linear", M, A), tol,
+        {"points": 5, "seed": seed, "lambdas": list(lams)}, axes=("point", "row", "column"),
     ))
     return out
 
@@ -146,10 +144,10 @@ def check_casimir_battery(alg: AlgebraSpec, samples: int = 20, seed: int = 42,
     M = np.random.default_rng(seed).uniform(-1.0, 1.0, (samples, 2, alg.dim))
     out = []
     for i in alg.exponents:
-        residual = worst(block_norms(linear_field(alg, M, pullback_gradients(alg, i, 1.0, M))))
         out.append(CheckReport.below(
             f"casimir-P{i}", "psi1-pullback-casimir", alg.name,
-            residual, tol, {"samples": samples, "seed": seed, "generator": i},
+            block_norms(linear_field(alg, M, pullback_gradients(alg, i, 1.0, M))), tol,
+            {"samples": samples, "seed": seed, "generator": i}, axes=("sample",),
         ))
     return out
 
@@ -284,10 +282,10 @@ def check_rank_battery(alg: AlgebraSpec, seed: int = 42) -> list[CheckReport]:
         [np.zeros((ns, ns)), -C.T],
         [C, np.zeros((ns, ns))],
     ])
-    res = float(np.abs(M - want_M).max())
     out.append(CheckReport.below(
-        "cartan-block", "cartan-matrix-block", alg.name, res, 1e-10, {},
+        "cartan-block", "cartan-matrix-block", alg.name, M - want_M, 1e-10, {},
         detail=f"block [[0,-C^T],[C,0]] with C = {C.astype(int).tolist()}{note}",
+        axes=("row", "column"),
     ))
     return out
 
@@ -319,38 +317,44 @@ def check_field_battery(alg: AlgebraSpec, seed: int = 42,
     # H = ½⟨x, x⟩ has gradient (x, 0), H̃ = ½⟨y, y⟩ has gradient (0, −y)
     x_h = linear_field(alg, M, np.stack([M[:, 0], zero], axis=1))
     x_ht = linear_field(alg, M, np.stack([zero, -M[:, 1]], axis=1))
-    worst_t = worst(block_norms(x_h - field_rows(alg, "t", V).reshape(M.shape)))
-    out.append(CheckReport.below("field-t-hamiltonian", "t-flow-is-hamiltonian", alg.name,
-                                 worst_t, tol, {"seed": seed}))
+    out.append(CheckReport.below(
+        "field-t-hamiltonian", "t-flow-is-hamiltonian", alg.name,
+        block_norms(x_h - field_rows(alg, "t", V).reshape(M.shape)), tol, {"seed": seed},
+        axes=("point",)))
     # the s-flow is the Hamiltonian field of −H̃ under these conventions
-    worst_s = worst(block_norms(x_ht + field_rows(alg, "s", V).reshape(M.shape)))
-    out.append(CheckReport.below("field-s-hamiltonian", "s-flow-is-hamiltonian-of-minus",
-                                 alg.name, worst_s, tol, {"seed": seed}))
+    out.append(CheckReport.below(
+        "field-s-hamiltonian", "s-flow-is-hamiltonian-of-minus", alg.name,
+        block_norms(x_ht + field_rows(alg, "s", V).reshape(M.shape)), tol, {"seed": seed},
+        axes=("point",)))
 
     @functools.cache
     def pullback_field(which, i, lam):      # X_{P_i∘φ_λ} of bracket `which`, (5, 2, dim)
         return block_field(which, alg, 2)(alg, M, pullback_gradients(alg, i, lam, M))
 
+    # the gaps of the pullbacks P_i∘φ_λ: i over alg.exponents, λ over _LAMBDAS, then the points
+    pullback_axes = ("exponent index", "lambda index", "point")
+
     def closed_form_gap(which):             # closed-form pencil fields at the first three points
-        return worst([block_norms(field_rows(alg, which, V[:3], i, lam).reshape(3, 2, alg.dim)
-                                  - pullback_field(which, i, lam)[:3])
-                      for i in alg.exponents for lam in _LAMBDAS])
+        return [[block_norms(field_rows(alg, which, V[:3], i, lam).reshape(3, 2, alg.dim)
+                             - pullback_field(which, i, lam)[:3]) for lam in _LAMBDAS]
+                for i in alg.exponents]
 
     out.append(CheckReport.below("field-pencil-closed-form", "pencil-field-closed-form", alg.name,
                                  closed_form_gap("linear"), tol,
-                                 {"seed": seed, "lambdas": list(_LAMBDAS)}))
+                                 {"seed": seed, "lambdas": list(_LAMBDAS)}, axes=pullback_axes))
     if "quadratic" not in brackets(alg):
         return out
     out.append(CheckReport.below("field-quadratic-closed-form", "quadratic-field-closed-form",
-                                 alg.name, closed_form_gap("quadratic"), tol, {"seed": seed}))
+                                 alg.name, closed_form_gap("quadratic"), tol, {"seed": seed},
+                                 axes=pullback_axes))
 
-    residual = worst([block_norms(pullback_field("quadratic", i, lam)
-                                  - pullback_field("linear", i + 1, lam) * (2.0 / (lam - 1.0)))
-                      for i in alg.exponents for lam in _LAMBDAS])
     out.append(CheckReport.below(
         "relquad", "quadratic-linear-field-ratio", alg.name,
-        residual, tol, {"seed": seed, "lambdas": list(_LAMBDAS)},
-        detail="X^Q_{P_i∘φλ} = 2/(λ−1) · X_{P_{i+1}∘φλ}",
+        [[block_norms(pullback_field("quadratic", i, lam)
+                      - pullback_field("linear", i + 1, lam) * (2.0 / (lam - 1.0)))
+          for lam in _LAMBDAS] for i in alg.exponents],
+        tol, {"seed": seed, "lambdas": list(_LAMBDAS)},
+        detail="X^Q_{P_i∘φλ} = 2/(λ−1) · X_{P_{i+1}∘φλ}", axes=pullback_axes,
     ))
 
     # coefficient-level relations between the two field families: every
@@ -379,7 +383,8 @@ def check_field_battery(alg: AlgebraSpec, seed: int = 42,
     }
     for k, (check_id, text) in lines.items():
         out.append(CheckReport.below(check_id, "family-field-recursion", alg.name,
-                                     worst(gaps[k]), tol, {"seed": seed}, detail=text))
+                                     gaps[k], tol, {"seed": seed}, detail=text,
+                                     axes=("relation", "point")))
     return out
 
 

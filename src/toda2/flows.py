@@ -73,6 +73,7 @@ __all__ = [
     "flow_commutation",
     "trajectory_to_csv",
     "pencil_eigenvalue_drift",
+    "relative_drift",
 ]
 
 # a run keeps every state, +16 KB per sample on gl9, most of it the family's
@@ -213,13 +214,22 @@ class Trajectory:
         return bool(self.note)
 
     def conservation_drift(self) -> np.ndarray:
-        """Per-function max relative drift |F(t) − F(0)| / (1 + |F(0)|)."""
-        f0 = self.conserved[0]
-        dev = np.abs(self.conserved - f0[None, :]).max(axis=0)
-        return dev / (1.0 + np.abs(f0))
+        """Per-function `relative_drift` of the conserved family over the run."""
+        return relative_drift(self.conserved, self.note)
 
     def tangency_drift(self, ps: PhaseSpace) -> float:
         return float(ps.membership_residuals(self.states).max())
+
+
+def relative_drift(values: np.ndarray, note: str) -> np.ndarray:
+    """Max relative drift |F(t) − F(0)| / (1 + |F(0)|) of each column F of
+    `values` (N, k), k functions on the N samples of a run; NaN, which fails
+    a residual check, for a run that stopped early (its `note` says where),
+    as its drift over the horizon was not measured."""
+    f0 = values[0]
+    if note:
+        return np.full(f0.shape, np.nan)
+    return np.abs(values - f0).max(axis=0) / (1.0 + np.abs(f0))
 
 
 def rk4_states(partner: Callable, v0: np.ndarray, dt: float,

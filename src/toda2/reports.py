@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["CheckReport", "emit_report", "all_pass", "worst"]
+__all__ = ["CheckReport", "emit_report", "all_pass"]
 
 
 @dataclass(frozen=True)
@@ -29,13 +29,25 @@ class CheckReport:
     detail: str = ""
 
     @classmethod
-    def below(cls, check: str, anchor: str, algebra: str, measured, tol: float,
-              params: dict, detail: str = "") -> "CheckReport":
-        """A residual check: passes when measured < tol (a NaN residual fails);
-        the tolerance is recorded in params and as the expected "< tol"."""
+    def below(cls, check: str, anchor: str, algebra: str, residuals, tol: float,
+              params: dict, detail: str = "", axes: tuple = ()) -> "CheckReport":
+        """A residual check on an array of residuals: measured is the largest
+        |r| (0.0 for none; a NaN entry makes it NaN, so the check fails), and
+        it passes when measured < tol, recorded in params and as the expected
+        "< tol".  A FAIL with `axes`, the names of the array's axes, adds the
+        worst entry's index on each (the first NaN's, if any) to the detail,
+        "worst at point 3, row 12, column 40": the report names its entry."""
+        r = np.abs(np.asarray(residuals, dtype=float))
+        if axes and len(axes) != r.ndim:
+            raise ValueError(f"{check}: {len(axes)} axis names for {r.ndim} axes")
+        measured = float(np.max(r, initial=0.0))
+        verdict = bool(measured < tol)
+        if not verdict and axes and r.size:
+            at = np.unravel_index(np.argmax(r), r.shape)
+            where = "worst at " + ", ".join(f"{name} {k}" for name, k in zip(axes, at))
+            detail = f"{detail}; {where}" if detail else where
         return cls(check=check, anchor=anchor, algebra=algebra, params={**params, "tol": tol},
-                   measured=measured, expected=f"< {tol:g}", verdict=bool(measured < tol),
-                   detail=detail)
+                   measured=measured, expected=f"< {tol:g}", verdict=verdict, detail=detail)
 
     @classmethod
     def equal(cls, check: str, anchor: str, algebra: str, measured, expected,
@@ -93,13 +105,6 @@ def _short(v) -> str:
     if isinstance(v, float):
         return format(v, ".6g")
     return str(v)
-
-
-def worst(values) -> float:
-    """The largest of `values` (any shape), 0.0 for none: the measured value
-    of a residual check on a sample stack.  A NaN entry gives NaN, so the
-    check fails: a residual that is not a number is not shown small."""
-    return float(np.max(np.ravel(values), initial=0.0))
 
 
 def all_pass(reports) -> bool:

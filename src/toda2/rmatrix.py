@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraError, AlgebraSpec, Element, bracket_blocks
-from .reports import CheckReport, worst
+from .reports import CheckReport
 
 __all__ = [
     "PairPoint",
@@ -74,9 +74,9 @@ def form_blocks(alg: AlgebraSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 def block_norms(B: np.ndarray) -> np.ndarray:
     """The Euclidean norm on blocks (…, 1, dim) of 𝔤, the max abs on pair
-    blocks (…, 2, dim).  Two norms, not one, so that the Jacobi, Casimir,
-    field and Toda residual reports it feeds keep the values they have
-    always measured."""
+    blocks (…, 2, dim): the per-sample residuals that the Jacobi, Casimir,
+    field and Toda checks hand to `CheckReport.below`.  Two norms, not one,
+    so that those reports keep the values they have always measured."""
     if B.shape[-2] == 1:
         return np.sqrt(np.vecdot(B[..., 0, :], B[..., 0, :]))
     return np.abs(B).max(axis=(-2, -1))
@@ -150,6 +150,6 @@ def check_mcybe(alg: AlgebraSpec, samples: int = 200, seed: int = 42,
     norms = np.sqrt(np.vecdot(Z, Z))            # (samples, k) Euclidean norms
     return CheckReport.below(
         "mcybe-pair" if pair else "mcybe",
-        "mcybe-splitting-exact", alg.name, worst(norms), tol,
-        {"samples": samples, "seed": seed, "c": 1.0},
+        "mcybe-splitting-exact", alg.name, norms, tol,
+        {"samples": samples, "seed": seed, "c": 1.0}, axes=("sample", "block"),
     )

@@ -95,6 +95,20 @@ def test_no_module_imports_a_private_name_from_another():
     assert imported == []
 
 
+def test_only_reports_builds_a_check_report_by_hand():
+    # every other module goes through a CheckReport constructor (below, equal,
+    # not_applicable), so that each verdict rule is written once, in reports.py
+    built = []
+    for path in sorted((ROOT / "src/toda2").glob("*.py")):
+        if path.name == "reports.py":
+            continue
+        built += [f"{path.name}:{node.lineno}"
+                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "CheckReport"]
+    assert built == []
+
+
 # --------------------------------------------------------------------------
 # every public method has a caller, and every default is set by one
 # --------------------------------------------------------------------------

@@ -267,9 +267,32 @@ class Element:
 # --------------------------------------------------------------------------
 
 
+# Entries of x⊗y per row block of `bracket_blocks`: 8192 float64 = 64 KB.
+# Unblocked, the outer products of an sl9 rank sweep (~6200 rows × 80²)
+# would take 317 MB; a 64 KB block adds next to nothing to the peak (a 1 MB
+# block already shows in the resident memory of a rank sweep).
+_OUTER_BLOCK = 8192
+
+
 def bracket_blocks(alg: AlgebraSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """[X, Y] on coordinate arrays (…, dim), broadcasting over the leading axes."""
-    return np.einsum("...a,...b,abc->...c", X, Y, alg.struct)
+    """[X, Y] on coordinate arrays (…, dim), broadcasting over the leading axes.
+
+    X and Y broadcast to rows (r, dim).  Each block of rows whose outer
+    products x⊗y hold at most `_OUTER_BLOCK` entries (64 KB) forms them and
+    contracts them with the cached `struct`.  That takes the products
+    x_a·y_b·C_abc and sums them in the order of the three-operand einsum
+    "…a,…b,abc->…c", so every bit matches it, but in a two-operand einsum,
+    which runs two to three times faster.  A stack gives the bits of its rows.
+    """
+    X, Y = np.broadcast_arrays(X, Y)
+    shape, dim = X.shape, alg.dim
+    X, Y = X.reshape(-1, dim), Y.reshape(-1, dim)
+    out = np.empty((len(X), dim), np.result_type(X, Y, alg.struct))
+    step = max(1, _OUTER_BLOCK // (dim * dim))
+    for i in range(0, len(X), step):
+        Xb, Yb = X[i:i + step], Y[i:i + step]
+        out[i:i + step] = np.einsum("rab,abc->rc", Xb[:, :, None] * Yb[:, None, :], alg.struct)
+    return out.reshape(shape)
 
 
 def mult_blocks(alg: AlgebraSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -25,11 +25,11 @@ with k = 1 on 𝔤 and k = 2 on 𝔤×𝔤 (`linear_field`, `quadratic_field`), 
 bracket's name chooses its field in one place (`block_field`).  Points and
 gradients broadcast over the leading axes, so a gradient stack at one
 point (the rows of a bracket table) or a stack of points is one call.  The
-kernels are `algebra.bracket_blocks` (the einsum of the blocks with the
-cached `struct`) and `algebra.mult_blocks` (the product of the blocks'
-matrices), and the R-operators are the block actions of `rmatrix`
-(`r_block`, `rr_block` and their adjoints).  A stack gives the
-same bits as its points one at a time, and one point is a one-row stack.
+kernels are `algebra.bracket_blocks` (the outer products x⊗y of 64 KB
+row blocks contracted with the cached `struct`) and `algebra.mult_blocks`
+(the product of the blocks' matrices), and the R-operators are the block
+actions of `rmatrix` (`r_block`, `rr_block` and their adjoints).  A stack
+gives the same bits as its points one at a time, and one point is a one-row stack.
 Bracket values are the pairing of a gradient with a field (`form_blocks`);
 `bracket_tables` and `poisson_matrices` take a stack of points.  A Poisson
 matrix evaluates the fields of the coordinate gradients at every point and

@@ -191,6 +191,52 @@ def test_mult_blocks_stack_gives_the_bits_of_its_rows(gl3):
     assert np.array_equal(algebra.mult_blocks(gl3, X[0], Y), rows)
 
 
+@pytest.fixture(scope="module")
+def sl9():
+    return build_sl(9)
+
+
+def _einsum_bracket(alg, X, Y):
+    # the oracle: one three-operand einsum, which reads the whole struct per row
+    return np.einsum("...a,...b,abc->...c", X, Y, alg.struct)
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl4", "gl2", "gl3", "so5", "sl9"])
+def test_bracket_blocks_is_the_einsum_bit_for_bit(request, name):
+    alg = request.getfixturevalue(name)
+    rng = np.random.default_rng(alg.dim)
+    per_block = max(1, algebra._OUTER_BLOCK // alg.dim ** 2)
+    scaled = np.eye(alg.dim) * rng.uniform(0.5, 2.0, alg.dim)
+    E, H = scaled[alg.degrees == 1], scaled[alg.degrees == 0]
+    X, Y = rng.uniform(-1, 1, (2, 3 * per_block + 2, alg.dim))
+    cases = [
+        (X[0], Y[0]),                        # one row
+        (H[None], E[:, None]),               # the broadcast pair [h_j, e_i]
+        (X, Y),                              # a stack over several 64 KB blocks
+        (X[:0], Y[:0]),                      # an empty stack
+    ]
+    for A, B in cases:
+        want = _einsum_bracket(alg, A, B)
+        got = algebra.bracket_blocks(alg, A, B)
+        assert got.shape == want.shape and np.array_equal(got, want)
+    # a stack gives the bits of its rows, across the block boundaries too
+    rows = np.array([algebra.bracket_blocks(alg, x, y) for x, y in zip(X, Y)])
+    assert np.array_equal(algebra.bracket_blocks(alg, X, Y), rows)
+
+
+def test_bracket_blocks_memory_is_one_block_beyond_its_output(sl9):
+    # unblocked, the outer products x⊗y of 1000 sl9 rows would take 51 MB
+    X, Y = np.random.default_rng(9).uniform(-1, 1, (2, 1000, sl9.dim))
+    sl9.struct
+    tracemalloc.start()
+    try:
+        out = algebra.bracket_blocks(sl9, X, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < 2 ** 20
+
+
 def test_validate_flags_product_closure(sl3):
     # sl3 marked associative: H₁H₁ = E₁₁ + E₂₂ has trace 2, and its nearest
     # traceless matrix is off by the identity times 2/3

@@ -365,13 +365,16 @@ def _field_pairings(alg: AlgebraSpec, which: str, M: np.ndarray, A: np.ndarray,
 
     A holds the row gradients vec(∇F_a) and B the column gradients vec(∇G_b),
     each (n, k·dim) shared by every point or (…, n, k·dim) one set per point.
-    One field call on the (…, r, k, dim) column stack, one product with the
-    pairing per point: only the columns' fields are evaluated.
+    One field call on the (…, r, k, dim) column stack, the pairing applied to
+    each row gradient, then one dot product per entry: only the columns'
+    fields are evaluated, and an entry has the bits of the table of its two
+    rows alone, whatever other rows the table holds.
     """
     k = M.shape[-2]
     G = B.reshape(*B.shape[:-1], k, alg.dim)
     X = block_field(which, alg, k)(alg, M[..., None, :, :], G)
-    return A @ _block_pairing(alg, k) @ X.reshape(*X.shape[:-2], -1).swapaxes(-1, -2)
+    PA = _matvec(_block_pairing(alg, k), A)
+    return np.vecdot(PA[..., :, None, :], X.reshape(*X.shape[:-2], -1)[..., None, :, :])
 
 
 def bracket_tables(alg: AlgebraSpec, which: str, M: np.ndarray, A: np.ndarray) -> np.ndarray:

@@ -557,6 +557,23 @@ def test_pairing_matrix_is_cached_read_only(gl2, sl3):
         assert _block_pairing(alg, 1) is alg.gram
 
 
+@pytest.mark.parametrize("name", ["sl4", "gl3", "gl4"])
+def test_a_bracket_table_entry_does_not_depend_on_the_other_rows(name, request):
+    # the involutivity-pencil gradient rows at one point: every entry {F_i, F_j}
+    # of their table has the bits of the table of the rows i and j alone, for
+    # each bracket (one product of all rows with the fields summed some
+    # entries of gl4 in another order)
+    alg = request.getfixturevalue(name) if name != "gl4" else built(name)
+    m = np.random.default_rng(42).uniform(-1.0, 1.0, (1, 2, alg.dim))
+    A = np.stack([pullback_gradients(alg, i, lam, m)[0].ravel()
+                  for i in alg.exponents for lam in (0.0, 0.5, 1.0, 2.0, -1.0)])
+    i, j = np.triu_indices(len(A), 1)
+    for which in poisson.brackets(alg):
+        table = bracket_tables(alg, which, m[0], A)
+        pairs = bracket_tables(alg, which, m[0], np.stack([A[i], A[j]], axis=1))
+        assert np.array_equal(pairs[:, 0, 1], table[i, j]), which
+
+
 # ---------------------------------------------------------------------------
 # Poisson matrices from the coordinate fields; the shift law on gl
 # ---------------------------------------------------------------------------

@@ -166,9 +166,9 @@ def worst_entry(detail):
 
 def pair_value(alg, which, M, A, row, column):
     """|{F_row, F_column}| at one point M (2, dim), read off the bracket table
-    of the gradient rows A there (a table of other rows may sum in another
-    order)."""
-    return abs(bracket_tables(alg, which, M, A)[row, column])
+    of the two gradient rows A[row] and A[column] alone: an entry does not
+    depend on the other rows of its table."""
+    return abs(bracket_tables(alg, which, M, A[[row, column]])[0, 1])
 
 
 def pencil_value(alg, report):

@@ -269,8 +269,8 @@ class Element:
 
 # Entries of x⊗y per row block of `bracket_blocks`: 8192 float64 = 64 KB.
 # Unblocked, the outer products of an sl9 rank sweep (~6200 rows × 80²)
-# would take 317 MB; a 64 KB block adds next to nothing to the peak (a 1 MB
-# block already shows in the resident memory of a rank sweep).
+# would take 317 MB; a block bounds what one call adds to the peak to 64 KB.
+# Blocks of 512 KB and 1 MB were not clearly faster on 400-row stacks.
 _OUTER_BLOCK = 8192
 
 
@@ -282,7 +282,7 @@ def bracket_blocks(alg: AlgebraSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray
     contracts them with the cached `struct`.  That takes the products
     x_a·y_b·C_abc and sums them in the order of the three-operand einsum
     "…a,…b,abc->…c", so every bit matches it, but in a two-operand einsum,
-    which runs two to three times faster.  A stack gives the bits of its rows.
+    which runs 2–2.5× faster.  A stack gives the bits of its rows.
     """
     X, Y = np.broadcast_arrays(X, Y)
     shape, dim = X.shape, alg.dim

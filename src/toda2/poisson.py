@@ -29,7 +29,8 @@ kernels are `algebra.bracket_blocks` (the outer products x⊗y of 64 KB
 row blocks contracted with the cached `struct`) and `algebra.mult_blocks`
 (the product of the blocks' matrices), and the R-operators are the block
 actions of `rmatrix` (`r_block`, `rr_block` and their adjoints).  A stack
-gives the same bits as its points one at a time, and one point is a one-row stack.
+gives the same bits as its points one at a time, and one point is a
+one-row stack.
 Bracket values are the pairing of a gradient with a field (`form_blocks`);
 `bracket_tables` and `poisson_matrices` take a stack of points.  A Poisson
 matrix evaluates the fields of the coordinate gradients at every point and

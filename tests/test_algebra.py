@@ -197,7 +197,7 @@ def sl9():
 
 
 def _einsum_bracket(alg, X, Y):
-    # the oracle: one three-operand einsum, which reads the whole struct per row
+    # the oracle: the three-operand einsum whose bits the blocked kernel keeps
     return np.einsum("...a,...b,abc->...c", X, Y, alg.struct)
 
 

@@ -561,8 +561,7 @@ def test_pairing_matrix_is_cached_read_only(gl2, sl3):
 def test_a_bracket_table_entry_does_not_depend_on_the_other_rows(name, request):
     # the involutivity-pencil gradient rows at one point: every entry {F_i, F_j}
     # of their table has the bits of the table of the rows i and j alone, for
-    # each bracket (one product of all rows with the fields summed some
-    # entries of gl4 in another order)
+    # each bracket, so a FAIL's entry reproduces from its two rows
     alg = request.getfixturevalue(name) if name != "gl4" else built(name)
     m = np.random.default_rng(42).uniform(-1.0, 1.0, (1, 2, alg.dim))
     A = np.stack([pullback_gradients(alg, i, lam, m)[0].ravel()

@@ -290,8 +290,8 @@ def bracket_blocks(alg: AlgebraSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray
     out = np.empty((len(X), dim), np.result_type(X, Y, alg.struct))
     step = max(1, _OUTER_BLOCK // (dim * dim))
     for i in range(0, len(X), step):
-        Xb, Yb = X[i:i + step], Y[i:i + step]
-        out[i:i + step] = np.einsum("rab,abc->rc", Xb[:, :, None] * Yb[:, None, :], alg.struct)
+        rows = slice(i, i + step)
+        out[rows] = np.einsum("rab,abc->rc", X[rows, :, None] * Y[rows, None, :], alg.struct)
     return out.reshape(shape)
 
 

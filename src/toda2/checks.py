@@ -1,7 +1,9 @@
 """Check batteries: one battery per claim family, shared by the CLI and tests.
 
-Every battery returns a list of CheckReports with the tolerances used by the
-acceptance suite.  Sample points are seeded, so reports are deterministic.
+Every battery returns a list of CheckReports.  Each tolerance is written
+once, at its check, and no caller can change it; the README's criterion list
+states the contractual ones.  Sample points are seeded, so reports are
+deterministic.
 No battery writes a bracket's formula again: each reads the bracket fields
 of `poisson` (by name through `poisson.block_field`), and the Jacobi sums of
 the linear and quadratic brackets are read off those fields alone.
@@ -59,16 +61,16 @@ def expected_rank(alg: AlgebraSpec) -> int:
 # --------------------------------------------------------------------------
 
 
-def check_mcybe_battery(alg: AlgebraSpec, samples: int = 200, seed: int = 42,
-                        tol: float = 1e-11) -> list[CheckReport]:
+def check_mcybe_battery(alg: AlgebraSpec, samples: int = 200,
+                        seed: int = 42) -> list[CheckReport]:
     return [
-        check_mcybe(alg, samples=samples, seed=seed, tol=tol),
-        check_mcybe(alg, samples=samples, seed=seed, pair=True, tol=tol),
+        check_mcybe(alg, samples=samples, seed=seed),
+        check_mcybe(alg, samples=samples, seed=seed, pair=True),
     ]
 
 
-def check_jacobi_battery(alg: AlgebraSpec, samples: int = 20, seed: int = 42,
-                         tol: float = 1e-9) -> list[CheckReport]:
+def check_jacobi_battery(alg: AlgebraSpec, samples: int = 20,
+                         seed: int = 42) -> list[CheckReport]:
     """Jacobi identities: R/ℛ-brackets on elements, both function brackets.
 
     Each identity draws its samples as one stack, in the order of the
@@ -104,14 +106,15 @@ def check_jacobi_battery(alg: AlgebraSpec, samples: int = 20, seed: int = 42,
         cyc = -form_blocks(alg, B, 0.5 * (XC[0] - XC[1])).sum(axis=-1)
         out.append(CheckReport.below(
             f"jacobi-{which}-bracket", f"{which}-poisson-jacobi", alg.name,
-            cyc, tol, {"samples": samples, "seed": seed}, axes=("sample",),
+            cyc, 1e-9, {"samples": samples, "seed": seed}, axes=("sample",),
         ))
     return out
 
 
-def check_involutivity_battery(alg: AlgebraSpec, points: int = 20, seed: int = 42,
-                               tol: float = 1e-8) -> list[CheckReport]:
+def check_involutivity_battery(alg: AlgebraSpec, points: int = 20,
+                               seed: int = 42) -> list[CheckReport]:
     """Pairwise brackets of the family vanish on T_P, for every applicable bracket."""
+    tol = 1e-8
     ps = phase_tp(alg)
     labels = family_labels(alg)
     out = []
@@ -138,15 +141,15 @@ def check_involutivity_battery(alg: AlgebraSpec, points: int = 20, seed: int = 4
     return out
 
 
-def check_casimir_battery(alg: AlgebraSpec, samples: int = 20, seed: int = 42,
-                          tol: float = 1e-9) -> list[CheckReport]:
+def check_casimir_battery(alg: AlgebraSpec, samples: int = 20,
+                          seed: int = 42) -> list[CheckReport]:
     """X_{P_i∘ψ₁} vanishes identically on 𝔤×𝔤 for every generator."""
     M = np.random.default_rng(seed).uniform(-1.0, 1.0, (samples, 2, alg.dim))
     out = []
     for i in alg.exponents:
         out.append(CheckReport.below(
             f"casimir-P{i}", "psi1-pullback-casimir", alg.name,
-            block_norms(linear_field(alg, M, pullback_gradients(alg, i, 1.0, M))), tol,
+            block_norms(linear_field(alg, M, pullback_gradients(alg, i, 1.0, M))), 1e-9,
             {"samples": samples, "seed": seed, "generator": i}, axes=("sample",),
         ))
     return out
@@ -298,8 +301,7 @@ def check_rank_battery(alg: AlgebraSpec, seed: int = 42) -> list[CheckReport]:
 _LAMBDAS = (0.0, 2.0, -1.0)     # the λ of the pencil-field identities
 
 
-def check_field_battery(alg: AlgebraSpec, seed: int = 42,
-                        tol: float = 1e-9) -> list[CheckReport]:
+def check_field_battery(alg: AlgebraSpec, seed: int = 42) -> list[CheckReport]:
     """Field identities at five seeded T_P points: the t- and s-flows are the
     bracket fields of H and −H̃, and each closed-form pencil field of flows.py
     is the bracket field of P_i∘φ_λ; on an associative algebra also
@@ -309,6 +311,7 @@ def check_field_battery(alg: AlgebraSpec, seed: int = 42,
     The bracket field of each pullback is evaluated once per (bracket, i, λ)
     at the five points; the closed-form checks read the first three.
     """
+    tol = 1e-9
     V = phase_tp(alg).sample_stack(seed, 5)
     M = V.reshape(5, 2, alg.dim)
     zero = np.zeros_like(M[:, 0])
@@ -430,63 +433,41 @@ def check_toda_battery(alg: AlgebraSpec, samples: int = 100,
     return out
 
 
-# `tol` is run_battery's override, {"tol": t} or empty, so that a battery's
-# default tolerance is said once, in its signature
 _BATTERIES = {
-    "mcybe": lambda alg, samples, seed, **tol: check_mcybe_battery(
-        alg, samples=max(samples, 200), seed=seed, **tol),
-    "jacobi": lambda alg, samples, seed, **tol: check_jacobi_battery(
-        alg, samples=samples, seed=seed, **tol),
-    "involutivity": lambda alg, samples, seed, **tol: check_involutivity_battery(
-        alg, points=samples, seed=seed, **tol),
-    "casimir": lambda alg, samples, seed, **tol: check_casimir_battery(
-        alg, samples=samples, seed=seed, **tol),
-    "morphism": lambda alg, samples, seed, **tol: [check_morphism_psi1(
-        alg, samples=max(samples, 100), seed=seed, **tol)],
+    "mcybe": lambda alg, samples, seed: check_mcybe_battery(
+        alg, samples=max(samples, 200), seed=seed),
+    "jacobi": lambda alg, samples, seed: check_jacobi_battery(
+        alg, samples=samples, seed=seed),
+    "involutivity": lambda alg, samples, seed: check_involutivity_battery(
+        alg, points=samples, seed=seed),
+    "casimir": lambda alg, samples, seed: check_casimir_battery(
+        alg, samples=samples, seed=seed),
+    "morphism": lambda alg, samples, seed: [check_morphism_psi1(
+        alg, samples=max(samples, 100), seed=seed)],
     "independence": lambda alg, samples, seed: check_independence_battery(
         alg, points=samples, seed=seed),
     "rank": lambda alg, samples, seed: check_rank_battery(alg, seed=seed),
     "rais": lambda alg, samples, seed: check_rais_battery(alg),
-    "quadratic-relations": lambda alg, samples, seed, **tol: check_field_battery(
-        alg, seed=seed, **tol),
+    "quadratic-relations": lambda alg, samples, seed: check_field_battery(alg, seed=seed),
     "toda": lambda alg, samples, seed: check_toda_battery(
         alg, samples=max(samples, 100), seed=seed),
 }
-# batteries whose checks keep their own tolerances: run alone they refuse an
-# override, and "all" runs them without it
-_OWN_TOLERANCES = ("independence", "rank", "rais", "toda")
 
 
 BATTERY_NAMES = tuple(_BATTERIES)
 
 
-def require_tol_accepted(name: str, tol: float | None) -> None:
-    """PreconditionError when `tol` overrides a battery that keeps its own
-    tolerances; it needs no algebra, so a caller can refuse before a build."""
-    if tol is not None and name in _OWN_TOLERANCES:
-        raise PreconditionError(f"battery {name!r} takes no tolerance override (--tol): "
-                                f"its checks keep their own tolerances")
-
-
-def run_battery(name: str, alg: AlgebraSpec, samples: int = 20, seed: int = 42,
-                tol: float | None = None) -> list[CheckReport]:
-    """The reports of battery `name` ("all": of every battery); `tol` overrides
-    their default, and a battery whose checks keep their own tolerances
-    refuses it (`require_tol_accepted`)."""
-    require_tol_accepted(name, tol)
-
-    def run(key):
-        override = {} if tol is None or key in _OWN_TOLERANCES else {"tol": tol}
-        return _BATTERIES[key](alg, samples, seed, **override)
-
+def run_battery(name: str, alg: AlgebraSpec, samples: int = 20,
+                seed: int = 42) -> list[CheckReport]:
+    """The reports of battery `name` ("all": of every battery)."""
     if name == "all":
         # a battery the spec cannot serve (say, flows on a basis not graded
         # entry by entry) reports so, and the others still run
         out = []
-        for key in _BATTERIES:
+        for key, battery in _BATTERIES.items():
             try:
-                out.extend(run(key))
+                out.extend(battery(alg, samples, seed))
             except CapabilityError as err:
                 out.append(CheckReport.not_applicable(key, f"{key}-battery", alg.name, {}, err))
         return out
-    return run(name)
+    return _BATTERIES[name](alg, samples, seed)

@@ -8,8 +8,9 @@
     toda2 flow commutation --algebra sl2
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
-configuration error.  Any other exception is a program bug and is not
-turned into an exit code.  Reports are deterministic for fixed flags.
+configuration error, 3 a program bug: any other exception, whose traceback
+goes to stderr.  Each check keeps its own tolerance; no flag changes it.
+Reports are deterministic for fixed flags.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import argparse
 import math
 import re
 import sys
+import traceback
 from pathlib import Path
 
 from .algebra import (
@@ -30,7 +32,7 @@ from .algebra import (
     save_spec,
     spec_to_json,
 )
-from .checks import BATTERY_NAMES, require_tol_accepted, run_battery
+from .checks import BATTERY_NAMES, run_battery
 from .flows import (
     FIELDS,
     MAX_STEPS,
@@ -103,14 +105,10 @@ def _cmd_algebra_validate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    require_tol_accepted(args.name, args.tol)       # before any algebra is built
     reports: list[CheckReport] = []
     for token in args.algebra:
         alg = resolve_algebra(token)
-        reports.extend(
-            run_battery(args.name, alg, samples=args.samples, seed=args.seed,
-                        tol=args.tol)
-        )
+        reports.extend(run_battery(args.name, alg, samples=args.samples, seed=args.seed))
     return _emit(reports, args)
 
 
@@ -122,10 +120,11 @@ def _cmd_flow_run(args) -> int:
     m0 = ps.sample_points(args.seed, 1)[0]
     traj = integrate(cfg, m0)
     params = {"field": args.field, "dt": args.dt, "T": args.T, "seed": args.seed}
+    tol = 1e-6
     reports = [
         CheckReport.below(
             "flow-conservation", "flow-preserves-family", alg.name,
-            traj.conservation_drift(), args.tol, params, detail=traj.note,
+            traj.conservation_drift(), tol, params, detail=traj.note,
         ),
         CheckReport.below(
             "flow-tangency", "flow-tangent-to-phase-space", alg.name,
@@ -136,7 +135,7 @@ def _cmd_flow_run(args) -> int:
         for lam0 in (0.0, 1.0, 2.0):
             reports.append(CheckReport.below(
                 f"flow-isospectral-l{lam0:g}", "pencil-eigenvalues-conserved", alg.name,
-                pencil_eigenvalue_drift(traj, lam0), args.tol,
+                pencil_eigenvalue_drift(traj, lam0), tol,
                 {"field": args.field, "lambda0": lam0},
             ))
     if args.csv:
@@ -151,7 +150,7 @@ def _cmd_flow_commutation(args) -> int:
     m0 = ps.sample_points(args.seed, 1)[0]
     defect = flow_commutation(m0, dt=args.dt, n_steps=args.steps)
     return _emit([CheckReport.below(
-        "flow-commutation", "t-s-flows-commute", alg.name, defect, args.tol,
+        "flow-commutation", "t-s-flows-commute", alg.name, defect, 1e-6,
         {"dt": args.dt, "steps": args.steps, "seed": args.seed},
     )], args)
 
@@ -173,18 +172,6 @@ def _whole(least: int, most: float):
     return whole
 
 
-def _tolerance(text: str) -> float:
-    """An argparse type: a finite tolerance > 0 (nan, inf and ≤ 0 would make
-    every verdict false, or every verdict true)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
-    return value
-
-
 class _Parser(argparse.ArgumentParser):
     """Takes a token that starts like a number (-1e-3, -5., -inf) for a value,
     which Python 3.11's argparse takes for an option unless it reads -1 or
@@ -195,12 +182,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
-def _add_report_flags(p: argparse.ArgumentParser, tol: float | None,
-                      tol_help: str = "override the default tolerance of the check") -> None:
+def _add_report_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_whole(0, math.inf), default=42)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="write the report to this file instead of stdout")
-    p.add_argument("--tol", type=_tolerance, default=tol, help=tol_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,10 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--algebra", action="append", default=None,
                    help="builtin name or spec path; repeatable (default sl2)")
     c.add_argument("--samples", type=_whole(1, MAX_SAMPLES), default=20)
-    _add_report_flags(c, tol=None, tol_help=(
-        "override the default tolerance of the residual checks; jacobi-r-bracket and "
-        "jacobi-rr-bracket keep theirs (1e-11), and the independence, rank, rais and "
-        "toda batteries refuse it and keep their own tolerances under 'all'"))
+    _add_report_flags(c)
     c.set_defaults(fn=_cmd_check)
 
     f = sub.add_parser("flow", help="integrate Lax flows")
@@ -244,13 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--dt", type=float, default=1e-3)
     r.add_argument("--T", type=float, default=1.0)
     r.add_argument("--csv", help="write the trajectory as CSV to this path")
-    _add_report_flags(r, tol=1e-6)
+    _add_report_flags(r)
     r.set_defaults(fn=_cmd_flow_run)
     fc = fsub.add_parser("commutation", help="t/s flow commutation defect")
     fc.add_argument("--algebra", default="sl2")
     fc.add_argument("--dt", type=float, default=1e-3)
     fc.add_argument("--steps", type=_whole(1, MAX_STEPS), default=100)
-    _add_report_flags(fc, tol=1e-6)
+    _add_report_flags(fc)
     fc.set_defaults(fn=_cmd_flow_commutation)
     return p
 
@@ -269,6 +251,9 @@ def main(argv: list[str] | None = None) -> int:
     except (AlgebraError, CapabilityError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

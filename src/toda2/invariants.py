@@ -31,7 +31,6 @@ import numpy as np
 
 from .algebra import AlgebraSpec, numerical_rank
 from .poisson import PreconditionError, ScalarFunction
-from .rmatrix import PairPoint
 
 __all__ = [
     "RaisData",
@@ -149,17 +148,12 @@ def family_names(alg: AlgebraSpec) -> list[str]:
 def family(alg: AlgebraSpec) -> list[ScalarFunction]:
     """The full conserved family as ScalarFunctions named F_{j}_{i}.
 
-    Member k reads column k of `family_values` and row k of
-    `family_gradient_stack` on the one-row stack of its point, so it agrees
-    bit for bit with a batch evaluation.
+    Member k reads column k of `family_values` on the one-row stack of its
+    point, so it agrees bit for bit with a batch evaluation; its gradients
+    are row k of `family_gradient_stack`.
     """
     return [
-        ScalarFunction(
-            name,
-            lambda m, k=k: family_values(m.alg, m.vec()[None])[0, k],
-            lambda m, k=k: PairPoint.from_vec(
-                m.alg, family_gradient_stack(m.alg, m.vec()[None])[0, k]),
-        )
+        ScalarFunction(name, lambda m, k=k: family_values(m.alg, m.vec()[None])[0, k])
         for k, name in enumerate(family_names(alg))
     ]
 

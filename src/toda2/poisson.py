@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -123,15 +123,11 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class ScalarFunction:
-    """A scalar function of a point record with an optional analytic gradient.
-
-    The gradient is taken with respect to the point's own pairing: ⟨·,·⟩ on 𝔤,
-    ⟨·,·⟩₂ on 𝔤×𝔤.
-    """
+    """A named scalar function of a point record; gradients are read off
+    stacks (`PhaseSpace.coord_gradients`, `family_gradient_stack`)."""
 
     name: str
     evaluator: Callable[[Element | PairPoint], float]
-    gradient: Optional[Callable[[Element | PairPoint], Element | PairPoint]] = None
 
     def __call__(self, m: Element | PairPoint) -> float:
         return float(self.evaluator(m))
@@ -271,18 +267,13 @@ class PhaseSpace:
 
     @cached_property
     def coords(self) -> tuple[ScalarFunction, ...]:
-        """Coordinate functions ζ_a dual to the tangent basis (constant gradients)."""
-        out = []
-        for a, grad in enumerate(self._points(self.coord_gradients)):
-            d = self.duals[:, a].copy()
-            out.append(
-                ScalarFunction(
-                    f"{self.name}[{a}]",
-                    lambda m, d=d: float(d @ (m.vec() - self.base)),
-                    lambda m, g=grad: g,
-                )
-            )
-        return tuple(out)
+        """Coordinate functions ζ_a dual to the tangent basis; their gradients
+        are the rows of `coord_gradients`."""
+        return tuple(
+            ScalarFunction(f"{self.name}[{a}]",
+                           lambda m, d=d.copy(): float(d @ (m.vec() - self.base)))
+            for a, d in enumerate(self.duals.T)
+        )
 
     @cached_property
     def normal_covectors(self) -> tuple[Element | PairPoint, ...]:
@@ -508,8 +499,7 @@ def _psi1_samples(alg: AlgebraSpec, seed: int, samples: int):
     return M, gf, gg
 
 
-def check_morphism_psi1(alg: AlgebraSpec, samples: int = 100, seed: int = 42,
-                        tol: float = 1e-9):
+def check_morphism_psi1(alg: AlgebraSpec, samples: int = 100, seed: int = 42):
     """Verify {F∘ψ₁, G∘ψ₁}_ℛ(x,y) = {F, G}_LP(x−y) on random functions.
 
     F, G run over random linear functions of 𝔤 plus, at every fifth sample,
@@ -523,5 +513,5 @@ def check_morphism_psi1(alg: AlgebraSpec, samples: int = 100, seed: int = 42,
     lhs = form_blocks(alg, F2, linear_field(alg, M, G2))
     rhs = form_blocks(alg, w[:, None], bracket_blocks(alg, gf, gg)[:, None])   # {f, g}(w)
     return CheckReport.below("morphism-psi1", "psi1-poisson-morphism", alg.name,
-                             lhs - rhs, tol, {"samples": samples, "seed": seed},
+                             lhs - rhs, 1e-9, {"samples": samples, "seed": seed},
                              axes=("sample",))

@@ -130,7 +130,7 @@ def b_tensor_block(alg: AlgebraSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray
 
 
 def check_mcybe(alg: AlgebraSpec, samples: int = 200, seed: int = 42,
-                pair: bool = False, tol: float = 1e-11):
+                pair: bool = False):
     """Max residual of B(x,y) + [x,y] (mod center) over seeded samples: the
     modified classical Yang–Baxter equation with c = 1.
 
@@ -150,6 +150,6 @@ def check_mcybe(alg: AlgebraSpec, samples: int = 200, seed: int = 42,
     norms = np.sqrt(np.vecdot(Z, Z))            # (samples, k) Euclidean norms
     return CheckReport.below(
         "mcybe-pair" if pair else "mcybe",
-        "mcybe-splitting-exact", alg.name, norms, tol,
+        "mcybe-splitting-exact", alg.name, norms, 1e-11,
         {"samples": samples, "seed": seed, "c": 1.0}, axes=("sample", "block"),
     )

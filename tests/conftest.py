@@ -69,6 +69,23 @@ def desk_algebras(sl2, sl3, sl4, gl2, gl3):
     return {a.name: a for a in (sl2, sl3, sl4, gl2, gl3)}
 
 
+@pytest.fixture
+def fields_off_by_a_millionth(monkeypatch):
+    """The linear and quadratic bracket fields X(m) off by 1e-6·m wherever
+    `poisson` and `checks` read them: a negative control that makes the
+    Casimir and involutivity checks FAIL at their own tolerances."""
+    from toda2 import checks, poisson
+
+    for name in ("linear_field", "quadratic_field"):
+        field = getattr(poisson, name)
+
+        def off(alg, m, g, field=field):
+            return field(alg, m, g) + 1e-6 * m
+
+        for module in (poisson, checks):
+            monkeypatch.setattr(module, name, off)
+
+
 # ---------------------------------------------------------------------------
 # so(5), split form: an algebra no builder provides, defined by document
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ src computes with: ℛ from the ±-decomposition, the pairing on 𝔤×𝔤 from
 forms, the product with its non-associative guard, the rescaled form.
 
 Each view calls a block form on one point (a one-row block, `point_block`)
-and returns a Point or a ScalarFunction, so that a test can state an identity
-one point at a time or hand a function to `gradient2`, which falls back on
-central differences where a function has no analytic gradient.  A stack
+and returns a Point or an `AnalyticFunction`, a test-side function of one
+point with its analytic gradient, so that a test can state an identity one
+point at a time or hand a function to `gradient2`, which takes central
+differences of any other function (src's ScalarFunctions carry no gradient:
+theirs are the rows of `coord_gradients` and `family_gradient_stack`).  A stack
 gives the bits of its points one at a time, so these views carry the bits
 the stacked batteries must reproduce.  The records carry no arithmetic: an
 oracle, or a test, that adds, scales or measures points does so on their
@@ -27,11 +29,12 @@ exact t-flow on a one-block stack, from a start row.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-from toda2 import AlgebraError, Element, PairPoint, ScalarFunction, spec_to_document
+from toda2 import AlgebraError, Element, PairPoint, spec_to_document
 from toda2.algebra import bracket_blocks, mult_blocks
 from toda2.flows import Trajectory, _partner, factor_states, field_rows, rk4_states, whole_steps
 from toda2.invariants import family_names, family_values
@@ -128,9 +131,23 @@ def _fd_partials(F, m, step=FD_STEP):
     return w
 
 
+@dataclass(frozen=True)
+class AnalyticFunction:
+    """A scalar function of one point record with its analytic gradient,
+    taken with respect to the point's own pairing (⟨·,·⟩ on 𝔤, ⟨·,·⟩₂ on 𝔤×𝔤)."""
+
+    name: str
+    evaluator: Callable
+    gradient: Callable
+
+    def __call__(self, m):
+        return float(self.evaluator(m))
+
+
 def gradient2(F, m, step=FD_STEP):
-    """Gradient of F at m: analytic when available, else central differences."""
-    if F.gradient is not None:
+    """Gradient of F at m: analytic for an AnalyticFunction, else central
+    differences."""
+    if isinstance(F, AnalyticFunction):
         return F.gradient(m)
     partials = _fd_partials(F, m, step).reshape(point_block(m).shape)
     return type(m).from_vec(m.alg, _gradient_blocks(m.alg, partials).ravel())
@@ -158,12 +175,12 @@ def bracket_value(which, F, G, m):
 
 def linear_function(p, name="linear"):
     """m ↦ ⟨p, m⟩ (⟨p, m⟩₂ on 𝔤×𝔤), whose gradient is the constant p."""
-    return ScalarFunction(name, lambda m: pairing(p, m), lambda m: p)
+    return AnalyticFunction(name, lambda m: pairing(p, m), lambda m: p)
 
 
 def trace_function(alg, i):
     """P_i(x) = Tr(x^{i+1})/(i+1) on single Elements, gradient ĝ(x^i)."""
-    return ScalarFunction(
+    return AnalyticFunction(
         f"P_{i}",
         lambda x: float(trace_values(alg, x.coords, i)),
         lambda x: Element(alg, trace_gradients(alg, x.coords, i)),
@@ -172,7 +189,7 @@ def trace_function(alg, i):
 
 def pullback(alg, i, lam):
     """P_i∘ψ_λ as a pair function: m ↦ P_i(λx − y), gradient (λ∇P_i(w), ∇P_i(w))."""
-    return ScalarFunction(
+    return AnalyticFunction(
         f"P_{i}∘ψ_{lam:g}",
         lambda m: float(trace_values(alg, lam * m.x.coords - m.y.coords, i)),
         lambda m: PairPoint.from_vec(alg, pullback_gradients(alg, i, lam, point_block(m)).ravel()),

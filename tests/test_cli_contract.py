@@ -1,12 +1,11 @@
 """The CLI exit-code contract as a property: every command line ends in exit 0
 (all checks pass), 1 (a check failed) or 2 (usage or configuration error),
-never in an uncaught exception.
+never in 3 (a program bug).
 
 Only cheap commands run in-process: `algebra validate` and `check rais` on
-fuzzed --samples and --algebra tokens, with and without a fuzzed --tol, and
-on malformed spec documents, every battery and `check all` on sl2, gl2 and
-sl3 with fuzzed --samples (at most 1000 are accepted) and --seed tokens,
-without and with a fuzzed --tol, every battery on the same algebras with
+fuzzed --samples and --algebra tokens, and on malformed spec documents, every
+battery and `check all` on sl2, gl2 and sl3 with fuzzed --samples (at most
+1000 are accepted) and --seed tokens, every battery on the same algebras with
 fuzzed --seed tokens, and `flow run` and `flow commutation`
 on sl2 and gl2 with fuzzed step sizes, horizons, fields and pencil parameters
 (at most 10000 steps are accepted, ~0.5 s on gl2), and fuzzed --seed tokens
@@ -84,12 +83,11 @@ def exit_code(argv) -> int:
 
 
 @settings(max_examples=50)
-@given(algebra=ALGEBRA_TOKENS, samples=NUMBER_TOKENS, tol=NUMBER_TOKENS)
-def test_fuzzed_tokens_keep_the_exit_code_contract(algebra, samples, tol):
+@given(algebra=ALGEBRA_TOKENS, samples=NUMBER_TOKENS)
+def test_fuzzed_tokens_keep_the_exit_code_contract(algebra, samples):
     assert exit_code(["algebra", "validate", algebra]) in (0, 1, 2)
     argv = ["check", "rais", "--algebra", algebra, "--samples", samples]
     assert exit_code(argv) in (0, 1, 2)
-    assert exit_code(argv + ["--tol", tol]) in (0, 1, 2)     # refused, or a bad token
 
 
 SAMPLE_TOKENS = st.one_of(st.integers(-1, 1001).map(str), NUMBER_TOKENS)
@@ -97,17 +95,13 @@ SAMPLE_TOKENS = st.one_of(st.integers(-1, 1001).map(str), NUMBER_TOKENS)
 
 @settings(max_examples=50)
 @given(name=st.sampled_from(BATTERY_NAMES + ("all",)), algebra=st.sampled_from(["sl2", "gl2", "sl3"]),
-       samples=SAMPLE_TOKENS, tol=NUMBER_TOKENS, seed=NUMBER_TOKENS)
-@example(name="all", algebra="sl3", samples="1000", tol="1e-9", seed="42")
-@example(name="casimir", algebra="gl2", samples=str(10**30), tol="1e-9", seed="42")
-@example(name="casimir", algebra="sl2", samples="5", tol="1e-9", seed="-1")  # a seed must be ≥ 0
-def test_fuzzed_samples_keep_the_exit_code_contract_on_every_battery(name, algebra, samples, tol,
-                                                                     seed):
-    # without --tol, then with it: a battery that keeps its own tolerances
-    # refuses --tol, so its --samples are fuzzed on the first run only
+       samples=SAMPLE_TOKENS, seed=NUMBER_TOKENS)
+@example(name="all", algebra="sl3", samples="1000", seed="42")
+@example(name="casimir", algebra="gl2", samples=str(10**30), seed="42")
+@example(name="casimir", algebra="sl2", samples="5", seed="-1")  # a seed must be ≥ 0
+def test_fuzzed_samples_keep_the_exit_code_contract_on_every_battery(name, algebra, samples, seed):
     argv = ["check", name, "--algebra", algebra, "--samples", samples, f"--seed={seed}"]
     assert exit_code(argv) in (0, 1, 2)
-    assert exit_code(argv + ["--tol", tol]) in (0, 1, 2)
 
 
 @settings(max_examples=20)

@@ -168,9 +168,8 @@ def test_gradient_coefficients_match_fd(gl3):
     _, grads = members(gl3, 2, m)
     fam, labels = family(gl3), family_labels(gl3)
     for j in range(len(grads)):
-        F = fam[labels.index((j, 2))]
-        bare = ScalarFunction("fd-only", F.evaluator)  # force the FD path
-        assert np.abs(gradient2(bare, m).vec() - grads[j].vec()).max() < 1e-8
+        F = fam[labels.index((j, 2))]       # no analytic gradient: the FD path
+        assert np.abs(gradient2(F, m).vec() - grads[j].vec()).max() < 1e-8
 
 
 def test_low_coefficients_are_classical(sl3):
@@ -207,27 +206,25 @@ def test_pullback_at_one_is_casimir(sl3):
             assert block_norms(linear_field(sl3, m, pullback_gradients(sl3, i, 1.0, m))) < 1e-9
 
 
-def independence_rank(functions, ps, points):
-    """Max over points of the Jacobian rank of the functions along ps, with
-    gradients from `gradient2` (analytic, else central differences)."""
-    G = np.stack([[gradient2(F, m).vec() for F in functions] for m in points])
+def independence_rank(ps, points, extra=()):
+    """Max over points of the Jacobian rank along ps of the family, with the
+    gradients of each point's one-row stack, and of the functions `extra`,
+    with gradients from `gradient2`."""
+    G = np.stack([[*family_gradient_stack(ps.alg, m.vec()[None])[0],
+                   *(gradient2(F, m).vec() for F in extra)] for m in points])
     return int(ps.jacobian_ranks(G).max())
 
 
 def test_family_independent_at_principal_point(desk_algebras):
     for name, alg in desk_algebras.items():
-        ps = phase_tp(alg)
-        fam = family(alg)
-        assert independence_rank(fam, ps, [principal_pair(alg)]) == EXPECTED_CARD[name]
+        assert independence_rank(phase_tp(alg), [principal_pair(alg)]) == EXPECTED_CARD[name]
 
 
 def test_constant_adds_no_rank(sl3):
     ps = phase_tp(sl3)
-    fam = family(sl3)
     pts = ps.sample_points(seed=7, count=5)
-    base = independence_rank(fam, ps, pts)
-    padded = fam + [ScalarFunction("const", lambda m: 4.0)]
-    assert independence_rank(padded, ps, pts) == base
+    base = independence_rank(ps, pts)
+    assert independence_rank(ps, pts, [ScalarFunction("const", lambda m: 4.0)]) == base
 
 
 def test_independence_battery_reads_the_family_once_per_stack(sl3, monkeypatch):
@@ -247,8 +244,8 @@ def test_independence_battery_reads_the_family_once_per_stack(sl3, monkeypatch):
     at_eh, sweep = checks.check_independence_battery(sl3, points=4, seed=7)
     assert calls == [1, 4]
     ps, pts = phase_tp(sl3), phase_tp(sl3).sample_points(7, 4)
-    assert sweep.measured == independence_rank(family(sl3), ps, pts) == 7
-    assert at_eh.measured == independence_rank(family(sl3), ps, [principal_pair(sl3)]) == 7
+    assert sweep.measured == independence_rank(ps, pts) == 7
+    assert at_eh.measured == independence_rank(ps, [principal_pair(sl3)]) == 7
 
 
 # ---------------------------------------------------------------------------

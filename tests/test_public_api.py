@@ -1,7 +1,7 @@
 """Every name a toda2 module exports in `__all__` resolves, and has a caller
 outside the tests; every public method has a caller, and every default a
-caller in src or the benchmark that sets it; every name the benchmark reads
-off the package resolves."""
+caller in src or the benchmark that sets it; no tolerance is a parameter or
+an option; every name the benchmark reads off the package resolves."""
 
 import ast
 import importlib
@@ -178,23 +178,16 @@ class _CallGraph:
     def __init__(self):
         self.calls = {}          # callee key -> [(Call, enclosing function or None)]
         self.key_of = {}         # function node -> callee key
-        self.dicts = {}          # function node -> {local name: [Dict literal]}
         for tree in _caller_trees(SETTER_DIRS):
             self._visit(tree, None)
 
     def _visit(self, node, scope):
+        # a table of functions: TABLE = {"key": lambda …: …, …}
         if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                and isinstance(node.targets[0], ast.Name):
-            name, value = node.targets[0].id, node.value
-            # a table of functions: TABLE = {"key": lambda …: …, …}
-            if isinstance(value, ast.Dict):
-                for v in value.values:
-                    if isinstance(v, FUNCTION_NODES):
-                        self.key_of[v] = f"{name}[]"
-            # a keyword dict a call may unpack: kw = {…} or {…} if … else {…}
-            literals = [value.body, value.orelse] if isinstance(value, ast.IfExp) else [value]
-            if scope is not None and all(isinstance(v, ast.Dict) for v in literals):
-                self.dicts.setdefault(scope, {}).setdefault(name, []).extend(literals)
+                and isinstance(node.targets[0], ast.Name) and isinstance(node.value, ast.Dict):
+            for v in node.value.values:
+                if isinstance(v, FUNCTION_NODES):
+                    self.key_of[v] = f"{node.targets[0].id}[]"
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             self.key_of[node] = node.name
         if isinstance(node, FUNCTION_NODES):
@@ -206,26 +199,15 @@ class _CallGraph:
         for child in ast.iter_child_nodes(node):
             self._visit(child, scope)
 
-    def _values(self, call, scope, param, index):
-        """The expressions a call passes for `param` (at positional `index`),
-        and whether it forwards its scope's **kwargs, which may hold it."""
-        values, forwards = [], False
+    @staticmethod
+    def _values(call, param, index):
+        """The expressions a call passes for `param` (at positional `index`);
+        a value unpacked from **kwargs is not read, so it sets nothing."""
+        values = [kw.value for kw in call.keywords if kw.arg == param]
         if index is not None and index < len(call.args) \
                 and not any(isinstance(a, ast.Starred) for a in call.args[:index + 1]):
             values.append(call.args[index])
-        for kw in call.keywords:
-            if kw.arg == param:
-                values.append(kw.value)
-            elif kw.arg is None:
-                literals = [kw.value] if isinstance(kw.value, ast.Dict) else []
-                if isinstance(kw.value, ast.Name):
-                    literals = self.dicts.get(scope, {}).get(kw.value.id, [])
-                    kwarg = scope.args.kwarg if scope is not None else None
-                    forwards |= kwarg is not None and kwarg.arg == kw.value.id
-                for d in literals:
-                    values += [v for k, v in zip(d.keys, d.values)
-                               if isinstance(k, ast.Constant) and k.value == param]
-        return values, forwards
+        return values
 
     def is_set(self, key, param, index, seen=frozenset()):
         """True when some call to `key` passes `param` a value that is not a
@@ -235,10 +217,7 @@ class _CallGraph:
             return False
         seen = seen | {(key, param)}
         for call, scope in self.calls.get(key, ()):
-            values, forwards = self._values(call, scope, param, index)
-            if forwards and self.is_set(self.key_of.get(scope), param, None, seen):
-                return True
-            for value in values:
+            for value in self._values(call, param, index):
                 own = _param_names(scope) if scope is not None else []
                 if not (isinstance(value, ast.Name) and value.id in own):
                     return True          # a real setter
@@ -265,6 +244,27 @@ def test_every_default_is_set_by_a_caller_outside_the_tests():
         unset += [f"{name}({p}=…)" for p in _defaulted(fn)
                   if not graph.is_set(fn.name, p, _positional_index(fn, p))]
     assert unset == []
+
+
+def test_no_tolerance_is_a_parameter_or_an_option():
+    # each tolerance is written once, at its check: only CheckReport.below
+    # (reports.py) takes one, and no command line sets one
+    takes = []
+    for path in sorted((ROOT / "src/toda2").glob("*.py")):
+        if path.name == "reports.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, FUNCTION_NODES):
+                a = node.args
+                names = _param_names(node) + [p.arg for p in (a.vararg, a.kwarg) if p]
+                if "tol" in names:
+                    takes.append(f"{path.name}:{node.lineno} {getattr(node, 'name', 'lambda')}")
+    cli = ast.parse((ROOT / "src/toda2/cli.py").read_text(encoding="utf-8"))
+    options = [node.lineno for node in ast.walk(cli)
+               if isinstance(node, ast.Call) and _callee_key(node.func) == "add_argument"
+               and any(isinstance(v, ast.Constant) and str(v.value).lstrip("-") == "tol"
+                       for v in node.args + [kw.value for kw in node.keywords])]
+    assert takes == [] and options == []
 
 
 # --------------------------------------------------------------------------

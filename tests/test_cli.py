@@ -135,6 +135,30 @@ def test_check_pass_and_fail_exit_codes(request, capsys):
     assert "[FAIL]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", ["independence", "rank", "rais", "toda"])
+def test_tol_is_refused_by_a_battery_that_keeps_its_own(name, capsys):
+    with pytest.raises(SystemExit) as ex:
+        main(["check", name, "--algebra", "sl2", "--tol", "1e-3"])
+    assert ex.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --tol 1e-3" in err
+
+
+def test_tol_is_refused_before_any_build(monkeypatch, capsys):
+    # the refusal needs no algebra: sl9 is not built, and a bad token does
+    # not hide the flag
+    def no_build(*args):
+        raise AssertionError("an algebra was built")
+
+    monkeypatch.setattr(cli, "build_sl", no_build)
+    for name, token in (("toda", "sl9"), ("rank", "sl99")):
+        with pytest.raises(SystemExit) as ex:
+            main(["check", name, "--algebra", token, "--tol", "1e-3"])
+        assert ex.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --tol 1e-3" in err and token not in err
+
+
 def test_check_rejects_unknown_battery():
     with pytest.raises(SystemExit) as ex:
         main(["check", "nonsense"])

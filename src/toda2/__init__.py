@@ -18,7 +18,7 @@ from .algebra import (
     spec_to_document,
     validate_spec,
 )
-from .rmatrix import PairPoint, check_mcybe
+from .rmatrix import PairPoint
 from .poisson import (
     CapabilityError,
     PhaseSpace,
@@ -28,7 +28,7 @@ from .poisson import (
     phase_tp,
     poisson_matrix,
     rank_sweep,
-    check_morphism_psi1,
+    toda_space,
 )
 from .invariants import (
     RaisData,
@@ -45,12 +45,6 @@ from .flows import (
     integrate,
     pencil_eigenvalue_drift,
     trajectory_to_csv,
-)
-from .toda import (
-    check_binomial_identity,
-    check_poisson_iso,
-    toda_space,
-    toda_suite,
 )
 from .reports import CheckReport, all_pass, emit_report
 from .checks import BATTERY_NAMES, expected_rank, run_battery
@@ -69,7 +63,6 @@ __all__ = [
     "spec_to_document",
     "validate_spec",
     "PairPoint",
-    "check_mcybe",
     "CapabilityError",
     "PhaseSpace",
     "PreconditionError",
@@ -78,7 +71,7 @@ __all__ = [
     "phase_tp",
     "poisson_matrix",
     "rank_sweep",
-    "check_morphism_psi1",
+    "toda_space",
     "RaisData",
     "family",
     "family_labels",
@@ -91,10 +84,6 @@ __all__ = [
     "integrate",
     "pencil_eigenvalue_drift",
     "trajectory_to_csv",
-    "check_binomial_identity",
-    "check_poisson_iso",
-    "toda_space",
-    "toda_suite",
     "CheckReport",
     "all_pass",
     "emit_report",

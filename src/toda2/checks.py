@@ -1,9 +1,12 @@
-"""Check batteries: one battery per claim family, shared by the CLI and tests.
+"""Check batteries: the one module that turns a measurement into a verdict.
 
-Every battery returns a list of CheckReports.  Each tolerance is written
-once, at its check, and no caller can change it; the README's criterion list
-states the contractual ones.  Sample points are seeded, so reports are
-deterministic.
+Every report the program gives is built here, by a CheckReport constructor:
+one battery per claim family, shared by the CLI and tests, and the reports of
+`toda2 flow run` and `toda2 flow commutation` (`flow_run_reports`,
+`flow_commutation_reports`).  The other modules compute arrays; `cli` only
+parses, runs and emits.  Each tolerance is written once, at its check, and
+no caller can change it; the README's criterion list states the contractual
+ones.  Sample points are seeded, so reports are deterministic.
 No battery writes a bracket's formula again: each reads the bracket fields
 of `poisson` (by name through `poisson.block_field`), and the Jacobi sums of
 the linear and quadratic brackets are read off those fields alone.
@@ -12,37 +15,53 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
 from .algebra import AlgebraSpec, bracket_blocks
-from .flows import field_rows
+from .flows import (
+    FIELDS,
+    FlowConfig,
+    Trajectory,
+    factor_states,
+    field_rows,
+    flow_commutation,
+    pencil_eigenvalue_drift,
+    relative_drift,
+    whole_steps,
+)
 from .invariants import (
     family_gradient_stack,
     family_labels,
+    family_values,
     pullback_gradients,
     rais_vectors,
+    trace_gradients,
+    trace_values,
 )
 from .poisson import (
     CapabilityError,
+    PhaseSpace,
     PreconditionError,
     block_field,
     bracket_tables,
     brackets,
-    check_morphism_psi1,
+    diag_phase_space,
     linear_field,
     phase_tp,
     quadratic_field,
     rank_sweep,
+    toda_space,
 )
-from .rmatrix import block_norms, check_mcybe, form_blocks, r_bracket_blocks
+from .rmatrix import (
+    PairPoint,
+    b_tensor_block,
+    block_norms,
+    form_blocks,
+    r_bracket_blocks,
+)
 from .reports import CheckReport
-from .toda import (
-    check_binomial_identity,
-    check_poisson_iso,
-    diag_phase_space,
-    toda_suite,
-)
 
 
 def expected_rank(alg: AlgebraSpec) -> int:
@@ -63,10 +82,22 @@ def expected_rank(alg: AlgebraSpec) -> int:
 
 def check_mcybe_battery(alg: AlgebraSpec, samples: int = 200,
                         seed: int = 42) -> list[CheckReport]:
-    return [
-        check_mcybe(alg, samples=samples, seed=seed),
-        check_mcybe(alg, samples=samples, seed=seed, pair=True),
-    ]
+    """The modified classical Yang–Baxter equation with c = 1: the residual
+    B(x, y) + [x, y] of R on 𝔤 ("mcybe"), then of ℛ on 𝔤×𝔤 ("mcybe-pair").
+
+    Each draws its own samples from the seed as one stack, x then y per
+    sample, and the residual need only lie in the centre.
+    """
+    out = []
+    for check_id, k in (("mcybe", 1), ("mcybe-pair", 2)):
+        XY = np.random.default_rng(seed).uniform(-1.0, 1.0, (samples, 2, k, alg.dim))
+        X, Y = XY[:, 0], XY[:, 1]
+        Z = alg.strip_centre(b_tensor_block(alg, X, Y) + bracket_blocks(alg, X, Y))
+        out.append(CheckReport.below(
+            check_id, "mcybe-splitting-exact", alg.name, np.sqrt(np.vecdot(Z, Z)), 1e-11,
+            {"samples": samples, "seed": seed, "c": 1.0}, axes=("sample", "block"),
+        ))
+    return out
 
 
 def check_jacobi_battery(alg: AlgebraSpec, samples: int = 20,
@@ -153,6 +184,54 @@ def check_casimir_battery(alg: AlgebraSpec, samples: int = 20,
             {"samples": samples, "seed": seed, "generator": i}, axes=("sample",),
         ))
     return out
+
+
+def _psi1_samples(alg: AlgebraSpec, seed: int, samples: int):
+    """Points m (samples, 2, dim) and the gradients ∇f, ∇g at w = x − y (samples, dim).
+
+    Sample k draws (x, y), then two covectors u, v with ∇f = G⁻¹u, ∇g = G⁻¹v,
+    or, at every fifth sample, four unit vectors a, b, c, d with
+    f(u) = ⟨a,u⟩⟨b,u⟩ and g(u) = ⟨c,u⟩⟨d,u⟩.  The draws are one array, in
+    that order.  G⁻¹ is applied one vector at a time, so a stack gets the
+    bits of the single products.
+    """
+    rng = np.random.default_rng(seed)
+    quad = np.arange(samples) % 5 == 4
+    rows = np.where(quad, 6, 4)
+    start = np.cumsum(rows) - rows
+    U = rng.uniform(-1, 1, (int(rows.sum()), alg.dim))
+    M = U[start[:, None] + np.arange(2)]
+    gf = (alg.gram_inv @ U[start + 2][..., None])[..., 0]
+    gg = (alg.gram_inv @ U[start + 3][..., None])[..., 0]
+    v = U[start[quad, None] + 2 + np.arange(4)]               # (n_quad, 4, dim)
+    a, b, c, d = np.moveaxis(v / np.sqrt(np.vecdot(v, v))[..., None], 1, 0)
+    w = M[quad, 0] - M[quad, 1]
+
+    def pair(x, y):
+        return form_blocks(alg, x[:, None], y[:, None])[:, None]
+
+    gf[quad] = pair(b, w) * a + pair(a, w) * b
+    gg[quad] = pair(d, w) * c + pair(c, w) * d
+    return M, gf, gg
+
+
+def check_morphism_battery(alg: AlgebraSpec, samples: int = 100,
+                           seed: int = 42) -> list[CheckReport]:
+    """ψ₁(x, y) = x − y is a Poisson morphism: {F∘ψ₁, G∘ψ₁}_ℛ(x,y) = {F, G}_LP(x−y).
+
+    F, G run over random linear functions of 𝔤 plus, at every fifth sample,
+    quadratic monomials u ↦ ⟨a,u⟩⟨b,u⟩, with their exact gradients
+    (`_psi1_samples`), all evaluated on the sample stack at once.
+    """
+    M, gf, gg = _psi1_samples(alg, seed, samples)
+    w = M[:, 0] - M[:, 1]                                      # ψ₁(m)
+    # ∇(f∘ψ₁)(m) = (∇f(w), ∇f(w)), and {F, G} = ⟨∇F, X_G⟩₂
+    F2, G2 = np.stack([gf, gf], axis=1), np.stack([gg, gg], axis=1)
+    lhs = form_blocks(alg, F2, linear_field(alg, M, G2))
+    rhs = form_blocks(alg, w[:, None], bracket_blocks(alg, gf, gg)[:, None])   # {f, g}(w)
+    return [CheckReport.below("morphism-psi1", "psi1-poisson-morphism", alg.name,
+                              lhs - rhs, 1e-9, {"samples": samples, "seed": seed},
+                              axes=("sample",))]
 
 
 def check_independence_battery(alg: AlgebraSpec, points: int = 20,
@@ -392,7 +471,7 @@ def check_field_battery(alg: AlgebraSpec, seed: int = 42) -> list[CheckReport]:
 
 
 # --------------------------------------------------------------------------
-# Toda battery and the "run everything" entry point
+# the classical Toda reduction
 # --------------------------------------------------------------------------
 
 
@@ -414,14 +493,105 @@ def _intersection_population(alg: AlgebraSpec, seed: int) -> np.ndarray:
 
 def check_toda_battery(alg: AlgebraSpec, samples: int = 100,
                        seed: int = 42) -> list[CheckReport]:
-    out = [
-        check_poisson_iso(alg, samples=samples, seed=seed),
-        check_binomial_identity(alg, samples=max(samples // 5, 5), seed=seed),
-    ]
-    out.extend(toda_suite(alg, seed=seed))
+    """The classical Toda lattice as the diagonal restriction of the 2-Toda system.
+
+    Single-algebra side: T_T = 𝔤₋₁ ⊕ 𝔤₀ + e (`poisson.toda_space`) carries
+    the R-bracket
+
+        {f, g}_R(x) = ½⟨x, [R∇f, ∇g] + [∇f, R∇g]⟩,
+
+    whose flow for H = P₁ is the Toda equation Ȧ = [A₊, A].  The bracket and
+    its Hamiltonian fields are those of the 2-Toda side (`linear_field`,
+    `bracket_tables`) on one-block coordinate arrays of 𝔤; the Toda field is
+    the t-flow's Lax commutator (`field_rows` with field "t" on rows of 𝔤),
+    and the Toda run is the t-flow on the one-block stack (A), solved exactly
+    by the flows' factorization exp(tA₀) = n₋b₊ (`factor_states`); it stops
+    before a pole or a non-finite state and says so in its note, and
+    toda-conservation then fails on a NaN drift and names the pole.
+
+    The diagonal embedding φ(x) = (x, x) lands in T_T′ = Δ(𝔤₋₁⊕𝔤₀) + (e, e)
+    ⊂ T_P (`poisson.diag_phase_space`), and matching dual coordinates through
+    φ gives a Poisson isomorphism between (T_T, {,}_R) and (T_T′, {,}_ℛ).
+    Restricting the pencil family to the diagonal collapses it into binomial
+    multiples of the Toda invariants: F_{k,i}(φ(x)) = C(m_i+1, k)·P_i(x).
+
+    The isomorphism is checked on `samples` Toda points, the binomial
+    collapse on max(samples // 5, 5), the Toda suite (submanifold, Lax form,
+    involutivity, independence, conservation, diagonal consistency) on 20,
+    and T_T′ = T_P ∩ Δ on a mixed population of 200.
+    """
+    ts, dps, ps = toda_space(alg), diag_phase_space(alg), phase_tp(alg)
+    out = []
+
+    # φ matches the R-bracket on T_T with the ℛ-bracket on T_T′.  Coordinate
+    # functions are the Euclidean duals of the matched tangent bases (t_a on
+    # the Toda side, (t_a, t_a) on the diagonal side), so ξ_a∘φ = ζ_a
+    # identically and |{ξ_a,ξ_b}_ℛ(φx) − {ζ_a,ζ_b}_R(x)| measures exactly the
+    # Poisson property; both sides are raw coordinate bracket tables, never
+    # a Dirac-corrected `poisson_matrix`
+    X = ts.sample_stack(seed, samples)                  # (samples, dim)
+    ts.require_members(X)
+    P = np.stack([X, X], axis=1)                        # φ(x) = (x, x) as pair blocks
+    lhs = bracket_tables(alg, "linear", P, dps.coord_gradients)
+    rhs = bracket_tables(alg, "linear", X[:, None], ts.coord_gradients)
+    out.append(CheckReport.below("toda-poisson-iso", "diagonal-embedding-poisson-iso", alg.name,
+                                 lhs - rhs, 1e-9, {"samples": samples, "seed": seed},
+                                 axes=("sample", "row", "column")))
+
+    # F_{k,i}(φ(x)) = C(m_i+1, k) · P_i(x)
+    count = max(samples // 5, 5)
+    X = ts.sample_stack(seed, count)
+    values = family_values(alg, np.concatenate([X, X], axis=1))
+    trace = {i: trace_values(alg, X, i) for i in alg.exponents}
+    want = np.stack([math.comb(i + 1, k) * trace[i] for (k, i) in family_labels(alg)], axis=1)
+    out.append(CheckReport.below("toda-binomial", "diagonal-binomial-collapse", alg.name,
+                                 values - want, 1e-10, {"samples": count, "seed": seed},
+                                 axes=("sample", "function")))
+
+    X = ts.sample_stack(seed, 20)                       # (20, dim) Toda points
+    params = {"points": len(X), "seed": seed}
+
+    # T_T is a Poisson submanifold: every Hamiltonian field is tangent to it;
+    # the fields of the basis coordinates x ↦ x_a = ⟨G⁻¹e_a, x⟩ span them all
+    coords = alg.gram_inv.T[:, None]            # gradients G⁻¹e_a, the rows of (G⁻¹)ᵀ
+    fields = linear_field(alg, X[:5, None, None], coords)
+    out.append(CheckReport.below("toda-submanifold", "toda-space-poisson-submanifold",
+                                 alg.name, ts.normal_residuals(fields[..., 0, :]), 1e-9,
+                                 {"points": 5, "seed": seed}, axes=("point", "coordinate")))
+
+    # the P₁ flow is the Toda equation [A₊, A]
+    toda = field_rows(alg, "t", X)
+    x_p1 = linear_field(alg, X[:, None], trace_gradients(alg, X, 1)[:, None])
+    out.append(CheckReport.below("toda-lax-form", "toda-flow-is-lax-bracket", alg.name,
+                                 block_norms(x_p1 - toda[:, None]), 1e-9, params,
+                                 axes=("point",)))
+
+    # involutivity of the P_i on (𝔤, R-bracket)
+    grads = np.stack([trace_gradients(alg, X, i) for i in alg.exponents], axis=1)
+    out.append(CheckReport.below("toda-involutivity", "toda-invariants-involutive", alg.name,
+                                 bracket_tables(alg, "linear", X[:, None], grads), 1e-9, params,
+                                 axes=("point", "row", "column")))
+
+    # independence of the P_i on T_T
+    out.append(CheckReport.equal("toda-independence", "toda-invariants-independent", alg.name,
+                                 int(ts.jacobian_ranks(grads).max()), alg.rank, params))
+
+    # conservation along the Toda flow, the exact t-flow on the one-block stack (A₀)
+    # from the first sample point
+    stack, note = factor_states(alg, "t", alg.to_matrices(X[0]), 1e-3, whole_steps(1e-3, 1.0))
+    states = alg.to_coords(stack)
+    vals = np.stack([trace_values(alg, states, i) for i in alg.exponents], axis=1)
+    out.append(CheckReport.below("toda-conservation", "toda-flow-conserves-invariants",
+                                 alg.name, relative_drift(vals, note), 1e-6,
+                                 {"dt": 1e-3, "T": 1.0, "seed": seed}, detail=note))
+
+    # the diagonal is t-flow invariant and the pushforward matches the t-flow field:
+    # the t-flow at (x, x) is (X_{P₁}(x), X_{P₁}(x))
+    gap = field_rows(alg, "t", np.tile(X, 2)) - np.tile(x_p1[:, 0], 2)
+    out.append(CheckReport.below("toda-diagonal-consistency", "t-flow-restricts-to-toda-flow",
+                                 alg.name, gap, 1e-10, params, axes=("point", "coordinate")))
 
     # T_T' = T_P ∩ Δ: membership verdicts agree on a mixed random population
-    ps, dps = phase_tp(alg), diag_phase_space(alg)
     P = _intersection_population(alg, seed)
     dim = alg.dim
     in_ttp = dps.membership_residuals(P) < 1e-10
@@ -433,6 +603,50 @@ def check_toda_battery(alg: AlgebraSpec, samples: int = 100,
     return out
 
 
+# --------------------------------------------------------------------------
+# the reports of `toda2 flow run` and `toda2 flow commutation`
+# --------------------------------------------------------------------------
+
+
+def flow_run_reports(ps: PhaseSpace, cfg: FlowConfig, traj: Trajectory,
+                     seed: int) -> list[CheckReport]:
+    """The drifts of one run from a seeded point of `ps`: the family's
+    conservation, tangency to `ps`, and on the t- and s-flows the pencil
+    eigenvalues at λ₀ = 0, 1, 2."""
+    alg = ps.alg
+    params = {"field": cfg.field, "dt": cfg.dt, "T": cfg.T, "seed": seed}
+    tol = 1e-6
+    out = [
+        CheckReport.below("flow-conservation", "flow-preserves-family", alg.name,
+                          traj.conservation_drift(), tol, params, detail=traj.note),
+        CheckReport.below("flow-tangency", "flow-tangent-to-phase-space", alg.name,
+                          traj.tangency_drift(ps), 1e-7, params),
+    ]
+    if cfg.field in FIELDS[:2]:
+        for lam0 in (0.0, 1.0, 2.0):
+            out.append(CheckReport.below(
+                f"flow-isospectral-l{lam0:g}", "pencil-eigenvalues-conserved", alg.name,
+                pencil_eigenvalue_drift(traj, lam0), tol,
+                {"field": cfg.field, "lambda0": lam0},
+            ))
+    return out
+
+
+def flow_commutation_reports(m0: PairPoint, dt: float, steps: int,
+                             seed: int) -> list[CheckReport]:
+    """The t/s commutation defect from m0, the seeded point of T_P."""
+    return [CheckReport.below(
+        "flow-commutation", "t-s-flows-commute", m0.alg.name,
+        flow_commutation(m0, dt=dt, n_steps=steps), 1e-6,
+        {"dt": dt, "steps": steps, "seed": seed},
+    )]
+
+
+# --------------------------------------------------------------------------
+# the batteries by name, and the "run everything" entry point
+# --------------------------------------------------------------------------
+
+
 _BATTERIES = {
     "mcybe": lambda alg, samples, seed: check_mcybe_battery(
         alg, samples=max(samples, 200), seed=seed),
@@ -442,8 +656,8 @@ _BATTERIES = {
         alg, points=samples, seed=seed),
     "casimir": lambda alg, samples, seed: check_casimir_battery(
         alg, samples=samples, seed=seed),
-    "morphism": lambda alg, samples, seed: [check_morphism_psi1(
-        alg, samples=max(samples, 100), seed=seed)],
+    "morphism": lambda alg, samples, seed: check_morphism_battery(
+        alg, samples=max(samples, 100), seed=seed),
     "independence": lambda alg, samples, seed: check_independence_battery(
         alg, points=samples, seed=seed),
     "rank": lambda alg, samples, seed: check_rank_battery(alg, seed=seed),
@@ -459,7 +673,14 @@ BATTERY_NAMES = tuple(_BATTERIES)
 
 def run_battery(name: str, alg: AlgebraSpec, samples: int = 20,
                 seed: int = 42) -> list[CheckReport]:
-    """The reports of battery `name` ("all": of every battery)."""
+    """The reports of battery `name` ("all": of every battery).
+
+    `samples` must be at least 1, for every name: mcybe, morphism and toda
+    raise it to their own floors (200, 100, 100), and the other sampling
+    batteries draw exactly that many.
+    """
+    if samples < 1:
+        raise PreconditionError(f"a battery needs samples >= 1, got {samples}")
     if name == "all":
         # a battery the spec cannot serve (say, flows on a basis not graded
         # entry by entry) reports so, and the others still run

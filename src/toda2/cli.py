@@ -10,7 +10,9 @@
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
 configuration error, 3 a program bug: any other exception, whose traceback
 goes to stderr.  Each check keeps its own tolerance; no flag changes it.
-Reports are deterministic for fixed flags.
+Reports are deterministic for fixed flags.  This module only parses, runs
+and emits: every report, those of `flow run` and `flow commutation`
+included, is built by `checks`.
 """
 from __future__ import annotations
 
@@ -32,16 +34,8 @@ from .algebra import (
     save_spec,
     spec_to_json,
 )
-from .checks import BATTERY_NAMES, run_battery
-from .flows import (
-    FIELDS,
-    MAX_STEPS,
-    FlowConfig,
-    flow_commutation,
-    integrate,
-    pencil_eigenvalue_drift,
-    trajectory_to_csv,
-)
+from .checks import BATTERY_NAMES, flow_commutation_reports, flow_run_reports, run_battery
+from .flows import FIELDS, MAX_STEPS, FlowConfig, integrate, trajectory_to_csv
 from .poisson import CapabilityError, PreconditionError, phase_tp
 from .reports import CheckReport, all_pass, emit_report
 
@@ -115,29 +109,9 @@ def _cmd_check(args) -> int:
 def _cmd_flow_run(args) -> int:
     cfg = FlowConfig(field=args.field, dt=args.dt, T=args.T, i=args.i,
                      lam=args.lam)
-    alg = resolve_algebra(args.algebra)
-    ps = phase_tp(alg)
-    m0 = ps.sample_points(args.seed, 1)[0]
-    traj = integrate(cfg, m0)
-    params = {"field": args.field, "dt": args.dt, "T": args.T, "seed": args.seed}
-    tol = 1e-6
-    reports = [
-        CheckReport.below(
-            "flow-conservation", "flow-preserves-family", alg.name,
-            traj.conservation_drift(), tol, params, detail=traj.note,
-        ),
-        CheckReport.below(
-            "flow-tangency", "flow-tangent-to-phase-space", alg.name,
-            traj.tangency_drift(ps), 1e-7, params,
-        ),
-    ]
-    if args.field in FIELDS[:2]:
-        for lam0 in (0.0, 1.0, 2.0):
-            reports.append(CheckReport.below(
-                f"flow-isospectral-l{lam0:g}", "pencil-eigenvalues-conserved", alg.name,
-                pencil_eigenvalue_drift(traj, lam0), tol,
-                {"field": args.field, "lambda0": lam0},
-            ))
+    ps = phase_tp(resolve_algebra(args.algebra))
+    traj = integrate(cfg, ps.sample_points(args.seed, 1)[0])
+    reports = flow_run_reports(ps, cfg, traj, args.seed)
     if args.csv:
         trajectory_to_csv(traj, args.csv)
         print(f"wrote {args.csv}", file=sys.stderr)
@@ -145,14 +119,8 @@ def _cmd_flow_run(args) -> int:
 
 
 def _cmd_flow_commutation(args) -> int:
-    alg = resolve_algebra(args.algebra)
-    ps = phase_tp(alg)
-    m0 = ps.sample_points(args.seed, 1)[0]
-    defect = flow_commutation(m0, dt=args.dt, n_steps=args.steps)
-    return _emit([CheckReport.below(
-        "flow-commutation", "t-s-flows-commute", alg.name, defect, 1e-6,
-        {"dt": args.dt, "steps": args.steps, "seed": args.seed},
-    )], args)
+    m0 = phase_tp(resolve_algebra(args.algebra)).sample_points(args.seed, 1)[0]
+    return _emit(flow_commutation_reports(m0, args.dt, args.steps, args.seed), args)
 
 
 def _whole(least: int, most: float):

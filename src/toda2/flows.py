@@ -26,9 +26,9 @@ between two pivot tests is a pole of the flow; the run stops before it, with
 a note.  The pivots are tested at every sample, and on a finer grid where the
 exponents of a minor could drift apart by more than _TURN between samples.
 `factor_states` is the one solver of both flows and of the classical Toda
-run of `toda.py`, which is the t-flow on the one-block stack (A).  The pencil
-fields are integrated by a fixed-step RK4 driver of Lax equations
-(`rk4_states`), with no re-projection onto the phase space: tangency drift is
+run of the Toda battery (`checks.check_toda_battery`), which is the t-flow
+on the one-block stack (A).  The pencil fields are integrated by a
+fixed-step RK4 driver of Lax equations (`rk4_states`), with no re-projection onto the phase space: tangency drift is
 a measured signal, not something to suppress.  Both engines return
 (states, note), so `integrate` only picks one.
 

@@ -31,7 +31,7 @@ row blocks contracted with the cached `struct`) and `algebra.mult_blocks`
 actions of `rmatrix` (`r_block`, `rr_block` and their adjoints).  A stack
 gives the same bits as its points one at a time, and one point is a
 one-row stack.
-Bracket values are the pairing of a gradient with a field (`form_blocks`);
+Bracket values are the pairing of a gradient with a field (`rmatrix.form_blocks`);
 `bracket_tables` and `poisson_matrices` take a stack of points.  A Poisson
 matrix evaluates the fields of the coordinate gradients at every point and
 those of the normal gradients only at the points that need the Dirac
@@ -40,9 +40,10 @@ one stacked SVD, its ranks counted above the one rank cut of `algebra`
 (`rank_cuts`).  `poisson_matrix` is `poisson_matrices` at one point, read off
 the row of its `PairPoint` record.
 
-Affine phase spaces (T_P and friends in 𝔤×𝔤, T_T in 𝔤) are a base row plus
-a tangent matrix; their coordinate functions are Euclidean duals of the tangent
-vectors.  For the linear bracket these spaces are genuine Poisson
+Affine phase spaces are a base row plus a tangent matrix: T_P in 𝔤×𝔤
+(`phase_tp`), the Toda space T_T = 𝔤₋₁ ⊕ 𝔤₀ + e in 𝔤 (`toda_space`) and
+its diagonal image T_T′ in 𝔤×𝔤 (`diag_phase_space`).  Their coordinate
+functions are Euclidean duals of the tangent vectors.  For the linear bracket these spaces are genuine Poisson
 submanifolds, so the matrix of coordinate brackets is the restricted
 structure.  The quadratic bracket does not leave the 2-Toda phase space
 invariant for n ≥ 3 (the Hamiltonian flow of a generic function moves the
@@ -51,8 +52,9 @@ induced structure instead: the coordinate matrix plus the Dirac correction
 along the normal directions, which coincides with the naive matrix whenever
 the subspace is invariant and exists precisely when the normal bracket
 pairings satisfy the usual range condition (validated at every call).
-`phase_tp` is built once per algebra spec (`AlgebraSpec.memo`), with its
+Each space is built once per algebra spec (`AlgebraSpec.memo`), with its
 tangent matrix, pseudo-inverse, duals and coordinate gradients read-only.
+The checks of these brackets, and their reports, are in `checks`.
 """
 from __future__ import annotations
 
@@ -72,10 +74,8 @@ from .algebra import (
     rank_cuts,
     read_only,
 )
-from .reports import CheckReport
 from .rmatrix import (
     PairPoint,
-    form_blocks,
     rr_adjoint_block,
     rr_block,
 )
@@ -96,8 +96,9 @@ __all__ = [
     "poisson_matrices",
     "rank_sweep",
     "numerical_rank",      # re-exported from `algebra`: perfbench reads it here
-    "check_morphism_psi1",
     "phase_tp",
+    "toda_space",
+    "diag_phase_space",
 ]
 
 _MEMBERSHIP_TOL = 1e-10   # largest normal residual of a point on a phase space
@@ -332,6 +333,29 @@ def phase_tp(alg: AlgebraSpec) -> PhaseSpace:
     return alg.memo("T_P", build)
 
 
+def toda_space(alg: AlgebraSpec) -> PhaseSpace:
+    """The affine space T_T = 𝔤₋₁ ⊕ 𝔤₀ + e inside a single algebra, built once per spec."""
+
+    def build():
+        free = (alg.degrees >= -1) & (alg.degrees <= 0)
+        # a copy for the base, which PhaseSpace makes read-only: not e_coords itself
+        return PhaseSpace("T_T", alg, np.array(alg.e_coords, dtype=float),
+                          np.eye(alg.dim)[:, free])
+
+    return alg.memo("T_T", build)
+
+
+def diag_phase_space(alg: AlgebraSpec) -> PhaseSpace:
+    """T_T′ = Δ(𝔤₋₁⊕𝔤₀) + (e, e), the diagonal image of T_T inside 𝔤×𝔤, built once per spec."""
+
+    def build():
+        ts = toda_space(alg)
+        return PhaseSpace("T_T'", alg, np.concatenate([ts.base, ts.base]),
+                          np.concatenate([ts.tangent_matrix, ts.tangent_matrix]))
+
+    return alg.memo("T_T'", build)
+
+
 # --------------------------------------------------------------------------
 # Poisson matrices and rank
 # --------------------------------------------------------------------------
@@ -465,53 +489,3 @@ def rank_sweep(ps: PhaseSpace, which: str = "linear", seed: int = 42) -> RankSwe
     margins = np.divide(smallest, cuts[:, 0], out=np.full(len(sv), np.inf), where=ranks > 0)
     return RankSweep(rank=int(ranks.max()), points=_RANK_POINTS, sv_margin=float(margins.min()),
                      corrected=int(corrected.sum()), invariance_defect=float(defect.max()))
-
-
-# --------------------------------------------------------------------------
-# the ψ₁ morphism check
-# --------------------------------------------------------------------------
-
-
-def _psi1_samples(alg: AlgebraSpec, seed: int, samples: int):
-    """Points m (samples, 2, dim) and the gradients ∇f, ∇g at w = x − y (samples, dim).
-
-    Sample k draws (x, y), then two covectors u, v with ∇f = G⁻¹u, ∇g = G⁻¹v,
-    or, at every fifth sample, four unit vectors a, b, c, d with
-    f(u) = ⟨a,u⟩⟨b,u⟩ and g(u) = ⟨c,u⟩⟨d,u⟩.  The draws are one array, in
-    that order.
-    """
-    rng = np.random.default_rng(seed)
-    quad = np.arange(samples) % 5 == 4
-    rows = np.where(quad, 6, 4)
-    start = np.cumsum(rows) - rows
-    U = rng.uniform(-1, 1, (int(rows.sum()), alg.dim))
-    M = U[start[:, None] + np.arange(2)]
-    gf, gg = _matvec(alg.gram_inv, U[start + 2]), _matvec(alg.gram_inv, U[start + 3])
-    v = U[start[quad, None] + 2 + np.arange(4)]               # (n_quad, 4, dim)
-    a, b, c, d = np.moveaxis(v / np.sqrt(np.vecdot(v, v))[..., None], 1, 0)
-    w = M[quad, 0] - M[quad, 1]
-
-    def pair(x, y):
-        return form_blocks(alg, x[:, None], y[:, None])[:, None]
-
-    gf[quad] = pair(b, w) * a + pair(a, w) * b
-    gg[quad] = pair(d, w) * c + pair(c, w) * d
-    return M, gf, gg
-
-
-def check_morphism_psi1(alg: AlgebraSpec, samples: int = 100, seed: int = 42):
-    """Verify {F∘ψ₁, G∘ψ₁}_ℛ(x,y) = {F, G}_LP(x−y) on random functions.
-
-    F, G run over random linear functions of 𝔤 plus, at every fifth sample,
-    quadratic monomials u ↦ ⟨a,u⟩⟨b,u⟩, with their exact gradients
-    (`_psi1_samples`), all evaluated on the sample stack at once.
-    """
-    M, gf, gg = _psi1_samples(alg, seed, samples)
-    w = M[:, 0] - M[:, 1]                                      # ψ₁(m)
-    # ∇(f∘ψ₁)(m) = (∇f(w), ∇f(w)), and {F, G} = ⟨∇F, X_G⟩₂
-    F2, G2 = np.stack([gf, gf], axis=1), np.stack([gg, gg], axis=1)
-    lhs = form_blocks(alg, F2, linear_field(alg, M, G2))
-    rhs = form_blocks(alg, w[:, None], bracket_blocks(alg, gf, gg)[:, None])   # {f, g}(w)
-    return CheckReport.below("morphism-psi1", "psi1-poisson-morphism", alg.name,
-                             lhs - rhs, 1e-9, {"samples": samples, "seed": seed},
-                             axes=("sample",))

@@ -13,9 +13,8 @@ Each operator is written once, as a block action on coordinate arrays of
 shape (…, k, dim) — k = 1 on 𝔤, k = 2 on 𝔤×𝔤 — broadcasting over the leading
 axes; one point is a one-row block.  `PairPoint` is the record (x, y) of one
 point of 𝔤×𝔤 at the API edge, with no arithmetic: every computation reads its
-coordinate row `vec()`.  The checker below measures the modified Yang–Baxter
-residual B_R(x,y) + [x,y] and its pair analogue on the whole sample stack at
-once.
+coordinate row `vec()`.  The mCYBE tensor B(X, Y) (`b_tensor_block`) is the
+one the mCYBE battery of `checks` measures, on 𝔤 and on 𝔤×𝔤.
 """
 from __future__ import annotations
 
@@ -24,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraError, AlgebraSpec, Element, bracket_blocks
-from .reports import CheckReport
 
 __all__ = [
     "PairPoint",
@@ -36,7 +34,6 @@ __all__ = [
     "r_bracket_blocks",
     "form_blocks",
     "block_norms",
-    "check_mcybe",
 ]
 
 
@@ -122,34 +119,3 @@ def b_tensor_block(alg: AlgebraSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray
     R-bracket, with ℛ in place of R on pair blocks (k = 2)."""
     return (bracket_blocks(alg, rr_block(alg, X), rr_block(alg, Y))
             - 2.0 * rr_block(alg, r_bracket_blocks(alg, X, Y)))
-
-
-# --------------------------------------------------------------------------
-# sampling + the mCYBE checker
-# --------------------------------------------------------------------------
-
-
-def check_mcybe(alg: AlgebraSpec, samples: int = 200, seed: int = 42,
-                pair: bool = False):
-    """Max residual of B(x,y) + [x,y] (mod center) over seeded samples: the
-    modified classical Yang–Baxter equation with c = 1.
-
-    Returns a CheckReport; `pair=True` runs the 𝔤×𝔤 version with ℛ.  The
-    samples are drawn as one stack, x then y per sample, and the residual is
-    evaluated on the whole stack.
-    """
-    if samples < 1:
-        raise ValueError(f"check_mcybe needs samples ≥ 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    k = 2 if pair else 1
-    XY = rng.uniform(-1.0, 1.0, (samples, 2, k, alg.dim))
-    X, Y = XY[:, 0], XY[:, 1]
-    res = b_tensor_block(alg, X, Y) + bracket_blocks(alg, X, Y)
-    # residuals are only required to lie in the centre
-    Z = alg.strip_centre(res)
-    norms = np.sqrt(np.vecdot(Z, Z))            # (samples, k) Euclidean norms
-    return CheckReport.below(
-        "mcybe-pair" if pair else "mcybe",
-        "mcybe-splitting-exact", alg.name, norms, 1e-11,
-        {"samples": samples, "seed": seed, "c": 1.0}, axes=("sample", "block"),
-    )

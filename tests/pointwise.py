@@ -23,8 +23,9 @@ state, against which the driver's (states, note) contract is checked, and
 `lax_field` turns the driver's partner into the field V ↦ [Z, V] that the
 reference loop steps.  `rk4_trajectory` and `sequential_commutation` run the
 t- and s-flows by RK4, a witness independent of the exact factorization
-that `integrate` and `flow_commutation` use.  `toda_run` is the Toda run of `toda_suite`, the
-exact t-flow on a one-block stack, from a start row.
+that `integrate` and `flow_commutation` use.  `toda_run` is the Toda run of
+the Toda battery (`checks.check_toda_battery`), the exact t-flow on a
+one-block stack, from a start row.
 `shuffled_and_rescaled` writes a spec in another basis of the same algebra.
 """
 

@@ -18,17 +18,12 @@ import pytest
 
 from toda2 import (
     FlowConfig,
-    check_binomial_identity,
-    check_mcybe,
-    check_morphism_psi1,
-    check_poisson_iso,
     family,
     pencil_eigenvalue_drift,
     phase_tp,
     rais_vectors,
     rank_sweep,
     run_battery,
-    toda_suite,
 )
 from toda2 import checks, poisson
 from toda2.invariants import family_gradient_stack
@@ -68,8 +63,7 @@ def reports_conclude(num, title, reports, tol, summary=None):
 def test_c01_mcybe(desk_algebras):
     reports = []
     for name in ORDER:
-        for pair in (False, True):
-            reports.append(check_mcybe(desk_algebras[name], samples=200, pair=pair))
+        reports += checks.check_mcybe_battery(desk_algebras[name], samples=200)
     reports_conclude(1, "mcybe splitting solution", reports, 1e-11)
 
 
@@ -184,11 +178,14 @@ def test_c08_flows(desk_algebras):
 
 def test_c09_toda_reduction(desk_algebras):
     reports = []
+    suite = ("toda-submanifold", "toda-lax-form", "toda-involutivity", "toda-independence",
+             "toda-conservation", "toda-diagonal-consistency")
     for name in ORDER:
-        reports.append(check_poisson_iso(desk_algebras[name], samples=100))
-        reports.append(check_binomial_identity(desk_algebras[name], samples=20))
-    for name in ("sl2", "sl3"):
-        reports += toda_suite(desk_algebras[name])
+        # the iso on 100 samples and the binomial collapse on 20, on the whole
+        # desk; the Toda suite on sl2 and sl3
+        wanted = ("toda-poisson-iso", "toda-binomial") + (suite if name in ("sl2", "sl3") else ())
+        reports += [r for r in checks.check_toda_battery(desk_algebras[name], samples=100)
+                    if r.check in wanted]
     reports_conclude(
         9,
         "Toda reduction (iso, binomial collapse, suite)",
@@ -201,7 +198,7 @@ def test_c09_toda_reduction(desk_algebras):
 
 
 def test_c10_psi1_morphism(desk_algebras):
-    reports = [
-        check_morphism_psi1(desk_algebras[name], samples=100) for name in ORDER
-    ]
+    reports = []
+    for name in ORDER:
+        reports += checks.check_morphism_battery(desk_algebras[name], samples=100)
     reports_conclude(10, "difference map is a Poisson morphism", reports, 1e-9)

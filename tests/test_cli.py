@@ -8,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from toda2 import (AlgebraValidationError, algebra, build_sl, checks, cli, emit_report, load_spec,
-                   run_battery, save_spec, spec_to_document)
+from toda2 import (AlgebraValidationError, PreconditionError, algebra, build_sl, checks, cli,
+                   emit_report, load_spec, run_battery, save_spec, spec_to_document)
 from toda2.checks import BATTERY_NAMES
 from toda2.cli import main, resolve_algebra
 
@@ -302,6 +302,20 @@ def test_check_samples_must_be_positive(battery, count, capsys):
         main(["check", battery, "--samples", count])
     assert ex.value.code == 2
     assert "--samples: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("battery", sorted(BATTERY_NAMES) + ["all"])
+@pytest.mark.parametrize("count", [0, -1])
+def test_run_battery_refuses_fewer_than_one_sample_before_any_battery_runs(
+        battery, count, monkeypatch, sl2):
+    # with no samples a residual battery would PASS on nothing measured, and
+    # others would fail in numpy; the library refuses as the CLI's bound does
+    ran = []
+    for key in BATTERY_NAMES:
+        monkeypatch.setitem(checks._BATTERIES, key, lambda *args, key=key: ran.append(key))
+    with pytest.raises(PreconditionError, match=f"samples >= 1, got {count}"):
+        run_battery(battery, sl2, samples=count)
+    assert ran == []
 
 
 @pytest.mark.parametrize("count", ["1001", str(10**30)])

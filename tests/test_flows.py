@@ -31,8 +31,8 @@ from toda2.cli import main
 from toda2 import cli, flows
 from toda2.flows import (_expm, _partner, _triangular_order, entry_masks,
                          factor_states, field_rows, rk4_states)
+from toda2.poisson import toda_space
 from toda2.rmatrix import r_block
-from toda2.toda import toda_space
 
 from pointwise import (bracket, flow_at, lax_field, project, projector_partner, rk4_reference,
                        sequential_commutation, toda_run)
@@ -399,7 +399,7 @@ def test_toda_run_matches_the_coordinate_projection(name, request):
 
 
 def toda_seed_point(alg, seed=42):
-    """The start row of `toda_suite`'s conservation run, its first sample point."""
+    """The start row of the Toda battery's conservation run, its first sample point."""
     return toda_space(alg).sample_stack(seed, 20)[0]
 
 

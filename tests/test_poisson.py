@@ -24,14 +24,13 @@ from toda2 import (
     ScalarFunction,
     build_gl,
     build_sl,
-    check_morphism_psi1,
     phase_tp,
     poisson_matrix,
     rank_sweep,
 )
 from toda2 import poisson
 from toda2.algebra import bracket_blocks, mult_blocks
-from toda2.checks import _cartan_block, check_jacobi_battery
+from toda2.checks import _cartan_block, check_jacobi_battery, check_morphism_battery
 from toda2.invariants import pullback_gradients, trace_gradients
 from toda2.poisson import (
     _block_pairing,
@@ -449,14 +448,14 @@ def test_psi1_is_difference(sl3):
 
 def test_psi1_morphism_check(sl2, gl2):
     for alg in (sl2, gl2):
-        report = check_morphism_psi1(alg, samples=40)
+        [report] = check_morphism_battery(alg, samples=40)
         assert report.verdict, report.line()
 
 
 def test_psi1_morphism_check_passes_on_so5(so5):
     # with finite-difference gradients of the quadratic monomials at step 1e-5
     # the roundoff once measured 1.13e-9 against the 1e-9 tolerance
-    report = check_morphism_psi1(so5)
+    [report] = check_morphism_battery(so5)
     assert report.verdict, report.line()
     assert report.measured < 1e-12
 

@@ -109,6 +109,28 @@ def test_only_reports_builds_a_check_report_by_hand():
     assert built == []
 
 
+def test_only_checks_turns_a_measurement_into_a_report():
+    # the rule that makes a verdict of a measurement (its residual, tolerance,
+    # params and axes) lives in checks.py; the other modules compute arrays,
+    # and only the CLI and the package surface read reports.py
+    constructors, readers = [], []
+    for path in sorted((ROOT / "src/toda2").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (path.name != "checks.py" and isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("below", "equal", "not_applicable")
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "CheckReport"):
+                constructors.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and (
+                    node.module in ("reports", "toda2.reports")
+                    or node.module in (None, "toda2")
+                    and any(alias.name == "reports" for alias in node.names)):
+                readers.append(path.name)
+    assert constructors == []
+    assert sorted(set(readers)) == ["__init__.py", "checks.py", "cli.py"]
+
+
 # --------------------------------------------------------------------------
 # every public method has a caller, and every default is set by one
 # --------------------------------------------------------------------------

@@ -11,10 +11,10 @@ from toda2 import (
     Element,
     PairPoint,
     build_sl,
-    check_mcybe,
     load_spec,
 )
 from toda2.algebra import bracket_blocks
+from toda2.checks import check_mcybe_battery
 from toda2.rmatrix import (
     r_adjoint_block,
     r_block,
@@ -125,8 +125,9 @@ def test_pair_bracket_componentwise(sl2):
 
 def test_check_mcybe_passes_everywhere(desk_algebras):
     for alg in desk_algebras.values():
-        for pair in (False, True):
-            report = check_mcybe(alg, pair=pair, samples=60)
+        reports = check_mcybe_battery(alg, samples=60)
+        assert [r.check for r in reports] == ["mcybe", "mcybe-pair"]
+        for report in reports:
             assert report.verdict, report.line()
 
 
@@ -135,8 +136,7 @@ def test_check_mcybe_rejects_broken_operator(sl2):
     # splitting's 𝔤_{≥0} = span(e, f) is not a subalgebra ([e, f] = h), and
     # R = P₊ − P₋ of that splitting fails mCYBE on 𝔤 and on 𝔤×𝔤
     broken = dataclasses.replace(sl2, degrees=np.where(sl2.degrees == 0, -1, 0))
-    for pair in (False, True):
-        report = check_mcybe(broken, samples=40, pair=pair)
+    for report in check_mcybe_battery(broken, samples=40):
         assert not report.verdict
         assert report.measured > 1e-3
 
@@ -192,7 +192,7 @@ def test_signs_are_cached_and_read_only(sl3):
 
 
 def _mcybe_per_sample(alg, samples=200, seed=42, pair=False):
-    """check_mcybe's residual one sample at a time, kept as the reference:
+    """The mCYBE battery's residual one sample at a time, kept as the reference:
     the same draws, one point's coordinates (dim,) or pair block (2, dim) at a
     time, centre projection and running max."""
     rng = np.random.default_rng(seed)
@@ -224,6 +224,6 @@ def _mcybe_per_sample(alg, samples=200, seed=42, pair=False):
 @pytest.mark.parametrize("name", ["sl3", "gl3", "so5"])
 def test_check_mcybe_stack_matches_per_sample_loop(name, request):
     alg = request.getfixturevalue(name)
-    for pair in (False, True):
-        report = check_mcybe(alg, samples=50, seed=9, pair=pair)
-        assert report.measured == _mcybe_per_sample(alg, samples=50, seed=9, pair=pair)
+    mcybe, mcybe_pair = check_mcybe_battery(alg, samples=50, seed=9)
+    assert mcybe.measured == _mcybe_per_sample(alg, samples=50, seed=9, pair=False)
+    assert mcybe_pair.measured == _mcybe_per_sample(alg, samples=50, seed=9, pair=True)

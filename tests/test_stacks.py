@@ -19,7 +19,7 @@ from toda2 import (
     phase_tp,
     poisson_matrix,
 )
-from toda2 import checks, poisson, toda
+from toda2 import checks, poisson
 from toda2.invariants import family, family_gradient_stack, family_labels
 from toda2.poisson import _gradient_blocks, bracket_tables, numerical_rank
 from toda2.rmatrix import r_bracket_blocks
@@ -89,7 +89,7 @@ def test_one_array_draw_equals_interleaved_draws():
 
 def test_psi1_draws_are_the_interleaved_draws(alg):
     # every fifth sample draws four unit vectors instead of two covectors
-    M, gf, gg = poisson._psi1_samples(alg, seed=42, samples=23)
+    M, gf, gg = checks._psi1_samples(alg, seed=42, samples=23)
     rng, gi = np.random.default_rng(42), alg.gram_inv
     for k in range(23):
         m = PairPoint(Element(alg, rng.uniform(-1, 1, alg.dim)),
@@ -111,7 +111,7 @@ def test_psi1_draws_are_the_interleaved_draws(alg):
 
 def test_intersection_population_is_the_interleaved_draws(alg):
     # 200 draws cycling through four modes of different widths, grouped by mode
-    ps, dps = phase_tp(alg), toda.diag_phase_space(alg)
+    ps, dps = phase_tp(alg), poisson.diag_phase_space(alg)
     rng = np.random.default_rng(42)
     points = []
     for k in range(200):
@@ -131,7 +131,7 @@ def test_intersection_population_is_the_interleaved_draws(alg):
 
 
 # ---------------------------------------------------------------------------
-# poisson.py: bracket tables, Poisson matrices, rank sweep, ψ₁
+# poisson.py: bracket tables, Poisson matrices, rank sweep
 # ---------------------------------------------------------------------------
 
 
@@ -163,8 +163,13 @@ def test_rank_evidence_is_in_the_rank_reports(gl3, sl3):
         assert "invariance defect max " in r.detail
 
 
+# ---------------------------------------------------------------------------
+# checks.py batteries
+# ---------------------------------------------------------------------------
+
+
 def test_morphism_psi1_matches_the_point_loop(alg):
-    M, gf, gg = poisson._psi1_samples(alg, seed=42, samples=100)
+    M, gf, gg = checks._psi1_samples(alg, seed=42, samples=100)
     worst = 0.0
     for m_blk, f, g in zip(M, gf, gg):
         m = PairPoint(Element(alg, m_blk[0]), Element(alg, m_blk[1]))
@@ -172,12 +177,7 @@ def test_morphism_psi1_matches_the_point_loop(alg):
         lhs = form2(PairPoint(f, f), field_at("linear", m, PairPoint(g, g)))
         rhs = form(psi1(m), bracket(f, g))
         worst = max(worst, abs(lhs - rhs))
-    assert same(poisson.check_morphism_psi1(alg).measured, worst)
-
-
-# ---------------------------------------------------------------------------
-# checks.py batteries
-# ---------------------------------------------------------------------------
+    assert same(measured(checks.check_morphism_battery(alg), "morphism-psi1"), worst)
 
 
 def test_casimir_battery_matches_the_point_loop(alg):
@@ -316,12 +316,12 @@ def test_quadratic_relations_match_the_point_loop(gl3):
 
 
 # ---------------------------------------------------------------------------
-# toda.py batteries
+# the Toda battery
 # ---------------------------------------------------------------------------
 
 
 def test_poisson_iso_matches_the_point_loop(alg):
-    ts, dps = toda.toda_space(alg), toda.diag_phase_space(alg)
+    ts, dps = poisson.toda_space(alg), poisson.diag_phase_space(alg)
     rng, worst = np.random.default_rng(42), 0.0
     for _ in range(100):
         x = Element(alg, ts.points_from_coords(rng.uniform(-1.0, 1.0, ts.dim)))
@@ -330,23 +330,23 @@ def test_poisson_iso_matches_the_point_loop(alg):
         lhs = table_at(p, [PairPoint.from_vec(alg, g) for g in dps.coord_gradients], "linear")
         rhs = table_at(x, [Element(alg, g) for g in ts.coord_gradients], "linear")
         worst = max(worst, float(np.abs(lhs - rhs).max()))
-    assert same(toda.check_poisson_iso(alg).measured, worst)
+    assert same(measured(checks.check_toda_battery(alg), "toda-poisson-iso"), worst)
 
 
 def test_binomial_identity_matches_the_point_loop(alg):
-    xs = toda.toda_space(alg).sample_points(42, 20)
+    xs = poisson.toda_space(alg).sample_points(42, 20)
     worst = 0.0
     for x in xs:
         values = family(alg)
         for (k, i), F in zip(family_labels(alg), values):
             worst = max(worst, abs(F(PairPoint(x, x)) - math.comb(i + 1, k) * trace_function(alg, i)(x)))
-    assert same(toda.check_binomial_identity(alg).measured, worst)
+    assert same(measured(checks.check_toda_battery(alg), "toda-binomial"), worst)
 
 
 def test_toda_suite_matches_the_point_loop(alg):
-    ts = toda.toda_space(alg)
+    ts = poisson.toda_space(alg)
     points = ts.sample_points(42, 20)
-    reports = toda.toda_suite(alg)
+    reports = checks.check_toda_battery(alg)
     coords = [linear_function(Element(alg, g[0]))
               for g in _gradient_blocks(alg, np.eye(alg.dim)[:, None])]
     assert same(measured(reports, "toda-submanifold"),
@@ -370,7 +370,7 @@ def test_toda_suite_matches_the_point_loop(alg):
 
 def test_phase_spaces_are_built_once_per_spec_and_read_only(sl3, gl3):
     for alg in (sl3, gl3):
-        for build in (phase_tp, toda.toda_space, toda.diag_phase_space):
+        for build in (phase_tp, poisson.toda_space, poisson.diag_phase_space):
             ps = build(alg)
             assert build(alg) is ps
             for name in ("tangent_matrix", "_pinv", "duals", "coord_gradients",

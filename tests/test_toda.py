@@ -14,20 +14,22 @@ from toda2 import (
     PreconditionError,
     ScalarFunction,
     build_sl,
-    check_binomial_identity,
-    check_poisson_iso,
     family_labels,
     family_values,
     phase_tp,
     toda_space,
-    toda_suite,
 )
-from toda2 import toda
+from toda2 import checks
+from toda2.checks import check_toda_battery
 from toda2.cli import main
 from toda2.flows import field_rows
 from toda2.invariants import trace_gradients, trace_values
 
 from pointwise import bracket, form, gradient2, project, toda_run, trace_function
+
+
+def report_of(reports, check):
+    return next(r for r in reports if r.check == check)
 
 
 def test_toda_space_dimensions(desk_algebras):
@@ -124,7 +126,7 @@ def test_toda_horizon_must_be_whole_number_of_steps(sl3):
 
 def test_poisson_iso_check(sl2, sl3, gl2):
     for alg in (sl2, sl3, gl2):
-        r = check_poisson_iso(alg, samples=50)
+        r = report_of(check_toda_battery(alg, samples=50), "toda-poisson-iso")
         assert r.verdict, r.line()
 
 
@@ -143,13 +145,15 @@ def test_binomial_identity_explicit(sl3):
 
 def test_binomial_identity_check(desk_algebras):
     for alg in desk_algebras.values():
-        r = check_binomial_identity(alg, samples=10)
+        # the battery checks the binomial collapse on a fifth of its samples
+        r = report_of(check_toda_battery(alg, samples=50), "toda-binomial")
+        assert r.params["samples"] == 10
         assert r.verdict, r.line()
 
 
 def test_toda_conservation_batch_matches_per_state_loop(sl3, gl3):
     for alg in (sl3, gl3):
-        report = next(r for r in toda_suite(alg) if r.check == "toda-conservation")
+        report = report_of(check_toda_battery(alg), "toda-conservation")
         ts = toda_space(alg)
         u0 = np.random.default_rng(42).uniform(-1.0, 1.0, ts.dim)
         states, _ = toda_run(alg, ts.points_from_coords(u0))
@@ -190,9 +194,13 @@ def test_toda_conservation_holds_through_large_excursions(name, seed, capsys):
     assert report["measured"] < 1e-9
 
 
+TODA_SUITE = ("toda-submanifold", "toda-lax-form", "toda-involutivity", "toda-independence",
+              "toda-conservation", "toda-diagonal-consistency")
+
+
 def test_toda_suite_passes(sl2, sl3):
     for alg in (sl2, sl3):
-        reports = toda_suite(alg)
+        reports = [r for r in check_toda_battery(alg) if r.check in TODA_SUITE]
         assert len(reports) == 6
         assert all(r.verdict for r in reports), [r.line() for r in reports]
 
@@ -201,9 +209,9 @@ def test_diagonal_consistency_fails_a_linear_field_off_by_one_part_in_a_million(
                                                                                 monkeypatch):
     # a negative control: the t-flow on the diagonal is compared with the
     # bracket field of P₁, so a linear field off by a factor 1 + 1e-6 fails it
-    field = toda.linear_field
-    monkeypatch.setattr(toda, "linear_field", lambda alg, m, g: field(alg, m, g) * (1.0 + 1e-6))
-    report = next(r for r in toda_suite(sl3) if r.check == "toda-diagonal-consistency")
+    field = checks.linear_field
+    monkeypatch.setattr(checks, "linear_field", lambda alg, m, g: field(alg, m, g) * (1.0 + 1e-6))
+    report = report_of(check_toda_battery(sl3), "toda-diagonal-consistency")
     assert not report.verdict and report.measured > 1e-7
 
 

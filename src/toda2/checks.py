@@ -578,12 +578,13 @@ def check_toda_battery(alg: AlgebraSpec, samples: int = 100,
 
     # conservation along the Toda flow, the exact t-flow on the one-block stack (A₀)
     # from the first sample point
-    stack, note = factor_states(alg, "t", alg.to_matrices(X[0]), 1e-3, whole_steps(1e-3, 1.0))
+    stack, note, _ = factor_states(alg, "t", alg.to_matrices(X[0]), 1e-3, whole_steps(1e-3, 1.0))
     states = alg.to_coords(stack)
     vals = np.stack([trace_values(alg, states, i) for i in alg.exponents], axis=1)
     out.append(CheckReport.below("toda-conservation", "toda-flow-conserves-invariants",
                                  alg.name, relative_drift(vals, note), 1e-6,
-                                 {"dt": 1e-3, "T": 1.0, "seed": seed}, detail=note))
+                                 {"dt": 1e-3, "T": 1.0, "seed": seed}, detail=note,
+                                 axes=_drift_axes(note)))
 
     # the diagonal is t-flow invariant and the pushforward matches the t-flow field:
     # the t-flow at (x, x) is (X_{P₁}(x), X_{P₁}(x))
@@ -608,6 +609,13 @@ def check_toda_battery(alg: AlgebraSpec, samples: int = 100,
 # --------------------------------------------------------------------------
 
 
+def _drift_axes(note: str) -> tuple:
+    """The axis names of a run's conservation drifts: a FAIL of a finished
+    run names its worst function; a stopped run's drifts are all NaN, so
+    its FAIL names no entry, and its note says where the run stopped."""
+    return () if note else ("function",)
+
+
 def flow_run_reports(ps: PhaseSpace, cfg: FlowConfig, traj: Trajectory,
                      seed: int) -> list[CheckReport]:
     """The drifts of one run from a seeded point of `ps`: the family's
@@ -618,7 +626,8 @@ def flow_run_reports(ps: PhaseSpace, cfg: FlowConfig, traj: Trajectory,
     tol = 1e-6
     out = [
         CheckReport.below("flow-conservation", "flow-preserves-family", alg.name,
-                          traj.conservation_drift(), tol, params, detail=traj.note),
+                          traj.conservation_drift(), tol, params, detail=traj.note,
+                          axes=_drift_axes(traj.note)),
         CheckReport.below("flow-tangency", "flow-tangent-to-phase-space", alg.name,
                           traj.tangency_drift(ps), 1e-7, params),
     ]

@@ -18,19 +18,22 @@ The t- and s-flows are Adler–Kostant–Symes flows and are solved exactly
     s-flow: exp(−sM₀) = n₋b₊,  (L, M)(s) = n₋⁻¹(L₀, M₀)n₋,
 
 with n₋ unit lower-triangular and b₊ upper-triangular, in an order of the
-matrix indices that makes 𝔤_{≥0} upper-triangular (`_triangular_order`):
-one stacked pass of `_expm`, the unpivoted `_lu` and a conjugation gives
-every sample of a stretch, and a new stretch starts from the last state where
-τ‖X‖₁ would pass _FACTOR_NORM.  A leading minor of exp(τX) that changes sign
-between two pivot tests is a pole of the flow; the run stops before it, with
-a note.  The pivots are tested at every sample, and on a finer grid where the
-exponents of a minor could drift apart by more than _TURN between samples.
+matrix indices that makes 𝔤_{≥0} upper-triangular (`_triangular_order`).
+A stretch samples τ = k·h, k = 1…m: one stacked `_expm` of the anchors
+exp(2^j·hX), one matrix product per sample for exp(khX) (`_grid_expm`), the
+unpivoted `_lu` and a conjugation give every sample, and a new stretch
+starts from the last state where τ‖X‖₁ would pass _FACTOR_NORM.  A leading
+minor of exp(τX) that changes sign between two pivot tests is a pole of the
+flow; the run stops before it, with a note.  The pivots are tested at every
+sample, and on a finer grid where the exponents of a minor could drift apart
+by more than _TURN between samples.
 `factor_states` is the one solver of both flows and of the classical Toda
 run of the Toda battery (`checks.check_toda_battery`), which is the t-flow
 on the one-block stack (A).  The pencil fields are integrated by a
 fixed-step RK4 driver of Lax equations (`rk4_states`), with no re-projection onto the phase space: tangency drift is
 a measured signal, not something to suppress.  Both engines return
-(states, note), so `integrate` only picks one.
+(states, note, work counts), so `integrate` only picks one; it keeps the
+counts on the `Trajectory`, where no report reads them.
 
 Every field is one matrix commutator V ↦ [Z, V] = ZV − VZ on a (k, n, n)
 stack; only its partner Z = Z(V) differs:
@@ -48,6 +51,8 @@ point is a one-row stack.
 """
 from __future__ import annotations
 
+import bisect
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -200,7 +205,11 @@ class FlowConfig:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Times, states (rows are vec(PairPoint)), and conserved-family values."""
+    """Times, states (rows are vec(PairPoint)), and conserved-family values,
+    with the work counts of the engine that ran it, which no report states:
+    samples, pivot tests and factorizations of an exact run
+    (`factor_states`), steps and field evaluations of an RK4 run
+    (`rk4_states`)."""
 
     alg: AlgebraSpec
     times: np.ndarray                  # (N,)
@@ -208,6 +217,7 @@ class Trajectory:
     conserved: np.ndarray              # (N, card)
     conserved_names: tuple[str, ...]
     note: str = ""                     # why the run stopped early, if it did
+    work: dict = dataclasses.field(default_factory=dict)
 
     @property
     def truncated(self) -> bool:
@@ -233,14 +243,16 @@ def relative_drift(values: np.ndarray, note: str) -> np.ndarray:
 
 
 def rk4_states(partner: Callable, v0: np.ndarray, dt: float,
-               n_steps: int) -> tuple[np.ndarray, str]:
+               n_steps: int) -> tuple[np.ndarray, str, dict]:
     """Fixed-step RK4 run of the Lax equation V̇ = [Z(V), V] from a stack
     v0 (…, k, n, n); partner(V) returns Z(V), one matrix for all blocks of a
     stack entry or one per block.
 
-    Returns the states stacked along a new first axis and a note, as
-    `factor_states` does: a run that reaches a non-finite state ends
-    before it, and the note names its step (empty when there is none).
+    Returns the states stacked along a new first axis, a note and the work
+    counts, as `factor_states` does: a run that reaches a non-finite state
+    ends before it, and the note names its step (empty when there is
+    none).  The counts are the steps made, the one that reached the
+    non-finite state included, and their four field evaluations each.
     """
     def field(V):
         Z = partner(V)
@@ -249,6 +261,7 @@ def rk4_states(partner: Callable, v0: np.ndarray, dt: float,
     states = np.empty((n_steps + 1, *np.shape(v0)))
     states[0] = v0
     v = states[0]
+    note, steps = "", n_steps
     # overflow on the way to a detected blow-up is expected, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
@@ -258,10 +271,11 @@ def rk4_states(partner: Callable, v0: np.ndarray, dt: float,
             k4 = field(v + dt * k3)
             v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.isfinite(v).all():
-                return states[:step], (f"non-finite state at step {step} (t = {step * dt:g}); "
-                                       f"trajectory truncated")
+                states, steps = states[:step], step
+                note = f"non-finite state at step {step} (t = {step * dt:g}); trajectory truncated"
+                break
             states[step] = v
-    return states, ""
+    return states, note, {"steps": steps, "field_evals": 4 * steps}
 
 
 # --------------------------------------------------------------------------
@@ -273,33 +287,58 @@ def rk4_states(partner: Callable, v0: np.ndarray, dt: float,
 # lost to cancellation (one factorization of exp(tL₀) on the sl2 seed point
 # loses its second pivot near t = 12.6)
 _FACTOR_NORM = 1.0
-# most samples of one stretch: its temporaries stay ~20 (n, n) stacks this long
+# most samples m of one stretch: its temporaries peak at 7 (m, n, n) stacks,
+# its 2 of states included, and ⌊log₂ m⌋ + 1 = 10 anchors exp(2^j·hX) give
+# every exp(khX) (`_grid_expm`)
 _STRETCH_SAMPLES = 512
 # largest τ·Σ|λ(X)| between two pivot tests: no two terms exp(τμ) of a minor
 # of exp(τX) turn by more than a radian against each other (a sign change
 # takes π) or change their ratio by more than e.  A test, not a certificate:
 # two real zeros closer than its step can still hide
 _TURN = 1.0
-# Taylor degree of `_expm` at ‖B‖₁ ≤ ½: the tail is below 2⁻¹⁵/15! ≈ 2.3e-17
+# Taylor degree of `_expm` at ‖B‖₁ < ½, where the tail is below 2⁻¹⁵/15! ≈
+# 2.3e-17; a stack of smaller scaled norm θ takes the least degree d whose
+# tail θ^(d+1)/(d+1)! stays below that bound: _TAYLOR_NORMS[d − 1] is the
+# largest θ of degree d (degree 4 at θ = 1e-3, 12 at θ = ¼)
 _TAYLOR_DEGREE = 14
+_TAYLOR_NORMS = tuple((math.factorial(d + 1) * 0.5**15 / math.factorial(15)) ** (1.0 / (d + 1))
+                      for d in range(1, _TAYLOR_DEGREE + 1))
 # largest |log det exp(τX) − τ tr X| of a factorization taken as exact
 _DET_TOL = 1e-8
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
     """exp of each matrix of an (m, n, n) stack: a Taylor series on A/2^s,
-    one s for the whole stack so that every ‖A/2^s‖₁ ≤ ½, then s squarings."""
-    _, e = np.frexp(np.abs(A).sum(axis=-2).max())     # largest ‖A_k‖₁ < 2^e
-    s = max(0, int(e) + 1)
-    B = A / 2.0**s
+    one s for the whole stack so that every ‖A/2^s‖₁ < ½, of the degree
+    that the stack's largest ‖A/2^s‖₁ needs (`_TAYLOR_NORMS`), then s
+    squarings."""
+    norm = float(np.abs(A).sum(axis=-2).max())
+    _, e = math.frexp(norm)                           # largest ‖A_k‖₁ < 2^e
+    s = max(0, e + 1)
+    degree = min(_TAYLOR_DEGREE, 1 + bisect.bisect_left(_TAYLOR_NORMS, norm / 2.0**s))
+    terms = A / (2.0**s * np.arange(degree, 0, -1.0))[:, None, None, None]   # B/d, …, B/1
     eye = np.eye(A.shape[-1])
-    E = eye + B / _TAYLOR_DEGREE
-    for k in range(_TAYLOR_DEGREE - 1, 0, -1):        # Horner: I + B/k·(…)
-        E = B @ E
-        E /= k
+    E = eye + terms[0]
+    for term in terms[1:]:                            # Horner: I + B/k·(…)
+        E = term @ E
         E += eye
     for _ in range(s):
         E = E @ E
+    return E
+
+
+def _grid_expm(X: np.ndarray, h: float, m: int) -> np.ndarray:
+    """exp(khX), k = 1…m, as an (m, n, n) stack: one stacked `_expm` of the
+    anchors exp(2^j·hX), j = 0…⌊log₂ m⌋, then one matrix product per
+    sample.  exp(khX) is the product of the anchors of k's set bits, formed
+    in ⌊log₂ m⌋ stacked products, so each is a product of at most
+    ⌊log₂ m⌋ + 1 accurate factors (not exp(hX) multiplied k times, whose
+    error grows like k·ε); a one-sample grid is its one anchor."""
+    anchors = _expm(np.ldexp(h, np.arange(m.bit_length()))[:, None, None] * X)
+    E = anchors[:1]
+    for j in range(1, len(anchors)):   # exp((c + i)hX) = exp(i·hX)·exp(c·hX), c = 2^j
+        c = 1 << j
+        E = np.concatenate([E, anchors[j:j + 1], E[:min(c - 1, m - c)] @ anchors[j]])
     return E
 
 
@@ -343,9 +382,9 @@ def _triangular_order(alg: AlgebraSpec) -> np.ndarray:
     return alg.memo("triangular-order", build)
 
 
-def _factor_stretch(X: np.ndarray, V: np.ndarray, block: int,
-                    taus: np.ndarray) -> tuple[np.ndarray, str]:
-    """(L, M)(τ) at the times `taus` from V = (L, M), one stacked pass.
+def _factor_stretch(X: np.ndarray, V: np.ndarray, block: int, h: float,
+                    m: int) -> tuple[np.ndarray, str]:
+    """(L, M)(τ) at the times τ = k·h, k = 1…m, from V = (L, M), one stacked pass.
 
     exp(τX) = n₋b₊, and block 0, the t-flow (X = L), gives (L, M)(τ) =
     b₊(L, M)b₊⁻¹; block 1, the s-flow (X = −M), (L, M)(τ) = n₋⁻¹(L, M)n₋.
@@ -356,7 +395,8 @@ def _factor_stretch(X: np.ndarray, V: np.ndarray, block: int,
     before the first time whose pivots are not all positive, or not
     witnessed; the second value says why: "pole", "inexact" or "".
     """
-    lower, upper = _lu(_expm(taus[:, None, None] * X))
+    lower, upper = _lu(_grid_expm(X, h, m))
+    taus = h * np.arange(1, m + 1)
     pivots = np.diagonal(upper, axis1=-2, axis2=-1)
     exact = np.abs(np.log(np.abs(pivots)).sum(axis=-1) - taus * np.trace(X)) <= _DET_TOL
     good = exact & np.all(pivots > 0, axis=-1)
@@ -375,7 +415,7 @@ def _factor_stretch(X: np.ndarray, V: np.ndarray, block: int,
 
 
 def factor_states(alg: AlgebraSpec, field: str, V0: np.ndarray, dt: float,
-                  n_steps: int) -> tuple[np.ndarray, str]:
+                  n_steps: int) -> tuple[np.ndarray, str, dict]:
     """The t- or s-flow from the stack V0 = (L, M), or the t-flow from the
     one-block stack (L), sampled at k·dt, k = 0…n_steps, solved exactly with
     the matrix indices taken in the order `_triangular_order(alg)`.
@@ -390,9 +430,12 @@ def factor_states(alg: AlgebraSpec, field: str, V0: np.ndarray, dt: float,
     grid too, since a real exponential sum can change sign twice within one
     sample.  The grid holds at most MAX_STEPS points.
 
-    Returns the states along a new first axis and a note, empty unless the
+    Returns the states along a new first axis, a note, empty unless the
     run stops before n_steps: at a pole, at a sample whose factorization is
-    not exact, at a non-finite state, or where the grid runs out.
+    not exact, at a non-finite state, or where the grid runs out, and the
+    work counts: the samples kept after the start, the pivot tests (the
+    grid points whose exp(τX) was factored) and the factorizations (the
+    stretches).
     """
     order = _triangular_order(alg)
     V0 = V0[..., order[:, None], order]
@@ -409,14 +452,15 @@ def factor_states(alg: AlgebraSpec, field: str, V0: np.ndarray, dt: float,
         h, n = dt / q, min(n_steps, MAX_STEPS // q) * q
         states = np.empty((n + 1, *V0.shape))
         states[0] = V0
-        k, stop = 0, ""
+        k, stop, tests, stretches = 0, "", 0, 0
         while k < n and not stop:
             V = states[k]
             rate = h * float(np.abs(V[block]).sum(axis=0).max())
             m = min(n - k, _STRETCH_SAMPLES)
             if rate * m > _FACTOR_NORM:
                 m = max(1, int(_FACTOR_NORM / rate))
-            stretch, stop = _factor_stretch(sign * V[block], V, block, h * np.arange(1, m + 1))
+            stretch, stop = _factor_stretch(sign * V[block], V, block, h, m)
+            tests, stretches = tests + m, stretches + 1
             finite = np.isfinite(stretch).all(axis=(1, 2, 3))
             if not finite.all():
                 stretch, stop = stretch[:int(np.argmin(finite))], "non-finite"
@@ -433,7 +477,8 @@ def factor_states(alg: AlgebraSpec, field: str, V0: np.ndarray, dt: float,
         "non-finite": f"non-finite state at {at}",
         "unresolved": f"step too large to resolve poles at {at}",
     }[stop or ("unresolved" if k < n_steps else "")]
-    return states, note and note + "; trajectory truncated"
+    work = {"samples": k, "pivot_tests": tests, "factorizations": stretches}
+    return states, note and note + "; trajectory truncated", work
 
 
 # --------------------------------------------------------------------------
@@ -453,11 +498,11 @@ def integrate(cfg: FlowConfig, m0: PairPoint, conserved: bool = True) -> Traject
     alg = m0.alg
     V0 = alg.to_matrices(m0.vec())
     if cfg.field in FIELDS[:2]:
-        stack, note = factor_states(alg, cfg.field, V0, cfg.dt, cfg.n_steps)
+        stack, note, work = factor_states(alg, cfg.field, V0, cfg.dt, cfg.n_steps)
     else:
         require_generator_label(alg, cfg.i)
-        stack, note = rk4_states(_partner(alg, cfg.field, cfg.i, cfg.lam), V0, cfg.dt,
-                                 cfg.n_steps)
+        stack, note, work = rk4_states(_partner(alg, cfg.field, cfg.i, cfg.lam), V0, cfg.dt,
+                                       cfg.n_steps)
     states = alg.to_coords(stack)
     names, values = (), np.empty((len(states), 0))
     if conserved:
@@ -473,6 +518,7 @@ def integrate(cfg: FlowConfig, m0: PairPoint, conserved: bool = True) -> Traject
         conserved=values,
         conserved_names=names,
         note=note,
+        work=work,
     )
 
 
@@ -486,7 +532,7 @@ def flow_commutation(m0: PairPoint, dt: float = 1e-3, n_steps: int = 100) -> flo
     whole_steps(dt, dt * n_steps)
 
     def leg(field, V):
-        states, note = factor_states(alg, field, V, dt, n_steps)
+        states, note, _ = factor_states(alg, field, V, dt, n_steps)
         return None if note else states[-1]
 
     V0 = alg.to_matrices(m0.vec())

@@ -244,7 +244,7 @@ def rk4_trajectory(cfg, m0):
     """The RK4 run of the configured field from m0 as a Trajectory, with the
     family evaluated on every state; truncated before a non-finite state."""
     alg = m0.alg
-    stack, note = rk4_states(_partner(alg, cfg.field, cfg.i, cfg.lam), alg.to_matrices(m0.vec()),
+    stack, note, _ = rk4_states(_partner(alg, cfg.field, cfg.i, cfg.lam), alg.to_matrices(m0.vec()),
                              cfg.dt, cfg.n_steps)
     states = alg.to_coords(stack)
     return Trajectory(alg=alg, times=np.arange(len(states)) * cfg.dt, states=states,
@@ -255,7 +255,7 @@ def rk4_trajectory(cfg, m0):
 def toda_run(alg, x0, dt=1e-3, T=1.0):
     """The Toda run from the coordinate row x0 (dim,): the t-flow on the
     one-block stack (A₀), as coordinate rows (N, dim), and its note."""
-    stack, note = factor_states(alg, "t", alg.to_matrices(x0), dt, whole_steps(dt, T))
+    stack, note, _ = factor_states(alg, "t", alg.to_matrices(x0), dt, whole_steps(dt, T))
     return alg.to_coords(stack), note
 
 

@@ -8,8 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
-from toda2 import (AlgebraValidationError, PreconditionError, algebra, build_sl, checks, cli,
-                   emit_report, load_spec, run_battery, save_spec, spec_to_document)
+from toda2 import (AlgebraValidationError, FlowConfig, PreconditionError, algebra, build_gl,
+                   build_sl, checks, cli, emit_report, integrate, load_spec, phase_tp,
+                   run_battery, save_spec, spec_to_document)
 from toda2.checks import BATTERY_NAMES
 from toda2.cli import main, resolve_algebra
 
@@ -228,6 +229,32 @@ def test_flow_run_names_the_interval_of_a_pole(argv, interval, capsys):
     report = next(r for r in doc["reports"] if r["check"] == "flow-conservation")
     assert report["verdict"] is False
     assert report["detail"] == f"pole between {interval}; trajectory truncated"
+
+
+@pytest.mark.parametrize("argv, note", [
+    # RK4 on the linear pencil field at a coarse step finishes, drifting past 1e-6
+    (["--algebra", "gl2", "--field", "linear", "--i", "1", "--lam", "0.5", "--dt", "0.25",
+      "--T", "1"], ""),
+    (["--algebra", "sl4", "--field", "t", "--dt", "2e-3", "--T", "3"],
+     "pole between t = 2.056 and t = 2.058 (steps 1028 and 1029); trajectory truncated"),
+], ids=["finished", "stopped"])
+def test_a_conservation_fail_names_its_worst_function_unless_the_run_stopped(argv, note,
+                                                                          capsys):
+    # a finished run's FAIL names the function that drifted most; a stopped
+    # run's drifts are all NaN, so its FAIL names no entry, only its note
+    assert main(["flow", "run", *argv, "--format", "json"]) == 1
+    report = next(r for r in json.loads(capsys.readouterr().out)["reports"]
+                  if r["check"] == "flow-conservation")
+    assert report["verdict"] is False
+    if note:
+        assert report["measured"] is None and report["detail"] == note
+        return
+    alg = build_gl(2)
+    m0 = phase_tp(alg).sample_points(seed=42, count=1)[0]
+    drift = integrate(FlowConfig(field="linear", i=1, lam=0.5, dt=0.25, T=1.0), m0) \
+        .conservation_drift()
+    assert report["measured"] == drift.max() > 1e-6
+    assert report["detail"] == f"worst at function {np.argmax(drift)}"
 
 
 def test_check_json_output_is_deterministic(capsys):

@@ -344,7 +344,7 @@ def test_rk4_states_matches_the_reference_loop_bit_for_bit(case, request):
     alg = _algebra(name, request)
     partner = _partner(alg, field, i, lam)
     V0 = alg.to_matrices(_start(alg, scale).vec())
-    lean, note = rk4_states(partner, V0, dt, steps)
+    lean, note, _ = rk4_states(partner, V0, dt, steps)
     ref = rk4_reference(lax_field(partner), V0, dt, steps)
     # the kept states are the reference's bit for bit, and the reference's
     # next state is non-finite exactly when the note names a step, that step
@@ -455,7 +455,7 @@ def test_toda_rk4_has_order_four_against_the_factor_path(name, request):
     # global error ~16× when the step halves
     alg = _algebra(name, request)
     V0 = alg.to_matrices(toda_seed_point(alg))
-    exact, note = factor_states(alg, "t", V0, 0.025, 40)
+    exact, note, _ = factor_states(alg, "t", V0, 0.025, 40)
     assert note == ""
 
     def err(dt):
@@ -528,14 +528,35 @@ def exact_flow(field, m0, T):
 
 @pytest.mark.parametrize("size", [2, 4, 9])
 def test_stacked_expm_matches_the_taylor_oracle(size):
-    # one scale for the whole stack, the oracle one per matrix: the same
-    # exponentials to roundoff that grows with the squarings
+    # one scale and one Taylor degree for the whole stack, the oracle one
+    # scale per matrix and degree 19: the same exponentials to roundoff that
+    # grows with the squarings, down to the lowest fitted degrees (1e-4, 1e-3)
     rng = np.random.default_rng(size)
-    for norm in (0.01, 0.3, 1.0, 5.0, 30.0, 300.0):
+    for norm in (1e-4, 1e-3, 0.01, 0.3, 1.0, 5.0, 30.0, 300.0):
         A = rng.standard_normal((6, size, size))
         A *= norm / np.abs(A).sum(axis=-2).max(axis=-1)[:, None, None]
         for got, want in zip(_expm(A), (expm(a) for a in A)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), norm
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 255, 256, 257, 512])
+def test_each_sample_of_a_stretch_matches_its_own_factorization(m, sl3, gl3, so5):
+    # a stretch of m samples τ = k·h takes exp(khX) as a product of the
+    # anchors exp(2^j·hX) of k's set bits; the oracle factors each exp(khX)
+    # on its own.  h puts the last sample at the stretch limit τ‖X‖₁ = 1
+    for alg in (sl3, gl3, so5):
+        V = alg.to_matrices(seed_point(alg).vec())
+        assert np.array_equal(_triangular_order(alg), np.arange(alg.matrix_size))
+        for block, sign in ((0, 1.0), (1, -1.0)):
+            X = sign * V[block]
+            h = 1.0 / (m * np.abs(X).sum(axis=0).max())
+            states, stop = flows._factor_stretch(X, V, block, h, m)
+            assert stop == "" and len(states) == m
+            for k, got in enumerate(states, 1):
+                lower, upper = lu_nopivot(expm(k * h * X))
+                g = upper if block == 0 else np.linalg.inv(lower)
+                want = g @ V @ np.linalg.inv(g)
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (alg.name, k)
 
 
 def rk4_end(alg, field, m0, dt, T):
@@ -584,7 +605,7 @@ def test_blowup_stops_before_the_pole(name, first_bad, request):
                          f"{first_bad * dt:g} (steps {first_bad - 1} and {first_bad}); "
                          f"trajectory truncated")
     assert np.all(np.isfinite(traj.states)) and np.all(np.isfinite(traj.conserved))
-    stack, note = rk4_states(_partner(alg, "t"), alg.to_matrices(seed_point(alg).vec()), dt, 1500)
+    stack, note, _ = rk4_states(_partner(alg, "t"), alg.to_matrices(seed_point(alg).vec()), dt, 1500)
     assert note and 0 <= len(stack) - first_bad <= 3     # RK4's first non-finite state
 
 
@@ -601,6 +622,24 @@ def test_no_blowup_where_the_values_only_grow(sl2):
     assert np.abs(end - rk4).max() <= 1e-10 * np.abs(rk4).max()
     traj = integrate(FlowConfig(field="t", dt=0.05, T=30.0), m0, conserved=[])
     assert not traj.truncated and np.abs(traj.states[-1]).max() > 1e19
+
+
+@pytest.mark.parametrize("name, cfg, work", [
+    ("sl4", FlowConfig(field="t", dt=1e-3, T=0.2),
+     {"samples": 200, "pivot_tests": 200, "factorizations": 1}),
+    # the capped pivot grid: 195 tests per sample, a factorization each,
+    # until the grid of MAX_STEPS points runs out before step 52
+    ("sl2", FlowConfig(field="s", dt=100.0, T=1e5),
+     {"samples": 51, "pivot_tests": 9945, "factorizations": 9945}),
+    ("gl2", FlowConfig(field="linear", i=1, lam=0.5, dt=0.25, T=1.0),
+     {"steps": 4, "field_evals": 16}),
+    # the step that reaches a non-finite state is counted
+    ("gl2", FlowConfig(field="linear", i=1, lam=0.5, dt=0.05, T=4.0),
+     {"steps": 48, "field_evals": 192}),
+], ids=["sl4-t", "sl2-s-dt100", "gl2-linear", "gl2-linear-blowup"])
+def test_a_run_carries_the_work_counts_of_its_engine(name, cfg, work, request):
+    traj = integrate(cfg, seed_point(request.getfixturevalue(name)), conserved=[])
+    assert traj.work == work
 
 
 @pytest.mark.parametrize("name", ["sl2", "gl2"])
@@ -694,8 +733,8 @@ def test_factor_path_is_homogeneous_under_scaling(c, sl3, gl3):
               for alg in (gl3, sl3) for field in ("t", "s")]
     starts.append((sl3, "t", sl3.to_matrices(toda_seed_point(sl3, 126))))
     for alg, field, V0 in starts:
-        base, note = factor_states(alg, field, V0, 1e-3, 1000)
-        scaled, scaled_note = factor_states(alg, field, c * V0, 1e-3 / c, 1000)
+        base, note, _ = factor_states(alg, field, V0, 1e-3, 1000)
+        scaled, scaled_note, _ = factor_states(alg, field, c * V0, 1e-3 / c, 1000)
         assert len(scaled) == len(base) and _note_steps(scaled_note) == _note_steps(note)
         assert np.abs(scaled - c * base).max() <= 1e-12 * c * np.abs(base).max()
     assert _note_steps(note) == ("882", "883")      # the Toda start meets its pole

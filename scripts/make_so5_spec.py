@@ -10,7 +10,7 @@ Exponents (1, 3): the conserved family uses ½Tr x² and ¼Tr x⁴.
 Usage: python3 scripts/make_so5_spec.py [out.json]
 """
 
-import sys
+import argparse
 
 import numpy as np
 
@@ -51,10 +51,11 @@ def so5_document() -> dict:
 
 
 def main() -> int:
-    out = sys.argv[1] if len(sys.argv) > 1 else "so5.json"
-    import json
-
-    alg = load_spec(json.dumps(so5_document()))   # validates, raises on a violation
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out", nargs="?", default="so5.json",
+                    help="where to write the document (default so5.json)")
+    out = ap.parse_args().out
+    alg = load_spec(so5_document())   # validates, raises on a violation
     save_spec(alg, out)
     ps = phase_tp(alg)
     print(f"wrote {out}: dim {alg.dim}, rank {alg.rank}, exponents {alg.exponents}")
@@ -63,4 +64,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main())

@@ -476,7 +476,7 @@ def validate_spec(spec: AlgebraSpec) -> list[dict]:
         return out
 
     flat = spec._flat_basis
-    if np.linalg.matrix_rank(flat) < dim:
+    if numerical_rank(flat) < dim:
         hit("basis-independence")
         return out
 
@@ -654,22 +654,20 @@ def _numbers(value, field: str, ndim: int, kind: type) -> np.ndarray:
 
 
 def load_spec(source) -> AlgebraSpec:
-    """Load and validate an algebra-spec document (path, JSON text, or dict).
+    """Load and validate an algebra-spec document: the path of a JSON file,
+    or the document itself as a dict.
 
-    The document's dim, rank and n (optional) must equal the values derived
-    from its basis and exponents.
+    A missing or unreadable file raises its OSError; a file that is not JSON
+    text raises AlgebraError.  The document's dim, rank and n (optional) must
+    equal the values derived from its basis and exponents.
     """
     if isinstance(source, dict):
         doc = source
     else:
+        data = Path(source).read_bytes()
         try:
-            is_file = Path(str(source)).exists()
-        except OSError:
-            is_file = False
-        text = Path(source).read_text() if is_file else str(source)
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as err:
+            doc = json.loads(data)
+        except ValueError as err:       # not JSON, or not UTF-8/16/32 text
             raise AlgebraError(f"algebra spec parse failure: {err}") from err
     try:
         if not isinstance(doc["associative"], bool):

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .algebra import AlgebraSpec, bracket_blocks
+from .algebra import AlgebraSpec, bracket_blocks, numerical_rank
 from .flows import (
     FIELDS,
     FlowConfig,
@@ -290,7 +290,7 @@ def _simple_system(alg: AlgebraSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
         raise PreconditionError(
             f"{alg.name}: cartan has nonzero entries outside the {ns} simple roots of degree 1")
     K = alg.gram[np.ix_(up, down)]
-    if np.linalg.matrix_rank(K) < ns:
+    if numerical_rank(K) < ns:
         raise PreconditionError(f"{alg.name}: the form does not pair degrees 1 and -1")
 
     def pair(X, Y):     # ⟨x, y⟩ of coordinate rows (…, dim), one value per row

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -307,6 +308,13 @@ _TAYLOR_NORMS = tuple((math.factorial(d + 1) * 0.5**15 / math.factorial(15)) ** 
 _DET_TOL = 1e-8
 
 
+@functools.cache
+def _identity(size: int) -> np.ndarray:
+    """The read-only (size, size) identity of `_expm` and `_lu`, built once
+    per size rather than once per stretch."""
+    return read_only(np.eye(size))
+
+
 def _expm(A: np.ndarray) -> np.ndarray:
     """exp of each matrix of an (m, n, n) stack: a Taylor series on A/2^s,
     one s for the whole stack so that every ‖A/2^s‖₁ < ½, of the degree
@@ -317,7 +325,7 @@ def _expm(A: np.ndarray) -> np.ndarray:
     s = max(0, e + 1)
     degree = min(_TAYLOR_DEGREE, 1 + bisect.bisect_left(_TAYLOR_NORMS, norm / 2.0**s))
     terms = A / (2.0**s * np.arange(degree, 0, -1.0))[:, None, None, None]   # B/d, …, B/1
-    eye = np.eye(A.shape[-1])
+    eye = _identity(A.shape[-1])
     E = eye + terms[0]
     for term in terms[1:]:                            # Horner: I + B/k·(…)
         E = term @ E
@@ -351,8 +359,9 @@ def _lu(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for k in range(size - 1):
         lower[..., k + 1:, k] = upper[..., k + 1:, k] / upper[..., k, k, None]
         upper[..., k + 1:, k + 1:] -= lower[..., k + 1:, k, None] * upper[..., None, k, k + 1:]
-    lower += np.eye(size)
-    return lower, np.triu(upper)
+        upper[..., k + 1:, k] = 0.0
+    lower += _identity(size)
+    return lower, upper
 
 
 def _triangular_order(alg: AlgebraSpec) -> np.ndarray:
@@ -552,10 +561,17 @@ def flow_commutation(m0: PairPoint, dt: float = 1e-3, n_steps: int = 100) -> flo
 
 
 def pencil_eigenvalue_drift(traj: Trajectory, lam0: float) -> float:
-    """Max eigenvalue movement of λ₀L − M along the trajectory (isospectrality)."""
+    """Max eigenvalue movement of λ₀L − M along the trajectory (isospectrality),
+    whatever order LAPACK returns the eigenvalues in: the two-sided
+    nearest-neighbour distance of each sample's spectrum to the one at t = 0,
+    the farthest any eigenvalue of either lies from the other.  While it stays
+    below half the smallest gap of the spectrum at t = 0, the nearest
+    neighbours pair the two one to one, and it is the best matching's distance."""
     V = traj.alg.to_matrices(traj.states)
-    w = np.sort_complex(np.linalg.eigvals(lam0 * V[:, 0] - V[:, 1]))
-    return float(np.abs(w - w[0]).max())
+    # [eigenvalue, sample], samples last: numpy reduces fast over leading axes
+    w = np.linalg.eigvals(lam0 * V[:, 0] - V[:, 1]).T.copy()
+    gaps = np.abs(w - w[:, :1, None])         # [eigenvalue at t = 0, eigenvalue, sample]
+    return float(max(gaps.min(axis=0).max(), gaps.min(axis=1).max()))
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

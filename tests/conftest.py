@@ -1,7 +1,6 @@
 """Shared fixtures: the five desk-scale algebras and split so(5), built once per session."""
 
 import ast
-import json
 import os
 import runpy
 from pathlib import Path
@@ -97,4 +96,4 @@ SCRIPTS = ROOT / "scripts"
 def so5():
     """The split so(5) document that scripts/make_so5_spec.py writes."""
     so5_document = runpy.run_path(str(SCRIPTS / "make_so5_spec.py"))["so5_document"]
-    return load_spec(json.dumps(so5_document()))
+    return load_spec(so5_document())

@@ -325,6 +325,22 @@ def test_validate_flags_wrong_exponents(sl3):
     assert "exponents-count" in names
 
 
+@pytest.mark.parametrize("eps", [1e-9, 1e-11, 1e-13])
+def test_a_nearly_dependent_basis_is_refused_at_the_one_rank_cut(eps, sl3):
+    # the coroot H₂ replaced by H₁ + εH₂: LAPACK's default cut counts 8
+    # independent basis matrices and `rank_cuts` 7, so the spec is refused as
+    # dependent, not for the closure residuals of its blown-up pseudo-inverse
+    doc = spec_to_document(sl3)
+    h1, h2 = np.flatnonzero(sl3.degrees == 0)
+    basis = np.array(doc["basis"])
+    basis[h2] = basis[h1] + eps * basis[h2]
+    doc["basis"] = basis.tolist()
+    assert np.linalg.matrix_rank(basis.reshape(8, -1)) == 8
+    with pytest.raises(AlgebraValidationError) as err:
+        load_spec(doc)
+    assert err.value.violations == [{"invariant": "basis-independence"}]
+
+
 def _dense_jacobi_residual(C):
     # reference: the three dim⁴ contractions, summed and maximized at once
     jac = (
@@ -473,12 +489,28 @@ def test_load_rejects_corrupt_document(sl2):
     doc = spec_to_document(sl2)
     doc["degrees"][0] = 3
     with pytest.raises(AlgebraValidationError, match="grading"):
-        load_spec(json.dumps(doc))
+        load_spec(doc)
 
 
-def test_load_rejects_malformed_json():
-    with pytest.raises(AlgebraError):
-        load_spec("{not json")
+def test_load_rejects_malformed_json(tmp_path):
+    path = tmp_path / "spec.json"
+    for text in (b"{not json", b"", b"\x80\x81 not utf-8"):
+        path.write_bytes(text)
+        with pytest.raises(AlgebraError, match="algebra spec parse failure"):
+            load_spec(path)
+
+
+def test_load_reads_a_path_or_a_document_and_nothing_else(tmp_path, sl2):
+    # a missing file is an OSError, not a document that failed to parse; JSON
+    # text is not a document, so it is read as the path it is not
+    with pytest.raises(FileNotFoundError):
+        load_spec(tmp_path / "missing.json")
+    with pytest.raises(OSError):
+        load_spec(json.dumps(spec_to_document(sl2)))
+    path = tmp_path / "sl2.json"
+    save_spec(sl2, path)
+    for source in (path, str(path), spec_to_document(sl2)):
+        assert np.array_equal(load_spec(source).basis, sl2.basis)
 
 
 def test_rescaled_spec_still_validates(sl3):

@@ -125,6 +125,16 @@ def test_malformed_spec_documents_keep_the_exit_code_contract(doc, samples):
         assert exit_code(["check", "rais", "--algebra", str(path), "--samples", samples]) in (0, 1, 2)
 
 
+def test_a_spec_file_that_is_not_json_text_exits_2(capsys):
+    # bytes that are not UTF-8 are a malformed document too, not a program bug
+    for text in (b"{not json", b"", b"\x80\x81 not utf-8"):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spec.json"
+            path.write_bytes(text)
+            assert main(["algebra", "validate", str(path)]) == 2
+        assert "error: algebra spec parse failure" in capsys.readouterr().err
+
+
 def run_on_document(doc, argv, capsys):
     """main(argv + [path]) on doc written to a file: (exit code, stdout, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:

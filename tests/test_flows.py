@@ -1,5 +1,6 @@
 """Lax flows: closed-form fields, entry masks, the exact factorization path, RK4, conservation, CSV export."""
 
+import itertools
 import json
 import math
 import re
@@ -155,18 +156,19 @@ def test_isospectral_pencil_eigenvalues(sl3):
 
 
 def test_batched_eigenvalue_drift_matches_row_loop(sl3, gl3, so5):
-    for alg in (sl3, gl3, so5):
-        traj = integrate(FlowConfig(field="t", dt=1e-3, T=0.2), seed_point(alg),
-                         conserved=[])
+    # the row loop takes the best matching of each sample's eigenvalues to
+    # those at t = 0, over every permutation, whatever order LAPACK returns
+    # them in: on so5 at seed 1, sorted spectra set 0 against ±0.511i and
+    # read 1.02 at λ₀ = 0
+    for alg, (seed, T) in itertools.product((sl3, gl3, so5), [(42, 0.2), (1, 1.0)]):
+        m0 = phase_tp(alg).sample_points(seed, 1)[0]
+        traj = integrate(FlowConfig(field="t", dt=1e-3, T=T), m0, conserved=[])
+        perms = np.array(list(itertools.permutations(range(alg.matrix_size))))
         for lam0 in (0.0, 1.0, 2.0):
-            def eigs(k):
-                X, Y = alg.to_matrices(traj.states[k])
-                w = np.linalg.eigvals(lam0 * X - Y)
-                return np.sort_complex(w)
-
-            ref = eigs(0)
-            loop = max(float(np.abs(eigs(k) - ref).max()) for k in range(len(traj.times)))
-            assert pencil_eigenvalue_drift(traj, lam0) == loop
+            rows = [np.linalg.eigvals(lam0 * X - Y) for X, Y in alg.to_matrices(traj.states)]
+            ref = rows[0][perms]                                  # (permutation, n)
+            loop = max(float(np.abs(w - ref).max(axis=1).min()) for w in rows)
+            assert pencil_eigenvalue_drift(traj, lam0) == loop < 1e-12
 
 
 def test_rk4_order_via_step_halving(sl3):
@@ -202,6 +204,14 @@ def test_horizon_must_be_whole_number_of_steps():
     for dt, T in ((1e-3, 0.2), (1e-3, 1.0), (0.005, 2.0), (0.04, 2.0), (0.02, 2.0),
                   (0.05, 3.0), (1e-3, 1e-3 * 100)):
         assert FlowConfig(dt=dt, T=T).n_steps == round(T / dt)
+
+
+def test_a_flow_config_takes_at_most_max_steps():
+    # a run keeps every state: 1e15 steps would hang or exhaust memory
+    assert FlowConfig(dt=1e-3, T=10.0).n_steps == flows.MAX_STEPS
+    with pytest.raises(PreconditionError,
+                       match="T/dt = 1000000000000000 steps; a flow run takes at most 10000"):
+        FlowConfig(dt=1e-3, T=1e12)
 
 
 def test_explicit_empty_conserved_list(sl2):

@@ -8,6 +8,7 @@ must take the induced (constraint-corrected) structure there, report
 weaken them.
 """
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -434,6 +435,19 @@ def test_cartan_block_from_so5_spec_data(so5):
     assert np.array_equal(so5.cartan, C.T)
     want = np.block([[np.zeros((2, 2)), -C.T], [C, np.zeros((2, 2))]])
     assert np.allclose(_cartan_block(so5)[0], want, atol=1e-10)
+
+
+@pytest.mark.parametrize("eps", [1e-11, 1e-13])
+def test_the_simple_system_reads_the_one_rank_cut(eps, sl3):
+    # sl3 with the root vector e₂ replaced by e₁ + εe₂, unvalidated: the pairing
+    # of degrees 1 and −1 has rank 2 under LAPACK's default cut and 1 under
+    # `rank_cuts`, and the refusal names the pairing, not what its inverse
+    # makes of the root vectors
+    up = np.flatnonzero(sl3.degrees == 1)
+    basis = sl3.basis.copy()
+    basis[up[1]] = basis[up[0]] + eps * basis[up[1]]
+    with pytest.raises(PreconditionError, match="the form does not pair degrees 1 and -1"):
+        _cartan_block(dataclasses.replace(sl3, basis=basis))
 
 
 # ---------------------------------------------------------------------------

@@ -582,9 +582,9 @@ def check_toda_battery(alg: AlgebraSpec, samples: int = 100,
     states = alg.to_coords(stack)
     vals = np.stack([trace_values(alg, states, i) for i in alg.exponents], axis=1)
     out.append(CheckReport.below("toda-conservation", "toda-flow-conserves-invariants",
-                                 alg.name, relative_drift(vals, note), 1e-6,
-                                 {"dt": 1e-3, "T": 1.0, "seed": seed}, detail=note,
-                                 axes=_drift_axes(note)))
+                                 alg.name, tol=1e-6, params={"dt": 1e-3, "T": 1.0, "seed": seed},
+                                 **_run_drift(note, lambda: relative_drift(vals, note),
+                                              ("function",))))
 
     # the diagonal is t-flow invariant and the pushforward matches the t-flow field:
     # the t-flow at (x, x) is (X_{P₁}(x), X_{P₁}(x))
@@ -609,34 +609,38 @@ def check_toda_battery(alg: AlgebraSpec, samples: int = 100,
 # --------------------------------------------------------------------------
 
 
-def _drift_axes(note: str) -> tuple:
-    """The axis names of a run's conservation drifts: a FAIL of a finished
-    run names its worst function; a stopped run's drifts are all NaN, so
-    its FAIL names no entry, and its note says where the run stopped."""
-    return () if note else ("function",)
+def _run_drift(note: str, measure, axes: tuple = ()) -> dict:
+    """The residuals, detail and axis names of a drift report of a run:
+    measure(), the residual array, with its axis names `axes`.  A run that
+    stopped early was not measured over its horizon: its drift is NaN, which
+    fails, whatever its kept samples read, and its note, which says where it
+    stopped, is the detail."""
+    if note:
+        return {"residuals": math.nan, "detail": note}
+    return {"residuals": measure(), "axes": axes}
 
 
 def flow_run_reports(ps: PhaseSpace, cfg: FlowConfig, traj: Trajectory,
                      seed: int) -> list[CheckReport]:
     """The drifts of one run from a seeded point of `ps`: the family's
     conservation, tangency to `ps`, and on the t- and s-flows the pencil
-    eigenvalues at λ₀ = 0, 1, 2."""
-    alg = ps.alg
+    eigenvalues at λ₀ = 0, 1, 2; each NaN on a run that stopped early."""
+    alg, note = ps.alg, traj.note
     params = {"field": cfg.field, "dt": cfg.dt, "T": cfg.T, "seed": seed}
     tol = 1e-6
     out = [
-        CheckReport.below("flow-conservation", "flow-preserves-family", alg.name,
-                          traj.conservation_drift(), tol, params, detail=traj.note,
-                          axes=_drift_axes(traj.note)),
-        CheckReport.below("flow-tangency", "flow-tangent-to-phase-space", alg.name,
-                          traj.tangency_drift(ps), 1e-7, params),
+        CheckReport.below("flow-conservation", "flow-preserves-family", alg.name, tol=tol,
+                          params=params,
+                          **_run_drift(note, traj.conservation_drift, ("function",))),
+        CheckReport.below("flow-tangency", "flow-tangent-to-phase-space", alg.name, tol=1e-7,
+                          params=params, **_run_drift(note, lambda: traj.tangency_drift(ps))),
     ]
     if cfg.field in FIELDS[:2]:
         for lam0 in (0.0, 1.0, 2.0):
             out.append(CheckReport.below(
                 f"flow-isospectral-l{lam0:g}", "pencil-eigenvalues-conserved", alg.name,
-                pencil_eigenvalue_drift(traj, lam0), tol,
-                {"field": cfg.field, "lambda0": lam0},
+                tol=tol, params={"field": cfg.field, "lambda0": lam0},
+                **_run_drift(note, lambda lam0=lam0: pencil_eigenvalue_drift(traj, lam0)),
             ))
     return out
 

@@ -21,7 +21,8 @@ with n₋ unit lower-triangular and b₊ upper-triangular, in an order of the
 matrix indices that makes 𝔤_{≥0} upper-triangular (`_triangular_order`).
 A stretch samples τ = k·h, k = 1…m: one stacked `_expm` of the anchors
 exp(2^j·hX), one matrix product per sample for exp(khX) (`_grid_expm`), the
-unpivoted `_lu` and a conjugation give every sample, and a new stretch
+unpivoted `_lu`, the inverse of its triangular factor by substitution
+(`_unit_upper_inverse`) and a conjugation give every sample, and a new stretch
 starts from the last state where τ‖X‖₁ would pass _FACTOR_NORM.  A leading
 minor of exp(τX) that changes sign between two pivot tests is a pole of the
 flow; the run stops before it, with a note.  The pivots are tested at every
@@ -310,8 +311,8 @@ _DET_TOL = 1e-8
 
 @functools.cache
 def _identity(size: int) -> np.ndarray:
-    """The read-only (size, size) identity of `_expm` and `_lu`, built once
-    per size rather than once per stretch."""
+    """The read-only (size, size) identity of `_expm`, `_lu` and
+    `_unit_upper_inverse`, built once per size rather than once per stretch."""
     return read_only(np.eye(size))
 
 
@@ -364,6 +365,19 @@ def _lu(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
+def _unit_upper_inverse(A: np.ndarray) -> np.ndarray:
+    """A⁻¹ for each unit upper-triangular matrix of a stack, by back
+    substitution: with N = I − A, Z = A⁻¹ − I solves Z = N + NZ, so row k
+    of Z is N's plus N's row times the rows of Z below it."""
+    size = A.shape[-1]
+    Z = _identity(size) - A
+    for k in range(size - 3, -1, -1):      # rows n − 2 and n − 1 are N's
+        row = Z[..., k:k + 1, k + 1:]
+        row[..., 1:] += row[..., :-1] @ Z[..., k + 1:-1, k + 2:]
+    Z += _identity(size)
+    return Z
+
+
 def _triangular_order(alg: AlgebraSpec) -> np.ndarray:
     """An order of the matrix indices that puts the entries of 𝔤_{≥0} on or
     above the diagonal and those of 𝔤_{<0} below it, cached per spec (the
@@ -410,14 +424,14 @@ def _factor_stretch(X: np.ndarray, V: np.ndarray, block: int, h: float,
     exact = np.abs(np.log(np.abs(pivots)).sum(axis=-1) - taus * np.trace(X)) <= _DET_TOL
     good = exact & np.all(pivots > 0, axis=-1)
     kept = len(taus) if good.all() else int(np.argmin(good))
-    # g and g⁻¹ through the inverse of an upper-triangular factor with a
-    # positive finite diagonal, which LAPACK never finds singular
+    # g and g⁻¹ from the factors by substitution: b₊ = DA with D its positive
+    # pivots and A unit upper-triangular, so b₊⁻¹ = A⁻¹D⁻¹; n₋⁻¹ = ((n₋ᵀ)⁻¹)ᵀ
     if block == 0:
-        g = upper[:kept]
-        gi = np.linalg.inv(g)
+        g, d = upper[:kept], pivots[:kept, None]
+        gi = _unit_upper_inverse(g / d.swapaxes(-1, -2)) / d
     else:
         gi = lower[:kept]
-        g = np.linalg.inv(gi.swapaxes(-1, -2)).swapaxes(-1, -2)
+        g = _unit_upper_inverse(gi.swapaxes(-1, -2)).swapaxes(-1, -2)
     states = g[:, None] @ V @ gi[:, None]
     stop = "" if kept == len(taus) else ("pole" if exact[kept] else "inexact")
     return states, stop
@@ -446,8 +460,12 @@ def factor_states(alg: AlgebraSpec, field: str, V0: np.ndarray, dt: float,
     grid points whose exp(τX) was factored) and the factorizations (the
     stretches).
     """
+    # None for the identity order, the builders' and so5's: no reordered copies
     order = _triangular_order(alg)
-    V0 = V0[..., order[:, None], order]
+    order = alg.memo("triangular-reorder",
+                     lambda: None if np.array_equal(order, np.arange(order.size)) else order)
+    if order is not None:
+        V0 = V0[..., order[:, None], order]
     # the t-flow factors exp(τL), the s-flow exp(−τM)
     block, sign = (0, 1.0) if field == "t" else (1, -1.0)
     X = sign * V0[block]
@@ -475,8 +493,10 @@ def factor_states(alg: AlgebraSpec, field: str, V0: np.ndarray, dt: float,
                 stretch, stop = stretch[:int(np.argmin(finite))], "non-finite"
             states[k + 1:k + 1 + len(stretch)] = stretch
             k += len(stretch)
-    back = np.argsort(order)
-    states = states[:k + 1:q][..., back[:, None], back]
+    states = states[:k + 1:q]
+    if order is not None:
+        back = np.argsort(order)
+        states = states[..., back[:, None], back]
     k = len(states) - 1
     at = f"step {k + 1} (t = {(k + 1) * dt:g})"
     note = {

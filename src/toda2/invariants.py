@@ -52,22 +52,23 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
-def _pencil_powers(alg: AlgebraSpec, states: np.ndarray, top: int):
-    """λ-coefficients of (λX − Y)^k, k = 0..top, at every row of `states`.
+def _pencil_powers(V: np.ndarray, top: int):
+    """λ-coefficients of (λX − Y)^k, k = 0..top, at every pair (X, Y) of an
+    (N, 2, n, n) stack V.
 
-    `states` is an (N, 2·dim) stack of vec(PairPoint) rows.  Yields (k, W),
-    W the list of k+1 (N, n, n) coefficient stacks of λ⁰…λ^k, built by the
-    recurrence W⁽ᵏ⁺¹⁾_c = W⁽ᵏ⁾_{c−1}X − W⁽ᵏ⁾_cY, two powers alive at a time;
-    every product is a per-state matmul, so a row's values do not depend on
-    the rest of the stack.
+    Yields (k, W), W the list of k+1 (N, n, n) coefficient stacks of
+    λ⁰…λ^k: W⁽¹⁾ = (−Y, X) read off, then the recurrence
+    W⁽ᵏ⁺¹⁾_c = W⁽ᵏ⁾_{c−1}X − W⁽ᵏ⁾_cY, two powers alive at a time; every
+    product is a per-state matmul, so a row's values do not depend on the
+    rest of the stack.
     """
-    V = alg.to_matrices(states)
     X, mY = V[:, 0], -V[:, 1]
-    W = [np.broadcast_to(np.eye(X.shape[-1]), X.shape)]
-    yield 0, W
+    yield 0, [np.broadcast_to(np.eye(X.shape[-1]), X.shape)]
+    W = [mY, X]
     for k in range(1, top + 1):
-        inner = [W[c - 1] @ X + W[c] @ mY for c in range(1, len(W))]
-        W = [W[0] @ mY] + inner + [W[-1] @ X]
+        if k > 1:
+            inner = [W[c - 1] @ X + W[c] @ mY for c in range(1, len(W))]
+            W = [W[0] @ mY] + inner + [W[-1] @ X]
         yield k, W
 
 
@@ -75,11 +76,21 @@ def family_values(alg: AlgebraSpec, states: np.ndarray) -> np.ndarray:
     """F_{j,i} at every row of an (N, 2·dim) state stack, shape (N, card).
 
     Columns follow `family_labels`: F_{j,i} = (−1)^{m_i+1−j} Tr(W_j)/(m_i+1)
-    with W = (λx − y)^{m_i+1}.
+    with W = (λx − y)^{m_i+1}.  The top power is taken only through its
+    traces, Tr(W_j) = Tr(W′_{j−1}x) − Tr(W′_jy) with W′ the power below, as
+    dot products of rows, and no product of it is formed.
     """
-    traces = {k: [np.trace(w, axis1=1, axis2=2) for w in W]
-              for k, W in _pencil_powers(alg, states, max(alg.exponents) + 1)
-              if k - 1 in alg.exponents}
+    V = alg.to_matrices(states)
+    top, rows = max(alg.exponents) + 1, (len(V), -1)
+    traces = {}
+    for k, W in _pencil_powers(V, top - 1):
+        if k - 1 in alg.exponents:
+            traces[k] = [np.trace(w, axis1=1, axis2=2) for w in W]
+    # Tr(AB) is vec(A)·vec(Bᵀ); W′_{−1} = W′_top = 0
+    xt, yt = (V[:, b].swapaxes(1, 2).reshape(rows) for b in (0, 1))
+    dx = [0.0] + [np.vecdot(w.reshape(rows), xt) for w in W]
+    dy = [np.vecdot(w.reshape(rows), yt) for w in W] + [0.0]
+    traces[top] = [a - b for a, b in zip(dx, dy)]
     cols = [
         (-1.0) ** (i + 1 - j) * traces[i + 1][j] / (i + 1)
         for (j, i) in family_labels(alg)
@@ -95,7 +106,7 @@ def family_gradient_stack(alg: AlgebraSpec, states: np.ndarray) -> np.ndarray:
     V_{−1} = V_{m_i+1} = 0, ĝ read from the cached `trace_projector`.
     """
     blocks = {}
-    for i, W in _pencil_powers(alg, states, max(alg.exponents)):
+    for i, W in _pencil_powers(alg.to_matrices(states), max(alg.exponents)):
         if i in alg.exponents:  # ĝ of V_{−1}, V_0, …, V_{m_i+1}: i + 3 matrices per state
             zero = np.zeros_like(W[0])
             g = alg.gradient_from_matrix(np.stack([zero, *W, zero], axis=1))

@@ -569,6 +569,33 @@ def test_each_sample_of_a_stretch_matches_its_own_factorization(m, sl3, gl3, so5
                 assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (alg.name, k)
 
 
+@pytest.mark.parametrize("seed, bound", [(12, 1.5e-12), (16, 1.5e-13)])
+def test_the_last_stretch_before_a_pole_matches_its_own_factorization(seed, bound, sl4,
+                                                                      monkeypatch):
+    # the sl4 t-flow from these seeds stops at a pole, near which b₊ is worst
+    # conditioned.  The states of the last stretch that keeps any, conjugated
+    # by b₊ and its inverse by substitution, against the oracle that factors
+    # each exp(khX) on its own and inverts b₊ with LAPACK; the bound is the
+    # gap measured when the stretch took b₊⁻¹ from LAPACK too (1.42e-12 and
+    # 1.47e-13)
+    stretches, factor_stretch = [], flows._factor_stretch
+
+    def spy(*args):
+        states, stop = factor_stretch(*args)
+        stretches.append((args, states))
+        return states, stop
+
+    monkeypatch.setattr(flows, "_factor_stretch", spy)
+    traj = integrate(FlowConfig(field="t", dt=1e-3, T=1.0), seed_point(sl4, seed), conserved=[])
+    assert traj.note.startswith("pole between")
+    (X, V, block, h, m), states = [s for s in stretches if len(s[1])][-1]
+    assert block == 0 and len(states) == m
+    for k, got in enumerate(states, 1):
+        upper = lu_nopivot(expm(k * h * X))[1]
+        want = upper @ V @ np.linalg.inv(upper)
+        assert np.abs(got - want).max() <= bound * np.abs(want).max(), k
+
+
 def rk4_end(alg, field, m0, dt, T):
     """The last state (L, M) of the RK4 run of the t- or s-field."""
     return rk4_states(_partner(alg, field), alg.to_matrices(m0.vec()), dt, round(T / dt))[0][-1]

@@ -16,6 +16,7 @@ from toda2 import (
     PairPoint,
     ScalarFunction,
     build_gl,
+    build_sl,
     family,
     family_labels,
     family_values,
@@ -23,6 +24,7 @@ from toda2 import (
     rais_vectors,
 )
 from toda2.invariants import (
+    _pencil_powers,
     family_gradient_stack,
     pullback_gradients,
     require_generator_label,
@@ -125,6 +127,47 @@ def test_family_values_batch_is_rowwise_and_memberwise(desk_algebras):
         members = np.array([[F(m) for F in fam] for m in pts])
         assert np.array_equal(batch, rows), alg.name
         assert np.array_equal(batch, members), alg.name
+
+
+def formed_power_traces(alg, states, k):
+    """Tr of every λ-coefficient of (λX − Y)^k at each row of `states`, each
+    coefficient formed by matmul, multiplying (λX − Y) on the left."""
+    V = alg.to_matrices(states)
+    X, Y = V[:, 0], V[:, 1]
+    zero = np.zeros_like(X)
+    W = [np.broadcast_to(np.eye(X.shape[-1]), X.shape)]
+    for _ in range(k):
+        W = [X @ a - Y @ b for a, b in zip([zero, *W], [*W, zero])]
+    return [np.trace(w, axis1=1, axis2=2) for w in W]
+
+
+@pytest.mark.parametrize("name", [f"{kind}{n}" for kind in ("sl", "gl") for n in range(2, 7)]
+                         + ["so5"])
+def test_family_values_match_the_traces_of_formed_powers(name, request):
+    # family_values takes its top power only through its traces; every member
+    # within 1e-14 of its column's largest value (the gap was at most 4.6e-16
+    # with the top power formed)
+    alg = request.getfixturevalue(name) if name == "so5" else \
+        {"sl": build_sl, "gl": build_gl}[name[:2]](int(name[2:]))
+    for seed in (1, 2, 3):
+        states = phase_tp(alg).sample_stack(seed, 20)
+        traces = {i: formed_power_traces(alg, states, i + 1) for i in alg.exponents}
+        want = np.stack([(-1.0) ** (i + 1 - j) * traces[i][j] / (i + 1)
+                         for (j, i) in family_labels(alg)], axis=1)
+        gap = np.abs(family_values(alg, states) - want)
+        assert np.all(gap <= 1e-14 * np.abs(want).max(axis=0)), (name, seed)
+
+
+def test_the_first_pencil_power_is_read_off(sl3, gl3):
+    # (λX − Y)¹ = (−Y, X) with no product, the same bits as the products by
+    # the identity that formed it
+    for alg in (sl3, gl3):
+        V = alg.to_matrices(phase_tp(alg).sample_stack(1, 20))
+        X, Y = V[:, 0], V[:, 1]
+        (_, one), = [(k, W) for k, W in _pencil_powers(V, 1) if k == 1]
+        eye = np.broadcast_to(np.eye(X.shape[-1]), X.shape)
+        assert np.array_equal(one[0], -Y) and np.array_equal(one[1], X)
+        assert np.array_equal(one[0], eye @ -Y) and np.array_equal(one[1], eye @ X)
 
 
 def test_family_values_stream_the_pencil_powers():

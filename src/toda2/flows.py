@@ -20,14 +20,20 @@ The t- and s-flows are Adler–Kostant–Symes flows and are solved exactly
 with n₋ unit lower-triangular and b₊ upper-triangular, in an order of the
 matrix indices that makes 𝔤_{≥0} upper-triangular (`_triangular_order`).
 A stretch samples τ = k·h, k = 1…m: one stacked `_expm` of the anchors
-exp(2^j·hX), one matrix product per sample for exp(khX) (`_grid_expm`), the
-unpivoted `_lu`, the inverse of its triangular factor by substitution
-(`_unit_upper_inverse`) and a conjugation give every sample, and a new stretch
-starts from the last state where τ‖X‖₁ would pass _FACTOR_NORM.  A leading
-minor of exp(τX) that changes sign between two pivot tests is a pole of the
-flow; the run stops before it, with a note.  The pivots are tested at every
-sample, and on a finer grid where the exponents of a minor could drift apart
-by more than _TURN between samples.
+exp(2^j·hX), one matrix product per sample for exp(khX) (`_grid_expm`) and
+the unpivoted `_lu` test every sample; the inverse of a triangular factor by
+substitution (`_unit_upper_inverse`) and a conjugation give the states that
+are read, and a new stretch starts from the last state where τ‖X‖₁ would
+pass _FACTOR_NORM.  A run conjugates its samples and each stretch's end; a
+leg of `flow_commutation`, which reads its last state alone, conjugates only
+the stretch ends, and a stretch conjugates every sample where its factors
+cannot vouch that the states it skips are finite.  A leading minor of
+exp(τX) that changes sign between two pivot tests is a pole of the flow; the
+run stops before it, with a note.  The pivots are tested at every sample,
+and on a finer grid where the exponents of a minor could drift apart by more
+than _TURN between samples; the eigenvalues of X that set that grid are
+solved for only where the norm bound dt·√n·‖X‖_F ≥ dt·Σ|λ(X)| does not
+already keep them within _TURN (`_pivot_grid`).
 `factor_states` is the one solver of both flows and of the classical Toda
 run of the Toda battery (`checks.check_toda_battery`), which is the t-flow
 on the one-block stack (A).  The pencil fields are integrated by a
@@ -307,13 +313,28 @@ _TAYLOR_NORMS = tuple((math.factorial(d + 1) * 0.5**15 / math.factorial(15)) ** 
                       for d in range(1, _TAYLOR_DEGREE + 1))
 # largest |log det exp(τX) − τ tr X| of a factorization taken as exact
 _DET_TOL = 1e-8
+# largest bound on the entries of a state that vouches for it being finite
+# without forming it (`_conjugates_are_finite`): 2^24 below overflow, far
+# more than the roundoff of the n-term sums that form a state
+_FINITE_BOUND = 2.0**1000
+# relative slack of the norm bound that settles the pole grid without an
+# eigensolve (`_pivot_grid`): far above the roundoff of computed eigenvalues,
+# which are exact for a matrix within a few n·ε of X in the Frobenius norm
+_GRID_SLACK = 1e-12
 
 
 @functools.cache
 def _identity(size: int) -> np.ndarray:
-    """The read-only (size, size) identity of `_expm`, `_lu` and
+    """The read-only (size, size) identity of `_expm`, `_factor_stretch` and
     `_unit_upper_inverse`, built once per size rather than once per stretch."""
     return read_only(np.eye(size))
+
+
+@functools.cache
+def _strictly_lower(size: int) -> np.ndarray:
+    """The read-only (size, size) mask of the entries below the diagonal,
+    where `_lu` packs the multipliers of n₋."""
+    return read_only(np.tri(size, k=-1, dtype=bool))
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
@@ -344,25 +365,27 @@ def _grid_expm(X: np.ndarray, h: float, m: int) -> np.ndarray:
     ⌊log₂ m⌋ + 1 accurate factors (not exp(hX) multiplied k times, whose
     error grows like k·ε); a one-sample grid is its one anchor."""
     anchors = _expm(np.ldexp(h, np.arange(m.bit_length()))[:, None, None] * X)
-    E = anchors[:1]
+    E = np.empty((m, *X.shape))
+    E[0] = anchors[0]
     for j in range(1, len(anchors)):   # exp((c + i)hX) = exp(i·hX)·exp(c·hX), c = 2^j
         c = 1 << j
-        E = np.concatenate([E, anchors[j:j + 1], E[:min(c - 1, m - c)] @ anchors[j]])
+        E[c - 1] = anchors[j]
+        np.matmul(E[:min(c - 1, m - c)], anchors[j], out=E[c:min(2 * c - 1, m)])
     return E
 
 
-def _lu(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """E = n₋b₊ for each matrix of a stack, without pivoting: n₋ unit
-    lower-triangular, b₊ upper-triangular.  A vanishing pivot gives
-    non-finite entries, not an error."""
-    size = E.shape[-1]
-    lower, upper = np.zeros_like(E), E.copy()
-    for k in range(size - 1):
-        lower[..., k + 1:, k] = upper[..., k + 1:, k] / upper[..., k, k, None]
-        upper[..., k + 1:, k + 1:] -= lower[..., k + 1:, k, None] * upper[..., None, k, k + 1:]
-        upper[..., k + 1:, k] = 0.0
-    lower += _identity(size)
-    return lower, upper
+def _lu(E: np.ndarray) -> np.ndarray:
+    """E = n₋b₊ for each matrix of a stack, without pivoting, packed as LAPACK
+    packs it: b₊ on and above the diagonal, the entries of the unit
+    lower-triangular n₋ below it.  A vanishing pivot gives non-finite
+    entries, not an error.  The elimination runs on an (n, n, m) copy, so
+    that each step reads and writes whole rows of the stack; the stack is
+    returned as an (m, n, n) view of it."""
+    LU = E.transpose(1, 2, 0).copy()
+    for k in range(E.shape[-1] - 1):
+        LU[k + 1:, k] /= LU[k, k]
+        LU[k + 1:, k + 1:] -= LU[k + 1:, k, None] * LU[None, k, k + 1:]
+    return LU.transpose(2, 0, 1)
 
 
 def _unit_upper_inverse(A: np.ndarray) -> np.ndarray:
@@ -405,8 +428,23 @@ def _triangular_order(alg: AlgebraSpec) -> np.ndarray:
     return alg.memo("triangular-order", build)
 
 
-def _factor_stretch(X: np.ndarray, V: np.ndarray, block: int, h: float,
-                    m: int) -> tuple[np.ndarray, str]:
+def _conjugates_are_finite(LU: np.ndarray, pivots: np.ndarray, V: np.ndarray) -> bool:
+    """Whether every state g V g⁻¹ that `_factor_stretch` would form from
+    the packed factors LU (`_lu`) is finite, vouched for without forming any.
+
+    The inverse of a unit triangular matrix whose entries are at most c in
+    size has entries at most (1 + c)^(n−1), and so has the one computed by
+    substitution, up to roundoff.  c = max|LU| / min(1, least pivot) bounds
+    the entries of n₋ and of b₊ over its pivots, so each entry of a state is
+    at most n²·|V|·c(1 + c)^(n−1), which _FINITE_BOUND keeps far from
+    overflow.  A non-finite factor or V fails the test."""
+    n = V.shape[-1]
+    c = np.abs(LU).max() / min(1.0, pivots.min())
+    return bool(n * n * np.abs(V).max() * c * (1.0 + c) ** (n - 1) <= _FINITE_BOUND)
+
+
+def _factor_stretch(X: np.ndarray, V: np.ndarray, block: int, h: float, m: int,
+                    keep: np.ndarray) -> tuple[np.ndarray, int, str]:
     """(L, M)(τ) at the times τ = k·h, k = 1…m, from V = (L, M), one stacked pass.
 
     exp(τX) = n₋b₊, and block 0, the t-flow (X = L), gives (L, M)(τ) =
@@ -414,31 +452,69 @@ def _factor_stretch(X: np.ndarray, V: np.ndarray, block: int, h: float,
     The flow has a pole where a leading principal minor of exp(τX), a
     cumulative product of the pivots, changes sign.  The product of all
     pivots is det exp(τX) = exp(τ tr X) whatever the minors do, so it
-    witnesses that the factorization is exact to _DET_TOL.  The states stop
-    before the first time whose pivots are not all positive, or not
-    witnessed; the second value says why: "pole", "inexact" or "".
+    witnesses that the factorization is exact to _DET_TOL.  The stretch
+    stops before the first sample whose pivots are not all positive, or not
+    witnessed, or whose state is not finite.
+
+    Every sample is factored and tested, but only the samples `keep`
+    (increasing numbers in 1…m) are conjugated: g, g⁻¹ and
+    gVg⁻¹ are formed for them alone.  Where samples are left out, the
+    factors must vouch that none of their states is non-finite
+    (`_conjugates_are_finite`); where they cannot, every sample is
+    conjugated, so the stretch stops where the first non-finite state is.
+
+    Returns the states at the kept samples before the stop, the number of
+    samples reached, and why the stretch stopped: "pole", "inexact",
+    "non-finite" or "".
     """
-    lower, upper = _lu(_grid_expm(X, h, m))
+    LU = _lu(_grid_expm(X, h, m))
     taus = h * np.arange(1, m + 1)
-    pivots = np.diagonal(upper, axis1=-2, axis2=-1)
-    exact = np.abs(np.log(np.abs(pivots)).sum(axis=-1) - taus * np.trace(X)) <= _DET_TOL
-    good = exact & np.all(pivots > 0, axis=-1)
-    kept = len(taus) if good.all() else int(np.argmin(good))
+    pivots = np.diagonal(LU, axis1=-2, axis2=-1)
+    exact = np.abs(np.log(np.abs(pivots)).sum(axis=-1) - taus * X.trace()) <= _DET_TOL
+    good = exact & (pivots > 0).all(axis=-1)
+    reached = m if good.all() else int(good.argmin())
+    stop = "" if reached == m else ("pole" if exact[reached] else "inexact")
+    wanted = keep[keep <= reached]
+    vouched = len(wanted) == reached or _conjugates_are_finite(
+        LU[:reached], pivots[:reached], V)
+    formed = wanted if vouched else np.arange(1, reached + 1)
+    at = formed - 1
     # g and g⁻¹ from the factors by substitution: b₊ = DA with D its positive
     # pivots and A unit upper-triangular, so b₊⁻¹ = A⁻¹D⁻¹; n₋⁻¹ = ((n₋ᵀ)⁻¹)ᵀ
+    below = _strictly_lower(X.shape[-1])
     if block == 0:
-        g, d = upper[:kept], pivots[:kept, None]
+        g, d = np.where(below, 0.0, LU[at]), pivots[at, None]
         gi = _unit_upper_inverse(g / d.swapaxes(-1, -2)) / d
     else:
-        gi = lower[:kept]
+        gi = np.where(below, LU[at], 0.0) + _identity(X.shape[-1])
         g = _unit_upper_inverse(gi.swapaxes(-1, -2)).swapaxes(-1, -2)
     states = g[:, None] @ V @ gi[:, None]
-    stop = "" if kept == len(taus) else ("pole" if exact[kept] else "inexact")
-    return states, stop
+    finite = np.isfinite(states).all(axis=(1, 2, 3))
+    if not finite.all():
+        first = int(np.argmin(finite))
+        states, reached, stop = states[:first], int(formed[first]) - 1, "non-finite"
+    if not vouched:
+        states = states[wanted[wanted <= reached] - 1]
+    return states, reached, stop
+
+
+def _pivot_grid(X: np.ndarray, dt: float) -> int:
+    """q = ⌈dt·Σ|λ(X)|/_TURN⌉ pivot tests per sample, at least one, and
+    MAX_STEPS + 1 for a count past MAX_STEPS; 1 for a non-finite X, which
+    stops at its first sample whatever the grid.
+
+    Σ|λ| ≤ √n·‖X‖_F (Schur: Σ|λ|² ≤ ‖X‖_F²), so where dt·√n·‖X‖_F is below
+    _TURN, with _GRID_SLACK to spare, q = 1 needs no eigensolve."""
+    if not np.isfinite(X).all():
+        return 1
+    if dt * math.sqrt(X.shape[-1]) * float(np.linalg.norm(X)) <= _TURN * (1.0 - _GRID_SLACK):
+        return 1
+    turn = dt * float(np.abs(np.linalg.eigvals(X)).sum()) / _TURN
+    return max(1, math.ceil(turn)) if turn <= MAX_STEPS else MAX_STEPS + 1
 
 
 def factor_states(alg: AlgebraSpec, field: str, V0: np.ndarray, dt: float,
-                  n_steps: int) -> tuple[np.ndarray, str, dict]:
+                  n_steps: int, last: bool = False) -> tuple[np.ndarray, str, dict]:
     """The t- or s-flow from the stack V0 = (L, M), or the t-flow from the
     one-block stack (L), sampled at k·dt, k = 0…n_steps, solved exactly with
     the matrix indices taken in the order `_triangular_order(alg)`.
@@ -448,17 +524,21 @@ def factor_states(alg: AlgebraSpec, field: str, V0: np.ndarray, dt: float,
     state, with at least one sample per stretch.  Every minor of exp(τX) is
     a sum of exponentials whose exponents differ by at most Ω = Σ|λ(X)| per
     unit τ, and the flow keeps the spectrum of X: where dt·Ω passes _TURN
-    the run steps on a grid of q = ⌈dt·Ω/_TURN⌉ points per sample, tests the
-    pivots at each and keeps every q-th state.  A real spectrum needs the
-    grid too, since a real exponential sum can change sign twice within one
-    sample.  The grid holds at most MAX_STEPS points.
+    the run steps on a grid of q = ⌈dt·Ω/_TURN⌉ points per sample
+    (`_pivot_grid`), tests the pivots at each and keeps every q-th state.
+    A real spectrum needs the grid too, since a real exponential sum can
+    change sign twice within one sample.  The grid holds at most MAX_STEPS
+    points.  A stretch conjugates only the states that are read: the kept
+    samples and its own end, where the next stretch starts; with `last`,
+    only the ends, for a caller that reads the state at n_steps alone.
 
-    Returns the states along a new first axis, a note, empty unless the
-    run stops before n_steps: at a pole, at a sample whose factorization is
-    not exact, at a non-finite state, or where the grid runs out, and the
-    work counts: the samples kept after the start, the pivot tests (the
-    grid points whose exp(τX) was factored) and the factorizations (the
-    stretches).
+    Returns the states along a new first axis (with `last`, the one state
+    at n_steps, or none for a run that stops before it), a note, empty
+    unless the run stops before n_steps: at a pole, at a sample whose
+    factorization is not exact, at a non-finite state, or where the grid
+    runs out, and the work counts: the samples kept after the start, the
+    pivot tests (the grid points whose exp(τX) was factored) and the
+    factorizations (the stretches).
     """
     # None for the identity order, the builders' and so5's: no reordered copies
     order = _triangular_order(alg)
@@ -468,36 +548,42 @@ def factor_states(alg: AlgebraSpec, field: str, V0: np.ndarray, dt: float,
         V0 = V0[..., order[:, None], order]
     # the t-flow factors exp(τL), the s-flow exp(−τM)
     block, sign = (0, 1.0) if field == "t" else (1, -1.0)
-    X = sign * V0[block]
     # near and past a pole the factors overflow or divide by a vanishing
     # pivot: the run stops there, and numpy's warnings are expected
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # a non-finite start stops at its first sample, whatever the grid
-        turn = dt * float(np.abs(np.linalg.eigvals(X)).sum()) / _TURN \
-            if np.isfinite(X).all() else 0.0
-        q = max(1, math.ceil(turn)) if turn <= MAX_STEPS else MAX_STEPS + 1
+        q = _pivot_grid(sign * V0[block], dt)
         h, n = dt / q, min(n_steps, MAX_STEPS // q) * q
-        states = np.empty((n + 1, *V0.shape))
-        states[0] = V0
-        k, stop, tests, stretches = 0, "", 0, 0
+        states = None if last else np.empty((n // q + 1, *V0.shape))
+        if states is not None:
+            states[0] = V0
+        V, k, stop, tests, stretches = V0, 0, "", 0, 0
         while k < n and not stop:
-            V = states[k]
             rate = h * float(np.abs(V[block]).sum(axis=0).max())
             m = min(n - k, _STRETCH_SAMPLES)
             if rate * m > _FACTOR_NORM:
                 m = max(1, int(_FACTOR_NORM / rate))
-            stretch, stop = _factor_stretch(sign * V[block], V, block, h, m)
+            # conjugate the samples on the grid of every q-th point, none
+            # with `last`, and the stretch's end: the last point of the
+            # range lies in [m, m + q) and becomes m
+            keep = np.arange(m if last else q - k % q, m + q, q)
+            keep[-1] = m
+            stretch, reached, stop = _factor_stretch(sign * V[block], V, block, h, m, keep)
             tests, stretches = tests + m, stretches + 1
-            finite = np.isfinite(stretch).all(axis=(1, 2, 3))
-            if not finite.all():
-                stretch, stop = stretch[:int(np.argmin(finite))], "non-finite"
-            states[k + 1:k + 1 + len(stretch)] = stretch
-            k += len(stretch)
-    states = states[:k + 1:q]
+            if states is not None and len(stretch):
+                # the samples on the grid lead, an end off it follows
+                count = (k + int(keep[len(stretch) - 1])) // q - k // q
+                states[k // q + 1:k // q + 1 + count] = stretch[:count]
+            if not stop:
+                V = stretch[-1]
+            k += reached
+    k //= q
+    if states is None:
+        states = V[None] if k == n_steps and not stop else V[None][:0]
+    else:
+        states = states[:k + 1]
     if order is not None:
         back = np.argsort(order)
         states = states[..., back[:, None], back]
-    k = len(states) - 1
     at = f"step {k + 1} (t = {(k + 1) * dt:g})"
     note = {
         "": "",
@@ -560,8 +646,8 @@ def flow_commutation(m0: PairPoint, dt: float = 1e-3, n_steps: int = 100) -> flo
     alg = m0.alg
     whole_steps(dt, dt * n_steps)
 
-    def leg(field, V):
-        states, note, _ = factor_states(alg, field, V, dt, n_steps)
+    def leg(field, V):   # conjugates only the ends of its stretches
+        states, note, _ = factor_states(alg, field, V, dt, n_steps, last=True)
         return None if note else states[-1]
 
     V0 = alg.to_matrices(m0.vec())

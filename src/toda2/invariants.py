@@ -56,20 +56,32 @@ def _pencil_powers(V: np.ndarray, top: int):
     """λ-coefficients of (λX − Y)^k, k = 0..top, at every pair (X, Y) of an
     (N, 2, n, n) stack V.
 
-    Yields (k, W), W the list of k+1 (N, n, n) coefficient stacks of
+    Yields (k, W), W the (k+1, N, n, n) stack of the coefficients of
     λ⁰…λ^k: W⁽¹⁾ = (−Y, X) read off, then the recurrence
-    W⁽ᵏ⁺¹⁾_c = W⁽ᵏ⁾_{c−1}X − W⁽ᵏ⁾_cY, two powers alive at a time; every
-    product is a per-state matmul, so a row's values do not depend on the
-    rest of the stack.
+    W⁽ᵏ⁺¹⁾_c = W⁽ᵏ⁾_{c−1}X − W⁽ᵏ⁾_cY (`_times_pencil`), two powers alive
+    at a time; every product is a per-state matmul, so a row's values do not
+    depend on the rest of the stack.
     """
     X, mY = V[:, 0], -V[:, 1]
-    yield 0, [np.broadcast_to(np.eye(X.shape[-1]), X.shape)]
-    W = [mY, X]
+    yield 0, np.broadcast_to(np.eye(X.shape[-1]), (1, *X.shape))
+    W = np.stack([mY, X])
     for k in range(1, top + 1):
         if k > 1:
-            inner = [W[c - 1] @ X + W[c] @ mY for c in range(1, len(W))]
-            W = [W[0] @ mY] + inner + [W[-1] @ X]
+            W = _times_pencil(W, X, mY)
         yield k, W
+
+
+def _times_pencil(W: np.ndarray, X: np.ndarray, mY: np.ndarray) -> np.ndarray:
+    """The λ-coefficients (k+2, N, n, n) of W·(λX − Y) from those of W
+    (k+1, N, n, n): W·X in one stacked product, written one power up, and
+    W_c·(−Y) added one coefficient at a time, so that no (k+1)-stack
+    temporary joins the two powers alive."""
+    out = np.empty((len(W) + 1, *W.shape[1:]))
+    np.matmul(W, X, out=out[1:])
+    out[0] = W[0] @ mY
+    for c in range(1, len(W)):
+        out[c] += W[c] @ mY
+    return out
 
 
 def family_values(alg: AlgebraSpec, states: np.ndarray) -> np.ndarray:
@@ -85,17 +97,19 @@ def family_values(alg: AlgebraSpec, states: np.ndarray) -> np.ndarray:
     traces = {}
     for k, W in _pencil_powers(V, top - 1):
         if k - 1 in alg.exponents:
-            traces[k] = [np.trace(w, axis1=1, axis2=2) for w in W]
+            traces[k] = np.trace(W, axis1=-2, axis2=-1)
     # Tr(AB) is vec(A)·vec(Bᵀ); W′_{−1} = W′_top = 0
     xt, yt = (V[:, b].swapaxes(1, 2).reshape(rows) for b in (0, 1))
-    dx = [0.0] + [np.vecdot(w.reshape(rows), xt) for w in W]
-    dy = [np.vecdot(w.reshape(rows), yt) for w in W] + [0.0]
-    traces[top] = [a - b for a, b in zip(dx, dy)]
-    cols = [
-        (-1.0) ** (i + 1 - j) * traces[i + 1][j] / (i + 1)
-        for (j, i) in family_labels(alg)
-    ]
-    return np.stack(cols, axis=1)
+    W = W.reshape(len(W), *rows)
+    zero = np.zeros((1, len(V)))
+    dx = np.concatenate([zero, np.vecdot(W, xt)])
+    dy = np.concatenate([np.vecdot(W, yt), zero])
+    traces[top] = dx - dy
+    # the sign (−1)^{i+1−j} and the divisor i + 1 of each member, in
+    # `family_labels` order, as are the traces of generator i, j = 0…i+1
+    sign, size = alg.memo("family-scales", lambda: np.array(
+        [((-1.0) ** (i + 1 - j), i + 1.0) for (j, i) in family_labels(alg)]).T[:, :, None])
+    return (np.concatenate([traces[i + 1] for i in alg.exponents]) * sign / size).T.copy()
 
 
 def family_gradient_stack(alg: AlgebraSpec, states: np.ndarray) -> np.ndarray:

@@ -560,8 +560,9 @@ def test_each_sample_of_a_stretch_matches_its_own_factorization(m, sl3, gl3, so5
         for block, sign in ((0, 1.0), (1, -1.0)):
             X = sign * V[block]
             h = 1.0 / (m * np.abs(X).sum(axis=0).max())
-            states, stop = flows._factor_stretch(X, V, block, h, m)
-            assert stop == "" and len(states) == m
+            states, reached, stop = flows._factor_stretch(X, V, block, h, m,
+                                                          np.arange(1, m + 1))
+            assert stop == "" and reached == len(states) == m
             for k, got in enumerate(states, 1):
                 lower, upper = lu_nopivot(expm(k * h * X))
                 g = upper if block == 0 else np.linalg.inv(lower)
@@ -581,14 +582,14 @@ def test_the_last_stretch_before_a_pole_matches_its_own_factorization(seed, boun
     stretches, factor_stretch = [], flows._factor_stretch
 
     def spy(*args):
-        states, stop = factor_stretch(*args)
+        states, reached, stop = factor_stretch(*args)
         stretches.append((args, states))
-        return states, stop
+        return states, reached, stop
 
     monkeypatch.setattr(flows, "_factor_stretch", spy)
     traj = integrate(FlowConfig(field="t", dt=1e-3, T=1.0), seed_point(sl4, seed), conserved=[])
     assert traj.note.startswith("pole between")
-    (X, V, block, h, m), states = [s for s in stretches if len(s[1])][-1]
+    (X, V, block, h, m, keep), states = [s for s in stretches if len(s[1])][-1]
     assert block == 0 and len(states) == m
     for k, got in enumerate(states, 1):
         upper = lu_nopivot(expm(k * h * X))[1]
@@ -691,6 +692,100 @@ def test_huge_steps_stop_without_an_error(name, request):
         assert traj.truncated and "trajectory truncated" in traj.note
         assert np.all(np.isfinite(traj.states))
     assert flow_commutation(m0, dt=100.0, n_steps=1000) == math.inf
+
+
+def _eigenvalue_grid(X, dt):
+    """The pivot tests per sample that the eigenvalue rule asks for."""
+    return max(1, math.ceil(dt * np.abs(np.linalg.eigvals(X)).sum()))
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "gl4", "so5"])
+def test_the_norm_bound_settles_the_pole_grid_as_the_eigenvalues_do(name, request, monkeypatch):
+    # one step at dt across dt·√n·‖X‖_F = 1, below which the bound gives q = 1
+    # with no eigensolve, and across dt·Σ|λ(X)| = 1 and 2, where the eigenvalue
+    # rule asks for 2 and 3 tests: the pivot tests are the eigenvalue rule's
+    alg = _algebra(name, request)
+    V0 = alg.to_matrices(seed_point(alg).vec())
+    solves = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda A: solves.append(A) or eigvals(A))
+    for field, X in (("t", V0[0]), ("s", -V0[1])):
+        bound = math.sqrt(alg.matrix_size) * np.linalg.norm(X)
+        spectral = np.abs(eigvals(X)).sum()
+        assert spectral <= bound
+        for dt in ([c / bound for c in (0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 1.5, 3.0)]
+                   + [c / spectral for c in (1 - 1e-9, 1.0, 1 + 1e-9, 2.5)]):
+            want = _eigenvalue_grid(X, dt)
+            solves.clear()
+            _, note, work = factor_states(alg, field, V0, dt, 1)
+            assert note == "" and work["pivot_tests"] == want, (field, dt)
+            assert len(solves) == (dt * bound > 1 - 1e-12), (field, dt)
+
+
+@pytest.mark.parametrize("field, V0", [
+    # |λ| all equal, Σ|λ| = √n·‖X‖_F: diag(1, −1) for the t-flow, a rotation
+    # for the s-flow (X = −M, λ = ±i), and a multiple of the identity
+    ("t", np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.3, 0.2], [-0.5, -0.3]]])),
+    ("s", np.array([[[0.3, 0.2], [-0.5, -0.3]], [[0.0, 1.0], [-1.0, 0.0]]])),
+    ("t", np.array([2.0 * np.eye(4), np.triu(np.ones((4, 4)))])),
+], ids=["sl2-real", "sl2-rotation", "gl4-scalar"])
+def test_the_norm_bound_is_sharp_where_the_moduli_are_equal(field, V0):
+    # at the bound's equality case the slack leaves q to the eigenvalue rule
+    alg = build_gl(len(V0[0]))
+    X = V0[0] if field == "t" else -V0[1]
+    spectral = np.abs(np.linalg.eigvals(X)).sum()
+    assert math.isclose(spectral, math.sqrt(len(X)) * np.linalg.norm(X))
+    for c in (0.5, 1 - 1e-9, 1 - 1e-13, 1.0, 1 + 1e-13, 1 + 1e-9, 2.0, 2.5):
+        dt = c / spectral
+        assert flows._pivot_grid(X, dt) == _eigenvalue_grid(X, dt), c
+        _, _, work = factor_states(alg, field, V0, dt, 1)
+        assert work["pivot_tests"] == _eigenvalue_grid(X, dt), c
+
+
+def test_a_non_finite_start_takes_one_pivot_test_per_sample(sl2):
+    # as before the bound: no eigensolve of a non-finite X, q = 1 at any dt,
+    # and the run stops at its first sample
+    V0 = sl2.to_matrices(seed_point(sl2).vec())
+    for field, block in (("t", 0), ("s", 1)):
+        V = V0.copy()
+        V[block, 0, 1] = np.nan
+        for dt in (1e-3, 100.0, 1e5):
+            assert flows._pivot_grid(V[block], dt) == 1
+            states, note, work = factor_states(sl2, field, V, dt, 1)
+            assert len(states) == 1 and note and work["pivot_tests"] == 1, (field, dt)
+
+
+def test_a_stretch_that_conjugates_its_end_alone_stops_where_the_full_stretch_does(sl2):
+    # M near overflow grows along the t-flow until a state overflows inside a
+    # stretch.  The factors cannot vouch for the samples it skips, so the
+    # stretch conjugates them all and stops where the full stretch stops, at
+    # a sample that is not its end; the factors of a smaller M vouch for them
+    L = np.array([[0.5, 1.0], [0.3, -0.5]])
+    M = np.array([[0.2, 1.0], [-0.7, -0.2]])
+    h = 0.01 / np.abs(L).sum(axis=0).max()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for scale, first_bad in ((1e290, None), (1e308, 84)):
+            V = np.stack([L, scale * M])
+            full, reached, stop = flows._factor_stretch(L, V, 0, h, 100, np.arange(1, 101))
+            LU = flows._lu(flows._grid_expm(L, h, 100))
+            pivots = np.diagonal(LU, axis1=-2, axis2=-1)
+            assert flows._conjugates_are_finite(LU, pivots, V) == (first_bad is None)
+            end = flows._factor_stretch(L, V, 0, h, 100, np.array([100]))
+            some = flows._factor_stretch(L, V, 0, h, 100, np.array([10, 50, 100]))
+            if first_bad is None:
+                assert (reached, stop) == (100, "")
+            else:
+                assert (reached, stop) == (first_bad - 1, "non-finite")
+            kept = [k for k in (10, 50, 100) if k <= reached]
+            assert (end[1:], some[1:]) == ((reached, stop), (reached, stop))
+            assert np.array_equal(end[0], full[99:reached])
+            assert np.array_equal(some[0], full[np.array(kept, dtype=int) - 1])
+    # a whole run, and one that keeps its end alone, stop at the same sample
+    V = np.stack([L, 1e308 * M])
+    runs = [factor_states(sl2, "t", V, 1e-2, 300, last=last) for last in (False, True)]
+    assert runs[0][1] == runs[1][1] == ("non-finite state at step 56 (t = 0.56); "
+                                        "trajectory truncated")
+    assert runs[0][2] == runs[1][2] and len(runs[1][0]) == 0
 
 
 @pytest.mark.parametrize("dt, T", [(0.01, 5.0), (1.0, 4.0), (5.0, 20.0), (100.0, 400.0)])
